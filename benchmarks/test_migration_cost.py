@@ -26,6 +26,11 @@ _PAIRS = (
     ("ALEX", "LIPP"),
 )
 
+#: Shadow-meter ns per client ns.  Stage -> bulk_load -> catch-up runs
+#: at 0.49-0.56x on these pairs; growing the destination by sorted
+#: per-key inserts cost 0.74-3.95x.
+OVERHEAD_RATIO_GATE = 0.7
+
 
 def _bare_client_ns(src: str, workload) -> float:
     """The same client stream with no migration attached."""
@@ -84,6 +89,8 @@ def test_migration_cost(benchmark):
         # hidden in the client's bill.
         assert report.overhead_ns > 0, pair
         assert report.backfill_keys_per_vsec > 0, pair
+        ratio = report.overhead_ns / max(report.client_ns, 1.0)
+        assert ratio <= OVERHEAD_RATIO_GATE, f"{pair}: {ratio:.2f}x"
         # The zero-downtime claim as a meter bound: client ops run on
         # the source before the cutover and on the destination after,
         # each at its unchanged bare price — never dearer than paying

@@ -11,9 +11,10 @@ item 1 asks what serving them costs.  Three gates:
 
 * **Overhead accounting.**  In the deterministic session the rebuild's
   virtual cost (`overhead_ns`, charged to the secondary's meter) must
-  stay within a small multiple of the foreground cost — a rebuild
-  re-inserts and re-verifies every key, so ~O(n) against a few
-  thousand client ops, but it must never dwarf the serving work.
+  stay below the foreground cost — a rebuild scans, bulk-loads and
+  re-verifies every key, so ~O(n) against a few thousand client ops
+  (0.6x here).  Growing the secondary by per-key inserts instead of
+  one bulk load cost 1.2x and would trip the gate.
 
 * **Reproducibility.**  The deterministic session is the gated one
   (`repro serve --history`), so the same arguments must produce the
@@ -23,7 +24,7 @@ item 1 asks what serving them costs.  Three gates:
 from common import print_header
 from repro.core.server import run_serve_session, session_streams
 
-OVERHEAD_RATIO_GATE = 25.0
+OVERHEAD_RATIO_GATE = 1.0
 
 
 def _session(threaded, seed=0):

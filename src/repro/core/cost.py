@@ -286,7 +286,9 @@ class SyncedMeter(CostMeter):
 
     def __init__(self, weights: Optional[Dict[str, float]] = None) -> None:
         super().__init__(weights)
-        self._mutex = threading.RLock()
+        # Plain (non-reentrant) lock: no locked method calls another —
+        # readers run the unlocked ``super()`` bodies.
+        self._mutex = threading.Lock()
         self._local = threading.local()
 
     @classmethod

@@ -17,13 +17,16 @@ loads, rebuilds and migrations run as background jobs:
   through a bounded submission queue — ``block`` admission waits for a
   slot, ``reject`` admission raises with exact rejection counts
   (SNIPPETS Snippet 1's reconcile-thread pattern) — and are executed
-  one chunk at a time by a worker thread.  A rebuild wraps the serving
+  one step at a time by a worker thread.  A rebuild wraps the serving
   index in a :class:`~repro.indexes.multiplex.MultiplexIndex` with
-  ``pump_per_op=0``: only the job worker pumps, under the write lock,
-  so client reads are never blocked by migration work and never race
-  the backfill cursor.  Pump work is charged to the secondary's meter
-  (never client-visible latency); a failed or aborted job rolls the
-  instance back to SERVING on its original index.
+  ``pump_per_op=0``: only the job worker pumps.  Chunk-sized steps
+  (staging scans, delta catch-up, verification, cutover) run under the
+  write lock, so they never race a client op; the one O(n) step — the
+  ``bulk_load`` of the staged snapshot into the private secondary —
+  runs with no lock held, so no client op ever waits on it.  Pump work
+  is charged to the secondary's meter (never client-visible latency);
+  a failed or aborted job rolls the instance back to SERVING on its
+  original index.
 * **Status is first-class**: every job step publishes a typed ``job``
   event (chunks pumped, verified fraction, queue depth, ETA on the
   virtual clock) through the PR-8 :class:`~repro.core.events.EventBus`
@@ -264,8 +267,14 @@ class _Served:
 
 
 class _BulkLoadRunner:
-    """Chunked background bulk load; the instance stays LOADING (and
-    keeps refusing traffic, counted) until the last chunk lands."""
+    """Background bulk load; the instance stays LOADING (and keeps
+    refusing traffic, counted) until the load lands.
+
+    Items are admitted a chunk per step — a progress event and an abort
+    point each — and the step that admits the last chunk builds the
+    index with one ``bulk_load`` of everything: nobody is served from a
+    LOADING instance, so growing it insert by insert would only make
+    the result slower to build and worse than a fresh bulk load."""
 
     def __init__(self, server: "IndexServer", served: _Served, job: Job,
                  items: Sequence[Tuple[int, Any]]) -> None:
@@ -279,45 +288,40 @@ class _BulkLoadRunner:
     def step(self) -> bool:
         job, served = self.job, self.served
         inst = served.instance
+        items = self.items
         with _write(served.lock):
             if job.abort_requested:
-                # A half-loaded index cannot serve; retire it.
+                # An instance that never got its data cannot serve.
                 inst.advance(RETIRED, f"job {job.job_id} aborted mid-load")
                 job.state = JOB_ABORTED
                 return True
-            index = inst.index
-            meter = index.meter
-            before = meter.snapshot()
-            if self.pos == 0:
-                spec = REGISTRY.get(served.index_name)
-                first = (self.items if not spec.supports_insert
-                         else self.items[:job.chunk])
-                index.bulk_load(first)
-                self.pos = len(first)
-            else:
-                for key, value in self.items[self.pos:self.pos + job.chunk]:
-                    index.insert(key, value)
-                self.pos = min(self.pos + job.chunk, len(self.items))
-            job.overhead_ns += meter.diff(before).total_time()
+            self.pos = min(self.pos + job.chunk, len(items))
+            staged_all = self.pos >= len(items)
+            if staged_all:
+                meter = inst.index.meter
+                before = meter.snapshot()
+                inst.index.bulk_load(items)
+                job.overhead_ns += meter.diff(before).total_time()
             job.chunks_pumped += 1
             job.done_keys = self.pos
-            job.eta_ns = _eta(job.overhead_ns, self.pos, len(self.items))
-            inst.note_backfill(self.pos, len(self.items), stage="load")
-            if self.pos >= len(self.items):
-                served.bulk_items = list(self.items)
+            inst.note_backfill(self.pos, len(items), stage="load")
+            if staged_all:
+                served.bulk_items = list(items)
                 inst.advance(SERVING,
                              f"job {job.job_id}: bulk loaded "
-                             f"{len(self.items)} items")
+                             f"{len(items)} items")
                 job.verified_fraction = 1.0
                 job.eta_ns = 0.0
                 job.state = JOB_DONE
-                return True
-        return False
+        return staged_all
 
 
 class _RebuildRunner:
     """Background rebuild/migration driving a ``pump_per_op=0``
-    multiplexer one chunk per step, under the instance's write lock."""
+    multiplexer one step at a time.  Staging, catch-up, verify and
+    cutover steps hold the instance's write lock; the one O(n) step —
+    bulk-loading the staged snapshot into the secondary — holds no
+    lock, so foreground traffic keeps flowing through it."""
 
     def __init__(self, server: "IndexServer", served: _Served,
                  job: Job, factory: Optional[Callable[[], Any]]) -> None:
@@ -332,16 +336,19 @@ class _RebuildRunner:
     def step(self) -> bool:
         if self.mux is None:
             return self._attach()
-        job, served = self.job, self.served
+        job, served, mux = self.job, self.served, self.mux
+        if mux.build_pending and not job.abort_requested:
+            # Only this runner pumps, so nothing else moves the phase
+            # or touches the staging list and the secondary; client
+            # writes meanwhile land in the delta log, under the lock.
+            self._metered(mux.build_secondary)
+            job.chunks_pumped += 1
+            return False
         with _write(served.lock):
-            mux = self.mux
             if job.abort_requested:
                 return self._rollback_locked(JOB_ABORTED, "abort requested")
             if mux.phase in (BACKFILL, VERIFY):
-                overhead_meter = mux.secondary.meter
-                before = overhead_meter.snapshot()
-                mux.pump()
-                job.overhead_ns += overhead_meter.diff(before).total_time()
+                self._metered(mux.pump)
                 job.chunks_pumped += 1
                 self._note_progress()
                 if mux.phase == FAILED:
@@ -352,13 +359,10 @@ class _RebuildRunner:
                 return self._rollback_locked(JOB_FAILED,
                                              self._divergence_text())
             if mux.phase == READY:
-                overhead_meter = mux.secondary.meter
-                before = overhead_meter.snapshot()
-                mux.cutover()  # re-checks late churn; may fail
+                self._metered(mux.cutover)  # re-checks late churn; may fail
                 if mux.phase == FAILED:
                     return self._rollback_locked(
                         JOB_FAILED, self._divergence_text())
-                job.overhead_ns += overhead_meter.diff(before).total_time()
                 inst = served.instance
                 inst.index = mux.primary
                 inst.status_probe = None
@@ -409,6 +413,14 @@ class _RebuildRunner:
             job.total_keys = 2 * len(primary)
         self.mux = mux
         return False
+
+    def _metered(self, work: Callable[[], Any]) -> None:
+        """Run one migration step, charging what it put on the
+        secondary's meter to the job's overhead."""
+        meter = self.mux.secondary.meter
+        before = meter.snapshot()
+        work()
+        self.job.overhead_ns += meter.diff(before).total_time()
 
     def _note_progress(self) -> None:
         job, mux = self.job, self.mux
@@ -752,8 +764,8 @@ class IndexServer:
         spec = REGISTRY.get(dst_name)
         if not spec.supports_insert:
             raise ValueError(
-                f"{spec.name} cannot be a {kind} destination: the "
-                "backfill pump inserts chunk by chunk")
+                f"{spec.name} cannot be a {kind} destination: writes "
+                "made during the build are replayed as inserts")
         job = Job(job_id=next(self._job_ids), kind=kind, instance=name,
                   dst=spec.name, chunk=chunk or self.chunk)
         job.runner = _RebuildRunner(self, served, job, factory)
@@ -860,6 +872,9 @@ class IndexServer:
         return finished
 
     def _finalize_job(self, job: Job) -> None:
+        # The runner pins the multiplexer, the retired index and the
+        # load's sorted items; the job record outlives them all.
+        job.runner = None
         self._publish_job(job, job.state)
         job._finished.set()
 

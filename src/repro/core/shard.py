@@ -256,7 +256,7 @@ class _RangeView(OrderedIndex):
 
     Each delegated call *lends* the view's current meter to the child
     for its duration (:meth:`_lend` reads ``self.meter`` dynamically),
-    which composes with the multiplexer's ``_borrowed_meter``: backfill
+    which composes with the multiplexer's ``_BorrowedMeter``: backfill
     and verify reads land on the migration-overhead meter, client ops
     on the client-visible one — every charge lands on exactly one
     cluster-adopted meter, never two.

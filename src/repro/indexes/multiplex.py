@@ -7,18 +7,27 @@ presents the full ``OrderedIndex`` contract — including the
 
 * serving every **read** from the *primary* (the index being replaced),
   so client-visible lookup latency never changes,
-* duplicating every **write** to primary *and* secondary, checking
-  write parity (a dual write that disagrees on success is divergence),
-* **backfilling** the secondary in interleaved chunks: each client op
-  pumps up to ``pump_per_op`` chunks copied from a snapshot cursor that
-  walks the primary in key order via ``range_scan``.  Pump work is
-  charged to the *secondary's* cost meter, never the client-visible
-  primary meter — migration overhead is measured, not hidden, and reads
-  stay exactly as cheap as before,
+* **backfilling** the (empty) secondary by *stage -> build -> catch-up*:
+  each client op pumps up to ``pump_per_op`` steps.  A staging step
+  scans one chunk from a snapshot cursor that walks the primary in key
+  order via ``range_scan`` and appends the rows to a private list; once
+  the cursor is exhausted one ``secondary.bulk_load(staged)`` builds the
+  secondary the way the index was designed to be built (sorted
+  key-by-key inserts are the adversarial pattern for gapped/learned
+  layouts).  Client writes that land meanwhile go to the primary only;
+  those behind the cursor are appended to an ordered *delta log* (keys
+  ahead of it are staged later with their new value) and replayed on
+  the built secondary before verification starts.  Pump work is charged
+  to the *secondary's* cost meter, never the client-visible primary
+  meter — migration overhead is measured, not hidden, and reads stay
+  exactly as cheap as before,
 * **verifying** after backfill completes: a second cursor sweep
-  value-compares every primary key against the secondary, then keys
-  dual-written during the sweep (the *dirty set*) are re-compared, then
-  sizes must match.  Only a fully verified secondary reaches ``ready``,
+  value-compares every primary key against the secondary while writes
+  are now duplicated to both sides (a dual write that disagrees on
+  success is divergence); keys dual-written during the sweep (the
+  *dirty set*) are re-compared, then sizes must match.  Only a fully
+  verified secondary reaches ``ready`` — the sweep, not the build, is
+  the proof that the secondary is right,
 * **cutting over** atomically between two client operations: the
   primary reference, meter, and capability flags swap in one step with
   no operation deferred or rejected (``cutover_stall_ops == 0`` by
@@ -38,6 +47,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.indexes.base import (
+    KEY_BYTES,
+    PAYLOAD_BYTES,
     Key,
     MemoryBreakdown,
     OpRecord,
@@ -66,8 +77,8 @@ class Divergence:
     #: Client-op sequence number at detection time.
     seq: int
     #: Where it surfaced: "write" (dual-write parity), "backfill"
-    #: (copy hit an existing key with a different value), "verify"
-    #: (sweep or dirty-set re-check), "size" (cardinality mismatch).
+    #: (the secondary refused a delta-log write), "verify" (sweep or
+    #: dirty-set re-check), "size" (cardinality mismatch).
     stage: str
     op: str
     key: Key
@@ -79,8 +90,32 @@ class Divergence:
                 f"expected {self.expected}, got {self.got}")
 
 
+class _BorrowedMeter:
+    """``with`` block that charges the primary's ops to the secondary's
+    meter — backfill/verify reads of the primary are migration
+    overhead, not client traffic."""
+
+    __slots__ = ("mux", "saved")
+
+    def __init__(self, mux: "MultiplexIndex") -> None:
+        self.mux = mux
+
+    def __enter__(self) -> None:
+        mux = self.mux
+        self.saved = mux.primary.meter
+        assert mux.secondary is not None
+        mux.primary.meter = mux.secondary.meter
+
+    def __exit__(self, *exc: Any) -> None:
+        self.mux.primary.meter = self.saved
+
+
 class MultiplexIndex(OrderedIndex):
-    """Primary + shadow secondary multiplexed behind one index."""
+    """Primary + shadow secondary multiplexed behind one index.
+
+    The secondary must be empty at attach: it is built by one
+    ``bulk_load`` of the staged snapshot, which would discard (or
+    refuse) anything already in it."""
 
     name = "Multiplex"
     is_learned = False
@@ -101,6 +136,10 @@ class MultiplexIndex(OrderedIndex):
             raise ValueError(
                 f"{primary.name} cannot be migrated from: the backfill "
                 "snapshot cursor needs range_scan support")
+        if len(secondary):
+            raise ValueError(
+                f"{secondary.name} secondary must be empty at attach "
+                f"(holds {len(secondary)} keys): it is built by bulk_load")
         super().__init__(meter=primary.meter)
         self.primary = primary
         self.secondary: Optional[OrderedIndex] = secondary
@@ -114,27 +153,29 @@ class MultiplexIndex(OrderedIndex):
         self.supports_delete = primary.supports_delete and secondary.supports_delete
         self.supports_range = primary.supports_range
         self.supports_duplicates = False
-        #: Next key the backfill snapshot cursor will copy from.
+        #: Next key the backfill snapshot cursor will stage from.
         self._cursor: Key = 0
+        #: Rows scanned so far, in key order; one ``bulk_load`` turns
+        #: them into the secondary and drops the list.
+        self._staged: List[Tuple[Key, Value]] = []
+        #: Cursor still has primary keys to stage.
+        self._staging = True
+        self._built = False
+        #: Ordered ``(op, key, value)`` client writes the staged snapshot
+        #: misses (their key was behind the cursor); replayed on the
+        #: secondary right after the build.
+        self._delta: List[Tuple[str, Key, Value]] = []
         #: Next key the verification sweep will compare.
         self._vcursor: Key = 0
         #: Keys dual-written while verification was in flight; re-compared
         #: before cutover so churn cannot slip past the sweep.
         self._dirty: Set[Key] = set()
-        #: Keys already written to the secondary while backfill was in
-        #: flight.  The cursor must value-compare these instead of
-        #: re-inserting: LSM-style secondaries (PGM) blind-append on
-        #: insert, so "insert returned False" cannot detect duplicates.
-        self._shadow_written: Set[Key] = set()
         self.divergences: List[Divergence] = []
         #: Progress callback ``(stage, done, total)`` per pumped chunk.
         self.progress_sink: Optional[Callable[[str, int, int], None]] = None
         # Counters surfaced in the migration report.
         self.backfill_keys = 0
         self.backfill_chunks = 0
-        #: Backfill-cursor keys that were already dual-written (their
-        #: values get compared instead of copied).
-        self.backfill_duplicates = 0
         self.verify_keys = 0
         self.reverify_keys = 0
         self.dual_writes = 0
@@ -159,22 +200,11 @@ class MultiplexIndex(OrderedIndex):
         if cur is not prev:
             self.last_op = cur
 
-    def _borrowed_meter(self):
-        """Context that charges the primary's next ops to the secondary's
-        meter — backfill/verify reads of the primary are migration
-        overhead, not client traffic."""
-        mux = self
-
-        class _Borrow:
-            def __enter__(self) -> None:
-                self._saved = mux.primary.meter
-                assert mux.secondary is not None
-                mux.primary.meter = mux.secondary.meter
-
-            def __exit__(self, *exc: Any) -> None:
-                mux.primary.meter = self._saved
-
-        return _Borrow()
+    @property
+    def build_pending(self) -> bool:
+        """Staging is complete and :meth:`build_secondary` has not run
+        yet (still ``phase == BACKFILL``)."""
+        return self.phase == BACKFILL and not self._staging and not self._built
 
     def _diverge(self, stage: str, op: str, key: Key,
                  expected: object, got: object) -> None:
@@ -188,21 +218,21 @@ class MultiplexIndex(OrderedIndex):
         if self.progress_sink is not None:
             self.progress_sink(stage, done, len(self.primary))
 
-    def _expect_in_secondary(self, key: Key) -> bool:
-        """Whether ``key``'s presence in the primary implies presence in
-        the secondary (already backfilled, or backfill finished)."""
-        return self.phase in (VERIFY, READY) or key < self._cursor
-
     # -- the pump: interleaved backfill / verify / cutover ---------------------
 
     def pump(self) -> int:
-        """Advance the migration by one chunk; returns keys processed.
+        """Advance the migration by one step; returns keys processed.
 
         Called automatically (``pump_per_op`` times) after every client
         operation, so migration progress interleaves with live traffic
-        instead of stopping the world."""
+        instead of stopping the world.  While ``phase == BACKFILL`` a
+        step stages one chunk, or — once staging is done — builds the
+        secondary (unless the caller already did) and catches it up."""
         if self.phase == BACKFILL:
-            return self._backfill_chunk()
+            if self._staging:
+                return self._stage_chunk()
+            self.build_secondary()
+            return self._catch_up()
         if self.phase == VERIFY:
             return self._verify_chunk()
         if self.phase == READY and self.auto_cutover:
@@ -215,36 +245,84 @@ class MultiplexIndex(OrderedIndex):
                 return
             self.pump()
 
-    def _backfill_chunk(self) -> int:
-        secondary = self.secondary
-        assert secondary is not None
-        with self._borrowed_meter():
+    def _stage_chunk(self) -> int:
+        with _BorrowedMeter(self):
             rows = self.primary.range_scan(self._cursor, self.chunk)
-        for key, value in rows:
-            if key in self._shadow_written or not secondary.insert(key, value):
-                # Already present (dual-written while the cursor was
-                # behind it): fine, but the values must agree.
-                self.backfill_duplicates += 1
-                got = secondary.lookup(key)
-                if got != value:
-                    self._diverge("backfill", "insert", key, value, got)
-                    return 0
+        self._staged.extend(rows)
         self.backfill_keys += len(rows)
         self.backfill_chunks += 1
-        self._invalidate_batch_cache()
         if len(rows) < self.chunk:
-            self.phase = VERIFY
-            self._vcursor = 0
-            self._shadow_written.clear()  # the dirty set takes over
+            self._staging = False
         else:
             self._cursor = rows[-1][0] + 1
         self._progress("backfill", self.backfill_keys)
         return len(rows)
 
+    def build_secondary(self) -> None:
+        """Bulk-load the staged snapshot into the secondary (no-op unless
+        :attr:`build_pending`).
+
+        The one O(n) step of a migration.  It reads and writes only
+        state private to the migration — the staging list and the
+        secondary — so a threaded caller runs it with no lock held
+        while client writes keep landing in the delta log; ``pump()``
+        runs it inline for everyone else."""
+        if not self.build_pending:
+            return
+        secondary = self.secondary
+        assert secondary is not None
+        secondary.bulk_load(self._staged)
+        self._staged = []
+        self._built = True
+
+    def _catch_up(self) -> int:
+        """Replay the delta log on the freshly built secondary, then
+        start verifying.  Every logged write succeeded on the primary,
+        so each must succeed on a faithful secondary."""
+        for op, key, value in self._delta:
+            if not self._apply_secondary(op, key, value):
+                self._diverge("backfill", op, key, True, False)
+                return 0
+        replayed = len(self._delta)
+        self.dual_writes += replayed
+        self._delta = []
+        self.phase = VERIFY
+        self._vcursor = 0
+        self._invalidate_batch_cache()
+        return replayed
+
+    def _apply_secondary(self, op: str, key: Key, value: Value) -> bool:
+        secondary = self.secondary
+        assert secondary is not None
+        if op == "insert":
+            return secondary.insert(key, value)
+        if op == "update":
+            return secondary.update(key, value)
+        return secondary.delete(key)
+
+    def _shadow(self, op: str, key: Key, value: Value = None) -> None:
+        """Carry one write the primary accepted over to the secondary
+        side: into the delta log while the secondary is still being
+        built, as a parity-checked dual write afterwards."""
+        if self.secondary is None or self.phase == FAILED:
+            return
+        if self.phase == BACKFILL:
+            # Keys at or past the cursor are yet to be scanned: the
+            # staged snapshot will already reflect this write.
+            if not self._staging or key < self._cursor:
+                self._delta.append((op, key, value))
+            return
+        self.dual_writes += 1
+        if self._apply_secondary(op, key, value):
+            # Both sides must agree on this key before cutover.
+            self._dirty.add(key)
+        else:
+            self._diverge("write", op, key, True, False)
+
     def _verify_chunk(self) -> int:
         secondary = self.secondary
         assert secondary is not None
-        with self._borrowed_meter():
+        with _BorrowedMeter(self):
             rows = self.primary.range_scan(self._vcursor, self.chunk)
         for key, value in rows:
             got = secondary.lookup(key)
@@ -264,7 +342,7 @@ class MultiplexIndex(OrderedIndex):
         secondary = self.secondary
         assert secondary is not None
         for key in sorted(self._dirty):
-            with self._borrowed_meter():
+            with _BorrowedMeter(self):
                 expected = self.primary.lookup(key)
             got = secondary.lookup(key)
             self.reverify_keys += 1
@@ -299,7 +377,7 @@ class MultiplexIndex(OrderedIndex):
         # comparison, so the verified-before-swap guarantee covers
         # every key no matter how late the churn arrived.
         for key in sorted(self._dirty):
-            with self._borrowed_meter():
+            with _BorrowedMeter(self):
                 expected = self.primary.lookup(key)
             got = secondary.lookup(key)
             self.reverify_keys += 1
@@ -323,13 +401,15 @@ class MultiplexIndex(OrderedIndex):
             raise RuntimeError(f"nothing to abort (phase={self.phase!r})")
         self.retired = self.secondary
         self.secondary = None
+        self._staged = []
+        self._delta = []
         self.phase = DETACHED
         self._invalidate_batch_cache()
 
     # -- OrderedIndex: reads ---------------------------------------------------
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        """Load the *primary*; the backfill pump will copy to the
+        """Load the *primary*; the backfill pump will stage it for the
         secondary like any other pre-existing data."""
         self.primary.bulk_load(items)
         self._invalidate_batch_cache()
@@ -350,25 +430,15 @@ class MultiplexIndex(OrderedIndex):
         self._pump()
         return rows
 
-    # -- OrderedIndex: dual writes ---------------------------------------------
+    # -- OrderedIndex: writes (delta-logged, then dual) ------------------------
 
     def insert(self, key: Key, value: Value) -> bool:
         prev = self.primary.last_op
         okp = self.primary.insert(key, value)
         self._mirror(prev)
         self._seq += 1
-        secondary = self.secondary
-        if okp and secondary is not None and self.phase != FAILED:
-            # A fresh primary insert means the key was absent, so the
-            # backfill cursor can never have copied it: the secondary
-            # insert must succeed unconditionally.
-            self.dual_writes += 1
-            if not secondary.insert(key, value):
-                self._diverge("write", "insert", key, True, False)
-            elif self.phase == BACKFILL:
-                self._shadow_written.add(key)
-            elif self.phase in (VERIFY, READY):
-                self._dirty.add(key)
+        if okp:
+            self._shadow("insert", key, value)
         self._pump()
         return okp
 
@@ -377,18 +447,8 @@ class MultiplexIndex(OrderedIndex):
         okp = self.primary.update(key, value)
         self._mirror(prev)
         self._seq += 1
-        secondary = self.secondary
-        if okp and secondary is not None and self.phase != FAILED:
-            self.dual_writes += 1
-            oks = secondary.update(key, value)
-            if not oks and self._expect_in_secondary(key):
-                self._diverge("write", "update", key, True, False)
-            elif oks and self.phase == BACKFILL:
-                self._shadow_written.add(key)
-            elif oks and self.phase in (VERIFY, READY):
-                self._dirty.add(key)
-            # Not yet backfilled and not written: the cursor will copy
-            # the new value.
+        if okp:
+            self._shadow("update", key, value)
         self._pump()
         return okp
 
@@ -397,17 +457,8 @@ class MultiplexIndex(OrderedIndex):
         okp = self.primary.delete(key)
         self._mirror(prev)
         self._seq += 1
-        secondary = self.secondary
-        if okp and secondary is not None and self.phase != FAILED:
-            self.dual_writes += 1
-            oks = secondary.delete(key)
-            if not oks and self._expect_in_secondary(key):
-                self._diverge("write", "delete", key, True, False)
-            elif self.phase == BACKFILL:
-                self._shadow_written.discard(key)
-            elif self.phase in (VERIFY, READY):
-                # Both sides must now agree the key is gone.
-                self._dirty.add(key)
+        if okp:
+            self._shadow("delete", key)
         self._pump()
         return okp
 
@@ -417,8 +468,8 @@ class MultiplexIndex(OrderedIndex):
         """Delegate the vectorized fast path to the live primary.
 
         The binding is cached in ``_batch_cache`` and dropped by
-        ``_invalidate_batch_cache`` — which every pump chunk, cutover,
-        and abort calls — so a batch can never be served by an index
+        ``_invalidate_batch_cache`` — which catch-up, cutover and
+        abort call — so a batch can never be served by an index
         that was swapped out mid-stream (see ``scan_many`` in the base
         class for the wrapper-mutation guard)."""
         if self._batch_cache is None:
@@ -440,14 +491,17 @@ class MultiplexIndex(OrderedIndex):
 
     def memory_usage(self) -> MemoryBreakdown:
         """Honest accounting: while both sides are attached, migration
-        really does hold two indexes in memory."""
+        really does hold two indexes in memory — plus the staged rows
+        and the delta log until the build consumes them."""
         mem = self.primary.memory_usage()
         if self.secondary is not None:
             other = self.secondary.memory_usage()
+            pending = len(self._staged) + len(self._delta)
             return MemoryBreakdown(
                 inner=mem.inner + other.inner,
                 leaf=mem.leaf + other.leaf,
-                metadata=mem.metadata + other.metadata,
+                metadata=mem.metadata + other.metadata
+                + pending * (KEY_BYTES + PAYLOAD_BYTES),
             )
         return mem
 
@@ -462,11 +516,14 @@ class MultiplexIndex(OrderedIndex):
         return {
             "phase": self.phase,
             "primary": self.primary.name,
-            "secondary": self.secondary.name if self.secondary else None,
+            "secondary": (self.secondary.name
+                          if self.secondary is not None else None),
             "cursor": self._cursor,
             "backfill_keys": self.backfill_keys,
             "backfill_chunks": self.backfill_chunks,
-            "backfill_duplicates": self.backfill_duplicates,
+            "staged": len(self._staged),
+            "delta": len(self._delta),
+            "build_pending": self.build_pending,
             "verify_keys": self.verify_keys,
             "reverify_keys": self.reverify_keys,
             "dirty": len(self._dirty),

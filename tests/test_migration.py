@@ -4,7 +4,8 @@ Unit tests drive :class:`MultiplexIndex` pump-by-pump; integration
 tests run :func:`run_migration` end to end, including the edge cases
 from the issue: cutover racing a concurrent SMO, a lying secondary
 (divergence -> abort -> shrunk repro), abort-and-rollback leaving the
-primary serving, and empty-index / duplicate-key backfill.
+primary serving, empty-index backfill, and writes racing the staging
+cursor (stage -> build -> catch-up).
 """
 
 import random
@@ -25,6 +26,7 @@ from repro.core.workloads import (
 from repro.indexes.alex import ALEX
 from repro.indexes.btree import BPlusTree
 from repro.indexes.finedex import FINEdex
+from repro.indexes.pgm import PGMIndex
 from repro.indexes.multiplex import (
     BACKFILL,
     DETACHED,
@@ -39,8 +41,16 @@ KEYS = sorted(random.Random(7).sample(range(1, 50_000_000), 2000))
 ITEMS = [(k, payload(k)) for k in KEYS]
 
 
-def _mux(n=300, chunk=50, **kw):
-    p, s = BPlusTree(), BPlusTree()
+class DeafUpdateBTree(BPlusTree):
+    """A lying secondary: applies the update, then denies the key."""
+
+    def update(self, key, value):
+        super().update(key, value)
+        return False
+
+
+def _mux(n=300, chunk=50, make_secondary=BPlusTree, **kw):
+    p, s = BPlusTree(), make_secondary()
     p.bulk_load(ITEMS[:n])
     return MultiplexIndex(p, s, chunk=chunk, **kw), p, s
 
@@ -99,40 +109,70 @@ def test_dual_written_insert_survives_cutover():
     assert mux.lookup(KEYS[0]) == payload(KEYS[0])
 
 
-def test_duplicate_key_backfill_compares_instead_of_copying():
-    mux, _, _ = _mux(n=400, chunk=50)
-    mux.pump()  # cursor now past the first chunk
-    ahead = max(KEYS) + 5  # dual-written, then reached by the cursor
-    assert mux.insert(ahead, payload(ahead))
-    _pump_until(mux, READY)
-    assert mux.backfill_duplicates >= 1
-    assert not mux.divergences
-    mux.cutover()
-    assert mux.lookup(ahead) == payload(ahead)
+def test_key_written_during_staging_lands_exactly_once():
+    """A write behind the cursor reaches the secondary through the
+    delta log, one ahead of it through the staged snapshot — never
+    both, whatever the destination does with a repeated insert (PGM
+    blind-appends)."""
+    behind, ahead = KEYS[10] + 1, max(KEYS) + 5
+    assert behind not in KEYS
+    for make_secondary in (BPlusTree, ALEX, PGMIndex):
+        mux, _, s = _mux(n=400, chunk=50, make_secondary=make_secondary)
+        mux.pump()  # cursor now past the first chunk
+        assert KEYS[10] < mux.status()["cursor"] <= ahead
+        for key in (behind, ahead):
+            assert mux.insert(key, payload(key))
+            assert mux.update(key, key)  # the latest value must win
+        assert mux.status()["delta"] == 2  # only the writes behind
+        assert len(s) == 0  # nothing is dual-written before the build
+        _pump_until(mux, READY)
+        assert not mux.divergences
+        assert mux.dual_writes == 2  # the replayed delta log
+        mux.cutover()
+        assert mux.primary is s and len(mux) == 402
+        keys = [k for k, _ in mux.items()]
+        for key in (behind, ahead):
+            assert keys.count(key) == 1
+            assert mux.lookup(key) == key
+
+
+def test_secondary_must_be_empty_at_attach():
+    p, s = BPlusTree(), BPlusTree()
+    p.bulk_load(ITEMS[:50])
+    s.insert(KEYS[3], 1)
+    with pytest.raises(ValueError, match="must be empty"):
+        MultiplexIndex(p, s)
 
 
 def test_backfill_divergence_on_conflicting_secondary_value():
     mux, _, s = _mux(n=100, chunk=30)
-    s.insert(KEYS[3], payload(KEYS[3]) ^ 1)  # poisoned before the pump
+    _pump_until(mux, VERIFY)
+    assert s.update(KEYS[3], payload(KEYS[3]) ^ 1)  # poisoned after the build
     _pump_until(mux, FAILED)
-    assert mux.divergences[0].stage == "backfill"
+    assert mux.divergences[0].stage == "verify"
     assert mux.divergences[0].key == KEYS[3]
 
 
 def test_size_divergence_on_rogue_secondary_key():
     mux, _, s = _mux(n=100, chunk=40)
+    _pump_until(mux, VERIFY)
     rogue = max(KEYS) + 99  # never in the primary, so only the
     s.insert(rogue, 1)      # cardinality check can catch it
     _pump_until(mux, FAILED)
     assert mux.divergences[0].stage == "size"
 
 
-def test_lying_update_in_ready_window_diverges():
-    class DeafUpdateBTree(BPlusTree):
-        def update(self, key, value):
-            super().update(key, value)
-            return False  # claims the key is missing
+def test_failed_delta_replay_is_a_backfill_divergence():
+    mux, _, _ = _mux(n=100, chunk=30, make_secondary=DeafUpdateBTree)
+    mux.pump()
+    assert mux.update(KEYS[0], 7)  # behind the cursor: delta-logged
+    _pump_until(mux, FAILED)
+    assert mux.divergences[0].stage == "backfill"
+    assert mux.divergences[0].op == "update"
+    assert mux.divergences[0].key == KEYS[0]
 
+
+def test_lying_update_in_ready_window_diverges():
     p = BPlusTree()
     p.bulk_load(ITEMS[:100])
     mux = MultiplexIndex(p, DeafUpdateBTree(), chunk=50)
@@ -153,12 +193,18 @@ def test_dirty_keys_reverified_at_cutover():
 
 
 def test_abort_detaches_secondary_and_primary_keeps_serving():
-    mux, p, s = _mux(n=100, chunk=30)
-    s.insert(KEYS[0], 999)  # force divergence
-    _pump_until(mux, FAILED)
-    mux.abort()
+    mux, p, s = _mux(n=100, chunk=30, pump_per_op=0)
+    mux.pump()
+    assert mux.update(KEYS[0], payload(KEYS[0]))  # behind the cursor
+    st = mux.status()
+    assert st["phase"] == BACKFILL and st["staged"] == 30 and st["delta"] == 1
+    mux.abort()  # mid-staging: the staged rows and the delta log go too
     assert mux.phase == DETACHED
     assert mux.secondary is None and mux.retired is s
+    assert len(s) == 0
+    st = mux.status()
+    assert st["staged"] == 0 and st["delta"] == 0
+    assert mux.pump() == 0  # nothing left to drive
     new = max(KEYS) + 3
     assert mux.insert(new, payload(new))  # single-sided, no crash
     assert mux.lookup(new) == payload(new)
@@ -167,7 +213,11 @@ def test_abort_detaches_secondary_and_primary_keeps_serving():
 
 
 def test_memory_usage_sums_both_sides_while_attached():
-    mux, p, s = _mux(n=200, chunk=50, auto_cutover=True)
+    mux, p, s = _mux(n=200, chunk=50, auto_cutover=True, pump_per_op=0)
+    mux.pump()
+    mux.update(KEYS[0], payload(KEYS[0]))  # delta-logged
+    assert mux.memory_usage().total == (
+        p.memory_usage().total + s.memory_usage().total + (50 + 1) * 16)
     _pump_until(mux, VERIFY)
     both = mux.memory_usage().total
     assert both == p.memory_usage().total + s.memory_usage().total
@@ -288,9 +338,9 @@ def test_cutover_races_concurrent_smos():
 
 def test_blind_insert_lsm_destination_backfills_cleanly():
     """PGM appends blindly on insert (returns True for keys it already
-    holds), so the backfill cursor must value-compare dual-written keys
-    via the shadow-written set instead of insert-returned-False — or
-    the duplicate copies inflate the LSM's size past the primary's."""
+    holds), so a key must reach it exactly once — from the staged
+    snapshot or from the delta log, never both — or the duplicate
+    copies inflate the LSM's size past the primary's."""
     wl = churn_workload(KEYS[:1000], write_frac=0.6, n_ops=800, seed=13)
     report = run_migration("btree", "pgm", wl, chunk=64)
     assert report.ok, report.describe()
@@ -332,9 +382,8 @@ def test_lying_secondary_aborts_rolls_back_and_shrinks_a_repro():
     assert report.aborted and not report.completed
     assert not report.ok
     assert report.divergence_count >= 1
-    # Caught at the first value comparison that touches the liar: the
-    # backfill duplicate check or the verify sweep, whichever is first.
-    assert report.divergences[0].startswith(("[backfill]", "[verify]"))
+    # Caught at the first value comparison that touches the liar.
+    assert report.divergences[0].startswith("[verify]")
     # Rollback proof: the source served the rest of the stream...
     assert report.src_state == SERVING and report.dst_state == RETIRED
     assert report.post_abort_ops > 0
@@ -346,6 +395,27 @@ def test_lying_secondary_aborts_rolls_back_and_shrinks_a_repro():
     assert report.repro is not None
     assert 1 <= len(report.repro.ops) <= 5
     assert "ABORTED" in report.describe()
+
+
+def test_lying_update_in_the_delta_log_aborts_and_shrinks_a_repro():
+    ops = [Operation(LOOKUP, KEYS[1]),           # pumps the first chunk
+           Operation("update", KEYS[0], 4242)]   # behind the cursor
+    ops += [Operation(LOOKUP, k) for k in KEYS[:60]]
+    wl = Workload("update-behind-cursor", ITEMS[:300], ops,
+                  write_fraction=0.02)
+    report = run_migration("btree", "btree", wl, chunk=32,
+                           dst_factory=DeafUpdateBTree)
+    assert report.aborted and not report.completed
+    # Caught when the delta log is replayed on the built secondary,
+    # before a single key was verified.
+    assert report.divergences[0].startswith("[backfill]")
+    assert report.verify_keys == 0
+    assert report.src_state == SERVING and report.dst_state == RETIRED
+    assert report.post_abort_ops > 0
+    assert report.oracle_mismatches == []
+    assert report.rejected_ops == 0
+    assert report.repro is not None
+    assert 1 <= len(report.repro.ops) <= 2
 
 
 def test_aborted_run_reports_partial_verification():
@@ -406,17 +476,32 @@ def _wired_instances(n=200, chunk=50):
 
 def test_instance_status_snapshots_the_backfill_cursor():
     source, target, mux = _wired_instances(n=200, chunk=50)
-    mux.pump()  # one chunk copied
+    mux.pump_per_op = 0  # driven by hand below
+    mux.pump()  # one chunk staged
+    mux.update(KEYS[0], 1)   # behind the cursor: delta-logged
+    mux.update(KEYS[60], 1)  # ahead of it: staged with the next chunk
     st = source.status()
     assert st["migration"]["phase"] == BACKFILL
     assert st["migration"]["backfill_keys"] == 50
     assert st["migration"]["cursor"] == KEYS[49] + 1  # exclusive resume bound
+    assert st["migration"]["staged"] == 50
+    assert st["migration"]["delta"] == 1
+    assert st["migration"]["build_pending"] is False
     assert st["migration"]["secondary"] == "B+tree"
     assert target.status()["backfill_fraction"] == 0.25
     assert target.status()["progress"]["stage"] == "backfill"
     mux.pump()
     assert source.status()["migration"]["backfill_keys"] == 100
     assert target.status()["backfill_fraction"] == 0.5
+    while not mux.build_pending:
+        mux.pump()
+    st = source.status()["migration"]
+    assert st["phase"] == BACKFILL and st["staged"] == 200
+    mux.pump()  # build + catch-up
+    st = source.status()["migration"]
+    assert st["phase"] == VERIFY
+    assert st["staged"] == 0 and st["delta"] == 0
+    assert target.index.lookup(KEYS[0]) == 1 and target.index.lookup(KEYS[60]) == 1
 
 
 def test_instance_status_reports_dirty_set_in_ready_window():

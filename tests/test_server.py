@@ -18,7 +18,13 @@ import pytest
 
 from repro.core.cost import CostMeter, SyncedMeter
 from repro.core.events import KIND_JOB, EventBus
-from repro.core.instance import LOADING, MIGRATING, SERVING, AdmissionError
+from repro.core.instance import (
+    LOADING,
+    MIGRATING,
+    RETIRED,
+    SERVING,
+    AdmissionError,
+)
 from repro.core.registry import REGISTRY
 from repro.core.server import (
     BLOCK,
@@ -32,6 +38,8 @@ from repro.core.server import (
     run_serve_session,
 )
 from repro.core.workloads import LOOKUP, payload
+from repro.indexes.btree import BPlusTree
+from repro.indexes.multiplex import BACKFILL, VERIFY
 from tests.server_harness import (
     build_session,
     check_session,
@@ -194,11 +202,12 @@ def test_divergence_fails_job_and_rolls_back():
         original = inst.index
         job = server.rebuild("t")
         _pump_until(server, lambda: inst.state == MIGRATING)
-        server.pump_jobs(1)               # first backfill chunk lands
-        # Poison the secondary: a backfilled key now disagrees with the
+        mux = job.runner.mux
+        _pump_until(server, lambda: mux.phase == VERIFY)
+        # Poison the built secondary: a key now disagrees with the
         # primary, so verification must fail the job, not cut over.
         poisoned = items[0][0]
-        assert job.runner.mux.secondary.update(poisoned, 0xBAD)
+        assert mux.secondary.update(poisoned, 0xBAD)
         server.drain()
         assert job.state == JOB_FAILED
         assert job.error
@@ -206,6 +215,53 @@ def test_divergence_fails_job_and_rolls_back():
         assert inst.index is original
         assert server.lookup("t", poisoned) == payload(poisoned)
         assert not server.replay_check("t")
+
+
+def test_foreground_ops_flow_while_the_secondary_is_being_built():
+    """The one O(n) step of a rebuild — ``bulk_load`` of the staged
+    snapshot — must hold no instance lock: with the build blocked on an
+    event, reads and writes on that instance still return promptly."""
+    building, release = threading.Event(), threading.Event()
+
+    class BlockingBuildBTree(BPlusTree):
+        def bulk_load(self, items):
+            building.set()
+            assert release.wait(timeout=30.0)
+            super().bulk_load(items)
+
+    items = _items()
+    fresh = 10**12 + 7
+    with IndexServer(workers=1, chunk=64, worker_yield_s=0.0) as server:
+        server.create_instance("t", "B+tree", items=items)
+        job = server.rebuild("t", factory=BlockingBuildBTree)
+        try:
+            assert building.wait(timeout=30.0), "build never started"
+            results = []
+
+            def client():
+                results.append(server.lookup("t", items[0][0]))
+                results.append(server.insert("t", fresh, payload(fresh)))
+                results.append(server.update("t", items[1][0], 77))
+
+            thread = threading.Thread(target=client, daemon=True)
+            thread.start()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive(), "client op waited on the build"
+            assert results == [payload(items[0][0]), True, True]
+            mux = job.runner.mux
+            assert mux.phase == BACKFILL and mux.status()["delta"] == 2
+            assert not job.finished
+        finally:
+            release.set()
+        assert job.wait(timeout=30.0)
+        assert job.state == JOB_DONE, job.error
+        inst = server.instance("t")
+        assert isinstance(inst.index, BlockingBuildBTree)
+        assert server.lookup("t", fresh) == payload(fresh)
+        assert server.lookup("t", items[1][0]) == 77
+        assert server.replay_check("t") == []
+        status = server.status("t")["server"]
+        assert status["dropped"] == {} and status["stalled"] == {}
 
 
 # -- admission during a background bulk load -----------------------------------
@@ -224,6 +280,43 @@ def test_loading_instance_counts_rejections_then_serves():
         assert inst.state == SERVING
         assert server.lookup("t", items[0][0]) == payload(items[0][0])
         assert not server.replay_check("t")
+
+
+@pytest.mark.parametrize("index_name", ["B+tree", "ALEX", "LIPP", "PGM"])
+def test_background_bulk_load_equals_a_direct_bulk_load(index_name):
+    """The job builds with one ``bulk_load`` of everything, so what it
+    hands back is exactly a fresh bulk load — and still reports a
+    progress event per admitted chunk."""
+    items = _items(n=150)
+    bus = EventBus()
+    with _manual_server(chunk=40, bus=bus) as server:
+        inst = server.create_instance("t", index_name)
+        job = server.bulk_load("t", list(reversed(items)))  # any order
+        server.drain()
+        assert job.state == JOB_DONE and inst.state == SERVING
+        assert job.chunks_pumped == 4     # 40 + 40 + 40 + 30
+        assert job.overhead_ns > 0
+        direct = REGISTRY.get(index_name).factory()
+        direct.bulk_load(items)
+        assert list(inst.index.items()) == items
+        assert inst.index.memory_usage() == direct.memory_usage()
+        running = [e["done"] for e in bus.events(kind=KIND_JOB, source="t")
+                   if e["status"] == "running"]
+        assert running == [0, 40, 80, 120]
+        assert bus.events(kind=KIND_JOB, source="t")[-1]["done"] == 150
+
+
+def test_bulk_load_abort_mid_staging_retires_the_instance():
+    with _manual_server(chunk=40) as server:
+        inst = server.create_instance("t", "B+tree")
+        job = server.bulk_load("t", _items(n=150))
+        server.pump_jobs(2)
+        assert not job.finished and job.done_keys == 80
+        assert len(inst.index) == 0       # nothing is built until the end
+        job.abort()
+        server.drain()
+        assert job.state == JOB_ABORTED
+        assert inst.state == RETIRED
 
 
 def test_bulk_load_requires_loading_state():
