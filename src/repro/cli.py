@@ -87,8 +87,10 @@ def cmd_list(args) -> int:
         ["Index", "Family", "insert", "delete", "range", "batch",
          "migrate", "shard", "concurrent", "tags"],
         rows, title=f"Index registry ({len(REGISTRY)} entries)"))
-    print("\nbatch = numpy-vectorized lookup_many fast path "
-          "(see `repro bench`); every index accepts the *_many APIs.\n"
+    print("\nbatch = exact-meter lookup_many fast path: numpy kernels on "
+          "the model-based indexes, C bisect + numpy probe replay on "
+          "B+tree (see `repro bench`); every index accepts the *_many "
+          "APIs.\n"
           "migrate = eligible for zero-downtime live migration "
           "(see `repro migrate`).\n"
           "shard = usable as the per-shard engine of the sharded "

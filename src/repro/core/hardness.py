@@ -50,136 +50,33 @@ class Segment:
         return self.first_index + self.length - 1
 
 
-def _cross(o: _Point, a: _Point, b: _Point) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _slope_lt(a: _Point, b: _Point, c: _Point, d: _Point) -> bool:
-    """slope(a→b) < slope(c→d), all dx > 0, exact integer compare."""
-    return (b[1] - a[1]) * (d[0] - c[0]) < (d[1] - c[1]) * (b[0] - a[0])
-
-
-class _OptimalSegmenter:
-    """Streaming one-segment feasibility tracker (PGM's algorithm)."""
-
-    __slots__ = (
-        "epsilon", "lower", "upper", "lower_start", "upper_start",
-        "points_in_hull", "rect", "first_x",
-    )
-
-    def __init__(self, epsilon: int) -> None:
-        self.epsilon = epsilon
-        self.lower: List[_Point] = []
-        self.upper: List[_Point] = []
-        self.lower_start = 0
-        self.upper_start = 0
-        self.points_in_hull = 0
-        self.rect: List[_Point] = [(0, 0)] * 4
-        self.first_x = 0
-
-    def add_point(self, x: int, y: int) -> bool:
-        """Add (x, y); False when the point breaks the segment."""
-        eps = self.epsilon
-        p1 = (x, y + eps)  # upper ε-shift
-        p2 = (x, y - eps)  # lower ε-shift
-
-        if self.points_in_hull == 0:
-            self.first_x = x
-            self.rect[0] = p1
-            self.rect[1] = p2
-            self.upper = [p1]
-            self.lower = [p2]
-            self.upper_start = self.lower_start = 0
-            self.points_in_hull = 1
-            return True
-
-        if self.points_in_hull == 1:
-            self.rect[2] = p2
-            self.rect[3] = p1
-            self.upper.append(p1)
-            self.lower.append(p2)
-            self.points_in_hull = 2
-            return True
-
-        r = self.rect
-        outside_min = _slope_lt(r[2], p1, r[0], r[2])  # slope(r2→p1) < min slope
-        outside_max = _slope_lt(r[1], r[3], r[3], p2)  # slope(r3→p2) > max slope
-        if outside_min or outside_max:
-            self.points_in_hull = 0
-            return False
-
-        if _slope_lt(r[1], p1, r[1], r[3]):
-            # p1 tightens the max slope: walk the lower hull for the
-            # supporting point of the new extreme line.
-            lo = self.lower
-            best = self.lower_start
-            i = best + 1
-            while i < len(lo):
-                # slope(lo[i]→p1) vs slope(lo[best]→p1): stop when rising.
-                if _slope_lt(lo[best], p1, lo[i], p1):
-                    break
-                best = i
-                i += 1
-            r[1] = lo[best]
-            r[3] = p1
-            self.lower_start = best
-            # Maintain the upper hull with p1.
-            up = self.upper
-            end = len(up)
-            while end >= self.upper_start + 2 and _cross(up[end - 2], up[end - 1], p1) <= 0:
-                end -= 1
-            del up[end:]
-            up.append(p1)
-
-        if _slope_lt(r[0], r[2], r[0], p2):
-            # p2 tightens the min slope symmetrically.
-            up = self.upper
-            best = self.upper_start
-            i = best + 1
-            while i < len(up):
-                if _slope_lt(up[i], p2, up[best], p2):
-                    break
-                best = i
-                i += 1
-            r[0] = up[best]
-            r[2] = p2
-            self.upper_start = best
-            lo = self.lower
-            end = len(lo)
-            while end >= self.lower_start + 2 and _cross(lo[end - 2], lo[end - 1], p2) >= 0:
-                end -= 1
-            del lo[end:]
-            lo.append(p2)
-
-        self.points_in_hull += 1
-        return True
-
-    def current_model(self) -> LinearModel:
-        """A feasible line for the points added so far."""
-        if self.points_in_hull == 1:
-            # Single point: flat line through the point itself.
-            return LinearModel(0.0, (self.rect[0][1] + self.rect[1][1]) / 2.0)
-        # Work in segment-local coordinates: raw 64-bit x would lose
-        # ~2^11 ulps in the intersection arithmetic below.
-        sx = self.first_x
-        sy = self.rect[1][1] + self.epsilon  # y of the first point
-        r0, r1, r2, r3 = (
-            (p[0] - sx, p[1] - sy) for p in self.rect
-        )
-        min_slope = (r2[1] - r0[1]) / (r2[0] - r0[0])
-        max_slope = (r3[1] - r1[1]) / (r3[0] - r1[0])
-        slope = (min_slope + max_slope) / 2.0
-        # Pass the line through the intersection of the two extreme
-        # lines (guaranteed feasible); fall back to the rectangle's
-        # left edge midpoint when they are parallel.
-        ix, iy = _intersection(r0, r2, r1, r3)
-        if ix is None:
-            # Parallel extreme lines: any line with the common slope and
-            # an intercept between the two lines' intercepts is feasible.
-            ix = 0.0
-            iy = ((r0[1] - slope * r0[0]) + (r1[1] - slope * r1[0])) / 2.0
-        # Anchored at the first x: rank = slope·(key - sx) + (iy - slope·ix + sy)
-        return LinearModel(slope, iy - slope * ix + sy, sx)
+def _feasible_model(points: int, first_x: int, epsilon: int,
+                    r0: _Point, r1: _Point, r2: _Point,
+                    r3: _Point) -> LinearModel:
+    """A feasible line for a segment of ``points`` distinct keys whose
+    slope rectangle ended at corners ``r0..r3``."""
+    if points == 1:
+        # Single point: flat line through the point itself.
+        return LinearModel(0.0, (r0[1] + r1[1]) / 2.0)
+    # Work in segment-local coordinates: raw 64-bit x would lose
+    # ~2^11 ulps in the intersection arithmetic below.
+    sx = first_x
+    sy = r1[1] + epsilon
+    r0, r1, r2, r3 = ((p[0] - sx, p[1] - sy) for p in (r0, r1, r2, r3))
+    min_slope = (r2[1] - r0[1]) / (r2[0] - r0[0])
+    max_slope = (r3[1] - r1[1]) / (r3[0] - r1[0])
+    slope = (min_slope + max_slope) / 2.0
+    # Pass the line through the intersection of the two extreme
+    # lines (guaranteed feasible); fall back to the rectangle's
+    # left edge midpoint when they are parallel.
+    ix, iy = _intersection(r0, r2, r1, r3)
+    if ix is None:
+        # Parallel extreme lines: any line with the common slope and
+        # an intercept between the two lines' intercepts is feasible.
+        ix = 0.0
+        iy = ((r0[1] - slope * r0[0]) + (r1[1] - slope * r1[0])) / 2.0
+    # Anchored at the first x: rank = slope·(key - sx) + (iy - slope·ix + sy)
+    return LinearModel(slope, iy - slope * ix + sy, sx)
 
 
 def _intersection(
@@ -201,45 +98,136 @@ def optimal_pla(keys: Sequence[int], epsilon: int) -> List[Segment]:
 
     Returns the minimal list of segments such that each segment's model
     predicts every member key's rank within ±ε.
+
+    This loop is the merge cost of every PLA-backed index, so the
+    streaming one-segment feasibility tracker (PGM's algorithm) is
+    written out flat.  A point ``(x, rank)`` enters as its upper
+    ε-shift ``p1 = (x, rank+ε)`` and lower ε-shift ``p2 = (x, rank-ε)``;
+    the feasible slopes are bounded by the line ``r0→r2`` (min) and
+    ``r1→r3`` (max) whose corners live in locals.  Every slope test is
+    an exact integer cross product — ``slope(a→b) < slope(c→d)`` is
+    ``(by-ay)*(dx-cx) < (dy-cy)*(bx-ax)`` for positive ``dx`` — taken
+    relative to the far corner of its line (``r2`` resp. ``r3``), where
+    the "outside" and the "tightens" test of one line share both
+    products: with ``a = dy_min*(x-r2x)`` and ``b = (y2-r2y)*dx_min``,
+    ``slope(r2→p1) < min`` is ``b + 2ε*dx_min < a`` and
+    ``min < slope(r0→p2)`` is ``a < b`` (the max line mirrors it).
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    n = len(keys)
-    if n == 0:
-        return []
     segments: List[Segment] = []
-    seg = _OptimalSegmenter(epsilon)
+    eps = epsilon
+    eps2 = 2 * epsilon
     start = 0
-    i = 0
-    while i < n:
-        x = keys[i]
-        if i > start and x == keys[i - 1]:
+    points = 0  # distinct keys in the open segment: 0, 1 or "2 and more"
+    first_x = 0
+    r0x = r0y = r1x = r1y = r2x = r2y = r3x = r3y = 0
+    dx_min = dy_min = dx_max = dy_max = 0  # r2 - r0 and r3 - r1
+    slack_min = slack_max = 0  # 2ε*dx_min and 2ε*dx_max
+    lower: List[_Point] = []
+    upper: List[_Point] = []
+    lower_start = upper_start = 0
+    prev = None
+    for i, x in enumerate(keys):
+        if x == prev:
             # Duplicate key: same x cannot join the hull; the model will
             # still be within ε for it if ranks are close, so skip it.
-            i += 1
             continue
-        if seg.add_point(x, i):
-            i += 1
-            continue
-        # Point broke the segment: close it and restart from here.
-        segments.append(
-            Segment(
-                first_key=keys[start],
-                first_index=start,
-                length=i - start,
-                model=seg.current_model(),
-            )
-        )
-        start = i
-        seg = _OptimalSegmenter(epsilon)
-    segments.append(
-        Segment(
-            first_key=keys[start],
-            first_index=start,
-            length=n - start,
-            model=seg.current_model(),
-        )
-    )
+        prev = x
+        y1 = i + eps
+        y2 = i - eps
+        if points == 2:
+            a = dy_min * (x - r2x)
+            b = (y2 - r2y) * dx_min
+            d = dy_max * (x - r3x)
+            e = (y1 - r3y) * dx_max
+            if a <= b + slack_min and e - slack_max <= d:
+                if e < d:
+                    # p1 tightens the max slope: walk the lower hull for
+                    # the supporting point of the new extreme line (stop
+                    # when slope(lower[j]→p1) starts rising).
+                    best = lower_start
+                    bx, by = lower[best]
+                    for j in range(best + 1, len(lower)):
+                        cx, cy = lower[j]
+                        if (y1 - by) * (x - cx) < (y1 - cy) * (x - bx):
+                            break
+                        best = j
+                        bx, by = cx, cy
+                    r1x, r1y = bx, by
+                    r3x, r3y = x, y1
+                    dx_max = x - bx
+                    dy_max = y1 - by
+                    slack_max = eps2 * dx_max
+                    lower_start = best
+                    # Maintain the upper hull with p1.
+                    end = len(upper)
+                    while end >= upper_start + 2:
+                        ox, oy = upper[end - 2]
+                        ax, ay = upper[end - 1]
+                        if (ax - ox) * (y1 - oy) - (ay - oy) * (x - ox) > 0:
+                            break
+                        end -= 1
+                    del upper[end:]
+                    upper.append((x, y1))
+                if a < b:
+                    # p2 tightens the min slope symmetrically.
+                    best = upper_start
+                    bx, by = upper[best]
+                    for j in range(best + 1, len(upper)):
+                        cx, cy = upper[j]
+                        if (y2 - cy) * (x - bx) < (y2 - by) * (x - cx):
+                            break
+                        best = j
+                        bx, by = cx, cy
+                    r0x, r0y = bx, by
+                    r2x, r2y = x, y2
+                    dx_min = x - bx
+                    dy_min = y2 - by
+                    slack_min = eps2 * dx_min
+                    upper_start = best
+                    end = len(lower)
+                    while end >= lower_start + 2:
+                        ox, oy = lower[end - 2]
+                        ax, ay = lower[end - 1]
+                        if (ax - ox) * (y2 - oy) - (ay - oy) * (x - ox) < 0:
+                            break
+                        end -= 1
+                    del lower[end:]
+                    lower.append((x, y2))
+                continue
+            # slope(r2→p1) < min slope or slope(r3→p2) > max slope: no
+            # single line fits, so close the segment and open the next
+            # one with this point.
+            segments.append(Segment(
+                keys[start], start, i - start,
+                _feasible_model(2, first_x, eps, (r0x, r0y), (r1x, r1y),
+                                (r2x, r2y), (r3x, r3y))))
+            start = i
+            points = 0
+        if points:
+            r2x, r2y = x, y2
+            r3x, r3y = x, y1
+            dx_min = dx_max = x - first_x
+            slack_min = slack_max = eps2 * dx_min
+            dy_min = y2 - r0y
+            dy_max = y1 - r1y
+            upper.append((x, y1))
+            lower.append((x, y2))
+            points = 2
+        else:
+            first_x = x
+            r0x, r0y = x, y1
+            r1x, r1y = x, y2
+            upper = [(x, y1)]
+            lower = [(x, y2)]
+            upper_start = lower_start = 0
+            points = 1
+    if points:
+        segments.append(Segment(
+            keys[start], start, len(keys) - start,
+            _feasible_model(points, first_x, eps, (r0x, r0y), (r1x, r1y),
+                            (r2x, r2y), (r3x, r3y))))
     return segments
 
 

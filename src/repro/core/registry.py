@@ -67,10 +67,11 @@ class IndexSpec:
     supports_delete: bool = True
     supports_range: bool = True
     supports_duplicates: bool = False
-    #: Whether the index implements a numpy-vectorized ``_lookup_batch``
-    #: fast path (the ``*_many`` APIs work on every index regardless —
-    #: the default is a scalar loop; this flag marks where batching is
-    #: actually faster).
+    #: Whether the index implements an exact-meter ``_lookup_batch`` fast
+    #: path — numpy kernels on the model-based indexes, a level-wise C
+    #: ``bisect`` walk with numpy probe replay on B+tree (the ``*_many``
+    #: APIs work on every index regardless — the default is a scalar
+    #: loop; this flag marks where batching is actually faster).
     supports_batch: bool = False
     #: Whether the index can take part in live migration
     #: (:mod:`repro.core.migrate`): migrating *from* needs ``range_scan``
@@ -255,7 +256,7 @@ def _populate(reg: IndexRegistry) -> IndexRegistry:
     # Read-only baseline; no update catalogs, inserts raise.
     add("RMI", RMI, frozenset(), supports_insert=False, supports_batch=True)
     # Traditional.
-    add("B+tree", BPlusTree, core_cli_hm)
+    add("B+tree", BPlusTree, core_cli_hm, supports_batch=True)
     add("ART", ART, core_cli_hm)
     add("HOT", HOT, core_cli_hm)
     add("Masstree", Masstree, frozenset())  # concurrent-only in the paper

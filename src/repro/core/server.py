@@ -58,7 +58,16 @@ import threading
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.cost import SyncedMeter
 from repro.core.events import KIND_CUTOVER, KIND_JOB
@@ -187,6 +196,33 @@ class JournalEntry:
         return {"seq": self.seq, "instance": self.instance, "op": self.op,
                 "key": self.key, "value": self.value, "count": self.count,
                 "ok": self.ok, "scanned": self.scanned, "result": result}
+
+
+@dataclass
+class _JournalBatch:
+    """One ``lookup_many``/``insert_many`` call in the journal: the
+    call's argument and result lists plus the first of the contiguous
+    ``seq`` block reserved for its ops.  :meth:`entries` expands it to
+    the per-op :class:`JournalEntry` form on demand, so a batch costs
+    one append under the journal lock rather than one per key."""
+
+    seq: int
+    instance: str
+    op: str          # LOOKUP or INSERT
+    args: Sequence   # keys looked up, or (key, value) pairs inserted
+    outs: Sequence   # values found, or per-pair insert success
+
+    def entries(self) -> List[JournalEntry]:
+        if self.op == LOOKUP:
+            rows = ((key, None, value is not None, value)
+                    for key, value in zip(self.args, self.outs))
+        else:
+            rows = ((key, value, bool(ok), None)
+                    for (key, value), ok in zip(self.args, self.outs))
+        return [JournalEntry(seq=seq, instance=self.instance, op=self.op,
+                             key=key, value=value, count=0, ok=ok, scanned=0,
+                             result=result)
+                for seq, (key, value, ok, result) in enumerate(rows, self.seq)]
 
 
 @dataclass
@@ -507,9 +543,11 @@ class IndexServer:
         self._jobs: List[Job] = []
         self._job_ids = itertools.count(1)
         self._active: Optional[Job] = None
-        self._journal: List[JournalEntry] = []
+        #: Per-op entries and whole-batch records, in serialization order.
+        self._journal: List[Any] = []
         self._journal_lock = threading.Lock()
-        self._seq = itertools.count()
+        #: Next journal ``seq``; read and advanced under the journal lock.
+        self._next_seq = 0
         self.submitted_jobs = 0
         self.rejected_jobs = 0
         self.blocked_submits = 0
@@ -648,7 +686,7 @@ class IndexServer:
     def scan(self, name: str, start: int, count: int) -> List[Tuple[int, Any]]:
         return self.apply(name, Operation(SCAN, start, count=count))[1]
 
-    def lookup_many(self, name: str, keys: Sequence[int]) -> List[Any]:
+    def lookup_many(self, name: str, keys: Iterable[int]) -> List[Any]:
         """Batched lookups under one read-lock acquisition (PR-6 path)."""
         served = self._served_of(name)
         t0 = time.perf_counter()
@@ -657,15 +695,9 @@ class IndexServer:
         try:
             with served.stats_lock:
                 served.instance.admit(LOOKUP)
-            values = served.instance.index.lookup_many(list(keys))
-            counts = served.instance.op_counts
-            with self._journal_lock:
-                counts[LOOKUP] = counts.get(LOOKUP, 0) + len(keys)
-                for key, value in zip(keys, values):
-                    self._journal.append(JournalEntry(
-                        seq=next(self._seq), instance=name, op=LOOKUP,
-                        key=key, value=None, count=0,
-                        ok=value is not None, scanned=0, result=value))
+            keys = list(keys)
+            values = served.instance.index.lookup_many(keys)
+            self._journal_batch(served, LOOKUP, keys, values)
         except AdmissionError:
             served.note_drop(LOOKUP)
             raise
@@ -675,7 +707,7 @@ class IndexServer:
         return values
 
     def insert_many(self, name: str,
-                    pairs: Sequence[Tuple[int, Any]]) -> List[bool]:
+                    pairs: Iterable[Tuple[int, Any]]) -> List[bool]:
         """Batched inserts under one write-lock acquisition."""
         served = self._served_of(name)
         t0 = time.perf_counter()
@@ -686,14 +718,7 @@ class IndexServer:
                 served.instance.admit(INSERT)
             pairs = list(pairs)
             oks = served.instance.index.insert_many(pairs)
-            counts = served.instance.op_counts
-            with self._journal_lock:
-                counts[INSERT] = counts.get(INSERT, 0) + len(pairs)
-                for (key, value), ok in zip(pairs, oks):
-                    self._journal.append(JournalEntry(
-                        seq=next(self._seq), instance=name, op=INSERT,
-                        key=key, value=value, count=0,
-                        ok=bool(ok), scanned=0, result=None))
+            self._journal_batch(served, INSERT, pairs, oks)
         except AdmissionError:
             served.note_drop(INSERT)
             raise
@@ -710,16 +735,37 @@ class IndexServer:
             # readers (shared read lock) never lose count increments.
             counts[op.op] = counts.get(op.op, 0) + 1
             self._journal.append(JournalEntry(
-                seq=next(self._seq), instance=served.instance.name,
+                seq=self._next_seq, instance=served.instance.name,
                 op=op.op, key=op.key, value=op.value, count=op.count,
                 ok=ok, scanned=scanned, result=result))
+            self._next_seq += 1
+
+    def _journal_batch(self, served: _Served, op: str, args: list,
+                       outs: list) -> None:
+        """Journal one batch call as a single record over a reserved
+        ``seq`` block (``args`` is the server's own copy; ``outs`` goes
+        back to the caller, so the record keeps a tuple of it)."""
+        counts = served.instance.op_counts
+        outs = tuple(outs)
+        with self._journal_lock:
+            counts[op] = counts.get(op, 0) + len(args)
+            self._journal.append(_JournalBatch(
+                self._next_seq, served.instance.name, op, args, outs))
+            self._next_seq += len(args)
 
     def journal(self, name: Optional[str] = None) -> List[JournalEntry]:
-        """The recorded op history (optionally for one instance)."""
+        """The recorded op history (optionally for one instance), one
+        :class:`JournalEntry` per op: batch calls are expanded here."""
         with self._journal_lock:
-            entries = list(self._journal)
-        if name is not None:
-            entries = [e for e in entries if e.instance == name]
+            records = list(self._journal)
+        entries: List[JournalEntry] = []
+        for record in records:
+            if name is not None and record.instance != name:
+                continue
+            if isinstance(record, JournalEntry):
+                entries.append(record)
+            else:
+                entries.extend(record.entries())
         return entries
 
     def replay_check(self, name: str, limit: int = 50) -> List[Mismatch]:

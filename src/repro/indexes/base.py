@@ -116,6 +116,15 @@ class OrderedIndex(ABC):
         #: detect wrapper-driven mutation mid-batch.
         self._mutation_gen = 0
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # A batch hook replays the ``lookup`` defined beside it.  A
+        # subclass that overrides ``lookup`` alone (a test double, an
+        # instrumented variant) must not inherit a hook that bypasses
+        # its override: it gets the loop default back.
+        if "lookup" in cls.__dict__ and "_lookup_batch" not in cls.__dict__:
+            cls._lookup_batch = OrderedIndex._lookup_batch
+
     # -- node identity -------------------------------------------------------
 
     def _next_node_id(self) -> int:

@@ -12,10 +12,13 @@ the deletion workloads of Figure 7.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
     ALLOC_NODE,
+    CACHE_PROBE,
+    KEY_COMPARE,
     KEY_SHIFT,
     NODE_HOP,
     PHASE_COLLISION,
@@ -26,6 +29,7 @@ from repro.core.cost import (
     SLOT_INIT,
 )
 from repro.core.validate import Violation, range_violation, sorted_violations
+from repro.indexes import batching
 from repro.indexes.base import (
     KEY_BYTES,
     PAYLOAD_BYTES,
@@ -153,6 +157,65 @@ class BPlusTree(OrderedIndex):
             op="lookup", key=key, found=found, path=path, nodes_traversed=len(path)
         )
         return leaf.values[idx] if found else None
+
+    def _lookup_batch(self, keys: Sequence[Key]):
+        """Batched lookup: the whole batch walks the tree one level at
+        a time, each key ranked in its node with C ``bisect``.
+
+        ``binary_search_lower`` compares ``keys[mid] < key``, which is
+        ``mid < r`` for the key's rank ``r = bisect_left(node.keys,
+        key)``, so one ``simulate_binary(0, len(node.keys), r)`` over
+        every (level, key) pair replays the scalar probe counts exactly.
+        Nothing is cached between calls — the walk reads the live nodes
+        — so inserts and SMOs between batches cost the batch path
+        nothing, and concurrent readers share no state.
+        """
+        np = batching._np
+        B = len(keys)
+        if np is None or B < batching.MIN_BATCH:
+            return None
+        height = self._height
+        nodes: List[Any] = [self._root] * B
+        levels: List[List[Any]] = []  # the batch's node per level, root first
+        sizes: List[int] = []
+        ranks: List[int] = []
+        for depth in range(height):
+            levels.append(nodes)
+            slots = [nd.keys for nd in nodes]
+            rs = list(map(bisect_left, slots, keys))
+            sizes += map(len, slots)
+            ranks += rs
+            if depth < height - 1:
+                # Equal keys go right, as in ``_descend``.
+                nodes = [
+                    nd.children[r + 1 if r < len(sl) and sl[r] == k else r]
+                    for nd, sl, r, k in zip(nodes, slots, rs, keys)]
+        found = [r < len(sl) and sl[r] == k
+                 for sl, r, k in zip(slots, rs, keys)]
+        values = [leaf.values[r] if f else None
+                  for leaf, r, f in zip(nodes, rs, found)]
+        hi = np.asarray(sizes, dtype=np.int64)
+        probes = batching.simulate_binary(
+            np.zeros(len(hi), dtype=np.int64), hi,
+            np.asarray(ranks, dtype=np.int64)).reshape(height, B)
+        lines = batching.cache_probe_units(probes)
+        log = batching.ChargeLog(B)
+        log.add(PHASE_TRAVERSE, NODE_HOP, height)
+        if height > 1:
+            log.add(PHASE_TRAVERSE, KEY_COMPARE, probes[:-1].sum(axis=0))
+            inner_lines = lines[:-1].sum(axis=0)
+            log.add(PHASE_TRAVERSE, CACHE_PROBE, inner_lines,
+                    reached=inner_lines > 0)
+        log.add(PHASE_SEARCH, KEY_COMPARE, probes[-1])
+        log.add(PHASE_SEARCH, CACHE_PROBE, lines[-1], reached=lines[-1] > 0)
+
+        def make_record(i: int) -> OpRecord:
+            return OpRecord(
+                op="lookup", key=keys[i], found=found[i],
+                path=[level[i].node_id for level in levels],
+                nodes_traversed=height)
+
+        return batching.BatchLookup(values, log, make_record)
 
     # -- insert -----------------------------------------------------------------
 

@@ -324,8 +324,11 @@ class MultiplexIndex(OrderedIndex):
         assert secondary is not None
         with _BorrowedMeter(self):
             rows = self.primary.range_scan(self._vcursor, self.chunk)
-        for key, value in rows:
-            got = secondary.lookup(key)
+        # One batched read of the chunk (the secondary's vectorized path
+        # when it has one); on a mismatch its meter has therefore paid
+        # for the whole chunk, not just the keys up to the diverging one.
+        found = secondary.lookup_many([key for key, _ in rows])
+        for (key, value), got in zip(rows, found):
             self.verify_keys += 1
             if got != value:
                 self._diverge("verify", "lookup", key, value, got)

@@ -275,7 +275,7 @@ def test_huge_keys_fall_back_to_scalar_loop():
 def test_registry_supports_batch_flags():
     flagged = {s.name for s in REGISTRY if s.supports_batch}
     assert flagged == {"ALEX", "LIPP", "PGM", "XIndex", "FINEdex",
-                       "FITing-Tree", "RMI"}
+                       "FITing-Tree", "RMI", "B+tree"}
     # The flag is honest: each flagged index actually vectorizes.
     for name in sorted(flagged):
         ix = REGISTRY.get(name).factory()

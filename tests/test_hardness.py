@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,8 @@ from repro.core.hardness import (
     pla_hardness,
     verify_pla,
 )
+from repro.datasets import registry as datasets
+from tests.pla_reference import reference_optimal_pla
 
 
 def test_perfectly_linear_data_needs_one_segment():
@@ -134,3 +137,38 @@ def test_property_greedy_is_no_worse_than_epsilon_inf(deltas):
         keys.append(acc)
     segs = optimal_pla(keys, epsilon=len(keys) + 1)
     assert len(segs) == 1
+
+
+# -- the flat loop against the segmenter it replaced --------------------------
+
+def _assert_same_segments(keys, eps):
+    got = optimal_pla(keys, eps)
+    want = reference_optimal_pla(keys, eps)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.first_key, a.first_index, a.length) == (
+            b.first_key, b.first_index, b.length)
+        # Bit-for-bit, not approximately: merges must build the same runs.
+        assert (a.model.slope, a.model.intercept, a.model.anchor) == (
+            b.model.slope, b.model.intercept, b.model.anchor)
+
+
+@pytest.mark.parametrize("dataset", ["covid", "osm", "fb"])
+@pytest.mark.parametrize("eps", [0, 4, 64, 4096])
+def test_flat_pla_matches_the_segmenter_on_datasets(dataset, eps):
+    keys = datasets.get(dataset).generate(6000, seed=2)
+    _assert_same_segments(keys, eps)
+    # An upper PGM level: the first keys of the level below.
+    _assert_same_segments([s.first_key for s in optimal_pla(keys, 4)], eps)
+
+
+@given(st.lists(st.one_of(st.integers(0, 60),
+                          st.integers(0, 2**64 - 1),
+                          st.integers(2**62, 2**62 + 200)),
+                max_size=300),
+       st.sampled_from([0, 1, 2, 8, 64]))
+@settings(max_examples=150, deadline=None)
+def test_flat_pla_matches_the_segmenter_with_duplicate_keys(keys, eps):
+    """Small ranges force runs of equal keys, including a run at the
+    start of the array and right after a segment break."""
+    _assert_same_segments(sorted(keys), eps)

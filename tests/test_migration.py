@@ -153,6 +153,36 @@ def test_backfill_divergence_on_conflicting_secondary_value():
     assert mux.divergences[0].key == KEYS[3]
 
 
+def test_batched_verify_stops_at_the_diverging_key_but_pays_for_the_chunk():
+    """The sweep reads each chunk with one ``lookup_many``: the first
+    mismatch is still the one reported and ``verify_keys`` still stops
+    there, but — only on this FAILED path — the secondary's meter has
+    paid for every key of the chunk, not just those up to the liar."""
+    chunk, poisoned_at = 30, 4
+    mux, _, s = _mux(n=100, chunk=chunk, pump_per_op=0)
+    _pump_until(mux, VERIFY)
+    poisoned = KEYS[poisoned_at]
+    assert s.update(poisoned, payload(poisoned) ^ 1)
+    assert s.update(KEYS[poisoned_at + 9], 0)  # a later liar: never reported
+    before = s.meter.total_time()
+    assert mux.pump() == 0
+    assert mux.phase == FAILED
+    assert mux.verify_keys == poisoned_at + 1
+    assert len(mux.divergences) == 1
+    d = mux.divergences[0]
+    assert (d.stage, d.op, d.key) == ("verify", "lookup", poisoned)
+    assert d.expected == repr(payload(poisoned))
+    assert d.got == repr(payload(poisoned) ^ 1)
+    # Same items, same structure as both sides: the step cost the
+    # borrowed-meter scan of the chunk plus a lookup of *all* its keys.
+    twin = BPlusTree()
+    twin.bulk_load(ITEMS[:100])
+    twin.meter.reset()
+    twin.range_scan(0, chunk)
+    twin.lookup_many(KEYS[:chunk])
+    assert s.meter.total_time() - before == twin.meter.total_time()
+
+
 def test_size_divergence_on_rogue_secondary_key():
     mux, _, s = _mux(n=100, chunk=40)
     _pump_until(mux, VERIFY)

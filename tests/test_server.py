@@ -11,6 +11,7 @@ job-event ordering on the bus, the PR-6 batch paths, and the
 SyncedMeter thread-safety contract.
 """
 
+import sys
 import threading
 import time
 
@@ -34,10 +35,11 @@ from repro.core.server import (
     JOB_QUEUED,
     REJECT,
     IndexServer,
+    JournalEntry,
     RWLock,
     run_serve_session,
 )
-from repro.core.workloads import LOOKUP, payload
+from repro.core.workloads import INSERT, LOOKUP, Operation, payload
 from repro.indexes.btree import BPlusTree
 from repro.indexes.multiplex import BACKFILL, VERIFY
 from tests.server_harness import (
@@ -371,6 +373,100 @@ def test_batch_ops_are_journaled_and_replayable():
         counts = server.instance("t").op_counts
         assert counts["insert"] == len(fresh)
         assert counts["lookup"] == len(keys)
+
+
+def test_lookup_many_materialises_a_one_shot_iterable_once():
+    """A generator of keys used to be looked up (and charged) and then
+    hit ``len(keys)``: a TypeError with nothing journaled or counted."""
+    items = _items(n=60)
+    keys = [k for k, _ in items[:25]] + [7]
+    with _manual_server() as server:
+        server.create_instance("t", "B+tree", items=items)
+        values = server.lookup_many("t", (k for k in keys))
+        assert values == [payload(k) for k in keys[:-1]] + [None]
+        assert [e.key for e in server.journal("t")] == keys
+        assert server.instance("t").op_counts["lookup"] == len(keys)
+        oks = server.insert_many("t", ((k + 1, 0) for k in keys[:5]))
+        assert oks == [True] * 5
+        assert len(server.journal("t")) == len(keys) + 5
+        assert not server.replay_check("t")
+
+
+def test_batch_records_expand_to_the_per_op_journal_under_threads():
+    """One thread on scalar ``apply`` ops, one on ``lookup_many`` /
+    ``insert_many``, same instance: the expanded journal is gap-free,
+    replays clean, and every entry reads as the per-op form did."""
+    items = _items(n=300)
+    loaded = [k for k, _ in items]
+    rounds, width = 30, 24
+    calls = []  # the batch client's (op, args, outs), in issue order
+    errors = []
+    with IndexServer(workers=1) as server:
+        server.create_instance("t", "B+tree", items=items)
+
+        def scalar_writer():
+            try:
+                for i in range(rounds * width):
+                    key = 10**12 + i * 3
+                    server.apply("t", Operation(INSERT, key, payload(key)))
+                    server.apply("t", Operation(LOOKUP, key))
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        def batch_client():
+            try:
+                for r in range(rounds):
+                    keys = [loaded[(r * width + j) % len(loaded)]
+                            for j in range(width - 1)] + [5]  # one miss
+                    calls.append((LOOKUP, keys, server.lookup_many("t", keys)))
+                    pairs = [(10**13 + (r * width + j) * 3, j)
+                             for j in range(width)]
+                    pairs[-1] = pairs[0]  # refused duplicate inside the batch
+                    calls.append((INSERT, pairs, server.insert_many("t", pairs)))
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=scalar_writer, daemon=True),
+                   threading.Thread(target=batch_client, daemon=True)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two clients finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
+
+        journal = server.journal()
+        issued = 2 * rounds * width + sum(len(args) for _, args, _ in calls)
+        assert len(journal) == issued
+        assert [e.seq for e in journal] == list(range(issued))
+        assert server.journal("t") == journal
+        assert not server.replay_check("t")
+        counts = server.instance("t").op_counts
+        assert counts["lookup"] + counts["insert"] == issued
+
+        # Each batch op, found by its key, reads exactly as the per-op
+        # JournalEntry the server used to append for it.
+        by_key = {}
+        for entry in journal:
+            by_key.setdefault((entry.op, entry.key), []).append(entry)
+        for op, args, outs in calls:
+            seqs = []
+            for arg, out in zip(args, outs):
+                key, value = (arg, None) if op == LOOKUP else arg
+                entry = by_key[(op, key)].pop(0)
+                want = JournalEntry(
+                    seq=entry.seq, instance="t", op=op, key=key, value=value,
+                    count=0, ok=(out is not None) if op == LOOKUP else out,
+                    scanned=0, result=out if op == LOOKUP else None)
+                assert entry.to_dict() == want.to_dict()
+                seqs.append(entry.seq)
+            # One call's ops hold one contiguous block of seq numbers.
+            assert seqs == list(range(seqs[0], seqs[0] + len(args)))
 
 
 # -- status surface -------------------------------------------------------------
