@@ -136,6 +136,19 @@ ALL_PHASES = (
 )
 
 
+def fold_moved(counts: Dict[Tuple[str, str], float],
+               seen: Dict[Tuple[str, str], float],
+               into: Dict[Tuple[str, str, str], float], tag: str) -> None:
+    """The pass behind :meth:`CostMeter.fold_since`, over any counter
+    table, in the table's own order."""
+    for key, v in counts.items():
+        d = v - seen.get(key, 0.0)
+        if d:
+            seen[key] = v
+            cell = (tag, key[0], key[1])
+            into[cell] = into.get(cell, 0.0) + d
+
+
 class CostMeter:
     """Accumulates abstract work, attributed to the active phase.
 
@@ -204,8 +217,18 @@ class CostMeter:
         return sum(v for (_, k), v in self._counts.items() if k == kind)
 
     def total_time(self) -> float:
-        """Total virtual nanoseconds accumulated."""
-        return sum(self.weights.get(k, 0.0) * v for (_, k), v in self._counts.items())
+        """Total virtual nanoseconds accumulated.
+
+        Summed left to right in counter-insertion order, starting from
+        the integer 0 (an empty meter reads ``0``, as ``sum()`` did):
+        that order is part of the fingerprint contract, so this stays a
+        plain loop — never a running total kept by ``charge``.
+        """
+        weights = self.weights
+        total = 0
+        for (_, kind), v in self._counts.items():
+            total += weights.get(kind, 0.0) * v
+        return total
 
     def time_by_phase(self) -> Dict[str, float]:
         """Virtual nanoseconds attributed to each phase."""
@@ -226,6 +249,15 @@ class CostMeter:
             if d:
                 delta[key] = d
         return CostDelta(delta, self.weights)
+
+    def fold_since(self, seen: Dict[Tuple[str, str], float],
+                   into: Dict[Tuple[str, str, str], float], tag: str) -> None:
+        """Add the units charged since the snapshot ``seen`` to
+        ``into[(tag, phase, kind)]`` and bring ``seen`` up to date in
+        place — ``diff`` + ``snapshot`` in one pass, no copy.  What a
+        per-op consumer (:class:`~repro.core.telemetry.CostProfiler`)
+        calls between every two operations."""
+        fold_moved(self._counts, seen, into, tag)
 
     def reset(self) -> None:
         self._counts.clear()
@@ -352,6 +384,11 @@ class SyncedMeter(CostMeter):
     def diff(self, before: Dict[Tuple[str, str], float]) -> "CostDelta":
         with self._mutex:
             return super().diff(before)
+
+    def fold_since(self, seen: Dict[Tuple[str, str], float],
+                   into: Dict[Tuple[str, str, str], float], tag: str) -> None:
+        with self._mutex:
+            fold_moved(self._counts, seen, into, tag)
 
     def reset(self) -> None:
         with self._mutex:

@@ -202,8 +202,10 @@ class EngineBusEmitter(ExecutionObserver):
     Per-op events would dwarf everything else in the ring, so ops are
     coalesced into windows of ``window_ops`` (per-kind counts, ok
     counts, the window's virtual duration and rolling throughput);
-    phases and SMOs are rare and publish individually.  Only reads the
-    meter — never charges it.
+    phases and SMOs are rare and publish individually.  Windows and
+    SMOs are stamped with ``OpEvent.clock`` (the reading the engine
+    already took for a ``needs_clock`` observer, else one read of the
+    meter then); the meter is never charged.
     """
 
     def __init__(self, bus: EventBus, window_ops: int = 256) -> None:
@@ -218,18 +220,16 @@ class EngineBusEmitter(ExecutionObserver):
         self._win_ok = 0
         self._win_counts: Dict[str, int] = {}
 
-    def _now(self) -> float:
-        return self._meter.total_time() if self._meter is not None else 0.0
-
     def on_phase(self, phase: str, index, workload) -> None:
         self._meter = index.meter
         self._source = getattr(index, "name", type(index).__name__)
+        now = self._meter.total_time()
         if phase == "measure":
-            self._win_start_ns = self._now()
+            self._win_start_ns = now
         elif phase == "done" and self._win_ops:
-            self._close_window()
+            self._close_window(now)
         self.bus.publish(
-            KIND_PHASE, source=self._source, t_ns=self._now(),
+            KIND_PHASE, source=self._source, t_ns=now,
             phase=phase, workload=getattr(workload, "name", ""))
 
     def on_op(self, event: OpEvent, latency) -> None:
@@ -239,18 +239,17 @@ class EngineBusEmitter(ExecutionObserver):
         if event.ok:
             self._win_ok += 1
         if self._win_ops >= self.window_ops:
-            self._close_window()
+            self._close_window(event.clock(self._meter))
 
     def on_smo(self, event: OpEvent) -> None:
         record = event.record
         self.bus.publish(
-            KIND_SMO, source=self._source, t_ns=self._now(),
+            KIND_SMO, source=self._source, t_ns=event.clock(self._meter),
             op_seq=event.seq, op=event.op.op,
             nodes_created=getattr(record, "nodes_created", 0),
             keys_shifted=getattr(record, "keys_shifted", 0))
 
-    def _close_window(self) -> None:
-        now = self._now()
+    def _close_window(self, now: float) -> None:
         dur = now - self._win_start_ns
         ops_per_vsec = (self._win_ops / (dur / 1e9)) if dur > 0 else 0.0
         self.bus.publish(

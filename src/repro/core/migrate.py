@@ -346,7 +346,8 @@ def run_migration(
         client0 = client_meter.total_time()
         shadow0 = shadow.meter.total_time() if shadow is not None else 0.0
         ok, scanned, result = apply_op(mux, op)
-        report.client_ns += client_meter.total_time() - client0
+        client1 = client_meter.total_time()
+        report.client_ns += client1 - client0
         if shadow is not None:
             report.overhead_ns += shadow.meter.total_time() - shadow0
         if op.op == LOOKUP:
@@ -366,16 +367,14 @@ def run_migration(
                 win_ops = 0
             win_ops += 1
             if win_ops >= bus_window:
-                now = client_meter.total_time()
-                dur = now - win_start
+                dur = client1 - win_start
                 bus.publish(
-                    "op_window", source=serving.name, t_ns=now,
+                    "op_window", source=serving.name, t_ns=client1,
                     window_start_ns=win_start, ops=win_ops,
                     ops_per_vsec=(win_ops / (dur / 1e9)) if dur > 0 else 0.0)
-                win_start = now
+                win_start = client1
                 win_ops = 0
-        event = OpEvent(seq=seq, op=op, record=None, ok=ok,
-                        scanned=scanned, result=result)
+        event = OpEvent(seq, op, None, ok, scanned, result, client1)
         differ.on_op(event, None)
         if abort_seq is not None:
             report.post_abort_ops += 1

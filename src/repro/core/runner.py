@@ -212,6 +212,19 @@ class OpEvent:
     #: writes.  This is what lets a differential oracle compare an
     #: index against a reference model without re-running the op.
     result: object = None
+    #: The index meter's ``total_time()`` right after the operation:
+    #: always set when an attached observer declares ``needs_clock``
+    #: (otherwise only on the ops the engine sampled, else ``None``).
+    #: Consecutive readings are one op's full virtual cost.
+    t_ns: Optional[float] = None
+
+    def clock(self, meter) -> float:
+        """The virtual clock right after this operation: the carried
+        reading when there is one, else ``meter.total_time()`` now.  For
+        observers that want the clock now and then (a window close, an
+        SMO) and so do not declare ``needs_clock``."""
+        t_ns = self.t_ns
+        return meter.total_time() if t_ns is None else t_ns
 
 
 class ExecutionObserver:
@@ -219,7 +232,16 @@ class ExecutionObserver:
 
     Subclass and override what you need; attach via
     ``ExecutionEngine(observers=[...])`` or ``engine.add_observer``.
+    Only hooks an observer really implements are called per op (an
+    inherited no-op costs nothing); duck-typed objects work too.
     """
+
+    #: Declare ``True`` when ``on_op`` reads the virtual clock on every
+    #: operation: the engine then reads ``meter.total_time()`` once per
+    #: op and every ``OpEvent`` carries it as ``t_ns``, so no observer
+    #: re-sums the meter itself.  An observer that wants the clock only
+    #: now and then calls ``event.clock(meter)`` instead.
+    needs_clock = False
 
     def on_phase(self, phase: str, index: OrderedIndex, workload: Workload) -> None:
         """Engine lifecycle: ``"bulk_load"``, ``"measure"``, ``"done"``."""
@@ -279,6 +301,32 @@ class ScanAccountant(ExecutionObserver):
 # Engine
 # ---------------------------------------------------------------------------
 
+def _implemented(observers: Sequence[object], hook: str) -> List[Callable]:
+    """The bound ``hook`` methods of the observers that implement it:
+    anything but :class:`ExecutionObserver`'s inherited no-op, so
+    duck-typed observers count and a missing hook is simply skipped."""
+    noop = getattr(ExecutionObserver, hook)
+    bound = (getattr(obs, hook, None) for obs in observers)
+    return [m for m in bound
+            if m is not None and getattr(m, "__func__", None) is not noop]
+
+
+class _Hooks:
+    """One run's observer dispatch, resolved once at ``run()`` entry."""
+
+    __slots__ = ("on_op", "on_smo", "clock", "t_ns")
+
+    def __init__(self, observers: Sequence[object], start_ns: float) -> None:
+        self.on_op = _implemented(observers, "on_op")
+        self.on_smo = _implemented(observers, "on_smo")
+        #: Some observer reads ``OpEvent.t_ns``.
+        self.clock = any(getattr(obs, "needs_clock", False)
+                         for obs in observers)
+        #: The last clock reading.  Nothing charges the meter between
+        #: two ops, so it doubles as the next op's sampled ``before``.
+        self.t_ns = start_ns
+
+
 class ExecutionEngine:
     """Drives a workload through an index via an op-dispatch table.
 
@@ -330,6 +378,9 @@ class ExecutionEngine:
         }
 
     def add_observer(self, observer: ExecutionObserver) -> ExecutionObserver:
+        """Attach ``observer`` to every later run.  The hook lists are
+        resolved at :meth:`run` entry, so an observer added while a run
+        is in flight joins the next run, not the current one."""
         self.observers.append(observer)
         return observer
 
@@ -368,34 +419,40 @@ class ExecutionEngine:
         index: OrderedIndex,
         op: Operation,
         seq: int,
-        observers: Sequence[ExecutionObserver],
+        hooks: _Hooks,
         meter,
     ) -> None:
         handler = self._dispatch.get(op.op)
         if handler is None:
             raise ValueError(f"unknown op {op.op!r}")
         sampled = (seq % self.sample_every) == 0
-        before = meter.total_time() if sampled else 0.0
+        clock = hooks.clock
+        before = (hooks.t_ns if clock
+                  else meter.total_time() if sampled else 0.0)
         prev_record = index.last_op
         ok, scanned, result = handler(index, op)
-        latency = meter.total_time() - before if sampled else None
+        now = meter.total_time() if clock or sampled else None
+        latency = now - before if sampled else None
+        if clock:
+            hooks.t_ns = now
         # Indexes assign a *new* OpRecord whenever they record an op,
         # so identity against the pre-op object detects staleness
         # (update/scan paths that never wrote last_op).
         record = index.last_op if index.last_op is not prev_record else None
-        event = OpEvent(seq=seq, op=op, record=record, ok=ok, scanned=scanned,
-                        result=result)
-        for obs in observers:
-            obs.on_op(event, latency)
+        # Positional: keyword construction of the dataclass is measurable
+        # engine self time, and this runs once per op.
+        event = OpEvent(seq, op, record, ok, scanned, result, now)
+        for on_op in hooks.on_op:
+            on_op(event, latency)
         if (op.op == INSERT or op.op == DELETE) and record is not None and record.smo:
-            for obs in observers:
-                obs.on_smo(event)
+            for on_smo in hooks.on_smo:
+                on_smo(event)
 
     def _run_batched(
         self,
         index: OrderedIndex,
         ops: Sequence[Operation],
-        observers: Sequence[ExecutionObserver],
+        hooks: _Hooks,
         meter,
     ) -> None:
         """Group consecutive lookups into runs of up to ``batch_ops``
@@ -403,11 +460,13 @@ class ExecutionEngine:
         back per op so the meter, sampling, and observers see exactly
         the scalar event stream."""
         sample_every = self.sample_every
+        clock = hooks.clock
+        on_op_hooks = hooks.on_op
         n = len(ops)
         i = 0
         while i < n:
             if ops[i].op != LOOKUP:
-                self._execute_one(index, ops[i], i, observers, meter)
+                self._execute_one(index, ops[i], i, hooks, meter)
                 i += 1
                 continue
             j = i + 1
@@ -418,7 +477,7 @@ class ExecutionEngine:
                 batch = index._lookup_batch([ops[k].key for k in range(i, j)])
             if batch is None:
                 for k in range(i, j):
-                    self._execute_one(index, ops[k], k, observers, meter)
+                    self._execute_one(index, ops[k], k, hooks, meter)
                 i = j
                 continue
             log = batch.log
@@ -426,16 +485,20 @@ class ExecutionEngine:
             for b, seq in enumerate(range(i, j)):
                 op = ops[seq]
                 sampled = (seq % sample_every) == 0
-                before = meter.total_time() if sampled else 0.0
+                before = (hooks.t_ns if clock
+                          else meter.total_time() if sampled else 0.0)
                 log.apply_op(meter, b)
-                latency = meter.total_time() - before if sampled else None
+                now = meter.total_time() if clock or sampled else None
+                latency = now - before if sampled else None
+                if clock:
+                    hooks.t_ns = now
                 record = batch.make_record(b)
                 index.last_op = record
                 value = values[b]
-                event = OpEvent(seq=seq, op=op, record=record,
-                                ok=value is not None, scanned=0, result=value)
-                for obs in observers:
-                    obs.on_op(event, latency)
+                event = OpEvent(seq, op, record, value is not None, 0, value,
+                                now)
+                for on_op in on_op_hooks:
+                    on_op(event, latency)
             i = j
 
     def run(self, target, workload: Workload) -> RunResult:
@@ -472,12 +535,13 @@ class ExecutionEngine:
 
         meter = index.meter
         start_ns = meter.total_time()
+        hooks = _Hooks(observers, start_ns)
         wall0 = time.perf_counter()
         if self.batch_ops > 1:
-            self._run_batched(index, workload.operations, observers, meter)
+            self._run_batched(index, workload.operations, hooks, meter)
         else:
             for i, op in enumerate(workload.operations):
-                self._execute_one(index, op, i, observers, meter)
+                self._execute_one(index, op, i, hooks, meter)
         wall = time.perf_counter() - wall0
 
         for obs in observers:

@@ -48,7 +48,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.cost import KEY_COMPARE, CostDelta, CostMeter
+from repro.core.cost import KEY_COMPARE, CostDelta, CostMeter, fold_moved
 from repro.core.instance import (
     DRAINING,
     MIGRATING,
@@ -230,6 +230,10 @@ class ClusterMeter(CostMeter):
             if d:
                 delta[key] = d
         return CostDelta(delta, self.weights)
+
+    def fold_since(self, seen: Dict[Tuple[str, str], float],
+                   into: Dict[Tuple[str, str, str], float], tag: str) -> None:
+        fold_moved(self._merged(), seen, into, tag)
 
     def reset(self) -> None:
         super().reset()
@@ -1084,12 +1088,17 @@ class ShardRouter:
             prev = sharded.last_op
             ok, scanned, result = _apply_op(sharded, op)
             record = sharded.last_op if sharded.last_op is not prev else None
-            event = OpEvent(seq=self._seq, op=op, record=record, ok=ok,
-                            scanned=scanned, result=result)
+            # One reading of each clock per op: the cluster tracker's
+            # event carries the cluster clock, the shard tracker's the
+            # clock of whatever index serves the slot right now.
+            event = OpEvent(self._seq, op, record, ok, scanned, result,
+                            sharded.meter.total_time())
             self.cluster.on_op(event, None)
             tracker = self.trackers.get(inst.name)
             if tracker is not None:
-                tracker.on_op(event, None)
+                shard_event = OpEvent(self._seq, op, record, ok, scanned,
+                                      result, inst.index.meter.total_time())
+                tracker.on_op(shard_event, None)
             inst.on_op(event, None)
             if oracle is not None:
                 oracle.on_op(event, None)
@@ -1097,7 +1106,7 @@ class ShardRouter:
                     and op.op in (INSERT, DELETE)):
                 self.cluster.on_smo(event)
                 if tracker is not None:
-                    tracker.on_smo(event)
+                    tracker.on_smo(shard_event)
                 inst.on_smo(event)
             self._seq += 1
             win[sid] = win.get(sid, 0) + 1

@@ -20,7 +20,8 @@ into operator-grade state:
   top`` renders it; ``--once --json`` scripts it.
 
 Like every observer in this codebase, the tracker only *reads* the
-cost meter — latencies are consecutive ``meter.total_time()`` deltas —
+virtual clock — latencies are consecutive ``OpEvent.t_ns`` readings,
+i.e. ``meter.total_time()`` deltas the producer took once per op —
 so attaching it changes no result and no fingerprint.
 
 Targets may be given explicitly or **auto-calibrated**: with no
@@ -118,6 +119,8 @@ class SLOTracker(ExecutionObserver):
     and every alert publishes an ``alert`` event.
     """
 
+    needs_clock = True
+
     def __init__(
         self,
         targets: Iterable[SLOTarget] = (),
@@ -167,18 +170,22 @@ class SLOTracker(ExecutionObserver):
             self._last_ns = self._meter.total_time()
             self._win_start_ns = self._last_ns
         elif phase == "done" and self._win_ops:
-            self._close_window()
+            self._close_window(self._meter.total_time())
 
     def on_op(self, event: OpEvent, latency) -> None:
         # Latency is the op's full virtual cost — the delta between
         # consecutive clock readings — regardless of engine sampling,
         # so SLO windows see every op, not the ~1% sampled subset.
-        now = self._meter.total_time()
-        self._win_samples.setdefault(event.op.op, []).append(now - self._last_ns)
+        now = event.t_ns
+        kind = event.op.op
+        samples = self._win_samples.get(kind)
+        if samples is None:
+            samples = self._win_samples[kind] = []
+        samples.append(now - self._last_ns)
         self._last_ns = now
         self._win_ops += 1
         if self._win_ops >= self.window_ops:
-            self._close_window()
+            self._close_window(now)
 
     def on_smo(self, event: OpEvent) -> None:
         self._win_smos += 1
@@ -195,8 +202,7 @@ class SLOTracker(ExecutionObserver):
                              alert=kind, severity=severity, message=message,
                              **details)
 
-    def _close_window(self) -> None:
-        now = self._meter.total_time()
+    def _close_window(self, now: float) -> None:
         window = {"t_ns": now, "window_start_ns": self._win_start_ns,
                   "ops": self._win_ops, "smos": self._win_smos,
                   "source": self._source, "ops_kinds": {}}

@@ -16,7 +16,7 @@ observer hooks plus the deterministic virtual clock
   rolling throughput, rolling SMO rate (with storm detection) and
   periodic ``memory_usage()`` samples.
 * :class:`CostProfiler` — virtual time attributed to
-  (op kind x cost phase x cost kind) via ``CostMeter.snapshot()/diff()``,
+  (op kind x cost phase x cost kind) via ``CostMeter.fold_since()``,
   rendered as a flame-table; its per-phase totals reconcile exactly with
   ``CostMeter.time_by_phase()``.
 
@@ -70,22 +70,22 @@ class TraceRecorder(ExecutionObserver):
     them to the Chrome trace-event format for Perfetto.
     """
 
+    needs_clock = True
+
     def __init__(self, max_events: int = 1_000_000) -> None:
         self.events: List[dict] = []
         self.dropped = 0
         self.max_events = max_events
         self.index_name = ""
         self.workload_name = ""
-        self._meter = None
         self._last_ns = 0.0
 
     # -- observer hooks -----------------------------------------------------
 
     def on_phase(self, phase, index, workload) -> None:
-        self._meter = index.meter
         self.index_name = index.name
         self.workload_name = workload.name
-        now = self._meter.total_time()
+        now = index.meter.total_time()
         if phase == "measure":
             self._last_ns = now
         self._emit({
@@ -93,14 +93,20 @@ class TraceRecorder(ExecutionObserver):
         })
 
     def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
-        now = self._meter.total_time()
+        now = event.t_ns
+        start = self._last_ns
+        self._last_ns = now
+        if len(self.events) >= self.max_events:
+            self.dropped += 1
+            return
+        op = event.op
         rec = {
             "kind": EVENT_SPAN,
-            "name": event.op.op,
-            "ts_ns": self._last_ns,
-            "dur_ns": now - self._last_ns,
+            "name": op.op,
+            "ts_ns": start,
+            "dur_ns": now - start,
             "seq": event.seq,
-            "key": event.op.key,
+            "key": op.key,
             "ok": event.ok,
         }
         if event.scanned:
@@ -109,15 +115,14 @@ class TraceRecorder(ExecutionObserver):
         if r is not None and (r.keys_shifted or r.nodes_created or r.smo):
             rec["keys_shifted"] = r.keys_shifted
             rec["nodes_created"] = r.nodes_created
-        self._last_ns = now
-        self._emit(rec)
+        self.events.append(rec)
 
     def on_smo(self, event: OpEvent) -> None:
         r = event.record
         self._emit({
             "kind": EVENT_INSTANT,
             "name": "smo",
-            "ts_ns": self._meter.total_time(),
+            "ts_ns": event.t_ns,
             "seq": event.seq,
             "key": event.op.key,
             "keys_shifted": r.keys_shifted if r else 0,
@@ -297,13 +302,22 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        return self._counters.setdefault(name, Counter())
+        c = self._counters.get(name)
+        if c is None:
+            c = self._counters[name] = Counter()
+        return c
 
     def gauge(self, name: str) -> Gauge:
-        return self._gauges.setdefault(name, Gauge())
+        g = self._gauges.get(name)
+        if g is None:
+            g = self._gauges[name] = Gauge()
+        return g
 
     def histogram(self, name: str) -> Histogram:
-        return self._histograms.setdefault(name, Histogram())
+        h = self._histograms.get(name)
+        if h is None:
+            h = self._histograms[name] = Histogram()
+        return h
 
     def snapshot(self) -> dict:
         out: Dict[str, dict] = {}
@@ -355,7 +369,10 @@ class MetricsCollector(ExecutionObserver):
         self.registry = MetricsRegistry()
         self.series: List[dict] = []
         self._index = None
-        self._meter = None
+        #: ``ops_total`` and the ``ops.<kind>`` counters, bound on first
+        #: use (the registry still lists them in first-use order).
+        self._ops_total: Optional[Counter] = None
+        self._kind_counters: Dict[str, Counter] = {}
         self._win_start_ns = 0.0
         self._win_ops = 0
         self._win_smos = 0
@@ -364,31 +381,39 @@ class MetricsCollector(ExecutionObserver):
 
     def on_phase(self, phase, index, workload) -> None:
         self._index = index
-        self._meter = index.meter
         if phase == "measure":
-            self._win_start_ns = self._meter.total_time()
+            self._win_start_ns = index.meter.total_time()
             self.registry.gauge(METRIC_MEMORY).set(index.memory_usage().total)
         elif phase == "done" and self._win_ops:
-            self._close_window()
+            self._close_window(index.meter.total_time())
+
+    def _bind_kind(self, kind: str) -> Counter:
+        if self._ops_total is None:
+            self._ops_total = self.registry.counter("ops_total")
+        counter = self._kind_counters[kind] = self.registry.counter(
+            "ops." + kind)
+        return counter
 
     def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
-        reg = self.registry
-        reg.counter("ops_total").inc()
-        reg.counter(f"ops.{event.op.op}").inc()
+        kind = event.op.op
+        counter = self._kind_counters.get(kind)
+        if counter is None:
+            counter = self._bind_kind(kind)
+        counter.value += 1.0
+        self._ops_total.value += 1.0
         if not event.ok:
-            reg.counter("ops_failed").inc()
+            self.registry.counter("ops_failed").inc()
         if latency is not None:
-            reg.histogram("op_latency_ns").observe(latency)
+            self.registry.histogram("op_latency_ns").observe(latency)
         self._win_ops += 1
         if self._win_ops >= self.window_ops:
-            self._close_window()
+            self._close_window(event.clock(self._index.meter))
 
     def on_smo(self, event: OpEvent) -> None:
         self.registry.counter("smo_total").inc()
         self._win_smos += 1
 
-    def _close_window(self) -> None:
-        now = self._meter.total_time()
+    def _close_window(self, now: float) -> None:
         dur = now - self._win_start_ns
         mops = (self._win_ops / dur) * 1e3 if dur > 0 else 0.0
         mem = self._index.memory_usage().total
@@ -461,9 +486,10 @@ class MetricsCollector(ExecutionObserver):
 class CostProfiler(ExecutionObserver):
     """Attributes virtual time to (op kind x cost phase x cost kind).
 
-    The profiler snapshots the index's meter around every operation and
-    folds each :meth:`~repro.core.cost.CostMeter.diff` into a cell keyed
-    by the executing op kind.  Because every charge the meter sees lands
+    The profiler keeps one snapshot of the index's meter; after every
+    operation :meth:`~repro.core.cost.CostMeter.fold_since` folds the
+    units that moved into the cells of the executing op kind and brings
+    the snapshot up to date in place.  Because every charge the meter sees lands
     in exactly one cell, the profile's per-phase totals reconcile with
     ``CostMeter.time_by_phase()`` to float precision.
     """
@@ -482,13 +508,7 @@ class CostProfiler(ExecutionObserver):
             self._snap = self._meter.snapshot()
 
     def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
-        delta = self._meter.diff(self._snap)
-        if delta.counts:
-            op_kind = event.op.op
-            for (phase, kind), units in delta.counts.items():
-                key = (op_kind, phase, kind)
-                self.cells[key] = self.cells.get(key, 0.0) + units
-            self._snap = self._meter.snapshot()
+        self._meter.fold_since(self._snap, self.cells, event.op.op)
 
     # -- aggregation --------------------------------------------------------
 

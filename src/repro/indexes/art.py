@@ -131,6 +131,11 @@ class ART(OrderedIndex):
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self._root: Optional[Any] = None
+        #: Running inner-node bytes behind ``memory_usage()`` (tier +
+        #: stored prefix per node), adjusted wherever a node is created,
+        #: changes tier, has its prefix cut or extended, or is folded
+        #: away; ``debug_validate`` cross-checks it by a walk.
+        self._inner_bytes = 0
 
     # -- build --------------------------------------------------------------
 
@@ -138,6 +143,7 @@ class ART(OrderedIndex):
         self.check_sorted(items)
         self._root = None
         self._size = 0
+        self._inner_bytes = 0
         for k, v in items:
             self._insert_quiet(k, v)
         self._size = len(items)
@@ -242,6 +248,7 @@ class ART(OrderedIndex):
             while depth + common < KEY_BYTES and lb[depth + common] == kb[depth + common]:
                 common += 1
             new = _ArtNode(self._next_node_id(), kb[depth : depth + common])
+            self._inner_bytes += _tier_bytes(4) + common
             self.meter.charge(ALLOC_NODE)
             rec.nodes_created = 2
             d = depth + common
@@ -268,6 +275,9 @@ class ART(OrderedIndex):
         rec.nodes_created = 2
         old_branch_byte = p[common]
         node.prefix = p[common + 1 :]
+        # A Node4 storing ``common`` prefix bytes; ``node`` stores
+        # ``common + 1`` fewer (the branch byte moved into ``new``).
+        self._inner_bytes += _tier_bytes(4) - 1
         new.add(old_branch_byte, node)
         new.add(kb[depth + common], _ArtLeaf(key, value))
         self._replace_child(parent, parent_byte, new)
@@ -288,6 +298,7 @@ class ART(OrderedIndex):
         # ART paper's combined pointer/value slot): no allocation here.
         if after != before:
             # Node grew a tier: modelled as reallocation + copy.
+            self._inner_bytes += _tier_bytes(after) - _tier_bytes(before)
             rec.smo = True
             self.meter.charge(ALLOC_NODE)
             self.meter.charge(KEY_SHIFT, len(node.bytes_))
@@ -364,14 +375,19 @@ class ART(OrderedIndex):
             if parent is None:
                 self._root = None
             else:
+                before = _tier(len(parent.bytes_))
                 parent.remove(parent_byte)
+                self._inner_bytes -= (_tier_bytes(before)
+                                      - _tier_bytes(_tier(len(parent.bytes_))))
                 self.meter.charge(KEY_SHIFT, len(parent.bytes_))
                 if len(parent.bytes_) == 1:
                     # Merge single-child node back into the path (restore
                     # path compression), as the ART paper prescribes.
                     only = parent.children[0]
+                    self._inner_bytes -= _tier_bytes(4) + len(parent.prefix)
                     if isinstance(only, _ArtNode):
                         only.prefix = parent.prefix + bytes([parent.bytes_[0]]) + only.prefix
+                        self._inner_bytes += len(parent.prefix) + 1
                         merged: Any = only
                     else:
                         merged = only
@@ -423,6 +439,14 @@ class ART(OrderedIndex):
     # -- memory ----------------------------------------------------------------
 
     def memory_usage(self) -> MemoryBreakdown:
+        """O(1): the running totals (see ``_walk_memory``)."""
+        return MemoryBreakdown(inner=self._inner_bytes,
+                               leaf=self._size * PAYLOAD_BYTES)
+
+    def _walk_memory(self) -> MemoryBreakdown:
+        """The footprint by a full walk of the tree — what
+        ``memory_usage`` answers from its running totals; kept as
+        ``debug_validate``'s cross-check of them."""
         inner = 0
         leaf = 0
         stack = [self._root] if self._root is not None else []
@@ -445,9 +469,9 @@ class ART(OrderedIndex):
         parallel to the child array, no single-child inner nodes (path
         compression would have folded them), every root-to-leaf byte
         path a prefix of the leaf's big-endian key (radix-prefix
-        consistency), paths within the 8-byte key length, and leaf
-        count matching ``len(index)``.  Walks nodes directly; never
-        charges the meter.
+        consistency), paths within the 8-byte key length, leaf count
+        matching ``len(index)``, and the running memory totals against
+        a full walk.  Walks nodes directly; never charges the meter.
         """
         out: List[Violation] = []
         count = 0
@@ -493,6 +517,13 @@ class ART(OrderedIndex):
             out.append(Violation(
                 0, "art.size",
                 f"{count} leaves but len(index) == {self._size}"))
+        counted, walked = self.memory_usage(), self._walk_memory()
+        if counted != walked:
+            out.append(Violation(
+                0, "art.memory-counters",
+                f"running totals say inner={counted.inner} "
+                f"leaf={counted.leaf} bytes but a walk finds "
+                f"inner={walked.inner} leaf={walked.leaf}"))
         return out
 
     @property

@@ -43,6 +43,10 @@ from repro.indexes.base import (
 from repro.indexes.linear_model import binary_search_lower
 
 _NODE_HEADER_BYTES = 24
+#: An inner node of ``c >= 1`` children holds ``c`` pointers and
+#: ``c - 1`` separators: ``_INNER_BASE_BYTES + c * _CHILD_BYTES``.
+_INNER_BASE_BYTES = _NODE_HEADER_BYTES - KEY_BYTES
+_CHILD_BYTES = POINTER_BYTES + KEY_BYTES
 
 
 class _Node:
@@ -86,8 +90,16 @@ class BPlusTree(OrderedIndex):
         super().__init__(**kwargs)
         self.fanout = fanout
         self._min_fill = fanout // 2
+        # STX leaves allocate full capacity arrays (plus the side link).
+        self._leaf_node_bytes = (_NODE_HEADER_BYTES + POINTER_BYTES
+                                 + fanout * (KEY_BYTES + PAYLOAD_BYTES))
         self._root: _Node = _Leaf(self._next_node_id())
         self._height = 1
+        #: Running ``memory_usage()`` totals, adjusted wherever a node is
+        #: allocated, split, merged or collapsed (``debug_validate``
+        #: cross-checks them against a full walk).
+        self._inner_bytes = 0
+        self._leaf_bytes = self._leaf_node_bytes
 
     # -- build ----------------------------------------------------------------
 
@@ -112,17 +124,26 @@ class BPlusTree(OrderedIndex):
         # must be subtree minima, not the child's own first routing key.
         level_mins: List[Key] = [leaf.keys[0] if leaf.keys else 0 for leaf in leaves]
         self._height = 1
+        self._leaf_bytes = len(leaves) * self._leaf_node_bytes
+        self._inner_bytes = 0
         while len(level) > 1:
             parents: List[_Node] = []
             parent_mins: List[Key] = []
-            for start in range(0, len(level), fill):
-                group = level[start : start + fill]
+            starts = list(range(0, len(level), fill))
+            if len(level) - starts[-1] == 1:
+                # Never leave a single-child inner node at the tail: it
+                # has no sibling to borrow from or merge with, so a
+                # delete that empties its child could not rebalance.
+                starts[-1] -= 1
+            for start, end in zip(starts, starts[1:] + [len(level)]):
                 inner = _Inner(self._next_node_id())
-                inner.children = list(group)
-                inner.keys = level_mins[start + 1 : start + len(group)]
+                inner.children = level[start:end]
+                inner.keys = level_mins[start + 1 : end]
                 parents.append(inner)
                 parent_mins.append(level_mins[start])
                 self.meter.charge(ALLOC_NODE)
+                self._inner_bytes += (_INNER_BASE_BYTES
+                                      + (end - start) * _CHILD_BYTES)
             level = parents
             level_mins = parent_mins
             self._height += 1
@@ -276,6 +297,7 @@ class BPlusTree(OrderedIndex):
                 right.next = node.next
                 node.next = right
                 sep = right.keys[0]
+                self._leaf_bytes += self._leaf_node_bytes
             else:
                 inner: _Inner = node  # type: ignore[assignment]
                 right = _Inner(self._next_node_id())
@@ -284,6 +306,7 @@ class BPlusTree(OrderedIndex):
                 right.children = inner.children[mid + 1 :]
                 del inner.keys[mid:]
                 del inner.children[mid + 1 :]
+                self._inner_bytes += _INNER_BASE_BYTES  # children only moved
             created += 1
             self.meter.charge(ALLOC_NODE)
             self.meter.charge(KEY_SHIFT, len(right.keys))
@@ -295,11 +318,13 @@ class BPlusTree(OrderedIndex):
                 self._height += 1
                 created += 1
                 self.meter.charge(ALLOC_NODE)
+                self._inner_bytes += _INNER_BASE_BYTES + 2 * _CHILD_BYTES
                 return created
             parent = path.pop()
             idx = binary_search_lower(parent.keys, sep, self.meter)
             parent.keys.insert(idx, sep)
             parent.children.insert(idx + 1, right)
+            self._inner_bytes += _CHILD_BYTES
             self.meter.charge(KEY_SHIFT, len(parent.keys) - idx)
             if len(parent.children) <= self.fanout:
                 return created
@@ -326,6 +351,7 @@ class BPlusTree(OrderedIndex):
             while isinstance(self._root, _Inner) and len(self._root.children) == 1:
                 self._root = self._root.children[0]
                 self._height -= 1
+                self._inner_bytes -= _INNER_BASE_BYTES + _CHILD_BYTES
         return removed
 
     def _delete_rec(self, node: _Node, key: Key, path_ids: List[int]) -> Tuple[bool, bool]:
@@ -410,14 +436,17 @@ class BPlusTree(OrderedIndex):
             left.keys.extend(right.keys)
             left.values.extend(right.values)
             left.next = right.next
+            self._leaf_bytes -= self._leaf_node_bytes
         else:
             li: _Inner = left  # type: ignore[assignment]
             ri: _Inner = right  # type: ignore[assignment]
             li.keys.append(parent.keys[left_idx])
             li.keys.extend(ri.keys)
             li.children.extend(ri.children)
+            self._inner_bytes -= _INNER_BASE_BYTES  # children only moved
         del parent.keys[left_idx]
         del parent.children[left_idx + 1]
+        self._inner_bytes -= _CHILD_BYTES
 
     # -- scans ----------------------------------------------------------------
 
@@ -440,6 +469,13 @@ class BPlusTree(OrderedIndex):
     # -- memory ----------------------------------------------------------------
 
     def memory_usage(self) -> MemoryBreakdown:
+        """O(1): the running totals (see ``_walk_memory``)."""
+        return MemoryBreakdown(inner=self._inner_bytes, leaf=self._leaf_bytes)
+
+    def _walk_memory(self) -> MemoryBreakdown:
+        """The footprint by a full walk of the tree — what
+        ``memory_usage`` answers from its running totals; kept as
+        ``debug_validate``'s cross-check of them."""
         inner_bytes = 0
         leaf_bytes = 0
         stack: List[_Node] = [self._root]
@@ -447,19 +483,10 @@ class BPlusTree(OrderedIndex):
             node = stack.pop()
             if isinstance(node, _Inner):
                 cap = max(len(node.children), 1)
-                inner_bytes += (
-                    _NODE_HEADER_BYTES
-                    + cap * POINTER_BYTES
-                    + max(cap - 1, 0) * KEY_BYTES
-                )
+                inner_bytes += _INNER_BASE_BYTES + cap * _CHILD_BYTES
                 stack.extend(node.children)
             else:
-                # STX leaves allocate full capacity arrays.
-                leaf_bytes += (
-                    _NODE_HEADER_BYTES
-                    + POINTER_BYTES  # side link
-                    + self.fanout * (KEY_BYTES + PAYLOAD_BYTES)
-                )
+                leaf_bytes += self._leaf_node_bytes
         return MemoryBreakdown(inner=inner_bytes, leaf=leaf_bytes)
 
     @property
@@ -470,7 +497,8 @@ class BPlusTree(OrderedIndex):
 
     def debug_validate(self) -> List[Violation]:
         """Structural walk: key order, fill bounds, separator ranges,
-        balance, the leaf side-link chain, and size accounting.
+        balance, the leaf side-link chain, size accounting, and the
+        running memory totals against a full walk.
 
         Separator semantics match ``_descend`` (equal keys go right):
         every key in ``children[i]`` is ``< keys[i]`` and every key in
@@ -547,4 +575,11 @@ class BPlusTree(OrderedIndex):
             out.append(Violation(
                 self._root.node_id, "btree.size",
                 f"leaves hold {total} keys but len(index) == {self._size}"))
+        counted, walked = self.memory_usage(), self._walk_memory()
+        if counted != walked:
+            out.append(Violation(
+                self._root.node_id, "btree.memory-counters",
+                f"running totals say inner={counted.inner} "
+                f"leaf={counted.leaf} bytes but a walk finds "
+                f"inner={walked.inner} leaf={walked.leaf}"))
         return out

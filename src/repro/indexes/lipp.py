@@ -136,6 +136,12 @@ class LIPP(OrderedIndex):
         self.insert_ratio = insert_ratio
         self.conflict_ratio = conflict_ratio
         self.min_rebuild_size = min_rebuild_size
+        #: Running ``memory_usage()`` totals: nodes and slots in the
+        #: tree, added by ``_build_node`` and taken back wherever a
+        #: subtree is dropped (``debug_validate`` cross-checks them
+        #: against a full walk).
+        self._n_nodes = 0
+        self._n_slots = 0
         self._root = self._build_node([])
         self.rebuild_count = 0
         self.chain_count = 0
@@ -146,6 +152,8 @@ class LIPP(OrderedIndex):
         n = len(items)
         cap = max(16, min(int(n / self.density) + 1, self.max_node_slots))
         node = _LippNode(self._next_node_id(), cap)
+        self._n_nodes += 1
+        self._n_slots += cap
         node.size = n
         node.build_size = n
         self.meter.charge(ALLOC_NODE)
@@ -182,6 +190,7 @@ class LIPP(OrderedIndex):
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
         self.check_sorted_unique(items)
+        self._n_nodes = self._n_slots = 0
         self._root = self._build_node(list(items))
         self._size = len(items)
 
@@ -405,9 +414,12 @@ class LIPP(OrderedIndex):
     def _rebuild_at(self, path_nodes: List[_LippNode], i: int) -> bool:
         """Rebuild the subtree rooted at ``path_nodes[i]``."""
         node = path_nodes[i]
-        items = list(self._iter_subtree(node))
+        items: List[Tuple[Key, Value]] = []
+        nodes, slots = self._collect_subtree(node, items)
         if not items:
             return False
+        self._n_nodes -= nodes
+        self._n_slots -= slots
         rebuilt = self._build_node(items)
         self.rebuild_count += 1
         if i == 0:
@@ -424,6 +436,22 @@ class LIPP(OrderedIndex):
                         parent.values[j] = rebuilt
                         break
         return True
+
+    def _collect_subtree(self, node: _LippNode,
+                         items: List[Tuple[Key, Value]]) -> Tuple[int, int]:
+        """Append the subtree's entries to ``items`` in key order and
+        return its footprint ``(nodes, slots)`` — one walk for a caller
+        that is about to drop the subtree.  Never charges the meter."""
+        nodes, slots = 1, len(node.tags)
+        keys, values = node.keys, node.values
+        for s, tag in enumerate(node.tags):
+            if tag == _DATA:
+                items.append((keys[s], values[s]))
+            elif tag == _CHILD:
+                n, sl = self._collect_subtree(values[s], items)
+                nodes += n
+                slots += sl
+        return nodes, slots
 
     def _iter_subtree(self, node: _LippNode) -> Iterator[Tuple[Key, Value]]:
         for s in range(node.capacity):
@@ -488,11 +516,13 @@ class LIPP(OrderedIndex):
             parent = path_nodes[-2]
             for j in range(parent.capacity):
                 if parent.tags[j] == _CHILD and parent.values[j] is node:
-                    remaining = next(self._iter_subtree(node))
+                    left: List[Tuple[Key, Value]] = []
+                    nodes, slots = self._collect_subtree(node, left)
+                    self._n_nodes -= nodes
+                    self._n_slots -= slots
                     parent.np_cache = None
                     parent.tags[j] = _DATA
-                    parent.keys[j] = remaining[0]
-                    parent.values[j] = remaining[1]
+                    parent.keys[j], parent.values[j] = left[0]
                     self.meter.charge(SLOT_INIT)
                     break
         self.last_op = OpRecord(
@@ -532,21 +562,22 @@ class LIPP(OrderedIndex):
     # -- memory -----------------------------------------------------------------
 
     def memory_usage(self) -> MemoryBreakdown:
-        total_slots = 0
-        n_nodes = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            n_nodes += 1
-            total_slots += node.capacity
-            for s in range(node.capacity):
-                if node.tags[s] == _CHILD:
-                    stack.append(node.values[s])
+        """O(1): the running totals (see ``_walk_memory``)."""
+        return self._footprint(self._n_nodes, self._n_slots)
+
+    def _walk_memory(self) -> MemoryBreakdown:
+        """The footprint by a full walk of the tree — what
+        ``memory_usage`` answers from its running totals; kept as
+        ``debug_validate``'s cross-check of them."""
+        return self._footprint(*self._collect_subtree(self._root, []))
+
+    @staticmethod
+    def _footprint(nodes: int, slots: int) -> MemoryBreakdown:
         # The unified layout has no separate leaf layer; report the whole
         # structure as "leaf" plus per-node headers as metadata.
         return MemoryBreakdown(
-            leaf=total_slots * _SLOT_BYTES,
-            metadata=n_nodes * _NODE_HEADER_BYTES,
+            leaf=slots * _SLOT_BYTES,
+            metadata=nodes * _NODE_HEADER_BYTES,
         )
 
     # -- introspection ------------------------------------------------------------
@@ -556,8 +587,9 @@ class LIPP(OrderedIndex):
         slot sits exactly where the node's model predicts its key),
         child routing (every key in a child subtree predicts the slot
         that holds the child), per-subtree size counters, a globally
-        sorted traversal, and tag/value consistency.  Walks nodes
-        directly; never charges the meter.
+        sorted traversal, tag/value consistency, and the running
+        node/slot totals behind ``memory_usage()`` against a full walk.
+        Walks nodes directly; never charges the meter.
         """
         out: List[Violation] = []
 
@@ -607,6 +639,13 @@ class LIPP(OrderedIndex):
             out.append(Violation(
                 self._root.node_id, "lipp.size",
                 f"tree holds {total} keys but len(index) == {self._size}"))
+        counted, walked = self.memory_usage(), self._walk_memory()
+        if counted != walked:
+            out.append(Violation(
+                self._root.node_id, "lipp.memory-counters",
+                f"running totals say leaf={counted.leaf} "
+                f"metadata={counted.metadata} bytes but a walk finds "
+                f"leaf={walked.leaf} metadata={walked.metadata}"))
         keys = [k for k, _ in self._iter_subtree(self._root)]
         i = first_inversion(keys, strict=True)
         if i >= 0:
@@ -617,15 +656,7 @@ class LIPP(OrderedIndex):
         return out
 
     def node_count(self) -> int:
-        n = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            n += 1
-            for s in range(node.capacity):
-                if node.tags[s] == _CHILD:
-                    stack.append(node.values[s])
-        return n
+        return self._n_nodes
 
     def max_depth(self) -> int:
         def depth(node: _LippNode) -> int:

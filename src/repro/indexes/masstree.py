@@ -55,6 +55,10 @@ from repro.indexes.base import (
 _FANOUT = 15
 _VERSION_BYTES = 8
 _PERMUTATION_BYTES = 8
+_INTERIOR_BYTES = (_VERSION_BYTES + _FANOUT * KEY_BYTES
+                   + (_FANOUT + 1) * POINTER_BYTES)
+_BORDER_BYTES = (_VERSION_BYTES + _PERMUTATION_BYTES
+                 + _FANOUT * (KEY_BYTES + PAYLOAD_BYTES) + 2 * POINTER_BYTES)
 
 
 class _Interior:
@@ -96,6 +100,10 @@ class Masstree(OrderedIndex):
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self._root: Any = _Border(self._next_node_id())
+        #: Running ``memory_usage()`` totals (nodes are never freed:
+        #: no deletes); ``debug_validate`` cross-checks them by a walk.
+        self._n_interiors = 0
+        self._n_borders = 1
 
     # -- build --------------------------------------------------------------
 
@@ -117,6 +125,8 @@ class Masstree(OrderedIndex):
             borders = [_Border(self._next_node_id())]
         level: List[Any] = list(borders)
         mins: List[Key] = [b.keys[0] if b.keys else 0 for b in borders]
+        self._n_borders = len(borders)
+        self._n_interiors = 0
         while len(level) > 1:
             parents: List[Any] = []
             parent_mins: List[Key] = []
@@ -128,6 +138,7 @@ class Masstree(OrderedIndex):
                 parents.append(inner)
                 parent_mins.append(mins[start])
                 self.meter.charge(ALLOC_NODE)
+            self._n_interiors += len(parents)
             level, mins = parents, parent_mins
         self._root = level[0]
         self._size = len(items)
@@ -233,6 +244,7 @@ class Masstree(OrderedIndex):
         border.perm = list(range(len(border.keys)))
         right.next = border.next
         border.next = right
+        self._n_borders += 1
         self.meter.charge(ALLOC_NODE)
         self.meter.charge(KEY_SHIFT, len(items))
         created = 1
@@ -244,6 +256,7 @@ class Masstree(OrderedIndex):
                 new_root.keys = [sep]
                 new_root.children = [self._root, node]
                 self._root = new_root
+                self._n_interiors += 1
                 self.meter.charge(ALLOC_NODE)
                 return created + 1
             parent = inner_path.pop()
@@ -261,6 +274,7 @@ class Masstree(OrderedIndex):
             new_inner.children = parent.children[m + 1 :]
             del parent.keys[m:]
             del parent.children[m + 1 :]
+            self._n_interiors += 1
             self.meter.charge(ALLOC_NODE)
             created += 1
             node = new_inner
@@ -299,25 +313,24 @@ class Masstree(OrderedIndex):
     # -- memory -----------------------------------------------------------------
 
     def memory_usage(self) -> MemoryBreakdown:
+        """O(1): the running totals (see ``_walk_memory``)."""
+        return MemoryBreakdown(inner=self._n_interiors * _INTERIOR_BYTES,
+                               leaf=self._n_borders * _BORDER_BYTES)
+
+    def _walk_memory(self) -> MemoryBreakdown:
+        """The footprint by a full walk of the tree — what
+        ``memory_usage`` answers from its running totals; kept as
+        ``debug_validate``'s cross-check of them."""
         inner = 0
         leaf = 0
         stack: List[Any] = [self._root]
         while stack:
             node = stack.pop()
             if isinstance(node, _Interior):
-                inner += (
-                    _VERSION_BYTES
-                    + _FANOUT * KEY_BYTES
-                    + (_FANOUT + 1) * POINTER_BYTES
-                )
+                inner += _INTERIOR_BYTES
                 stack.extend(node.children)
             else:
-                leaf += (
-                    _VERSION_BYTES
-                    + _PERMUTATION_BYTES
-                    + _FANOUT * (KEY_BYTES + PAYLOAD_BYTES)
-                    + 2 * POINTER_BYTES
-                )
+                leaf += _BORDER_BYTES
         return MemoryBreakdown(inner=inner, leaf=leaf)
 
     # -- validation ---------------------------------------------------------------
@@ -327,7 +340,8 @@ class Masstree(OrderedIndex):
         the physical slots, logical order strictly sorted, fanout
         bounds on borders and interiors, separator key ranges matching
         ``_descend``'s equal-goes-right routing, the border side-link
-        chain threading the in-order leaves, and size accounting.
+        chain threading the in-order leaves, size accounting, and the
+        running memory totals against a full walk.
         Walks nodes directly; never charges the meter.
         """
         out: List[Violation] = []
@@ -394,4 +408,11 @@ class Masstree(OrderedIndex):
                 0, "mass.size",
                 f"borders hold {total} keys but len(index) == "
                 f"{self._size}"))
+        counted, walked = self.memory_usage(), self._walk_memory()
+        if counted != walked:
+            out.append(Violation(
+                0, "mass.memory-counters",
+                f"running totals say inner={counted.inner} "
+                f"leaf={counted.leaf} bytes but a walk finds "
+                f"inner={walked.inner} leaf={walked.leaf}"))
         return out

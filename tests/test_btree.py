@@ -49,6 +49,20 @@ def test_delete_shrinks_tree_height():
         assert idx.lookup(i) == i
 
 
+def test_bulk_load_leaves_no_single_child_tail():
+    # 37 keys at fanout 4 pack into 13 leaves: grouped by 3, the 13th
+    # used to sit alone under its own inner node, with no sibling to
+    # borrow from or merge with once a delete emptied it.
+    idx = BPlusTree(fanout=4)
+    idx.bulk_load([(k, k) for k in range(37)])
+    assert idx.delete(36)
+    assert idx.debug_validate() == []
+    for k in range(36):
+        assert idx.delete(k)
+        assert idx.debug_validate() == []
+    assert len(idx) == 0
+
+
 def test_insert_records_shift_counts():
     idx = BPlusTree(fanout=32)
     idx.bulk_load([(i * 2, i) for i in range(100)])

@@ -6,6 +6,7 @@ run leaves the result fingerprint bit-identical to a bare run, for
 every index in the registry.
 """
 
+import json
 import random
 import threading
 
@@ -28,7 +29,7 @@ from repro.core.instance import DRAINING, MIGRATING, AdmissionError, IndexInstan
 from repro.core.migrate import run_migration
 from repro.core.registry import REGISTRY
 from repro.core.results import load_jsonl, result_record
-from repro.core.runner import execute
+from repro.core.runner import ExecutionEngine, execute
 from repro.core.slo import ControlTower, SLOTracker
 from repro.core.sweep import (
     DatasetSpec,
@@ -41,6 +42,7 @@ from repro.core.sweep import (
 from repro.core.workloads import mixed_workload, payload
 from repro.indexes.alex import ALEX
 from repro.indexes.btree import BPlusTree
+from tests import observer_reference as reference
 
 KEYS = sorted(random.Random(11).sample(range(1, 50_000_000), 3000))
 ITEMS = [(k, payload(k)) for k in KEYS]
@@ -284,6 +286,32 @@ def test_fingerprint_parity_with_full_observability(name):
     assert result_fingerprint(result_record(observed)) == fp_bare
     assert len(bus) > 0 and bus.dropped == 0
     assert tower.rows  # the tower really saw the run
+
+
+@pytest.mark.parametrize("batch_ops", [0, 64])
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_bus_and_slo_match_reference_on_the_same_run(name, batch_ops):
+    """The pre-change bus emitter and a tracker that re-sums the meter
+    per op ride the same run as today's: equal events, equal windows."""
+    factory, wl = reference.parity_case(name)
+    ref_bus, bus = EventBus(), EventBus()
+    ref_slo = reference.RereadingSLOTracker(window_ops=64, bus=ref_bus)
+    slo = SLOTracker(window_ops=64, bus=bus)
+    engine = ExecutionEngine(  # emitter before tracker, on both buses
+        observers=[reference.EngineBusEmitter(ref_bus, window_ops=64),
+                   ref_slo, bus.engine_observer(window_ops=64), slo],
+        batch_ops=batch_ops)
+    observed = engine.run(factory(), wl)
+
+    assert len(bus.events(kind=KIND_OP_WINDOW)) == -(-wl.n_ops // 64)
+    # Not ``==``: that would let an int 0 pass for a float 0.0.
+    assert json.dumps(bus.events()) == json.dumps(ref_bus.events())
+    assert json.dumps(slo.windows) == json.dumps(ref_slo.windows)
+    assert json.dumps(slo.summary()) == json.dumps(ref_slo.summary())
+
+    bare = ExecutionEngine(batch_ops=batch_ops).run(factory(), wl)
+    assert (result_fingerprint(result_record(observed))
+            == result_fingerprint(result_record(bare)))
 
 
 # -- multi-shard emitter stress (sharded serving tier) -------------------------

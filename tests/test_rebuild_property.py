@@ -41,6 +41,9 @@ def _finish(mux, model):
     assert list(mux.items()) == sorted(model.items())
     assert len(mux) == len(model)
     assert mux.debug_validate() == []
+    served = mux.primary  # the rebuilt index, now serving
+    if hasattr(served, "_walk_memory"):  # LIPP, B+tree: O(1) running totals
+        assert served.memory_usage() == served._walk_memory()
 
 
 @pytest.mark.parametrize("dst", MIGRATABLE)

@@ -58,7 +58,8 @@ def _drive(tracker, index, latencies, smo_at=()):
     for i, lat in enumerate(latencies):
         index.meter.now += lat
         event = OpEvent(seq=i, op=Operation(LOOKUP, key=i), record=None,
-                        ok=True, scanned=0, result=None)
+                        ok=True, scanned=0, result=None,
+                        t_ns=index.meter.now)
         tracker.on_op(event, None)
         if i in smo_at:
             tracker.on_smo(event)

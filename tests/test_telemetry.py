@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from repro.core.results import load_jsonl, save_jsonl
+from repro.core.registry import REGISTRY
+from repro.core.results import load_jsonl, result_record, save_jsonl
 from repro.core.runner import ExecutionEngine, ExecutionObserver, execute
+from repro.core.sweep import result_fingerprint
 from repro.core.telemetry import (
     CostProfiler,
     Histogram,
@@ -29,6 +31,7 @@ from repro.concurrency.simcore import MulticoreSimulator, Topology
 from repro.concurrency.trace import OpTrace
 from repro.indexes.alex import ALEX
 from repro.indexes.btree import BPlusTree
+from tests import observer_reference as reference
 
 KEYS = list(range(0, 16000, 4))
 
@@ -388,3 +391,100 @@ def test_telemetry_bundle_observers():
     assert Telemetry().observers() == []
     only_prof = Telemetry(profiler=CostProfiler())
     assert only_prof.observers() == [only_prof.profiler]
+
+
+# ---------------------------------------------------------------------------
+# Side by side with the pre-change observers (tests/observer_reference.py)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("batch_ops", [0, 64])
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_observers_match_reference_on_the_same_run(name, batch_ops):
+    """Old and new observers ride one ``ExecutionEngine.run``: every
+    artifact is byte-identical, and the run has a bare run's fingerprint."""
+    factory, wl = reference.parity_case(name)
+    ref_trace = reference.TraceRecorder()
+    ref_metrics = reference.MetricsCollector(window_ops=64)
+    ref_prof = reference.CostProfiler()
+    tel = Telemetry.full(window_ops=64)
+    engine = ExecutionEngine(observers=[ref_trace, ref_metrics, ref_prof],
+                             telemetry=tel, batch_ops=batch_ops)
+    observed = engine.run(factory(), wl)
+
+    def same(new, ref):  # == would let an int 0 pass for a float 0.0
+        return json.dumps(new) == json.dumps(ref)
+
+    assert len(tel.trace.events) == wl.n_ops + 3 + len(
+        [e for e in tel.trace.events if e["kind"] == "instant"])
+    assert same(tel.trace.events, ref_trace.events)
+    assert same(tel.trace.to_chrome(), ref_trace.to_chrome())
+    assert same(tel.metrics.series, ref_metrics.series)
+    assert same(tel.metrics.registry.snapshot(),
+                ref_metrics.registry.snapshot())
+    assert list(tel.profiler.cells.items()) == list(ref_prof.cells.items())
+    assert same(tel.profiler.rows(), ref_prof.rows())
+    if name not in ("RMI", "HOT"):  # read-only; HOT never flags an SMO
+        # The stream really crossed structural work.
+        assert tel.metrics.registry.snapshot()["smo_total"]["value"] >= 1
+
+    bare = ExecutionEngine(batch_ops=batch_ops).run(factory(), wl)
+    assert (result_fingerprint(result_record(observed))
+            == result_fingerprint(result_record(bare)))
+
+
+def test_trace_cap_counts_drops_without_building_records():
+    factory, wl = reference.parity_case("B+tree")
+    ref = reference.TraceRecorder(max_events=50)
+    new = TraceRecorder(max_events=50)
+    ExecutionEngine(observers=[ref, new]).run(factory(), wl)
+    assert new.events == ref.events and len(new.events) == 50
+    assert new.dropped == ref.dropped > 0
+
+
+def test_observer_added_mid_run_joins_the_next_run():
+    """The hook lists are resolved at ``run()`` entry."""
+    late_seen = []
+
+    class Late(ExecutionObserver):
+        def on_op(self, event, latency):
+            late_seen.append(event.seq)
+
+    class Adder(ExecutionObserver):
+        def on_op(self, event, latency):
+            if event.seq == 0 and not late_seen and len(engine.observers) == 1:
+                engine.add_observer(Late())
+
+    engine = ExecutionEngine(observers=[Adder()])
+    wl = mixed_workload(KEYS, 0.0, n_ops=20, seed=19)
+    engine.run(BPlusTree(), wl)
+    assert late_seen == []
+    engine.run(BPlusTree(), wl)
+    assert late_seen == list(range(20))
+
+
+def test_only_implemented_hooks_are_dispatched():
+    """Duck-typed observers count; inherited no-ops and missing hooks
+    are skipped, and ``t_ns`` is carried only when someone declares
+    ``needs_clock``."""
+    seen = []
+
+    class OpsOnly:  # no on_smo at all: an SMO must not trip on it
+        def on_phase(self, phase, index, workload):
+            pass
+
+        def on_op(self, event, latency):
+            seen.append(event.t_ns)
+
+    wl = mixed_workload(KEYS, 1.0, n_ops=2500, seed=15)  # crosses ALEX SMOs
+    execute(ALEX(), wl, observers=[OpsOnly()], sample_every=10 ** 9)
+    assert len(seen) == wl.n_ops
+    assert seen[0] is not None and set(seen[1:]) == {None}
+
+    class Clocked(OpsOnly):
+        needs_clock = True
+
+    seen.clear()
+    index = ALEX()
+    result = execute(index, wl, observers=[Clocked()])
+    assert seen == sorted(seen) and seen[-1] == index.meter.total_time()
+    assert result.virtual_ns == seen[-1]

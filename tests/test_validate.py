@@ -180,6 +180,16 @@ class TestCorruptionDetection:
         node.next = None  # sever the chain after the first leaf
         assert "btree.leaf-chain" in _rules(idx)
 
+    def test_btree_memory_counter_drift(self):
+        idx = BPlusTree(fanout=4)
+        idx.bulk_load(_items(200, seed=3))
+        assert "btree.memory-counters" not in _rules(idx)
+        idx._leaf_bytes -= idx._leaf_node_bytes  # a split that forgot its leaf
+        assert _rules(idx) == {"btree.memory-counters"}
+        idx._leaf_bytes += idx._leaf_node_bytes
+        idx._inner_bytes += 16  # a child pointer counted twice
+        assert _rules(idx) == {"btree.memory-counters"}
+
     def test_alex_gap_copy_drift(self):
         from repro.indexes.alex import _InnerNode
 
@@ -210,6 +220,16 @@ class TestCorruptionDetection:
         rules = _rules(idx)
         assert "lipp.subtree-size" in rules or "lipp.size" in rules
 
+    def test_lipp_memory_counter_drift(self):
+        idx = LIPP()
+        idx.bulk_load(_items(300, seed=6))
+        assert idx.node_count() > 1  # collisions chained child nodes
+        idx._n_nodes -= 1  # a collapse counted twice
+        assert _rules(idx) == {"lipp.memory-counters"}
+        idx._n_nodes += 1
+        idx._n_slots += 16  # a rebuild that forgot the old subtree
+        assert _rules(idx) == {"lipp.memory-counters"}
+
     def test_lipp_imprecise_position(self):
         from repro.indexes.lipp import _DATA
 
@@ -228,6 +248,19 @@ class TestCorruptionDetection:
         node.tags[src] = 0
         rules = _rules(idx)
         assert "lipp.precise-position" in rules or "lipp.order" in rules
+
+    def test_art_memory_counter_drift(self):
+        idx = ART()
+        idx.bulk_load(_items(300, seed=6))
+        assert idx.memory_usage().inner > 0
+        idx._inner_bytes -= 1  # a prefix cut counted twice
+        assert _rules(idx) == {"art.memory-counters"}
+
+    def test_masstree_memory_counter_drift(self):
+        idx = Masstree()
+        idx.bulk_load(_items(300, seed=6))
+        idx._n_borders += 1  # a split counted twice
+        assert _rules(idx) == {"mass.memory-counters"}
 
     def test_pgm_run_order(self):
         idx = PGMIndex(check_duplicates=True)
