@@ -34,6 +34,17 @@ def _session(threaded, seed=0):
                              threaded=threaded, seed=seed, chunk=128)
 
 
+def _assert_clean(report):
+    """What CI's serve-smoke asserts of both sessions: nothing refused
+    or stalled (any op kind), oracle clean, the job done and verified."""
+    assert report.ok
+    assert report.dropped == {}, "ops were refused during rebuild"
+    assert report.stalled == {}, "ops stalled behind the pump"
+    assert not report.mismatches, str(report.mismatches[0])
+    assert report.job["state"] == "done"
+    assert report.job["verified_fraction"] == 1.0
+
+
 def test_threaded_churn_has_zero_stalls():
     print_header("serve: 4 threads + background rebuild (ALEX, 1600 ops)")
     report = _session(threaded=True)
@@ -43,14 +54,12 @@ def test_threaded_churn_has_zero_stalls():
           f"job {report.job['state']} after {report.job['chunks_pumped']} chunks")
     assert report.dropped_lookups == 0, "lookups were refused during rebuild"
     assert report.stalled_lookups == 0, "lookups stalled behind the pump"
-    assert not report.mismatches, str(report.mismatches[0])
-    assert report.job["state"] == "done"
-    assert report.job["verified_fraction"] == 1.0
+    _assert_clean(report)
 
 
 def test_rebuild_overhead_is_bounded_and_off_the_client_clock():
     report = _session(threaded=False)
-    assert report.ok
+    _assert_clean(report)
     ratio = report.overhead_ns / max(1.0, report.client_ns)
     print(f"client {report.client_ns:.0f} vns, rebuild overhead "
           f"{report.overhead_ns:.0f} vns (ratio {ratio:.2f}x), "

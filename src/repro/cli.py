@@ -15,6 +15,7 @@ all experiments"; this module is their equivalent::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Dict, List, Sequence
 
@@ -24,34 +25,23 @@ from repro.core.memory import measure_after_write_only
 from repro.core.registry import REGISTRY
 from repro.core.report import ascii_chart, format_bytes, table
 from repro.core.workloads import (
-    MIX_FRACTIONS,
     MIX_NAMES,
     churn_workload,
-    deletion_workload,
-    mixed_workload,
     moving_hotspot_workload,
-    scan_workload,
-    ycsb_workload,
 )
 from repro.datasets import registry
 from repro.datasets.registry import scaled_epsilons
 
 #: Every index the CLI exposes — a derived view over the registry.
 _ALL_INDEXES = REGISTRY.factories(tag="cli")
-_MIX = dict(zip(MIX_NAMES, MIX_FRACTIONS))
 
 
 def _workload(args, keys):
+    """The workload ``--workload`` names: the sweep vocabulary
+    (``WorkloadSpec.from_name``) plus the two replay shapes."""
+    from repro.core.sweep import WorkloadSpec
+
     name = args.workload
-    if name in _MIX:
-        return mixed_workload(keys, _MIX[name], n_ops=args.ops, seed=args.seed)
-    if name.startswith("ycsb-"):
-        return ycsb_workload(keys, name[-1].upper(), n_ops=args.ops, seed=args.seed)
-    if name.startswith("delete"):
-        return deletion_workload(keys, 0.5, n_ops=args.ops, seed=args.seed)
-    if name.startswith("scan"):
-        size = int(name.split(":")[1]) if ":" in name else 100
-        return scan_workload(keys, size, max(20, args.ops // size), seed=args.seed)
     if name.startswith("churn"):
         frac = float(name.split(":")[1]) if ":" in name else 0.5
         return churn_workload(keys, frac, n_ops=args.ops, seed=args.seed)
@@ -59,10 +49,89 @@ def _workload(args, keys):
         phases = int(name.split(":")[1]) if ":" in name else 4
         return moving_hotspot_workload(keys, n_ops=args.ops, phases=phases,
                                        seed=args.seed)
-    raise SystemExit(
-        f"unknown workload {name!r}; use one of {MIX_NAMES}, ycsb-a/b/c, "
-        "delete, scan[:SIZE], churn[:WRITE_FRAC], hotspot[:PHASES]"
-    )
+    try:
+        spec = WorkloadSpec.from_name(name, n_ops=args.ops, seed=args.seed)
+    except ValueError:
+        raise SystemExit(
+            f"unknown workload {name!r}; use one of {MIX_NAMES}, ycsb-a/b/c, "
+            "delete, scan[:SIZE], churn[:WRITE_FRAC], hotspot[:PHASES]"
+        ) from None
+    return spec.build(keys)
+
+
+def _index_factory(name: str):
+    """The zero-argument factory of CLI index ``name``, or exit."""
+    factory = _ALL_INDEXES.get(name)
+    if factory is None:
+        raise SystemExit(
+            f"unknown index {name!r}; use one of {sorted(_ALL_INDEXES)}")
+    return factory
+
+
+def _resolve(lookup, name: str):
+    """``lookup(name)``; an unknown name exits cleanly with the
+    registry's own message (it lists what is registered)."""
+    try:
+        return lookup(name)
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from None
+
+
+def _resolve_index(name: str) -> str:
+    """Registry name for ``name`` (loose spellings accepted), or exit."""
+    from repro.core.migrate import resolve_index_name
+
+    return _resolve(resolve_index_name, name)
+
+
+def _shardable(name: str) -> str:
+    """Registry name of a shard-capable index, or exit."""
+    name = _resolve_index(name)
+    if not REGISTRY.get(name).supports_sharding:
+        raise SystemExit(f"{name!r} does not support sharding "
+                         "(see `repro list`)")
+    return name
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` to ``path`` ('' skips).  The note goes to stderr:
+    ``--json`` consumers own stdout."""
+    if not path:
+        return
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2)
+    print(f"wrote {path}", file=sys.stderr)
+
+
+def _gate_history(args, suite: str, metrics: dict, info: dict,
+                  context: dict) -> int:
+    """``--history`` / ``--check`` for every benchmark command.
+
+    With ``--check`` the gated (virtual-clock) ``metrics`` are judged
+    against the file's baseline for this ``suite`` and ``context``
+    first; a regression returns 1 and records nothing.  Otherwise the
+    run is appended (``info`` rides along ungated) and 0 returned.
+    """
+    if not args.history:
+        return 0
+    from repro.core.bench_history import append_history, check_history
+
+    if args.check:
+        regressions = check_history(args.history, suite, metrics,
+                                    context=context,
+                                    tolerance=args.tolerance)
+        if regressions:
+            for reg in regressions:
+                print(f"FAIL {reg}", file=sys.stderr)
+            print(f"{args.command} --check: {len(regressions)} "
+                  f"regression(s) vs {args.history}", file=sys.stderr)
+            return 1
+        print(f"{args.command} --check: no regressions vs {args.history} "
+              f"(tolerance {args.tolerance:.0%})")
+    append_history(args.history, suite, metrics, info=info, context=context)
+    if not getattr(args, "json", False):
+        print(f"history: appended to {args.history}")
+    return 0
 
 
 def cmd_list(args) -> int:
@@ -100,7 +169,6 @@ def cmd_list(args) -> int:
 
 def cmd_bench(args) -> int:
     """Scalar vs batched lookup microbenchmark (wall clock)."""
-    import json
     import random as _random
     import time as _time
 
@@ -207,10 +275,7 @@ def cmd_bench(args) -> int:
         "predict_clamped": predict_note,
     }
     doc.update(provenance())
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(doc, f, indent=2)
-        print(f"wrote {args.out}")
+    _write_json(args.out, doc)
     if args.min_speedup > 0:
         slow = [r for r in results
                 if r["vectorized"] and r["speedup"] < args.min_speedup]
@@ -219,36 +284,18 @@ def cmd_bench(args) -> int:
                 print(f"FAIL {r['index']}: {r['speedup']:.2f}x < "
                       f"{args.min_speedup}x", file=sys.stderr)
             return 1
-    if args.history:
-        from repro.core.bench_history import append_history, check_history
-
-        context = {"dataset": args.dataset, "n": args.n,
-                   "lookups": args.lookups, "seed": args.seed,
-                   "indexes": sorted(names)}
-        metrics = {}
-        info = {}
-        for r in results:
-            metrics[f"virtual_lookup_mops.{r['index']}"] = r["virtual_lookup_mops"]
-            metrics[f"virtual_lookup_p99_ns.{r['index']}"] = r["virtual_lookup_p99_ns"]
-            info[f"scalar_ops_per_s.{r['index']}"] = r["scalar_ops_per_s"]
-            info[f"batch_ops_per_s.{r['index']}"] = r["batch_ops_per_s"]
-            info[f"speedup.{r['index']}"] = r["speedup"]
-        if args.check:
-            regressions = check_history(args.history, "bench", metrics,
-                                        context=context,
-                                        tolerance=args.tolerance)
-            if regressions:
-                for reg in regressions:
-                    print(f"FAIL {reg}", file=sys.stderr)
-                print(f"bench --check: {len(regressions)} regression(s) vs "
-                      f"{args.history}", file=sys.stderr)
-                return 1
-            print(f"bench --check: no regressions vs {args.history} "
-                  f"(tolerance {args.tolerance:.0%})")
-        append_history(args.history, "bench", metrics, info=info,
-                       context=context)
-        print(f"history: appended to {args.history}")
-    return 0
+    context = {"dataset": args.dataset, "n": args.n,
+               "lookups": args.lookups, "seed": args.seed,
+               "indexes": sorted(names)}
+    metrics = {}
+    info = {}
+    for r in results:
+        metrics[f"virtual_lookup_mops.{r['index']}"] = r["virtual_lookup_mops"]
+        metrics[f"virtual_lookup_p99_ns.{r['index']}"] = r["virtual_lookup_p99_ns"]
+        info[f"scalar_ops_per_s.{r['index']}"] = r["scalar_ops_per_s"]
+        info[f"batch_ops_per_s.{r['index']}"] = r["batch_ops_per_s"]
+        info[f"speedup.{r['index']}"] = r["speedup"]
+    return _gate_history(args, "bench", metrics, info, context)
 
 
 def cmd_datasets(args) -> int:
@@ -319,9 +366,7 @@ def _save_telemetry(args, telemetry) -> None:
 
 
 def cmd_run(args) -> int:
-    factory = _ALL_INDEXES.get(args.index)
-    if factory is None:
-        raise SystemExit(f"unknown index {args.index!r}; use one of {sorted(_ALL_INDEXES)}")
+    factory = _index_factory(args.index)
     keys = registry.get(args.dataset).generate(args.n, seed=args.seed)
     wl = _workload(args, keys)
     telemetry = _telemetry_from_args(args)
@@ -347,8 +392,6 @@ def cmd_run(args) -> int:
 
         save_jsonl([r], args.out, append=True)
     if getattr(args, "json", False):
-        import json
-
         from repro.core.results import result_record
 
         print(json.dumps(result_record(r), indent=2))
@@ -373,8 +416,6 @@ def cmd_run(args) -> int:
 
 def cmd_top(args) -> int:
     """Live control-tower view over the operational event stream."""
-    import json
-
     from repro.core.events import KIND_OP_WINDOW, EventBus, validate_bus_events
     from repro.core.instance import IndexInstance
     from repro.core.results import load_jsonl
@@ -405,14 +446,7 @@ def cmd_top(args) -> int:
             from repro.core.shard import ShardedIndex, ShardRouter
             from repro.core.slo import cluster_view
 
-            try:
-                spec = REGISTRY.get(args.index)
-            except KeyError as exc:
-                raise SystemExit(exc.args[0]) from None
-            if not spec.supports_sharding:
-                raise SystemExit(f"{args.index!r} does not support sharding "
-                                 "(see `repro list`)")
-            sharded = ShardedIndex(args.index, n_shards=args.shards)
+            sharded = ShardedIndex(_shardable(args.index), n_shards=args.shards)
             sharded.attach_bus(bus)
             router = ShardRouter(sharded, window_ops=max(args.window, 64),
                                  slo_window=args.window, bus=bus)
@@ -420,13 +454,9 @@ def cmd_top(args) -> int:
             view = cluster_view(router.all_trackers)
         elif getattr(args, "server", False):
             from repro.core.events import KIND_JOB
-            from repro.core.migrate import resolve_index_name
             from repro.core.server import run_serve_session, session_streams
 
-            try:
-                index = resolve_index_name(args.index)
-            except KeyError as exc:
-                raise SystemExit(exc.args[0]) from None
+            index = _resolve_index(args.index)
             if live:
                 bus.subscribe(refresh, kinds=[KIND_JOB])
             n_clients = 4
@@ -440,19 +470,13 @@ def cmd_top(args) -> int:
                 print(f"serve session NOT ok: {report.to_dict()}",
                       file=sys.stderr)
         elif args.migrate:
-            from repro.core.migrate import resolve_index_name, run_migration
+            from repro.core.migrate import run_migration
 
-            try:
-                src = resolve_index_name(args.migrate[0])
-                dst = resolve_index_name(args.migrate[1])
-            except KeyError as exc:
-                raise SystemExit(exc.args[0]) from None
-            run_migration(src, dst, wl, bus=bus, bus_window=args.window)
+            run_migration(_resolve_index(args.migrate[0]),
+                          _resolve_index(args.migrate[1]), wl, bus=bus,
+                          bus_window=args.window)
         else:
-            factory = _ALL_INDEXES.get(args.index)
-            if factory is None:
-                raise SystemExit(
-                    f"unknown index {args.index!r}; use one of {sorted(_ALL_INDEXES)}")
+            factory = _index_factory(args.index)
             slo = SLOTracker(bus=bus, window_ops=args.window)
             target = bus.attach_instance(IndexInstance.wrap(factory()))
             execute(target, wl, bus=bus, bus_window=args.window,
@@ -499,7 +523,7 @@ def cmd_heatmap(args) -> int:
 
     names = args.datasets.split(",") if args.datasets else registry.heatmap_names()
     datasets = [DatasetSpec(n, args.n, args.seed) for n in names]
-    workloads = [WorkloadSpec.mixed(_MIX[m], n_ops=args.ops, seed=args.seed)
+    workloads = [WorkloadSpec.from_name(m, n_ops=args.ops, seed=args.seed)
                  for m in MIX_NAMES]
     cache = SweepCache(args.cache_dir) if getattr(args, "cache_dir", "") else None
     hm, report = sweep_heatmap(
@@ -539,10 +563,7 @@ def cmd_sweep(args) -> int:
 
     ds_names = [d for d in args.datasets.split(",") if d]
     for d in ds_names:  # fail fast on typos
-        try:
-            registry.get(d)
-        except KeyError as exc:
-            raise SystemExit(exc.args[0]) from None
+        _resolve(registry.get, d)
     index_names = ([i for i in args.indexes.split(",") if i]
                    if args.indexes else REGISTRY.names(tag="heatmap"))
     if args.mode == "single":
@@ -564,17 +585,12 @@ def cmd_sweep(args) -> int:
 
         save_jsonl(report.records(), args.out, append=True)
     if args.bench:
-        import json
-
         from repro.core.bench_history import provenance
 
         doc = report.to_dict(include_cells=False)
         doc.update(provenance())
-        with open(args.bench, "w") as f:
-            json.dump(doc, f, indent=2)
+        _write_json(args.bench, doc)
     if args.history and report.cells:
-        from repro.core.bench_history import append_history, check_history
-
         single = [c for c in report.cells
                   if c.record.get("kind") != "multicore"]
         mops = [c.throughput_mops for c in single]
@@ -595,21 +611,9 @@ def cmd_sweep(args) -> int:
                 "cells_per_sec": report.cells_per_sec,
                 "cache_hits": report.cache_hits,
                 "executed": report.executed}
-        if args.check:
-            regressions = check_history(args.history, "sweep", metrics,
-                                        context=context,
-                                        tolerance=args.tolerance)
-            if regressions:
-                for reg in regressions:
-                    print(f"FAIL {reg}", file=sys.stderr)
-                return 1
-            print(f"sweep --check: no regressions vs {args.history} "
-                  f"(tolerance {args.tolerance:.0%})")
-        append_history(args.history, "sweep", metrics, info=info,
-                       context=context)
+        if _gate_history(args, "sweep", metrics, info, context):
+            return 1
     if args.json:
-        import json
-
         print(json.dumps(report.to_dict(), indent=2))
         return 0
     rows = [
@@ -670,9 +674,7 @@ def cmd_diagnose(args) -> int:
     from repro.core.slo import SLOTracker
     from repro.core.telemetry import CostProfiler, MetricsCollector, Telemetry
 
-    factory = _ALL_INDEXES.get(args.index)
-    if factory is None:
-        raise SystemExit(f"unknown index {args.index!r}; use one of {sorted(_ALL_INDEXES)}")
+    factory = _index_factory(args.index)
     keys = registry.get(args.dataset).generate(args.n, seed=args.seed)
     wl = _workload(args, keys)
     idx = factory()
@@ -690,9 +692,7 @@ def cmd_diagnose(args) -> int:
 def cmd_profile(args) -> int:
     from repro.core.telemetry import CostProfiler, Telemetry
 
-    factory = _ALL_INDEXES.get(args.index)
-    if factory is None:
-        raise SystemExit(f"unknown index {args.index!r}; use one of {sorted(_ALL_INDEXES)}")
+    factory = _index_factory(args.index)
     keys = registry.get(args.dataset).generate(args.n, seed=args.seed)
     wl = _workload(args, keys)
     idx = factory()
@@ -762,15 +762,9 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_migrate(args) -> int:
-    import json
+    from repro.core.migrate import run_migration
 
-    from repro.core.migrate import resolve_index_name, run_migration
-
-    try:
-        src = resolve_index_name(args.src)
-        dst = resolve_index_name(args.dst)
-    except KeyError as exc:
-        raise SystemExit(exc.args[0]) from None
+    src, dst = _resolve_index(args.src), _resolve_index(args.dst)
     if src == dst:
         raise SystemExit(f"source and destination are both {src}")
     keys = registry.get(args.dataset).generate(args.n, seed=args.seed)
@@ -804,33 +798,18 @@ def cmd_migrate(args) -> int:
 
         doc = report.to_dict()
         doc.update(provenance())
-        with open(args.bench, "w") as f:
-            json.dump(doc, f, indent=2)
-        print(f"wrote {args.bench}")
-    if args.history:
-        from repro.core.bench_history import append_history, check_history
-
-        metrics = {
-            "overhead_ns": report.overhead_ns,
-            "client_ns": report.client_ns,
-            "backfill_keys_per_vsec": report.backfill_keys_per_vsec,
-        }
-        context = {"src": src, "dst": dst, "dataset": args.dataset,
-                   "workload": args.workload, "n": args.n, "ops": args.ops,
-                   "chunk": args.chunk, "pump": args.pump, "seed": args.seed}
-        if args.check:
-            regressions = check_history(args.history, "migration", metrics,
-                                        context=context,
-                                        tolerance=args.tolerance)
-            if regressions:
-                for reg in regressions:
-                    print(f"FAIL {reg}", file=sys.stderr)
-                return 1
-            print(f"migrate --check: no regressions vs {args.history} "
-                  f"(tolerance {args.tolerance:.0%})")
-        append_history(args.history, "migration", metrics,
-                       info={"wall_seconds": report.wall_seconds},
-                       context=context)
+        _write_json(args.bench, doc)
+    metrics = {
+        "overhead_ns": report.overhead_ns,
+        "client_ns": report.client_ns,
+        "backfill_keys_per_vsec": report.backfill_keys_per_vsec,
+    }
+    context = {"src": src, "dst": dst, "dataset": args.dataset,
+               "workload": args.workload, "n": args.n, "ops": args.ops,
+               "chunk": args.chunk, "pump": args.pump, "seed": args.seed}
+    if _gate_history(args, "migration", metrics,
+                     {"wall_seconds": report.wall_seconds}, context):
+        return 1
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -846,22 +825,14 @@ def cmd_migrate(args) -> int:
 
 def cmd_shard(args) -> int:
     """Sharded serving tier: scaling curve + hotspot-rebalance replay."""
-    import json
-
     from repro.core.bench_history import provenance
     from repro.core.shard import rebalance_benchmark, scaling_benchmark
 
-    try:
-        spec = REGISTRY.get(args.index)
-    except KeyError as exc:
-        raise SystemExit(exc.args[0]) from None
-    if not spec.supports_sharding:
-        raise SystemExit(f"{args.index!r} does not support sharding "
-                         "(see `repro list`)")
+    index = _shardable(args.index)
     counts = tuple(int(c) for c in args.shard_counts.split(",") if c)
     try:
         scaling = scaling_benchmark(
-            index=args.index, dataset=args.dataset, n=args.n,
+            index=index, dataset=args.dataset, n=args.n,
             lookups=args.lookups, shard_counts=counts, seed=args.seed,
             batch=args.batch,
             jobs=args.jobs if args.jobs is not None else 0)
@@ -869,7 +840,7 @@ def cmd_shard(args) -> int:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     rebalance = rebalance_benchmark(
-        index=args.index, dataset=args.dataset, n=args.n, ops=args.ops,
+        index=index, dataset=args.dataset, n=args.n, ops=args.ops,
         shards=args.shards, window_ops=args.window, seed=args.seed)
 
     doc = {"scaling": scaling, "rebalance": rebalance}
@@ -892,7 +863,7 @@ def cmd_shard(args) -> int:
             ["Shards", "Mops (serial)", "Mops (parallel)", "routing ns",
              "pool wall s", "jobs", "parity"],
             rows,
-            title=f"{args.index} scaling on {args.dataset} "
+            title=f"{index} scaling on {args.dataset} "
                   f"(n={args.n}, {args.lookups} zipfian lookups, "
                   f"batch={args.batch})"))
         print(f"\nvirtual lookup scaling {counts[0]} -> {counts[-1]} shards: "
@@ -911,36 +882,20 @@ def cmd_shard(args) -> int:
               f"rejected: {rb['rejected_ops']}, "
               f"oracle: {'clean' if rb['oracle_ok'] else 'DIVERGED'}, "
               f"converged: {rb['converged']}")
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(doc, f, indent=2)
-        print(f"wrote {args.out}")
-    if args.history:
-        from repro.core.bench_history import append_history, check_history
-
-        metrics = {
-            "scaling_virtual": scaling["scaling_virtual"],
-            "virtual_mops_max": scaling["virtual_mops_max"],
-            "p99_recovery_ratio": rebalance["p99_recovery_ratio"],
-        }
-        context = {"index": args.index, "dataset": args.dataset,
-                   "n": args.n, "lookups": args.lookups, "ops": args.ops,
-                   "shard_counts": list(counts), "shards": args.shards,
-                   "batch": args.batch, "window": args.window,
-                   "seed": args.seed}
-        if args.check:
-            regressions = check_history(args.history, "shard", metrics,
-                                        context=context,
-                                        tolerance=args.tolerance)
-            if regressions:
-                for reg in regressions:
-                    print(f"FAIL {reg}", file=sys.stderr)
-                return 1
-            print(f"shard --check: no regressions vs {args.history} "
-                  f"(tolerance {args.tolerance:.0%})")
-        append_history(args.history, "shard", metrics,
-                       info={"wall_seconds": rebalance["wall_seconds"]},
-                       context=context)
+    _write_json(args.out, doc)
+    metrics = {
+        "scaling_virtual": scaling["scaling_virtual"],
+        "virtual_mops_max": scaling["virtual_mops_max"],
+        "p99_recovery_ratio": rebalance["p99_recovery_ratio"],
+    }
+    context = {"index": index, "dataset": args.dataset,
+               "n": args.n, "lookups": args.lookups, "ops": args.ops,
+               "shard_counts": list(counts), "shards": args.shards,
+               "batch": args.batch, "window": args.window,
+               "seed": args.seed}
+    if _gate_history(args, "shard", metrics,
+                     {"wall_seconds": rebalance["wall_seconds"]}, context):
+        return 1
     ok = True
     if scaling["scaling_virtual"] < args.min_scaling:
         print(f"FAIL: virtual scaling {scaling['scaling_virtual']:.2f}x < "
@@ -960,18 +915,12 @@ def cmd_shard(args) -> int:
 def cmd_serve(args) -> int:
     """Async index server session: N clients + a background rebuild,
     journal-replayed through the differential oracle."""
-    import json
-
     from repro.core.bench_history import provenance
     from repro.core.events import EventBus
-    from repro.core.migrate import resolve_index_name
     from repro.core.server import run_serve_session, session_streams
     from repro.core.slo import ControlTower
 
-    try:
-        index = resolve_index_name(args.index)
-    except KeyError as exc:
-        raise SystemExit(exc.args[0]) from None
+    index = _resolve_index(args.index)
     keys = registry.get(args.dataset).generate(args.n, seed=args.seed)
     bulk, streams = session_streams(
         index, n_clients=args.clients, ops_per_client=args.ops,
@@ -1015,43 +964,26 @@ def cmd_serve(args) -> int:
                   f"oracle {'clean' if not r.mismatches else 'DIVERGED'}, "
                   f"job {r.job['state'] if r.job else '-'}, "
                   f"wall {r.wall_seconds:.3f}s")
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(doc, f, indent=2)
-        # stderr: --out defaults on, and --json consumers own stdout.
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.history:
-        from repro.core.bench_history import append_history, check_history
-
-        # Gated metrics come from the deterministic session only: same
-        # seed, same interleave, same virtual-clock numbers on any
-        # machine.  Threaded wall-clock stats ride in info, ungated.
-        metrics = {
-            "serve_ops_per_vsec": report.ops_per_vsec,
-            "client_ns": report.client_ns,
-            "overhead_ns": report.overhead_ns,
-        }
-        context = {"index": index, "dataset": args.dataset, "n": args.n,
-                   "clients": args.clients, "ops": args.ops,
-                   "profile": args.profile, "rebuild": args.rebuild,
-                   "rebuild_after": args.rebuild_after,
-                   "chunk": args.chunk, "queue_depth": args.queue_depth,
-                   "admission": args.admission, "seed": args.seed}
-        info = {"wall_seconds": report.wall_seconds}
-        if threaded is not None:
-            info["threaded_wall_seconds"] = threaded.wall_seconds
-        if args.check:
-            regressions = check_history(args.history, "serve", metrics,
-                                        context=context,
-                                        tolerance=args.tolerance)
-            if regressions:
-                for reg in regressions:
-                    print(f"FAIL {reg}", file=sys.stderr)
-                return 1
-            print(f"serve --check: no regressions vs {args.history} "
-                  f"(tolerance {args.tolerance:.0%})")
-        append_history(args.history, "serve", metrics, info=info,
-                       context=context)
+    _write_json(args.out, doc)
+    # Gated metrics come from the deterministic session only: same
+    # seed, same interleave, same virtual-clock numbers on any
+    # machine.  Threaded wall-clock stats ride in info, ungated.
+    metrics = {
+        "serve_ops_per_vsec": report.ops_per_vsec,
+        "client_ns": report.client_ns,
+        "overhead_ns": report.overhead_ns,
+    }
+    context = {"index": index, "dataset": args.dataset, "n": args.n,
+               "clients": args.clients, "ops": args.ops,
+               "profile": args.profile, "rebuild": args.rebuild,
+               "rebuild_after": args.rebuild_after,
+               "chunk": args.chunk, "queue_depth": args.queue_depth,
+               "admission": args.admission, "seed": args.seed}
+    info = {"wall_seconds": report.wall_seconds}
+    if threaded is not None:
+        info["threaded_wall_seconds"] = threaded.wall_seconds
+    if _gate_history(args, "serve", metrics, info, context):
+        return 1
     ok = True
     for label, r in (("deterministic", report), ("threaded", threaded)):
         if r is None:

@@ -52,7 +52,7 @@ from repro.core.cost import (
     PHASE_STATS,
     PHASE_TRAVERSE,
 )
-from repro.core.workloads import DELETE, INSERT, LOOKUP, SCAN, UPDATE, Operation
+from repro.core.workloads import DELETE, INSERT, LOOKUP, SCAN, UPDATE, Operation, apply_op
 from repro.indexes.alex import ALEX
 from repro.indexes.art import ART
 from repro.indexes.base import MemoryBreakdown, OrderedIndex
@@ -97,7 +97,7 @@ class ConcurrencyAdapter:
             raise NotImplementedError(f"{self.name} does not support {op.op}")
         meter = self.index.meter
         before = meter.snapshot()
-        self._dispatch(op)
+        apply_op(self.index, op)
         delta = meter.diff(before)
         phases = delta.time_by_phase()
         trace = OpTrace(op=op.op)
@@ -105,20 +105,6 @@ class ConcurrencyAdapter:
         trace.mem_fraction = mem_fraction_from_counts(delta.counts, meter.weights)
         self._shape(op, trace, phases)
         return trace
-
-    def _dispatch(self, op: Operation) -> None:
-        kind = op.op
-        index = self.index
-        if kind == LOOKUP:
-            index.lookup(op.key)
-        elif kind == INSERT:
-            index.insert(op.key, op.value)
-        elif kind == UPDATE:
-            index.update(op.key, op.value)
-        elif kind == DELETE:
-            index.delete(op.key)
-        elif kind == SCAN:
-            index.range_scan(op.key, op.count)
 
     # -- protocol hook ----------------------------------------------------------
 

@@ -35,6 +35,7 @@ import json
 import subprocess
 import time
 from dataclasses import dataclass
+from statistics import median
 from typing import Dict, List, Optional
 
 from repro.core.results import SCHEMA_VERSION, load_jsonl, save_jsonl
@@ -169,13 +170,6 @@ class BenchRegression:
                 f"({self.change:+.1%}, tolerance {self.tolerance:.0%})")
 
 
-def _median(values: List[float]) -> float:
-    s = sorted(values)
-    n = len(s)
-    mid = n // 2
-    return s[mid] if n % 2 else (s[mid - 1] + s[mid]) / 2.0
-
-
 def check_history(
     path: str,
     suite: str,
@@ -200,7 +194,7 @@ def check_history(
                    if metric in r.get("metrics", {})]
         if not history:
             continue
-        baseline = _median(history)
+        baseline = median(history)
         if baseline == 0:
             continue
         change = (float(current) - baseline) / baseline

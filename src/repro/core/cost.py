@@ -212,9 +212,15 @@ class CostMeter:
 
     # -- reading ------------------------------------------------------------
 
+    def _table(self) -> Dict[Tuple[str, str], float]:
+        """The counters the read paths below see.  A meter that stands
+        for several (``repro.core.shard.ClusterMeter``) returns the
+        merge of its parts here instead of re-writing each reader."""
+        return self._counts
+
     def total_units(self, kind: str) -> float:
         """Total units of ``kind`` across all phases."""
-        return sum(v for (_, k), v in self._counts.items() if k == kind)
+        return sum(v for (_, k), v in self._table().items() if k == kind)
 
     def total_time(self) -> float:
         """Total virtual nanoseconds accumulated.
@@ -233,18 +239,18 @@ class CostMeter:
     def time_by_phase(self) -> Dict[str, float]:
         """Virtual nanoseconds attributed to each phase."""
         out: Dict[str, float] = {}
-        for (phase, kind), v in self._counts.items():
+        for (phase, kind), v in self._table().items():
             out[phase] = out.get(phase, 0.0) + self.weights.get(kind, 0.0) * v
         return out
 
     def snapshot(self) -> Dict[Tuple[str, str], float]:
         """A copy of the raw counters, for later :meth:`diff`."""
-        return dict(self._counts)
+        return dict(self._table())
 
     def diff(self, before: Dict[Tuple[str, str], float]) -> "CostDelta":
         """Cost accumulated since ``before`` was snapshotted."""
         delta: Dict[Tuple[str, str], float] = {}
-        for key, v in self._counts.items():
+        for key, v in self._table().items():
             d = v - before.get(key, 0.0)
             if d:
                 delta[key] = d
@@ -257,7 +263,7 @@ class CostMeter:
         place — ``diff`` + ``snapshot`` in one pass, no copy.  What a
         per-op consumer (:class:`~repro.core.telemetry.CostProfiler`)
         calls between every two operations."""
-        fold_moved(self._counts, seen, into, tag)
+        fold_moved(self._table(), seen, into, tag)
 
     def reset(self) -> None:
         self._counts.clear()

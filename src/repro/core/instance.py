@@ -195,6 +195,14 @@ class IndexInstance:
                           "done": done, "total": total}
         self._emit(self._progress)
 
+    def watch(self, mux: Any) -> None:
+        """Follow a migration multiplexer: its pump progress feeds
+        :meth:`note_backfill` and :meth:`status` snapshots it live."""
+        mux.progress_sink = (
+            lambda stage, done, total:
+            self.note_backfill(done, total, stage=stage))
+        self.status_probe = mux.status
+
     def attach_bus(self, bus: Any) -> "IndexInstance":
         """Republish this instance's lifecycle events into an event bus.
 

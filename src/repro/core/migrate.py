@@ -26,6 +26,10 @@ to it under live traffic —
    with :func:`~repro.core.opstream.shrink_stream` into a minimal repro
    stream.
 
+:class:`MigrationDriver` is the one owner of "drive a multiplexer to
+cutover or rollback"; :func:`run_migration`, the shard router and the
+index server's rebuild jobs are its three callers.
+
 Admission is checked per op against the serving instance; with the
 multiplexed design no state ever refuses a read, and the report's
 ``rejected_ops`` / ``cutover_stall_ops`` fields prove the "zero
@@ -36,8 +40,9 @@ from __future__ import annotations
 
 import re
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.instance import (
     DRAINING,
@@ -55,19 +60,21 @@ from repro.core.opstream import (
 )
 from repro.core.registry import REGISTRY, IndexSpec
 from repro.core.runner import OpEvent
-from repro.core.workloads import (
-    DELETE,
-    INSERT,
-    LOOKUP,
-    SCAN,
-    UPDATE,
-    Operation,
-    Workload,
+from repro.core.workloads import LOOKUP, SCAN, Operation, Workload, apply_op
+from repro.indexes.multiplex import (
+    BACKFILL,
+    DONE,
+    FAILED,
+    READY,
+    VERIFY,
+    MultiplexIndex,
 )
-from repro.indexes.multiplex import DONE, FAILED, MultiplexIndex
 
-__all__ = ["MigrationReport", "apply_op", "resolve_index_name",
-           "run_migration"]
+__all__ = ["CUT_OVER", "ROLLED_BACK", "MigrationDriver", "MigrationReport",
+           "resolve_index_name", "run_migration"]
+
+#: Client-stream mismatches against the oracle kept per migration report.
+ORACLE_LIMIT = 50
 
 
 def resolve_index_name(name: str) -> str:
@@ -237,34 +244,114 @@ def _check_spec(spec: IndexSpec, role: str) -> None:
             "(shadow writes) and range scans (backfill snapshot cursor)")
 
 
-def apply_op(index: Any, op: Operation) -> Tuple[bool, int, object]:
-    """Engine-handler semantics for one op against any index-like.
+#: How a driven migration ended (:attr:`MigrationDriver.outcome`).
+CUT_OVER = "cut_over"
+ROLLED_BACK = "rolled_back"
 
-    ``index`` is anything honoring the ``OrderedIndex`` op surface — a
-    bare index, a :class:`MultiplexIndex`, a sharded tier.  Returns
-    ``(ok, scanned, result)`` exactly as the execution engine's
-    dispatch table would, so journal replays and migrations compare
-    bit-for-bit against engine runs.  Shared by the migration control
-    plane and the :mod:`repro.core.server` foreground path.
+
+class MigrationDriver:
+    """Drives one :class:`MultiplexIndex` from attach to outcome.
+
+    :func:`run_migration`, the shard router and the server's rebuild
+    jobs all migrate through this class; they differ only in *when*
+    they call :meth:`step` and in what their two hooks do.  The driver
+
+    1. meters each step: what it put on the secondary's meter is added
+       to :attr:`overhead_ns`, never to client-visible latency;
+    2. runs the O(n) ``build_secondary`` outside ``lock`` (it touches
+       only migration-private state), every other step inside it;
+    3. cuts a READY secondary over, treating a cutover whose final
+       dirty re-check diverged like any other failure;
+    4. calls ``mux.abort()`` exactly once, on FAILED or :meth:`abort`;
+    5. fires ``on_cutover()`` or ``on_rollback(why)`` exactly once,
+       under the lock; :attr:`outcome` is then set and calls are no-ops.
+
+    ``lock`` is a zero-argument callable returning a context manager.
     """
-    kind = op.op
-    if kind == LOOKUP:
-        value = index.lookup(op.key)
-        return value is not None, 0, value
-    if kind == INSERT:
-        return bool(index.insert(op.key, op.value)), 0, None
-    if kind == UPDATE:
-        return bool(index.update(op.key, op.value)), 0, None
-    if kind == DELETE:
-        return bool(index.delete(op.key)), 0, None
-    if kind == SCAN:
-        rows = index.range_scan(op.key, op.count)
-        return True, len(rows), rows
-    raise ValueError(f"unknown op {kind!r}")
 
+    def __init__(self, mux: MultiplexIndex, on_cutover: Callable[[], None],
+                 on_rollback: Callable[[str], None],
+                 lock: Callable[[], Any] = nullcontext) -> None:
+        self.mux = mux
+        self.on_cutover = on_cutover
+        self.on_rollback = on_rollback
+        self.lock = lock
+        self.overhead_ns = 0.0
+        #: Build and pump steps taken.
+        self.chunks = 0
+        #: ``None`` in flight, then ``CUT_OVER`` or ``ROLLED_BACK``.
+        self.outcome: Optional[str] = None
 
-#: Backward-compatible alias (pre-PR-10 private name).
-_apply = apply_op
+    def metered(self, work: Callable[..., Any], *args: Any) -> Any:
+        """``work(*args)``, with what it put on the secondary's meter
+        charged to :attr:`overhead_ns`."""
+        secondary = self.mux.secondary
+        if secondary is None:
+            return work(*args)
+        before = secondary.meter.snapshot()
+        out = work(*args)
+        self.overhead_ns += secondary.meter.diff(before).total_time()
+        return out
+
+    def step(self) -> int:
+        """One step — the build, a pump chunk, or the cutover — then
+        :meth:`settle`; returns the keys it moved."""
+        mux = self.mux
+        if self.outcome is not None:
+            return 0
+        if mux.build_pending:
+            # Only the driver pumps, so nothing else moves the phase or
+            # touches the staging list and the secondary; client writes
+            # meanwhile land in the delta log, under the caller's lock.
+            self.metered(mux.build_secondary)
+            self.chunks += 1
+            return 0
+        moved = 0
+        with self.lock():
+            if mux.phase == READY:
+                self.metered(mux.cutover)  # re-checks late churn; may fail
+            elif mux.phase in (BACKFILL, VERIFY):
+                moved = self.metered(mux.pump)
+                self.chunks += 1
+            self._settle()
+        return moved
+
+    def advance(self, budget: float = float("inf")) -> None:
+        """Step until ``budget`` keys have moved or the outcome is
+        reached.  A chunk costs at least one key and the build none; a
+        secondary that is past verification is settled on any budget."""
+        while self.outcome is None and (
+                budget > 0 or self.mux.phase not in (BACKFILL, VERIFY)):
+            free = self.mux.build_pending
+            moved = self.step()
+            if not free:
+                budget -= max(moved, 1)
+
+    def settle(self) -> None:
+        """Turn a phase the multiplexer ended in by itself (it pumps per
+        client op when ``pump_per_op > 0``) into the outcome."""
+        with self.lock():
+            self._settle()
+
+    def abort(self, why: str) -> None:
+        """Roll back now, unless the outcome is already reached."""
+        with self.lock():
+            if self.outcome is None:
+                self._roll_back(why)
+
+    def _settle(self) -> None:
+        if self.outcome is not None:
+            return
+        if self.mux.phase == FAILED:
+            self._roll_back(self.mux.divergences[0].describe())
+        elif self.mux.phase == DONE:
+            self.outcome = CUT_OVER
+            self.on_cutover()
+
+    def _roll_back(self, why: str) -> None:
+        self.mux.abort()
+        self.outcome = ROLLED_BACK
+        self.on_rollback(why)
 
 
 def run_migration(
@@ -276,7 +363,6 @@ def run_migration(
     src_factory: Optional[Callable[[], Any]] = None,
     dst_factory: Optional[Callable[[], Any]] = None,
     shrink: bool = True,
-    oracle_limit: int = 50,
     seed: int = 0,
     bus=None,
     bus_window: int = 256,
@@ -319,19 +405,42 @@ def run_migration(
 
     mux = MultiplexIndex(source.index, target.index, chunk=chunk,
                          pump_per_op=pump_per_op, auto_cutover=True)
-    mux.progress_sink = lambda stage, done, total: target.note_backfill(
-        done, total, stage=stage)
     # Live status: either instance's status() now snapshots the pump.
+    target.watch(mux)
     source.status_probe = mux.status
-    target.status_probe = mux.status
     source.advance(MIGRATING, f"multiplexing to {target.name}")
 
-    differ = DifferentialObserver(limit=oracle_limit)
+    differ = DifferentialObserver(limit=ORACLE_LIMIT)
     differ.on_phase("measure", None, workload)
 
     serving = source
     applied: List[Operation] = []
-    abort_seq: Optional[int] = None
+    #: Ops applied when the outcome was reached: in flight, ``seq`` of
+    #: the op it followed; after the stream, the stream's length.
+    at = 0
+
+    def cut_over() -> None:
+        nonlocal serving
+        report.completed = True
+        report.cutover_seq = at
+        serving = target
+        if bus is not None:
+            bus.publish("cutover", source=target.name,
+                        t_ns=mux.meter.total_time(), op_seq=at,
+                        src=source.name, dst=target.name)
+        target.advance(SERVING, f"cutover at op #{at}")
+        source.advance(DRAINING, "replaced by target")
+        source.advance(RETIRED, "drained")
+
+    def roll_back(why: str) -> None:
+        # Divergence: the shadow is dropped and the source rolls back
+        # to plain service; the stream keeps driving through it to
+        # prove rollback left it serving.
+        report.aborted = True
+        source.advance(SERVING, "migration aborted: divergence")
+        target.advance(RETIRED, "diverged from primary")
+
+    driver = MigrationDriver(mux, on_cutover=cut_over, on_rollback=roll_back)
     win_meter = None
     win_start = 0.0
     win_ops = 0
@@ -342,21 +451,22 @@ def run_migration(
             report.rejected_ops += 1
             continue
         client_meter = mux.meter
-        shadow = mux.secondary
         client0 = client_meter.total_time()
-        shadow0 = shadow.meter.total_time() if shadow is not None else 0.0
-        ok, scanned, result = apply_op(mux, op)
+        # The op's dual write and the chunks the multiplexer pumps
+        # behind it are overhead; its primary work is client time.
+        ok, scanned, result = driver.metered(apply_op, mux, op)
         client1 = client_meter.total_time()
         report.client_ns += client1 - client0
-        if shadow is not None:
-            report.overhead_ns += shadow.meter.total_time() - shadow0
         if op.op == LOOKUP:
             report.reads += 1
         elif op.op == SCAN:
             report.scans += 1
         else:
             report.writes += 1
-        applied.append(op)
+        if report.aborted:
+            report.post_abort_ops += 1
+        else:
+            applied.append(op)
         if bus is not None:
             # Throughput windows on the *client* meter.  The meter
             # swaps identity at cutover; restart the window there so a
@@ -374,58 +484,16 @@ def run_migration(
                     ops_per_vsec=(win_ops / (dur / 1e9)) if dur > 0 else 0.0)
                 win_start = client1
                 win_ops = 0
-        event = OpEvent(seq, op, None, ok, scanned, result, client1)
-        differ.on_op(event, None)
-        if abort_seq is not None:
-            report.post_abort_ops += 1
-            continue
-        if mux.phase == FAILED:
-            # Divergence: drop the shadow, roll the source back to
-            # plain service, and keep driving the stream through it to
-            # prove rollback left it serving.
-            abort_seq = seq
-            mux.abort()
-            source.advance(SERVING, "migration aborted: divergence")
-            target.advance(RETIRED, "diverged from primary")
-        elif mux.phase == DONE and report.cutover_seq is None:
-            report.cutover_seq = seq
-            serving = target
-            if bus is not None:
-                bus.publish("cutover", source=target.name,
-                            t_ns=mux.meter.total_time(), op_seq=seq,
-                            src=source.name, dst=target.name)
-            target.advance(SERVING, f"cutover at op #{seq}")
-            source.advance(DRAINING, "replaced by target")
-            source.advance(RETIRED, "drained")
+        differ.on_op(OpEvent(seq, op, None, ok, scanned, result, client1), None)
+        at = seq
+        driver.settle()
 
     # Traffic ended before the pump finished: drain the remaining
     # backfill/verify chunks (still overhead-metered) and cut over.
-    while abort_seq is None and mux.phase not in (DONE, FAILED):
-        shadow = mux.secondary
-        shadow0 = shadow.meter.total_time() if shadow is not None else 0.0
-        mux.pump()
-        if shadow is not None:
-            report.overhead_ns += shadow.meter.total_time() - shadow0
-    if abort_seq is None:
-        if mux.phase == DONE:
-            if report.cutover_seq is None:
-                report.cutover_seq = len(applied)
-                if bus is not None:
-                    bus.publish("cutover", source=target.name,
-                                t_ns=mux.meter.total_time(),
-                                op_seq=len(applied), src=source.name,
-                                dst=target.name)
-                target.advance(SERVING, "cutover after stream end")
-                source.advance(DRAINING, "replaced by target")
-                source.advance(RETIRED, "drained")
-        elif mux.phase == FAILED:
-            abort_seq = len(applied)
-            mux.abort()
-            source.advance(SERVING, "migration aborted: divergence")
-            target.advance(RETIRED, "diverged from primary")
+    at = len(applied)
+    driver.advance()
+    report.overhead_ns = driver.overhead_ns
 
-    report.completed = mux.phase == DONE
-    report.aborted = abort_seq is not None
     report.backfill_keys = mux.backfill_keys
     report.backfill_chunks = mux.backfill_chunks
     report.verify_keys = mux.verify_keys
@@ -447,7 +515,7 @@ def run_migration(
         stream = OpStream(
             index_name=dst, seed=seed,
             bulk_keys=[k for k, _ in workload.bulk_items],
-            ops=applied[:abort_seq + 1],
+            ops=applied,
             name=f"migrate-{src}-to-{dst}-divergence")
         report.repro = shrink_stream(make_dst, stream)
 

@@ -6,9 +6,9 @@ interpreter, not the index design.  Wall seconds are still recorded for
 sanity.  As in the paper, measurement starts *after* bulk loading, and
 latencies are sampled from ~1% of operations.
 
-Measurement is structured as an :class:`ExecutionEngine` driving an
-op-dispatch table, with every metric collected by an
-:class:`ExecutionObserver`.  Latency sampling, Table-3 insert
+Measurement is structured as an :class:`ExecutionEngine` applying each
+operation with :func:`~repro.core.workloads.apply_op`, with every
+metric collected by an :class:`ExecutionObserver`.  Latency sampling, Table-3 insert
 statistics and scan accounting are stock observers; downstream users
 (trace replay, diagnostics, future sharded/async runners) attach their
 own without touching the loop::
@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.core.instance import LOADING, IndexInstance
-from repro.core.workloads import DELETE, INSERT, LOOKUP, SCAN, UPDATE, Operation, Workload
+from repro.core.workloads import DELETE, INSERT, LOOKUP, UPDATE, Operation, Workload, apply_op
 from repro.indexes.base import MemoryBreakdown, OpRecord, OrderedIndex
 
 if TYPE_CHECKING:  # avoid the runtime cycle with repro.core.telemetry
@@ -328,7 +328,7 @@ class _Hooks:
 
 
 class ExecutionEngine:
-    """Drives a workload through an index via an op-dispatch table.
+    """Drives a workload through an index, one ``apply_op`` per operation.
 
     ``sample_every`` controls latency sampling (~1% of ops by default,
     matching the paper).  Sampling snapshots the cost meter around the
@@ -367,15 +367,6 @@ class ExecutionEngine:
         # keep this module import-cycle-free like ``telemetry``.
         if bus is not None:
             self.observers.append(bus.engine_observer(window_ops=bus_window))
-        self._dispatch: Dict[
-            str, Callable[[OrderedIndex, Operation], Tuple[bool, int, object]]
-        ] = {
-            LOOKUP: self._op_lookup,
-            INSERT: self._op_insert,
-            UPDATE: self._op_update,
-            DELETE: self._op_delete,
-            SCAN: self._op_scan,
-        }
 
     def add_observer(self, observer: ExecutionObserver) -> ExecutionObserver:
         """Attach ``observer`` to every later run.  The hook lists are
@@ -383,34 +374,6 @@ class ExecutionEngine:
         is in flight joins the next run, not the current one."""
         self.observers.append(observer)
         return observer
-
-    # -- op handlers (the dispatch table) --------------------------------------
-    #
-    # Each handler returns ``(ok, scanned, result)`` where ``result`` is
-    # the op's raw return value — surfaced to observers via
-    # ``OpEvent.result`` so differential oracles can compare payloads.
-
-    @staticmethod
-    def _op_lookup(index: OrderedIndex, op: Operation) -> Tuple[bool, int, object]:
-        value = index.lookup(op.key)
-        return value is not None, 0, value
-
-    @staticmethod
-    def _op_insert(index: OrderedIndex, op: Operation) -> Tuple[bool, int, object]:
-        return bool(index.insert(op.key, op.value)), 0, None
-
-    @staticmethod
-    def _op_update(index: OrderedIndex, op: Operation) -> Tuple[bool, int, object]:
-        return bool(index.update(op.key, op.value)), 0, None
-
-    @staticmethod
-    def _op_delete(index: OrderedIndex, op: Operation) -> Tuple[bool, int, object]:
-        return bool(index.delete(op.key)), 0, None
-
-    @staticmethod
-    def _op_scan(index: OrderedIndex, op: Operation) -> Tuple[bool, int, object]:
-        rows = index.range_scan(op.key, op.count)
-        return True, len(rows), rows
 
     # -- the measured loop ------------------------------------------------------
 
@@ -422,15 +385,12 @@ class ExecutionEngine:
         hooks: _Hooks,
         meter,
     ) -> None:
-        handler = self._dispatch.get(op.op)
-        if handler is None:
-            raise ValueError(f"unknown op {op.op!r}")
         sampled = (seq % self.sample_every) == 0
         clock = hooks.clock
         before = (hooks.t_ns if clock
                   else meter.total_time() if sampled else 0.0)
         prev_record = index.last_op
-        ok, scanned, result = handler(index, op)
+        ok, scanned, result = apply_op(index, op)
         now = meter.total_time() if clock or sampled else None
         latency = now - before if sampled else None
         if clock:

@@ -19,14 +19,13 @@ loads, rebuilds and migrations run as background jobs:
   (SNIPPETS Snippet 1's reconcile-thread pattern) — and are executed
   one step at a time by a worker thread.  A rebuild wraps the serving
   index in a :class:`~repro.indexes.multiplex.MultiplexIndex` with
-  ``pump_per_op=0``: only the job worker pumps.  Chunk-sized steps
-  (staging scans, delta catch-up, verification, cutover) run under the
-  write lock, so they never race a client op; the one O(n) step — the
-  ``bulk_load`` of the staged snapshot into the private secondary —
-  runs with no lock held, so no client op ever waits on it.  Pump work
-  is charged to the secondary's meter (never client-visible latency);
-  a failed or aborted job rolls the instance back to SERVING on its
-  original index.
+  ``pump_per_op=0``: only the job pumps, one
+  :class:`~repro.core.migrate.MigrationDriver` step per job step, with
+  the instance's write lock as the driver's lock — so chunk-sized
+  steps never race a client op, the one O(n) build holds no lock, pump
+  work is charged to the secondary's meter (never client-visible
+  latency), and a failed or aborted job rolls the instance back to
+  SERVING on its original index.
 * **Status is first-class**: every job step publishes a typed ``job``
   event (chunks pumped, verified fraction, queue depth, ETA on the
   virtual clock) through the PR-8 :class:`~repro.core.events.EventBus`
@@ -79,7 +78,7 @@ from repro.core.instance import (
     AdmissionError,
     IndexInstance,
 )
-from repro.core.migrate import apply_op, resolve_index_name
+from repro.core.migrate import CUT_OVER, MigrationDriver, resolve_index_name
 from repro.core.opstream import DifferentialObserver, Mismatch
 from repro.core.registry import REGISTRY
 from repro.core.runner import OpEvent
@@ -90,17 +89,10 @@ from repro.core.workloads import (
     SCAN,
     UPDATE,
     Operation,
+    apply_op,
     payload,
 )
-from repro.indexes.multiplex import (
-    BACKFILL,
-    DETACHED,
-    DONE,
-    FAILED,
-    READY,
-    VERIFY,
-    MultiplexIndex,
-)
+from repro.indexes.multiplex import MultiplexIndex
 
 __all__ = [
     "BLOCK",
@@ -128,6 +120,12 @@ JOB_FAILED = "failed"
 JOB_ABORTED = "aborted"
 
 _READ_OPS = frozenset({LOOKUP, SCAN})
+
+#: A foreground op that waited longer than this for its instance lock
+#: counts as stalled (seconds of wall clock).
+STALL_THRESHOLD_S = 1.0
+#: Job steps a deterministic serve session pumps per client op.
+PUMP_PER_CLIENT_OP = 2
 
 
 class RWLock:
@@ -289,12 +287,12 @@ class _Served:
     max_wait_s: float = 0.0
     ops: int = 0
 
-    def note_wait(self, kind: str, waited: float, threshold: float) -> None:
+    def note_wait(self, kind: str, waited: float) -> None:
         with self.stats_lock:
             self.ops += 1
             if waited > self.max_wait_s:
                 self.max_wait_s = waited
-            if waited > threshold:
+            if waited > STALL_THRESHOLD_S:
                 self.stalled[kind] = self.stalled.get(kind, 0) + 1
 
     def note_drop(self, kind: str) -> None:
@@ -353,11 +351,12 @@ class _BulkLoadRunner:
 
 
 class _RebuildRunner:
-    """Background rebuild/migration driving a ``pump_per_op=0``
-    multiplexer one step at a time.  Staging, catch-up, verify and
-    cutover steps hold the instance's write lock; the one O(n) step —
-    bulk-loading the staged snapshot into the secondary — holds no
-    lock, so foreground traffic keeps flowing through it."""
+    """Background rebuild/migration: a ``pump_per_op=0`` multiplexer
+    taken one :class:`~repro.core.migrate.MigrationDriver` step per job
+    step.  Staging, catch-up, verify and cutover steps hold the
+    instance's write lock; the one O(n) step — bulk-loading the staged
+    snapshot into the secondary — holds no lock, so foreground traffic
+    keeps flowing through it."""
 
     def __init__(self, server: "IndexServer", served: _Served,
                  job: Job, factory: Optional[Callable[[], Any]]) -> None:
@@ -366,62 +365,22 @@ class _RebuildRunner:
         self.job = job
         self.factory = factory
         self.mux: Optional[MultiplexIndex] = None
-        self.original: Any = None
-        self.dst_name = ""
+        self.driver: Optional[MigrationDriver] = None
 
     def step(self) -> bool:
-        if self.mux is None:
+        if self.driver is None:
             return self._attach()
-        job, served, mux = self.job, self.served, self.mux
-        if mux.build_pending and not job.abort_requested:
-            # Only this runner pumps, so nothing else moves the phase
-            # or touches the staging list and the secondary; client
-            # writes meanwhile land in the delta log, under the lock.
-            self._metered(mux.build_secondary)
-            job.chunks_pumped += 1
-            return False
-        with _write(served.lock):
-            if job.abort_requested:
-                return self._rollback_locked(JOB_ABORTED, "abort requested")
-            if mux.phase in (BACKFILL, VERIFY):
-                self._metered(mux.pump)
-                job.chunks_pumped += 1
-                self._note_progress()
-                if mux.phase == FAILED:
-                    return self._rollback_locked(
-                        JOB_FAILED, self._divergence_text())
-                return False
-            if mux.phase == FAILED:
-                return self._rollback_locked(JOB_FAILED,
-                                             self._divergence_text())
-            if mux.phase == READY:
-                self._metered(mux.cutover)  # re-checks late churn; may fail
-                if mux.phase == FAILED:
-                    return self._rollback_locked(
-                        JOB_FAILED, self._divergence_text())
-                inst = served.instance
-                inst.index = mux.primary
-                inst.status_probe = None
-                served.index_name = self.dst_name
-                inst.advance(SERVING,
-                             f"job {job.job_id}: {job.kind} -> "
-                             f"{self.dst_name} cut over")
-                self.server._publish(
-                    KIND_CUTOVER, source=served.instance.name,
-                    t_ns=inst.index.meter.total_time(),
-                    job_id=job.job_id, dst=self.dst_name,
-                    verify_keys=mux.verify_keys,
-                    reverify_keys=mux.reverify_keys)
-                job.verified_fraction = 1.0
-                job.eta_ns = 0.0
-                job.done_keys = job.total_keys = mux.backfill_keys \
-                    + mux.verify_keys
-                job.state = JOB_DONE
-                return True
-            # DONE/DETACHED cannot be reached while the runner owns the
-            # multiplexer; treat defensively as finished.
-            return self._rollback_locked(JOB_FAILED,
-                                         f"unexpected phase {mux.phase!r}")
+        job, driver = self.job, self.driver
+        if job.abort_requested:
+            driver.abort("abort requested")
+            return True
+        building = self.mux.build_pending
+        driver.step()
+        job.chunks_pumped = driver.chunks
+        job.overhead_ns = driver.overhead_ns
+        if not building and driver.outcome != CUT_OVER:
+            self._note_progress()
+        return driver.outcome is not None
 
     def _attach(self) -> bool:
         job, served = self.job, self.served
@@ -429,34 +388,23 @@ class _RebuildRunner:
         if job.abort_requested:
             job.state = JOB_ABORTED
             return True
-        name = resolve_index_name(job.dst) if job.dst else served.index_name
-        spec = REGISTRY.get(name)
-        self.dst_name = spec.name
+        spec = REGISTRY.get(job.dst)  # canonical since _structure_job
         secondary = self.factory() if self.factory else spec.factory()
         secondary.meter = SyncedMeter.adopt(secondary.meter)
         with _write(served.lock):
             primary = inst.index
-            self.original = primary
             mux = MultiplexIndex(primary, secondary, chunk=job.chunk,
                                  pump_per_op=0, auto_cutover=False)
-            mux.progress_sink = (
-                lambda stage, done, total:
-                inst.note_backfill(done, total, stage=stage))
+            inst.watch(mux)
             inst.index = mux
-            inst.status_probe = mux.status
             inst.advance(MIGRATING,
-                         f"job {job.job_id}: {job.kind} -> {spec.name}")
+                         f"job {job.job_id}: {job.kind} -> {job.dst}")
             job.total_keys = 2 * len(primary)
         self.mux = mux
+        self.driver = MigrationDriver(
+            mux, on_cutover=self._cut_over, on_rollback=self._rolled_back,
+            lock=lambda: _write(served.lock))
         return False
-
-    def _metered(self, work: Callable[[], Any]) -> None:
-        """Run one migration step, charging what it put on the
-        secondary's meter to the job's overhead."""
-        meter = self.mux.secondary.meter
-        before = meter.snapshot()
-        work()
-        self.job.overhead_ns += meter.diff(before).total_time()
 
     def _note_progress(self) -> None:
         job, mux = self.job, self.mux
@@ -466,26 +414,40 @@ class _RebuildRunner:
         job.verified_fraction = min(1.0, mux.verify_keys / primary_size)
         job.eta_ns = _eta(job.overhead_ns, job.done_keys, job.total_keys)
 
-    def _divergence_text(self) -> str:
-        if self.mux.divergences:
-            return self.mux.divergences[0].describe()
-        return "migration failed"
-
-    def _rollback_locked(self, state: str, why: str) -> bool:
-        """Detach the secondary and resume service on the original
-        index; caller holds the write lock."""
-        job, served = self.job, self.served
+    def _cut_over(self) -> None:
+        """The verified secondary is the primary now: serve from it
+        (driver hook; the write lock is held)."""
+        job, served, mux = self.job, self.served, self.mux
         inst = served.instance
-        mux = self.mux
-        if mux.phase not in (DONE, DETACHED):
-            mux.abort()
-        inst.index = self.original
+        inst.index = mux.primary
+        inst.status_probe = None
+        served.index_name = job.dst
+        inst.advance(SERVING,
+                     f"job {job.job_id}: {job.kind} -> {job.dst} cut over")
+        self.server._publish(
+            KIND_CUTOVER, source=inst.name,
+            t_ns=inst.index.meter.total_time(),
+            job_id=job.job_id, dst=job.dst,
+            verify_keys=mux.verify_keys,
+            reverify_keys=mux.reverify_keys)
+        job.verified_fraction = 1.0
+        job.eta_ns = 0.0
+        job.done_keys = job.total_keys = mux.backfill_keys \
+            + mux.verify_keys
+        job.state = JOB_DONE
+
+    def _rolled_back(self, why: str) -> None:
+        """The secondary is detached: resume service on the original
+        index (driver hook; the write lock is held)."""
+        job = self.job
+        inst = self.served.instance
+        state = JOB_ABORTED if job.abort_requested else JOB_FAILED
+        inst.index = self.mux.primary  # abort() left the original serving
         inst.status_probe = None
         inst.advance(SERVING, f"job {job.job_id} {state}: {why}")
         if state == JOB_FAILED:
             job.error = why
         job.state = state
-        return True
 
 
 class _write:
@@ -524,7 +486,6 @@ class IndexServer:
 
     def __init__(self, queue_depth: int = 8, admission: str = BLOCK,
                  workers: int = 1, bus: Any = None, chunk: int = 128,
-                 stall_threshold_s: float = 1.0,
                  worker_yield_s: float = 0.0005) -> None:
         if admission not in (BLOCK, REJECT):
             raise ValueError(f"unknown admission policy {admission!r}")
@@ -536,7 +497,6 @@ class IndexServer:
         self.admission = admission
         self.queue_depth = queue_depth
         self.chunk = chunk
-        self.stall_threshold_s = stall_threshold_s
         self.worker_yield_s = worker_yield_s
         self._served: Dict[str, _Served] = {}
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(queue_depth)
@@ -622,9 +582,6 @@ class IndexServer:
     def instance(self, name: str) -> IndexInstance:
         return self._served_of(name).instance
 
-    def instances(self) -> List[str]:
-        return list(self._served)
-
     def _served_of(self, name: str) -> _Served:
         try:
             return self._served[name]
@@ -668,7 +625,7 @@ class IndexServer:
                 lock.release_read()
             else:
                 lock.release_write()
-        served.note_wait(op.op, waited, self.stall_threshold_s)
+        served.note_wait(op.op, waited)
         return ok, result
 
     def lookup(self, name: str, key: int) -> Any:
@@ -703,7 +660,7 @@ class IndexServer:
             raise
         finally:
             served.lock.release_read()
-        served.note_wait(LOOKUP, waited, self.stall_threshold_s)
+        served.note_wait(LOOKUP, waited)
         return values
 
     def insert_many(self, name: str,
@@ -724,7 +681,7 @@ class IndexServer:
             raise
         finally:
             served.lock.release_write()
-        served.note_wait(INSERT, waited, self.stall_threshold_s)
+        served.note_wait(INSERT, waited)
         return oks
 
     def _journal_append(self, served: _Served, op: Operation, ok: bool,
@@ -963,9 +920,6 @@ class IndexServer:
         out["queue_depth"] = self._queue.qsize()
         return out
 
-    def status_all(self) -> Dict[str, dict]:
-        return {name: self.status(name) for name in self._served}
-
 
 # ---------------------------------------------------------------------------
 # Journal replay through the differential oracle
@@ -1160,18 +1114,14 @@ def run_serve_session(
     queue_depth: int = 8,
     admission: str = BLOCK,
     chunk: int = 128,
-    pump_per_client_op: int = 2,
-    stall_threshold_s: float = 1.0,
     bus: Any = None,
-    instance_factory: Optional[Callable[[], Any]] = None,
-    rebuild_factory: Optional[Callable[[], Any]] = None,
 ) -> ServeReport:
     """Serve ``client_ops`` against one instance while a background
     rebuild runs, then prove the run correct.
 
     Deterministic mode (``threaded=False``) drives a ``workers=0``
     server from one thread with a seeded round-robin interleave and
-    pumps the job ``pump_per_client_op`` steps per client op — same
+    pumps the job ``PUMP_PER_CLIENT_OP`` steps per client op — same
     arguments, same journal, same virtual-clock metrics, every time
     (that is what the gated ``BENCH_serve.json`` numbers come from).
     Threaded mode runs one real thread per client against the worker
@@ -1181,19 +1131,17 @@ def run_serve_session(
     name = "tenant"
     server = IndexServer(queue_depth=queue_depth, admission=admission,
                          workers=0 if not threaded else 1, bus=bus,
-                         chunk=chunk, stall_threshold_s=stall_threshold_s)
+                         chunk=chunk)
     try:
-        instance = server.create_instance(
-            name, index_name, factory=instance_factory,
-            items=list(bulk_items))
+        instance = server.create_instance(name, index_name,
+                                          items=list(bulk_items))
         total = sum(len(ops) for ops in client_ops)
         trigger = max(1, int(total * rebuild_after))
         submit = (
-            (lambda: server.rebuild(name, factory=rebuild_factory))
+            (lambda: server.rebuild(name))
             if not rebuild_to or resolve_index_name(rebuild_to) ==
             server._served_of(name).index_name
-            else (lambda: server.migrate(name, rebuild_to,
-                                         factory=rebuild_factory)))
+            else (lambda: server.migrate(name, rebuild_to)))
         job: Optional[Job] = None
         client_ns = 0.0
         interleaved: List[Operation] = []
@@ -1222,7 +1170,7 @@ def run_serve_session(
                 if job is None and done >= trigger:
                     job = submit()
                 if job is not None and not job.finished:
-                    server.pump_jobs(pump_per_client_op)
+                    server.pump_jobs(PUMP_PER_CLIENT_OP)
             server.drain()
         else:
             jobs: List[Job] = []
@@ -1258,20 +1206,17 @@ def run_serve_session(
 
         wall = time.perf_counter() - t0
         overhead_ns = job.overhead_ns if job is not None else 0.0
-        served = server._served_of(name)
-        mismatches = server.replay_check(name)
-        with served.stats_lock:
-            dropped = dict(served.dropped)
-            stalled = dict(served.stalled)
-            max_wait = served.max_wait_s
+        stats = server.status(name)["server"]
         return ServeReport(
-            index_name=served.index_name, mode=("threaded" if threaded
-                                                else "deterministic"),
+            index_name=server._served_of(name).index_name,
+            mode="threaded" if threaded else "deterministic",
             n_clients=len(client_ops), ops_total=total,
             op_counts=dict(instance.op_counts),
-            dropped=dropped, stalled=stalled,
-            rejected_ops=dict(instance.rejected), max_wait_s=max_wait,
-            journal_len=len(server.journal(name)), mismatches=mismatches,
+            dropped=stats["dropped"], stalled=stats["stalled"],
+            rejected_ops=dict(instance.rejected),
+            max_wait_s=stats["max_wait_s"],
+            journal_len=len(server.journal(name)),
+            mismatches=server.replay_check(name),
             job=job.to_dict() if job is not None else None,
             client_ns=client_ns, overhead_ns=overhead_ns,
             wall_seconds=wall, interleaved_ops=interleaved,

@@ -25,10 +25,11 @@ parts that already exist:
 * :class:`ShardRouter` — the control plane: per-shard
   :class:`~repro.core.slo.SLOTracker` windows plus a per-window traffic
   census; hotspot detection triggers a split, sustained cold adjacent
-  pairs merge, and in-flight migrations are pumped between windows.
-* a process-pool executor mirroring the sweep engine's scheduling
-  (serial fallback, per-worker memoization) for wall-clock parallel
-  shard execution, with per-shard value fingerprints so parallel and
+  pairs merge, and the in-flight migration is driven between windows
+  by a :class:`~repro.core.migrate.MigrationDriver`.
+* wall-clock parallel shard execution on the sweep engine's
+  :func:`~repro.core.sweep.run_pool` (serial fallback, per-worker
+  memoization), with per-shard value fingerprints so parallel and
   serial runs are provably identical.
 
 Determinism contract: a sharded *serial* run is bit-identical in value
@@ -43,30 +44,30 @@ from __future__ import annotations
 import bisect
 import hashlib
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from statistics import median_high
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cost import KEY_COMPARE, CostDelta, CostMeter, fold_moved
+from repro.core.cost import KEY_COMPARE, CostMeter
 from repro.core.instance import (
     DRAINING,
+    LOADING,
     MIGRATING,
     RETIRED,
     SERVING,
     IndexInstance,
 )
+from repro.core.migrate import MigrationDriver
 from repro.core.registry import REGISTRY
 from repro.core.runner import ExecutionObserver, OpEvent, execute
 from repro.core.slo import SLOTracker
-from repro.core.sweep import DatasetSpec, resolve_jobs
+from repro.core.sweep import DatasetSpec, resolve_jobs, run_pool
 from repro.core.workloads import (
     DELETE,
     INSERT,
     LOOKUP,
-    SCAN,
-    UPDATE,
     Workload,
+    apply_op,
     payload,
 )
 from repro.indexes.base import (
@@ -77,7 +78,7 @@ from repro.indexes.base import (
     POINTER_BYTES,
     Value,
 )
-from repro.indexes.multiplex import DONE, FAILED, READY, MultiplexIndex
+from repro.indexes.multiplex import DETACHED, DONE, READY, MultiplexIndex
 
 __all__ = [
     "ClusterMeter", "Rebalance", "RouterReport", "ShardBatchTask",
@@ -160,9 +161,6 @@ class ShardMap:
     def to_dict(self) -> dict:
         return {"boundaries": list(self.boundaries), "n_shards": self.n_shards}
 
-    def describe(self) -> str:
-        return f"{self.n_shards} shards, boundaries={self.boundaries}"
-
     def __repr__(self) -> str:
         return f"ShardMap({self.boundaries!r})"
 
@@ -177,9 +175,10 @@ class ClusterMeter(CostMeter):
     The sharded index's own charges (routing comparisons) land on this
     meter directly; every shard index — and every migration-overhead
     meter — keeps its own :class:`CostMeter`, adopted via :meth:`adopt`.
-    All read paths (``total_time``, ``time_by_phase``, ``snapshot`` /
-    ``diff``) merge the parts, so the engine and the SLO trackers see a
-    single monotonic cluster clock.
+    All read paths (``total_time``, and through :meth:`_table`
+    ``time_by_phase``, ``snapshot`` / ``diff``, ``fold_since``) merge
+    the parts, so the engine and the SLO trackers see a single monotonic
+    cluster clock.
 
     Adopted parts are **never removed**: a retired shard's meter simply
     stops growing, which is what keeps the clock monotonic across
@@ -196,7 +195,7 @@ class ClusterMeter(CostMeter):
         self.parts.append(meter)
         return meter
 
-    def _merged(self) -> Dict[Tuple[str, str], float]:
+    def _table(self) -> Dict[Tuple[str, str], float]:
         merged = dict(self._counts)
         for part in self.parts:
             for key, v in part._counts.items():
@@ -211,30 +210,6 @@ class ClusterMeter(CostMeter):
         return CostMeter.total_time(self) + sum(
             part.total_time() for part in self.parts)
 
-    def total_units(self, kind: str) -> float:
-        return sum(v for (_, k), v in self._merged().items() if k == kind)
-
-    def time_by_phase(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for (phase, kind), v in self._merged().items():
-            out[phase] = out.get(phase, 0.0) + self.weights.get(kind, 0.0) * v
-        return out
-
-    def snapshot(self) -> Dict[Tuple[str, str], float]:
-        return self._merged()
-
-    def diff(self, before: Dict[Tuple[str, str], float]) -> CostDelta:
-        delta: Dict[Tuple[str, str], float] = {}
-        for key, v in self._merged().items():
-            d = v - before.get(key, 0.0)
-            if d:
-                delta[key] = d
-        return CostDelta(delta, self.weights)
-
-    def fold_since(self, seen: Dict[Tuple[str, str], float],
-                   into: Dict[Tuple[str, str, str], float], tag: str) -> None:
-        fold_moved(self._merged(), seen, into, tag)
-
     def reset(self) -> None:
         super().reset()
         for part in self.parts:
@@ -242,10 +217,132 @@ class ClusterMeter(CostMeter):
 
 
 # ---------------------------------------------------------------------------
-# Range view: several children behind one OrderedIndex (migration target)
+# Range routing: N children behind one OrderedIndex, by sorted boundaries
 # ---------------------------------------------------------------------------
 
-class _RangeView(OrderedIndex):
+def _cut_at(items: Sequence[Tuple[Key, Value]],
+            boundaries: Sequence[Key]) -> List[List[Tuple[Key, Value]]]:
+    """Sorted ``items`` cut at ``boundaries``: one list per range."""
+    keys = [k for k, _ in items]
+    cuts = ([0] + [bisect.bisect_left(keys, b) for b in boundaries]
+            + [len(items)])
+    return [list(items[cuts[i]:cuts[i + 1]]) for i in range(len(cuts) - 1)]
+
+
+class _Lend:
+    """``with`` block in which ``child`` charges ``meter``."""
+
+    __slots__ = ("child", "meter", "saved")
+
+    def __init__(self, child: OrderedIndex, meter: CostMeter) -> None:
+        self.child = child
+        self.meter = meter
+
+    def __enter__(self) -> None:
+        self.saved = self.child.meter
+        self.child.meter = self.meter
+
+    def __exit__(self, *exc: Any) -> None:
+        self.child.meter = self.saved
+
+
+class _RangeRouted(OrderedIndex):
+    """Range-partitioned children behind one ``OrderedIndex``.
+
+    Written once for :class:`_RangeView` and :class:`ShardedIndex`: a
+    scalar op routes to its owning child, calls it and mirrors the
+    child's fresh ``last_op`` (identity-compared, so ops that leave the
+    child's record stale leave ours stale too); ``range_scan`` stitches
+    across neighbors; size, memory, validation and batch-cache drops fan
+    out over the children.  A subclass supplies ``boundaries`` and
+
+    * :meth:`_children` — the child indexes, in range order,
+    * :meth:`_route` — the slot owning a key (charging for it, or not),
+    * ``lends_meter`` — whether a child charges this facade's meter
+      for the duration of each call, or its own.
+    """
+
+    is_adapter = True
+    lends_meter = False
+    boundaries: List[Key]
+
+    def _children(self) -> List[OrderedIndex]:
+        raise NotImplementedError
+
+    def _child(self, slot: int) -> OrderedIndex:
+        return self._children()[slot]
+
+    def _route(self, key: Key) -> int:
+        return bisect.bisect_right(self.boundaries, key)
+
+    def _on(self, child: OrderedIndex, method: str, *args: Any) -> Any:
+        """One call on one child: lend, call, mirror ``last_op``."""
+        prev = child.last_op
+        if self.lends_meter:
+            with _Lend(child, self.meter):
+                out = getattr(child, method)(*args)
+        else:
+            out = getattr(child, method)(*args)
+        if child.last_op is not prev:
+            self.last_op = child.last_op
+        return out
+
+    # -- OrderedIndex ----------------------------------------------------------
+
+    def lookup(self, key: Key) -> Optional[Value]:
+        return self._on(self._child(self._route(key)), "lookup", key)
+
+    def insert(self, key: Key, value: Value) -> bool:
+        return self._on(self._child(self._route(key)), "insert", key, value)
+
+    def update(self, key: Key, value: Value) -> bool:
+        return self._on(self._child(self._route(key)), "update", key, value)
+
+    def delete(self, key: Key) -> bool:
+        return self._on(self._child(self._route(key)), "delete", key)
+
+    def range_scan(self, start: Key, count: int) -> List[Tuple[Key, Value]]:
+        out: List[Tuple[Key, Value]] = []
+        slot = self._route(start)
+        children = self._children()
+        cont = start
+        while len(out) < count and slot < len(children):
+            rows = self._on(children[slot], "range_scan", cont,
+                            count - len(out))
+            out.extend(rows)
+            if rows:
+                cont = rows[-1][0] + 1
+            slot += 1
+        return out
+
+    def _invalidate_batch_cache(self) -> None:
+        super()._invalidate_batch_cache()
+        for child in self._children():
+            child._invalidate_batch_cache()
+
+    def __len__(self) -> int:
+        return sum(len(child) for child in self._children())
+
+    def memory_usage(self) -> MemoryBreakdown:
+        children = self._children()
+        out = MemoryBreakdown(
+            metadata=len(self.boundaries) * KEY_BYTES
+            + len(children) * POINTER_BYTES)
+        for child in children:
+            mem = child.memory_usage()
+            out.inner += mem.inner
+            out.leaf += mem.leaf
+            out.metadata += mem.metadata
+        return out
+
+    def debug_validate(self) -> List[Any]:
+        out: List[Any] = []
+        for child in self._children():
+            out.extend(child.debug_validate())
+        return out
+
+
+class _RangeView(_RangeRouted):
     """Adapter presenting N range-partitioned children as one index.
 
     This is what makes shard split/merge a plain
@@ -259,15 +356,15 @@ class _RangeView(OrderedIndex):
       into one fresh combined index.
 
     Each delegated call *lends* the view's current meter to the child
-    for its duration (:meth:`_lend` reads ``self.meter`` dynamically),
+    for its duration (``self.meter`` is read at each call),
     which composes with the multiplexer's ``_BorrowedMeter``: backfill
     and verify reads land on the migration-overhead meter, client ops
     on the client-visible one — every charge lands on exactly one
-    cluster-adopted meter, never two.
+    cluster-adopted meter, never two.  Routing is not charged.
     """
 
     name = "RangeView"
-    is_adapter = True
+    lends_meter = True
 
     def __init__(self, children: Sequence[OrderedIndex],
                  boundaries: Sequence[Key],
@@ -276,111 +373,20 @@ class _RangeView(OrderedIndex):
             raise ValueError("need len(children) == len(boundaries) + 1")
         super().__init__(meter=meter)
         self.children: List[OrderedIndex] = list(children)
-        self.boundaries: List[Key] = list(boundaries)
+        self.boundaries = list(boundaries)
         self.supports_delete = all(c.supports_delete for c in children)
         self.supports_range = all(c.supports_range for c in children)
         self.supports_duplicates = False
 
-    @contextmanager
-    def _lend(self, child: OrderedIndex) -> Iterator[OrderedIndex]:
-        saved = child.meter
-        child.meter = self.meter
-        try:
-            yield child
-        finally:
-            child.meter = saved
-
-    def _child_for(self, key: Key) -> OrderedIndex:
-        return self.children[bisect.bisect_right(self.boundaries, key)]
-
-    def _mirror(self, child: OrderedIndex, prev: Any) -> None:
-        if child.last_op is not prev:
-            self.last_op = child.last_op
-
-    # -- OrderedIndex ----------------------------------------------------------
+    def _children(self) -> List[OrderedIndex]:
+        return self.children
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
         self.check_sorted(items)
-        keys = [k for k, _ in items]
-        cuts = ([0] + [bisect.bisect_left(keys, b) for b in self.boundaries]
-                + [len(items)])
-        for i, child in enumerate(self.children):
-            with self._lend(child):
-                child.bulk_load(list(items[cuts[i]:cuts[i + 1]]))
+        for child, part in zip(self.children, _cut_at(items, self.boundaries)):
+            with _Lend(child, self.meter):
+                child.bulk_load(part)
         self._invalidate_batch_cache()
-
-    def lookup(self, key: Key) -> Optional[Value]:
-        child = self._child_for(key)
-        with self._lend(child):
-            prev = child.last_op
-            value = child.lookup(key)
-        self._mirror(child, prev)
-        return value
-
-    def insert(self, key: Key, value: Value) -> bool:
-        child = self._child_for(key)
-        with self._lend(child):
-            prev = child.last_op
-            ok = child.insert(key, value)
-        self._mirror(child, prev)
-        return ok
-
-    def update(self, key: Key, value: Value) -> bool:
-        child = self._child_for(key)
-        with self._lend(child):
-            prev = child.last_op
-            ok = child.update(key, value)
-        self._mirror(child, prev)
-        return ok
-
-    def delete(self, key: Key) -> bool:
-        child = self._child_for(key)
-        with self._lend(child):
-            prev = child.last_op
-            ok = child.delete(key)
-        self._mirror(child, prev)
-        return ok
-
-    def range_scan(self, start: Key, count: int) -> List[Tuple[Key, Value]]:
-        out: List[Tuple[Key, Value]] = []
-        sid = bisect.bisect_right(self.boundaries, start)
-        cont = start
-        while len(out) < count and sid < len(self.children):
-            child = self.children[sid]
-            with self._lend(child):
-                prev = child.last_op
-                rows = child.range_scan(cont, count - len(out))
-            self._mirror(child, prev)
-            out.extend(rows)
-            if rows:
-                cont = rows[-1][0] + 1
-            sid += 1
-        return out
-
-    def _invalidate_batch_cache(self) -> None:
-        super()._invalidate_batch_cache()
-        for child in self.children:
-            child._invalidate_batch_cache()
-
-    def __len__(self) -> int:
-        return sum(len(c) for c in self.children)
-
-    def memory_usage(self) -> MemoryBreakdown:
-        out = MemoryBreakdown(
-            metadata=len(self.boundaries) * KEY_BYTES
-            + len(self.children) * POINTER_BYTES)
-        for child in self.children:
-            mem = child.memory_usage()
-            out.inner += mem.inner
-            out.leaf += mem.leaf
-            out.metadata += mem.metadata
-        return out
-
-    def debug_validate(self) -> List[Any]:
-        out: List[Any] = []
-        for child in self.children:
-            out.extend(child.debug_validate())
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +411,7 @@ class Rebalance:
     aborted: bool = False
 
 
-class ShardedIndex(OrderedIndex):
+class ShardedIndex(_RangeRouted):
     """N range-partitioned shard instances behind one ``OrderedIndex``.
 
     ``factory`` is a registry index name or a zero-arg index factory;
@@ -424,7 +430,6 @@ class ShardedIndex(OrderedIndex):
     """
 
     name = "Sharded"
-    is_adapter = True
 
     def __init__(self, factory: Any, n_shards: int = 4,
                  shard_map: Optional[ShardMap] = None,
@@ -458,21 +463,13 @@ class ShardedIndex(OrderedIndex):
 
     # -- construction ----------------------------------------------------------
 
-    def _new_instance(self) -> IndexInstance:
-        index = self.factory()
-        self.meter.adopt(index.meter)
-        self._serial += 1
-        inst = IndexInstance(index, name=f"{self.inner_name}/s{self._serial}")
-        if self.bus is not None:
-            inst.attach_bus(self.bus)
-        return inst
-
-    def _wrap_serving(self, index: OrderedIndex) -> IndexInstance:
-        """A SERVING instance around an already-adopted, already-loaded
-        index (the landing slot of a finished rebalance)."""
+    def _instance(self, index: OrderedIndex,
+                  state: str = LOADING) -> IndexInstance:
+        """A named shard slot around ``index`` (whose meter the caller
+        has adopted), relayed into the bus if one is attached."""
         self._serial += 1
         inst = IndexInstance(index, name=f"{self.inner_name}/s{self._serial}",
-                             state=SERVING)
+                             state=state)
         if self.bus is not None:
             inst.attach_bus(self.bus)
         return inst
@@ -489,169 +486,80 @@ class ShardedIndex(OrderedIndex):
         self.shards = []
         if not self.map.boundaries and self._want_shards > 1 and items:
             self.map = ShardMap.from_items(items, self._want_shards)
-        keys = [k for k, _ in items]
-        cuts = ([0] + [bisect.bisect_left(keys, b) for b in self.map.boundaries]
-                + [len(items)])
-        for i in range(len(self.map.boundaries) + 1):
-            inst = self._new_instance()
-            inst.bulk_load(list(items[cuts[i]:cuts[i + 1]]))
+        for part in _cut_at(items, self.map.boundaries):
+            index = self.factory()
+            self.meter.adopt(index.meter)
+            inst = self._instance(index)
+            inst.bulk_load(part)
             self.shards.append(inst)
         self._invalidate_batch_cache()
 
-    def _ensure_shards(self) -> None:
-        if not self.shards:
-            self.bulk_load([])
+    # -- routing (the _RangeRouted hooks; shards keep their own meters) --------
 
-    # -- routing ---------------------------------------------------------------
+    @property
+    def boundaries(self) -> List[Key]:
+        return self.map.boundaries
+
+    def _children(self) -> List[OrderedIndex]:
+        return [inst.index for inst in self.shards]
+
+    def _child(self, slot: int) -> OrderedIndex:
+        return self.shards[slot].index  # hot path: no list per op
 
     def _route(self, key: Key) -> int:
         """Owning shard id; charges the binary-search comparisons."""
+        if not self.shards:
+            self.bulk_load([])
         bl = self.map.boundaries
         if bl:
             self.meter.charge(KEY_COMPARE, len(bl).bit_length())
         return bisect.bisect_right(bl, key)
 
-    def _shard_for(self, key: Key) -> IndexInstance:
-        self._ensure_shards()
-        return self.shards[self._route(key)]
-
-    def _mirror(self, index: OrderedIndex, prev: Any) -> None:
-        if index.last_op is not prev:
-            self.last_op = index.last_op
-
-    # -- OrderedIndex: scalar ops ----------------------------------------------
-
-    def lookup(self, key: Key) -> Optional[Value]:
-        index = self._shard_for(key).index
-        prev = index.last_op
-        value = index.lookup(key)
-        self._mirror(index, prev)
-        return value
-
-    def insert(self, key: Key, value: Value) -> bool:
-        index = self._shard_for(key).index
-        prev = index.last_op
-        ok = index.insert(key, value)
-        self._mirror(index, prev)
-        return ok
-
-    def update(self, key: Key, value: Value) -> bool:
-        index = self._shard_for(key).index
-        prev = index.last_op
-        ok = index.update(key, value)
-        self._mirror(index, prev)
-        return ok
-
-    def delete(self, key: Key) -> bool:
-        index = self._shard_for(key).index
-        prev = index.last_op
-        ok = index.delete(key)
-        self._mirror(index, prev)
-        return ok
-
-    def range_scan(self, start: Key, count: int) -> List[Tuple[Key, Value]]:
-        self._ensure_shards()
-        out: List[Tuple[Key, Value]] = []
-        sid = self._route(start)
-        cont = start
-        while len(out) < count and sid < len(self.shards):
-            index = self.shards[sid].index
-            prev = index.last_op
-            rows = index.range_scan(cont, count - len(out))
-            self._mirror(index, prev)
-            out.extend(rows)
-            if rows:
-                cont = rows[-1][0] + 1
-            sid += 1
-        return out
-
     # -- OrderedIndex: batch ops (partitioned per shard) -----------------------
 
-    def _partition(self, keys: Sequence[Key]) -> Tuple[Dict[int, List[int]], int]:
-        """Positions per owning shard, preserving stream order within
-        each shard, plus the final key's owner (for ``last_op``)."""
+    def _scatter(self, method: str, keys: Sequence[Key], args: Sequence[Any],
+                 records: Optional[List[Optional[Any]]]) -> List[Any]:
+        """Run batch ``method`` once per owning shard on its share of
+        ``args`` (stream order preserved within each shard, so each
+        shard's vectorized path sees one contiguous sub-batch) and
+        gather results — and records — back into batch order."""
+        if not args:
+            return []
         buckets: Dict[int, List[int]] = {}
         owner_last = 0
         for pos, key in enumerate(keys):
-            sid = self._route(key)
-            buckets.setdefault(sid, []).append(pos)
-            owner_last = sid
-        return buckets, owner_last
+            owner_last = self._route(key)
+            buckets.setdefault(owner_last, []).append(pos)
+        out: List[Any] = [None] * len(args)
+        recs: List[Optional[Any]] = [None] * len(args)
+        for sid in sorted(buckets):
+            positions = buckets[sid]
+            sub_records: Optional[List[Optional[Any]]] = (
+                [] if records is not None else None)
+            sub_out = getattr(self._child(sid), method)(
+                [args[p] for p in positions], records=sub_records)
+            for p, v in zip(positions, sub_out):
+                out[p] = v
+            if sub_records is not None:
+                for p, r in zip(positions, sub_records):
+                    recs[p] = r
+        self.last_op = self._child(owner_last).last_op
+        if records is not None:
+            records.extend(recs)
+        return out
 
     def lookup_many(self, keys: Sequence[Key],
                     records: Optional[List[Optional[Any]]] = None,
                     ) -> List[Optional[Value]]:
-        self._ensure_shards()
-        if not keys:
-            return []
-        buckets, owner_last = self._partition(keys)
-        values: List[Optional[Value]] = [None] * len(keys)
-        recs: Optional[List[Optional[Any]]] = (
-            [None] * len(keys) if records is not None else None)
-        for sid in sorted(buckets):
-            positions = buckets[sid]
-            index = self.shards[sid].index
-            sub = [keys[p] for p in positions]
-            sub_records: Optional[List[Optional[Any]]] = (
-                [] if records is not None else None)
-            sub_values = index.lookup_many(sub, records=sub_records)
-            for p, v in zip(positions, sub_values):
-                values[p] = v
-            if recs is not None and sub_records is not None:
-                for p, r in zip(positions, sub_records):
-                    recs[p] = r
-        self.last_op = self.shards[owner_last].index.last_op
-        if records is not None and recs is not None:
-            records.extend(recs)
-        return values
+        return self._scatter("lookup_many", keys, keys, records)
 
     def insert_many(self, pairs: Sequence[Tuple[Key, Value]],
                     records: Optional[List[Optional[Any]]] = None,
                     ) -> List[bool]:
-        self._ensure_shards()
-        if not pairs:
-            return []
-        buckets, owner_last = self._partition([k for k, _ in pairs])
-        results: List[bool] = [False] * len(pairs)
-        recs: Optional[List[Optional[Any]]] = (
-            [None] * len(pairs) if records is not None else None)
-        for sid in sorted(buckets):
-            positions = buckets[sid]
-            index = self.shards[sid].index
-            sub = [pairs[p] for p in positions]
-            sub_records: Optional[List[Optional[Any]]] = (
-                [] if records is not None else None)
-            sub_results = index.insert_many(sub, records=sub_records)
-            for p, ok in zip(positions, sub_results):
-                results[p] = ok
-            if recs is not None and sub_records is not None:
-                for p, r in zip(positions, sub_records):
-                    recs[p] = r
-        self.last_op = self.shards[owner_last].index.last_op
-        if records is not None and recs is not None:
-            records.extend(recs)
-        return results
-
-    def _invalidate_batch_cache(self) -> None:
-        super()._invalidate_batch_cache()
-        for inst in self.shards:
-            inst.index._invalidate_batch_cache()
+        return self._scatter("insert_many", [k for k, _ in pairs], pairs,
+                             records)
 
     # -- introspection ---------------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(len(inst.index) for inst in self.shards)
-
-    def memory_usage(self) -> MemoryBreakdown:
-        out = MemoryBreakdown(
-            metadata=len(self.map.boundaries) * KEY_BYTES
-            + len(self.shards) * POINTER_BYTES)
-        for inst in self.shards:
-            mem = inst.index.memory_usage()
-            out.inner += mem.inner
-            out.leaf += mem.leaf
-            out.metadata += mem.metadata
-        return out
 
     def debug_validate(self) -> List[Any]:
         from repro.core.validate import Violation
@@ -666,9 +574,7 @@ class ShardedIndex(OrderedIndex):
                 0, "shard.count-mismatch",
                 f"{len(self.shards)} shards for "
                 f"{len(self.map.boundaries)} boundaries"))
-        for inst in self.shards:
-            out.extend(inst.index.debug_validate())
-        return out
+        return out + super().debug_validate()
 
     def status(self) -> dict:
         return {
@@ -697,12 +603,8 @@ class ShardedIndex(OrderedIndex):
         overhead = self._overhead_meter()
         lo, _ = self.map.range_of(sid)
         # Median scan is rebalancing overhead, not client traffic.
-        saved = primary.meter
-        primary.meter = overhead
-        try:
+        with _Lend(primary, overhead):
             half = primary.range_scan(lo if lo is not None else 0, n // 2 + 1)
-        finally:
-            primary.meter = saved
         mid = half[-1][0]
         left, right = self.factory(), self.factory()
         self.meter.adopt(left.meter)
@@ -710,8 +612,7 @@ class ShardedIndex(OrderedIndex):
         view = _RangeView([left, right], [mid], meter=overhead)
         mux = MultiplexIndex(primary, view, chunk=self.chunk, pump_per_op=1)
         inst.advance(MIGRATING, f"splitting at key {mid}")
-        mux.progress_sink = inst.note_backfill
-        inst.status_probe = mux.status
+        inst.watch(mux)
         inst.index = mux
         self._invalidate_batch_cache()
         return Rebalance("split", inst, mux, mid, [left, right])
@@ -739,14 +640,9 @@ class ShardedIndex(OrderedIndex):
         mux = MultiplexIndex(view, target, chunk=self.chunk, pump_per_op=1)
         a.advance(MIGRATING, f"merging into combined shard with {b.name}")
         b.advance(MIGRATING, f"merging into combined shard with {a.name}")
-        self._serial += 1
-        combined = IndexInstance(
-            mux, name=f"{self.inner_name}/s{self._serial}", state=SERVING)
-        if self.bus is not None:
-            combined.attach_bus(self.bus)
+        combined = self._instance(mux, SERVING)
         combined.advance(MIGRATING, f"absorbing {a.name} + {b.name}")
-        mux.progress_sink = combined.note_backfill
-        combined.status_probe = mux.status
+        combined.watch(mux)
         self.shards[sid:sid + 2] = [combined]
         del self.map.boundaries[sid]
         self._invalidate_batch_cache()
@@ -764,21 +660,17 @@ class ShardedIndex(OrderedIndex):
         sid = self.shards.index(rb.instance)
         self.cutover_stall_ops += mux.cutover_stall_ops
         rb.instance.status_probe = None
+        new_insts = [self._instance(child, SERVING) for child in rb.children]
+        self.shards[sid:sid + 1] = new_insts
         if rb.kind == "split":
-            new_insts = [self._wrap_serving(child) for child in rb.children]
-            self.shards[sid:sid + 1] = new_insts
             self.map.boundaries.insert(sid, rb.mid)
-            rb.instance.advance(DRAINING, "split cut over")
-            rb.instance.advance(RETIRED, "split complete")
             self.splits += 1
         else:
-            new_insts = [self._wrap_serving(rb.children[0])]
-            self.shards[sid:sid + 1] = new_insts
             for inst in rb.retired_instances:
                 inst.advance(RETIRED, "merged away")
-            rb.instance.advance(DRAINING, "merge cut over")
-            rb.instance.advance(RETIRED, "merge complete")
             self.merges += 1
+        rb.instance.advance(DRAINING, f"{rb.kind} cut over")
+        rb.instance.advance(RETIRED, f"{rb.kind} complete")
         if self.bus is not None:
             self.bus.publish(
                 "cutover", source=rb.instance.name,
@@ -793,7 +685,8 @@ class ShardedIndex(OrderedIndex):
         mux = rb.mux
         if mux.phase == DONE:
             raise RuntimeError("cannot abort a finished rebalance")
-        mux.abort()
+        if mux.phase != DETACHED:  # a driver has aborted it already
+            mux.abort()
         sid = self.shards.index(rb.instance)
         rb.instance.status_probe = None
         if rb.kind == "split":
@@ -814,45 +707,31 @@ class ShardedIndex(OrderedIndex):
 # Router control plane: per-shard SLO tracking + hotspot rebalancing
 # ---------------------------------------------------------------------------
 
-class _ShardClock:
-    """Meter facade reading a shard slot's *current* index meter.
-
-    A rebalancing slot swaps its inner index (plain -> multiplexer ->
-    plain); reading ``inst.index.meter`` at call time keeps the shard's
-    SLO tracker on whatever clock is serving the slot right now.
-    """
-
-    def __init__(self, inst: IndexInstance) -> None:
-        self._inst = inst
-
-    def total_time(self) -> float:
-        return self._inst.index.meter.total_time()
+#: Router policy.  A shard whose share of a census window exceeds
+#: ``HOT_FACTOR`` x the fair share splits, while the cluster has fewer
+#: than ``MAX_SHARDS``; an adjacent pair at or under ``COLD_FACTOR`` x
+#: its fair share merges, while it has more than ``MIN_SHARDS``; an
+#: in-flight rebalance is driven ``PUMP_BUDGET`` keys per window.
+HOT_FACTOR = 2.0
+COLD_FACTOR = 0.35
+MAX_SHARDS = 16
+MIN_SHARDS = 1
+PUMP_BUDGET = 4096
 
 
 class _ShardProbe:
-    """Duck-typed ``index`` argument for a per-shard SLO tracker."""
+    """Duck-typed ``index`` argument for a per-shard SLO tracker.
+
+    It pins the meter serving the slot when tracking starts.  A tracked
+    slot keeps that meter until it is cut over (wrapping its index in a
+    multiplexer, or unwrapping it on abort, changes no meter), and a
+    cut-over slot is retired — so its tracker closes on the clock it
+    always read, which the cutover itself never charges.
+    """
 
     def __init__(self, inst: IndexInstance) -> None:
         self.name = inst.name
-        self.meter = _ShardClock(inst)
-
-
-def _apply_op(index: OrderedIndex, op: Any) -> Tuple[bool, int, Any]:
-    """Execute one workload op with the engine's dispatch semantics."""
-    kind = op.op
-    if kind == LOOKUP:
-        value = index.lookup(op.key)
-        return value is not None, 0, value
-    if kind == INSERT:
-        return bool(index.insert(op.key, op.value)), 0, None
-    if kind == UPDATE:
-        return bool(index.update(op.key, op.value)), 0, None
-    if kind == DELETE:
-        return bool(index.delete(op.key)), 0, None
-    if kind == SCAN:
-        rows = index.range_scan(op.key, op.count)
-        return True, len(rows), rows
-    raise ValueError(f"unknown op kind {kind!r}")
+        self.meter = inst.index.meter
 
 
 @dataclass
@@ -883,20 +762,6 @@ class RouterReport:
                 out.append(entry["p99"])
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "n_ops": self.n_ops, "rejected": self.rejected,
-            "splits": self.splits, "merges": self.merges,
-            "aborted": self.aborted,
-            "cutover_stall_ops": self.cutover_stall_ops,
-            "shards_final": self.shards_final,
-            "wall_seconds": self.wall_seconds,
-            "oracle_ok": self.oracle_ok,
-            "events": list(self.events),
-            "lookup_p99_series": self.p99_series(),
-            "shard_summaries": dict(self.shard_summaries),
-        }
-
 
 class ShardRouter:
     """Watches per-shard traffic + SLO windows; splits hot, merges cold.
@@ -904,12 +769,12 @@ class ShardRouter:
     Every ``window_ops`` routed operations the router takes one control
     decision:
 
-    * an in-flight rebalance gets pumped (up to ``pump_budget`` keys)
-      and finished/aborted when it reaches READY/FAILED,
-    * else the hottest shard — window share above ``hot_factor`` times
+    * an in-flight rebalance gets driven (up to ``PUMP_BUDGET`` keys)
+      and its slots re-tracked once it is cut over or rolled back,
+    * else the hottest shard — window share above ``HOT_FACTOR`` times
       the fair share, at least ``min_split_keys`` keys — begins a split,
     * else the coldest adjacent pair of plain shards — combined share at
-      or below ``cold_factor`` of *their* fair share (two shards) —
+      or below ``COLD_FACTOR`` of *their* fair share (two shards) —
       begins a merge.
 
     All ops keep flowing through the sharded index while rebalances are
@@ -919,20 +784,13 @@ class ShardRouter:
     """
 
     def __init__(self, sharded: ShardedIndex, window_ops: int = 512,
-                 hot_factor: float = 2.0, cold_factor: float = 0.35,
-                 min_split_keys: int = 512, max_shards: int = 16,
-                 min_shards: int = 1, pump_budget: int = 4096,
-                 slo_window: int = 256, bus: Optional[Any] = None) -> None:
+                 min_split_keys: int = 512, slo_window: int = 256,
+                 bus: Optional[Any] = None) -> None:
         if window_ops < 1:
             raise ValueError("window_ops must be >= 1")
         self.sharded = sharded
         self.window_ops = window_ops
-        self.hot_factor = hot_factor
-        self.cold_factor = cold_factor
         self.min_split_keys = min_split_keys
-        self.max_shards = max_shards
-        self.min_shards = min_shards
-        self.pump_budget = pump_budget
         self.slo_window = slo_window
         self.bus = bus
         self.cluster = SLOTracker(window_ops=slo_window, bus=bus)
@@ -944,6 +802,7 @@ class ShardRouter:
         self._probes: Dict[str, _ShardProbe] = {}
         self.retired_summaries: Dict[str, dict] = {}
         self.active: Optional[Rebalance] = None
+        self._driver: Optional[MigrationDriver] = None
         self.events: List[dict] = []
         self.aborted = 0
         self._workload: Optional[Workload] = None
@@ -973,23 +832,14 @@ class ShardRouter:
 
     # -- control decisions -----------------------------------------------------
 
-    def _pump_active(self) -> None:
-        rb = self.active
-        assert rb is not None
-        mux = rb.mux
-        budget = self.pump_budget
-        while budget > 0 and mux.phase not in (READY, DONE, FAILED):
-            budget -= max(mux.pump(), 1)
-        if mux.phase in (READY, DONE):
-            self._finish_active()
-        elif mux.phase == FAILED:
-            self._abort_active()
+    def _begin(self, rb: Rebalance) -> None:
+        self.active = rb
+        self._driver = MigrationDriver(rb.mux, on_cutover=self._finished,
+                                       on_rollback=self._aborted)
 
-    def _finish_active(self) -> None:
+    def _finished(self) -> None:
+        """Driver hook: the rebalance is cut over; swap the slots in."""
         rb = self.active
-        assert rb is not None
-        # Close trackers on the outgoing slots *before* the cutover swaps
-        # their clocks, so no tracker ever sees a non-monotonic reading.
         self._untrack(rb.instance)
         new_insts = self.sharded.finish_rebalance(rb)
         for inst in new_insts:
@@ -1000,16 +850,14 @@ class ShardRouter:
                   cutover_seq=rb.mux.cutover_seq)
         self.active = None
 
-    def _abort_active(self) -> None:
+    def _aborted(self, why: str) -> None:
+        """Driver hook: the rebalance diverged; restore the old slots."""
         rb = self.active
-        assert rb is not None
         self._untrack(rb.instance)
         self.sharded.abort_rebalance(rb)
-        if rb.kind == "split":
-            self._track(rb.instance)
-        else:
-            for inst in rb.retired_instances:
-                self._track(inst)
+        for inst in ([rb.instance] if rb.kind == "split"
+                     else rb.retired_instances):
+            self._track(inst)
         self.aborted += 1
         self._log("rebalance_aborted", kind=rb.kind,
                   divergences=len(rb.mux.divergences))
@@ -1018,7 +866,7 @@ class ShardRouter:
     def _maintain(self, win: Dict[int, int]) -> None:
         sharded = self.sharded
         if self.active is not None:
-            self._pump_active()
+            self._driver.advance(PUMP_BUDGET)
             return
         total = sum(win.values())
         n = len(sharded.shards)
@@ -1027,16 +875,16 @@ class ShardRouter:
         fair = total / n
         hot_sid = max(win, key=lambda sid: win[sid])
         hot_inst = sharded.shards[hot_sid]
-        if (win[hot_sid] > self.hot_factor * fair
-                and n < self.max_shards
+        if (win[hot_sid] > HOT_FACTOR * fair
+                and n < MAX_SHARDS
                 and len(hot_inst.index) >= self.min_split_keys
                 and not isinstance(hot_inst.index, MultiplexIndex)):
             rb = sharded.begin_split(hot_sid)
-            self.active = rb
+            self._begin(rb)
             self._log("split_started", shard=hot_inst.name,
                       window_share=win[hot_sid] / total, split_key=rb.mid)
             return
-        if n <= self.min_shards:
+        if n <= MIN_SHARDS:
             return
         best: Optional[Tuple[int, int]] = None
         for sid in range(n - 1):
@@ -1047,11 +895,11 @@ class ShardRouter:
             share = win.get(sid, 0) + win.get(sid + 1, 0)
             if best is None or share < best[1]:
                 best = (sid, share)
-        if best is not None and best[1] <= self.cold_factor * 2 * fair:
+        if best is not None and best[1] <= COLD_FACTOR * 2 * fair:
             sid = best[0]
             pair = (sharded.shards[sid].name, sharded.shards[sid + 1].name)
             rb = sharded.begin_merge(sid)
-            self.active = rb
+            self._begin(rb)
             self._untrack(rb.retired_instances[0])
             self._untrack(rb.retired_instances[1])
             self._track(rb.instance)
@@ -1086,7 +934,7 @@ class ShardRouter:
                 rejected += 1  # never expected: SERVING/MIGRATING admit all
                 continue
             prev = sharded.last_op
-            ok, scanned, result = _apply_op(sharded, op)
+            ok, scanned, result = apply_op(sharded, op)
             record = sharded.last_op if sharded.last_op is not prev else None
             # One reading of each clock per op: the cluster tracker's
             # event carries the cluster clock, the shard tracker's the
@@ -1116,8 +964,8 @@ class ShardRouter:
                 win = {}
                 win_ops = 0
         # Drain any in-flight rebalance to completion.
-        while self.active is not None:
-            self._pump_active()
+        if self.active is not None:
+            self._driver.advance()
         self.cluster.on_phase("done", sharded, workload)
         for inst in list(sharded.shards):
             self._untrack(inst)
@@ -1211,6 +1059,21 @@ _WORKER_SHARDS: Dict[Tuple[str, DatasetSpec, Optional[Key], Optional[Key]],
                      OrderedIndex] = {}
 
 
+def _stream_fingerprint(index: OrderedIndex, stream: Sequence[Key],
+                        batch: int) -> Tuple[str, int]:
+    """SHA-256 over every ``key:value`` of ``stream`` looked up in
+    ``batch``-sized ``lookup_many`` slices, plus the hit count."""
+    sha = hashlib.sha256()
+    hits = 0
+    for i in range(0, len(stream), batch):
+        chunk = list(stream[i:i + batch])
+        for k, v in zip(chunk, index.lookup_many(chunk)):
+            if v is not None:
+                hits += 1
+            sha.update(f"{k}:{v!r};".encode())
+    return sha.hexdigest(), hits
+
+
 def _run_shard_batch(task: ShardBatchTask) -> dict:
     memo_key = (task.index, task.dataset, task.lo, task.hi)
     index = _WORKER_SHARDS.get(memo_key)
@@ -1224,19 +1087,12 @@ def _run_shard_batch(task: ShardBatchTask) -> dict:
         _WORKER_SHARDS[memo_key] = index
     busy0 = index.meter.total_time()
     t0 = time.perf_counter()
-    sha = hashlib.sha256()
-    hits = 0
-    for i in range(0, len(task.lookups), task.batch):
-        chunk = list(task.lookups[i:i + task.batch])
-        for k, v in zip(chunk, index.lookup_many(chunk)):
-            if v is not None:
-                hits += 1
-            sha.update(f"{k}:{v!r};".encode())
+    fingerprint, hits = _stream_fingerprint(index, task.lookups, task.batch)
     return {
         "task": task.describe(),
         "n": len(task.lookups),
         "hits": hits,
-        "fingerprint": sha.hexdigest(),
+        "fingerprint": fingerprint,
         "busy_ns": index.meter.total_time() - busy0,
         "wall_seconds": time.perf_counter() - t0,
     }
@@ -1253,10 +1109,6 @@ class ShardBatchReport:
     wall_seconds: float
 
     @property
-    def busy_ns(self) -> float:
-        return sum(r["busy_ns"] for r in self.results)
-
-    @property
     def makespan_ns(self) -> float:
         return max((r["busy_ns"] for r in self.results), default=0.0)
 
@@ -1268,61 +1120,24 @@ def run_shard_batches(tasks: Sequence[ShardBatchTask],
                       jobs: Optional[int] = None) -> ShardBatchReport:
     """Execute every shard task, in parallel where possible.
 
-    Mirrors the sweep engine's scheduling contract: ``jobs <= 1`` (or a
-    single task) runs serially in-process; a pool failure (sandboxes
-    without process support) falls back to serial execution and records
-    ``pool_error`` instead of raising. Results are in task order and
-    value-fingerprinted, so parallel-vs-serial parity is one zip away.
+    Scheduling is :func:`~repro.core.sweep.run_pool`'s: ``jobs <= 1``
+    (or a single task) runs serially in-process; a pool failure falls
+    back to serial execution and records ``pool_error`` instead of
+    raising.  Results are in task order and value-fingerprinted, so
+    parallel-vs-serial parity is one zip away.
     """
     jobs = resolve_jobs(jobs)
-    tasks = list(tasks)
     t0 = time.perf_counter()
-    results: List[Optional[dict]] = [None] * len(tasks)
-    used_processes = False
-    pool_error = ""
-    if jobs <= 1 or len(tasks) <= 1:
-        for i, task in enumerate(tasks):
-            results[i] = _run_shard_batch(task)
-    else:
-        try:
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(tasks))) as pool:
-                futures = {pool.submit(_run_shard_batch, task): i
-                           for i, task in enumerate(tasks)}
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                    for future in done:
-                        results[futures[future]] = future.result()
-            used_processes = True
-        except (OSError, PermissionError) as exc:
-            pool_error = f"{type(exc).__name__}: {exc}"
-            for i, task in enumerate(tasks):
-                if results[i] is None:
-                    results[i] = _run_shard_batch(task)
+    pool = run_pool(_run_shard_batch, tasks, jobs)
     return ShardBatchReport(
-        results=[r for r in results if r is not None],
-        jobs=jobs, used_processes=used_processes, pool_error=pool_error,
+        results=pool.results, jobs=jobs, used_processes=pool.used_processes,
+        pool_error=pool.pool_error or "",
         wall_seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
 # Benchmarks: multi-shard scaling + rebalance convergence
 # ---------------------------------------------------------------------------
-
-def _stream_fingerprint(index: OrderedIndex, stream: Sequence[Key],
-                        batch: int) -> Tuple[str, int]:
-    sha = hashlib.sha256()
-    hits = 0
-    for i in range(0, len(stream), batch):
-        chunk = list(stream[i:i + batch])
-        for k, v in zip(chunk, index.lookup_many(chunk)):
-            if v is not None:
-                hits += 1
-            sha.update(f"{k}:{v!r};".encode())
-    return sha.hexdigest(), hits
-
 
 def scaling_benchmark(index: str = "ALEX", dataset: str = "covid",
                       n: int = 20000, lookups: int = 8000,
@@ -1410,16 +1225,10 @@ def scaling_benchmark(index: str = "ALEX", dataset: str = "covid",
     }
 
 
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    return ordered[len(ordered) // 2] if ordered else 0.0
-
-
 def rebalance_benchmark(index: str = "ALEX", dataset: str = "covid",
                         n: int = 12000, ops: int = 10000, shards: int = 4,
                         window_ops: int = 512, seed: int = 0,
-                        warm_frac: float = 0.15,
-                        **router_opts: Any) -> dict:
+                        warm_frac: float = 0.15) -> dict:
     """p99 recovery after hotspot rebalancing under a moving-hotspot replay.
 
     Runs :func:`~repro.core.workloads.moving_hotspot_workload` through a
@@ -1437,13 +1246,13 @@ def rebalance_benchmark(index: str = "ALEX", dataset: str = "covid",
     workload = moving_hotspot_workload(keys, n_ops=ops, warm_frac=warm_frac,
                                        seed=seed)
     sharded = ShardedIndex(index, n_shards=shards)
-    router = ShardRouter(sharded, window_ops=window_ops, **router_opts)
+    router = ShardRouter(sharded, window_ops=window_ops)
     oracle = DifferentialObserver()
     report = router.run(workload, oracle=oracle)
     series = report.p99_series(LOOKUP)
     warm_windows = max(1, int(ops * warm_frac) // router.slo_window)
-    pre = _median(series[:warm_windows]) if series else 0.0
-    post = _median(series[-min(3, len(series)):]) if series else 0.0
+    pre = median_high(series[:warm_windows]) if series else 0.0
+    post = median_high(series[-min(3, len(series)):]) if series else 0.0
     peak = max(series) if series else 0.0
     ratio = post / pre if pre > 0 else float("inf")
     return {

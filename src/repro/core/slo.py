@@ -35,6 +35,7 @@ alerts then mean "latency degraded versus this run's own start".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import median_high
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.events import (
@@ -248,7 +249,7 @@ class SLOTracker(ExecutionObserver):
         # early windows can't self-trigger).
         rate = self._win_smos / self._win_ops if self._win_ops else 0.0
         if len(self._smo_rates) >= 3:
-            baseline = sorted(self._smo_rates)[len(self._smo_rates) // 2]
+            baseline = median_high(self._smo_rates)
             threshold = max(self.storm_min_rate, self.storm_factor * baseline)
             if rate > threshold:
                 self._hot_run += 1

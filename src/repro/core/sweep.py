@@ -44,9 +44,10 @@ import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core import cost, results
 from repro.core.results import full_record, result_from_record
@@ -391,11 +392,13 @@ def _execute_multicore(task: SweepTask) -> dict:
     }
 
 
-def _execute_task(task: SweepTask) -> dict:
-    """Run one cell and return its lossless record (worker entry point)."""
+def _execute_task(task: SweepTask,
+                  observers: Sequence[ExecutionObserver] = ()) -> dict:
+    """Run one cell and return its lossless record (worker entry point;
+    ``observers`` attach to single-threaded cells, in-process only)."""
     if task.mode == MODE_MULTICORE:
         return _execute_multicore(task)
-    return _execute_single(task)
+    return _execute_single(task, observers)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +504,63 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(jobs, 1)
 
 
+@dataclass
+class PoolRun:
+    """What :func:`run_pool` did: one result per task, in task order."""
+
+    results: List[Any]
+    used_processes: bool = False
+    #: Why the pool was abandoned for the serial path, if it was.
+    pool_error: Optional[str] = None
+
+
+def run_pool(fn: Callable[[Any], Any], tasks: Sequence[Any], jobs: int,
+             on_done: Optional[Callable[[int, Any], None]] = None) -> PoolRun:
+    """``fn(task)`` for every task, across ``jobs`` worker processes.
+
+    The one process-pool scheduler (sweeps, shard batches).  Results
+    come back in task order; ``on_done(position, result)`` fires once
+    per task in completion order.  ``jobs <= 1`` or a single task runs
+    serially in-process.  A pool that cannot start (sandboxes that
+    refuse to fork) or loses a worker mid-run (``BrokenProcessPool``:
+    OOM kill, ``os._exit``) is abandoned, not fatal: results already
+    finished are kept, the rest run serially in-process — each task
+    completes exactly once — and ``pool_error`` says why.  ``fn`` and
+    the tasks must be picklable when ``jobs > 1``.
+    """
+    tasks = list(tasks)
+    run = PoolRun(results=[None] * len(tasks))
+    todo = set(range(len(tasks)))
+
+    def finish(i: int, result: Any) -> None:
+        todo.discard(i)
+        run.results[i] = result
+        if on_done is not None:
+            on_done(i, result)
+
+    if jobs > 1 and len(tasks) > 1:
+        futures: Dict[Any, int] = {}
+        try:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+                futures.update((pool.submit(fn, task), i)
+                               for i, task in enumerate(tasks))
+                pending = set(futures)
+                while pending:
+                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        finish(futures[future], future.result())
+            run.used_processes = True
+        except (OSError, BrokenProcessPool) as exc:
+            run.pool_error = f"{type(exc).__name__}: {exc}"
+            for future, i in futures.items():
+                if (i in todo and future.done() and not future.cancelled()
+                        and future.exception() is None):
+                    finish(i, future.result())
+    for i in sorted(todo):
+        finish(i, fn(tasks[i]))
+    return run
+
+
 ObserverFactory = Callable[[SweepTask], Sequence[ExecutionObserver]]
 OnResult = Callable[[CellResult], None]
 
@@ -568,52 +628,22 @@ def run_sweep(
         else:
             pending.append((i, task, key))
 
-    used_processes = False
-    pool_error: Optional[str] = None
-    in_process = jobs <= 1 or len(pending) <= 1 or observer_factory is not None
+    def observed(task: SweepTask) -> dict:
+        # In-process only: the observers live in the calling process.
+        single = task.mode == MODE_SINGLE
+        return _execute_task(task, (observer_factory(task) or ()) if single else ())
 
-    if not in_process:
-        try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                futures = {
-                    pool.submit(_execute_task, task): (i, task, key)
-                    for i, task, key in pending
-                }
-                not_done = set(futures)
-                while not_done:
-                    done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        i, task, key = futures[fut]
-                        record = fut.result()
-                        cell = CellResult(task=task, record=record,
-                                          cached=False, key=key)
-                        cells[i] = cell
-                        if cache is not None:
-                            cache.put(key, record)
-                        if on_result is not None:
-                            on_result(cell)
-            used_processes = True
-            pending = []
-        except (OSError, PermissionError) as exc:
-            # Sandboxes and exotic platforms may refuse to fork; the
-            # sweep still completes, just serially.
-            pool_error = f"{type(exc).__name__}: {exc}"
-            pending = [(i, t, k) for i, t, k in pending if cells[i] is None]
-
-    for i, task, key in pending:
-        observers: Sequence[ExecutionObserver] = ()
-        if observer_factory is not None and task.mode == MODE_SINGLE:
-            observers = observer_factory(task) or ()
-        if task.mode == MODE_SINGLE:
-            record = _execute_single(task, observers=observers)
-        else:
-            record = _execute_multicore(task)
-        cell = CellResult(task=task, record=record, cached=False, key=key)
-        cells[i] = cell
+    def resolved(pos: int, record: dict) -> None:
+        i, task, key = pending[pos]
+        cells[i] = CellResult(task=task, record=record, cached=False, key=key)
         if cache is not None:
             cache.put(key, record)
         if on_result is not None:
-            on_result(cell)
+            on_result(cells[i])
+
+    pool = run_pool(_execute_task if observer_factory is None else observed,
+                    [task for _, task, _ in pending],
+                    jobs if observer_factory is None else 1, on_done=resolved)
 
     done_cells = [c for c in cells if c is not None]
     return SweepReport(
@@ -622,7 +652,7 @@ def run_sweep(
         wall_seconds=time.perf_counter() - t0,
         cache_hits=hits,
         executed=len(done_cells) - hits,
-        used_processes=used_processes,
-        pool_error=pool_error,
+        used_processes=pool.used_processes,
+        pool_error=pool.pool_error,
         cache_dir=cache.root if cache is not None else None,
     )

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from statistics import median_high
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import ALL_PHASES
@@ -451,8 +452,7 @@ class MetricsCollector(ExecutionObserver):
         samples = self.samples(METRIC_SMO_RATE)
         if not samples:
             return []
-        rates = sorted(s["value"] for s in samples)
-        median = rates[len(rates) // 2]
+        median = median_high(s["value"] for s in samples)
         threshold = max(min_rate, factor * median)
         storms: List[SmoStorm] = []
         for s in samples:

@@ -47,6 +47,34 @@ class Operation:
     count: int = 0  # scan length
 
 
+def apply_op(index: Any, op: Operation) -> Tuple[bool, int, Any]:
+    """Apply one operation to ``index``; returns ``(ok, scanned, result)``.
+
+    ``index`` is anything with the ``OrderedIndex`` op surface — a bare
+    index, a ``MultiplexIndex``, a sharded tier.  ``ok`` is the lookup
+    hit / write success, ``scanned`` the rows a scan returned, and
+    ``result`` the raw return value (payload, row list, ``None`` for
+    writes) that differential oracles compare.  This is the repo's one
+    definition of what an op means: the engine, the server, the shard
+    router, migrations and the multicore adapters all call it, so
+    journal replays and routed runs compare bit-for-bit with engine runs.
+    """
+    kind = op.op
+    if kind == LOOKUP:
+        value = index.lookup(op.key)
+        return value is not None, 0, value
+    if kind == INSERT:
+        return bool(index.insert(op.key, op.value)), 0, None
+    if kind == UPDATE:
+        return bool(index.update(op.key, op.value)), 0, None
+    if kind == DELETE:
+        return bool(index.delete(op.key)), 0, None
+    if kind == SCAN:
+        rows = index.range_scan(op.key, op.count)
+        return True, len(rows), rows
+    raise ValueError(f"unknown op {kind!r}")
+
+
 @dataclass
 class Workload:
     """Bulk items + operation stream, both deterministic."""

@@ -69,6 +69,11 @@ DONE = "done"        # cut over; the old secondary is now the primary
 FAILED = "failed"    # divergence detected; awaiting abort/rollback
 DETACHED = "detached"  # aborted; secondary dropped, primary serving
 
+#: :class:`Divergence` facts kept per migration.  The first one already
+#: fails it; the bound only caps what a misbehaving secondary can make
+#: the multiplexer hold.
+DIVERGENCE_LIMIT = 20
+
 
 @dataclass(frozen=True)
 class Divergence:
@@ -128,7 +133,6 @@ class MultiplexIndex(OrderedIndex):
         chunk: int = 128,
         pump_per_op: int = 1,
         auto_cutover: bool = False,
-        divergence_limit: int = 20,
     ) -> None:
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
@@ -147,7 +151,6 @@ class MultiplexIndex(OrderedIndex):
         self.chunk = chunk
         self.pump_per_op = pump_per_op
         self.auto_cutover = auto_cutover
-        self.divergence_limit = divergence_limit
         self.phase = BACKFILL
         # Capabilities: reads follow the primary; writes need both sides.
         self.supports_delete = primary.supports_delete and secondary.supports_delete
@@ -208,7 +211,7 @@ class MultiplexIndex(OrderedIndex):
 
     def _diverge(self, stage: str, op: str, key: Key,
                  expected: object, got: object) -> None:
-        if len(self.divergences) < self.divergence_limit:
+        if len(self.divergences) < DIVERGENCE_LIMIT:
             self.divergences.append(Divergence(
                 seq=self._seq, stage=stage, op=op, key=key,
                 expected=repr(expected), got=repr(got)))
@@ -339,9 +342,9 @@ class MultiplexIndex(OrderedIndex):
         self._vcursor = rows[-1][0] + 1
         return len(rows)
 
-    def _finish_verification(self, scanned: int) -> int:
-        """Sweep done: re-check churned keys, then cardinality, then
-        declare ready (and cut over if configured)."""
+    def _recheck_dirty(self) -> bool:
+        """Re-compare every key dual-written since it was last verified;
+        False (and FAILED) on the first that disagrees."""
         secondary = self.secondary
         assert secondary is not None
         for key in sorted(self._dirty):
@@ -351,8 +354,17 @@ class MultiplexIndex(OrderedIndex):
             self.reverify_keys += 1
             if got != expected:
                 self._diverge("verify", "reverify", key, expected, got)
-                return 0
+                return False
         self._dirty.clear()
+        return True
+
+    def _finish_verification(self, scanned: int) -> int:
+        """Sweep done: re-check churned keys, then cardinality, then
+        declare ready (and cut over if configured)."""
+        secondary = self.secondary
+        assert secondary is not None
+        if not self._recheck_dirty():
+            return 0
         if len(secondary) != len(self.primary):
             self._diverge("size", "verify", 0,
                           len(self.primary), len(secondary))
@@ -379,15 +391,8 @@ class MultiplexIndex(OrderedIndex):
         # Keys written while READY (cutover pending) get one last
         # comparison, so the verified-before-swap guarantee covers
         # every key no matter how late the churn arrived.
-        for key in sorted(self._dirty):
-            with _BorrowedMeter(self):
-                expected = self.primary.lookup(key)
-            got = secondary.lookup(key)
-            self.reverify_keys += 1
-            if got != expected:
-                self._diverge("verify", "reverify", key, expected, got)
-                return
-        self._dirty.clear()
+        if not self._recheck_dirty():
+            return
         self.retired = self.primary
         self.primary = secondary
         self.secondary = None

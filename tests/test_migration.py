@@ -13,7 +13,13 @@ import random
 import pytest
 
 from repro.core.instance import RETIRED, SERVING
-from repro.core.migrate import resolve_index_name, run_migration
+from repro.core.migrate import (
+    CUT_OVER,
+    ROLLED_BACK,
+    MigrationDriver,
+    resolve_index_name,
+    run_migration,
+)
 from repro.core.workloads import (
     INSERT,
     LOOKUP,
@@ -312,6 +318,159 @@ def test_batch_binding_cannot_survive_a_mid_batch_cutover():
     got = mux.lookup_many([new] + KEYS[:31])
     assert got[0] == payload(new)
     assert got[1:] == [payload(k) for k in KEYS[:31]]
+
+
+# -- the migration driver (one owner for cutover/rollback) ----------------------
+
+class _Driven:
+    """A ``pump_per_op=0`` multiplexer under a :class:`MigrationDriver`,
+    with every hook call and ``mux.abort()`` call counted."""
+
+    def __init__(self, make_secondary=BPlusTree, n=200, chunk=40):
+        self.mux, self.primary, self.secondary = _mux(
+            n=n, chunk=chunk, make_secondary=make_secondary, pump_per_op=0)
+        self.cutovers, self.rollbacks, self.aborts = [], [], 0
+        real_abort = self.mux.abort
+
+        def counted_abort():
+            self.aborts += 1
+            real_abort()
+
+        self.mux.abort = counted_abort
+        self.clock0 = self.secondary.meter.total_time()
+        self.driver = MigrationDriver(
+            self.mux, on_cutover=lambda: self.cutovers.append(self.mux.phase),
+            on_rollback=self.rollbacks.append)
+
+    def poison(self, key, value):
+        """Corrupt the secondary behind the driver's back (the charge is
+        the test's, not the migration's)."""
+        before = self.secondary.meter.total_time()
+        assert self.secondary.update(key, value)
+        self.clock0 += self.secondary.meter.total_time() - before
+
+    def step_until(self, done, limit=10_000):
+        for _ in range(limit):
+            if done():
+                return
+            self.driver.step()
+        raise AssertionError(f"stuck at {self.mux.phase}")
+
+    def assert_rolled_back_once(self, stage):
+        driver, mux = self.driver, self.mux
+        assert driver.outcome == ROLLED_BACK
+        assert self.aborts == 1 and len(self.rollbacks) == 1
+        assert self.cutovers == []
+        assert mux.phase == DETACHED and mux.primary is self.primary
+        assert mux.divergences[0].stage == stage
+        assert self.rollbacks[0] == mux.divergences[0].describe()
+        # Everything the migration put on the secondary's meter — and
+        # nothing else — is overhead.
+        advance = self.secondary.meter.total_time() - self.clock0
+        assert driver.overhead_ns == pytest.approx(advance, rel=1e-12)
+        assert driver.overhead_ns > 0
+        # The outcome is final: further calls neither step nor re-fire.
+        chunks = driver.chunks
+        driver.step()
+        driver.settle()
+        driver.abort("again")
+        driver.advance()
+        assert (self.aborts, len(self.rollbacks), driver.chunks) == (
+            1, 1, chunks)
+
+
+def test_driver_rolls_back_once_on_failure_while_staging():
+    d = _Driven()
+    d.driver.step()                       # one staging chunk
+    assert d.mux.phase == BACKFILL and d.driver.chunks == 1
+    d.mux._diverge("injected", "test", KEYS[0], True, False)
+    d.driver.step()                       # sees FAILED: no pump, rollback
+    d.assert_rolled_back_once("injected")
+
+
+def test_driver_rolls_back_once_on_failure_in_catch_up():
+    d = _Driven(make_secondary=DeafUpdateBTree)
+    d.step_until(lambda: d.mux.build_pending)
+    # A client update behind the cursor lands in the delta log; the
+    # secondary will refuse it at catch-up.
+    assert d.driver.metered(d.mux.update, KEYS[2], 99)
+    d.driver.advance()
+    d.assert_rolled_back_once("backfill")
+    assert d.primary.lookup(KEYS[2]) == 99
+
+
+def test_driver_rolls_back_once_on_failure_in_verify():
+    d = _Driven()
+    d.step_until(lambda: d.mux.phase == VERIFY)
+    d.poison(KEYS[3], payload(KEYS[3]) ^ 1)
+    d.driver.advance()
+    d.assert_rolled_back_once("verify")
+
+
+def test_driver_rolls_back_once_when_the_cutover_recheck_fails():
+    d = _Driven()
+    d.step_until(lambda: d.mux.phase == READY)
+    assert d.driver.outcome is None       # READY is not an outcome
+    fresh = KEYS[-1] + 11
+    assert d.driver.metered(d.mux.insert, fresh, 5)   # dirty, cutover pending
+    d.poison(fresh, 6)                    # late liar
+    d.driver.step()                       # the cutover step: re-check fails
+    d.assert_rolled_back_once("verify")
+    assert d.mux.divergences[0].op == "reverify"
+
+
+def test_driver_cuts_over_once_and_meters_the_whole_migration():
+    d = _Driven()
+    steps = 0
+    while d.driver.outcome is None:
+        was_building = d.mux.build_pending
+        moved = d.driver.step()
+        steps += 1
+        assert not (was_building and moved)   # the build moves no keys
+    assert d.driver.outcome == CUT_OVER
+    assert d.cutovers == [DONE] and d.rollbacks == [] and d.aborts == 0
+    assert d.mux.primary is d.secondary
+    # stage chunks + build + catch-up + verify chunks, then the cutover
+    # as its own step (it is not a chunk).
+    assert steps == d.driver.chunks + 1
+    advance = d.secondary.meter.total_time() - d.clock0
+    assert d.driver.overhead_ns == pytest.approx(advance, rel=1e-12)
+
+
+def test_driver_advance_spends_its_budget_in_keys_but_always_settles():
+    d = _Driven(n=200, chunk=40)
+    d.driver.advance(budget=80)           # two 40-key staging chunks
+    assert d.mux.backfill_keys == 80 and d.driver.outcome is None
+    d.step_until(lambda: d.mux.phase == READY)
+    d.driver.advance(budget=0)            # a verified secondary costs nothing
+    assert d.driver.outcome == CUT_OVER
+
+
+def test_driver_abort_rolls_back_under_the_callers_lock():
+    held = []
+
+    class Lock:
+        def __enter__(self):
+            held.append(True)
+
+        def __exit__(self, *exc):
+            held.pop()
+
+    mux, primary, _ = _mux(n=120, chunk=40, pump_per_op=0)
+    seen = []
+    driver = MigrationDriver(
+        mux, on_cutover=lambda: seen.append(("cutover", list(held))),
+        on_rollback=lambda why: seen.append((why, list(held))), lock=Lock)
+    real_build = mux.build_secondary
+    mux.build_secondary = lambda: (seen.append(("build", list(held))),
+                                   real_build())
+    while not mux.build_pending:
+        driver.step()
+    driver.step()                         # the build: no lock held
+    driver.abort("operator said so")
+    assert seen == [("build", []), ("operator said so", [True])]
+    assert driver.outcome == ROLLED_BACK and mux.phase == DETACHED
+    assert mux.primary is primary and held == []
 
 
 # -- controller integration ----------------------------------------------------

@@ -231,6 +231,13 @@ def test_split_preserves_items_with_zero_stall():
     expected = sorted(ITEMS[:1500] + [(extra, 7)])
     assert s.items() == expected
     assert s.debug_validate() == []
+    # ...and back: merging the two halves round-trips the layout.
+    back = s.begin_merge(0)
+    _pump_to_ready(back.mux)
+    s.finish_rebalance(back)
+    assert s.map.n_shards == 2 and s.items() == expected
+    assert s.cutover_stall_ops == 0
+    assert s.debug_validate() == []
 
 
 def test_merge_preserves_items_with_zero_stall():
@@ -350,6 +357,55 @@ def test_router_splits_hot_shard_and_converges():
     # The retained trackers cover every shard that ever served.
     assert len(router.all_trackers) == len(router.retired_summaries)
     assert len(router.all_trackers) >= report.shards_final
+
+
+class LyingBTree(BPlusTree):
+    """Stores faithfully, answers every lookup wrong: a split target
+    built from these can never pass verification."""
+
+    def lookup(self, key):
+        value = super().lookup(key)
+        return None if value is None else value ^ 1
+
+
+def test_router_rolls_a_diverged_split_back_and_keeps_serving():
+    """A rebalance whose target diverges is aborted by the router's
+    driver: the hot slot goes back to plain service on its original
+    index, is tracked again, and no client op ever sees the liar."""
+    from repro.core.events import EventBus
+
+    made = []
+
+    def factory():  # the probe + four honest shards, then liars
+        made.append(BPlusTree() if len(made) < 5 else LyingBTree())
+        return made[-1]
+
+    wl = moving_hotspot_workload(KEYS[:3000], n_ops=6000, phases=3, seed=5)
+    reference = BPlusTree()
+    execute(reference, wl)
+    sharded = ShardedIndex(factory, n_shards=4)
+    bus = EventBus()
+    router = ShardRouter(sharded, window_ops=512, slo_window=256,
+                         min_split_keys=256, bus=bus)
+    oracle = DifferentialObserver()
+    report = router.run(wl, oracle=oracle)
+    decisions = [e["decision"] for e in report.events]
+    assert report.aborted >= 1
+    assert report.aborted == decisions.count("rebalance_aborted")
+    assert report.aborted == decisions.count("split_started")
+    assert report.splits == 0 and report.shards_final == 4
+    assert report.rejected == 0 and report.n_ops == 6000
+    assert report.oracle_ok and oracle.ok
+    assert router.active is None
+    for inst in sharded.shards:
+        assert inst.state == SERVING
+        assert type(inst.index) is BPlusTree      # never a liar, never a mux
+        assert inst.name in report.shard_summaries   # tracked to the end
+    assert sharded.items() == reference.items()
+    assert sharded.debug_validate() == []
+    # The split's progress reached the bus as (stage, done, total).
+    chunks = [e for e in bus.events() if e["kind"] == "backfill_chunk"]
+    assert chunks and all(isinstance(e["done"], int) for e in chunks)
 
 
 def test_rebalance_benchmark_converges_small():

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import collections
 import json
+import multiprocessing
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro import execute
+from repro.core import shard, sweep
 from repro.core.heatmap import compute_heatmap, sweep_heatmap
 from repro.core.runner import ExecutionObserver
 from repro.core.sweep import (
@@ -19,6 +24,7 @@ from repro.core.sweep import (
     plan_grid,
     resolve_jobs,
     result_fingerprint,
+    run_pool,
     run_sweep,
 )
 from repro.indexes.alex import ALEX
@@ -121,6 +127,124 @@ def test_parallel_matches_serial_bit_for_bit():
         assert s.fingerprint == p.fingerprint
     # Fell back to serial only if the platform refused to fork.
     assert parallel.used_processes or parallel.pool_error
+
+
+# ---------------------------------------------------------------------------
+# The pool runner's fallback, forced (not hoped for)
+# ---------------------------------------------------------------------------
+
+class _FlakyPool:
+    """Stands in for ``ProcessPoolExecutor``: the first ``good``
+    submissions run (in-process) and complete, every later future
+    carries ``error``; ``good=None`` refuses to start at all."""
+
+    def __init__(self, good, error):
+        self.good, self.error, self.submitted = good, error, 0
+
+    def __call__(self, max_workers):
+        if self.good is None:
+            raise self.error
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        future = Future()
+        if self.submitted < self.good:
+            future.set_result(fn(task))
+        else:
+            future.set_exception(self.error)
+        self.submitted += 1
+        return future
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap worker function ``module.name``; returns the per-task call
+    counter."""
+    calls = collections.Counter()
+    real = getattr(module, name)
+
+    def counted(task):
+        calls[task] += 1
+        return real(task)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("error", [OSError("fork refused"),
+                                   BrokenProcessPool("a worker died")],
+                         ids=["OSError", "BrokenProcessPool"])
+@pytest.mark.parametrize("good", [None, 0, 1, 3])
+def test_sweep_pool_failure_falls_back_without_rerunning(monkeypatch, good,
+                                                         error):
+    tasks = _grid()[:5]
+    serial = run_sweep(tasks, jobs=1)
+    calls = _counting(monkeypatch, sweep, "_execute_task")
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _FlakyPool(good, error))
+    seen = []
+    report = run_sweep(tasks, jobs=2, on_result=seen.append)
+    assert not report.used_processes
+    assert report.pool_error == f"{type(error).__name__}: {error}"
+    assert [c.fingerprint for c in report.cells] == \
+        [c.fingerprint for c in serial.cells]
+    assert dict(calls) == {task: 1 for task in tasks}   # none run twice
+    assert sorted(map(id, seen)) == sorted(map(id, report.cells))
+
+
+@pytest.mark.parametrize("good", [None, 0, 1])
+def test_shard_pool_failure_falls_back_without_rerunning(monkeypatch, good):
+    ds = DATASETS[0]
+    keys = ds.keys()
+    cuts = [None, keys[400], keys[800], None]
+    tasks = [shard.ShardBatchTask(
+        index="B+tree", dataset=ds, lo=lo, hi=hi,
+        lookups=tuple(k for k in keys[::7]
+                      if (lo is None or k >= lo) and (hi is None or k < hi)))
+        for lo, hi in zip(cuts, cuts[1:])]
+    serial = shard.run_shard_batches(tasks, jobs=1)
+    calls = _counting(monkeypatch, shard, "_run_shard_batch")
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor",
+                        _FlakyPool(good, OSError("fork refused")))
+    report = shard.run_shard_batches(tasks, jobs=3)
+    assert not report.used_processes
+    assert report.pool_error == "OSError: fork refused"
+    assert report.fingerprints() == serial.fingerprints()
+    assert [r["hits"] for r in report.results] == \
+        [r["hits"] for r in serial.results]
+    assert dict(calls) == {task: 1 for task in tasks}
+
+
+def _double_unless_in_a_worker(task):
+    """Dies the way an OOM-killed worker does — but only in a worker."""
+    if multiprocessing.current_process().name != "MainProcess":
+        os._exit(1)
+    return task * 2
+
+
+def test_a_dead_pool_worker_does_not_lose_the_sweep():
+    done = []
+    run = run_pool(_double_unless_in_a_worker, [1, 2, 3, 4], jobs=2,
+                   on_done=lambda i, result: done.append((i, result)))
+    assert run.results == [2, 4, 6, 8]
+    assert sorted(done) == [(0, 2), (1, 4), (2, 6), (3, 8)]
+    assert not run.used_processes
+    # BrokenProcessPool where processes exist; a refused fork elsewhere.
+    assert run.pool_error
+
+
+def test_run_pool_serial_paths_never_build_a_pool(monkeypatch):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor",
+                        _FlakyPool(None, AssertionError("pool built")))
+    assert run_pool(abs, [-1, -2], jobs=1).results == [1, 2]
+    one = run_pool(abs, [-3], jobs=8)
+    assert one.results == [3] and one.pool_error is None
+    assert not one.used_processes
+    assert run_pool(abs, [], jobs=8).results == []
 
 
 def test_sweep_cell_matches_direct_execute():
