@@ -140,6 +140,15 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
 
 
+class Empty:
+    """The in-run yardstick of the wall gates: ``Empty().call()`` is an
+    attribute lookup and a call that does nothing, timed beside what a
+    gate measures so a slow box moves both."""
+
+    def call(self) -> None:
+        pass
+
+
 def print_header(title: str) -> None:
     line = "=" * max(60, len(title))
     print(f"\n{line}\n{title}\n{line}")

@@ -209,7 +209,7 @@ def cmd_bench(args) -> int:
         t_batch = _time.perf_counter() - t0
         if batch_values != scalar_values:
             raise SystemExit(f"{name}: batch/scalar value mismatch")
-        if list(a.meter._counts.items()) != list(b.meter._counts.items()):
+        if list(a.meter.snapshot().items()) != list(b.meter.snapshot().items()):
             raise SystemExit(f"{name}: batch/scalar cost divergence")
         # Virtual-clock lookup profile: deterministic across machines,
         # so the regression gate can judge it against a committed

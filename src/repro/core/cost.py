@@ -18,9 +18,8 @@ sanity, but every figure in EXPERIMENTS.md is computed on this clock.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Cost kinds
@@ -136,17 +135,22 @@ ALL_PHASES = (
 )
 
 
-def fold_moved(counts: Dict[Tuple[str, str], float],
-               seen: Dict[Tuple[str, str], float],
-               into: Dict[Tuple[str, str, str], float], tag: str) -> None:
-    """The pass behind :meth:`CostMeter.fold_since`, over any counter
-    table, in the table's own order."""
-    for key, v in counts.items():
-        d = v - seen.get(key, 0.0)
-        if d:
-            seen[key] = v
-            cell = (tag, key[0], key[1])
-            into[cell] = into.get(cell, 0.0) + d
+class _PhaseScope:
+    """``with meter.phase(name):`` — push on enter, pop on exit.  Holds
+    no per-use state, so one cached instance per (phase stack, name)
+    serves every use, nested same-name scopes included."""
+
+    __slots__ = ("_stack", "_name")
+
+    def __init__(self, stack: List[str], name: str) -> None:
+        self._stack = stack
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._stack.append(self._name)
+
+    def __exit__(self, *exc: Any) -> None:
+        self._stack.pop()
 
 
 class CostMeter:
@@ -161,23 +165,21 @@ class CostMeter:
     attribute cost to individual operations.
 
     **Thread-safety contract:** a ``CostMeter`` is *single-writer*.
-    ``charge`` is an unlocked read-modify-write and the phase stack is
-    shared mutable state, so two threads charging the same meter lose
-    updates and can corrupt phase attribution; readers iterating
-    ``_counts`` while a writer inserts a new (phase, kind) key raise
-    ``RuntimeError``.  Every engine/sweep/migration path honors this by
-    construction (one thread per meter).  Anything that serves one index
-    from several threads — the :mod:`repro.core.server` request loop and
-    its background job worker — must wrap the meter in
-    :class:`SyncedMeter` first.
+    ``charge`` is an unlocked read-modify-write on one table and one
+    phase stack: two threads charging it lose updates and cross their
+    phases, and a reader iterating ``_counts`` while a writer inserts a
+    key raises ``RuntimeError``.  Engine, sweep and migration paths use
+    one thread per meter; the :mod:`repro.core.server` request loop and
+    job worker wrap the meter in :class:`SyncedMeter` first.
     """
 
-    __slots__ = ("weights", "_counts", "_phase_stack")
+    __slots__ = ("weights", "_counts", "_phase_stack", "_scopes")
 
     def __init__(self, weights: Optional[Dict[str, float]] = None) -> None:
         self.weights = dict(DEFAULT_WEIGHTS if weights is None else weights)
         self._counts: Dict[Tuple[str, str], float] = {}
         self._phase_stack: List[str] = [PHASE_OTHER]
+        self._scopes: Dict[str, _PhaseScope] = {}
 
     # -- charging -----------------------------------------------------------
 
@@ -187,28 +189,20 @@ class CostMeter:
         self._counts[key] = self._counts.get(key, 0.0) + n
 
     def charge_phased(self, phase: str, kind: str, n: float = 1.0) -> None:
-        """Add ``n`` units of ``kind`` to an explicit ``phase``.
-
-        Equivalent to charging inside ``with meter.phase(phase):`` but
-        without touching the phase stack — used by the batch playback in
-        :mod:`repro.indexes.batching` to replay per-op charge logs in
-        exactly the order the scalar path would have produced them.
-        """
+        """Add ``n`` units of ``kind`` to an explicit ``phase``: what
+        ``charge`` inside ``with meter.phase(phase):`` does, without the
+        phase stack.  The batch playback and the scalar loops that
+        charge by totals (``docs/cost_model.md``) use it."""
         key = (phase, kind)
         self._counts[key] = self._counts.get(key, 0.0) + n
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Attribute all charges inside the block to phase ``name``."""
-        self._phase_stack.append(name)
+    def phase(self, name: str) -> _PhaseScope:
+        """Attribute all charges inside the ``with`` block to ``name``."""
         try:
-            yield
-        finally:
-            self._phase_stack.pop()
-
-    @property
-    def current_phase(self) -> str:
-        return self._phase_stack[-1]
+            return self._scopes[name]
+        except KeyError:
+            scope = self._scopes[name] = _PhaseScope(self._phase_stack, name)
+            return scope
 
     # -- reading ------------------------------------------------------------
 
@@ -238,10 +232,7 @@ class CostMeter:
 
     def time_by_phase(self) -> Dict[str, float]:
         """Virtual nanoseconds attributed to each phase."""
-        out: Dict[str, float] = {}
-        for (phase, kind), v in self._table().items():
-            out[phase] = out.get(phase, 0.0) + self.weights.get(kind, 0.0) * v
-        return out
+        return CostDelta(self._table(), self.weights).time_by_phase()
 
     def snapshot(self) -> Dict[Tuple[str, str], float]:
         """A copy of the raw counters, for later :meth:`diff`."""
@@ -260,10 +251,14 @@ class CostMeter:
                    into: Dict[Tuple[str, str, str], float], tag: str) -> None:
         """Add the units charged since the snapshot ``seen`` to
         ``into[(tag, phase, kind)]`` and bring ``seen`` up to date in
-        place — ``diff`` + ``snapshot`` in one pass, no copy.  What a
-        per-op consumer (:class:`~repro.core.telemetry.CostProfiler`)
-        calls between every two operations."""
-        fold_moved(self._table(), seen, into, tag)
+        place — ``diff`` + ``snapshot`` in one pass, no copy (the
+        per-op call of :class:`~repro.core.telemetry.CostProfiler`)."""
+        for key, v in self._table().items():
+            d = v - seen.get(key, 0.0)
+            if d:
+                seen[key] = v
+                cell = (tag, key[0], key[1])
+                into[cell] = into.get(cell, 0.0) + d
 
     def reset(self) -> None:
         self._counts.clear()
@@ -301,33 +296,33 @@ class NullMeter(CostMeter):
 
 
 class SyncedMeter(CostMeter):
-    """A :class:`CostMeter` safe to charge and read from many threads.
+    """A :class:`CostMeter` many threads may charge and read, without
+    serialising the writers.
 
-    Two changes over the base meter, matching its two hazards:
-
-    * every mutation and every read of the counter table happens under
-      one mutex, so concurrent charges never lose updates and readers
-      (``total_time`` — the virtual clock the bus emitters sample —
-      stays monotone) never trip over a dict resize, and
-    * the phase stack is **thread-local**: each thread's ``phase()``
-      context attributes its own charges without another thread's nest
-      level bleeding in.
-
-    Charging takes one extra lock round-trip, which is why the base
-    meter stays unlocked for the (overwhelmingly common)
-    single-threaded engine paths and this subclass is opt-in for the
-    server (:meth:`adopt` preserves already-accumulated charges and the
-    calibrated weights).
+    Each thread charges its own **lane** — counter table, phase stack
+    and scope cache, found with one ``threading.local`` read — so no
+    charge takes a lock and no thread's ``phase()`` nesting reaches
+    another's.  The first lane *is* this meter's own ``_counts``: one
+    thread's run inserts keys exactly as on the base meter.  Readers
+    merge the lanes in :meth:`_table` — each copied in one atomic step,
+    in a key order fixed once seen — so ``total_time`` (the clock the
+    bus emitters sample) stays monotone while writers run.  The mutex
+    guards lane creation, merged reads and ``reset``.  A finished
+    thread's lane passes, counts included, to the next new thread, so
+    lanes number at most the peak of concurrent writers.
     """
 
-    __slots__ = ("_mutex", "_local")
+    __slots__ = ("_mutex", "_local", "_lanes", "_seen")
 
     def __init__(self, weights: Optional[Dict[str, float]] = None) -> None:
         super().__init__(weights)
-        # Plain (non-reentrant) lock: no locked method calls another —
-        # readers run the unlocked ``super()`` bodies.
         self._mutex = threading.Lock()
         self._local = threading.local()
+        #: ``[owner thread, lane]``; lane 0 is ``self``, unowned until
+        #: the first thread charges.
+        self._lanes: List[List[Any]] = [[None, self]]
+        #: The last merged table: its key order seeds the next merge.
+        self._seen: Dict[Tuple[str, str], float] = {}
 
     @classmethod
     def adopt(cls, meter: CostMeter) -> "SyncedMeter":
@@ -338,65 +333,70 @@ class SyncedMeter(CostMeter):
         out._counts.update(meter._counts)
         return out
 
-    def _stack(self) -> List[str]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = [PHASE_OTHER]
-        return stack
+    def _lane(self) -> CostMeter:
+        """The calling thread's lane, claimed on its first charge."""
+        with self._mutex:
+            for slot in self._lanes:
+                if slot[0] is None or not slot[0].is_alive():
+                    slot[1]._phase_stack[:] = [PHASE_OTHER]
+                    break
+            else:
+                slot = [None, CostMeter(self.weights)]
+                self._lanes.append(slot)
+            slot[0] = threading.current_thread()
+        self._local.lane = slot[1]
+        return slot[1]
 
-    # -- charging (locked, thread-local phase) -------------------------------
+    # -- charging (lock-free, per-thread lane) -------------------------------
 
     def charge(self, kind: str, n: float = 1.0) -> None:
-        key = (self._stack()[-1], kind)
-        with self._mutex:
-            self._counts[key] = self._counts.get(key, 0.0) + n
+        try:
+            lane = self._local.lane
+        except AttributeError:
+            lane = self._lane()
+        key = (lane._phase_stack[-1], kind)
+        counts = lane._counts
+        counts[key] = counts.get(key, 0.0) + n
 
     def charge_phased(self, phase: str, kind: str, n: float = 1.0) -> None:
-        key = (phase, kind)
-        with self._mutex:
-            self._counts[key] = self._counts.get(key, 0.0) + n
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        stack = self._stack()
-        stack.append(name)
         try:
-            yield
-        finally:
-            stack.pop()
+            counts = self._local.lane._counts
+        except AttributeError:
+            counts = self._lane()._counts
+        key = (phase, kind)
+        counts[key] = counts.get(key, 0.0) + n
 
-    @property
-    def current_phase(self) -> str:
-        return self._stack()[-1]
+    def phase(self, name: str) -> _PhaseScope:
+        try:
+            return self._local.lane._scopes[name]
+        except (AttributeError, KeyError):  # first charge, or first use
+            lane = getattr(self._local, "lane", None) or self._lane()
+            return CostMeter.phase(lane, name)
 
-    # -- reading (locked) ----------------------------------------------------
+    # -- reading (merged under the mutex) ------------------------------------
 
-    def total_units(self, kind: str) -> float:
+    def _table(self) -> Dict[Tuple[str, str], float]:
+        if len(self._lanes) == 1 and getattr(self._local, "lane", None) is self:
+            return self._counts  # the only writer is the caller
         with self._mutex:
-            return super().total_units(kind)
+            merged = dict.fromkeys(self._seen, 0.0)
+            for _, lane in self._lanes:
+                for key, v in lane._counts.copy().items():
+                    merged[key] = merged.get(key, 0.0) + v
+            self._seen = merged
+        return merged
 
     def total_time(self) -> float:
-        with self._mutex:
-            return super().total_time()
-
-    def time_by_phase(self) -> Dict[str, float]:
-        with self._mutex:
-            return super().time_by_phase()
-
-    def snapshot(self) -> Dict[Tuple[str, str], float]:
-        with self._mutex:
-            return dict(self._counts)
-
-    def diff(self, before: Dict[Tuple[str, str], float]) -> "CostDelta":
-        with self._mutex:
-            return super().diff(before)
-
-    def fold_since(self, seen: Dict[Tuple[str, str], float],
-                   into: Dict[Tuple[str, str, str], float], tag: str) -> None:
-        with self._mutex:
-            fold_moved(self._counts, seen, into, tag)
+        weights = self.weights
+        total = 0
+        for (_, kind), v in self._table().items():
+            total += weights.get(kind, 0.0) * v
+        return total
 
     def reset(self) -> None:
+        """Clear every lane's counters.  Phase stacks stay: a thread
+        inside a ``phase()`` block still pops what it pushed."""
         with self._mutex:
-            self._counts.clear()
-        self._local = threading.local()
+            for _, lane in self._lanes:
+                lane._counts.clear()
+            self._seen = {}

@@ -177,6 +177,11 @@ class RWLock:
 class JournalEntry:
     """One admitted foreground op, recorded under the instance lock."""
 
+    # One per op for the life of the server: slotted (spelled out, as
+    # ``dataclass(slots=True)`` needs Python 3.10) and built positionally.
+    __slots__ = ("seq", "instance", "op", "key", "value", "count", "ok",
+                 "scanned", "result")
+
     seq: int
     instance: str
     op: str
@@ -217,9 +222,8 @@ class _JournalBatch:
         else:
             rows = ((key, value, bool(ok), None)
                     for (key, value), ok in zip(self.args, self.outs))
-        return [JournalEntry(seq=seq, instance=self.instance, op=self.op,
-                             key=key, value=value, count=0, ok=ok, scanned=0,
-                             result=result)
+        return [JournalEntry(seq, self.instance, self.op, key, value, 0, ok,
+                             0, result)
                 for seq, (key, value, ok, result) in enumerate(rows, self.seq)]
 
 
@@ -285,10 +289,16 @@ class _Served:
     #: Ops whose lock wait exceeded the stall threshold, per op kind.
     stalled: Dict[str, int] = field(default_factory=dict)
     max_wait_s: float = 0.0
+    #: Foreground calls admitted.
     ops: int = 0
 
-    def note_wait(self, kind: str, waited: float) -> None:
+    def admit(self, kind: str, waited: float) -> None:
+        """Admission and the traffic counters, under one ``stats_lock``
+        hold per call: the lock makes the rejection counters exact even
+        when several readers hit a non-admitting state concurrently.
+        A refused call raises before it is counted."""
         with self.stats_lock:
+            self.instance.admit(kind)
             self.ops += 1
             if waited > self.max_wait_s:
                 self.max_wait_s = waited
@@ -602,7 +612,8 @@ class IndexServer:
         server's per-kind ``dropped`` stats, then re-raise.
         """
         served = self._served_of(name)
-        read = op.op in _READ_OPS
+        kind = op.op
+        read = kind in _READ_OPS
         lock = served.lock
         t0 = time.perf_counter()
         if read:
@@ -611,21 +622,26 @@ class IndexServer:
             lock.acquire_write()
         waited = time.perf_counter() - t0
         try:
-            # stats_lock makes the rejection counters exact even when
-            # several readers hit a non-admitting state concurrently.
-            with served.stats_lock:
-                served.instance.admit(op.op)
-            ok, scanned, result = apply_op(served.instance.index, op)
-            self._journal_append(served, op, ok, scanned, result)
+            served.admit(kind, waited)
+            instance = served.instance
+            ok, scanned, result = apply_op(instance.index, op)
+            counts = instance.op_counts
+            with self._journal_lock:
+                # op_counts rides inside the journal lock so concurrent
+                # readers (shared read lock) never lose count increments.
+                counts[kind] = counts.get(kind, 0) + 1
+                self._journal.append(JournalEntry(
+                    self._next_seq, instance.name, kind, op.key, op.value,
+                    op.count, ok, scanned, result))
+                self._next_seq += 1
         except AdmissionError:
-            served.note_drop(op.op)
+            served.note_drop(kind)
             raise
         finally:
             if read:
                 lock.release_read()
             else:
                 lock.release_write()
-        served.note_wait(op.op, waited)
         return ok, result
 
     def lookup(self, name: str, key: int) -> Any:
@@ -650,8 +666,7 @@ class IndexServer:
         served.lock.acquire_read()
         waited = time.perf_counter() - t0
         try:
-            with served.stats_lock:
-                served.instance.admit(LOOKUP)
+            served.admit(LOOKUP, waited)
             keys = list(keys)
             values = served.instance.index.lookup_many(keys)
             self._journal_batch(served, LOOKUP, keys, values)
@@ -660,7 +675,6 @@ class IndexServer:
             raise
         finally:
             served.lock.release_read()
-        served.note_wait(LOOKUP, waited)
         return values
 
     def insert_many(self, name: str,
@@ -671,8 +685,7 @@ class IndexServer:
         served.lock.acquire_write()
         waited = time.perf_counter() - t0
         try:
-            with served.stats_lock:
-                served.instance.admit(INSERT)
+            served.admit(INSERT, waited)
             pairs = list(pairs)
             oks = served.instance.index.insert_many(pairs)
             self._journal_batch(served, INSERT, pairs, oks)
@@ -681,21 +694,7 @@ class IndexServer:
             raise
         finally:
             served.lock.release_write()
-        served.note_wait(INSERT, waited)
         return oks
-
-    def _journal_append(self, served: _Served, op: Operation, ok: bool,
-                        scanned: int, result: Any) -> None:
-        counts = served.instance.op_counts
-        with self._journal_lock:
-            # op_counts rides inside the journal lock so concurrent
-            # readers (shared read lock) never lose count increments.
-            counts[op.op] = counts.get(op.op, 0) + 1
-            self._journal.append(JournalEntry(
-                seq=self._next_seq, instance=served.instance.name,
-                op=op.op, key=op.key, value=op.value, count=op.count,
-                ok=ok, scanned=scanned, result=result))
-            self._next_seq += 1
 
     def _journal_batch(self, served: _Served, op: str, args: list,
                        outs: list) -> None:

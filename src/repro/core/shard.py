@@ -198,7 +198,7 @@ class ClusterMeter(CostMeter):
     def _table(self) -> Dict[Tuple[str, str], float]:
         merged = dict(self._counts)
         for part in self.parts:
-            for key, v in part._counts.items():
+            for key, v in part._table().items():
                 merged[key] = merged.get(key, 0.0) + v
         return merged
 

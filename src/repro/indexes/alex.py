@@ -26,7 +26,7 @@ optional linked-list mode used by the Appendix-B experiment.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
     ALLOC_NODE,
@@ -328,19 +328,23 @@ class ALEX(OrderedIndex):
     # -- traversal ----------------------------------------------------------------
 
     def _descend(self, key: Key, path: Optional[List[int]] = None) -> Tuple[_DataNode, List[Tuple[_InnerNode, int]]]:
+        """Walk root to data node, computing each child slot from the
+        inner node's model.  Charges ``PHASE_TRAVERSE`` once per kind:
+        one hop per node, one model evaluation per inner node."""
         node = self._root
         parents: List[Tuple[_InnerNode, int]] = []
         while isinstance(node, _InnerNode):
-            self.meter.charge(NODE_HOP)
-            self.meter.charge(MODEL_EVAL)
             if path is not None:
                 path.append(node.node_id)
             slot = node.child_slot(key)
             parents.append((node, slot))
             node = node.children[slot]
-        self.meter.charge(NODE_HOP)
         if path is not None:
             path.append(node.node_id)
+        charge = self.meter.charge_phased
+        charge(PHASE_TRAVERSE, NODE_HOP, len(parents) + 1)
+        if parents:
+            charge(PHASE_TRAVERSE, MODEL_EVAL, len(parents))
         return node, parents
 
     def _leaf_lower_bound(self, node: _DataNode, key: Key) -> Tuple[int, int]:
@@ -394,8 +398,7 @@ class ALEX(OrderedIndex):
 
     def lookup(self, key: Key) -> Optional[Value]:
         path: List[int] = []
-        with self.meter.phase(PHASE_TRAVERSE):
-            node, _ = self._descend(key, path)
+        node, _ = self._descend(key, path)
         with self.meter.phase(PHASE_SEARCH):
             pos, probes = self._leaf_lower_bound(node, key)
             occ = self._occupied_at(node, pos, key)
@@ -592,8 +595,7 @@ class ALEX(OrderedIndex):
 
     def insert(self, key: Key, value: Value) -> bool:
         path: List[int] = []
-        with self.meter.phase(PHASE_TRAVERSE):
-            node, parents = self._descend(key, path)
+        node, parents = self._descend(key, path)
         with self.meter.phase(PHASE_SEARCH):
             pos, probes = self._leaf_lower_bound(node, key)
             occ = self._occupied_at(node, pos, key)
@@ -900,8 +902,7 @@ class ALEX(OrderedIndex):
     # -- update / delete -----------------------------------------------------------
 
     def update(self, key: Key, value: Value) -> bool:
-        with self.meter.phase(PHASE_TRAVERSE):
-            node, _ = self._descend(key)
+        node, _ = self._descend(key)
         with self.meter.phase(PHASE_SEARCH):
             pos, _ = self._leaf_lower_bound(node, key)
             occ = self._occupied_at(node, pos, key)
@@ -913,8 +914,7 @@ class ALEX(OrderedIndex):
 
     def delete(self, key: Key) -> bool:
         path: List[int] = []
-        with self.meter.phase(PHASE_TRAVERSE):
-            node, parents = self._descend(key, path)
+        node, parents = self._descend(key, path)
         with self.meter.phase(PHASE_SEARCH):
             pos, probes = self._leaf_lower_bound(node, key)
             occ = self._occupied_at(node, pos, key)
@@ -955,31 +955,39 @@ class ALEX(OrderedIndex):
 
     def range_scan(self, start: Key, count: int) -> List[Tuple[Key, Value]]:
         out: List[Tuple[Key, Value]] = []
-        with self.meter.phase(PHASE_TRAVERSE):
-            node, _ = self._descend(start)
+        node, _ = self._descend(start)
         pos, _ = self._leaf_lower_bound(node, start)
+        chains = self.duplicate_mode == "linked_list"
+        # Units per kind, keyed in the order the walk first meets each:
+        # a row copied out, a gap skipped (bitmap word), a leaf hop.
+        tally: Dict[str, int] = {}
         cur: Optional[_DataNode] = node
         while cur is not None and len(out) < count:
-            cap = cur.capacity
+            keys, values, present = cur.keys, cur.values, cur.present
+            cap = len(keys)
+            first, rows, gaps = pos, len(out), 0
             while pos < cap and len(out) < count:
-                if cur.present[pos]:
-                    value = cur.values[pos]
-                    if self.duplicate_mode == "linked_list" and isinstance(value, _DupChain):
-                        for v in value.values:
-                            out.append((cur.keys[pos], v))
-                            self.meter.charge(SCAN_ENTRY)
-                            if len(out) >= count:
-                                break
+                if present[pos]:
+                    value = values[pos]
+                    if chains and isinstance(value, _DupChain):
+                        key = keys[pos]
+                        out.extend([(key, v) for v
+                                    in value.values[:count - len(out)]])
                     else:
-                        out.append((cur.keys[pos], value))
-                        self.meter.charge(SCAN_ENTRY)
+                        out.append((keys[pos], value))
                 else:
-                    self.meter.charge(SLOT_INIT)  # skipping a gap (bitmap word)
+                    gaps += 1
                 pos += 1
+            if pos > first:
+                units = ((SCAN_ENTRY, len(out) - rows), (SLOT_INIT, gaps))
+                for kind, n in units if present[first] else units[::-1]:
+                    if n:
+                        tally[kind] = tally.get(kind, 0) + n
             cur = cur.next
             pos = 0
             if cur is not None:
-                self.meter.charge(NODE_HOP)
+                tally[NODE_HOP] = tally.get(NODE_HOP, 0) + 1
+        self._charge_tally(tally)
         return out
 
     # -- memory -----------------------------------------------------------------

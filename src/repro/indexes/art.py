@@ -159,34 +159,38 @@ class ART(OrderedIndex):
         node = self._root
         depth = 0
         path: List[int] = []
-        with self.meter.phase(PHASE_TRAVERSE):
-            while node is not None:
-                if isinstance(node, _ArtLeaf):
-                    self.meter.charge(KEY_COMPARE)
-                    found = node.key == key
-                    self.last_op = OpRecord(
-                        op="lookup", key=key, found=found, path=path,
-                        nodes_traversed=len(path) + 1,
-                    )
-                    return node.value if found else None
-                self.meter.charge(NODE_HOP)
-                path.append(node.node_id)
-                p = node.prefix
-                if p:
-                    self.meter.charge(KEY_COMPARE)
-                    if kb[depth : depth + len(p)] != p:
-                        break
-                    depth += len(p)
-                i = node.find(kb[depth])
-                self.meter.charge(KEY_COMPARE, 2 if _tier(len(node.bytes_)) <= 16 else 1)
-                if i < 0:
+        leaf: Optional[_ArtLeaf] = None
+        compares = 0
+        while node is not None:
+            if isinstance(node, _ArtLeaf):
+                compares += 1
+                leaf = node
+                break
+            path.append(node.node_id)
+            p = node.prefix
+            if p:
+                compares += 1
+                if kb[depth : depth + len(p)] != p:
                     break
-                node = node.children[i]
-                depth += 1
+                depth += len(p)
+            i = node.find(kb[depth])
+            compares += 2 if _tier(len(node.bytes_)) <= 16 else 1
+            if i < 0:
+                break
+            node = node.children[i]
+            depth += 1
+        # One hop per inner node, then the compares along the way.
+        charge = self.meter.charge_phased
+        if path:
+            charge(PHASE_TRAVERSE, NODE_HOP, len(path))
+        if compares:
+            charge(PHASE_TRAVERSE, KEY_COMPARE, compares)
+        found = leaf is not None and leaf.key == key
         self.last_op = OpRecord(
-            op="lookup", key=key, found=False, path=path, nodes_traversed=len(path)
+            op="lookup", key=key, found=found, path=path,
+            nodes_traversed=len(path) + (leaf is not None),
         )
-        return None
+        return leaf.value if found else None
 
     # -- insert --------------------------------------------------------------
 
@@ -322,22 +326,21 @@ class ART(OrderedIndex):
     def _find_leaf(self, key: Key) -> Optional[_ArtLeaf]:
         kb = _key_bytes(key)
         node = self._root
-        depth = 0
-        while node is not None:
-            if isinstance(node, _ArtLeaf):
-                return node if node.key == key else None
-            self.meter.charge(NODE_HOP)
+        depth = hops = 0
+        while node is not None and not isinstance(node, _ArtLeaf):
+            hops += 1
             p = node.prefix
             if p:
                 if kb[depth : depth + len(p)] != p:
-                    return None
+                    node = None
+                    break
                 depth += len(p)
             i = node.find(kb[depth])
-            if i < 0:
-                return None
-            node = node.children[i]
+            node = node.children[i] if i >= 0 else None
             depth += 1
-        return None
+        if hops:
+            self.meter.charge(NODE_HOP, hops)
+        return node if node is not None and node.key == key else None
 
     def delete(self, key: Key) -> bool:
         kb = _key_bytes(key)
@@ -404,20 +407,27 @@ class ART(OrderedIndex):
         if self._root is None or count <= 0:
             return out
         sb = _key_bytes(start)
-        for leaf in self._iter_from(self._root, 0, sb, bounded=True):
+        hops = [0]
+        for leaf in self._iter_from(self._root, 0, sb, True, hops):
             out.append((leaf.key, leaf.value))
-            self.meter.charge(SCAN_ENTRY)
             if len(out) >= count:
                 break
+        # A hop precedes any leaf below it: hops first, then the rows.
+        if hops[0]:
+            self.meter.charge(NODE_HOP, hops[0])
+        if out:
+            self.meter.charge(SCAN_ENTRY, len(out))
         return out
 
-    def _iter_from(self, node: Any, depth: int, sb: bytes, bounded: bool) -> Iterator[_ArtLeaf]:
-        """In-order leaves with key >= start (when ``bounded``)."""
+    def _iter_from(self, node: Any, depth: int, sb: bytes, bounded: bool,
+                   hops: List[int]) -> Iterator[_ArtLeaf]:
+        """In-order leaves with key >= start (when ``bounded``); counts
+        the inner nodes entered so far in ``hops[0]``."""
         if isinstance(node, _ArtLeaf):
             if not bounded or _key_bytes(node.key) >= sb:
                 yield node
             return
-        self.meter.charge(NODE_HOP)
+        hops[0] += 1
         p = node.prefix
         if bounded and p:
             probe = sb[depth : depth + len(p)]
@@ -428,13 +438,14 @@ class ART(OrderedIndex):
         depth2 = depth + len(p)
         if not bounded:
             for child in node.children:
-                yield from self._iter_from(child, depth2 + 1, sb, bounded=False)
+                yield from self._iter_from(child, depth2 + 1, sb, False, hops)
             return
         b = sb[depth2]
         i = node.lower(b)
         for j in range(i, len(node.bytes_)):
             child_bounded = node.bytes_[j] == b
-            yield from self._iter_from(node.children[j], depth2 + 1, sb, bounded=child_bounded)
+            yield from self._iter_from(node.children[j], depth2 + 1, sb,
+                                       child_bounded, hops)
 
     # -- memory ----------------------------------------------------------------
 

@@ -24,6 +24,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     ClassVar,
+    Dict,
     Iterable,
     List,
     Optional,
@@ -312,6 +313,19 @@ class OrderedIndex(ABC):
         return out
 
     # -- helpers ---------------------------------------------------------------
+
+    def _charge_tally(self, tally: Dict[str, int]) -> None:
+        """Charge what a scalar loop counted.
+
+        The charging convention of the hot loops: count units per kind
+        in locals (``tally[kind] = tally.get(kind, 0) + n`` where the
+        order of first touch varies), then charge each kind once — in
+        the order the loop first met it, which is the dict's order and
+        the order per-step charges would have created the counters in.
+        """
+        charge = self.meter.charge
+        for kind, units in tally.items():
+            charge(kind, units)
 
     @staticmethod
     def check_sorted(items: Sequence[Tuple[Key, Value]]) -> None:

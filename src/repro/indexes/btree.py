@@ -13,7 +13,7 @@ the deletion workloads of Figure 7.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
     ALLOC_NODE,
@@ -152,25 +152,50 @@ class BPlusTree(OrderedIndex):
 
     # -- traversal ------------------------------------------------------------
 
-    def _descend(self, key: Key, record_path: Optional[List[int]] = None) -> _Leaf:
+    def _descend(self, key: Key, record_path: Optional[List[int]] = None,
+                 inners: Optional[List[_Inner]] = None) -> _Leaf:
+        """Walk root to leaf: one hop per node, one lower-bound search
+        per inner node (equal keys go right).  Counts in locals and
+        charges ``PHASE_TRAVERSE`` once per kind, in the order the walk
+        first meets each."""
         node = self._root
+        hops = 1
+        compares = lines = 0
         while isinstance(node, _Inner):
-            self.meter.charge(NODE_HOP)
+            hops += 1
             if record_path is not None:
                 record_path.append(node.node_id)
-            idx = binary_search_lower(node.keys, key, self.meter)
-            if idx < len(node.keys) and node.keys[idx] == key:
-                idx += 1
-            node = node.children[idx]
-        self.meter.charge(NODE_HOP)
+            if inners is not None:
+                inners.append(node)
+            keys = node.keys
+            lo, hi = 0, len(keys)
+            probes = 0
+            while lo < hi:
+                probes += 1
+                mid = (lo + hi) // 2
+                if keys[mid] < key:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            compares += probes
+            if probes > 3:  # charge_binary_search's cold-line rule
+                lines += probes - 3
+            if lo < len(keys) and keys[lo] == key:
+                lo += 1
+            node = node.children[lo]
         if record_path is not None:
             record_path.append(node.node_id)
+        charge = self.meter.charge_phased
+        charge(PHASE_TRAVERSE, NODE_HOP, hops)
+        if hops > 1:
+            charge(PHASE_TRAVERSE, KEY_COMPARE, compares)
+            if lines:
+                charge(PHASE_TRAVERSE, CACHE_PROBE, lines)
         return node  # type: ignore[return-value]
 
     def lookup(self, key: Key) -> Optional[Value]:
         path: List[int] = []
-        with self.meter.phase(PHASE_TRAVERSE):
-            leaf = self._descend(key, path)
+        leaf = self._descend(key, path)
         with self.meter.phase(PHASE_SEARCH):
             idx = binary_search_lower(leaf.keys, key, self.meter)
         found = idx < len(leaf.keys) and leaf.keys[idx] == key
@@ -243,19 +268,7 @@ class BPlusTree(OrderedIndex):
     def insert(self, key: Key, value: Value) -> bool:
         path_nodes: List[_Inner] = []
         path_ids: List[int] = []
-        node = self._root
-        with self.meter.phase(PHASE_TRAVERSE):
-            while isinstance(node, _Inner):
-                self.meter.charge(NODE_HOP)
-                path_ids.append(node.node_id)
-                idx = binary_search_lower(node.keys, key, self.meter)
-                if idx < len(node.keys) and node.keys[idx] == key:
-                    idx += 1
-                path_nodes.append(node)
-                node = node.children[idx]
-            self.meter.charge(NODE_HOP)
-            path_ids.append(node.node_id)
-        leaf: _Leaf = node  # type: ignore[assignment]
+        leaf = self._descend(key, path_ids, path_nodes)
         with self.meter.phase(PHASE_SEARCH):
             idx = binary_search_lower(leaf.keys, key, self.meter)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
@@ -331,8 +344,7 @@ class BPlusTree(OrderedIndex):
             node = parent
 
     def update(self, key: Key, value: Value) -> bool:
-        with self.meter.phase(PHASE_TRAVERSE):
-            leaf = self._descend(key)
+        leaf = self._descend(key)
         with self.meter.phase(PHASE_SEARCH):
             idx = binary_search_lower(leaf.keys, key, self.meter)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
@@ -452,18 +464,20 @@ class BPlusTree(OrderedIndex):
 
     def range_scan(self, start: Key, count: int) -> List[Tuple[Key, Value]]:
         out: List[Tuple[Key, Value]] = []
-        with self.meter.phase(PHASE_TRAVERSE):
-            leaf: Optional[_Leaf] = self._descend(start)
+        leaf: Optional[_Leaf] = self._descend(start)
         idx = binary_search_lower(leaf.keys, start, self.meter)
+        tally: Dict[str, int] = {}
         while leaf is not None and len(out) < count:
-            while idx < len(leaf.keys) and len(out) < count:
-                out.append((leaf.keys[idx], leaf.values[idx]))
-                self.meter.charge(SCAN_ENTRY)
-                idx += 1
+            end = idx + count - len(out)
+            rows = leaf.keys[idx:end]
+            if rows:
+                out.extend(zip(rows, leaf.values[idx:end]))
+                tally[SCAN_ENTRY] = tally.get(SCAN_ENTRY, 0) + len(rows)
             leaf = leaf.next
             idx = 0
             if leaf is not None:
-                self.meter.charge(NODE_HOP)
+                tally[NODE_HOP] = tally.get(NODE_HOP, 0) + 1
+        self._charge_tally(tally)
         return out
 
     # -- memory ----------------------------------------------------------------

@@ -349,17 +349,24 @@ class FINEdex(OrderedIndex):
         out: List[Tuple[Key, Value]] = []
         with self.meter.phase(PHASE_TRAVERSE):
             si, _ = self._find_segment(start)
+        tally: Dict[str, int] = {}
         for s in range(si, len(self._segments)):
-            seg = self._segments[s]
-            for k, v in self._iter_segment(seg):
+            rows = len(out)
+            full = False
+            for k, v in self._iter_segment(self._segments[s]):
                 if k < start:
                     continue
                 out.append((k, v))
-                self.meter.charge(SCAN_ENTRY)
                 if len(out) >= count:
-                    return out
+                    full = True
+                    break
+            if len(out) > rows:
+                tally[SCAN_ENTRY] = tally.get(SCAN_ENTRY, 0) + len(out) - rows
+            if full:
+                break
             if s + 1 < len(self._segments):
-                self.meter.charge(NODE_HOP)
+                tally[NODE_HOP] = tally.get(NODE_HOP, 0) + 1
+        self._charge_tally(tally)
         return out
 
     # -- memory -----------------------------------------------------------------

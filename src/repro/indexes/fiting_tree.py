@@ -24,7 +24,7 @@ available to the CLI/benchmarks for what-if comparisons.
 from __future__ import annotations
 
 import bisect
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
     ALLOC_NODE,
@@ -351,10 +351,12 @@ class FITingTree(OrderedIndex):
         out: List[Tuple[Key, Value]] = []
         with self.meter.phase(PHASE_TRAVERSE):
             si, _ = self._find_segment(start)
+        tally: Dict[str, int] = {}
         for s in range(si, len(self._segments)):
             seg = self._segments[s]
             i = self._segment_lower_bound(seg, start) if s == si else 0
             j = bisect.bisect_left(seg.buf_keys, start) if s == si else 0
+            rows = len(out)
             while len(out) < count and (i < len(seg.keys) or j < len(seg.buf_keys)):
                 take_main = j >= len(seg.buf_keys) or (
                     i < len(seg.keys) and seg.keys[i] <= seg.buf_keys[j]
@@ -365,11 +367,13 @@ class FITingTree(OrderedIndex):
                 else:
                     out.append((seg.buf_keys[j], seg.buf_values[j]))
                     j += 1
-                self.meter.charge(SCAN_ENTRY)
+            if len(out) > rows:
+                tally[SCAN_ENTRY] = tally.get(SCAN_ENTRY, 0) + len(out) - rows
             if len(out) >= count:
                 break
             if s + 1 < len(self._segments):
-                self.meter.charge(NODE_HOP)
+                tally[NODE_HOP] = tally.get(NODE_HOP, 0) + 1
+        self._charge_tally(tally)
         return out
 
     # -- memory -----------------------------------------------------------------

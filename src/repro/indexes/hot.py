@@ -227,31 +227,39 @@ class HOT(OrderedIndex):
         out: List[Tuple[Key, Value]] = []
         if self._root is None or count <= 0:
             return out
-        for leaf in self._iter_from(self._root, start, bounded=True):
+        probes = [0]
+        for leaf in self._iter_from(self._root, start, True, probes):
             out.append((leaf.key, leaf.value))
-            self.meter.charge(SCAN_ENTRY)
             if len(out) >= count:
                 break
+        # An inner node is probed before any leaf below it is copied.
+        if probes[0]:
+            self.meter.charge(SLOT_PROBE, probes[0])
+        if out:
+            self.meter.charge(SCAN_ENTRY, len(out))
         return out
 
-    def _iter_from(self, node: Any, start: Key, bounded: bool) -> Iterator[_HotLeaf]:
+    def _iter_from(self, node: Any, start: Key, bounded: bool,
+                   probes: List[int]) -> Iterator[_HotLeaf]:
+        """In-order leaves with key >= ``start`` (when ``bounded``);
+        counts the inner nodes entered so far in ``probes[0]``."""
         if isinstance(node, _HotLeaf):
             if not bounded or node.key >= start:
                 yield node
             return
-        self.meter.charge(SLOT_PROBE)
+        probes[0] += 1
         if not bounded or node.min_key >= start:
-            yield from self._iter_from(node.left, start, False)
-            yield from self._iter_from(node.right, start, False)
+            yield from self._iter_from(node.left, start, False, probes)
+            yield from self._iter_from(node.right, start, False, probes)
             return
         # Subtree straddles ``start``.  left-keys < right-min, so:
         rmin = _subtree_min(node.right)
         if rmin <= start:
             # Everything on the left is < start: skip it entirely.
-            yield from self._iter_from(node.right, start, True)
+            yield from self._iter_from(node.right, start, True, probes)
         else:
-            yield from self._iter_from(node.left, start, True)
-            yield from self._iter_from(node.right, start, False)
+            yield from self._iter_from(node.left, start, True, probes)
+            yield from self._iter_from(node.right, start, False, probes)
 
     # -- validation ---------------------------------------------------------------
 

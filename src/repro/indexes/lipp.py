@@ -31,7 +31,7 @@ empty the slot (collapsing single-entry chains), never touching models.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
     ALLOC_NODE,
@@ -199,23 +199,24 @@ class LIPP(OrderedIndex):
     def lookup(self, key: Key) -> Optional[Value]:
         node = self._root
         path: List[int] = []
-        with self.meter.phase(PHASE_TRAVERSE):
-            while True:
-                self.meter.charge(NODE_HOP)
-                self.meter.charge(MODEL_EVAL)
-                path.append(node.node_id)
-                s = node.model.predict_clamped(key, node.capacity)
-                tag = node.tags[s]
-                if tag == _CHILD:
-                    node = node.values[s]
-                    continue
-                self.meter.charge(KEY_COMPARE)
-                found = tag == _DATA and node.keys[s] == key
-                self.last_op = OpRecord(
-                    op="lookup", key=key, found=found, path=path,
-                    nodes_traversed=len(path),
-                )
-                return node.values[s] if found else None
+        while True:
+            path.append(node.node_id)
+            s = node.model.predict_clamped(key, len(node.tags))
+            tag = node.tags[s]
+            if tag != _CHILD:
+                break
+            node = node.values[s]
+        # One hop and one model evaluation per node walked, by totals.
+        charge = self.meter.charge_phased
+        charge(PHASE_TRAVERSE, NODE_HOP, len(path))
+        charge(PHASE_TRAVERSE, MODEL_EVAL, len(path))
+        charge(PHASE_TRAVERSE, KEY_COMPARE, 1)
+        found = tag == _DATA and node.keys[s] == key
+        self.last_op = OpRecord(
+            op="lookup", key=key, found=found, path=path,
+            nodes_traversed=len(path),
+        )
+        return node.values[s] if found else None
 
     @staticmethod
     def _node_cache(node: _LippNode):
@@ -327,18 +328,17 @@ class LIPP(OrderedIndex):
         node = self._root
         conflict = False
         created = 0
-        with self.meter.phase(PHASE_TRAVERSE):
-            while True:
-                self.meter.charge(NODE_HOP)
-                self.meter.charge(MODEL_EVAL)
-                path_nodes.append(node)
-                path.append(node.node_id)
-                s = node.model.predict_clamped(key, node.capacity)
-                tag = node.tags[s]
-                if tag == _CHILD:
-                    node = node.values[s]
-                    continue
+        while True:
+            path_nodes.append(node)
+            path.append(node.node_id)
+            s = node.model.predict_clamped(key, len(node.tags))
+            tag = node.tags[s]
+            if tag != _CHILD:
                 break
+            node = node.values[s]
+        charge = self.meter.charge_phased
+        charge(PHASE_TRAVERSE, NODE_HOP, len(path))
+        charge(PHASE_TRAVERSE, MODEL_EVAL, len(path))
         if tag == _DATA and node.keys[s] == key:
             self.last_op = OpRecord(
                 op="insert", key=key, found=True, path=path,
@@ -366,16 +366,15 @@ class LIPP(OrderedIndex):
                 created = 1
         # Statistics are updated in EVERY node on the path (the unified
         # layout forces this) — the root-contention source in Figure 5.
-        with self.meter.phase(PHASE_STATS):
-            for pn in path_nodes:
-                pn.size += 1
-                pn.num_inserts += 1
-                if conflict:
-                    pn.num_conflicts += 1
-                # Several counters per node (size, inserts, conflicts):
-                # the "non-negligible, particularly pronounced in LIPP"
-                # statistics cost of Figure 3.
-                self.meter.charge(STATS_UPDATE, 2)
+        for pn in path_nodes:
+            pn.size += 1
+            pn.num_inserts += 1
+            if conflict:
+                pn.num_conflicts += 1
+        # Several counters per node (size, inserts, conflicts): the
+        # "non-negligible, particularly pronounced in LIPP" statistics
+        # cost of Figure 3.
+        charge(PHASE_STATS, STATS_UPDATE, 2 * len(path_nodes))
         self._size += 1
         smo = False
         with self.meter.phase(PHASE_SMO):
@@ -465,36 +464,37 @@ class LIPP(OrderedIndex):
 
     def update(self, key: Key, value: Value) -> bool:
         node = self._root
+        depth = 1
         while True:
-            self.meter.charge(NODE_HOP)
-            self.meter.charge(MODEL_EVAL)
-            s = node.model.predict_clamped(key, node.capacity)
+            s = node.model.predict_clamped(key, len(node.tags))
             tag = node.tags[s]
-            if tag == _CHILD:
-                node = node.values[s]
-                continue
-            if tag == _DATA and node.keys[s] == key:
-                node.values[s] = value
-                self.meter.charge(SLOT_INIT)
-                return True
-            return False
+            if tag != _CHILD:
+                break
+            node = node.values[s]
+            depth += 1
+        self.meter.charge(NODE_HOP, depth)
+        self.meter.charge(MODEL_EVAL, depth)
+        if tag == _DATA and node.keys[s] == key:
+            node.values[s] = value
+            self.meter.charge(SLOT_INIT)
+            return True
+        return False
 
     def delete(self, key: Key) -> bool:
         path_nodes: List[_LippNode] = []
         path: List[int] = []
         node = self._root
-        with self.meter.phase(PHASE_TRAVERSE):
-            while True:
-                self.meter.charge(NODE_HOP)
-                self.meter.charge(MODEL_EVAL)
-                path_nodes.append(node)
-                path.append(node.node_id)
-                s = node.model.predict_clamped(key, node.capacity)
-                tag = node.tags[s]
-                if tag == _CHILD:
-                    node = node.values[s]
-                    continue
+        while True:
+            path_nodes.append(node)
+            path.append(node.node_id)
+            s = node.model.predict_clamped(key, len(node.tags))
+            tag = node.tags[s]
+            if tag != _CHILD:
                 break
+            node = node.values[s]
+        charge = self.meter.charge_phased
+        charge(PHASE_TRAVERSE, NODE_HOP, len(path))
+        charge(PHASE_TRAVERSE, MODEL_EVAL, len(path))
         if tag != _DATA or node.keys[s] != key:
             self.last_op = OpRecord(
                 op="delete", key=key, found=False, path=path,
@@ -505,10 +505,9 @@ class LIPP(OrderedIndex):
         node.tags[s] = _EMPTY
         node.values[s] = None
         self.meter.charge(SLOT_INIT)
-        with self.meter.phase(PHASE_STATS):
-            for pn in path_nodes:
-                pn.size -= 1
-                self.meter.charge(STATS_UPDATE)
+        for pn in path_nodes:
+            pn.size -= 1
+        charge(PHASE_STATS, STATS_UPDATE, len(path_nodes))
         self._size -= 1
         # Collapse a chained node that shrank to a single entry back into
         # its parent slot (keeps Figure-7 deletion memory honest).
@@ -535,29 +534,50 @@ class LIPP(OrderedIndex):
 
     def range_scan(self, start: Key, count: int) -> List[Tuple[Key, Value]]:
         out: List[Tuple[Key, Value]] = []
-        for kv in self._scan_from(self._root, start, bounded=True):
-            out.append(kv)
-            self.meter.charge(SCAN_ENTRY)
-            if len(out) >= count:
-                break
+        # Units per kind in the order the walk first meets each.  Every
+        # scan evaluates the root's model, then branches on a slot.
+        tally: Dict[str, int] = {MODEL_EVAL: 0, BRANCH: 0}
+        self._scan_into(self._root, start, True, count, out, tally)
+        self._charge_tally(tally)
         return out
 
-    def _scan_from(self, node: _LippNode, start: Key, bounded: bool) -> Iterator[Tuple[Key, Value]]:
-        cap = node.capacity
+    def _scan_into(self, node: _LippNode, start: Key, bounded: bool,
+                   count: int, out: List[Tuple[Key, Value]],
+                   tally: Dict[str, int]) -> bool:
+        """Append the subtree's entries ``>= start`` (all of them when
+        not ``bounded``) to ``out`` in key order; True once ``out``
+        holds ``count`` rows — checked after each row, so a scan
+        returns at least one.  What this node did is added to ``tally``
+        before each child hop and on the way out."""
+        tags, keys, values = node.tags, node.keys, node.values
+        cap = len(tags)
         s0 = node.model.predict_clamped(start, cap) if bounded else 0
-        self.meter.charge(MODEL_EVAL)
+        tally[MODEL_EVAL] += 1
+        tallied, rows = s0, len(out)  # slots / rows already in ``tally``
+        full = False  # s0 < cap, so the loop below binds ``s``
         for s in range(s0, cap):
-            # The unified layout's per-slot branch (Message 12).
-            self.meter.charge(BRANCH)
-            tag = node.tags[s]
-            if tag == _EMPTY:
-                continue
+            tag = tags[s]
             if tag == _DATA:
-                if not bounded or node.keys[s] >= start:
-                    yield (node.keys[s], node.values[s])
-            else:
-                self.meter.charge(NODE_HOP)
-                yield from self._scan_from(node.values[s], start, bounded and s == s0)
+                if not bounded or keys[s] >= start:
+                    out.append((keys[s], values[s]))
+                    if len(out) >= count:
+                        full = True
+                        break
+            elif tag == _CHILD:
+                tally[BRANCH] += s + 1 - tallied
+                tallied = s + 1
+                if len(out) > rows:
+                    tally[SCAN_ENTRY] = tally.get(SCAN_ENTRY, 0) + len(out) - rows
+                tally[NODE_HOP] = tally.get(NODE_HOP, 0) + 1
+                if self._scan_into(values[s], start, bounded and s == s0,
+                                   count, out, tally):
+                    return True
+                rows = len(out)
+        # The unified layout's per-slot branch (Message 12).
+        tally[BRANCH] += s + 1 - tallied
+        if len(out) > rows:
+            tally[SCAN_ENTRY] = tally.get(SCAN_ENTRY, 0) + len(out) - rows
+        return full
 
     # -- memory -----------------------------------------------------------------
 

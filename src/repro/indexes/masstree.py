@@ -22,7 +22,7 @@ version-number protocol it is what "crumbles" under NUMA in Figure 6.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
     ALLOC_NODE,
@@ -145,53 +145,65 @@ class Masstree(OrderedIndex):
 
     # -- traversal ------------------------------------------------------------
 
-    def _lower(self, keys: List[Key], key: Key) -> int:
+    @staticmethod
+    def _lower(keys: List[Key], key: Key) -> Tuple[int, int]:
+        """Lower bound in ``keys`` and the compares it took."""
         lo, hi = 0, len(keys)
+        probes = 0
         while lo < hi:
+            probes += 1
             mid = (lo + hi) // 2
-            self.meter.charge(KEY_COMPARE)
             if keys[mid] < key:
                 lo = mid + 1
             else:
                 hi = mid
-        return lo
+        return lo, probes
 
     def _descend(self, key: Key, path: Optional[List[int]] = None) -> Tuple[_Border, List[_Interior]]:
+        """Walk root to border node; charges ``PHASE_TRAVERSE`` one
+        hop per node and one compare per search step, once per kind."""
         node = self._root
         inner_path: List[_Interior] = []
+        compares = 0
         while isinstance(node, _Interior):
-            self.meter.charge(NODE_HOP)
             if path is not None:
                 path.append(node.node_id)
-            idx = self._lower(node.keys, key)
+            idx, probes = self._lower(node.keys, key)
+            compares += probes
             if idx < len(node.keys) and node.keys[idx] == key:
                 idx += 1
             inner_path.append(node)
             node = node.children[idx]
-        self.meter.charge(NODE_HOP)
         if path is not None:
             path.append(node.node_id)
+        charge = self.meter.charge_phased
+        charge(PHASE_TRAVERSE, NODE_HOP, len(inner_path) + 1)
+        if compares:
+            charge(PHASE_TRAVERSE, KEY_COMPARE, compares)
         return node, inner_path
 
     def _border_rank(self, border: _Border, key: Key) -> int:
         """Lower-bound logical rank in a border node (via permutation)."""
-        lo, hi = 0, len(border.perm)
+        keys, perm = border.keys, border.perm
+        lo, hi = 0, len(perm)
+        steps = 0
         while lo < hi:
+            steps += 1
             mid = (lo + hi) // 2
-            self.meter.charge(KEY_COMPARE)
-            self.meter.charge(SLOT_PROBE)  # permutation indirection
-            if border.logical_key(mid) < key:
+            if keys[perm[mid]] < key:
                 lo = mid + 1
             else:
                 hi = mid
+        if steps:
+            self.meter.charge(KEY_COMPARE, steps)
+            self.meter.charge(SLOT_PROBE, steps)  # permutation indirection
         return lo
 
     # -- operations ---------------------------------------------------------------
 
     def lookup(self, key: Key) -> Optional[Value]:
         path: List[int] = []
-        with self.meter.phase(PHASE_TRAVERSE):
-            border, _ = self._descend(key, path)
+        border, _ = self._descend(key, path)
         with self.meter.phase(PHASE_SEARCH):
             rank = self._border_rank(border, key)
         found = rank < len(border.perm) and border.logical_key(rank) == key
@@ -202,8 +214,7 @@ class Masstree(OrderedIndex):
 
     def insert(self, key: Key, value: Value) -> bool:
         path: List[int] = []
-        with self.meter.phase(PHASE_TRAVERSE):
-            border, inner_path = self._descend(key, path)
+        border, inner_path = self._descend(key, path)
         with self.meter.phase(PHASE_SEARCH):
             rank = self._border_rank(border, key)
         if rank < len(border.perm) and border.logical_key(rank) == key:
@@ -260,7 +271,9 @@ class Masstree(OrderedIndex):
                 self.meter.charge(ALLOC_NODE)
                 return created + 1
             parent = inner_path.pop()
-            idx = self._lower(parent.keys, sep)
+            idx, probes = self._lower(parent.keys, sep)
+            if probes:
+                self.meter.charge(KEY_COMPARE, probes)
             parent.keys.insert(idx, sep)
             parent.children.insert(idx + 1, node)
             self.meter.charge(KEY_SHIFT, len(parent.keys) - idx)
@@ -280,8 +293,7 @@ class Masstree(OrderedIndex):
             node = new_inner
 
     def update(self, key: Key, value: Value) -> bool:
-        with self.meter.phase(PHASE_TRAVERSE):
-            border, _ = self._descend(key)
+        border, _ = self._descend(key)
         rank = self._border_rank(border, key)
         if rank < len(border.perm) and border.logical_key(rank) == key:
             border.values[border.perm[rank]] = value
@@ -293,21 +305,23 @@ class Masstree(OrderedIndex):
 
     def range_scan(self, start: Key, count: int) -> List[Tuple[Key, Value]]:
         out: List[Tuple[Key, Value]] = []
-        with self.meter.phase(PHASE_TRAVERSE):
-            border, _ = self._descend(start)
+        border, _ = self._descend(start)
         rank = self._border_rank(border, start)
         node: Optional[_Border] = border
+        tally: Dict[str, int] = {}
         while node is not None and len(out) < count:
-            while rank < len(node.perm) and len(out) < count:
-                slot = node.perm[rank]
-                out.append((node.keys[slot], node.values[slot]))
-                self.meter.charge(SCAN_ENTRY)
-                self.meter.charge(SLOT_PROBE)  # permutation indirection
-                rank += 1
+            keys, values = node.keys, node.values
+            slots = node.perm[rank:rank + count - len(out)]
+            if slots:
+                out.extend([(keys[s], values[s]) for s in slots])
+                tally[SCAN_ENTRY] = tally.get(SCAN_ENTRY, 0) + len(slots)
+                # The permutation indirection, once per row.
+                tally[SLOT_PROBE] = tally.get(SLOT_PROBE, 0) + len(slots)
             node = node.next
             rank = 0
             if node is not None:
-                self.meter.charge(NODE_HOP)
+                tally[NODE_HOP] = tally.get(NODE_HOP, 0) + 1
+        self._charge_tally(tally)
         return out
 
     # -- memory -----------------------------------------------------------------

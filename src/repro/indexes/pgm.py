@@ -26,7 +26,6 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 from repro.core.cost import (
     ALLOC_NODE,
     CACHE_PROBE,
-    charge_binary_search,
     KEY_COMPARE,
     KEY_SHIFT,
     MODEL_EVAL,
@@ -58,6 +57,18 @@ from repro.indexes.base import (
 
 _TOMBSTONE = object()
 _SEGMENT_BYTES = 8 + 8 + 8  # first_key + slope + intercept (as in C++ PGM)
+
+
+def _charge_walks(meter, models: int, probes: int, lines: int) -> None:
+    """Charge the summed cost of :meth:`_StaticPGM.locate` walks to
+    ``PHASE_TRAVERSE``, each kind once, in the order a walk meets them."""
+    if models:
+        charge = meter.charge_phased
+        charge(PHASE_TRAVERSE, MODEL_EVAL, models)
+        charge(PHASE_TRAVERSE, NODE_HOP, models)
+        charge(PHASE_TRAVERSE, KEY_COMPARE, probes)
+        if lines:
+            charge(PHASE_TRAVERSE, CACHE_PROBE, lines)
 
 
 class _StaticPGM:
@@ -94,55 +105,57 @@ class _StaticPGM:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def lower_bound(self, key: Key, meter) -> int:
-        """Index of the first key >= ``key`` via the model hierarchy."""
-        n = len(self.keys)
+    def locate(self, key: Key) -> Tuple[int, int, int, int]:
+        """Index of the first key >= ``key`` via the model hierarchy,
+        and what the walk cost: ``(index, models, probes, lines)`` —
+        one ``MODEL_EVAL`` + ``NODE_HOP`` per level walked, ``probes``
+        ``KEY_COMPARE`` over the ±ε windows, ``lines`` ``CACHE_PROBE``
+        by ``charge_binary_search``'s cold-line rule.  The caller
+        charges (:func:`_charge_walks`), once for all the runs it asks."""
+        keys = self.keys
+        n = len(keys)
         if n == 0:
-            return 0
+            return 0, 0, 0, 0
         eps = self.epsilon
+        levels = self.levels
+        probes = lines = 0
         # Walk from the top level down, narrowing the segment choice.
         seg_idx = 0
-        for depth in range(len(self.levels) - 1, 0, -1):
-            level = self.levels[depth]
-            lower = self.levels[depth - 1]
+        for depth in range(len(levels) - 1, 0, -1):
+            level = levels[depth]
+            lower = levels[depth - 1]
             seg = level[seg_idx if seg_idx < len(level) else len(level) - 1]
-            meter.charge(MODEL_EVAL)
-            meter.charge(NODE_HOP)
             pred = int(seg.model.predict(key))
             hi = max(min(pred + eps + 2, len(lower)), 0)
             lo = min(max(pred - eps - 1, 0), hi)
             # Find the last segment whose first_key <= key in [lo, hi).
-            seg_idx = self._search_segments(lower, key, lo, hi, meter)
-        leaf = self.levels[0][seg_idx]
-        meter.charge(MODEL_EVAL)
-        meter.charge(NODE_HOP)
-        pred = int(leaf.model.predict(key))
+            steps = 0
+            while lo < hi:
+                steps += 1
+                mid = (lo + hi) // 2
+                if lower[mid].first_key <= key:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            probes += steps
+            if steps > 3:
+                lines += steps - 3
+            seg_idx = max(lo - 1, 0)
+        pred = int(levels[0][seg_idx].model.predict(key))
         hi = max(min(pred + eps + 2, n), 0)
         lo = min(max(pred - eps - 1, 0), hi)
         # Binary search the ±ε window in the packed key array.
-        probes = 0
+        steps = 0
         while lo < hi:
-            probes += 1
+            steps += 1
             mid = (lo + hi) // 2
-            if self.keys[mid] < key:
+            if keys[mid] < key:
                 lo = mid + 1
             else:
                 hi = mid
-        charge_binary_search(meter, probes)
-        return lo
-
-    @staticmethod
-    def _search_segments(level: List[Segment], key: Key, lo: int, hi: int, meter) -> int:
-        probes = 0
-        while lo < hi:
-            probes += 1
-            mid = (lo + hi) // 2
-            if level[mid].first_key <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        charge_binary_search(meter, probes)
-        return max(lo - 1, 0)
+        if steps > 3:
+            lines += steps - 3
+        return lo, len(levels), probes + steps, lines
 
     def segment_count(self) -> int:
         return sum(len(level) for level in self.levels)
@@ -228,30 +241,32 @@ class PGMIndex(OrderedIndex):
     # -- lookup ------------------------------------------------------------------
 
     def lookup(self, key: Key) -> Optional[Value]:
-        probed = 0
-        with self.meter.phase(PHASE_SEARCH):
-            if key in self._buffer:
-                v = self._buffer[key]
-                self.last_op = OpRecord(op="lookup", key=key, found=v is not _TOMBSTONE,
-                                        nodes_traversed=1)
-                return None if v is _TOMBSTONE else v
-            self.meter.charge(KEY_COMPARE)
-        with self.meter.phase(PHASE_TRAVERSE):
-            # Newest run first: LSM shadowing semantics.
-            for run in self._runs:
-                if run is None or len(run) == 0:
-                    continue
-                probed += 1
-                i = run.lower_bound(key, self.meter)
-                if i < len(run.keys) and run.keys[i] == key:
-                    v = run.values[i]
-                    self.last_op = OpRecord(
-                        op="lookup", key=key, found=v is not _TOMBSTONE,
-                        nodes_traversed=probed,
-                    )
-                    return None if v is _TOMBSTONE else v
-        self.last_op = OpRecord(op="lookup", key=key, found=False, nodes_traversed=probed)
-        return None
+        if key in self._buffer:
+            v = self._buffer[key]
+            self.last_op = OpRecord(op="lookup", key=key, found=v is not _TOMBSTONE,
+                                    nodes_traversed=1)
+            return None if v is _TOMBSTONE else v
+        self.meter.charge_phased(PHASE_SEARCH, KEY_COMPARE, 1)
+        probed = models = probes = lines = 0
+        found = False
+        v = None
+        # Newest run first: LSM shadowing semantics.
+        for run in self._runs:
+            if run is None or len(run) == 0:
+                continue
+            probed += 1
+            i, m, p, c = run.locate(key)
+            models += m
+            probes += p
+            lines += c
+            if i < len(run.keys) and run.keys[i] == key:
+                v = run.values[i]
+                found = v is not _TOMBSTONE
+                break
+        _charge_walks(self.meter, models, probes, lines)
+        self.last_op = OpRecord(op="lookup", key=key, found=found,
+                                nodes_traversed=probed)
+        return v if found else None
 
     def _lookup_batch(self, keys: Sequence[Key]):
         """Vectorized LSM lookup: newest-first run probing with the PLA
@@ -533,10 +548,17 @@ class PGMIndex(OrderedIndex):
         out: List[Tuple[Key, Value]] = []
         cursors: List[Tuple[int, int]] = []  # (run_idx, position)
         runs = [r for r in self._runs if r is not None and len(r) > 0]
-        with self.meter.phase(PHASE_TRAVERSE):
-            positions = [run.lower_bound(start, self.meter) for run in runs]
+        positions: List[int] = []
+        models = probes = lines = 0
+        for run in runs:
+            i, m, p, c = run.locate(start)
+            positions.append(i)
+            models += m
+            probes += p
+            lines += c
+        _charge_walks(self.meter, models, probes, lines)
         buf = sorted((k, v) for k, v in self._buffer.items() if k >= start)
-        bi = 0
+        bi = merged = 0
         seen = set()
         while len(out) < count:
             best_key = None
@@ -551,7 +573,7 @@ class PGMIndex(OrderedIndex):
                         best_key, best_src = k, ri
             if best_key is None:
                 break
-            self.meter.charge(SCAN_ENTRY)
+            merged += 1
             if best_src == -1:
                 k, v = buf[bi]
                 bi += 1
@@ -564,6 +586,8 @@ class PGMIndex(OrderedIndex):
             seen.add(k)
             if v is not _TOMBSTONE:
                 out.append((k, v))
+        if merged:
+            self.meter.charge(SCAN_ENTRY, merged)
         return out
 
     # -- memory -----------------------------------------------------------------

@@ -21,10 +21,8 @@ from repro.core.cost import (
     MODEL_EVAL,
     NODE_HOP,
     PHASE_SEARCH,
-    PHASE_TRAVERSE,
     SCAN_ENTRY,
     TRAIN_KEY,
-    charge_binary_search,
 )
 from repro.core.validate import Violation, sorted_violations
 from repro.indexes import batching
@@ -102,10 +100,8 @@ class RMI(OrderedIndex):
         n = len(self._keys)
         if n == 0:
             return 0
-        self.meter.charge(MODEL_EVAL)
+        keys = self._keys
         m = self._root.predict_clamped(key, self.fanout)
-        self.meter.charge(NODE_HOP)  # stage-2 model fetch
-        self.meter.charge(MODEL_EVAL)
         model = self._leaf_models[m]
         err = self._leaf_errors[m]
         pred = int(model.predict(key))
@@ -115,24 +111,30 @@ class RMI(OrderedIndex):
         while lo < hi:
             probes += 1
             mid = (lo + hi) // 2
-            if self._keys[mid] < key:
+            if keys[mid] < key:
                 lo = mid + 1
             else:
                 hi = mid
-        charge_binary_search(self.meter, probes)
         # The prediction window is exact only for trained keys; absent
         # keys at bucket edges may need to spill to the neighbours.
-        while lo > 0 and self._keys[lo - 1] >= key:
+        spill = 0
+        while lo > 0 and keys[lo - 1] >= key:
             lo -= 1
-            self.meter.charge(KEY_COMPARE)
-        while lo < n and self._keys[lo] < key:
+            spill += 1
+        while lo < n and keys[lo] < key:
             lo += 1
-            self.meter.charge(KEY_COMPARE)
+            spill += 1
+        # Root and stage-2 models, the stage-2 model fetch, the window
+        # search (cold lines by charge_binary_search's rule) + spill.
+        charge = self.meter.charge
+        charge(MODEL_EVAL, 2)
+        charge(NODE_HOP)
+        charge(KEY_COMPARE, probes + spill)
+        if probes > 3:
+            charge(CACHE_PROBE, probes - 3)
         return lo
 
     def lookup(self, key: Key) -> Optional[Value]:
-        with self.meter.phase(PHASE_TRAVERSE):
-            pass
         with self.meter.phase(PHASE_SEARCH):
             i = self._lower_bound(key)
         found = i < len(self._keys) and self._keys[i] == key
@@ -215,11 +217,11 @@ class RMI(OrderedIndex):
 
     def range_scan(self, start: Key, count: int) -> List[Tuple[Key, Value]]:
         i = self._lower_bound(start)
-        out = []
-        for j in range(i, min(i + count, len(self._keys))):
-            out.append((self._keys[j], self._values[j]))
-            self.meter.charge(SCAN_ENTRY)
-        return out
+        end = min(i + count, len(self._keys))
+        if end <= i:
+            return []
+        self.meter.charge(SCAN_ENTRY, end - i)
+        return list(zip(self._keys[i:end], self._values[i:end]))
 
     # -- memory -----------------------------------------------------------------
 

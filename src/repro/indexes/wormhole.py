@@ -19,7 +19,7 @@ survive this substitution.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
     ALLOC_NODE,
@@ -116,14 +116,18 @@ class Wormhole(OrderedIndex):
         return self._leaves[max(0, lo - 1)]
 
     def _leaf_rank(self, leaf: _WormLeaf, key: Key) -> int:
-        lo, hi = 0, len(leaf.keys)
+        keys = leaf.keys
+        lo, hi = 0, len(keys)
+        probes = 0
         while lo < hi:
+            probes += 1
             mid = (lo + hi) // 2
-            self.meter.charge(KEY_COMPARE)
-            if leaf.keys[mid] < key:
+            if keys[mid] < key:
                 lo = mid + 1
             else:
                 hi = mid
+        if probes:
+            self.meter.charge(KEY_COMPARE, probes)
         return lo
 
     # -- operations ---------------------------------------------------------------
@@ -219,15 +223,18 @@ class Wormhole(OrderedIndex):
             leaf: Optional[_WormLeaf] = self._meta_search(start)
             self.meter.charge(NODE_HOP)
         i = self._leaf_rank(leaf, start)
+        tally: Dict[str, int] = {}
         while leaf is not None and len(out) < count:
-            while i < len(leaf.keys) and len(out) < count:
-                out.append((leaf.keys[i], leaf.values[i]))
-                self.meter.charge(SCAN_ENTRY)
-                i += 1
+            end = i + count - len(out)
+            rows = leaf.keys[i:end]
+            if rows:
+                out.extend(zip(rows, leaf.values[i:end]))
+                tally[SCAN_ENTRY] = tally.get(SCAN_ENTRY, 0) + len(rows)
             leaf = leaf.next
             i = 0
             if leaf is not None:
-                self.meter.charge(NODE_HOP)
+                tally[NODE_HOP] = tally.get(NODE_HOP, 0) + 1
+        self._charge_tally(tally)
         return out
 
     # -- memory -----------------------------------------------------------------

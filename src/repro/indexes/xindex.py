@@ -22,12 +22,11 @@ excludes it); updates are in-place.
 from __future__ import annotations
 
 import bisect
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
     ALLOC_NODE,
     CACHE_PROBE,
-    charge_binary_search,
     KEY_COMPARE,
     KEY_SHIFT,
     MODEL_EVAL,
@@ -162,26 +161,33 @@ class XIndex(OrderedIndex):
             return 0
         # Pick the segment (≤ 4, so a short scan).
         seg = g.segments[0]
+        scanned = 0
         for s in g.segments:
-            self.meter.charge(KEY_COMPARE)
+            scanned += 1
             if s.first_key <= key:
                 seg = s
             else:
                 break
-        self.meter.charge(MODEL_EVAL)
         pred = int(seg.model.predict(key))
-        n = len(g.keys)
+        keys = g.keys
+        n = len(keys)
         hi = max(min(pred + self.epsilon + 2, n), 0)
         lo = min(max(pred - self.epsilon - 1, 0), hi)
         probes = 0
         while lo < hi:
             probes += 1
             mid = (lo + hi) // 2
-            if g.keys[mid] < key:
+            if keys[mid] < key:
                 lo = mid + 1
             else:
                 hi = mid
-        charge_binary_search(self.meter, probes)
+        # Segment scan + window search compares, then the model; cold
+        # lines by charge_binary_search's rule.
+        charge = self.meter.charge
+        charge(KEY_COMPARE, scanned + probes)
+        charge(MODEL_EVAL)
+        if probes > 3:
+            charge(CACHE_PROBE, probes - 3)
         return lo
 
     # -- operations ---------------------------------------------------------------
@@ -415,8 +421,10 @@ class XIndex(OrderedIndex):
         with self.meter.phase(PHASE_TRAVERSE):
             gi, g = self._find_group(start)
         first_group = True
+        tally: Dict[str, int] = {}  # units per kind, in first-met order
         while gi < len(self._groups) and len(out) < count:
             g = self._groups[gi]
+            rows = len(out)
             if first_group:
                 i = self._group_lower_bound(g, start)
                 j = bisect.bisect_left(g.delta_keys, start)
@@ -434,10 +442,12 @@ class XIndex(OrderedIndex):
                 else:
                     out.append((g.delta_keys[j], g.delta_values[j]))
                     j += 1
-                self.meter.charge(SCAN_ENTRY)
+            if len(out) > rows:
+                tally[SCAN_ENTRY] = tally.get(SCAN_ENTRY, 0) + len(out) - rows
             gi += 1
             if gi < len(self._groups):
-                self.meter.charge(NODE_HOP)
+                tally[NODE_HOP] = tally.get(NODE_HOP, 0) + 1
+        self._charge_tally(tally)
         return out
 
     # -- memory -----------------------------------------------------------------

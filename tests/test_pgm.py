@@ -25,16 +25,16 @@ def test_static_pgm_epsilon_guarantee():
     run = _StaticPGM(items, epsilon=16, meter=meter)
     keys = [k for k, _ in items]
     for i in range(0, len(keys), 37):
-        assert run.lower_bound(keys[i], meter) == i
+        assert run.locate(keys[i])[0] == i
 
 
 def test_static_pgm_absent_keys_lower_bound():
     items = [(i * 10, i) for i in range(1000)]
     meter = CostMeter()
     run = _StaticPGM(items, epsilon=8, meter=meter)
-    assert run.lower_bound(55, meter) == 6
-    assert run.lower_bound(0, meter) == 0
-    assert run.lower_bound(10**9, meter) == 1000
+    assert run.locate(55)[0] == 6
+    assert run.locate(0)[0] == 0
+    assert run.locate(10**9)[0] == 1000
 
 
 def test_static_pgm_recursive_levels():

@@ -558,6 +558,139 @@ def test_two_thread_hammer_keeps_meter_clock_monotone():
         assert not server.replay_check("t")
 
 
+def test_lanes_lose_no_charge_under_fine_interleaving():
+    """8 writers x 50k phase+charge pairs with the interpreter switching
+    threads every microsecond, and a reader polling the clock: exact
+    unit totals, exact per-phase times, a clock that never steps back."""
+    n_threads, n_ops = 8, 50_000
+    phases = ("traverse", "last_mile", "smo", "stats")
+    meter = SyncedMeter({"key_compare": 5.0, "node_hop": 100.0})
+    stop = threading.Event()
+    errors = []
+
+    def write(tid):
+        try:
+            name = phases[tid % len(phases)]
+            for _ in range(n_ops):
+                with meter.phase(name):
+                    meter.charge("key_compare", 2)
+                meter.charge_phased(name, "node_hop")
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    def watch():
+        last = meter.total_time()
+        while not stop.is_set():
+            now = meter.total_time()
+            if now < last:
+                errors.append(AssertionError(
+                    f"virtual clock went backwards: {last} -> {now}"))
+                return
+            last = now
+
+    writers = [threading.Thread(target=write, args=(i,), daemon=True)
+               for i in range(n_threads)]
+    watcher = threading.Thread(target=watch, daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        watcher.start()
+        for t in writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=120.0)
+        stop.set()
+        watcher.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in writers + [watcher])
+    assert not errors, errors[0]
+    assert meter.total_units("key_compare") == 2 * n_threads * n_ops
+    assert meter.total_units("node_hop") == n_threads * n_ops
+    per_phase = (n_threads // len(phases)) * n_ops * (2 * 5.0 + 100.0)
+    assert meter.time_by_phase() == {name: per_phase for name in phases}
+    assert meter.total_time() == per_phase * len(phases)
+
+
+def test_one_thread_on_a_synced_meter_reads_as_the_base_meter():
+    """The first lane is the base table: after ``adopt`` of a non-empty
+    meter, one thread's charges give the same table, in the same order,
+    as the base meter — what keeps ``workers=0`` runs bit-identical."""
+    def drive(meter):
+        meter.charge("alloc_node")
+        with meter.phase("traverse"):
+            meter.charge("node_hop", 3)
+            with meter.phase("traverse"):  # nested, same name
+                meter.charge("model_eval")
+            meter.charge("node_hop")       # still inside the outer scope
+        meter.charge_phased("last_mile", "key_compare", 0)
+        meter.charge("key_shift", 2)
+
+    plain, seed = CostMeter(), CostMeter()
+    for meter in (plain, seed):
+        meter.charge_phased("smo", "train_key", 7)
+        meter.charge("slot_init", 16)
+    synced = SyncedMeter.adopt(seed)
+    for _ in range(3):
+        drive(plain)
+        drive(synced)
+    assert list(synced._table().items()) == list(plain._table().items())
+    assert list(synced.snapshot().items()) == list(plain._counts.items())
+    assert synced.total_time() == plain.total_time()
+    assert ("traverse", "node_hop") in synced._table()
+    assert synced._table()[("last_mile", "key_compare")] == 0.0
+
+
+def test_a_finished_threads_charges_stay_and_its_lane_is_reused():
+    meter = SyncedMeter()
+    meter.charge("node_hop")  # this thread owns the first lane
+
+    def client():
+        with meter.phase("smo"):
+            meter.charge("key_shift", 5)
+
+    for _ in range(4):  # short-lived clients, one after the other
+        t = threading.Thread(target=client)
+        t.start()
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert meter.total_units("key_shift") == 20
+    assert meter.total_units("node_hop") == 1
+    assert meter.time_by_phase() == {"other": 100.0, "smo": 200.0}
+    assert len(meter._lanes) == 2  # the dead clients shared one lane
+
+
+def test_reset_leaves_a_thread_inside_a_phase_block_intact():
+    """``reset`` used to swap the thread-local phase stacks away: a
+    thread inside ``phase()`` then popped a stack the meter no longer
+    knew, and its next charge landed in ``other``."""
+    meter = SyncedMeter()
+    inside, resume = threading.Event(), threading.Event()
+    errors = []
+
+    def worker():
+        try:
+            with meter.phase("smo"):
+                with meter.phase("stats"):
+                    meter.charge("stats_update")
+                    inside.set()
+                    assert resume.wait(timeout=10.0)
+                meter.charge("key_shift")  # back in "smo", after the reset
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    t = threading.Thread(target=worker)
+    t.start()
+    assert inside.wait(timeout=10.0)
+    meter.charge("node_hop")
+    meter.reset()
+    assert meter.total_time() == 0 and meter.snapshot() == {}
+    resume.set()
+    t.join(timeout=10.0)
+    assert not t.is_alive() and not errors, errors
+    assert meter.snapshot() == {("smo", "key_shift"): 1.0}
+
+
 def test_rwlock_readers_share_writers_exclude():
     lock = RWLock()
     lock.acquire_read()
