@@ -91,26 +91,25 @@ class Tripwire(list):
         return super().__len__()
 
 
-def _observed_engine(slo: bool = False, batch_ops: int = 0) -> ExecutionEngine:
+def _observed_engine(slo: bool = False) -> ExecutionEngine:
     bus = EventBus()
     observers = [SLOTracker(bus=bus)] if slo else []
     return ExecutionEngine(observers=observers, telemetry=Telemetry.full(),
-                           bus=bus, batch_ops=batch_ops)
+                           bus=bus)
 
 
 def test_one_clock_read_and_no_snapshot_per_op():
     workload = mixed_workload(list(dataset_keys("covid")), 0.5,
                               n_ops=3000, seed=4)
     for name in PANEL:
-        for batch_ops in (0, 64):
-            meter = CountingMeter()
-            engine = _observed_engine(slo=True, batch_ops=batch_ops)
-            result = engine.run(REGISTRY.create(name, meter=meter), workload)
-            assert result.n_ops == 3000
-            assert meter.clock_reads <= result.n_ops + _PHASE_READS, (
-                name, batch_ops, meter.clock_reads)
-            # The profiler's baseline at "measure", and nothing per op.
-            assert meter.snapshots == 1, (name, batch_ops, meter.snapshots)
+        meter = CountingMeter()
+        engine = _observed_engine(slo=True)
+        result = engine.run(REGISTRY.create(name, meter=meter), workload)
+        assert result.n_ops == 3000
+        assert meter.clock_reads <= result.n_ops + _PHASE_READS, (
+            name, meter.clock_reads)
+        # The profiler's baseline at "measure", and nothing per op.
+        assert meter.snapshots == 1, (name, meter.snapshots)
 
 
 def test_window_observers_read_the_clock_per_window_not_per_op():

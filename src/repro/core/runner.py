@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.instance import LOADING, IndexInstance
 from repro.core.workloads import DELETE, INSERT, LOOKUP, UPDATE, Operation, Workload, apply_op
@@ -40,6 +40,15 @@ if TYPE_CHECKING:  # avoid the runtime cycle with repro.core.telemetry
 
 #: Op kinds whose latency lands in ``write_latency``.
 _WRITE_OPS = (INSERT, UPDATE, DELETE)
+
+#: Lookups in a row the engine executes one by one before it reads the
+#: rest of the run ahead in blocks: a mixed stream pays a counter per
+#: op, never a buffer.
+LOOKUP_STREAK = 32
+#: Lookups per ``_lookup_batch`` call and how far the engine reads ahead
+#: of the op it is executing; a run's first block is batched only when
+#: at least half full.
+LOOKUP_BLOCK = 2048
 
 
 @dataclass
@@ -336,15 +345,14 @@ class ExecutionEngine:
     passed at construction (or via :meth:`add_observer`) persist across
     runs; the stock metric collectors are created fresh per run.
 
-    ``batch_ops > 1`` enables batch mode: consecutive lookups are
-    grouped into runs of up to ``batch_ops`` and dispatched through the
-    index's vectorized ``_lookup_batch`` fast path.  Results are played
-    back *per op* — the cost meter, latency sampling, and every
-    observer (telemetry, validation, differential oracles) see the
-    identical event stream, virtual costs, and op records as scalar
-    execution.  Writes and scans always execute scalar, in stream
-    order, so SMO timing is unchanged.  Indexes without a fast path
-    (or batches it declines) silently fall back to the scalar loop.
+    A long run of lookups nobody watches op by op is resolved in
+    blocks instead (:meth:`_lookup_run`): with no attached observer
+    implementing ``on_op``, lookups past the first ``LOOKUP_STREAK`` of
+    a run go through the index's vectorized ``_lookup_batch``, charged
+    as totals between the sampled ops — same meter table, latency
+    samples, op counts and ``last_op`` as the loop.  Which path runs
+    follows from who is attached and how long the run already is; there
+    is no option for it (``docs/performance.md``, "Lookup runs").
     """
 
     def __init__(
@@ -353,13 +361,11 @@ class ExecutionEngine:
         reset_meter: bool = True,
         observers: Sequence[ExecutionObserver] = (),
         telemetry: Optional["Telemetry"] = None,
-        batch_ops: int = 0,
         bus=None,
         bus_window: int = 256,
     ) -> None:
         self.sample_every = sample_every
         self.reset_meter = reset_meter
-        self.batch_ops = batch_ops
         self.observers: List[ExecutionObserver] = list(observers)
         if telemetry is not None:
             self.observers.extend(telemetry.observers())
@@ -408,58 +414,74 @@ class ExecutionEngine:
             for on_smo in hooks.on_smo:
                 on_smo(event)
 
-    def _run_batched(
+    def _lookup_run(
         self,
         index: OrderedIndex,
-        ops: Sequence[Operation],
+        ops: Iterator[Operation],
+        seq: int,
         hooks: _Hooks,
         meter,
-    ) -> None:
-        """Group consecutive lookups into runs of up to ``batch_ops``
-        and dispatch them through ``_lookup_batch``, playing the result
-        back per op so the meter, sampling, and observers see exactly
-        the scalar event stream."""
-        sample_every = self.sample_every
-        clock = hooks.clock
-        on_op_hooks = hooks.on_op
-        n = len(ops)
-        i = 0
-        while i < n:
-            if ops[i].op != LOOKUP:
-                self._execute_one(index, ops[i], i, hooks, meter)
-                i += 1
-                continue
-            j = i + 1
-            while j < n and j - i < self.batch_ops and ops[j].op == LOOKUP:
-                j += 1
-            batch = None
-            if j - i > 1:
-                batch = index._lookup_batch([ops[k].key for k in range(i, j)])
+        sampler: LatencySampler,
+        instance: IndexInstance,
+    ) -> int:
+        """The rest of a lookup run already ``LOOKUP_STREAK`` ops long,
+        plus the op that ends it; returns the next ``seq``.
+
+        Pulls at most ``LOOKUP_BLOCK`` lookups ahead, resolves them with
+        one ``_lookup_batch`` and charges the block's log as range
+        totals cut at the sampled ops, each of those alone between two
+        clock reads: the meter table is the loop's at every clock read,
+        so the samples are too.  The sampler and the instance's op
+        counter, the only ``on_op`` hooks of an unobserved run that a
+        lookup feeds, are fed in bulk.  The run's first block must be
+        at least half full: a write before it drops the index's batch
+        tables, and only that many lookups in hand are sure to repay
+        rebuilding them.  A block that is not batched, or that the
+        index declines (``None``), takes ``_execute_one`` per op.
+        """
+        every = self.sample_every
+        charge = meter.charge_phased
+        batch = None
+        while True:
+            block: List[Operation] = []
+            ender = None
+            for op in ops:
+                if op.op != LOOKUP:
+                    ender = op
+                    break
+                block.append(op)
+                if len(block) == LOOKUP_BLOCK:
+                    break
+            n = len(block)
+            # Half a block or more, or what follows a resolved block.
+            batch = (index._lookup_batch([op.key for op in block])
+                     if 2 * n >= LOOKUP_BLOCK or batch is not None else None)
             if batch is None:
-                for k in range(i, j):
-                    self._execute_one(index, ops[k], k, hooks, meter)
-                i = j
-                continue
-            log = batch.log
-            values = batch.values
-            for b, seq in enumerate(range(i, j)):
-                op = ops[seq]
-                sampled = (seq % sample_every) == 0
-                before = (hooks.t_ns if clock
-                          else meter.total_time() if sampled else 0.0)
-                log.apply_op(meter, b)
-                now = meter.total_time() if clock or sampled else None
-                latency = now - before if sampled else None
-                if clock:
-                    hooks.t_ns = now
-                record = batch.make_record(b)
-                index.last_op = record
-                value = values[b]
-                event = OpEvent(seq, op, record, value is not None, 0, value,
-                                now)
-                for on_op in on_op_hooks:
-                    on_op(event, latency)
-            i = j
+                for op in block:
+                    self._execute_one(index, op, seq, hooks, meter)
+                    seq += 1
+            else:
+                sampled = range(-seq % every, n, every)
+                starts = sorted({0, *sampled, *(p + 1 for p in sampled)} - {n})
+                for start, charges in zip(
+                        starts, batch.log.range_charges(starts)):
+                    timed = (seq + start) % every == 0
+                    if timed:
+                        before = meter.total_time()
+                    for site in charges:
+                        charge(*site)
+                    if timed:
+                        sampler.lookup_samples.append(
+                            meter.total_time() - before)
+                index.last_op = batch.make_record(n - 1)
+                counts = instance.op_counts
+                counts[LOOKUP] = counts.get(LOOKUP, 0) + n
+                seq += n
+            if ender is not None:
+                self._execute_one(index, ender, seq, hooks, meter)
+                return seq + 1
+            if n < LOOKUP_BLOCK:
+                return seq
 
     def run(self, target, workload: Workload) -> RunResult:
         """Bulk load, run the operation stream, return measurements.
@@ -496,12 +518,30 @@ class ExecutionEngine:
         meter = index.meter
         start_ns = meter.total_time()
         hooks = _Hooks(observers, start_ns)
+        # Someone watches op by op, or the target is a wrapper with work
+        # of its own per op (a multiplexer pumps, a sharded tier routes).
+        per_op = (hooks.clock or index.is_adapter
+                  or _implemented(self.observers, "on_op"))
         wall0 = time.perf_counter()
-        if self.batch_ops > 1:
-            self._run_batched(index, workload.operations, hooks, meter)
-        else:
+        if per_op:
             for i, op in enumerate(workload.operations):
                 self._execute_one(index, op, i, hooks, meter)
+        else:
+            # Count the lookups in a row, and hand a run that passes the
+            # streak to ``_lookup_run``.
+            ops = iter(workload.operations)
+            seq = streak = 0
+            for op in ops:
+                self._execute_one(index, op, seq, hooks, meter)
+                seq += 1
+                if op.op != LOOKUP:
+                    streak = 0
+                    continue
+                streak += 1
+                if streak == LOOKUP_STREAK:
+                    seq = self._lookup_run(index, ops, seq, hooks, meter,
+                                           sampler, instance)
+                    streak = 0
         wall = time.perf_counter() - wall0
 
         for obs in observers:
@@ -526,9 +566,8 @@ def execute(target, workload: Workload, **engine_options) -> RunResult:
 
     One-call wrapper over :class:`ExecutionEngine`: ``engine_options``
     are forwarded verbatim to the engine constructor (``sample_every``,
-    ``reset_meter``, ``observers``, ``telemetry``, ``batch_ops``,
-    ``bus``), so
-    there is exactly one place engine defaults live.  ``target`` is an
+    ``reset_meter``, ``observers``, ``telemetry``, ``bus``), so there is
+    exactly one place engine defaults live.  ``target`` is an
     index or an :class:`~repro.core.instance.IndexInstance`; with no
     options the :class:`RunResult` is byte-identical to previous
     releases (the fingerprint parity test in tests/test_instance.py

@@ -47,11 +47,16 @@ def _unique_sorted(keys: Keys) -> Keys:
     return sorted(set(keys))
 
 
-def _uniform(n: int, rng: random.Random, lo: int, hi: int) -> Keys:
-    keys = set()
+def _filled(keys: set, n: int, rng: random.Random, lo: int, hi: int) -> Keys:
+    """``keys`` topped up to ``n`` with uniform draws from ``[lo, hi)``,
+    sorted once at the end: a sort per fill key is quadratic in ``n``."""
     while len(keys) < n:
         keys.add(rng.randrange(lo, hi))
-    return sorted(keys)
+    return sorted(keys)[:n]
+
+
+def _uniform(n: int, rng: random.Random, lo: int, hi: int) -> Keys:
+    return _filled(set(), n, rng, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +172,7 @@ def genome(n: int, seed: int = 0) -> Keys:
         width = rng.randint(200, 4000)  # dense: ~100 keys in a tiny range
         for _ in range(cluster_size):
             keys.add(centre + rng.randrange(width))
-    keys = sorted(keys)
-    rng2 = random.Random(f"genome-fill-{seed}")
-    while len(keys) < n:
-        keys.append(rng2.randrange(_U64_MAX))
-        keys = _unique_sorted(keys)
-    return keys[:n]
+    return _filled(keys, n, random.Random(f"genome-fill-{seed}"), 0, _U64_MAX)
 
 
 def fb(n: int, seed: int = 0) -> Keys:
@@ -201,7 +201,6 @@ def planet(n: int, seed: int = 0) -> Keys:
     — high *global* hardness, mild local hardness.
     """
     rng = random.Random(f"planet-{seed}")
-    keys = set()
     n_dense = int(n * 0.7)
     # Dense region whose density itself shifts through many coarse
     # regimes (log-uniform densities): every regime boundary costs the
@@ -217,14 +216,11 @@ def planet(n: int, seed: int = 0) -> Keys:
             dense.append(k)
     deflection = dense[-1]
     sparse_span = deflection * 2000  # tail is ~2000x sparser
-    sparse = sorted(rng.randrange(deflection + 1, deflection + sparse_span)
-                    for _ in range(n - len(dense)))
-    keys = _unique_sorted(dense + sparse)
-    rng2 = random.Random(f"planet-fill-{seed}")
-    while len(keys) < n:
-        keys.append(deflection + rng2.randrange(sparse_span))
-        keys = _unique_sorted(keys)
-    return keys[:n]
+    sparse = [rng.randrange(deflection + 1, deflection + sparse_span)
+              for _ in range(n - len(dense))]
+    return _filled(set(dense + sparse), n,
+                   random.Random(f"planet-fill-{seed}"),
+                   deflection, deflection + sparse_span)
 
 
 def osm(n: int, seed: int = 0) -> Keys:
@@ -252,12 +248,7 @@ def osm(n: int, seed: int = 0) -> Keys:
 
     out: set = set()
     cascade(0, _U64_MAX, int(n * 1.05), 18, out)
-    keys = sorted(out)
-    rng2 = random.Random(f"osm-fill-{seed}")
-    while len(keys) < n:
-        keys.append(rng2.randrange(_U64_MAX))
-        keys = _unique_sorted(keys)
-    return keys[:n]
+    return _filled(out, n, random.Random(f"osm-fill-{seed}"), 0, _U64_MAX)
 
 
 #: All stand-ins, keyed by the paper's dataset names.  ``wiki`` maps to

@@ -15,10 +15,11 @@ observable).  Three ideas make that tractable:
   and come out *exactly* equal to what the scalar loop would count.
 * **Charge logs.**  Fast paths record per-op unit counts per charge
   *site* (one scalar ``meter.charge`` statement, in the order the
-  scalar path reaches them).  :meth:`ChargeLog.apply_totals` replays
-  the summed charges in first-reached order, reproducing the scalar
-  loop's counter insertion order; :meth:`ChargeLog.apply_op` replays
-  one op for the engine's per-op observer playback.
+  scalar path reaches them).  :meth:`ChargeLog.range_charges` sums them
+  over ranges of ops, each range's sites in first-reached order — the
+  scalar loop's counter insertion order.  ``lookup_many`` charges the
+  whole batch as one range; the engine cuts a block of lookups at its
+  sampled ops, each alone between two clock reads.
 * **Integer units.**  All unit counts are integers well below 2**53,
   so one big add equals many small float adds bit-for-bit.
 
@@ -251,40 +252,41 @@ class ChargeLog:
     def add(self, phase: str, kind: str, units, reached=None) -> None:
         self.sites.append((phase, kind, units, reached))
 
-    def apply_totals(self, meter) -> None:
-        """Replay the whole batch as one charge per site, in the order
-        the scalar loop would first create each counter key."""
-        order = []
-        for pos, (phase, kind, units, reached) in enumerate(self.sites):
+    def range_charges(self, starts: Sequence[int]) -> List[List[tuple]]:
+        """The batch cut at ``starts`` (ascending, from 0; the last range
+        ends at ``n``): per range, one ``(phase, kind, total)`` per site
+        some op in it reaches, in the order the scalar loop would first
+        create each counter key."""
+        n = self.n
+        starts = list(starts)
+        ends = [*starts[1:], n]
+        positions = _np.arange(n)
+        firsts, totals = [], []
+        for _, _, units, reached in self.sites:
             if reached is None:
-                first = 0
+                first = starts
+                total = (_np.add.reduceat(units, starts).tolist()
+                         if hasattr(units, "sum")
+                         else [units * (e - s) for s, e in zip(starts, ends)])
             else:
-                hits = _np.flatnonzero(reached) if _np is not None else [
-                    i for i, f in enumerate(reached) if f]
-                if len(hits) == 0:
-                    continue
-                first = int(hits[0])
-            order.append((first, pos))
-        order.sort()
-        for _, pos in order:
-            phase, kind, units, reached = self.sites[pos]
-            if hasattr(units, "sum"):
-                total = int(units.sum() if reached is None
-                            else units[reached].sum())
-            else:
-                count = self.n if reached is None else int(
-                    reached.sum() if hasattr(reached, "sum")
-                    else sum(bool(f) for f in reached))
-                total = units * count
-            meter.charge_phased(phase, kind, total)
+                first = _np.minimum.reduceat(
+                    _np.where(reached, positions, n), starts).tolist()
+                total = _np.add.reduceat(
+                    _np.where(reached, units, 0), starts).tolist()
+            firsts.append(first)
+            totals.append(total)
+        out = []
+        for end, first, total in zip(ends, zip(*firsts), zip(*totals)):
+            order = sorted((f, pos) for pos, f in enumerate(first) if f < end)
+            out.append([(*self.sites[pos][:2], total[pos])
+                        for _, pos in order])
+        return out
 
-    def apply_op(self, meter, i: int) -> None:
-        """Replay op ``i``'s charges in scalar order."""
-        for phase, kind, units, reached in self.sites:
-            if reached is not None and not reached[i]:
-                continue
-            u = units[i] if hasattr(units, "__getitem__") else units
-            meter.charge_phased(phase, kind, int(u))
+    def apply_totals(self, meter) -> None:
+        """Replay the whole batch — the one range ``[0, n)`` — as one
+        charge per site."""
+        for phase, kind, total in self.range_charges((0,))[0]:
+            meter.charge_phased(phase, kind, total)
 
 
 class BatchLookup:

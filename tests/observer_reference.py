@@ -432,8 +432,8 @@ class RereadingSLOTracker(SLOTracker):
 def parity_case(name: str) -> Tuple[Callable[[], Any], Workload]:
     """An SMO-dense factory for registry index ``name`` and a stream
     shaped by its capabilities (inserts, deletes, updates, scans where
-    supported), ending in a run of lookups long enough for the engine's
-    batch mode to play a batch back."""
+    supported), ending in a run of lookups long enough for the engine
+    to resolve in blocks once the tests shorten them to 64 ops."""
     spec = REGISTRY.get(name)
     if not spec.supports_insert:
         return spec.factory, mixed_workload(

@@ -2,27 +2,44 @@
 identical to scalar execution.
 
 The contract under test (see ``docs/performance.md``): for every index
-in the registry, running the same workload with ``batch_ops`` enabled
-must produce the same values, the same ``RunResult`` fingerprint, the
-same virtual time, the *identical* cost-meter state (content and
-counter insertion order — the virtual clock sums floats in insertion
-order), and the same per-op records and oracle verdicts as the scalar
-loop.
+in the registry, a run whose lookup runs the engine resolved in blocks
+must produce the same ``RunResult`` fingerprint, the same virtual time,
+the *identical* cost-meter state (content and counter insertion order —
+the virtual clock sums floats in insertion order), the same latency
+samples, op counts and ``last_op`` as the per-op loop, and the
+``*_many`` calls the same values and per-op records as loops of the
+scalar ops.  The per-op loop needs no knob: attaching any observer with
+an ``on_op``, even one that does nothing, selects it.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core import runner
+from repro.core.instance import IndexInstance
 from repro.core.opstream import DifferentialObserver
 from repro.core.registry import REGISTRY
 from repro.core.results import result_record
-from repro.core.runner import ExecutionEngine, execute
+from repro.core.runner import ExecutionEngine, ExecutionObserver
 from repro.core.sweep import result_fingerprint
-from repro.core.workloads import mixed_workload
+from repro.core.workloads import (
+    INSERT,
+    LOOKUP,
+    SCAN,
+    Operation,
+    Workload,
+    mixed_workload,
+)
 from repro.indexes import batching
+from repro.indexes.btree import BPlusTree
+from repro.indexes.multiplex import BACKFILL, MultiplexIndex
 
 ALL_NAMES = [spec.name for spec in REGISTRY]
 BATCH_NAMES = [spec.name for spec in REGISTRY if spec.supports_batch]
@@ -49,53 +66,215 @@ def _assert_meters_identical(a, b, label=""):
 # Engine-level parity over the whole registry
 # ---------------------------------------------------------------------------
 
+class Watch(ExecutionObserver):
+    """Forces the per-op loop: an attached ``on_op`` is all it takes."""
+
+    def on_op(self, event, latency):
+        pass
+
+
+@contextmanager
+def _short_runs(streak=4, block=16, min_batch=4):
+    """Streak and block small enough that a stream of a few hundred ops
+    crosses the streak, fills blocks and leaves partial ones, some of
+    them under ``MIN_BATCH`` (declined)."""
+    with mock.patch.object(runner, "LOOKUP_STREAK", streak), \
+            mock.patch.object(runner, "LOOKUP_BLOCK", block), \
+            mock.patch.object(batching, "MIN_BATCH", min_batch):
+        yield
+
+
+def _counting(index):
+    """Count ``index._lookup_batch`` calls and the blocks it resolved."""
+    calls = {"asked": 0, "resolved": 0}
+    inner = index._lookup_batch
+
+    def lookup_batch(keys):
+        calls["asked"] += 1
+        batch = inner(keys)
+        calls["resolved"] += batch is not None
+        return batch
+
+    index._lookup_batch = lookup_batch
+    return calls
+
+
+def _assert_default_equals_per_op(make, wl, every, label):
+    """One workload through the default engine and through the per-op
+    loop: everything a run leaves behind is equal."""
+    a, b = IndexInstance(make()), IndexInstance(make())
+    calls = _counting(a.index)
+    ra = ExecutionEngine(sample_every=every).run(a, wl)
+    rb = ExecutionEngine(sample_every=every, observers=[Watch()]).run(b, wl)
+    assert result_fingerprint(result_record(ra)) == \
+        result_fingerprint(result_record(rb)), label
+    assert ra.virtual_ns == rb.virtual_ns, label
+    _assert_meters_identical(a.index, b.index, label)
+    # Dataclass equality: count, mean, p50, p99, p999, variance, max.
+    assert ra.lookup_latency == rb.lookup_latency, label
+    assert ra.write_latency == rb.write_latency, label
+    assert list(a.op_counts.items()) == list(b.op_counts.items()), label
+    assert a.index.last_op == b.index.last_op, label
+    return calls
+
+
+def _mixes(spec, keys, n_ops):
+    """Read-only, 98/2, balanced, and 90/10 with scans in place of one
+    op in twenty — as far as the index supports them."""
+    yield mixed_workload(keys, 0.0, n_ops=n_ops, seed=3)
+    if spec.supports_insert:
+        yield mixed_workload(keys, 0.02, n_ops=n_ops, seed=3)
+        yield mixed_workload(keys, 0.5, n_ops=n_ops, seed=3)
+    if spec.supports_range:
+        wl = mixed_workload(keys, 0.1 if spec.supports_insert else 0.0,
+                            n_ops=n_ops, seed=3)
+        rng = random.Random(11)
+        ops = list(wl.operations)
+        for i in rng.sample(range(n_ops), n_ops // 20):
+            ops[i] = Operation(SCAN, ops[i].key, count=rng.randint(1, 20))
+        yield Workload(f"{wl.name}+scans", wl.bulk_items, ops)
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_engine_batch_fingerprint_parity(name):
-    """Same workload, batch vs scalar engine: identical fingerprint,
-    virtual time, and meter state for every registered index."""
-    spec, a, b = _pair(name)
+    """Default engine vs per-op loop, every registered index: first the
+    shipped streak and block on a read-only stream long enough to fill
+    blocks, then every mix x ``sample_every`` with short runs."""
+    spec = REGISTRY.get(name)
     keys = _keys()
-    wf = 0.2 if spec.supports_insert else 0.0
-    wl = mixed_workload(keys, wf, n_ops=2500, seed=3)
-    ra = execute(a, wl, batch_ops=256)
-    rb = execute(b, wl)
-    assert result_fingerprint(result_record(ra)) == \
-        result_fingerprint(result_record(rb))
-    assert ra.virtual_ns == rb.virtual_ns
-    _assert_meters_identical(a, b, name)
+    calls = _assert_default_equals_per_op(
+        spec.factory, mixed_workload(keys, 0.0, n_ops=5000, seed=3), 101,
+        f"{name} read-only")
+    # 32 per op, then blocks of 2048 + 2048 + 872: the partial one is
+    # asked for only on the back of a resolved one.
+    assert (calls["asked"], calls["resolved"]) == (
+        (3, 3) if spec.supports_batch else (2, 0))
+    with _short_runs():
+        for wl in _mixes(spec, keys, 1200):
+            for every in (1, 2, 7, 101):
+                calls = _assert_default_equals_per_op(
+                    spec.factory, wl, every, f"{name} {wl.name} /{every}")
+                if wl.write_fraction < 0.5:
+                    assert calls["asked"], f"{name} {wl.name}: never batched"
 
 
 @pytest.mark.parametrize("name", BATCH_NAMES)
 def test_engine_batch_oracle_and_events(name):
-    """The differential oracle and a per-op event recorder see the
-    identical stream under batched execution."""
+    """The differential oracle and a per-op event recorder select the
+    per-op loop — ``_lookup_batch`` is never asked — see every op in
+    stream order, and end on the meter of the default run, which did
+    resolve blocks."""
     spec, a, b = _pair(name)
     keys = _keys(2000, seed=9)
-    wf = 0.3 if spec.supports_insert else 0.0
+    wf = 0.02 if spec.supports_insert else 0.0
     wl = mixed_workload(keys, wf, n_ops=2000, seed=7)
 
     class Recorder:
         def __init__(self):
-            self.events = []
+            self.seqs = []
 
         def on_phase(self, phase, index, workload):
             pass
 
         def on_op(self, event, latency):
-            self.events.append((event.seq, event.op.op, event.op.key,
-                                event.ok, event.result, event.record,
-                                latency))
+            self.seqs.append(event.seq)
 
-        def on_smo(self, event):
-            self.events.append(("smo", event.seq))
-
-    oa, ob = DifferentialObserver(), DifferentialObserver()
-    rec_a, rec_b = Recorder(), Recorder()
-    ExecutionEngine(batch_ops=64, observers=[oa, rec_a]).run(a, wl)
-    ExecutionEngine(observers=[ob, rec_b]).run(b, wl)
-    assert oa.ok and ob.ok
-    assert rec_a.events == rec_b.events
+    oracle, recorder = DifferentialObserver(), Recorder()
+    watched, free = _counting(a), _counting(b)
+    with _short_runs():
+        ExecutionEngine(observers=[oracle, recorder]).run(a, wl)
+        ExecutionEngine().run(b, wl)
+    assert oracle.ok
+    assert recorder.seqs == list(range(wl.n_ops))
+    assert watched["asked"] == 0 and free["resolved"] > 0
     _assert_meters_identical(a, b, name)
+
+
+#: Around the short-run thresholds (streak 4, block 16): no run, under
+#: / at / over the streak, one block short / exact / over, two blocks.
+_RUN_LENGTHS = (0, 1, 3, 4, 5, 19, 20, 21, 36, 37, 52)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.integers(0, 12),
+    runs=st.lists(st.tuples(st.sampled_from(_RUN_LENGTHS),
+                            st.sampled_from((INSERT, SCAN))),
+                  min_size=1, max_size=6),
+    every=st.one_of(st.integers(1, 12), st.sampled_from((16, 20, 101))),
+    name=st.sampled_from(("ALEX", "B+tree", "PGM")),
+)
+# One 40-lookup run after 6 inserts: seqs 6-9 per op, blocks 10-25 and
+# 26-41, the last block partial (26-45).  Sampled ops on the run's
+# first op, the op before and after the streak, both sides of the block
+# boundary, the last op, and two in a row.
+@example(lead=6, runs=[(40, INSERT)], every=6, name="ALEX")
+@example(lead=6, runs=[(40, INSERT)], every=9, name="B+tree")
+@example(lead=6, runs=[(40, INSERT)], every=10, name="PGM")
+@example(lead=6, runs=[(40, INSERT)], every=25, name="ALEX")
+@example(lead=6, runs=[(40, INSERT)], every=13, name="B+tree")
+@example(lead=6, runs=[(40, INSERT)], every=45, name="PGM")
+@example(lead=6, runs=[(40, INSERT)], every=1, name="ALEX")
+def test_sampled_ops_anywhere_in_a_run(lead, runs, every, name):
+    """Random runs of lookups between writes and scans, at any
+    ``sample_every``: the sampled ops fall on every position of a run."""
+    keys = _keys(400, seed=3)
+    loaded, fresh = keys[::2], iter(keys[1::2])
+    rng = random.Random(lead)
+
+    def ender(kind):
+        if kind == INSERT:
+            key = next(fresh)
+            return Operation(INSERT, key, key)
+        return Operation(SCAN, rng.choice(loaded), count=5)
+
+    ops = [ender(INSERT) for _ in range(lead)]
+    for length, kind in runs:
+        ops += [Operation(LOOKUP, rng.choice(keys)) for _ in range(length)]
+        ops.append(ender(kind))
+    wl = Workload("runs", [(k, k) for k in loaded], ops)
+    with _short_runs(min_batch=1):
+        _assert_default_equals_per_op(
+            REGISTRY.get(name).factory, wl, every, f"{name} /{every}")
+
+
+def test_wrappers_keep_the_per_op_loop():
+    """A multiplexer pumps its migration behind every client op: a block
+    resolved through its primary would skip the pumps, so the engine
+    leaves adapters on the per-op loop."""
+    keys = _keys(600)
+    wl = mixed_workload(keys, 0.0, n_ops=300, seed=2)
+    mux = MultiplexIndex(BPlusTree(), BPlusTree(), chunk=8, pump_per_op=1)
+    calls = _counting(mux)
+    with _short_runs():
+        ExecutionEngine().run(mux, wl)
+    assert calls["asked"] == 0
+    assert mux.phase != BACKFILL  # 300 pumps of 8 keys staged all 600
+
+
+def test_declined_blocks_take_the_per_op_loop():
+    """Keys above 2^63 and a subclass overriding ``lookup`` both make
+    ``_lookup_batch`` return ``None``: every block falls back, with
+    equal results, and the override sees every lookup."""
+    huge = [2**70 + i * 5 for i in range(300)]
+    wl = mixed_workload(huge, 0.0, n_ops=400, seed=1)
+    with _short_runs():
+        calls = _assert_default_equals_per_op(
+            REGISTRY.get("PGM").factory, wl, 7, "huge keys")
+    assert calls["asked"] > 0 and calls["resolved"] == 0
+
+    class Spy(BPlusTree):
+        seen = 0
+
+        def lookup(self, key):
+            Spy.seen += 1
+            return super().lookup(key)
+
+    wl = mixed_workload(_keys(500), 0.0, n_ops=400, seed=1)
+    with _short_runs():
+        calls = _assert_default_equals_per_op(Spy, wl, 7, "lookup override")
+    assert calls["asked"] > 0 and calls["resolved"] == 0
+    assert Spy.seen == 2 * wl.n_ops  # both runs
 
 
 # ---------------------------------------------------------------------------

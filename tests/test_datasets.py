@@ -1,11 +1,13 @@
 """Dataset stand-ins: determinism, hardness plane, registry, zipfian."""
 
 import collections
+import hashlib
+import time
 
 import pytest
 
 from repro.core.hardness import pla_hardness
-from repro.datasets import registry
+from repro.datasets import real, registry
 from repro.datasets.registry import scaled_epsilons
 from repro.datasets.synthetic import corner_datasets, generate_hardness_controlled, measure
 from repro.datasets.zipfian import ScrambledZipfian, ZipfianGenerator
@@ -21,6 +23,30 @@ def test_all_generators_deterministic():
         assert a == b, name
         c = ds.generate(2000, seed=4)
         assert a != c, name
+
+
+#: sha256 of ``repr(keys)`` at (6000, seed 1), recorded at the commit
+#: before the fill loops stopped re-sorting per key (PR 17).
+_FILL_DIGESTS = {
+    "genome": "ba83e3a1131712dbc7873c4abe62b353aa8b8487a3f7dc971b0611363876f9f2",
+    "planet": "090def5b95cc54c931c6d8fe7c181b2481f88528e2f78d92231414b5b94336fa",
+    "osm": "2ef00214cf7d702bdb41259a32f822de580f4bd0e69c0afe9189d602391406d9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FILL_DIGESTS))
+def test_fill_loop_generators_keep_their_keys(name):
+    keys = getattr(real, name)(6000, 1)
+    assert keys == sorted(set(keys)) and len(keys) == 6000
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == _FILL_DIGESTS[name]
+
+
+def test_genome_fill_is_not_quadratic():
+    """It drew one key and re-sorted the list per missing key: 23.5 s
+    at 50k keys.  One sort: ~0.04 s."""
+    t0 = time.perf_counter()
+    assert len(real.genome(50_000)) == 50_000
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_generation_memoized_but_copies_isolated():

@@ -27,6 +27,7 @@ from repro.core.events import (
 )
 from repro.core.instance import DRAINING, MIGRATING, AdmissionError, IndexInstance
 from repro.core.migrate import run_migration
+from repro.core import runner
 from repro.core.registry import REGISTRY
 from repro.core.results import load_jsonl, result_record
 from repro.core.runner import ExecutionEngine, execute
@@ -288,9 +289,9 @@ def test_fingerprint_parity_with_full_observability(name):
     assert tower.rows  # the tower really saw the run
 
 
-@pytest.mark.parametrize("batch_ops", [0, 64])
+@pytest.mark.parametrize("block", [0, 64])
 @pytest.mark.parametrize("name", REGISTRY.names())
-def test_bus_and_slo_match_reference_on_the_same_run(name, batch_ops):
+def test_bus_and_slo_match_reference_on_the_same_run(name, block, monkeypatch):
     """The pre-change bus emitter and a tracker that re-sums the meter
     per op ride the same run as today's: equal events, equal windows."""
     factory, wl = reference.parity_case(name)
@@ -299,8 +300,7 @@ def test_bus_and_slo_match_reference_on_the_same_run(name, batch_ops):
     slo = SLOTracker(window_ops=64, bus=bus)
     engine = ExecutionEngine(  # emitter before tracker, on both buses
         observers=[reference.EngineBusEmitter(ref_bus, window_ops=64),
-                   ref_slo, bus.engine_observer(window_ops=64), slo],
-        batch_ops=batch_ops)
+                   ref_slo, bus.engine_observer(window_ops=64), slo])
     observed = engine.run(factory(), wl)
 
     assert len(bus.events(kind=KIND_OP_WINDOW)) == -(-wl.n_ops // 64)
@@ -309,7 +309,12 @@ def test_bus_and_slo_match_reference_on_the_same_run(name, batch_ops):
     assert json.dumps(slo.windows) == json.dumps(ref_slo.windows)
     assert json.dumps(slo.summary()) == json.dumps(ref_slo.summary())
 
-    bare = ExecutionEngine(batch_ops=batch_ops).run(factory(), wl)
+    # The observed run took the per-op loop; the bare one resolves the
+    # stream's closing lookup run in blocks when they are 64 ops long.
+    if block:
+        monkeypatch.setattr(runner, "LOOKUP_STREAK", 8)
+        monkeypatch.setattr(runner, "LOOKUP_BLOCK", block)
+    bare = ExecutionEngine().run(factory(), wl)
     assert (result_fingerprint(result_record(observed))
             == result_fingerprint(result_record(bare)))
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import runner
+from repro.core.instance import IndexInstance
 from repro.core.report import bar, format_bytes, format_number, series, table
 from repro.core.runner import (
     ExecutionEngine,
@@ -192,6 +194,74 @@ def test_engine_rejects_unknown_op():
                   operations=[Operation("frobnicate", 1)])
     with pytest.raises(ValueError, match="unknown op"):
         execute(BPlusTree(), wl)
+
+
+class _PulledOps:
+    """An op stream that records how far the engine has pulled it, and
+    that it is never sized, indexed or copied up front: iteration is
+    all it offers until it is exhausted."""
+
+    def __init__(self, ops):
+        self._ops = ops
+        self.pulled = 0
+        self.exhausted = False
+
+    def __iter__(self):
+        for op in self._ops:
+            self.pulled += 1
+            yield op
+        self.exhausted = True
+
+    def __len__(self):  # ``Workload.n_ops``, for the RunResult
+        assert self.exhausted, "the engine sized the stream before running it"
+        return len(self._ops)
+
+
+def test_stream_is_pulled_one_op_at_a_time_below_the_streak():
+    """``bench/`` times a cell by stamping the stream's iterator: with
+    no run past the streak, op i+1 is not pulled before op i has run."""
+    stream = _PulledOps(mixed_workload(KEYS, 0.5, n_ops=600, seed=8).operations)
+    executed = []
+
+    class Probe(BPlusTree):
+        def lookup(self, key):
+            executed.append(stream.pulled)
+            return super().lookup(key)
+
+        def insert(self, key, value):
+            executed.append(stream.pulled)
+            return super().insert(key, value)
+
+    wl = mixed_workload(KEYS, 0.5, n_ops=600, seed=8)
+    result = execute(Probe(), Workload(wl.name, wl.bulk_items, stream))
+    assert result.n_ops == 600
+    assert executed == list(range(1, 601))
+
+
+def test_stream_is_read_at_most_one_block_ahead(monkeypatch):
+    """Past the streak the engine reads ahead, but never more than one
+    block, the op that ended the run included."""
+    monkeypatch.setattr(runner, "LOOKUP_STREAK", 8)
+    monkeypatch.setattr(runner, "LOOKUP_BLOCK", 64)
+    wl = mixed_workload(KEYS, 0.01, n_ops=3000, seed=9)
+    stream = _PulledOps(wl.operations)
+    instance = IndexInstance(BPlusTree())
+    index = instance.index
+    ahead = []
+    resolve, insert = index._lookup_batch, index.insert
+
+    def lookup_batch(keys):
+        ahead.append(stream.pulled - instance.ops_total)
+        return resolve(keys)
+
+    def insert_one(key, value):
+        ahead.append(stream.pulled - instance.ops_total)
+        return insert(key, value)
+
+    index._lookup_batch, index.insert = lookup_batch, insert_one
+    ExecutionEngine().run(instance, Workload(wl.name, wl.bulk_items, stream))
+    assert instance.ops_total == 3000
+    assert max(ahead) == 64 and ahead.count(64) > 10
 
 
 def test_best_throughput():

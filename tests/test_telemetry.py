@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core import runner
 from repro.core.registry import REGISTRY
 from repro.core.results import load_jsonl, result_record, save_jsonl
 from repro.core.runner import ExecutionEngine, ExecutionObserver, execute
@@ -397,9 +398,9 @@ def test_telemetry_bundle_observers():
 # Side by side with the pre-change observers (tests/observer_reference.py)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("batch_ops", [0, 64])
+@pytest.mark.parametrize("block", [0, 64])
 @pytest.mark.parametrize("name", REGISTRY.names())
-def test_observers_match_reference_on_the_same_run(name, batch_ops):
+def test_observers_match_reference_on_the_same_run(name, block, monkeypatch):
     """Old and new observers ride one ``ExecutionEngine.run``: every
     artifact is byte-identical, and the run has a bare run's fingerprint."""
     factory, wl = reference.parity_case(name)
@@ -408,7 +409,7 @@ def test_observers_match_reference_on_the_same_run(name, batch_ops):
     ref_prof = reference.CostProfiler()
     tel = Telemetry.full(window_ops=64)
     engine = ExecutionEngine(observers=[ref_trace, ref_metrics, ref_prof],
-                             telemetry=tel, batch_ops=batch_ops)
+                             telemetry=tel)
     observed = engine.run(factory(), wl)
 
     def same(new, ref):  # == would let an int 0 pass for a float 0.0
@@ -427,7 +428,12 @@ def test_observers_match_reference_on_the_same_run(name, batch_ops):
         # The stream really crossed structural work.
         assert tel.metrics.registry.snapshot()["smo_total"]["value"] >= 1
 
-    bare = ExecutionEngine(batch_ops=batch_ops).run(factory(), wl)
+    # The observed run took the per-op loop; the bare one resolves the
+    # stream's closing lookup run in blocks when they are 64 ops long.
+    if block:
+        monkeypatch.setattr(runner, "LOOKUP_STREAK", 8)
+        monkeypatch.setattr(runner, "LOOKUP_BLOCK", block)
+    bare = ExecutionEngine().run(factory(), wl)
     assert (result_fingerprint(result_record(observed))
             == result_fingerprint(result_record(bare)))
 
