@@ -22,7 +22,7 @@ def test_inserts_land_in_record_bins():
     idx.bulk_load([(i * 100, i) for i in range(100)])
     idx.insert(55, 0)
     idx.insert(57, 1)
-    seg = idx._segments[0]
+    seg = idx._units[0]
     assert seg.bin_entries == 2
     assert idx.lookup(55) == 0 and idx.lookup(57) == 1
 

@@ -29,9 +29,9 @@ def test_segments_respect_epsilon():
     keys = sorted(rng.sample(range(2**36), 3000))
     idx = FITingTree(epsilon=16)
     idx.bulk_load([(k, k) for k in keys])
-    for seg in idx._segments:
+    for seg in idx._units:
         for pos in range(0, len(seg.keys), 37):
-            pred = seg.model.predict(seg.keys[pos])
+            pred = seg.models[0].model.predict(seg.keys[pos])
             assert abs(pred - pos) <= 16 + 1e-6
 
 

@@ -301,18 +301,18 @@ class TestCorruptionDetection:
 
         idx = XIndex(delta_size=16, target_group_keys=64)
         idx.bulk_load(_items(300, seed=12))
-        g = next(g for g in idx._groups if g.keys)
+        g = next(g for g in idx._units if g.keys)
         k = g.keys[len(g.keys) // 2]
-        pos = bisect.bisect_left(g.delta_keys, k)
-        g.delta_keys.insert(pos, k)
-        g.delta_values.insert(pos, 0)
+        pos = bisect.bisect_left(g.side_keys, k)
+        g.side_keys.insert(pos, k)
+        g.side_values.insert(pos, 0)
         rules = _rules(idx)
         assert "xindex.delta-shadow" in rules
 
     def test_finedex_bin_overflow(self):
         idx = FINEdex(bin_capacity=4)
         idx.bulk_load(_items(300, seed=13))
-        seg = idx._segments[0]
+        seg = idx._units[0]
         k0 = seg.keys[0]
         seg.bins[0] = [(k0 + 1 + i, i) for i in range(idx.bin_capacity + 1)]
         assert "finedex.bin-capacity" in _rules(idx)
@@ -322,11 +322,11 @@ class TestCorruptionDetection:
 
         idx = FITingTree(buffer_size=4)
         idx.bulk_load(_items(300, seed=14))
-        seg = next(s for s in idx._segments if s.keys)
+        seg = next(s for s in idx._units if s.keys)
         k = seg.keys[0]
-        pos = bisect.bisect_left(seg.buf_keys, k)
-        seg.buf_keys.insert(pos, k)
-        seg.buf_values.insert(pos, 0)
+        pos = bisect.bisect_left(seg.side_keys, k)
+        seg.side_keys.insert(pos, k)
+        seg.side_values.insert(pos, 0)
         assert "fiting.buffer-shadow" in _rules(idx)
 
     def test_masstree_permutation(self):
@@ -353,3 +353,145 @@ class TestCorruptionDetection:
         idx.bulk_load(_items(200, seed=17))
         idx._keys[5], idx._keys[6] = idx._keys[6], idx._keys[5]
         assert "rmi.keys-sorted" in _rules(idx)
+
+
+# ---------------------------------------------------------------------------
+# The delta-segment family: one corruption per rule
+# ---------------------------------------------------------------------------
+
+#: prefix -> factory.  ε = 4 so 300 uniform keys need several units.
+_SEGMENTED = {
+    "fiting": lambda: FITingTree(epsilon=4, buffer_size=4),
+    "finedex": lambda: FINEdex(epsilon=4, bin_capacity=4),
+    "xindex": lambda: XIndex(epsilon=4, delta_size=16, target_group_keys=64),
+}
+
+
+def _segmented(prefix, seed=20):
+    """A loaded, validate-clean index of the family and its units."""
+    idx = _SEGMENTED[prefix]()
+    idx.bulk_load(_items(300, seed=seed))
+    units = idx._units
+    assert len(units) >= 3 and all(len(u.keys) >= 2 for u in units)
+    assert idx.debug_validate() == []
+    return idx, units
+
+
+def _first_pivot_nonzero(idx, units):
+    units[0].pivot = 1
+
+
+def _pivot_inversion(idx, units):
+    units[2].pivot = units[1].pivot
+
+
+def _pivot_list_drift(idx, units):
+    idx._pivots[1] += 1
+
+
+def _keys_unsorted(idx, units):
+    keys = units[1].keys
+    keys[0], keys[1] = keys[1], keys[0]
+
+
+def _key_below_pivot(idx, units):
+    units[1].keys[0] = units[1].pivot - 1
+
+
+def _key_past_next_pivot(idx, units):
+    units[1].keys[-1] = units[2].pivot
+
+
+def _values_long(idx, units):
+    units[1].values.append(0)
+
+
+def _size_drift(idx, units):
+    idx._size += 1
+
+
+def _model_off(idx, units):
+    from repro.indexes.linear_model import LinearModel
+
+    units[1].models[0].model = LinearModel(0.0, 1e9)
+
+
+_SHARED_CASES = [
+    ("pivot-order", _first_pivot_nonzero),
+    ("pivot-order", _pivot_inversion),
+    ("pivot-sync", _pivot_list_drift),
+    ("keys-sorted", _keys_unsorted),
+    ("key-range", _key_below_pivot),
+    ("key-range", _key_past_next_pivot),
+    ("arrays", _values_long),
+    ("size", _size_drift),
+    ("epsilon", _model_off),
+]
+
+
+class TestSegmentedCorruption:
+    """Every rule of the shared validator prelude, per index, then each
+    index's own rules."""
+
+    @pytest.mark.parametrize("prefix", sorted(_SEGMENTED))
+    @pytest.mark.parametrize(
+        "rule, corrupt", _SHARED_CASES,
+        ids=[fn.__name__.strip("_") for _, fn in _SHARED_CASES])
+    def test_shared_rule(self, prefix, rule, corrupt):
+        idx, units = _segmented(prefix)
+        corrupt(idx, units)
+        assert f"{prefix}.{rule}" in _rules(idx)
+
+    def test_fiting_buffer_bound(self):
+        idx, units = _segmented("fiting")
+        seg = units[1]
+        seg.side_keys = [seg.keys[0] + 1 + i for i in range(idx.buffer_size + 1)]
+        seg.side_values = [0] * len(seg.side_keys)
+        assert "fiting.buffer-bound" in _rules(idx)
+
+    def test_fiting_router_sync(self):
+        idx, units = _segmented("fiting")
+        assert idx._router.insert(units[1].pivot + 1, 0)
+        assert "fiting.router-sync" in _rules(idx)
+
+    def test_xindex_delta_bound(self):
+        idx, units = _segmented("xindex")
+        g = units[1]
+        g.side_keys = [g.keys[0] + 1 + i for i in range(idx.delta_size)]
+        g.side_values = [0] * len(g.side_keys)
+        assert "xindex.delta-bound" in _rules(idx)
+
+    def test_xindex_segments(self):
+        idx, units = _segmented("xindex")
+        units[1].models[0].length -= 1
+        assert "xindex.segments" in _rules(idx)
+
+    def test_finedex_bin_position(self):
+        idx, units = _segmented("finedex")
+        seg = units[1]
+        seg.bins[len(seg.keys)] = [(seg.keys[-1] + 1, 0)]
+        assert "finedex.bin-position" in _rules(idx)
+
+    def test_finedex_bin_range(self):
+        idx, units = _segmented("finedex")
+        seg = units[1]
+        seg.bins[0] = [(seg.keys[1] + 1, 0)]
+        assert "finedex.bin-range" in _rules(idx)
+
+    def test_finedex_bin_count(self):
+        idx, units = _segmented("finedex")
+        units[1].bin_entries += 1
+        assert "finedex.bin-count" in _rules(idx)
+
+    def test_finedex_lost_value_is_reported_not_raised(self):
+        """The merged-order walk pairs keys with values; a short value
+        array must come back as a violation, not an ``IndexError``."""
+        idx, units = _segmented("finedex")
+        units[1].values.pop()
+        assert "finedex.arrays" in _rules(idx)
+
+    def test_finedex_order(self):
+        idx, units = _segmented("finedex")
+        seg = units[1]
+        seg.bins[0] = [(seg.keys[0], 0)]
+        assert "finedex.order" in _rules(idx)
