@@ -66,6 +66,11 @@ _GAP_HIGH = 1 << 70
 _DATA_HEADER_BYTES = 48  # model, stats, lock word, counters
 _INNER_HEADER_BYTES = 32
 
+#: Bulk loads of fewer items build by the scalar recursion, and inside
+#: an array build smaller leaves are laid out by the scalar loops: the
+#: numpy calls of one leaf cost about as much as these many keys.
+_ARRAY_BUILD_MIN = 64
+
 
 class _DataNode:
     """Gapped array leaf.
@@ -237,11 +242,10 @@ class ALEX(OrderedIndex):
     # -- bulk load --------------------------------------------------------------
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        if self.duplicate_mode is None:
-            self.check_sorted_unique(items)
-        else:
-            self.check_sorted(items)
-        build_items = list(items)
+        ks = self._bulk_keys(items, self.duplicate_mode is None,
+                             _ARRAY_BUILD_MIN)
+        # Read only, never kept: a list is built from as it is.
+        build_items = items if isinstance(items, list) else list(items)
         if self.duplicate_mode == "linked_list" and build_items:
             # The storage scheme applies at bulk load too: one slot per
             # distinct key, duplicates chained off it.
@@ -257,7 +261,12 @@ class ALEX(OrderedIndex):
                 else:
                     grouped.append((k, v))
             build_items = grouped
-        self._root = self._bulk_build(build_items)
+            if ks is not None:
+                ks = batching.key_column(grouped)
+        if ks is None:
+            self._root = self._bulk_build(build_items)
+        else:
+            self._root = self._bulk_build_arrays(ks, build_items, 0, len(ks))
         self._size = len(items)
         self._link_leaves()
 
@@ -303,6 +312,84 @@ class ALEX(OrderedIndex):
         inner = _InnerNode(self._next_node_id(), model, children)
         self.meter.charge(ALLOC_NODE)
         return inner
+
+    # The array build: ``_bulk_build`` with the keys as one int64 array
+    # ``ks`` beside ``items``, each node a range ``lo:hi`` of both — the
+    # same nodes in the same order, so ids and charges come out equal —
+    # with one model evaluation per node where the recursion above
+    # makes one per key.
+
+    def _bulk_build_arrays(self, ks: Any, items: List[Tuple[Key, Value]],
+                           lo: int, hi: int) -> Any:
+        n = hi - lo
+        if n <= self.target_leaf_keys:
+            return self._new_data_node_arrays(ks[lo:hi], items[lo:hi])
+        np = batching._np
+        fanout = 1 << max(1, math.ceil(math.log2(n / self.target_leaf_keys)))
+        fanout = min(fanout, self.max_fanout)
+        first = items[lo][0]
+        model = LinearModel.endpoints(first, items[hi - 1][0] + 1, fanout + 1)
+        self.meter.charge(TRAIN_KEY, 2)
+        # Sorted keys under a monotone model: the keys of a slot are one
+        # run, and the partition is where the runs start.
+        slots = batching.predict_clamped_vec(model, ks[lo:hi], fanout + 1)
+        bounds = np.searchsorted(np.minimum(slots, fanout - 1, out=slots),
+                                 np.arange(fanout + 1))
+        del slots  # a root's is as long as the input: gone before its children
+        if int(bounds[1]) == n:
+            # Model failed to partition (slot 0, where the first key is,
+            # has them all): split by median.
+            model = LinearModel(
+                1.0 / max(items[lo + n // 2][0] - first, 1), 0.0, first)
+            split_at = int(np.searchsorted(
+                batching.predict_clamped_vec(model, ks[lo:hi], 2), 1))
+            if split_at == 0 or split_at == n:
+                # Routing cannot separate the keys at all: one big leaf.
+                return self._new_data_node_arrays(ks[lo:hi], items[lo:hi])
+            bounds = np.asarray([0, split_at, n])
+        bounds = (bounds + lo).tolist()
+        # An empty slot shares the child on its left; slot 0 is never
+        # empty (either model puts its anchor, the first key, there).
+        children: List[Any] = []
+        for a, b in zip(bounds, bounds[1:]):
+            children.append(self._bulk_build_arrays(ks, items, a, b)
+                            if b > a else children[-1])
+        inner = _InnerNode(self._next_node_id(), model, children)
+        self.meter.charge(ALLOC_NODE)
+        return inner
+
+    def _new_data_node_arrays(self, ks: Any,
+                              items: List[Tuple[Key, Value]]) -> _DataNode:
+        """``_new_data_node`` with the keys also as an array.
+        ``_model_place`` puts key ``i`` at ``max(prediction, previous +
+        1)``, so ``slot - i`` is a running maximum, and its compaction
+        from the tail cuts that never-falling sequence off at ``cap -
+        n``; ``_fill_gaps`` repeats each key over the gap run on its
+        left."""
+        n = len(items)
+        if n < _ARRAY_BUILD_MIN:
+            return self._new_data_node(items)
+        np = batching._np
+        kobj, vobj = batching.object_columns(items)
+        node = _DataNode(self._next_node_id())
+        cap = max(8, int(math.ceil(n / self.avg_density)))
+        node.num_keys = n
+        self.meter.charge(ALLOC_NODE)
+        self.meter.charge(SLOT_INIT, cap)
+        node.model = LinearModel.train_array(ks, items[0][0]).scaled(cap / n)
+        self.meter.charge(TRAIN_KEY, n)
+        rank = np.arange(n)
+        pos = batching.predict_clamped_vec(node.model, ks, cap) - rank
+        pos = np.minimum(np.maximum.accumulate(pos), cap - n) + rank
+        node.keys = (np.repeat(kobj, np.diff(pos, prepend=-1)).tolist()
+                     + [_GAP_HIGH] * (cap - 1 - int(pos[-1])))
+        values = np.empty(cap, dtype=object)
+        values[pos] = vobj
+        node.values = values.tolist()
+        present = np.zeros(cap, dtype=bool)
+        present[pos] = True
+        node.present = present.tolist()
+        return node
 
     def _link_leaves(self) -> None:
         leaves: List[_DataNode] = []
@@ -533,17 +620,12 @@ class ALEX(OrderedIndex):
             # broadcast and concatenated instead.
             order = np.concatenate([g[1] for g in leaf_groups])
             rr = np.concatenate([g[3] for g in leaf_groups])
-            caps = np.concatenate(
-                [np.full(len(g[1]), g[0].capacity, dtype=np.int64)
-                 for g in leaf_groups])
-            slopes = np.concatenate(
-                [np.full(len(g[1]), g[0].model.slope) for g in leaf_groups])
-            inters = np.concatenate(
-                [np.full(len(g[1]), g[0].model.intercept)
-                 for g in leaf_groups])
-            anchors = np.concatenate(
-                [np.full(len(g[1]), g[0].model.anchor, dtype=np.int64)
-                 for g in leaf_groups])
+            models = batching.model_arrays([g[0].model for g in leaf_groups])
+            if models is None:
+                return None
+            counts = [len(g[1]) for g in leaf_groups]
+            slopes, inters, anchors = (np.repeat(m, counts) for m in models)
+            caps = np.repeat([g[0].capacity for g in leaf_groups], counts)
             ksall = ks[order]
             pred = slopes * (ksall - anchors).astype(np.float64) + inters
             # Same clamp-preserving pre-clip as predict_clamped_vec,

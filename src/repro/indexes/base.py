@@ -33,6 +33,7 @@ from typing import (
 )
 
 from repro.core.cost import CostMeter
+from repro.indexes import batching
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.validate import Violation
@@ -329,14 +330,29 @@ class OrderedIndex(ABC):
 
     @staticmethod
     def check_sorted(items: Sequence[Tuple[Key, Value]]) -> None:
-        for i in range(1, len(items)):
-            if items[i - 1][0] > items[i][0]:
-                raise ValueError("bulk_load requires items sorted by key")
+        OrderedIndex._require_ascending(batching.key_list(items), strict=False)
 
     @staticmethod
     def check_sorted_unique(items: Sequence[Tuple[Key, Value]]) -> None:
-        for i in range(1, len(items)):
-            if items[i - 1][0] >= items[i][0]:
-                raise ValueError(
-                    "bulk_load requires strictly ascending unique keys"
-                )
+        OrderedIndex._require_ascending(batching.key_list(items), strict=True)
+
+    @staticmethod
+    def _bulk_keys(items: Sequence[Tuple[Key, Value]], strict: bool,
+                   min_items: int) -> Optional[Any]:
+        """``bulk_load``'s input check for an index that can build from
+        arrays: ``batching.key_column(items)`` when there are at least
+        ``min_items`` and their keys are admitted (the check then reads
+        the array), else ``None``."""
+        ks = batching.key_column(items) if len(items) >= min_items else None
+        OrderedIndex._require_ascending(
+            batching.key_list(items) if ks is None else ks, strict)
+        return ks
+
+    @staticmethod
+    def _require_ascending(keys: Any, strict: bool) -> None:
+        """``bulk_load``'s input check on the keys alone: a sequence,
+        or the int64 array a build already holds."""
+        if not batching.ascending(keys, strict):
+            raise ValueError(
+                "bulk_load requires strictly ascending unique keys" if strict
+                else "bulk_load requires items sorted by key")

@@ -1,4 +1,4 @@
-"""Shared machinery for numpy-vectorized batch lookups.
+"""Shared machinery for numpy-vectorized batch lookups and array builds.
 
 The batch fast paths must be *observationally identical* to the scalar
 hot paths: same values, same :class:`~repro.indexes.base.OpRecord`
@@ -23,12 +23,19 @@ observable).  Three ideas make that tractable:
 * **Integer units.**  All unit counts are integers well below 2**53,
   so one big add equals many small float adds bit-for-bit.
 
+The array bulk builds of ALEX and LIPP hold to the same rule (same
+tree, node ids and meter as the scalar builders) and take their arrays
+through the same door: :func:`int64_cache` admits every int64 array,
+:func:`key_column` and :func:`object_columns` unzip a build's items.
+
 numpy is optional: every helper degrades to ``None`` and callers fall
 back to the correct-by-construction scalar loop.
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import islice
 from typing import Any, Callable, List, Optional, Sequence
 
 try:  # pragma: no cover - exercised via the no-numpy fallback tests
@@ -47,46 +54,89 @@ def numpy_available() -> bool:
     return _np is not None
 
 
-def key_array(keys: Sequence[int]) -> Optional["Any"]:
-    """``keys`` as an int64 array, or ``None`` when the batch should
-    take the scalar fallback (numpy missing, batch too small, or keys
-    outside int64 — the scalar path handles arbitrary Python ints)."""
-    if _np is None or len(keys) < MIN_BATCH:
+def int64_cache(values: Sequence[int]) -> Optional["Any"]:
+    """``values`` as a one-dimensional int64 array — how every array
+    the kernels see is admitted: batch keys, index-side caches, model
+    anchors, the keys of an array build.  ``None`` when numpy is
+    missing or a value lies outside ``[0, 2**63)`` (for a cache, the
+    fast path then bails for good).
+
+    The kernels subtract admitted values from each other in int64 —
+    ``predict_vec`` takes a probe key minus a model anchor, from arrays
+    admitted at different times — which is exact for any two values of
+    this window and wraps silently outside it (keys on both sides of
+    zero spanning 2**63 or more).  Whatever cannot be subtracted safely
+    takes the scalar paths, which handle arbitrary Python ints.
+    """
+    if _np is None:
         return None
     try:
-        arr = _np.asarray(keys, dtype=_np.int64)
+        arr = _np.asarray(values, dtype=_np.int64)
     except (OverflowError, ValueError, TypeError):
         return None
-    if arr.ndim != 1:
+    if arr.ndim != 1 or (arr.size and int(arr.min()) < 0):
         return None
     return arr
 
 
-def int64_cache(keys: Sequence[int]) -> Optional["Any"]:
-    """Index-side key arrays for the caches; ``None`` if any stored key
-    does not fit int64 (the fast path then bails for good)."""
-    if _np is None:
+def key_array(keys: Sequence[int]) -> Optional["Any"]:
+    """``keys`` as an int64 array, or ``None`` when the batch should
+    take the scalar fallback (batch too small, or not admitted by
+    :func:`int64_cache`)."""
+    if len(keys) < MIN_BATCH:
         return None
-    try:
-        return _np.asarray(keys, dtype=_np.int64)
-    except (OverflowError, ValueError, TypeError):
-        return None
+    return int64_cache(keys)
 
 
 def model_arrays(models: Sequence[Any]):
     """Per-model (slope, intercept, anchor) gather arrays.
 
-    Returns ``None`` when an anchor overflows int64.
+    Returns ``None`` when :func:`int64_cache` refuses an anchor.
     """
-    if _np is None:
-        return None
-    try:
-        anchors = _np.asarray([m.anchor for m in models], dtype=_np.int64)
-    except (OverflowError, ValueError, TypeError):
+    anchors = int64_cache([m.anchor for m in models])
+    if anchors is None:
         return None
     slopes = _np.asarray([m.slope for m in models], dtype=_np.float64)
     intercepts = _np.asarray([m.intercept for m in models], dtype=_np.float64)
     return slopes, intercepts, anchors
+
+
+_KEY, _VALUE = operator.itemgetter(0), operator.itemgetter(1)
+
+
+def key_list(items: Sequence[tuple]) -> List[int]:
+    """The keys of ``(key, value)`` items, taken out at C speed."""
+    return list(map(_KEY, items))
+
+
+def key_column(items: Sequence[tuple]) -> Optional["Any"]:
+    """The keys of ``(key, value)`` items as an int64 array for the
+    array builds; ``None`` under the conditions of
+    :func:`int64_cache`."""
+    return int64_cache(key_list(items))
+
+
+def object_columns(items: Sequence[tuple]) -> tuple:
+    """``(key, value)`` items unzipped into two object arrays, so a
+    build can gather, repeat and scatter the caller's own key and value
+    objects at C speed (``tolist()`` on the int64 keys would mint a new
+    int per slot, and the finished nodes must hold what they were
+    given)."""
+    n = len(items)
+    return (_np.fromiter(map(_KEY, items), dtype=object, count=n),
+            _np.fromiter(map(_VALUE, items), dtype=object, count=n))
+
+
+def ascending(keys, strict: bool) -> bool:
+    """Whether ``keys`` (an int64 array or any sequence) ascend —
+    strictly, or with equal neighbours allowed — in one pass over
+    adjacent pairs at C speed."""
+    if _np is not None and isinstance(keys, _np.ndarray):
+        below, above = keys[:-1], keys[1:]
+        return bool((below < above).all() if strict
+                    else (below <= above).all())
+    return all(map(operator.lt if strict else operator.le,
+                   keys, islice(keys, 1, None)))
 
 
 def predict_vec(slope, intercept, anchor, ks):
@@ -100,12 +150,17 @@ def predict_clamped_vec(model, ks, n: int):
     """Vectorized ``LinearModel.predict_clamped`` for one model."""
     if n <= 0:
         return _np.zeros(len(ks), dtype=_np.int64)
+    if not 0 <= model.anchor <= _INT64_MAX:
+        # An anchor no array admitted (see ``int64_cache``): an index
+        # may hold such keys beside the ones a batch asks for.
+        return _np.fromiter((model.predict_clamped(k, n) for k in ks.tolist()),
+                            dtype=_np.int64, count=len(ks))
     pred = predict_vec(model.slope, model.intercept, _np.int64(model.anchor), ks)
     # Pre-clip so the int64 cast cannot overflow; the clip bound is
     # outside [-1, n] so post-clamp results are unchanged.
     c = float(n + 2)
-    p = _np.clip(pred, -c, c).astype(_np.int64)
-    return _np.clip(p, 0, n - 1)
+    p = _np.clip(pred, -c, c, out=pred).astype(_np.int64)
+    return _np.clip(p, 0, n - 1, out=p)
 
 
 def window_bounds(slope, intercept, anchor, ks, eps: int, length):

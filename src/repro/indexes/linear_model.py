@@ -11,7 +11,7 @@ Every learned index in the study is, at heart, a tree of linear models
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 try:  # numpy accelerates large fits; everything works without it
     import numpy as _np
@@ -133,16 +133,9 @@ class LinearModel:
         base = keys[0]
         if _np is not None and n >= _NUMPY_MIN_N and keys[-1] - base < 2**52:
             # Vectorized fast path: shifted keys fit float64 exactly.
-            ks = _np.asarray([k - base for k in keys], dtype=_np.float64)
-            ps = _np.asarray(positions, dtype=_np.float64)
-            mean_k = float(ks.mean())
-            mean_p = float(ps.mean())
-            dk = ks - mean_k
-            den = float(dk @ dk)
-            if den == 0.0:
-                return LinearModel(0.0, mean_p, base)
-            slope = float(dk @ (ps - mean_p)) / den
-            return LinearModel(slope, mean_p - slope * mean_k, base)
+            return LinearModel._fit_exact(
+                _np.asarray([k - base for k in keys], dtype=_np.float64),
+                _np.asarray(positions, dtype=_np.float64), base)
         shifted = [k - base for k in keys]
         mean_k = sum(shifted) / n
         mean_p = sum(positions) / n
@@ -155,6 +148,53 @@ class LinearModel:
         if den == 0.0:
             return LinearModel(0.0, mean_p, base)
         slope = num / den
+        return LinearModel(slope, mean_p - slope * mean_k, base)
+
+    @staticmethod
+    def _fit_exact(ks: "Any", ps: "Any", base: int) -> "LinearModel":
+        """Least squares over float64 arrays of shifted keys (exact:
+        below 2**52) and positions."""
+        mean_k = float(ks.mean())
+        mean_p = float(ps.mean())
+        dk = ks - mean_k
+        den = float(dk @ dk)
+        if den == 0.0:
+            return LinearModel(0.0, mean_p, base)
+        slope = float(dk @ (ps - mean_p)) / den
+        return LinearModel(slope, mean_p - slope * mean_k, base)
+
+    @staticmethod
+    def train_array(ks: "Any", base: int) -> "LinearModel":
+        """:meth:`train` on positions ``0..n-1`` for keys that are
+        already an ascending int64 array (two at least, admitted by
+        ``batching``, so their differences are exact); ``base`` is
+        ``ks[0]`` as the caller's own int.  Bit-equal to :meth:`train`:
+        the same fast path where it applies, and otherwise the scalar
+        loop's sums in the scalar loop's order — ``cumsum`` adds left
+        to right, one rounding per term.
+        """
+        n = len(ks)
+        shifted = ks - ks[0]
+        span = int(shifted[-1])
+        if n >= _NUMPY_MIN_N and span < 2**52:
+            return LinearModel._fit_exact(
+                shifted.astype(_np.float64),
+                _np.arange(n, dtype=_np.float64), base)
+        if span < 2**63 // n:
+            total = int(shifted.sum())
+        else:  # the int64 sum could wrap: add the 32-bit halves apart
+            total = ((int((shifted >> 32).sum()) << 32)
+                     + int((shifted & 0xFFFFFFFF).sum()))
+        mean_k = total / n
+        mean_p = (n * (n - 1) // 2) / n
+        dk = shifted.astype(_np.float64) - mean_k
+        den = float(_np.cumsum(dk * dk)[-1])
+        if den == 0.0:
+            return LinearModel(0.0, mean_p, base)
+        dp = _np.arange(n, dtype=_np.float64) - mean_p
+        # ``+ 0.0``: the loop starts from 0.0, so a sum of nothing but
+        # negative zeros reads +0.0 there.
+        slope = (float(_np.cumsum(dk * dp)[-1]) + 0.0) / den
         return LinearModel(slope, mean_p - slope * mean_k, base)
 
     @staticmethod

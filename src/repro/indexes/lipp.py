@@ -68,6 +68,16 @@ _CHILD = 2
 _NODE_HEADER_BYTES = 56  # model, size, build_size, stats counters
 _SLOT_BYTES = KEY_BYTES + PAYLOAD_BYTES + 1  # tagged union + type bitmap bit
 
+#: Builds of fewer items take the scalar recursion: below this the
+#: array set-up of ``_build_levels`` costs more than it saves (the
+#: chained pairs and small adjust SMOs of a write stream).
+_ARRAY_BUILD_MIN = 256
+#: Slots ``_build_levels`` lays out at a time.  Bounds what a build
+#: holds beside the tree it is building — a whole level at once is
+#: several times the finished nodes — while amortising the numpy calls
+#: over a few thousand small nodes.
+_BUILD_BATCH_SLOTS = 1 << 16
+
 
 class _LippNode:
     __slots__ = (
@@ -76,20 +86,21 @@ class _LippNode:
         "np_cache",
     )
 
-    def __init__(self, node_id: int, capacity: int) -> None:
+    def __init__(self, node_id: int, model: LinearModel, tags: List[int],
+                 keys: List[Key], values: List[Any], size: int) -> None:
         self.node_id = node_id
-        self.model = LinearModel()
-        self.tags: List[int] = [_EMPTY] * capacity
-        self.keys: List[Key] = [0] * capacity
-        self.values: List[Any] = [None] * capacity
+        self.model = model
+        self.tags = tags
+        self.keys = keys
+        self.values = values
         #: Batch-lookup mirror of ``tags``/``keys`` (see
         #: ``LIPP._lookup_batch``); ``None`` = stale, ``False`` = keys
         #: don't fit int64.  Reset whenever a slot tag/key changes.
         self.np_cache: Any = None
         #: Keys stored in this subtree.
-        self.size = 0
+        self.size = size
         #: Subtree size when the node was (re)built.
-        self.build_size = 0
+        self.build_size = size
         #: Inserts into the subtree since the build.
         self.num_inserts = 0
         #: Inserts that hit an occupied slot since the build.
@@ -98,6 +109,23 @@ class _LippNode:
     @property
     def capacity(self) -> int:
         return len(self.tags)
+
+
+def _slot_list(width: int, at: Any, source: Any, index: Any, fill: Any) -> list:
+    """A list of ``width`` slots: ``source[index[i]]`` in slot ``at[i]``
+    (ascending), ``fill`` in the rest — scattered through an array of
+    ``_BUILD_BATCH_SLOTS`` at a time, so nothing of a root's width
+    exists beside the list itself."""
+    np = batching._np
+    out = [fill] * width
+    edges = [*range(0, width, _BUILD_BATCH_SLOTS), width]
+    cuts = np.searchsorted(at, edges).tolist()
+    for lo, hi, a, b in zip(edges, edges[1:], cuts, cuts[1:]):
+        if b > a:
+            chunk = np.full(hi - lo, fill, dtype=source.dtype)
+            chunk[at[a:b] - lo] = source[index[a:b]]
+            out[lo:hi] = chunk.tolist()
+    return out
 
 
 class LIPP(OrderedIndex):
@@ -151,11 +179,10 @@ class LIPP(OrderedIndex):
     def _build_node(self, items: Sequence[Tuple[Key, Value]]) -> _LippNode:
         n = len(items)
         cap = max(16, min(int(n / self.density) + 1, self.max_node_slots))
-        node = _LippNode(self._next_node_id(), cap)
+        node = _LippNode(self._next_node_id(), LinearModel(), [_EMPTY] * cap,
+                         [0] * cap, [None] * cap, n)
         self._n_nodes += 1
         self._n_slots += cap
-        node.size = n
-        node.build_size = n
         self.meter.charge(ALLOC_NODE)
         self.meter.charge(SLOT_INIT, cap)
         if n == 0:
@@ -186,12 +213,170 @@ class LIPP(OrderedIndex):
                 node.values[s] = self._build_node(group)
         return node
 
+    def _build(self, items: Sequence[Tuple[Key, Value]]) -> _LippNode:
+        """The subtree over ``items`` — by arrays when there are enough
+        of them and ``batching`` admits their keys, else by the scalar
+        recursion; the same tree, node ids and charges either way."""
+        ks = (batching.key_column(items) if len(items) >= _ARRAY_BUILD_MIN
+              else None)
+        if ks is None:
+            return self._build_node(items)
+        return self._build_levels(ks, items)
+
+    def _build_levels(self, ks: Any,
+                      items: Sequence[Tuple[Key, Value]]) -> _LippNode:
+        """``_build_node`` level by level.  A node's keys are one run of
+        the sorted input and its FMCD model a function of two of them,
+        so one array pass (``_build_siblings``) fits every node of a
+        level, predicts every key's slot and finds the collision groups
+        (runs of equal slots) that are the next level's nodes.  The
+        passes take ``_BUILD_BATCH_SLOTS`` of a level at a time; node
+        ids are ``_build_node``'s pre-order, derived at the end from
+        subtree node counts.
+        """
+        np = batching._np
+        kobj, vobj = batching.object_columns(items)
+        sizes = np.asarray([len(ks)])  # keys of each node of this level
+        picked = np.arange(len(ks))  # this level's keys: indices into ``ks``
+        parent = slots = None  # of each node of this level, one level up
+        levels: List[Tuple[List[_LippNode], Any]] = []  # (nodes, parent)
+        total_slots = total_keys = 0
+        while len(sizes):
+            caps = np.maximum(16, np.minimum(
+                (sizes / self.density).astype(np.int64) + 1,
+                self.max_node_slots))
+            key_ends, slot_ends = np.cumsum(sizes), np.cumsum(caps)
+            nodes: List[_LippNode] = []
+            below = []  # per batch: next level's (sizes, picked, parent, slots)
+            a = 0
+            while a < len(sizes):
+                reach = int(slot_ends[a] - caps[a]) + _BUILD_BATCH_SLOTS
+                b = max(int(np.searchsorted(slot_ends, reach, "right")), a + 1)
+                batch, *children = self._build_siblings(
+                    ks, kobj, vobj,
+                    picked[key_ends[a] - sizes[a]:key_ends[b - 1]],
+                    sizes[a:b], caps[a:b])
+                children[2] += a
+                nodes += batch
+                below.append(children)
+                a = b
+            if parent is not None:
+                above = levels[-1][0]
+                for node, p, slot in zip(nodes, parent.tolist(), slots.tolist()):
+                    above[p].values[slot] = node
+            levels.append((nodes, parent))
+            total_slots += int(slot_ends[-1])
+            total_keys += int(key_ends[-1])
+            sizes, picked, parent, slots = map(np.concatenate, zip(*below))
+        self._number(levels)
+        total_nodes = sum(len(nodes) for nodes, _ in levels)
+        self._n_nodes += total_nodes
+        self._n_slots += total_slots
+        self.meter.charge(ALLOC_NODE, total_nodes)
+        self.meter.charge(SLOT_INIT, total_slots)
+        self.meter.charge(TRAIN_KEY, total_keys)
+        return levels[0][0][0]
+
+    @staticmethod
+    def _build_siblings(ks: Any, kobj: Any, vobj: Any,
+                        picked: Any, sizes: Any, caps: Any) -> tuple:
+        """Consecutive nodes of one level (ids and child pointers
+        pending): node ``t`` holds the next ``sizes[t]`` of the keys
+        ``picked`` in ``caps[t]`` slots.  Returns the nodes and, for
+        each child they need, its size, its keys (as ``picked``), its
+        parent's position among these nodes and its slot there."""
+        np = batching._np
+        keys = ks[picked]
+        starts = np.cumsum(sizes) - sizes
+        offsets = np.cumsum(caps) - caps  # of each node in the slots laid end to end
+        # fmcd_model for every node at once.
+        i = sizes // 10
+        j = sizes - 1 - i
+        narrow = j <= i
+        i[narrow] = 0
+        j[narrow] = sizes[narrow] - 1
+        anchor_at = starts + i
+        anchors = keys[anchor_at]
+        intercepts = (i + 0.5) / sizes * caps
+        slopes = (((j + 0.5) / sizes * caps - intercepts)
+                  / (keys[starts + j] - anchors))
+        # Every key's slot, then its place in the slots laid end to end.
+        # (Arrays of a root's size are dropped as soon as they are read:
+        # what is live at once here is the build's peak memory.)
+        alone_node = len(sizes) == 1  # its one-element arrays broadcast
+
+        def per_key(of_node: Any) -> Any:
+            return of_node if alone_node else np.repeat(of_node, sizes)
+
+        pred = (keys - per_key(anchors)).astype(np.float64)
+        del keys
+        pred *= per_key(slopes)
+        pred += per_key(intercepts)
+        # Clipped outside every [0, cap - 1]: the clamp below decides as
+        # on the raw value, and the cast cannot overflow.
+        np.clip(pred, -2.0, float(caps.max()) + 2.0, out=pred)
+        flat = pred.astype(np.int64)
+        del pred
+        np.minimum(flat, per_key(caps - 1), out=flat)
+        np.maximum(flat, 0, out=flat)
+        flat += per_key(offsets)
+        # Runs of keys on one slot: alone a data entry, else a child.
+        first = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+        run = np.diff(first, append=len(flat))
+        alone = run == 1
+        at = flat[first]  # the slot of each run
+        del flat
+        data = picked[first[alone]]
+        child_sizes, child_keys = run[~alone], picked[np.repeat(~alone, run)]
+        del first, run
+        width = int(offsets[-1] + caps[-1])
+        tags = _slot_list(width, at, np.asarray([_CHILD, _DATA], dtype=np.int8),
+                          alone.view(np.int8), _EMPTY)
+        data_at, child_at = at[alone], at[~alone]
+        del at, alone
+        key_slots = _slot_list(width, data_at, kobj, data, 0)
+        value_slots = _slot_list(width, data_at, vobj, data, None)
+        if alone_node:  # the lists are the node's own: a root's are 2n long
+            cuts = [(tags, key_slots, value_slots)]
+        else:
+            cuts = [(tags[o:e], key_slots[o:e], value_slots[o:e])
+                    for o, e in zip(offsets.tolist(), (offsets + caps).tolist())]
+        nodes = [
+            _LippNode(0, LinearModel(slope, intercept, anchor), *cut, size)
+            for slope, intercept, anchor, cut, size in zip(
+                slopes.tolist(), intercepts.tolist(),
+                kobj[picked[anchor_at]].tolist(), cuts, sizes.tolist())]
+        parent = np.searchsorted(offsets, child_at, side="right") - 1
+        return (nodes, child_sizes, child_keys,
+                parent, child_at - offsets[parent])
+
+    def _number(self, levels: List[Tuple[List[_LippNode], Any]]) -> None:
+        """Give the nodes of ``levels`` the ids a pre-order walk would
+        draw: a node's id is its parent's, plus one, plus the subtree
+        node counts of its earlier siblings."""
+        np = batching._np
+        counts = [np.ones(len(nodes), dtype=np.int64) for nodes, _ in levels]
+        for depth in range(len(levels) - 1, 0, -1):
+            counts[depth - 1] += np.bincount(
+                levels[depth][1], counts[depth], len(counts[depth - 1])
+            ).astype(np.int64)
+        ids = np.asarray([self._node_serial + 1])
+        self._node_serial += int(counts[0][0])
+        for (nodes, parents), count in zip(levels, counts):
+            if parents is not None:
+                before = np.cumsum(count) - count
+                eldest = np.searchsorted(parents, parents)
+                ids = ids[parents] + 1 + before - before[eldest]
+            for node, node_id in zip(nodes, ids.tolist()):
+                node.node_id = node_id
+
     # -- bulk load --------------------------------------------------------------
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        self.check_sorted_unique(items)
+        ks = self._bulk_keys(items, True, _ARRAY_BUILD_MIN)
         self._n_nodes = self._n_slots = 0
-        self._root = self._build_node(list(items))
+        self._root = (self._build_node(list(items)) if ks is None
+                      else self._build_levels(ks, items))
         self._size = len(items)
 
     # -- lookup ------------------------------------------------------------------
@@ -419,7 +604,7 @@ class LIPP(OrderedIndex):
             return False
         self._n_nodes -= nodes
         self._n_slots -= slots
-        rebuilt = self._build_node(items)
+        rebuilt = self._build(items)
         self.rebuild_count += 1
         if i == 0:
             self._root = rebuilt

@@ -451,6 +451,69 @@ def test_huge_keys_fall_back_to_scalar_loop():
     _assert_meters_identical(a, b, "huge keys")
 
 
+#: Key ranges against the int64 kernels' subtractions: one they can
+#: take, one whose span is just over 2**63, and the full signed range.
+KEY_RANGES = {
+    "non-negative": (0, 2**63),
+    "span-over-2**63": (-2**62, 2**62 + 2**61),
+    "full-signed": (-2**63, 2**63),
+}
+
+
+def _ranged(lo, hi, seed=7, n=4000):
+    """Items over ``[lo, hi)`` and 800 probes: present keys, then
+    draws from the range (all but surely absent)."""
+    rng = random.Random(seed)
+    keys = sorted({rng.randrange(lo, hi) for _ in range(n)})
+    probes = rng.choices(keys, k=600) + [rng.randrange(lo, hi)
+                                         for _ in range(200)]
+    return [(k, i) for i, k in enumerate(keys)], probes
+
+
+@pytest.mark.parametrize("span", KEY_RANGES)
+@pytest.mark.parametrize("name", BATCH_NAMES)
+def test_key_spans_the_kernels_cannot_subtract(name, span):
+    """``predict_vec`` takes ``key - anchor`` in int64, which wraps
+    once keys on both sides of zero span 2**63: such arrays must not be
+    admitted (at the parent up to 300 of these 800 lookups came back
+    wrong on ALEX, LIPP, PGM, FITing-Tree and FINEdex, and nothing
+    raised)."""
+    spec, a, b = _pair(name)
+    items, probes = _ranged(*KEY_RANGES[span])
+    a.bulk_load(items)
+    b.bulk_load(items)
+    assert a.lookup_many(probes) == [b.lookup(k) for k in probes]
+    _assert_meters_identical(a, b, f"{name} {span}")
+    if name != "B+tree":  # ranks its keys by C bisect: no key array at all
+        assert (a._lookup_batch(probes) is not None) == (span == "non-negative")
+
+
+@pytest.mark.parametrize("name", BATCH_NAMES)
+def test_admitted_batch_on_an_index_with_keys_no_array_admits(name):
+    """The guard has to hold across arrays: here every probe is a key
+    the kernels take, and the anchors they would be subtracted from
+    are not."""
+    spec, a, b = _pair(name)
+    items, _ = _ranged(*KEY_RANGES["span-over-2**63"])
+    a.bulk_load(items)
+    b.bulk_load(items)
+    probes = [k for k, _ in items if k >= 0][-400:]
+    assert batching.key_array(probes) is not None
+    assert a.lookup_many(probes) == [b.lookup(k) for k in probes]
+    _assert_meters_identical(a, b, name)
+
+
+@pytest.mark.parametrize("span", KEY_RANGES)
+def test_engine_lookup_runs_over_key_spans(span):
+    """The same three ranges through the engine's default lookup runs
+    (what ``IndexServer.lookup_many`` calls into as well)."""
+    items, probes = _ranged(*KEY_RANGES[span], n=1500)
+    wl = Workload(span, items, [Operation(LOOKUP, k) for k in probes])
+    for name in ("ALEX", "LIPP", "PGM"):
+        _assert_default_equals_per_op(
+            REGISTRY.get(name).factory, wl, 101, f"{name} {span}")
+
+
 def test_registry_supports_batch_flags():
     flagged = {s.name for s in REGISTRY if s.supports_batch}
     assert flagged == {"ALEX", "LIPP", "PGM", "XIndex", "FINEdex",
