@@ -16,12 +16,10 @@ import sys
 import time
 from unittest import mock
 
-import pytest
-
 from common import dataset_keys, print_header, run_once
 from repro.core.registry import REGISTRY
 from repro.core.report import table
-from repro.indexes import alex, batching, lipp
+from repro.indexes import alex, lipp
 
 MODULES = {"ALEX": alex, "LIPP": lipp}
 DATASETS = ("covid", "osm")
@@ -69,8 +67,6 @@ def _ratios():
     return ratios
 
 
-@pytest.mark.skipif(batching._np is None,
-                    reason="the array builds need numpy")
 def test_array_build_wall_ratio(benchmark):
     ratios = run_once(benchmark, _ratios)
     for (name, dataset), ratio in ratios.items():

@@ -22,7 +22,7 @@ item 1 asks what serving them costs.  Three gates:
 """
 
 from common import print_header
-from repro.core.server import run_serve_session, session_streams
+from repro.bench.serve import run_serve_session, session_streams
 
 OVERHEAD_RATIO_GATE = 1.0
 

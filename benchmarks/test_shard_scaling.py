@@ -19,8 +19,8 @@ ROADMAP's item 5 asks what a routing tier buys.  Two experiments:
 """
 
 from common import print_header
+from repro.bench.shard import rebalance_benchmark, scaling_benchmark
 from repro.core.report import table
-from repro.core.shard import rebalance_benchmark, scaling_benchmark
 
 SCALING_GATE = 3.0
 RECOVERY_GATE = 2.0

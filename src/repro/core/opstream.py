@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.instance import IndexInstance
 from repro.core.registry import REGISTRY, IndexSpec
@@ -510,15 +510,6 @@ def fuzz_index(
         spent += n_ops
         round_no += 1
     return None
-
-
-def fuzz_all(
-    budget: int = 2000,
-    seed: int = 0,
-) -> Iterator[Tuple[IndexSpec, Optional[FuzzFailure]]]:
-    """Fuzz every fuzzable registry index, yielding per-index outcomes."""
-    for spec in fuzzable_specs():
-        yield spec, fuzz_index(spec, budget=budget, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,6 @@ class IndexSpec:
     #: adapter exists for completeness but is not part of Figure 4/5).
     concurrent_evaluated: bool = True
 
-    def has_tag(self, tag: str) -> bool:
-        return tag in self.tags
-
 
 class IndexRegistry:
     """Ordered catalog of :class:`IndexSpec` entries keyed by name."""

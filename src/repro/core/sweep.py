@@ -278,7 +278,8 @@ def result_fingerprint(record: dict) -> str:
     Excludes ``wall_seconds`` (interpreter wall clock — the only
     non-virtual measurement in a record) and ``tags``.  Serial and
     parallel execution of the same task must produce equal
-    fingerprints; tests and the CI sweep-smoke job gate on this.
+    fingerprints; tests and the CI sweep-smoke job
+    (``benchmarks/test_sweep_parity.py``) gate on this.
     """
     cleaned = {k: v for k, v in record.items()
                if k not in ("wall_seconds", "tags")}

@@ -142,7 +142,3 @@ def heatmap_names() -> List[str]:
     """The 10 datasets shown in the paper's heatmaps (Figure 2)."""
     return ["covid", "libio", "history", "wiki", "stack",
             "books", "planet", "genome", "fb", "osm"]
-
-
-def all_datasets() -> List[Dataset]:
-    return [get(n) for n in names(include_duplicates=True)]

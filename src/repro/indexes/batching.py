@@ -28,8 +28,9 @@ tree, node ids and meter as the scalar builders) and take their arrays
 through the same door: :func:`int64_cache` admits every int64 array,
 :func:`key_column` and :func:`object_columns` unzip a build's items.
 
-numpy is optional: every helper degrades to ``None`` and callers fall
-back to the correct-by-construction scalar loop.
+numpy is a hard dependency (``pyproject.toml``).  A helper still
+answers ``None`` for an array it cannot admit, and the caller then
+takes the correct-by-construction scalar loop.
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ import operator
 from itertools import islice
 from typing import Any, Callable, List, Optional, Sequence
 
-try:  # pragma: no cover - exercised via the no-numpy fallback tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 #: Batches below this size skip the vectorized path: the numpy call
 #: overhead outweighs the win.  Tests shrink it to force coverage.
@@ -50,16 +48,12 @@ MIN_BATCH = 16
 _INT64_MAX = (1 << 63) - 1
 
 
-def numpy_available() -> bool:
-    return _np is not None
-
-
 def int64_cache(values: Sequence[int]) -> Optional["Any"]:
     """``values`` as a one-dimensional int64 array — how every array
     the kernels see is admitted: batch keys, index-side caches, model
-    anchors, the keys of an array build.  ``None`` when numpy is
-    missing or a value lies outside ``[0, 2**63)`` (for a cache, the
-    fast path then bails for good).
+    anchors, the keys of an array build.  ``None`` when a value lies
+    outside ``[0, 2**63)`` (for a cache, the fast path then bails for
+    good).
 
     The kernels subtract admitted values from each other in int64 —
     ``predict_vec`` takes a probe key minus a model anchor, from arrays
@@ -68,8 +62,6 @@ def int64_cache(values: Sequence[int]) -> Optional["Any"]:
     zero spanning 2**63 or more).  Whatever cannot be subtracted safely
     takes the scalar paths, which handle arbitrary Python ints.
     """
-    if _np is None:
-        return None
     try:
         arr = _np.asarray(values, dtype=_np.int64)
     except (OverflowError, ValueError, TypeError):
@@ -131,7 +123,7 @@ def ascending(keys, strict: bool) -> bool:
     """Whether ``keys`` (an int64 array or any sequence) ascend —
     strictly, or with equal neighbours allowed — in one pass over
     adjacent pairs at C speed."""
-    if _np is not None and isinstance(keys, _np.ndarray):
+    if isinstance(keys, _np.ndarray):
         below, above = keys[:-1], keys[1:]
         return bool((below < above).all() if strict
                     else (below <= above).all())
@@ -264,8 +256,6 @@ class ConcatTable:
 
     @staticmethod
     def build(key_lists):
-        if _np is None:
-            return None
         lens = _np.asarray([len(ks) for ks in key_lists], dtype=_np.int64)
         offsets = _np.zeros(len(key_lists) + 1, dtype=_np.int64)
         _np.cumsum(lens, out=offsets[1:])

@@ -218,7 +218,7 @@ class BPlusTree(OrderedIndex):
         """
         np = batching._np
         B = len(keys)
-        if np is None or B < batching.MIN_BATCH:
+        if B < batching.MIN_BATCH:
             return None
         height = self._height
         nodes: List[Any] = [self._root] * B

@@ -13,10 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence, Tuple
 
-try:  # numpy accelerates large fits; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro.core.cost import (
     CostMeter,
@@ -131,7 +128,7 @@ class LinearModel:
         if n == 1:
             return LinearModel(0.0, float(positions[0]), keys[0])
         base = keys[0]
-        if _np is not None and n >= _NUMPY_MIN_N and keys[-1] - base < 2**52:
+        if n >= _NUMPY_MIN_N and keys[-1] - base < 2**52:
             # Vectorized fast path: shifted keys fit float64 exactly.
             return LinearModel._fit_exact(
                 _np.asarray([k - base for k in keys], dtype=_np.float64),

@@ -719,6 +719,8 @@ class LIPP(OrderedIndex):
 
     def range_scan(self, start: Key, count: int) -> List[Tuple[Key, Value]]:
         out: List[Tuple[Key, Value]] = []
+        if count <= 0:  # the walk below copies a row before it counts
+            return out
         # Units per kind in the order the walk first meets each.  Every
         # scan evaluates the root's model, then branches on a slot.
         tally: Dict[str, int] = {MODEL_EVAL: 0, BRANCH: 0}
@@ -731,8 +733,8 @@ class LIPP(OrderedIndex):
                    tally: Dict[str, int]) -> bool:
         """Append the subtree's entries ``>= start`` (all of them when
         not ``bounded``) to ``out`` in key order; True once ``out``
-        holds ``count`` rows — checked after each row, so a scan
-        returns at least one.  What this node did is added to ``tally``
+        holds ``count`` rows — checked after each row, so ``count``
+        must be positive.  What this node did is added to ``tally``
         before each child hop and on the way out."""
         tags, keys, values = node.tags, node.keys, node.values
         cap = len(tags)

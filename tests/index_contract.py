@@ -23,6 +23,20 @@ def _mk_items(n: int, seed: int) -> List[Tuple[int, int]]:
     return [(k, k ^ 0xABCD) for k in sorted(keys)]
 
 
+def assert_nonpositive_count_scans_empty(idx: OrderedIndex) -> None:
+    """``range_scan(start, count <= 0)`` is ``[]`` — from below the
+    loaded keys, on a key, between two keys, on the last key and above
+    it — and leaves ordinary scans alone."""
+    items = _mk_items(600, seed=21)
+    idx.bulk_load(items)
+    lo, hi = items[0][0], items[-1][0]
+    for count in (0, -3):
+        for start in (max(lo - 1, 0), lo, items[300][0], items[300][0] + 1,
+                      hi, hi + 1):
+            assert idx.range_scan(start, count) == [], (start, count)
+    assert idx.range_scan(items[300][0], 5) == items[300:305]
+
+
 class IndexContract:
     """Common behaviour tests; subclass and implement :meth:`make`."""
 
@@ -230,6 +244,12 @@ class IndexContract:
         got = idx.range_scan(45, 100)
         assert got == [(i, i) for i in range(45, 50)]
         assert idx.range_scan(1000, 5) == []
+
+    def test_range_scan_nonpositive_count_is_empty(self):
+        idx = self.make()
+        if not idx.supports_range:
+            pytest.skip("no range support")
+        assert_nonpositive_count_scans_empty(idx)
 
     def test_range_scan_after_inserts(self):
         idx = self.make()

@@ -24,8 +24,8 @@ broken indexes at once.
 
 from typing import List, Optional, Tuple
 
+from repro.bench.serve import ServeReport, run_serve_session, session_streams
 from repro.core.registry import REGISTRY
-from repro.core.server import ServeReport, run_serve_session, session_streams
 
 #: Small session shape: enough churn to cross SMO boundaries on the
 #: stress-sized indexes while keeping the whole registry sweep fast.

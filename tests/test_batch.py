@@ -406,9 +406,12 @@ def test_scan_many_matches_scalar_scans():
 
 @pytest.mark.parametrize("name", BATCH_NAMES)
 def test_no_numpy_fallback(name, monkeypatch):
-    """With numpy unavailable the batch APIs silently loop scalar and
-    stay correct."""
-    monkeypatch.setattr(batching, "_np", None)
+    """When no kernel takes the batch the batch APIs silently loop
+    scalar and stay correct.  The id is on the test floor and keeps its
+    name; with numpy a hard dependency, the fallback is a batch the
+    kernels decline — here every batch, by an unreachable
+    ``MIN_BATCH``."""
+    monkeypatch.setattr(batching, "MIN_BATCH", 10**9)
     spec = REGISTRY.get(name)
     a, b = spec.factory(), spec.factory()
     keys = _keys(500, seed=41)
@@ -424,8 +427,6 @@ def test_no_numpy_fallback(name, monkeypatch):
 def test_small_batches_below_min_batch_still_match(name, monkeypatch):
     """Shrinking MIN_BATCH forces the vectorized path onto tiny batches
     — coverage for the fast path at sizes the heuristic would skip."""
-    if batching._np is None:
-        pytest.skip("numpy unavailable")
     monkeypatch.setattr(batching, "MIN_BATCH", 1)
     spec = REGISTRY.get(name)
     a, b = spec.factory(), spec.factory()

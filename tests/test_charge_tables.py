@@ -44,6 +44,9 @@ from repro.core.workloads import (
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 TABLES_PATH = os.path.join(CORPUS_DIR, "charge_tables.json")
+#: Shrunk reproductions of fixed bugs: a handful of ops each, replayed
+#: under the oracle by ``tests/test_corpus.py``; they pin no tables.
+REPRODUCTIONS = {"lipp-scan-zero"}
 
 
 def _generated(name, mix, n_bulk=2048, n_ops=1200, key_space=1 << 40):
@@ -82,10 +85,12 @@ def _generated(name, mix, n_bulk=2048, n_ops=1200, key_space=1 << 40):
 
 
 def streams():
-    """``(label, OpStream)`` for the corpus files, then the generated
-    scan-heavy and delete-heavy streams."""
+    """``(label, OpStream)`` for the corpus' sentinel and server
+    streams, then the generated scan-heavy and delete-heavy streams."""
     out = [(os.path.basename(p)[:-len(".jsonl")], OpStream.load(p))
            for p in sorted(glob.glob(os.path.join(CORPUS_DIR, "*.jsonl")))]
+    out = [(label, stream) for label, stream in out
+           if label not in REPRODUCTIONS]
     out.append(("scan_heavy", _generated(
         "scan_heavy", {INSERT: 0.20, DELETE: 0.05, UPDATE: 0.05, SCAN: 0.55})))
     out.append(("delete_heavy", _generated(

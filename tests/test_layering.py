@@ -1,0 +1,106 @@
+"""Which layer may know which: an AST walk over ``src/repro``.
+
+* ``core/``, ``indexes/``, ``datasets/`` and ``concurrency/`` hold
+  mechanisms: nothing there imports ``repro.bench`` or ``repro.cli``.
+* ``repro.bench`` takes plain values, never an ``argparse`` namespace.
+* ``cli.py`` is argument plumbing around one benchmark driver: exactly
+  one call of ``_gate_history`` and one of ``provenance``.
+* DESIGN.md's package layout names every module there is.
+"""
+
+import ast
+import os
+import re
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(__file__))
+PACKAGE = os.path.join(ROOT, "src", "repro")
+MECHANISMS = ("core", "indexes", "datasets", "concurrency")
+
+
+def _modules(*subdirs):
+    """Every ``.py`` under ``src/repro/<subdir>`` (all of it when no
+    subdir is given), relative to ``src/repro``."""
+    out = []
+    for top in subdirs or ("",):
+        for folder, _, files in os.walk(os.path.join(PACKAGE, top)):
+            out += [os.path.relpath(os.path.join(folder, f), PACKAGE)
+                    for f in files if f.endswith(".py")]
+    return sorted(out)
+
+
+def _tree(rel):
+    with open(os.path.join(PACKAGE, rel)) as fh:
+        return ast.parse(fh.read(), filename=rel)
+
+
+def _imports(rel):
+    """Dotted names ``rel`` imports, at any depth (function-level
+    imports count), each ``from a import b`` as both ``a`` and ``a.b``."""
+    names = set()
+    for node in ast.walk(_tree(rel)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _calls(rel, name):
+    """Call sites of the function ``name`` (bare or as an attribute)."""
+    return [node.lineno for node in ast.walk(_tree(rel))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+@pytest.mark.parametrize("rel", _modules(*MECHANISMS))
+def test_mechanisms_import_neither_bench_nor_cli(rel):
+    upward = sorted(n for n in _imports(rel)
+                    if re.match(r"repro\.(bench|cli)(\.|$)", n))
+    assert not upward, f"{rel} imports {upward}"
+
+
+@pytest.mark.parametrize("rel", _modules("bench"))
+def test_bench_takes_no_argparse(rel):
+    assert "argparse" not in _imports(rel)
+
+
+def test_bench_has_a_module_per_suite():
+    assert {"bench/lookup.py", "bench/sweep.py", "bench/migration.py",
+            "bench/shard.py", "bench/serve.py"} <= set(_modules("bench"))
+
+
+@pytest.mark.parametrize("name", ["_gate_history", "provenance"])
+def test_cli_has_one_benchmark_tail(name):
+    assert len(_calls("cli.py", name)) == 1, _calls("cli.py", name)
+
+
+def _layout_paths():
+    """Paths the ``src/repro/`` tree of DESIGN.md's layout block names:
+    an entry is the first token of a line, nested by two-space indents,
+    directories ending in ``/``; continuation lines sit deeper than any
+    entry column and are skipped."""
+    with open(os.path.join(ROOT, "DESIGN.md")) as fh:
+        block = fh.read().split("## Package layout", 1)[1].split("```")[1]
+    paths, stack = set(), []
+    for line in block.splitlines():
+        entry = re.match(r"^((?:  )*)([\w./]+)(?:\s|$)", line)
+        if not entry or len(entry.group(1)) > 2 * len(stack):
+            continue
+        depth, name = len(entry.group(1)) // 2, entry.group(2)
+        del stack[depth:]
+        if name.endswith("/"):
+            stack.append(name)
+        else:
+            paths.add("".join(stack) + name)
+    return paths
+
+
+def test_design_layout_names_every_module():
+    named = _layout_paths()
+    missing = [rel for rel in _modules()
+               if os.path.basename(rel) != "__init__.py"
+               and f"src/repro/{rel}" not in named]
+    assert not missing, f"DESIGN.md's package layout omits {missing}"

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.indexes.rmi import RMI
+from tests.index_contract import assert_nonpositive_count_scans_empty
 
 
 def _items(n, seed=0):
@@ -51,6 +52,12 @@ def test_range_scan():
     idx = RMI()
     idx.bulk_load([(i * 10, i) for i in range(1000)])
     assert idx.range_scan(105, 3) == [(110, 11), (120, 12), (130, 13)]
+
+
+def test_range_scan_nonpositive_count_is_empty():
+    # Read-only, so RMI has no IndexContract class; the scan case holds
+    # for every range-capable registry index all the same.
+    assert_nonpositive_count_scans_empty(RMI())
 
 
 def test_empty_and_tiny():

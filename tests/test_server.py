@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.bench.serve import run_serve_session
 from repro.core.cost import CostMeter, SyncedMeter
 from repro.core.events import KIND_JOB, EventBus
 from repro.core.instance import (
@@ -37,7 +38,6 @@ from repro.core.server import (
     IndexServer,
     JournalEntry,
     RWLock,
-    run_serve_session,
 )
 from repro.core.workloads import INSERT, LOOKUP, Operation, payload
 from repro.indexes.btree import BPlusTree

@@ -11,6 +11,12 @@ import random
 
 import pytest
 
+from repro.bench.shard import (
+    ShardBatchTask,
+    rebalance_benchmark,
+    routed_fingerprint,
+    run_shard_batches,
+)
 from repro.core.cost import CostMeter
 from repro.core.instance import MIGRATING, RETIRED, SERVING
 from repro.core.opstream import DifferentialObserver
@@ -18,13 +24,9 @@ from repro.core.registry import REGISTRY
 from repro.core.runner import execute
 from repro.core.shard import (
     ClusterMeter,
-    ShardBatchTask,
     ShardMap,
     ShardRouter,
     ShardedIndex,
-    rebalance_benchmark,
-    routed_fingerprint,
-    run_shard_batches,
 )
 from repro.core.sweep import DatasetSpec
 from repro.core.workloads import (

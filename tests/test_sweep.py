@@ -12,7 +12,8 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro import execute
-from repro.core import shard, sweep
+from repro.bench import shard
+from repro.core import sweep
 from repro.core.heatmap import compute_heatmap, sweep_heatmap
 from repro.core.runner import ExecutionObserver
 from repro.core.sweep import (
