@@ -14,7 +14,9 @@ bit-for-bit.  Three layers build on it:
   plus a sorted key list), comparing every lookup payload, write
   outcome and scan result via the engine's :class:`OpEvent.result`
   hook, while a :class:`~repro.core.validate.ValidationObserver`
-  re-checks structural invariants after every SMO.
+  re-checks structural invariants after every SMO; then it replays the
+  stream *unobserved* and requires the same measurements
+  (:func:`run_profile`), so the engine's default loop is fuzzed too.
 * **Fuzzing** — :func:`fuzz_index` generates seeded random streams
   shaped by an index's registered capabilities, and
   :func:`shrink_stream` reduces any failure to a minimal stream by
@@ -35,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.instance import IndexInstance
 from repro.core.registry import REGISTRY, IndexSpec
 from repro.core.results import load_jsonl, save_jsonl
-from repro.core.runner import ExecutionEngine
+from repro.core.runner import ExecutionEngine, RunResult
 from repro.core.validate import TimedViolation, ValidationObserver
 from repro.core.workloads import (
     DELETE,
@@ -241,10 +243,14 @@ class OracleReport:
     violations: List[TimedViolation] = field(default_factory=list)
     mismatches: List[Mismatch] = field(default_factory=list)
     crash: Optional[str] = None
+    #: What the unobserved replay left behind differently from the
+    #: observed one (keys of :func:`run_profile`); empty when equal.
+    divergence: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not (self.violations or self.mismatches or self.crash)
+        return not (self.violations or self.mismatches or self.crash
+                    or self.divergence)
 
     @property
     def failure_kind(self) -> Optional[str]:
@@ -254,6 +260,8 @@ class OracleReport:
             return "violation"
         if self.mismatches:
             return "mismatch"
+        if self.divergence:
+            return "divergence"
         return None
 
     def describe(self, limit: int = 5) -> str:
@@ -266,6 +274,9 @@ class OracleReport:
                  f"{len(self.stream.bulk_keys)} bulk keys)"]
         if self.crash:
             lines.append(f"  crash: {self.crash}")
+        if self.divergence:
+            lines.append("  unobserved run differs from the observed one in: "
+                         + ", ".join(self.divergence))
         lines += [f"  {v}" for v in self.violations[:limit]]
         lines += [f"  {m}" for m in self.mismatches[:limit]]
         hidden = (len(self.violations) + len(self.mismatches)) - 2 * limit
@@ -295,12 +306,37 @@ def run_oracle(
         # Route through the instance layer like every other run; the
         # instance's telemetry (op counts, SMO recency) then describes
         # the replay for free and crashes leave its state inspectable.
-        engine.run(IndexInstance.wrap(factory()), stream.to_workload())
+        watched = IndexInstance.wrap(factory())
+        observed = engine.run(watched, stream.to_workload())
+        # Observers select the engine's per-op loop.  The loop of a run
+        # nobody watches (lookup runs by blocks, hooks fed in line) must
+        # leave the same measurements behind.
+        alone = IndexInstance.wrap(factory())
+        unobserved = ExecutionEngine().run(alone, stream.to_workload())
+        seen, unseen = run_profile(observed, watched), run_profile(unobserved, alone)
+        report.divergence = [k for k in seen if seen[k] != unseen[k]]
     except Exception as exc:  # noqa: BLE001 — crashes are findings
         report.crash = f"{type(exc).__name__}: {exc}"
     report.violations = list(validator.violations)
     report.mismatches = list(differ.mismatches)
     return report
+
+
+def run_profile(result: RunResult, instance: IndexInstance) -> Dict[str, Any]:
+    """Every deterministic measurement one engine run leaves behind —
+    what two runs of one stream must agree on whichever loop the engine
+    took: the result document (scanned entries among it), the full
+    latency summaries and Table-3 sums, the meter's counters in
+    insertion order (the clock sums them in it), the instance's status."""
+    document = result.to_dict()
+    del document["wall_seconds"]
+    return {
+        "result": document,
+        "latency": (result.lookup_latency, result.write_latency),
+        "insert_stats": result.insert_stats,
+        "meter": list(instance.index.meter._counts.items()),
+        "status": instance.status(),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ sanity.  As in the paper, measurement starts *after* bulk loading, and
 latencies are sampled from ~1% of operations.
 
 Measurement is structured as an :class:`ExecutionEngine` applying each
-operation with :func:`~repro.core.workloads.apply_op`, with every
-metric collected by an :class:`ExecutionObserver`.  Latency sampling, Table-3 insert
-statistics and scan accounting are stock observers; downstream users
-(trace replay, diagnostics, future sharded/async runners) attach their
-own without touching the loop::
+operation with :func:`~repro.core.workloads.apply_op`.  Latency
+sampling, Table-3 insert statistics and scan accounting are part of
+the per-op body; everything else is an :class:`ExecutionObserver` that
+downstream users (trace replay, diagnostics, future sharded/async
+runners) attach without touching the loop::
 
     class OpCounter(ExecutionObserver):
         def __init__(self):
@@ -28,7 +28,7 @@ own without touching the loop::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.instance import LOADING, IndexInstance
@@ -264,46 +264,18 @@ class ExecutionObserver:
         structural modification."""
 
 
-class LatencySampler(ExecutionObserver):
-    """Stock observer: collects sampled lookup/write latencies."""
+@dataclass
+class _Tally:
+    """What one run's operations add up to beside the meter."""
 
-    def __init__(self) -> None:
-        self.lookup_samples: List[float] = []
-        self.write_samples: List[float] = []
-
-    def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
-        if latency is None:
-            return
-        kind = event.op.op
-        if kind == LOOKUP:
-            self.lookup_samples.append(latency)
-        elif kind in _WRITE_OPS:
-            self.write_samples.append(latency)
-
-
-class InsertStatsCollector(ExecutionObserver):
-    """Stock observer: Table-3 statistics over *successful* inserts.
-
-    Failed inserts (duplicate keys) did no structural work — counting
-    them would dilute ``keys_shifted``/``smo_rate`` averages.
-    """
-
-    def __init__(self) -> None:
-        self.stats = InsertStats()
-
-    def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
-        if event.op.op == INSERT and event.ok and event.record is not None:
-            self.stats.record(event.record)
-
-
-class ScanAccountant(ExecutionObserver):
-    """Stock observer: total entries returned by scan ops."""
-
-    def __init__(self) -> None:
-        self.scanned_entries = 0
-
-    def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
-        self.scanned_entries += event.scanned
+    #: Sampled latencies, virtual ns.
+    lookup_samples: List[float] = field(default_factory=list)
+    write_samples: List[float] = field(default_factory=list)
+    #: Over *successful* inserts: a failed one (duplicate key) did no
+    #: structural work and would dilute ``keys_shifted`` / ``smo_rate``.
+    insert_stats: InsertStats = field(default_factory=InsertStats)
+    #: Entries returned by scan ops.
+    scanned_entries: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +292,6 @@ def _implemented(observers: Sequence[object], hook: str) -> List[Callable]:
             if m is not None and getattr(m, "__func__", None) is not noop]
 
 
-class _Hooks:
-    """One run's observer dispatch, resolved once at ``run()`` entry."""
-
-    __slots__ = ("on_op", "on_smo", "clock", "t_ns")
-
-    def __init__(self, observers: Sequence[object], start_ns: float) -> None:
-        self.on_op = _implemented(observers, "on_op")
-        self.on_smo = _implemented(observers, "on_smo")
-        #: Some observer reads ``OpEvent.t_ns``.
-        self.clock = any(getattr(obs, "needs_clock", False)
-                         for obs in observers)
-        #: The last clock reading.  Nothing charges the meter between
-        #: two ops, so it doubles as the next op's sampled ``before``.
-        self.t_ns = start_ns
-
-
 class ExecutionEngine:
     """Drives a workload through an index, one ``apply_op`` per operation.
 
@@ -343,7 +299,7 @@ class ExecutionEngine:
     matching the paper).  Sampling snapshots the cost meter around the
     op, so sampled and unsampled ops execute identically.  Observers
     passed at construction (or via :meth:`add_observer`) persist across
-    runs; the stock metric collectors are created fresh per run.
+    runs; the stock tallies are created fresh per run.
 
     A long run of lookups nobody watches op by op is resolved in
     blocks instead (:meth:`_lookup_run`): with no attached observer
@@ -383,45 +339,81 @@ class ExecutionEngine:
 
     # -- the measured loop ------------------------------------------------------
 
-    def _execute_one(
+    def _stepper(
         self,
         index: OrderedIndex,
-        op: Operation,
-        seq: int,
-        hooks: _Hooks,
-        meter,
-    ) -> None:
-        sampled = (seq % self.sample_every) == 0
-        clock = hooks.clock
-        before = (hooks.t_ns if clock
-                  else meter.total_time() if sampled else 0.0)
-        prev_record = index.last_op
-        ok, scanned, result = apply_op(index, op)
-        now = meter.total_time() if clock or sampled else None
-        latency = now - before if sampled else None
-        if clock:
-            hooks.t_ns = now
-        # Indexes assign a *new* OpRecord whenever they record an op,
-        # so identity against the pre-op object detects staleness
-        # (update/scan paths that never wrote last_op).
-        record = index.last_op if index.last_op is not prev_record else None
-        # Positional: keyword construction of the dataclass is measurable
-        # engine self time, and this runs once per op.
-        event = OpEvent(seq, op, record, ok, scanned, result, now)
-        for on_op in hooks.on_op:
-            on_op(event, latency)
-        if (op.op == INSERT or op.op == DELETE) and record is not None and record.smo:
-            for on_smo in hooks.on_smo:
-                on_smo(event)
+        instance: IndexInstance,
+        tally: _Tally,
+        on_op: List[Callable],
+        clock: bool,
+        t_ns: float,
+    ) -> Callable[[Operation, int], None]:
+        """One run's per-op body, ``step(op, seq)``: apply the op, read
+        the clock around it when it is sampled (or when ``clock``: some
+        observer reads ``OpEvent.t_ns``), and feed ``tally`` and the
+        instance's counters in line.  An :class:`OpEvent` is built only
+        for someone to see — every op when ``on_op`` hooks are attached,
+        else only an op that ran an SMO, for the ``on_smo`` hooks.
+        ``t_ns`` is the clock now: nothing charges the meter between two
+        ops, so each reading doubles as the next op's ``before``.
+        """
+        every = self.sample_every
+        total_time = index.meter.total_time
+        lookup_samples, write_samples = tally.lookup_samples, tally.write_samples
+        stats = tally.insert_stats
+        counts = instance.op_counts
+        on_smo = _implemented([*self.observers, instance], "on_smo")
+
+        def step(op: Operation, seq: int) -> None:
+            nonlocal t_ns
+            kind = op.op
+            sampled = seq % every == 0
+            if sampled and not clock:
+                t_ns = total_time()
+            prev_record = index.last_op
+            ok, scanned, result = apply_op(index, op)
+            now = latency = None
+            if clock or sampled:
+                now = total_time()
+                if sampled:
+                    latency = now - t_ns
+                    if kind == LOOKUP:
+                        lookup_samples.append(latency)
+                    elif kind in _WRITE_OPS:
+                        write_samples.append(latency)
+                t_ns = now
+            # Indexes assign a *new* OpRecord whenever they record an op,
+            # so identity against the pre-op object detects staleness
+            # (update/scan paths that never wrote last_op).
+            record = index.last_op
+            if record is prev_record:
+                record = None
+            elif ok and kind == INSERT:
+                stats.record(record)
+            if scanned:
+                tally.scanned_entries += scanned
+            smo = (record is not None and record.smo
+                   and (kind == INSERT or kind == DELETE))
+            if on_op or smo:
+                # Positional: keyword construction of the dataclass is
+                # measurable engine self time.
+                event = OpEvent(seq, op, record, ok, scanned, result, now)
+                for hook in on_op:
+                    hook(event, latency)
+            counts[kind] = counts.get(kind, 0) + 1
+            if smo:
+                for hook in on_smo:
+                    hook(event)
+
+        return step
 
     def _lookup_run(
         self,
         index: OrderedIndex,
         ops: Iterator[Operation],
         seq: int,
-        hooks: _Hooks,
-        meter,
-        sampler: LatencySampler,
+        step: Callable[[Operation, int], None],
+        lookup_samples: List[float],
         instance: IndexInstance,
     ) -> int:
         """The rest of a lookup run already ``LOOKUP_STREAK`` ops long,
@@ -431,15 +423,16 @@ class ExecutionEngine:
         one ``_lookup_batch`` and charges the block's log as range
         totals cut at the sampled ops, each of those alone between two
         clock reads: the meter table is the loop's at every clock read,
-        so the samples are too.  The sampler and the instance's op
-        counter, the only ``on_op`` hooks of an unobserved run that a
-        lookup feeds, are fed in bulk.  The run's first block must be
+        so the samples are too.  The samples and the instance's op
+        counter, all that ``step`` feeds for a lookup nobody watches,
+        are fed in bulk.  The run's first block must be
         at least half full: a write before it drops the index's batch
         tables, and only that many lookups in hand are sure to repay
         rebuilding them.  A block that is not batched, or that the
-        index declines (``None``), takes ``_execute_one`` per op.
+        index declines (``None``), takes ``step`` per op.
         """
         every = self.sample_every
+        meter = index.meter
         charge = meter.charge_phased
         batch = None
         while True:
@@ -458,7 +451,7 @@ class ExecutionEngine:
                      if 2 * n >= LOOKUP_BLOCK or batch is not None else None)
             if batch is None:
                 for op in block:
-                    self._execute_one(index, op, seq, hooks, meter)
+                    step(op, seq)
                     seq += 1
             else:
                 sampled = range(-seq % every, n, every)
@@ -471,14 +464,13 @@ class ExecutionEngine:
                     for site in charges:
                         charge(*site)
                     if timed:
-                        sampler.lookup_samples.append(
-                            meter.total_time() - before)
+                        lookup_samples.append(meter.total_time() - before)
                 index.last_op = batch.make_record(n - 1)
                 counts = instance.op_counts
                 counts[LOOKUP] = counts.get(LOOKUP, 0) + n
                 seq += n
             if ender is not None:
-                self._execute_one(index, ender, seq, hooks, meter)
+                step(ender, seq)
                 return seq + 1
             if n < LOOKUP_BLOCK:
                 return seq
@@ -497,10 +489,8 @@ class ExecutionEngine:
         """
         instance = IndexInstance.wrap(target)
         index: OrderedIndex = instance.index
-        sampler = LatencySampler()
-        istats = InsertStatsCollector()
-        scans = ScanAccountant()
-        observers = [sampler, istats, scans, *self.observers, instance]
+        tally = _Tally()
+        observers = [*self.observers, instance]
 
         for obs in observers:
             obs.on_phase("bulk_load", index, workload)
@@ -517,30 +507,31 @@ class ExecutionEngine:
 
         meter = index.meter
         start_ns = meter.total_time()
-        hooks = _Hooks(observers, start_ns)
+        on_op = _implemented(self.observers, "on_op")
+        clock = any(getattr(obs, "needs_clock", False)
+                    for obs in self.observers)
+        step = self._stepper(index, instance, tally, on_op, clock, start_ns)
+        wall0 = time.perf_counter()
         # Someone watches op by op, or the target is a wrapper with work
         # of its own per op (a multiplexer pumps, a sharded tier routes).
-        per_op = (hooks.clock or index.is_adapter
-                  or _implemented(self.observers, "on_op"))
-        wall0 = time.perf_counter()
-        if per_op:
+        if clock or index.is_adapter or on_op:
             for i, op in enumerate(workload.operations):
-                self._execute_one(index, op, i, hooks, meter)
+                step(op, i)
         else:
             # Count the lookups in a row, and hand a run that passes the
             # streak to ``_lookup_run``.
             ops = iter(workload.operations)
             seq = streak = 0
             for op in ops:
-                self._execute_one(index, op, seq, hooks, meter)
+                step(op, seq)
                 seq += 1
                 if op.op != LOOKUP:
                     streak = 0
                     continue
                 streak += 1
                 if streak == LOOKUP_STREAK:
-                    seq = self._lookup_run(index, ops, seq, hooks, meter,
-                                           sampler, instance)
+                    seq = self._lookup_run(index, ops, seq, step,
+                                           tally.lookup_samples, instance)
                     streak = 0
         wall = time.perf_counter() - wall0
 
@@ -553,11 +544,11 @@ class ExecutionEngine:
             virtual_ns=meter.total_time() - start_ns,
             wall_seconds=wall,
             phase_ns=meter.time_by_phase(),
-            lookup_latency=LatencyStats.from_samples(sampler.lookup_samples),
-            write_latency=LatencyStats.from_samples(sampler.write_samples),
-            insert_stats=istats.stats,
+            lookup_latency=LatencyStats.from_samples(tally.lookup_samples),
+            write_latency=LatencyStats.from_samples(tally.write_samples),
+            insert_stats=tally.insert_stats,
             memory=index.memory_usage(),
-            scanned_entries=scans.scanned_entries,
+            scanned_entries=tally.scanned_entries,
         )
 
 

@@ -435,10 +435,19 @@ class ALEX(OrderedIndex):
         return node, parents
 
     def _leaf_lower_bound(self, node: _DataNode, key: Key) -> Tuple[int, int]:
-        """Exponential search from the model prediction; returns
+        """Exponential search from the model prediction, metered; returns
         ``(slot, probes)`` where slot is the leftmost slot with value >= key."""
-        cap = node.capacity
         self.meter.charge(MODEL_EVAL)
+        lo, probes, hint = self._exponential_search(node, key)
+        charge_local_search(self.meter, probes, lo - hint)
+        return lo, probes
+
+    @staticmethod
+    def _exponential_search(node: _DataNode, key: Key) -> Tuple[int, int, int]:
+        """``(slot, probes, hint)``: the leftmost slot with value >= key,
+        found by doubling steps away from the model's ``hint`` and a
+        binary search between the last two.  Charges nothing."""
+        cap = node.capacity
         hint = node.model.predict_clamped(key, cap)
         keys = node.keys
         probes = 1
@@ -467,8 +476,7 @@ class ALEX(OrderedIndex):
                 lo = mid + 1
             else:
                 hi = mid
-        charge_local_search(self.meter, probes, lo - hint)
-        return lo, probes
+        return lo, probes, hint
 
     @staticmethod
     def _occupied_at(node: _DataNode, pos: int, key: Key) -> int:
@@ -522,43 +530,6 @@ class ALEX(OrderedIndex):
                 cache = node.np_cache = (keys_np, present_idxs)
         return cache
 
-    @staticmethod
-    def _leaf_lookup_plain(node: _DataNode, key: Key) -> Tuple[int, int, int]:
-        """Meter-free replay of ``_leaf_lower_bound`` + ``_occupied_at``
-        for the scalar tail of small batch groups; returns
-        ``(occ, probes, distance)``."""
-        cap = node.capacity
-        hint = node.model.predict_clamped(key, cap)
-        keys = node.keys
-        probes = 1
-        if keys[hint] >= key:
-            bound = 1
-            lo = hint - bound
-            while lo >= 0 and keys[lo] >= key:
-                probes += 1
-                bound <<= 1
-                lo = hint - bound
-            lo = max(lo, 0)
-            hi = hint
-        else:
-            bound = 1
-            hi = hint + bound
-            while hi < cap and keys[hi] < key:
-                probes += 1
-                bound <<= 1
-                hi = hint + bound
-            hi = min(hi, cap)
-            lo = hint
-        while lo < hi:
-            probes += 1
-            mid = (lo + hi) // 2
-            if keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        occ = ALEX._occupied_at(node, lo, key)
-        return occ, probes, lo - hint
-
     def _lookup_batch(self, keys: Sequence[Key]):
         """Vectorized lookup: grouped descent through the inner nodes,
         then a per-leaf replay of the exponential search with rank
@@ -602,10 +573,11 @@ class ALEX(OrderedIndex):
             if cache is False:
                 for gi in idx:
                     gi = int(gi)
-                    occ, pr, dist = self._leaf_lookup_plain(
-                        node, int(ks[gi]))
+                    key = int(ks[gi])
+                    pos, pr, hint = self._exponential_search(node, key)
+                    occ = self._occupied_at(node, pos, key)
                     probes[gi] = pr
-                    cp[gi] = min(max((abs(dist) - 4) // 8, 0), 64)
+                    cp[gi] = min(max((abs(pos - hint) - 4) // 8, 0), 64)
                     if occ >= 0:
                         found[gi] = True
                         values[gi] = node.values[occ]
@@ -747,58 +719,64 @@ class ALEX(OrderedIndex):
         return None  # inline: place a second copy next to the first
 
     def _place(self, node: _DataNode, pos: int, key: Key, value: Value) -> int:
-        """Put ``key`` into the array at/near ``pos``; returns keys shifted."""
+        """Put ``key`` into the array at/near ``pos``; returns keys shifted.
+
+        Gap-run ends come from ``list.index`` and a shift is one slice
+        assignment per column: the slots written, and the ``SLOT_INIT``
+        / ``KEY_SHIFT`` units charged to ``PHASE_COLLISION`` for them,
+        are those of a slot-by-slot mover."""
         node.np_cache = None
-        with self.meter.phase(PHASE_COLLISION):
-            cap = node.capacity
-            if pos < cap and not node.present[pos]:
-                # Gap run: slots pos..first_occupied-1 all hold the same
-                # copied value; place at the prediction-closest legal slot.
-                end = pos
-                while end < cap and not node.present[end] and node.keys[end] == node.keys[pos]:
-                    end += 1
-                hint = node.model.predict_clamped(key, cap)
-                target = min(max(hint, pos), end - 1)
-                node.keys[target] = key
-                node.values[target] = value
-                node.present[target] = True
-                for i in range(pos, target):
-                    node.keys[i] = key
-                self.meter.charge(SLOT_INIT, target - pos + 1)
-                return 0
-            # Occupied (or past the end): shift toward the nearest gap.
-            left = pos - 1
-            while left >= 0 and node.present[left]:
-                left -= 1
-            right = pos
-            while right < cap and node.present[right]:
-                right += 1
-            use_right = right < cap and (left < 0 or right - pos <= pos - left)
-            if use_right:
-                for i in range(right, pos, -1):
-                    node.keys[i] = node.keys[i - 1]
-                    node.values[i] = node.values[i - 1]
-                    node.present[i] = True
-                node.keys[pos] = key
-                node.values[pos] = value
-                node.present[pos] = True
-                shifted = right - pos
-            elif left >= 0:
-                for i in range(left, pos - 1):
-                    node.keys[i] = node.keys[i + 1]
-                    node.values[i] = node.values[i + 1]
-                    node.present[i] = True
-                node.keys[pos - 1] = key
-                node.values[pos - 1] = value
-                node.present[pos - 1] = True
-                shifted = pos - 1 - left
-            else:
-                # No gap at all (should be prevented by density SMOs, but
-                # handle defensively): expand immediately, then retry.
+        keys, values, present = node.keys, node.values, node.present
+        cap = len(keys)
+        if pos < cap and not present[pos]:
+            # Gap run: slots pos..first_occupied-1 all hold the same
+            # copied value; place at the prediction-closest legal slot.
+            try:
+                end = present.index(True, pos)
+            except ValueError:
+                end = cap
+            hint = node.model.predict_clamped(key, cap)
+            target = min(max(hint, pos), end - 1)
+            keys[pos:target + 1] = [key] * (target - pos + 1)
+            values[target] = value
+            present[target] = True
+            self.meter.charge_phased(PHASE_COLLISION, SLOT_INIT,
+                                     target - pos + 1)
+            return 0
+        # Occupied (or past the end): shift toward the nearest gap.  The
+        # left one is looked for only where it would beat the right one.
+        try:
+            right = present.index(False, pos)
+            reach = right - pos
+        except ValueError:
+            right = cap
+            reach = pos + 1
+        run = present[max(pos - reach + 1, 0):pos]
+        run.reverse()
+        if False in run:
+            left = pos - 1 - run.index(False)
+            keys[left:pos - 1] = keys[left + 1:pos]
+            values[left:pos - 1] = values[left + 1:pos]
+            present[left] = True
+            keys[pos - 1] = key
+            values[pos - 1] = value
+            shifted = pos - 1 - left
+        elif right < cap:
+            keys[pos + 1:right + 1] = keys[pos:right]
+            values[pos + 1:right + 1] = values[pos:right]
+            present[right] = True
+            keys[pos] = key
+            values[pos] = value
+            shifted = reach
+        else:
+            # No gap at all (should be prevented by density SMOs, but
+            # handle defensively): expand immediately, then retry.
+            with self.meter.phase(PHASE_COLLISION):
                 self._expand(node)
-                return self._place(node, self._leaf_lower_bound(node, key)[0], key, value)
-            self.meter.charge(KEY_SHIFT, shifted)
-            return shifted
+                return self._place(
+                    node, self._leaf_lower_bound(node, key)[0], key, value)
+        self.meter.charge_phased(PHASE_COLLISION, KEY_SHIFT, shifted)
+        return shifted
 
     # -- SMOs --------------------------------------------------------------------
 

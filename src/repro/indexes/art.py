@@ -15,6 +15,7 @@ the null-pointer slack of Node48/Node256, reproduced analytically in
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
@@ -87,27 +88,14 @@ class _ArtNode:
 
     def find(self, b: int) -> int:
         """Index of byte ``b`` in this node, or -1."""
-        lo, hi = 0, len(self.bytes_)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.bytes_[mid] < b:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(self.bytes_, b)
         if lo < len(self.bytes_) and self.bytes_[lo] == b:
             return lo
         return -1
 
     def lower(self, b: int) -> int:
         """Index of the first byte >= ``b``."""
-        lo, hi = 0, len(self.bytes_)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.bytes_[mid] < b:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self.bytes_, b)
 
     def add(self, b: int, child: Any) -> None:
         i = self.lower(b)

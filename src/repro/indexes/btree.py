@@ -40,7 +40,7 @@ from repro.indexes.base import (
     OrderedIndex,
     Value,
 )
-from repro.indexes.linear_model import binary_search_lower
+from repro.indexes.linear_model import binary_search_lower, binary_steps
 
 _NODE_HEADER_BYTES = 24
 #: An inner node of ``c >= 1`` children holds ``c`` pointers and
@@ -168,15 +168,8 @@ class BPlusTree(OrderedIndex):
             if inners is not None:
                 inners.append(node)
             keys = node.keys
-            lo, hi = 0, len(keys)
-            probes = 0
-            while lo < hi:
-                probes += 1
-                mid = (lo + hi) // 2
-                if keys[mid] < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
+            lo = bisect_left(keys, key)
+            probes = binary_steps(len(keys), lo)
             compares += probes
             if probes > 3:  # charge_binary_search's cold-line rule
                 lines += probes - 3
@@ -193,11 +186,23 @@ class BPlusTree(OrderedIndex):
                 charge(PHASE_TRAVERSE, CACHE_PROBE, lines)
         return node  # type: ignore[return-value]
 
+    def _search_leaf(self, leaf: _Leaf, key: Key) -> int:
+        """Lower bound of ``key`` among the leaf's keys, charged to
+        ``PHASE_SEARCH`` as ``charge_binary_search`` charges a search
+        of that many probes."""
+        keys = leaf.keys
+        idx = bisect_left(keys, key)
+        probes = binary_steps(len(keys), idx)
+        charge = self.meter.charge_phased
+        charge(PHASE_SEARCH, KEY_COMPARE, probes)
+        if probes > 3:
+            charge(PHASE_SEARCH, CACHE_PROBE, probes - 3)
+        return idx
+
     def lookup(self, key: Key) -> Optional[Value]:
         path: List[int] = []
         leaf = self._descend(key, path)
-        with self.meter.phase(PHASE_SEARCH):
-            idx = binary_search_lower(leaf.keys, key, self.meter)
+        idx = self._search_leaf(leaf, key)
         found = idx < len(leaf.keys) and leaf.keys[idx] == key
         self.last_op = OpRecord(
             op="lookup", key=key, found=found, path=path, nodes_traversed=len(path)
@@ -269,8 +274,7 @@ class BPlusTree(OrderedIndex):
         path_nodes: List[_Inner] = []
         path_ids: List[int] = []
         leaf = self._descend(key, path_ids, path_nodes)
-        with self.meter.phase(PHASE_SEARCH):
-            idx = binary_search_lower(leaf.keys, key, self.meter)
+        idx = self._search_leaf(leaf, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             self.last_op = OpRecord(
                 op="insert", key=key, found=True, path=path_ids,
@@ -345,8 +349,7 @@ class BPlusTree(OrderedIndex):
 
     def update(self, key: Key, value: Value) -> bool:
         leaf = self._descend(key)
-        with self.meter.phase(PHASE_SEARCH):
-            idx = binary_search_lower(leaf.keys, key, self.meter)
+        idx = self._search_leaf(leaf, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             leaf.values[idx] = value
             self.meter.charge(KEY_SHIFT)

@@ -5,21 +5,18 @@ Every learned index in the study is, at heart, a tree of linear models
 
 * :class:`LinearModel` — train/predict over (key, position) pairs,
 * :func:`fmcd_model` — LIPP's collision-minimizing model construction,
-* :func:`exponential_search` / :func:`biased_search` — last-mile search
-  primitives with cost metering.
+* :func:`binary_steps` / :func:`binary_search_lower` — the probe count
+  of a lower-bound binary search, and the search with cost metering.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as _np
 
-from repro.core.cost import (
-    CostMeter,
-    charge_binary_search,
-    charge_local_search,
-)
+from repro.core.cost import CostMeter, charge_binary_search
 
 #: Fits over fewer keys than this stay in pure Python (array setup
 #: overhead dominates below it).
@@ -234,59 +231,47 @@ def fmcd_model(keys: Sequence[int], n_slots: int) -> LinearModel:
     return LinearModel(slope, target_i, ki)
 
 
-def exponential_search(
-    keys: Sequence[int],
-    key: int,
-    hint: int,
-    meter: Optional[CostMeter] = None,
-) -> Tuple[int, int]:
-    """ALEX-style exponential search around a predicted position.
+#: ``binary_steps`` reads windows up to this wide off a table: a row is
+#: ``width + 1`` bytes, all of them together under 140 KB.
+_STEP_ROW_MAX = 512
+#: ``_STEP_ROWS[width][rank]``, each row filled when first asked for.
+_STEP_ROWS: List[Optional[bytes]] = [b"\0"] + [None] * _STEP_ROW_MAX
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
-    ``keys`` must be sorted.  Returns ``(lower_bound_index, probes)``
-    where ``lower_bound_index`` is the first index with
-    ``keys[idx] >= key`` (may equal ``len(keys)``).
+
+def _step_row(width: int) -> bytes:
+    """Fill ``_STEP_ROWS[width]``: the first probe lands on ``mid =
+    width // 2``, then the loop goes on in the ``mid`` slots to its left
+    (``rank <= mid``) or the ``width - mid - 1`` to its right."""
+    mid = width // 2
+    left = _STEP_ROWS[mid] or _step_row(mid)
+    right = _STEP_ROWS[width - mid - 1] or _step_row(width - mid - 1)
+    row = _STEP_ROWS[width] = (left + right).translate(_PLUS_ONE)
+    return row
+
+
+def binary_steps(width: int, rank: int) -> int:
+    """Probes of the lower-bound loop ``mid = (lo + hi) // 2`` over a
+    window ``width`` slots wide, for a key whose lower bound lies
+    ``rank`` slots into it (``0 <= rank <= width``).
+
+    The loop compares ``keys[mid] < key`` — on sorted keys ``mid <
+    rank`` — so its probes depend on nothing else, and a C ``bisect``
+    for the rank plus this count replaces it (``docs/cost_model.md``,
+    "Probe counts without the probes").  The scalar twin of
+    ``batching.simulate_binary``.
     """
-    n = len(keys)
-    if n == 0:
-        return 0, 0
-    if hint < 0:
-        hint = 0
-    elif hint >= n:
-        hint = n - 1
-    probes = 1
-    if keys[hint] >= key:
-        # Grow bound leftwards.
-        bound = 1
-        lo = hint - bound
-        while lo >= 0 and keys[lo] >= key:
-            probes += 1
-            bound <<= 1
-            lo = hint - bound
-        lo = max(lo, 0)
-        hi = hint
-        if keys[hi] == key:
-            hi += 0
-    else:
-        # Grow bound rightwards.
-        bound = 1
-        hi = hint + bound
-        while hi < n and keys[hi] < key:
-            probes += 1
-            bound <<= 1
-            hi = hint + bound
-        hi = min(hi, n)
-        lo = hint
-    # Binary search within [lo, hi].
+    if width <= _STEP_ROW_MAX:
+        return (_STEP_ROWS[width] or _step_row(width))[rank]
+    lo, hi, steps = 0, width, 0
     while lo < hi:
-        probes += 1
+        steps += 1
         mid = (lo + hi) // 2
-        if keys[mid] < key:
+        if mid < rank:
             lo = mid + 1
         else:
             hi = mid
-    if meter is not None:
-        charge_local_search(meter, probes, lo - hint)
-    return lo, probes
+    return steps
 
 
 def binary_search_lower(
@@ -295,15 +280,7 @@ def binary_search_lower(
     meter: Optional[CostMeter] = None,
 ) -> int:
     """Plain lower-bound binary search with metering."""
-    lo, hi = 0, len(keys)
-    probes = 0
-    while lo < hi:
-        probes += 1
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = bisect_left(keys, key)
     if meter is not None:
-        charge_binary_search(meter, probes)
+        charge_binary_search(meter, binary_steps(len(keys), lo))
     return lo

@@ -213,6 +213,31 @@ class LIPP(OrderedIndex):
                 node.values[s] = self._build_node(group)
         return node
 
+    def _build_pair(self, a: Tuple[Key, Value],
+                    b: Tuple[Key, Value]) -> _LippNode:
+        """``_build_node((a, b))`` for ``a`` below ``b``, the chained
+        node of every collision: FMCD puts two keys a quarter and three
+        quarters of the way along the slots, so the node is two slot
+        writes — same id, counters and charges.  Should the two ever
+        share a slot, the generic builder chains them."""
+        cap = max(16, min(int(2 / self.density) + 1, self.max_node_slots))
+        model = fmcd_model((a[0], b[0]), cap)
+        sa = model.predict_clamped(a[0], cap)
+        sb = model.predict_clamped(b[0], cap)
+        if sa == sb:
+            return self._build_node((a, b))
+        tags, keys, values = [_EMPTY] * cap, [0] * cap, [None] * cap
+        tags[sa] = tags[sb] = _DATA
+        keys[sa], values[sa] = a
+        keys[sb], values[sb] = b
+        node = _LippNode(self._next_node_id(), model, tags, keys, values, 2)
+        self._n_nodes += 1
+        self._n_slots += cap
+        self.meter.charge(ALLOC_NODE)
+        self.meter.charge(SLOT_INIT, cap)
+        self.meter.charge(TRAIN_KEY, 2)
+        return node
+
     def _build(self, items: Sequence[Tuple[Key, Value]]) -> _LippNode:
         """The subtree over ``items`` — by arrays when there are enough
         of them and ``batching`` admits their keys, else by the scalar
@@ -543,8 +568,8 @@ class LIPP(OrderedIndex):
             self.chain_count += 1
             with self.meter.phase(PHASE_COLLISION):
                 old = (node.keys[s], node.values[s])
-                pair = sorted([old, (key, value)])
-                child = self._build_node(pair)
+                child = (self._build_pair(old, (key, value)) if old[0] < key
+                         else self._build_pair((key, value), old))
                 node.tags[s] = _CHILD
                 node.keys[s] = 0
                 node.values[s] = child

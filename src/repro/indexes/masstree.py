@@ -22,6 +22,7 @@ version-number protocol it is what "crumbles" under NUMA in Figure 6.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
@@ -51,6 +52,7 @@ from repro.indexes.base import (
     OrderedIndex,
     Value,
 )
+from repro.indexes.linear_model import binary_steps
 
 _FANOUT = 15
 _VERSION_BYTES = 8
@@ -148,16 +150,8 @@ class Masstree(OrderedIndex):
     @staticmethod
     def _lower(keys: List[Key], key: Key) -> Tuple[int, int]:
         """Lower bound in ``keys`` and the compares it took."""
-        lo, hi = 0, len(keys)
-        probes = 0
-        while lo < hi:
-            probes += 1
-            mid = (lo + hi) // 2
-            if keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo, probes
+        lo = bisect_left(keys, key)
+        return lo, binary_steps(len(keys), lo)
 
     def _descend(self, key: Key, path: Optional[List[int]] = None) -> Tuple[_Border, List[_Interior]]:
         """Walk root to border node; charges ``PHASE_TRAVERSE`` one

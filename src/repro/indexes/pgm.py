@@ -21,7 +21,8 @@ This is why the paper observes that
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
     ALLOC_NODE,
@@ -54,6 +55,7 @@ from repro.indexes.base import (
     OrderedIndex,
     Value,
 )
+from repro.indexes.linear_model import binary_steps
 
 _TOMBSTONE = object()
 _SEGMENT_BYTES = 8 + 8 + 8  # first_key + slope + intercept (as in C++ PGM)
@@ -71,14 +73,57 @@ def _charge_walks(meter, models: int, probes: int, lines: int) -> None:
             charge(PHASE_TRAVERSE, CACHE_PROBE, lines)
 
 
+def _merge_columns(
+    old_keys: List[Key], old_values: List[Value],
+    new_keys: List[Key], new_values: List[Value],
+) -> Tuple[List[Key], List[Value]]:
+    """Merge two runs, each a pair of columns ascending by unique key,
+    into fresh columns; on equal keys the *new* entry wins.
+
+    Tombstones are RETAINED even when they meet their victim: a
+    still-deeper run (not part of this merge) may hold another copy
+    of the key, and dropping the tombstone here would resurrect it.
+    Tombstones thus ride to the bottom, as in production LSM trees.
+
+    The shorter run is spliced into the longer — one ``bisect`` per
+    short key, the long run's stretch before it copied by slice — so a
+    flush into a big run is a few hundred C moves and no tuple is built.
+    """
+    new_is_short = len(new_keys) <= len(old_keys)
+    if new_is_short:
+        long_keys, long_values, short = old_keys, old_values, zip(new_keys, new_values)
+    else:
+        long_keys, long_values, short = new_keys, new_values, zip(old_keys, old_values)
+    keys: List[Key] = []
+    values: List[Value] = []
+    n = len(long_keys)
+    at = 0  # long entries before this one are merged
+    for k, v in short:
+        cut = bisect_left(long_keys, k, at)
+        keys += long_keys[at:cut]
+        values += long_values[at:cut]
+        at = cut
+        if cut < n and long_keys[cut] == k:
+            if not new_is_short:
+                continue  # the long run's entry is the new one
+            at += 1
+        keys.append(k)
+        values.append(v)
+    keys += long_keys[at:]
+    values += long_values[at:]
+    return keys, values
+
+
 class _StaticPGM:
     """One immutable run: packed arrays + recursive PLA levels."""
 
-    __slots__ = ("keys", "values", "levels", "epsilon", "np_cache")
+    __slots__ = ("keys", "values", "levels", "first_keys", "epsilon",
+                 "np_cache")
 
     def __init__(
         self,
-        items: Sequence[Tuple[Key, Value]],
+        keys: List[Key],
+        values: List[Value],
         epsilon: int,
         meter,
     ) -> None:
@@ -87,17 +132,21 @@ class _StaticPGM:
         #: marks a run whose keys/anchors do not fit int64.  Runs are
         #: immutable, so the cache never needs invalidation.
         self.np_cache = None
-        self.keys: List[Key] = [k for k, _ in items]
-        self.values: List[Value] = [v for _, v in items]
+        self.keys = keys  # the run owns both columns
+        self.values = values
         #: levels[0] = leaf segments over keys; levels[i+1] indexes the
         #: first_keys of levels[i]; the last level has one segment.
         self.levels: List[List[Segment]] = []
-        meter.charge(TRAIN_KEY, len(self.keys))
-        if self.keys:
-            level = optimal_pla(self.keys, epsilon)
+        #: first_keys[i] = the ``first_key`` column of levels[i], for
+        #: every level another one indexes (all but the last).
+        self.first_keys: List[List[Key]] = []
+        meter.charge(TRAIN_KEY, len(keys))
+        if keys:
+            level = optimal_pla(keys, epsilon)
             self.levels.append(level)
             while len(level) > 1:
                 first_keys = [seg.first_key for seg in level]
+                self.first_keys.append(first_keys)
                 level = optimal_pla(first_keys, epsilon)
                 self.levels.append(level)
                 meter.charge(TRAIN_KEY, len(first_keys))
@@ -116,46 +165,35 @@ class _StaticPGM:
         n = len(keys)
         if n == 0:
             return 0, 0, 0, 0
-        eps = self.epsilon
+        reach = self.epsilon + 2
         levels = self.levels
         probes = lines = 0
         # Walk from the top level down, narrowing the segment choice.
         seg_idx = 0
         for depth in range(len(levels) - 1, 0, -1):
             level = levels[depth]
-            lower = levels[depth - 1]
-            seg = level[seg_idx if seg_idx < len(level) else len(level) - 1]
+            lower = self.first_keys[depth - 1]
+            seg = level[seg_idx] if seg_idx < len(level) else level[-1]
             pred = int(seg.model.predict(key))
-            hi = max(min(pred + eps + 2, len(lower)), 0)
-            lo = min(max(pred - eps - 1, 0), hi)
-            # Find the last segment whose first_key <= key in [lo, hi).
-            steps = 0
-            while lo < hi:
-                steps += 1
-                mid = (lo + hi) // 2
-                if lower[mid].first_key <= key:
-                    lo = mid + 1
-                else:
-                    hi = mid
+            # [lo, hi) = [pred - eps - 1, pred + eps + 2) cut to the level.
+            hi = min(pred + reach, len(lower)) if pred > -reach else 0
+            lo = min(pred - reach + 1, hi) if pred >= reach else 0
+            # The last segment whose first_key <= key in [lo, hi).
+            end = bisect_right(lower, key, lo, hi)
+            steps = binary_steps(hi - lo, end - lo)
             probes += steps
             if steps > 3:
                 lines += steps - 3
-            seg_idx = max(lo - 1, 0)
+            seg_idx = end - 1 if end else 0
         pred = int(levels[0][seg_idx].model.predict(key))
-        hi = max(min(pred + eps + 2, n), 0)
-        lo = min(max(pred - eps - 1, 0), hi)
-        # Binary search the ±ε window in the packed key array.
-        steps = 0
-        while lo < hi:
-            steps += 1
-            mid = (lo + hi) // 2
-            if keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
+        hi = min(pred + reach, n) if pred > -reach else 0
+        lo = min(pred - reach + 1, hi) if pred >= reach else 0
+        # The ±ε window in the packed key array.
+        end = bisect_left(keys, key, lo, hi)
+        steps = binary_steps(hi - lo, end - lo)
         if steps > 3:
             lines += steps - 3
-        return lo, len(levels), probes + steps, lines
+        return end, len(levels), probes + steps, lines
 
     def segment_count(self) -> int:
         return sum(len(level) for level in self.levels)
@@ -175,7 +213,7 @@ class _StaticPGM:
                 lower_first = None
                 if depth >= 1:
                     lower_first = batching.int64_cache(
-                        [s.first_key for s in self.levels[depth - 1]])
+                        self.first_keys[depth - 1])
                     if lower_first is None:
                         self.np_cache = False
                         return False
@@ -234,7 +272,9 @@ class PGMIndex(OrderedIndex):
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
         self.check_sorted(items)
         self._buffer.clear()
-        self._runs = [_StaticPGM(items, self.epsilon, self.meter)] if items else []
+        self._runs = [_StaticPGM(batching.key_list(items),
+                                 [v for _, v in items],
+                                 self.epsilon, self.meter)] if items else []
         self._size = len(items)
         self.meter.charge(ALLOC_NODE)
 
@@ -384,9 +424,8 @@ class PGMIndex(OrderedIndex):
         return True
 
     def _put(self, key: Key, value: Value) -> None:
-        with self.meter.phase(PHASE_COLLISION):
-            self._buffer[key] = value
-            self.meter.charge(KEY_SHIFT)
+        self._buffer[key] = value
+        self.meter.charge_phased(PHASE_COLLISION, KEY_SHIFT, 1)
         smo = False
         if len(self._buffer) >= self.buffer_size:
             with self.meter.phase(PHASE_SMO):
@@ -442,10 +481,11 @@ class PGMIndex(OrderedIndex):
     def _merge_down(self) -> None:
         """Flush the buffer according to the configured merge policy."""
         self.merge_count += 1
-        spill = sorted(self._buffer.items())
+        keys = sorted(self._buffer)
+        values = list(map(self._buffer.__getitem__, keys))
         self._buffer.clear()
         if self.merge_policy == "tiered":
-            self._merge_down_tiered(spill)
+            self._merge_down_tiered(keys, values)
             return
         level = 0
         while True:
@@ -454,25 +494,26 @@ class PGMIndex(OrderedIndex):
             run = self._runs[level]
             capacity = self.buffer_size * (2 ** level)
             if run is None or len(run) == 0:
-                if len(spill) <= capacity:
-                    self._runs[level] = _StaticPGM(spill, self.epsilon, self.meter)
+                if len(keys) <= capacity:
+                    self._runs[level] = _StaticPGM(keys, values, self.epsilon,
+                                                   self.meter)
                     self.meter.charge(ALLOC_NODE)
-                    self.meter.charge(KEY_SHIFT, len(spill))
+                    self.meter.charge(KEY_SHIFT, len(keys))
                     return
                 level += 1
                 continue
             # Merge and carry to the next level.
-            spill = self._merge_items(zip(run.keys, run.values), spill)
+            keys, values = _merge_columns(run.keys, run.values, keys, values)
             self._runs[level] = None
-            self.meter.charge(KEY_SHIFT, len(spill))
+            self.meter.charge(KEY_SHIFT, len(keys))
             level += 1
 
-    def _merge_down_tiered(self, spill: List[Tuple[Key, Value]]) -> None:
+    def _merge_down_tiered(self, keys: List[Key], values: List[Value]) -> None:
         """Size-tiered compaction: up to ``tier_fanout`` similar-size
         runs coexist; overflowing a size bucket merges that bucket."""
-        self._runs.insert(0, _StaticPGM(spill, self.epsilon, self.meter))
+        self._runs.insert(0, _StaticPGM(keys, values, self.epsilon, self.meter))
         self.meter.charge(ALLOC_NODE)
-        self.meter.charge(KEY_SHIFT, len(spill))
+        self.meter.charge(KEY_SHIFT, len(keys))
         while True:
             buckets: dict = {}
             for idx, run in enumerate(self._runs):
@@ -485,44 +526,25 @@ class PGMIndex(OrderedIndex):
             )
             if victims is None:
                 return
-            # K-way merge, newest run wins on key ties: union the
-            # victims oldest first so each newer run shadows the rest.
+            # K-way merge, newest run wins on key ties: fold the victims
+            # oldest first so each newer run shadows the rest.
             victims.sort()
-            union: dict = {}
-            for idx in reversed(victims):
+            oldest = self._runs[victims[-1]]
+            keys, values = oldest.keys, oldest.values
+            for idx in reversed(victims[:-1]):
                 run = self._runs[idx]
-                union.update(zip(run.keys, run.values))
-            merged = sorted(union.items())
+                keys, values = _merge_columns(keys, values, run.keys, run.values)
             self.meter.charge(
                 KEY_SHIFT, sum(len(self._runs[idx]) for idx in victims))
             # The merged run takes the oldest victim's position, keeping
             # newest-first shadowing intact for the survivors.
-            new_run = _StaticPGM(merged, self.epsilon, self.meter)
+            new_run = _StaticPGM(keys, values, self.epsilon, self.meter)
             self.meter.charge(ALLOC_NODE)
             keep = [r for i, r in enumerate(self._runs) if i not in set(victims)]
             keep.insert(
                 sum(1 for i in range(victims[-1]) if i not in set(victims)), new_run
             )
             self._runs = keep
-
-    @staticmethod
-    def _merge_items(
-        old: Iterable[Tuple[Key, Value]], new: Iterable[Tuple[Key, Value]]
-    ) -> List[Tuple[Key, Value]]:
-        """Merge two runs; on equal keys the *new* entry wins.
-
-        Tombstones are RETAINED even when they meet their victim: a
-        still-deeper run (not part of this merge) may hold another copy
-        of the key, and dropping the tombstone here would resurrect it.
-        Tombstones thus ride to the bottom, as in production LSM trees.
-
-        Runs hold unique keys, so a dict union does the shadowing and
-        one sort of its two ascending stretches (linear in timsort) the
-        merge — both at C speed, and never comparing a value.
-        """
-        merged = dict(old)
-        merged.update(new)
-        return sorted(merged.items())
 
     # -- update / delete -----------------------------------------------------------
 
@@ -538,7 +560,10 @@ class PGMIndex(OrderedIndex):
             return False
         self._put(key, _TOMBSTONE)
         self._size -= 1
-        self.last_op = OpRecord(op="delete", key=key, found=True)
+        # The tombstone's flush, if it ran one, is this delete's SMO.
+        put = self.last_op
+        self.last_op = OpRecord(op="delete", key=key, found=True, smo=put.smo,
+                                nodes_created=put.nodes_created)
         return True
 
     # -- scans -----------------------------------------------------------------

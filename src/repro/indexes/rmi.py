@@ -13,6 +13,7 @@ the entire motivation of the paper this repository reproduces.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
@@ -35,7 +36,7 @@ from repro.indexes.base import (
     OrderedIndex,
     Value,
 )
-from repro.indexes.linear_model import LinearModel
+from repro.indexes.linear_model import LinearModel, binary_steps
 
 _MODEL_BYTES = 24
 
@@ -106,15 +107,9 @@ class RMI(OrderedIndex):
         err = self._leaf_errors[m]
         pred = int(model.predict(key))
         hi = max(min(pred + err + 2, n), 0)
-        lo = min(max(pred - err - 1, 0), hi)
-        probes = 0
-        while lo < hi:
-            probes += 1
-            mid = (lo + hi) // 2
-            if keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
+        start = min(max(pred - err - 1, 0), hi)
+        lo = bisect_left(keys, key, start, hi)
+        probes = binary_steps(hi - start, lo - start)
         # The prediction window is exact only for trained keys; absent
         # keys at bucket edges may need to spill to the neighbours.
         spill = 0

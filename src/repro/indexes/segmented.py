@@ -61,7 +61,7 @@ from repro.core.validate import (
 )
 from repro.indexes import batching
 from repro.indexes.base import Key, OpRecord, OrderedIndex, Value
-from repro.indexes.linear_model import LinearModel
+from repro.indexes.linear_model import LinearModel, binary_steps
 
 Row = Tuple[Key, Value]
 
@@ -97,15 +97,8 @@ def window_search(keys: Sequence[Key], model: LinearModel, key: Key,
     pred = int(model.predict(key))
     hi = max(min(pred + epsilon + 2, n), 0)
     lo = min(max(pred - epsilon - 1, 0), hi)
-    probes = 0
-    while lo < hi:
-        probes += 1
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo, probes
+    pos = bisect.bisect_left(keys, key, lo, hi)
+    return pos, binary_steps(hi - lo, pos - lo)
 
 
 class SegmentedIndex(OrderedIndex):

@@ -19,6 +19,7 @@ survive this substitution.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
@@ -47,6 +48,7 @@ from repro.indexes.base import (
     OrderedIndex,
     Value,
 )
+from repro.indexes.linear_model import binary_steps
 
 _LEAF_CAPACITY = 128
 #: log2(KEY_BYTES): binary search on prefix length for 8-byte keys.
@@ -117,15 +119,8 @@ class Wormhole(OrderedIndex):
 
     def _leaf_rank(self, leaf: _WormLeaf, key: Key) -> int:
         keys = leaf.keys
-        lo, hi = 0, len(keys)
-        probes = 0
-        while lo < hi:
-            probes += 1
-            mid = (lo + hi) // 2
-            if keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(keys, key)
+        probes = binary_steps(len(keys), lo)
         if probes:
             self.meter.charge(KEY_COMPARE, probes)
         return lo

@@ -7,8 +7,6 @@ minimal stream, flagged by ``debug_validate()`` with its named rule,
 and reproduce the failure after a save/load round trip.
 """
 
-import random
-
 import pytest
 
 from repro import BPlusTree

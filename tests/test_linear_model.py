@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.indexes.linear_model import (
     LinearModel,
     binary_search_lower,
-    exponential_search,
     fmcd_model,
 )
+from tests.search_reference import exponential_search
 
 
 def test_train_perfect_line():

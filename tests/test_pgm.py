@@ -22,8 +22,8 @@ def _uniform_items(n, seed=0):
 def test_static_pgm_epsilon_guarantee():
     items = _uniform_items(5000, seed=1)
     meter = CostMeter()
-    run = _StaticPGM(items, epsilon=16, meter=meter)
     keys = [k for k, _ in items]
+    run = _StaticPGM(keys, list(keys), epsilon=16, meter=meter)
     for i in range(0, len(keys), 37):
         assert run.locate(keys[i])[0] == i
 
@@ -31,7 +31,7 @@ def test_static_pgm_epsilon_guarantee():
 def test_static_pgm_absent_keys_lower_bound():
     items = [(i * 10, i) for i in range(1000)]
     meter = CostMeter()
-    run = _StaticPGM(items, epsilon=8, meter=meter)
+    run = _StaticPGM(*map(list, zip(*items)), epsilon=8, meter=meter)
     assert run.locate(55)[0] == 6
     assert run.locate(0)[0] == 0
     assert run.locate(10**9)[0] == 1000
@@ -40,7 +40,7 @@ def test_static_pgm_absent_keys_lower_bound():
 def test_static_pgm_recursive_levels():
     items = _uniform_items(20000, seed=2)
     meter = CostMeter()
-    run = _StaticPGM(items, epsilon=4, meter=meter)
+    run = _StaticPGM(*map(list, zip(*items)), epsilon=4, meter=meter)
     assert len(run.levels) >= 2
     assert len(run.levels[-1]) == 1
 
