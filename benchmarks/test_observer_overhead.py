@@ -114,7 +114,9 @@ def test_one_clock_read_and_no_snapshot_per_op():
 
 def test_window_observers_read_the_clock_per_window_not_per_op():
     """A bus or a metrics collector alone wants the clock at window
-    closes only, and must not make the engine read it per op."""
+    closes only, and must not make the engine read it per op; at one
+    window size they (and a tracker) share one fold, so one read per
+    close between them."""
     workload = mixed_workload(list(dataset_keys("covid")), 0.5,
                               n_ops=3000, seed=4)
     meter = CountingMeter()
@@ -123,10 +125,12 @@ def test_window_observers_read_the_clock_per_window_not_per_op():
                              bus=EventBus())
     result = engine.run(REGISTRY.create("B+tree", meter=meter), workload)
     sampled = result.n_ops // engine.sample_every + 1  # before and after
-    windows = result.n_ops // 256 + 1                  # collector + emitter
+    windows = result.n_ops // 256 + 1                  # one shared fold
     smos = int(metrics.registry.counter("smo_total").value)  # emitter stamps
-    assert meter.clock_reads <= (2 * sampled + 2 * windows + smos
+    assert meter.clock_reads <= (2 * sampled + windows + smos
                                  + _PHASE_READS) < result.n_ops // 4
+    engine.add_observer(SLOTracker())
+    assert len(set(engine._window_folds(CostMeter()).values())) == 1
 
 
 def test_memory_usage_visits_no_nodes():

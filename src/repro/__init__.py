@@ -26,7 +26,7 @@ from repro.core.hardness import (
     optimal_pla,
     pla_hardness,
 )
-from repro.core.heatmap import Heatmap, compute_heatmap
+from repro.core.heatmap import Heatmap
 from repro.core.instance import IndexInstance
 from repro.core.migrate import MigrationReport, run_migration
 from repro.core.opstream import (
@@ -94,7 +94,7 @@ __all__ = [
     "SLOTarget", "SLOTracker", "append_history", "check_history",
     "OpStream", "OracleReport", "OrderedIndex", "REGISTRY", "RunResult",
     "Telemetry", "TraceRecorder", "ValidationObserver", "Violation",
-    "Workload", "churn_workload", "compute_heatmap", "debug_validate",
+    "Workload", "churn_workload", "debug_validate",
     "deletion_workload", "execute", "run_migration", "run_oracle",
     "global_hardness", "local_hardness", "mixed_workload", "mse_hardness",
     "optimal_pla", "pla_hardness", "scan_workload", "shift_workload",

@@ -264,11 +264,12 @@ def _save_telemetry(args, telemetry) -> None:
 
 
 def _execute_on_bus(factory, wl, bus, window: int, **options):
-    """``execute`` on a bus-attached instance under an SLO tracker
-    publishing into ``bus``; returns ``(result, tracker)``."""
+    """``execute`` on a bus-attached instance, its bus windows and an SLO
+    tracker's both ``window`` ops long; returns ``(result, tracker)``."""
     slo = SLOTracker(bus=bus, window_ops=window)
     target = bus.attach_instance(IndexInstance.wrap(factory()))
-    return execute(target, wl, bus=bus, observers=[slo], **options), slo
+    return execute(target, wl, bus=bus, bus_window=window, observers=[slo],
+                   **options), slo
 
 
 def cmd_run(args) -> int:
@@ -354,8 +355,7 @@ def _top_live(args, tower):
                       _resolve_index(args.migrate[1]), wl, bus=bus,
                       bus_window=args.window)
     else:
-        _execute_on_bus(_index_factory(args.index), wl, bus, args.window,
-                        bus_window=args.window)
+        _execute_on_bus(_index_factory(args.index), wl, bus, args.window)
     return None
 
 
@@ -709,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write windowed throughput/SMO-rate/memory "
                          "time-series as versioned JSON-lines")
     sp.add_argument("--window", type=int, default=256,
-                    help="ops per metrics window")
+                    help="ops per metrics/bus/SLO window")
     sp.add_argument("--events", default="",
                     help="attach an event bus + SLO tracker and write "
                          "the operational event log (state changes, op "

@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.core.results import save_jsonl
-from repro.core.runner import ExecutionObserver, OpEvent
+from repro.core.runner import ExecutionObserver, OpEvent, OpWindow
 
 __all__ = [
     "EVENT_KINDS",
@@ -199,13 +199,13 @@ class EventBus:
 class EngineBusEmitter(ExecutionObserver):
     """Publishes one run's engine stream into a bus.
 
-    Per-op events would dwarf everything else in the ring, so ops are
+    Per-op events would dwarf everything else in the ring, so ops come
     coalesced into windows of ``window_ops`` (per-kind counts, ok
     counts, the window's virtual duration and rolling throughput);
-    phases and SMOs are rare and publish individually.  Windows and
-    SMOs are stamped with ``OpEvent.clock`` (the reading the engine
-    already took for a ``needs_clock`` observer, else one read of the
-    meter then); the meter is never charged.
+    phases and SMOs are rare and publish individually.  SMOs are
+    stamped with ``OpEvent.clock`` (the reading the engine already took
+    for a ``needs_clock`` observer, else one read of the meter then);
+    the meter is never charged.
     """
 
     def __init__(self, bus: EventBus, window_ops: int = 256) -> None:
@@ -214,53 +214,32 @@ class EngineBusEmitter(ExecutionObserver):
         self.bus = bus
         self.window_ops = window_ops
         self._meter = None
-        self._source = ""
-        self._win_start_ns = 0.0
-        self._win_ops = 0
-        self._win_ok = 0
-        self._win_counts: Dict[str, int] = {}
+        #: Who the events are published under: the index a run's phases
+        #: named, or what a producer feeding ``on_window`` itself set.
+        self.source = ""
 
     def on_phase(self, phase: str, index, workload) -> None:
         self._meter = index.meter
-        self._source = getattr(index, "name", type(index).__name__)
-        now = self._meter.total_time()
-        if phase == "measure":
-            self._win_start_ns = now
-        elif phase == "done" and self._win_ops:
-            self._close_window(now)
+        self.source = getattr(index, "name", type(index).__name__)
         self.bus.publish(
-            KIND_PHASE, source=self._source, t_ns=now,
+            KIND_PHASE, source=self.source, t_ns=self._meter.total_time(),
             phase=phase, workload=getattr(workload, "name", ""))
-
-    def on_op(self, event: OpEvent, latency) -> None:
-        kind = event.op.op
-        self._win_counts[kind] = self._win_counts.get(kind, 0) + 1
-        self._win_ops += 1
-        if event.ok:
-            self._win_ok += 1
-        if self._win_ops >= self.window_ops:
-            self._close_window(event.clock(self._meter))
 
     def on_smo(self, event: OpEvent) -> None:
         record = event.record
         self.bus.publish(
-            KIND_SMO, source=self._source, t_ns=event.clock(self._meter),
+            KIND_SMO, source=self.source, t_ns=event.clock(self._meter),
             op_seq=event.seq, op=event.op.op,
             nodes_created=getattr(record, "nodes_created", 0),
             keys_shifted=getattr(record, "keys_shifted", 0))
 
-    def _close_window(self, now: float) -> None:
-        dur = now - self._win_start_ns
-        ops_per_vsec = (self._win_ops / (dur / 1e9)) if dur > 0 else 0.0
+    def on_window(self, window: OpWindow) -> None:
+        dur = window.t_ns - window.start_ns
         self.bus.publish(
-            KIND_OP_WINDOW, source=self._source, t_ns=now,
-            window_start_ns=self._win_start_ns, ops=self._win_ops,
-            ok=self._win_ok, op_counts=dict(self._win_counts),
-            ops_per_vsec=ops_per_vsec)
-        self._win_start_ns = now
-        self._win_ops = 0
-        self._win_ok = 0
-        self._win_counts = {}
+            KIND_OP_WINDOW, source=self.source, t_ns=window.t_ns,
+            window_start_ns=window.start_ns, ops=window.ops, ok=window.ok,
+            op_counts=window.counts,
+            ops_per_vsec=(window.ops / (dur / 1e9)) if dur > 0 else 0.0)
 
 
 def validate_bus_events(records: Iterable[dict]) -> int:

@@ -10,9 +10,7 @@ paper's convention the cell value is a signed ratio:
 Grid execution rides the sweep engine (:mod:`repro.core.sweep`):
 :func:`sweep_heatmap` expands (datasets × workloads × indexes) into
 independent tasks, runs them across processes with content-addressed
-caching, and aggregates winners; :func:`compute_heatmap` keeps the
-historical callable-based interface over the same aggregation for
-callers that hold concrete keys and factories.
+caching, and aggregates winners.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.runner import execute
 from repro.core.sweep import (
     DatasetSpec,
     SweepCache,
@@ -29,11 +26,6 @@ from repro.core.sweep import (
     plan_grid,
     run_sweep,
 )
-from repro.core.workloads import Workload
-from repro.indexes.base import OrderedIndex
-
-IndexFactory = Callable[[], OrderedIndex]
-
 
 @dataclass
 class HeatmapCell:
@@ -158,36 +150,6 @@ def _best(
         if mops > best_mops:
             best_name, best_mops = name, mops
     return (best_name, best_mops) if found else None
-
-
-def compute_heatmap(
-    dataset_keys: Dict[str, Sequence[int]],
-    workload_builder: Callable[[Sequence[int], str], Workload],
-    workload_names: Sequence[str],
-    learned: Dict[str, IndexFactory],
-    traditional: Dict[str, IndexFactory],
-    on_cell: Optional[Callable[[HeatmapCell], None]] = None,
-) -> Heatmap:
-    """Run every index on every (dataset, workload) cell, serially.
-
-    ``workload_builder(keys, workload_name)`` constructs each workload;
-    factories build fresh index instances per run.  This is the
-    callable-based interface — keys and factories are concrete values,
-    so cells execute in-process.  For parallel, cached grids expressed
-    by spec, use :func:`sweep_heatmap`.
-    """
-    throughputs: Dict[Tuple[str, str, str], float] = {}
-    for ds_name, keys in dataset_keys.items():
-        for wl_name in workload_names:
-            workload = workload_builder(keys, wl_name)
-            for idx_name, factory in {**learned, **traditional}.items():
-                result = execute(factory(), workload)
-                throughputs[(ds_name, wl_name, idx_name)] = result.throughput_mops
-    return heatmap_from_throughputs(
-        list(dataset_keys), list(workload_names), throughputs,
-        learned_names=list(learned), traditional_names=list(traditional),
-        on_cell=on_cell,
-    )
 
 
 def sweep_heatmap(

@@ -59,7 +59,7 @@ from repro.core.opstream import (
     shrink_stream,
 )
 from repro.core.registry import REGISTRY, IndexSpec
-from repro.core.runner import OpEvent
+from repro.core.runner import OpEvent, WindowFold
 from repro.core.workloads import LOOKUP, SCAN, Operation, Workload, apply_op
 from repro.indexes.multiplex import (
     BACKFILL,
@@ -378,8 +378,9 @@ def run_migration(
     ``bus`` (an :class:`~repro.core.events.EventBus`, duck-typed)
     receives the migration's full event stream: instance state changes,
     backfill/verify chunks and admission rejections (via the attached
-    instances), plus ``op_window`` throughput windows every
-    ``bus_window`` applied ops and one ``cutover`` event.  Both
+    instances), plus one ``cutover`` event and the engine's
+    ``op_window`` events: every applied op in exactly one window of up
+    to ``bus_window`` ops, under the instance that served it.  Both
     instances get a live ``status_probe`` into the multiplexer, so
     ``IndexInstance.status()`` reports the in-flight backfill cursor
     and dirty-set size.  All of it reads the meters without charging —
@@ -441,9 +442,11 @@ def run_migration(
         target.advance(RETIRED, "diverged from primary")
 
     driver = MigrationDriver(mux, on_cutover=cut_over, on_rollback=roll_back)
-    win_meter = None
-    win_start = 0.0
-    win_ops = 0
+    fold = fold_meter = None
+    if bus is not None:
+        emitter = bus.engine_observer(window_ops=bus_window)
+        fold = WindowFold(bus_window)
+        fold.sinks.append(emitter.on_window)
     for seq, op in enumerate(workload.operations):
         try:
             serving.admit(op.op)
@@ -451,6 +454,14 @@ def run_migration(
             report.rejected_ops += 1
             continue
         client_meter = mux.meter
+        if fold is not None and fold_meter is not client_meter:
+            # Windows run on the *client* meter, which swaps identity at
+            # cutover: close there, so no duration spans two clocks and
+            # every op counts under the instance that served it.
+            fold.flush()
+            fold_meter = client_meter
+            emitter.source = serving.name
+            fold.open(client_meter)
         client0 = client_meter.total_time()
         # The op's dual write and the chunks the multiplexer pumps
         # behind it are overhead; its primary work is client time.
@@ -467,27 +478,14 @@ def run_migration(
             report.post_abort_ops += 1
         else:
             applied.append(op)
-        if bus is not None:
-            # Throughput windows on the *client* meter.  The meter
-            # swaps identity at cutover; restart the window there so a
-            # duration never spans two clocks.
-            if win_meter is not client_meter:
-                win_meter = client_meter
-                win_start = client0
-                win_ops = 0
-            win_ops += 1
-            if win_ops >= bus_window:
-                dur = client1 - win_start
-                bus.publish(
-                    "op_window", source=serving.name, t_ns=client1,
-                    window_start_ns=win_start, ops=win_ops,
-                    ops_per_vsec=(win_ops / (dur / 1e9)) if dur > 0 else 0.0)
-                win_start = client1
-                win_ops = 0
+        if fold is not None:
+            fold.add(op.op, ok, client1)
         differ.on_op(OpEvent(seq, op, None, ok, scanned, result, client1), None)
         at = seq
         driver.settle()
 
+    if fold is not None:
+        fold.flush()
     # Traffic ended before the pump finished: drain the remaining
     # backfill/verify chunks (still overhead-metered) and cut over.
     at = len(applied)

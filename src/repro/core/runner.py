@@ -28,6 +28,7 @@ runners) attach without touching the loop::
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -230,8 +231,8 @@ class OpEvent:
     def clock(self, meter) -> float:
         """The virtual clock right after this operation: the carried
         reading when there is one, else ``meter.total_time()`` now.  For
-        observers that want the clock now and then (a window close, an
-        SMO) and so do not declare ``needs_clock``."""
+        observers that want the clock now and then (an SMO) and so do
+        not declare ``needs_clock``."""
         t_ns = self.t_ns
         return meter.total_time() if t_ns is None else t_ns
 
@@ -262,6 +263,103 @@ class ExecutionObserver:
     def on_smo(self, event: OpEvent) -> None:
         """Called after an insert/delete whose op record flagged a
         structural modification."""
+
+    def on_window(self, window: "OpWindow") -> None:
+        """Called with every ``self.window_ops`` (a required attribute)
+        operations added up, and with the shorter last window right
+        before this observer's ``on_phase("done")``.  Observers of one
+        size share one :class:`WindowFold`."""
+
+
+@dataclass
+class OpWindow:
+    """Consecutive operations of one stream, added up.  An SMO counts
+    *after* the op that ran it: the SMO of a window's last op belongs
+    to the next window — to none, if the stream ends there."""
+
+    #: The virtual clock when the window opened and when it closed.
+    start_ns: float
+    t_ns: float = 0.0
+    ops: int = 0
+    #: Ops whose outcome was true (write applied, lookup hit).
+    ok: int = 0
+    smos: int = 0
+    #: Ops per key the producer counted them under (the op kind).
+    counts: Dict[object, int] = field(default_factory=dict)
+    #: The latencies the engine sampled, in op order.
+    sampled: List[float] = field(default_factory=list)
+    #: Every op's latency by key, in op order (a ``timed`` fold only).
+    latencies: Dict[object, List[float]] = field(
+        default_factory=lambda: defaultdict(list))
+
+
+class WindowFold:
+    """Counts ops into :class:`OpWindow`\\ s of ``window_ops`` and hands
+    each one, closed, to every sink.
+
+    The one place a stream is cut into windows: the engine feeds one
+    per distinct ``window_ops`` among its ``on_window`` observers as an
+    ``on_op`` / ``on_smo`` hook; the shard router and the migration
+    runner feed folds of their own.  ``timed`` says every op arrives
+    with a clock reading, whose deltas are the latencies.  A close is
+    stamped with the reading its op carried, else with one read of the
+    meter the fold was opened on — once, however many sinks.
+    """
+
+    def __init__(self, window_ops: int, timed: bool = False) -> None:
+        self.window_ops = window_ops
+        self.timed = timed
+        self.sinks: List[Callable[[OpWindow], None]] = []
+        self._meter = None
+        self._last_ns = 0.0
+        self.window = OpWindow(0.0)
+
+    def open(self, meter, *sinks: Callable[[OpWindow], None]) -> None:
+        """Start the first window on ``meter``'s clock, as it reads now."""
+        self._meter = meter
+        self.sinks.extend(sinks)
+        self._last_ns = meter.total_time()
+        self.window = OpWindow(self._last_ns)
+
+    def add(self, key, ok: bool, t_ns: Optional[float] = None,
+            sampled: Optional[float] = None) -> None:
+        """Count one op under ``key``; close the window if that fills it."""
+        window = self.window
+        counts = window.counts
+        counts[key] = counts.get(key, 0) + 1
+        window.ops += 1
+        if ok:
+            window.ok += 1
+        if sampled is not None:
+            window.sampled.append(sampled)
+        if self.timed:
+            window.latencies[key].append(t_ns - self._last_ns)
+            self._last_ns = t_ns
+        if window.ops >= self.window_ops:
+            self.flush(t_ns)
+
+    def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
+        self.add(event.op.op, event.ok, event.t_ns, latency)
+
+    def on_smo(self, event: Optional[OpEvent] = None) -> None:
+        self.window.smos += 1
+
+    def cut(self, now: Optional[float] = None) -> Optional[OpWindow]:
+        """Close the open window at ``now`` (the meter's clock when
+        ``None``) and start the next there; ``None`` if it held no op."""
+        window = self.window
+        if not window.ops:
+            return None
+        window.t_ns = self._meter.total_time() if now is None else now
+        self.window = OpWindow(window.t_ns)
+        return window
+
+    def flush(self, now: Optional[float] = None) -> None:
+        """:meth:`cut`, and hand what it closed to every sink."""
+        window = self.cut(now)
+        if window is not None:
+            for sink in self.sinks:
+                sink(window)
 
 
 @dataclass
@@ -303,12 +401,13 @@ class ExecutionEngine:
 
     A long run of lookups nobody watches op by op is resolved in
     blocks instead (:meth:`_lookup_run`): with no attached observer
-    implementing ``on_op``, lookups past the first ``LOOKUP_STREAK`` of
-    a run go through the index's vectorized ``_lookup_batch``, charged
-    as totals between the sampled ops — same meter table, latency
-    samples, op counts and ``last_op`` as the loop.  Which path runs
-    follows from who is attached and how long the run already is; there
-    is no option for it (``docs/performance.md``, "Lookup runs").
+    implementing ``on_op`` or ``on_window``, lookups past the first
+    ``LOOKUP_STREAK`` of a run go through the index's vectorized
+    ``_lookup_batch``, charged as totals between the sampled ops — same
+    meter table, latency samples, op counts and ``last_op`` as the loop.
+    Which path runs follows from who is attached and how long the run
+    already is; there is no option for it (``docs/performance.md``,
+    "Lookup runs").
     """
 
     def __init__(
@@ -339,12 +438,30 @@ class ExecutionEngine:
 
     # -- the measured loop ------------------------------------------------------
 
+    def _window_folds(self, meter) -> Dict[int, WindowFold]:
+        """``id(observer) -> fold`` for the attached ``on_window``
+        observers: one fold, opened on ``meter``, per distinct
+        ``window_ops``, timed iff one of its consumers ``needs_clock``."""
+        by_size: Dict[int, WindowFold] = {}
+        fold_of: Dict[int, WindowFold] = {}
+        for sink in _implemented(self.observers, "on_window"):
+            obs = sink.__self__
+            fold = by_size.get(obs.window_ops)
+            if fold is None:
+                fold = by_size[obs.window_ops] = WindowFold(obs.window_ops)
+                fold.open(meter)
+            fold.timed |= getattr(obs, "needs_clock", False)
+            fold.sinks.append(sink)
+            fold_of[id(obs)] = fold
+        return fold_of
+
     def _stepper(
         self,
         index: OrderedIndex,
         instance: IndexInstance,
         tally: _Tally,
         on_op: List[Callable],
+        on_smo: List[Callable],
         clock: bool,
         t_ns: float,
     ) -> Callable[[Operation, int], None]:
@@ -362,7 +479,6 @@ class ExecutionEngine:
         lookup_samples, write_samples = tally.lookup_samples, tally.write_samples
         stats = tally.insert_stats
         counts = instance.op_counts
-        on_smo = _implemented([*self.observers, instance], "on_smo")
 
         def step(op: Operation, seq: int) -> None:
             nonlocal t_ns
@@ -507,10 +623,16 @@ class ExecutionEngine:
 
         meter = index.meter
         start_ns = meter.total_time()
-        on_op = _implemented(self.observers, "on_op")
         clock = any(getattr(obs, "needs_clock", False)
                     for obs in self.observers)
-        step = self._stepper(index, instance, tally, on_op, clock, start_ns)
+        fold_of = self._window_folds(meter)
+        folds = list(dict.fromkeys(fold_of.values()))
+        # Folds are fed like any other ``on_op`` / ``on_smo`` observer.
+        watchers = [*self.observers, *folds]
+        on_op = _implemented(watchers, "on_op")
+        step = self._stepper(
+            index, instance, tally, on_op,
+            _implemented([*watchers, instance], "on_smo"), clock, start_ns)
         wall0 = time.perf_counter()
         # Someone watches op by op, or the target is a wrapper with work
         # of its own per op (a multiplexer pumps, a sharded tier routes).
@@ -535,7 +657,13 @@ class ExecutionEngine:
                     streak = 0
         wall = time.perf_counter() - wall0
 
+        # Each consumer gets its fold's last, shorter window right before
+        # its own "done", so what it publishes stays in observer order.
+        tails = {fold: fold.cut() for fold in folds}
         for obs in observers:
+            tail = tails.get(fold_of.get(id(obs)))
+            if tail is not None:
+                obs.on_window(tail)
             obs.on_phase("done", index, workload)
         return RunResult(
             index_name=index.name,

@@ -51,7 +51,7 @@ from repro.core.instance import (
 )
 from repro.core.migrate import MigrationDriver
 from repro.core.registry import REGISTRY
-from repro.core.runner import OpEvent
+from repro.core.runner import OpEvent, WindowFold
 from repro.core.slo import SLOTracker
 from repro.core.workloads import (
     DELETE,
@@ -707,21 +707,6 @@ MIN_SHARDS = 1
 PUMP_BUDGET = 4096
 
 
-class _ShardProbe:
-    """Duck-typed ``index`` argument for a per-shard SLO tracker.
-
-    It pins the meter serving the slot when tracking starts.  A tracked
-    slot keeps that meter until it is cut over (wrapping its index in a
-    multiplexer, or unwrapping it on abort, changes no meter), and a
-    cut-over slot is retired — so its tracker closes on the clock it
-    always read, which the cutover itself never charges.
-    """
-
-    def __init__(self, inst: IndexInstance) -> None:
-        self.name = inst.name
-        self.meter = inst.index.meter
-
-
 @dataclass
 class RouterReport:
     """Everything one routed replay produced."""
@@ -782,12 +767,12 @@ class ShardRouter:
         self.slo_window = slo_window
         self.bus = bus
         self.cluster = SLOTracker(window_ops=slo_window, bus=bus)
-        self.trackers: Dict[str, SLOTracker] = {}
         #: Every tracker ever opened, retained past retirement so a
         #: post-run cluster view (``repro top --shards``) can aggregate
         #: the full shard history, not just the survivors.
         self.all_trackers: Dict[str, SLOTracker] = {}
-        self._probes: Dict[str, _ShardProbe] = {}
+        #: The open window fold of every slot tracked right now.
+        self._folds: Dict[str, WindowFold] = {}
         self.retired_summaries: Dict[str, dict] = {}
         self.active: Optional[Rebalance] = None
         self._driver: Optional[MigrationDriver] = None
@@ -799,18 +784,23 @@ class ShardRouter:
     # -- tracker lifecycle -----------------------------------------------------
 
     def _track(self, inst: IndexInstance) -> None:
-        probe = _ShardProbe(inst)
+        """Track ``inst`` on the meter serving the slot now.  A tracked
+        slot keeps that meter until it is cut over (wrapping its index
+        in a multiplexer, or unwrapping it on abort, changes no meter)
+        and is retired then — so its fold closes on the clock it always
+        read, which the cutover itself never charges."""
         tracker = SLOTracker(window_ops=self.slo_window, bus=self.bus)
-        tracker.on_phase("measure", probe, self._workload)
-        self.trackers[inst.name] = tracker
+        tracker.on_phase("measure", inst, self._workload)
+        fold = WindowFold(self.slo_window, timed=True)
+        fold.open(inst.index.meter, tracker.on_window)
         self.all_trackers[inst.name] = tracker
-        self._probes[inst.name] = probe
+        self._folds[inst.name] = fold
 
     def _untrack(self, inst: IndexInstance) -> None:
-        tracker = self.trackers.pop(inst.name, None)
-        probe = self._probes.pop(inst.name, None)
-        if tracker is not None and probe is not None:
-            tracker.on_phase("done", probe, self._workload)
+        fold = self._folds.pop(inst.name, None)
+        if fold is not None:
+            fold.flush()
+            tracker = self.all_trackers[inst.name]
             self.retired_summaries[inst.name] = tracker.summary()
 
     def _log(self, decision: str, **details: Any) -> None:
@@ -907,14 +897,17 @@ class ShardRouter:
         if self.bus is not None and sharded.bus is None:
             sharded.attach_bus(self.bus)
         self.cluster.on_phase("measure", sharded, workload)
+        cluster = WindowFold(self.slo_window, timed=True)
+        cluster.open(sharded.meter, self.cluster.on_window)
+        # The traffic census: ops per shard id, one decision per window.
+        census = WindowFold(self.window_ops)
+        census.open(sharded.meter, lambda win: self._maintain(win.counts))
         for inst in sharded.shards:
             self._track(inst)
         if oracle is not None:
             oracle.on_phase("measure", None, workload)
         rejected = 0
         self._seq = 0
-        win: Dict[int, int] = {}
-        win_ops = 0
         for op in workload.operations:
             sid = sharded.map.route(op.key)
             inst = sharded.shards[sid]
@@ -924,37 +917,30 @@ class ShardRouter:
             prev = sharded.last_op
             ok, scanned, result = apply_op(sharded, op)
             record = sharded.last_op if sharded.last_op is not prev else None
-            # One reading of each clock per op: the cluster tracker's
-            # event carries the cluster clock, the shard tracker's the
+            # One reading of each clock per op: the event and the
+            # cluster fold carry the cluster clock, the shard fold the
             # clock of whatever index serves the slot right now.
             event = OpEvent(self._seq, op, record, ok, scanned, result,
                             sharded.meter.total_time())
-            self.cluster.on_op(event, None)
-            tracker = self.trackers.get(inst.name)
-            if tracker is not None:
-                shard_event = OpEvent(self._seq, op, record, ok, scanned,
-                                      result, inst.index.meter.total_time())
-                tracker.on_op(shard_event, None)
+            cluster.on_op(event, None)
+            fold = self._folds.get(inst.name)
+            if fold is not None:
+                fold.add(op.op, ok, inst.index.meter.total_time())
             inst.on_op(event, None)
             if oracle is not None:
                 oracle.on_op(event, None)
             if (record is not None and record.smo
                     and op.op in (INSERT, DELETE)):
-                self.cluster.on_smo(event)
-                if tracker is not None:
-                    tracker.on_smo(shard_event)
+                cluster.on_smo()
+                if fold is not None:
+                    fold.on_smo()
                 inst.on_smo(event)
             self._seq += 1
-            win[sid] = win.get(sid, 0) + 1
-            win_ops += 1
-            if win_ops >= self.window_ops:
-                self._maintain(win)
-                win = {}
-                win_ops = 0
+            census.add(sid, ok, event.t_ns)
         # Drain any in-flight rebalance to completion.
         if self.active is not None:
             self._driver.advance()
-        self.cluster.on_phase("done", sharded, workload)
+        cluster.flush()
         for inst in list(sharded.shards):
             self._untrack(inst)
         summaries = dict(self.retired_summaries)

@@ -10,9 +10,8 @@ into operator-grade state:
   error budget (the ``1 - objective`` fraction of ops allowed over
   threshold) and its **burn rate** (violations consumed vs budget
   granted, per window: burn > 1 means the budget is being spent faster
-  than it accrues), and escalating SMO storms with the same
-  median-baseline rule as
-  :meth:`~repro.core.telemetry.MetricsCollector.smo_storms`.
+  than it accrues), and escalating SMO storms by ``smo_storms``'s
+  rule, :func:`~repro.core.telemetry.storm_threshold`.
 * :class:`ControlTower` — a bus subscriber folding the whole event
   stream (engine windows, instance lifecycle, migration progress, SLO
   windows, alerts) into one live table per source: state, ops,
@@ -26,7 +25,7 @@ so attaching it changes no result and no fingerprint.
 
 Targets may be given explicitly or **auto-calibrated**: with no
 targets, the first closed window sets each op kind's threshold to
-``calibration_factor`` × its observed p99 (the calibration window
+``CALIBRATION_FACTOR`` × its observed p99 (the calibration window
 itself is never judged).  That makes ``repro top`` useful on any
 index/workload pair with zero configuration while staying honest —
 alerts then mean "latency degraded versus this run's own start".
@@ -35,7 +34,6 @@ alerts then mean "latency degraded versus this run's own start".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import median_high
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.events import (
@@ -54,7 +52,8 @@ from repro.core.events import (
     EventBus,
 )
 from repro.core.report import table
-from repro.core.runner import ExecutionObserver, LatencyStats, OpEvent
+from repro.core.runner import ExecutionObserver, LatencyStats, OpWindow
+from repro.core.telemetry import storm_threshold
 
 __all__ = ["Alert", "ControlTower", "SLOTarget", "SLOTracker",
            "cluster_view", "render_cluster_view"]
@@ -64,6 +63,13 @@ SEVERITY_CRITICAL = "critical"
 
 ALERT_BURN_RATE = "burn_rate"
 ALERT_SMO_STORM = "smo_storm"
+
+#: An auto-calibrated threshold is this many times the first window's p99.
+CALIBRATION_FACTOR = 4.0
+#: A window burning its error budget at least this fast alerts critical.
+BURN_CRITICAL = 4.0
+#: Consecutive hot windows that escalate an SMO storm to critical.
+STORM_ESCALATE = 3
 
 
 @dataclass(frozen=True)
@@ -105,16 +111,16 @@ class SLOTracker(ExecutionObserver):
     """Windowed SLO evaluation of one run's op stream.
 
     Attach to a run (``observers=[tracker]`` or via ``repro run
-    --events``); every ``window_ops`` operations it closes a window,
+    --events``); for every window of ``window_ops`` operations it
     computes per-op-kind latency percentiles, judges them against the
     targets, and raises :class:`Alert`\\ s:
 
     * ``burn_rate`` — a window consumed its error budget faster than
-      granted (burn > 1 warns; burn ≥ ``burn_critical`` is critical).
+      granted (burn > 1 warns; burn ≥ ``BURN_CRITICAL`` is critical).
     * ``smo_storm`` — the window's SMO rate exceeds
-      ``max(storm_min_rate, storm_factor × median prior rate)`` (the
-      PR-3 detector, streamed); ``storm_escalate`` consecutive hot
-      windows escalate the storm to critical.
+      :func:`~repro.core.telemetry.storm_threshold` of the rates of the
+      windows before it (at least three); ``STORM_ESCALATE`` consecutive
+      hot windows escalate the storm to critical.
 
     With a ``bus``, every closed window publishes ``slo_window`` events
     and every alert publishes an ``alert`` event.
@@ -127,22 +133,12 @@ class SLOTracker(ExecutionObserver):
         targets: Iterable[SLOTarget] = (),
         window_ops: int = 256,
         bus: Optional[EventBus] = None,
-        calibration_factor: float = 4.0,
-        burn_critical: float = 4.0,
-        storm_factor: float = 3.0,
-        storm_min_rate: float = 0.05,
-        storm_escalate: int = 3,
     ) -> None:
         if window_ops < 1:
             raise ValueError("window_ops must be >= 1")
         self.targets: Dict[str, SLOTarget] = {t.op_kind: t for t in targets}
         self.window_ops = window_ops
         self.bus = bus
-        self.calibration_factor = calibration_factor
-        self.burn_critical = burn_critical
-        self.storm_factor = storm_factor
-        self.storm_min_rate = storm_min_rate
-        self.storm_escalate = storm_escalate
         #: Targets were inferred from the first window, not configured.
         self.auto_calibrated = not self.targets
         self._calibrated = bool(self.targets)
@@ -152,44 +148,14 @@ class SLOTracker(ExecutionObserver):
         self.violations: Dict[str, int] = {}
         self.judged_ops: Dict[str, int] = {}
 
-        self._meter = None
         self._source = ""
-        self._last_ns = 0.0
-        self._win_start_ns = 0.0
-        self._win_ops = 0
-        self._win_smos = 0
-        self._win_samples: Dict[str, List[float]] = {}
         self._smo_rates: List[float] = []
         self._hot_run = 0
 
     # -- observer hooks --------------------------------------------------------
 
     def on_phase(self, phase: str, index, workload) -> None:
-        self._meter = index.meter
         self._source = getattr(index, "name", type(index).__name__)
-        if phase == "measure":
-            self._last_ns = self._meter.total_time()
-            self._win_start_ns = self._last_ns
-        elif phase == "done" and self._win_ops:
-            self._close_window(self._meter.total_time())
-
-    def on_op(self, event: OpEvent, latency) -> None:
-        # Latency is the op's full virtual cost — the delta between
-        # consecutive clock readings — regardless of engine sampling,
-        # so SLO windows see every op, not the ~1% sampled subset.
-        now = event.t_ns
-        kind = event.op.op
-        samples = self._win_samples.get(kind)
-        if samples is None:
-            samples = self._win_samples[kind] = []
-        samples.append(now - self._last_ns)
-        self._last_ns = now
-        self._win_ops += 1
-        if self._win_ops >= self.window_ops:
-            self._close_window(now)
-
-    def on_smo(self, event: OpEvent) -> None:
-        self._win_smos += 1
 
     # -- windows ---------------------------------------------------------------
 
@@ -203,19 +169,21 @@ class SLOTracker(ExecutionObserver):
                              alert=kind, severity=severity, message=message,
                              **details)
 
-    def _close_window(self, now: float) -> None:
-        window = {"t_ns": now, "window_start_ns": self._win_start_ns,
-                  "ops": self._win_ops, "smos": self._win_smos,
+    def on_window(self, window: OpWindow) -> None:
+        # ``latencies``: every op's full virtual cost, not the ~1% sample.
+        now = window.t_ns
+        record = {"t_ns": now, "window_start_ns": window.start_ns,
+                  "ops": window.ops, "smos": window.smos,
                   "source": self._source, "ops_kinds": {}}
         calibrating = not self._calibrated
-        for kind, samples in sorted(self._win_samples.items()):
+        for kind, samples in sorted(window.latencies.items()):
             stats = LatencyStats.from_samples(samples)
             entry = {"count": stats.count, "p50": stats.p50,
                      "p99": stats.p99, "p999": stats.p999}
             if calibrating:
                 self.targets[kind] = SLOTarget(
                     op_kind=kind,
-                    threshold_ns=max(stats.p99, 1.0) * self.calibration_factor)
+                    threshold_ns=max(stats.p99, 1.0) * CALIBRATION_FACTOR)
             target = self.targets.get(kind)
             if target is not None and not calibrating:
                 violations = sum(1 for s in samples if s > target.threshold_ns)
@@ -227,7 +195,7 @@ class SLOTracker(ExecutionObserver):
                 entry.update(threshold_ns=target.threshold_ns,
                              violations=violations, burn_rate=burn)
                 if burn > 1.0:
-                    severity = (SEVERITY_CRITICAL if burn >= self.burn_critical
+                    severity = (SEVERITY_CRITICAL if burn >= BURN_CRITICAL
                                 else SEVERITY_WARNING)
                     self._alert(
                         ALERT_BURN_RATE, severity, now,
@@ -237,20 +205,19 @@ class SLOTracker(ExecutionObserver):
                         op=kind, burn_rate=burn, violations=violations,
                         window_ops=len(samples),
                         threshold_ns=target.threshold_ns)
-            window["ops_kinds"][kind] = entry
+            record["ops_kinds"][kind] = entry
             if self.bus is not None:
                 self.bus.publish(KIND_SLO_WINDOW, source=self._source,
                                  t_ns=now, op=kind, **entry)
         if calibrating:
             self._calibrated = True
 
-        # SMO-storm escalation: the PR-3 median-baseline rule, streamed
-        # over the windows closed so far (>= 3 priors before judging, so
-        # early windows can't self-trigger).
-        rate = self._win_smos / self._win_ops if self._win_ops else 0.0
+        # SMO-storm escalation: the storm rule streamed over the windows
+        # closed so far (>= 3 priors before judging, so early windows
+        # can't self-trigger).
+        rate = window.smos / window.ops
         if len(self._smo_rates) >= 3:
-            baseline = median_high(self._smo_rates)
-            threshold = max(self.storm_min_rate, self.storm_factor * baseline)
+            baseline, threshold = storm_threshold(self._smo_rates)
             if rate > threshold:
                 self._hot_run += 1
                 if self._hot_run == 1:
@@ -259,7 +226,7 @@ class SLOTracker(ExecutionObserver):
                         f"SMO storm: {rate:.0%} of ops triggered SMOs "
                         f"(baseline {baseline:.1%})",
                         rate=rate, baseline=baseline, threshold=threshold)
-                elif self._hot_run == self.storm_escalate:
+                elif self._hot_run == STORM_ESCALATE:
                     self._alert(
                         ALERT_SMO_STORM, SEVERITY_CRITICAL, now,
                         f"SMO storm sustained {self._hot_run} windows "
@@ -270,11 +237,7 @@ class SLOTracker(ExecutionObserver):
                 self._hot_run = 0
         self._smo_rates.append(rate)
 
-        self.windows.append(window)
-        self._win_start_ns = now
-        self._win_ops = 0
-        self._win_smos = 0
-        self._win_samples = {}
+        self.windows.append(record)
 
     # -- reporting -------------------------------------------------------------
 

@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import ALL_PHASES
 from repro.core.report import table
-from repro.core.runner import ExecutionObserver, OpEvent
+from repro.core.runner import ExecutionObserver, OpEvent, OpWindow
 
 #: Version stamped into trace/metric telemetry records (independent of
 #: the RunResult schema; bump on incompatible event-layout changes).
@@ -321,6 +321,7 @@ class MetricsRegistry:
         return h
 
     def snapshot(self) -> dict:
+        """Every instrument by name, names sorted."""
         out: Dict[str, dict] = {}
         for name, c in self._counters.items():
             out[name] = {"type": "counter", "value": c.value}
@@ -331,7 +332,21 @@ class MetricsRegistry:
                          "sum": h.sum,
                          "buckets": {str(k): v for k, v in
                                      sorted(h.buckets.items())}}
-        return out
+        return dict(sorted(out.items()))
+
+
+#: A window is *hot* when its SMO rate exceeds both ``STORM_MIN_RATE``
+#: and ``STORM_FACTOR`` x the baseline.
+STORM_FACTOR = 3.0
+STORM_MIN_RATE = 0.05
+
+
+def storm_threshold(rates: Iterable[float]) -> Tuple[float, float]:
+    """``(baseline, threshold)`` of the SMO-storm rule over window SMO
+    rates: the baseline is their *median*, which, unlike the mean, stays
+    calm even when storms dominate the total SMO count."""
+    baseline = median_high(rates)
+    return baseline, max(STORM_MIN_RATE, STORM_FACTOR * baseline)
 
 
 @dataclass
@@ -347,14 +362,15 @@ class SmoStorm:
 class MetricsCollector(ExecutionObserver):
     """Windowed time-series over a run, backed by a :class:`MetricsRegistry`.
 
-    Every ``window_ops`` operations the collector closes a window and
-    emits one sample per metric at the current virtual timestamp:
+    For every window of ``window_ops`` operations the collector emits
+    one sample per metric at the virtual timestamp the window closed:
     rolling throughput (Mops on the virtual clock), rolling SMO rate
     (SMOs per op) and the index's analytic ``memory_usage()`` total.
-    ``series`` holds the samples as dicts ready for ``save_jsonl``.
+    ``series`` holds the samples as dicts ready for ``save_jsonl``; the
+    registry's op counters and latency histogram advance at each close.
 
-    **Thread-safety: none — single-engine-thread only.**  The window
-    counters are unlocked read-modify-write state, exactly like the base
+    **Thread-safety: none — single-engine-thread only.**  The registry
+    is unlocked read-modify-write state, exactly like the base
     :class:`~repro.core.cost.CostMeter` (see its docstring); a collector
     observes one engine loop.  The multi-threaded serving tier does not
     attach one: :class:`~repro.core.server.IndexServer` wraps each
@@ -370,90 +386,58 @@ class MetricsCollector(ExecutionObserver):
         self.registry = MetricsRegistry()
         self.series: List[dict] = []
         self._index = None
-        #: ``ops_total`` and the ``ops.<kind>`` counters, bound on first
-        #: use (the registry still lists them in first-use order).
-        self._ops_total: Optional[Counter] = None
-        self._kind_counters: Dict[str, Counter] = {}
-        self._win_start_ns = 0.0
-        self._win_ops = 0
-        self._win_smos = 0
 
     # -- observer hooks -----------------------------------------------------
 
     def on_phase(self, phase, index, workload) -> None:
         self._index = index
         if phase == "measure":
-            self._win_start_ns = index.meter.total_time()
             self.registry.gauge(METRIC_MEMORY).set(index.memory_usage().total)
-        elif phase == "done" and self._win_ops:
-            self._close_window(index.meter.total_time())
-
-    def _bind_kind(self, kind: str) -> Counter:
-        if self._ops_total is None:
-            self._ops_total = self.registry.counter("ops_total")
-        counter = self._kind_counters[kind] = self.registry.counter(
-            "ops." + kind)
-        return counter
-
-    def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
-        kind = event.op.op
-        counter = self._kind_counters.get(kind)
-        if counter is None:
-            counter = self._bind_kind(kind)
-        counter.value += 1.0
-        self._ops_total.value += 1.0
-        if not event.ok:
-            self.registry.counter("ops_failed").inc()
-        if latency is not None:
-            self.registry.histogram("op_latency_ns").observe(latency)
-        self._win_ops += 1
-        if self._win_ops >= self.window_ops:
-            self._close_window(event.clock(self._index.meter))
 
     def on_smo(self, event: OpEvent) -> None:
+        # Not ``window.smos``: a run's last SMO can lie in no window.
         self.registry.counter("smo_total").inc()
-        self._win_smos += 1
 
-    def _close_window(self, now: float) -> None:
-        dur = now - self._win_start_ns
-        mops = (self._win_ops / dur) * 1e3 if dur > 0 else 0.0
+    def on_window(self, window: OpWindow) -> None:
+        reg = self.registry
+        reg.counter("ops_total").inc(window.ops)
+        for kind, n in window.counts.items():
+            reg.counter("ops." + kind).inc(n)
+        if window.ok < window.ops:
+            reg.counter("ops_failed").inc(window.ops - window.ok)
+        for latency in window.sampled:
+            reg.histogram("op_latency_ns").observe(latency)
+        now, start = window.t_ns, window.start_ns
+        dur = now - start
+        mops = (window.ops / dur) * 1e3 if dur > 0 else 0.0
         mem = self._index.memory_usage().total
-        self.registry.gauge(METRIC_MEMORY).set(mem)
+        reg.gauge(METRIC_MEMORY).set(mem)
         for metric, value in (
             (METRIC_THROUGHPUT, mops),
-            (METRIC_SMO_RATE, self._win_smos / self._win_ops),
+            (METRIC_SMO_RATE, window.smos / window.ops),
             (METRIC_MEMORY, mem),
         ):
             self.series.append({
                 "kind": "metric", "metric": metric, "t_ns": now,
-                "window_start_ns": self._win_start_ns, "value": value,
-                "window_ops": self._win_ops,
+                "window_start_ns": start, "value": value,
+                "window_ops": window.ops,
             })
-        self._win_start_ns = now
-        self._win_ops = 0
-        self._win_smos = 0
 
     # -- analysis -----------------------------------------------------------
 
     def samples(self, metric: str) -> List[dict]:
         return [s for s in self.series if s["metric"] == metric]
 
-    def smo_storms(self, factor: float = 3.0,
-                   min_rate: float = 0.05) -> List[SmoStorm]:
-        """Windows whose SMO rate spikes above the run's baseline.
-
-        A window is *hot* when its rate exceeds both ``min_rate`` and
-        ``factor`` x the *median* window rate (the median, unlike the
-        mean, stays a calm baseline even when storms dominate total
-        SMO count); consecutive hot windows merge into one storm.
-        These are the bursts behind the paper's insert tail-latency
-        observations (Figure 10).
+    def smo_storms(self) -> List[SmoStorm]:
+        """Windows whose SMO rate spikes above the run's baseline
+        (:func:`storm_threshold` over all of them); consecutive hot
+        windows merge into one storm.  These are the bursts behind the
+        paper's insert tail-latency observations (Figure 10).
         """
         samples = self.samples(METRIC_SMO_RATE)
         if not samples:
             return []
-        median = median_high(s["value"] for s in samples)
-        threshold = max(min_rate, factor * median)
+        _, threshold = storm_threshold(s["value"] for s in samples)
         storms: List[SmoStorm] = []
         for s in samples:
             if s["value"] <= threshold:

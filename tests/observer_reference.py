@@ -1,33 +1,54 @@
-"""The observers as they stood before they took the clock from the event.
+"""The observers as they stood before they took the clock from the event,
+and before one ``WindowFold`` cut their windows for them.
 
 ``TraceRecorder``, ``MetricsCollector``, ``CostProfiler`` and
 ``EngineBusEmitter`` verbatim from the parent of the change that made
 observation cost proportional to what an observer consumes.  Each one
 re-reads ``meter.total_time()`` (and the profiler ``diff``s and copies a
-snapshot) per op.  ``tests/test_telemetry.py`` and
-``tests/test_events.py`` attach these and the live observers to the same
-``ExecutionEngine.run`` and require equal artifacts; nothing else
-imports this module (the ``tests/pla_reference.py`` precedent).
+snapshot) per op.  ``SLOTracker`` is verbatim from the parent of the
+change that moved window counting into ``repro.core.runner.WindowFold``:
+like the collector and the emitter here it counts ops, opens its first
+window at ``"measure"`` and flushes the last at ``"done"`` itself.
+``tests/test_telemetry.py`` and ``tests/test_events.py`` attach these
+and the live observers to the same ``ExecutionEngine.run`` and require
+equal artifacts; nothing else imports this module (the
+``tests/pla_reference.py`` precedent).
 
 ``RereadingSLOTracker`` and ``parity_case`` are the two additions: the
-tracker is today's ``SLOTracker`` fed a clock it re-sums from the meter
-per op (what the tracker did itself before), and ``parity_case`` builds
-the per-index stream both parity tests run.
+tracker is that ``SLOTracker`` fed a clock it re-sums from the meter
+per op (what the tracker did itself before ``OpEvent`` carried
+``t_ns``), and ``parity_case`` builds the per-index stream both parity
+tests run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from statistics import median_high
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.cost import ALL_PHASES
-from repro.core.events import KIND_OP_WINDOW, KIND_PHASE, KIND_SMO, EventBus
+from repro.core.events import (
+    KIND_ALERT,
+    KIND_OP_WINDOW,
+    KIND_PHASE,
+    KIND_SLO_WINDOW,
+    KIND_SMO,
+    EventBus,
+)
 from repro.core.opstream import generate_stream, stress_factory
 from repro.core.registry import REGISTRY
 from repro.core.report import table
-from repro.core.runner import ExecutionObserver, OpEvent
-from repro.core.slo import SLOTracker
+from repro.core.runner import ExecutionObserver, LatencyStats, OpEvent
+from repro.core.slo import (
+    ALERT_BURN_RATE,
+    ALERT_SMO_STORM,
+    SEVERITY_CRITICAL,
+    SEVERITY_WARNING,
+    Alert,
+    SLOTarget,
+)
 from repro.core.telemetry import (
     EVENT_INSTANT,
     EVENT_PHASE,
@@ -417,6 +438,218 @@ class EngineBusEmitter(ExecutionObserver):
         self._win_ops = 0
         self._win_ok = 0
         self._win_counts = {}
+
+
+
+class SLOTracker(ExecutionObserver):
+    """Windowed SLO evaluation of one run's op stream.
+
+    Attach to a run (``observers=[tracker]`` or via ``repro run
+    --events``); every ``window_ops`` operations it closes a window,
+    computes per-op-kind latency percentiles, judges them against the
+    targets, and raises :class:`Alert`\\ s:
+
+    * ``burn_rate`` — a window consumed its error budget faster than
+      granted (burn > 1 warns; burn ≥ ``burn_critical`` is critical).
+    * ``smo_storm`` — the window's SMO rate exceeds
+      ``max(storm_min_rate, storm_factor × median prior rate)`` (the
+      PR-3 detector, streamed); ``storm_escalate`` consecutive hot
+      windows escalate the storm to critical.
+
+    With a ``bus``, every closed window publishes ``slo_window`` events
+    and every alert publishes an ``alert`` event.
+    """
+
+    needs_clock = True
+
+    def __init__(
+        self,
+        targets: Iterable[SLOTarget] = (),
+        window_ops: int = 256,
+        bus: Optional[EventBus] = None,
+        calibration_factor: float = 4.0,
+        burn_critical: float = 4.0,
+        storm_factor: float = 3.0,
+        storm_min_rate: float = 0.05,
+        storm_escalate: int = 3,
+    ) -> None:
+        if window_ops < 1:
+            raise ValueError("window_ops must be >= 1")
+        self.targets: Dict[str, SLOTarget] = {t.op_kind: t for t in targets}
+        self.window_ops = window_ops
+        self.bus = bus
+        self.calibration_factor = calibration_factor
+        self.burn_critical = burn_critical
+        self.storm_factor = storm_factor
+        self.storm_min_rate = storm_min_rate
+        self.storm_escalate = storm_escalate
+        #: Targets were inferred from the first window, not configured.
+        self.auto_calibrated = not self.targets
+        self._calibrated = bool(self.targets)
+
+        self.windows: List[dict] = []
+        self.alerts: List[Alert] = []
+        self.violations: Dict[str, int] = {}
+        self.judged_ops: Dict[str, int] = {}
+
+        self._meter = None
+        self._source = ""
+        self._last_ns = 0.0
+        self._win_start_ns = 0.0
+        self._win_ops = 0
+        self._win_smos = 0
+        self._win_samples: Dict[str, List[float]] = {}
+        self._smo_rates: List[float] = []
+        self._hot_run = 0
+
+    # -- observer hooks --------------------------------------------------------
+
+    def on_phase(self, phase: str, index, workload) -> None:
+        self._meter = index.meter
+        self._source = getattr(index, "name", type(index).__name__)
+        if phase == "measure":
+            self._last_ns = self._meter.total_time()
+            self._win_start_ns = self._last_ns
+        elif phase == "done" and self._win_ops:
+            self._close_window(self._meter.total_time())
+
+    def on_op(self, event: OpEvent, latency) -> None:
+        # Latency is the op's full virtual cost — the delta between
+        # consecutive clock readings — regardless of engine sampling,
+        # so SLO windows see every op, not the ~1% sampled subset.
+        now = event.t_ns
+        kind = event.op.op
+        samples = self._win_samples.get(kind)
+        if samples is None:
+            samples = self._win_samples[kind] = []
+        samples.append(now - self._last_ns)
+        self._last_ns = now
+        self._win_ops += 1
+        if self._win_ops >= self.window_ops:
+            self._close_window(now)
+
+    def on_smo(self, event: OpEvent) -> None:
+        self._win_smos += 1
+
+    # -- windows ---------------------------------------------------------------
+
+    def _alert(self, kind: str, severity: str, t_ns: float, message: str,
+               **details) -> None:
+        alert = Alert(kind=kind, severity=severity, source=self._source,
+                      t_ns=t_ns, message=message, details=details)
+        self.alerts.append(alert)
+        if self.bus is not None:
+            self.bus.publish(KIND_ALERT, source=self._source, t_ns=t_ns,
+                             alert=kind, severity=severity, message=message,
+                             **details)
+
+    def _close_window(self, now: float) -> None:
+        window = {"t_ns": now, "window_start_ns": self._win_start_ns,
+                  "ops": self._win_ops, "smos": self._win_smos,
+                  "source": self._source, "ops_kinds": {}}
+        calibrating = not self._calibrated
+        for kind, samples in sorted(self._win_samples.items()):
+            stats = LatencyStats.from_samples(samples)
+            entry = {"count": stats.count, "p50": stats.p50,
+                     "p99": stats.p99, "p999": stats.p999}
+            if calibrating:
+                self.targets[kind] = SLOTarget(
+                    op_kind=kind,
+                    threshold_ns=max(stats.p99, 1.0) * self.calibration_factor)
+            target = self.targets.get(kind)
+            if target is not None and not calibrating:
+                violations = sum(1 for s in samples if s > target.threshold_ns)
+                budget = (1.0 - target.objective) * len(samples)
+                burn = (violations / budget if budget > 0
+                        else (float("inf") if violations else 0.0))
+                self.violations[kind] = self.violations.get(kind, 0) + violations
+                self.judged_ops[kind] = self.judged_ops.get(kind, 0) + len(samples)
+                entry.update(threshold_ns=target.threshold_ns,
+                             violations=violations, burn_rate=burn)
+                if burn > 1.0:
+                    severity = (SEVERITY_CRITICAL if burn >= self.burn_critical
+                                else SEVERITY_WARNING)
+                    self._alert(
+                        ALERT_BURN_RATE, severity, now,
+                        f"{kind} burned {burn:.1f}x its error budget "
+                        f"({violations}/{len(samples)} ops over "
+                        f"{target.threshold_ns:.0f} ns)",
+                        op=kind, burn_rate=burn, violations=violations,
+                        window_ops=len(samples),
+                        threshold_ns=target.threshold_ns)
+            window["ops_kinds"][kind] = entry
+            if self.bus is not None:
+                self.bus.publish(KIND_SLO_WINDOW, source=self._source,
+                                 t_ns=now, op=kind, **entry)
+        if calibrating:
+            self._calibrated = True
+
+        # SMO-storm escalation: the PR-3 median-baseline rule, streamed
+        # over the windows closed so far (>= 3 priors before judging, so
+        # early windows can't self-trigger).
+        rate = self._win_smos / self._win_ops if self._win_ops else 0.0
+        if len(self._smo_rates) >= 3:
+            baseline = median_high(self._smo_rates)
+            threshold = max(self.storm_min_rate, self.storm_factor * baseline)
+            if rate > threshold:
+                self._hot_run += 1
+                if self._hot_run == 1:
+                    self._alert(
+                        ALERT_SMO_STORM, SEVERITY_WARNING, now,
+                        f"SMO storm: {rate:.0%} of ops triggered SMOs "
+                        f"(baseline {baseline:.1%})",
+                        rate=rate, baseline=baseline, threshold=threshold)
+                elif self._hot_run == self.storm_escalate:
+                    self._alert(
+                        ALERT_SMO_STORM, SEVERITY_CRITICAL, now,
+                        f"SMO storm sustained {self._hot_run} windows "
+                        f"({rate:.0%} of ops)",
+                        rate=rate, baseline=baseline,
+                        hot_windows=self._hot_run)
+            else:
+                self._hot_run = 0
+        self._smo_rates.append(rate)
+
+        self.windows.append(window)
+        self._win_start_ns = now
+        self._win_ops = 0
+        self._win_smos = 0
+        self._win_samples = {}
+
+    # -- reporting -------------------------------------------------------------
+
+    def budget_used(self, op_kind: str) -> float:
+        """Fraction of the cumulative error budget consumed (1.0 = spent)."""
+        target = self.targets.get(op_kind)
+        judged = self.judged_ops.get(op_kind, 0)
+        if target is None or judged == 0:
+            return 0.0
+        budget = (1.0 - target.objective) * judged
+        if budget <= 0:
+            return float("inf") if self.violations.get(op_kind) else 0.0
+        return self.violations.get(op_kind, 0) / budget
+
+    def summary(self) -> dict:
+        return {
+            "source": self._source,
+            "windows": len(self.windows),
+            "auto_calibrated": self.auto_calibrated,
+            "targets": {
+                k: {"threshold_ns": t.threshold_ns, "objective": t.objective}
+                for k, t in sorted(self.targets.items())
+            },
+            "op_kinds": {
+                k: {"judged_ops": self.judged_ops.get(k, 0),
+                    "violations": self.violations.get(k, 0),
+                    "budget_used": self.budget_used(k)}
+                for k in sorted(self.targets)
+            },
+            "alerts": [
+                {"kind": a.kind, "severity": a.severity, "source": a.source,
+                 "t_ns": a.t_ns, "message": a.message, "details": a.details}
+                for a in self.alerts
+            ],
+        }
 
 
 

@@ -3,8 +3,9 @@
 import pytest
 
 from repro import ALEX, BPlusTree
-from repro.core.heatmap import Heatmap, HeatmapCell, compute_heatmap
+from repro.core.heatmap import Heatmap, HeatmapCell
 from repro.core.workloads import mixed_workload
+from tests.heatmap_reference import compute_heatmap
 
 
 def _cell(l_mops, t_mops):

@@ -6,6 +6,8 @@
 * ``cli.py`` is argument plumbing around one benchmark driver: exactly
   one call of ``_gate_history`` and one of ``provenance``.
 * DESIGN.md's package layout names every module there is.
+* One function cuts an op stream into windows (``WindowFold.add``) and
+  one module holds the median-baseline storm rule.
 """
 
 import ast
@@ -75,6 +77,31 @@ def test_bench_has_a_module_per_suite():
 @pytest.mark.parametrize("name", ["_gate_history", "provenance"])
 def test_cli_has_one_benchmark_tail(name):
     assert len(_calls("cli.py", name)) == 1, _calls("cli.py", name)
+
+
+def test_one_function_counts_ops_up_to_a_window():
+    """``count >= <something>.window_ops`` is ``WindowFold.add``'s test;
+    a second one is a window closer of its own again."""
+    closers = []
+    for rel in _modules():
+        for func in ast.walk(_tree(rel)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            closers += [
+                f"{rel}:{func.name}" for node in ast.walk(func)
+                if isinstance(node, ast.Compare)
+                and any(isinstance(op, ast.GtE) for op in node.ops)
+                and any(getattr(side, "attr", None) == "window_ops"
+                        for side in node.comparators)]
+    assert closers == ["core/runner.py:add"], closers
+
+
+def test_one_module_holds_the_storm_rule():
+    """Outside ``repro.bench`` (whose p99 medians are not a storm rule)
+    only ``storm_threshold`` takes a ``median_high``."""
+    callers = [rel for rel in _modules() if not rel.startswith("bench")
+               and _calls(rel, "median_high")]
+    assert callers == ["core/telemetry.py"], callers
 
 
 def _layout_paths():

@@ -14,7 +14,7 @@ from repro.core.events import (
     KIND_SLO_WINDOW,
     EventBus,
 )
-from repro.core.runner import OpEvent, execute
+from repro.core.runner import OpEvent, WindowFold, execute
 from repro.core.slo import (
     ALERT_BURN_RATE,
     ALERT_SMO_STORM,
@@ -52,17 +52,21 @@ class FakeWorkload:
 
 
 def _drive(tracker, index, latencies, smo_at=()):
-    """Feed scripted per-op latencies (virtual ns) through the tracker."""
+    """Feed scripted per-op latencies (virtual ns) through a fold into
+    the tracker, as the engine does."""
     index.meter.now += 100.0  # bulk-load time the window must ignore
     tracker.on_phase("measure", index, FakeWorkload())
+    fold = WindowFold(tracker.window_ops, timed=True)
+    fold.open(index.meter, tracker.on_window)
     for i, lat in enumerate(latencies):
         index.meter.now += lat
         event = OpEvent(seq=i, op=Operation(LOOKUP, key=i), record=None,
                         ok=True, scanned=0, result=None,
                         t_ns=index.meter.now)
-        tracker.on_op(event, None)
+        fold.on_op(event, None)
         if i in smo_at:
-            tracker.on_smo(event)
+            fold.on_smo(event)
+    fold.flush()
     tracker.on_phase("done", index, FakeWorkload())
 
 
@@ -101,7 +105,7 @@ def test_burn_rate_warning_then_critical():
     assert warm.alerts[0].kind == ALERT_BURN_RATE
     assert warm.alerts[0].details["burn_rate"] == pytest.approx(2.0)
 
-    hot = SLOTracker([target], window_ops=10, burn_critical=4.0)
+    hot = SLOTracker([target], window_ops=10)
     _drive(hot, FakeIndex(), [50.0] * 6 + [200.0] * 4)  # burn 4.0
     assert [a.severity for a in hot.alerts] == [SEVERITY_CRITICAL]
 
@@ -128,7 +132,7 @@ def test_latencies_are_meter_deltas_not_sampled():
 # -- auto-calibration ----------------------------------------------------------
 
 def test_first_window_calibrates_and_is_never_judged():
-    tracker = SLOTracker(window_ops=10, calibration_factor=4.0)
+    tracker = SLOTracker(window_ops=10)
     assert tracker.auto_calibrated
     # A horrendous first window: every op 1000 ns. No alert — it only
     # sets the bar (threshold = 4 x p99).
@@ -165,9 +169,7 @@ def test_storm_needs_three_baseline_windows():
 
 
 def test_storm_warns_then_escalates():
-    tracker = SLOTracker([SLOTarget(LOOKUP, 1e9)], window_ops=10,
-                         storm_factor=3.0, storm_min_rate=0.05,
-                         storm_escalate=3)
+    tracker = SLOTracker([SLOTarget(LOOKUP, 1e9)], window_ops=10)
     # Three calm baseline windows (10% SMO rate), then a sustained storm.
     _storm_drive(tracker, [0.1, 0.1, 0.1, 0.8, 0.8, 0.8])
     storms = [a for a in tracker.alerts if a.kind == ALERT_SMO_STORM]
@@ -177,8 +179,7 @@ def test_storm_warns_then_escalates():
 
 
 def test_calm_window_resets_the_escalation_run():
-    tracker = SLOTracker([SLOTarget(LOOKUP, 1e9)], window_ops=10,
-                         storm_escalate=3)
+    tracker = SLOTracker([SLOTarget(LOOKUP, 1e9)], window_ops=10)
     _storm_drive(tracker, [0.1, 0.1, 0.1, 0.8, 0.0, 0.8, 0.0, 0.8])
     storms = [a for a in tracker.alerts if a.kind == ALERT_SMO_STORM]
     # Each isolated hot window warns; the run never reaches 3 in a row.

@@ -14,7 +14,7 @@ import pytest
 from repro import execute
 from repro.bench import shard
 from repro.core import sweep
-from repro.core.heatmap import compute_heatmap, sweep_heatmap
+from repro.core.heatmap import sweep_heatmap
 from repro.core.runner import ExecutionObserver
 from repro.core.sweep import (
     DatasetSpec,
@@ -30,6 +30,7 @@ from repro.core.sweep import (
 )
 from repro.indexes.alex import ALEX
 from repro.indexes.btree import BPlusTree
+from tests.heatmap_reference import compute_heatmap
 
 DATASETS = [DatasetSpec("covid", 1200, 0), DatasetSpec("stack", 1200, 0)]
 WORKLOADS = [WorkloadSpec.mixed(0.0, n_ops=500, seed=1),

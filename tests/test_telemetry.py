@@ -228,7 +228,7 @@ def test_smo_storm_detection_merges_consecutive_windows():
                          "t_ns": t + 100.0, "window_start_ns": t,
                          "value": rate, "window_ops": 10})
         t += 100.0
-    storms = m.smo_storms(factor=3.0, min_rate=0.05)
+    storms = m.smo_storms()
     assert len(storms) == 1
     storm = storms[0]
     assert storm.start_ns == 200.0 and storm.end_ns == 400.0
