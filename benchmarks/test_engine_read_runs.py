@@ -3,18 +3,24 @@
 With no ``on_op`` observer attached, ``ExecutionEngine`` resolves the
 lookups of a run past ``LOOKUP_STREAK`` through ``_lookup_batch`` in
 ``LOOKUP_BLOCK``-op blocks and charges them by range totals (PR 17;
-``docs/performance.md``, "Lookup runs").  Two gates, neither depending
+``docs/performance.md``, "Lookup runs").  Three gates, none depending
 on the machine:
 
-* **An in-run wall ratio.**  The paper's Read-Only mix on the P4 panel
-  at the size of ``bench/``'s ``gre_read`` cells: the same stream
-  through the default engine and through the per-op loop (forced by a
-  no-op ``on_op`` observer), interleaved, each cell from its best of
-  ``_REPS``.  Per-op loop ÷ default on the panel's summed time must
-  stay >= ``_MIN_PANEL_RATIO``; each cell's ratio is printed (LIPP
-  gains least: its batch descent splits on the root's fan-out into
-  groups too small for numpy, and it mirrors a root of ~2 slots per
-  key first).
+* **In-run wall ratios on the Read-Only mix.**  The P4 panel at the
+  size of ``bench/``'s ``gre_read`` cells: the same stream through the
+  default engine and through the per-op loop (forced by a no-op
+  ``on_op`` observer), interleaved, each cell from its best of
+  ``_REPS``.  Per-op loop ÷ default must stay >= ``_MIN_CELL_RATIO`` in
+  every cell and >= ``_MIN_PANEL_RATIO`` on the panel's summed time.
+  ALEX and LIPP batch on their live lists (PR 24, "Batch reads on the
+  live lists"): no cell builds anything per block, and LIPP — a model
+  evaluation and a slot read per node — went from the cell that gained
+  nothing (0.9x on osm) to gaining as much as any.
+* **The same ratio around one write per 500 lookups** (99.8 / 0.2, half
+  the keys loaded), ALEX and LIPP: a block right after a write.  While
+  they kept a numpy copy per node this was the mix that lost (LIPP
+  0.77-0.89x, a ~200k-slot root copied per run); a copy coming back
+  fails here by name.
 * **A counted zero.**  On the Balanced mix no run reaches the streak:
   a counting ``_lookup_batch`` is never called, so a mixed cell runs
   the per-op loop plus one counter.
@@ -35,10 +41,15 @@ _DATASETS = ("covid", "osm")
 _KEYS = 100_000
 _OPS = 8_000
 _REPS = 3
-#: Read 1.9-2.1x on the reference box (panel; per cell 0.9x LIPP/osm to
-#: 4.1x PGM/osm); 1.0 would mean the batch lookups no longer reach the
-#: engine.
-_MIN_PANEL_RATIO = 1.4
+#: A cell below 1.0 pays for batching more than it gets back.  Read
+#: 2.2x (B+tree/osm) to 4.0x (LIPP/covid) on the reference box.
+_MIN_CELL_RATIO = 1.0
+#: Read 2.7-2.85x on the reference box over five sets, less 25%
+#: headroom; 1.0 would mean the batch lookups no longer reach the engine.
+_MIN_PANEL_RATIO = 2.0
+#: One write per 500 lookups.  Read 1.3-1.5x on the reference box
+#: (few runs reach a half-full first block; those that do are free).
+_WRITE_FRACTION = 0.002
 
 
 class _Watch(ExecutionObserver):
@@ -48,11 +59,11 @@ class _Watch(ExecutionObserver):
         pass
 
 
-def _read_runs():
-    cells = [(name, dataset,
-              mixed_workload(list(dataset_keys(dataset, _KEYS)), 0.0,
-                             n_ops=_OPS, seed=6))
-             for dataset in _DATASETS for name in PANEL]
+def _ratios(title, cells):
+    """Each ``(index, dataset, workload)`` cell through the per-op loop
+    and the default engine; prints the table, returns ``{(index,
+    dataset): per-op / default}`` with the summed ratio under
+    ``"panel"``."""
     best = {}  # (index, dataset, per_op) -> seconds in the op loop
     for rep in range(_REPS):
         for name, dataset, workload in cells:
@@ -64,28 +75,53 @@ def _read_runs():
                 key = (name, dataset, per_op)
                 best[key] = min(wall, best.get(key, wall))
 
-    print_header("Lookup runs: default engine vs per-op loop (Read-Only mix, "
-                 f"{_KEYS} keys, {_OPS} lookups, best of {_REPS}, us/op)")
-    rows = []
+    print_header(f"Lookup runs: default engine vs per-op loop ({title}, "
+                 f"{_KEYS} keys, {_OPS} ops, best of {_REPS}, us/op)")
+    rows, ratios = [], {}
     loop_sum = default_sum = 0.0
     for name, dataset, _ in cells:
         loop, default = best[name, dataset, True], best[name, dataset, False]
         loop_sum += loop
         default_sum += default
+        ratios[name, dataset] = loop / default
         rows.append([name, dataset, f"{loop / _OPS * 1e6:.2f}",
                      f"{default / _OPS * 1e6:.2f}", f"{loop / default:.2f}x"])
+    ratios["panel"] = loop_sum / default_sum
     rows.append(["panel", "", f"{loop_sum / len(cells) / _OPS * 1e6:.2f}",
                  f"{default_sum / len(cells) / _OPS * 1e6:.2f}",
-                 f"{loop_sum / default_sum:.2f}x"])
+                 f"{ratios['panel']:.2f}x"])
     print(table(["Index", "Dataset", "per-op loop", "default", "ratio"], rows))
-    return loop_sum / default_sum
+    return ratios
+
+
+def _cells(names, datasets, write_fraction):
+    return [(name, dataset,
+             mixed_workload(list(dataset_keys(dataset, _KEYS)), write_fraction,
+                            n_ops=_OPS, seed=6))
+            for dataset in datasets for name in names]
+
+
+def _assert_no_cell_loses(ratios, mix):
+    slow = {cell: f"{r:.2f}x" for cell, r in ratios.items()
+            if cell != "panel" and r < _MIN_CELL_RATIO}
+    assert not slow, (f"per-op loop / default engine under "
+                      f"{_MIN_CELL_RATIO}x on the {mix} in {slow}")
 
 
 def test_read_runs_beat_the_per_op_loop(benchmark):
-    ratio = run_once(benchmark, _read_runs)
-    assert ratio >= _MIN_PANEL_RATIO, (
-        f"per-op loop / default engine = {ratio:.2f}x on the Read-Only "
-        f"panel (gate {_MIN_PANEL_RATIO}x)")
+    ratios = run_once(benchmark, lambda: _ratios(
+        "Read-Only mix", _cells(PANEL, _DATASETS, 0.0)))
+    _assert_no_cell_loses(ratios, "Read-Only mix")
+    assert ratios["panel"] >= _MIN_PANEL_RATIO, (
+        f"per-op loop / default engine = {ratios['panel']:.2f}x on the "
+        f"Read-Only panel (gate {_MIN_PANEL_RATIO}x)")
+
+
+def test_a_write_per_500_lookups_costs_the_batch_path_nothing(benchmark):
+    ratios = run_once(benchmark, lambda: _ratios(
+        "99.8 / 0.2 mix, half the keys loaded",
+        _cells(("ALEX", "LIPP"), ("covid",), _WRITE_FRACTION)))
+    _assert_no_cell_loses(ratios, "99.8 / 0.2 mix")
 
 
 def test_balanced_mix_never_asks_for_a_batch():

@@ -541,11 +541,12 @@ class ExecutionEngine:
         clock reads: the meter table is the loop's at every clock read,
         so the samples are too.  The samples and the instance's op
         counter, all that ``step`` feeds for a lookup nobody watches,
-        are fed in bulk.  The run's first block must be
-        at least half full: a write before it drops the index's batch
-        tables, and only that many lookups in hand are sure to repay
-        rebuilding them.  A block that is not batched, or that the
-        index declines (``None``), takes ``step`` per op.
+        are fed in bulk.  The run's first block must be at least half
+        full: a write before it drops the batch tables of an index that
+        keeps any (the segmented family), and only that many lookups in
+        hand are sure to repay rebuilding them.  A block that is not
+        batched, or that the index declines (``None``), takes ``step``
+        per op.
         """
         every = self.sample_every
         meter = index.meter

@@ -26,6 +26,8 @@ optional linked-list mode used by the Appendix-B experiment.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
@@ -85,7 +87,6 @@ class _DataNode:
         "node_id", "keys", "values", "present", "num_keys",
         "model", "prev", "next",
         "inserts_since_build", "shifts_since_build", "search_since_build",
-        "np_cache",
     )
 
     def __init__(self, node_id: int) -> None:
@@ -93,9 +94,6 @@ class _DataNode:
         self.keys: List[Key] = []
         self.values: List[Value] = []
         self.present: List[bool] = []
-        #: Batch-lookup arrays (see ``_lookup_batch``); ``None`` = stale,
-        #: ``False`` = keys don't fit int64.  Reset on any layout change.
-        self.np_cache: Any = None
         self.num_keys = 0
         self.model = LinearModel()
         self.prev: Optional["_DataNode"] = None
@@ -510,33 +508,14 @@ class ALEX(OrderedIndex):
             return value.values[0]
         return value
 
-    @staticmethod
-    def _leaf_cache(node: _DataNode):
-        """Numpy mirror of a leaf's gapped array: int64 keys (tail-gap
-        ``_GAP_HIGH`` mapped to INT64_MAX, which preserves every ``<``,
-        ``>=`` and ``==`` outcome against int64 probe keys) plus the
-        sorted occupied-slot positions."""
-        cache = node.np_cache
-        if cache is None:
-            np = batching._np
-            int64_max = (1 << 63) - 1
-            mapped = [int64_max if k == _GAP_HIGH else k for k in node.keys]
-            keys_np = batching.int64_cache(mapped)
-            if keys_np is None:
-                cache = node.np_cache = False
-            else:
-                present_idxs = np.flatnonzero(
-                    np.asarray(node.present, dtype=bool))
-                cache = node.np_cache = (keys_np, present_idxs)
-        return cache
-
     def _lookup_batch(self, keys: Sequence[Key]):
-        """Vectorized lookup: grouped descent through the inner nodes,
-        then a per-leaf replay of the exponential search with rank
-        arithmetic (``keys[x] >= key`` is ``x >= r`` for the key's rank
-        ``r`` in the gapped array, which stays sorted by construction).
-        Groups smaller than the numpy break-even run a meter-free scalar
-        tail instead.  Bails under duplicate modes.
+        """Batch lookup on the live lists, no state kept between calls:
+        the root's model is evaluated once for the whole batch, each key
+        then walks to its leaf and takes its rank there by C ``bisect``
+        (the gapped array stays sorted by its gap copies), and one
+        replay of the exponential search over every key's ``(leaf
+        model, capacity, rank)`` counts the probes (``keys[x] >= key``
+        is ``x >= rank``).  Bails under duplicate modes.
         """
         if self.duplicate_mode is not None:
             return None
@@ -547,81 +526,48 @@ class ALEX(OrderedIndex):
         B = len(ks)
         values: List[Optional[Value]] = [None] * B
         found = [False] * B
-        depth = np.zeros(B, dtype=np.int64)
-        probes = np.zeros(B, dtype=np.int64)
-        cp = np.zeros(B, dtype=np.int64)
-        leaf_groups = []  # (node, idx, ksub, rank, cache) per visited leaf
-        stack = [(self._root, np.arange(B), 0)]
-        while stack:
-            node, idx, d = stack.pop()
-            if isinstance(node, _InnerNode):
-                slots = batching.predict_clamped_vec(
-                    node.model, ks[idx], len(node.children))
-                order = np.argsort(slots, kind="stable")
-                sorted_slots = slots[order]
-                cuts = np.flatnonzero(np.diff(sorted_slots)) + 1
-                bounds = [0] + cuts.tolist() + [len(order)]
+        root = self._root
+        if isinstance(root, _InnerNode):
+            below = 1
+            tops = map(root.children.__getitem__, batching.predict_clamped_vec(
+                root.model, ks, len(root.children)).tolist())
+        else:
+            below = 0
+            tops = repeat(root)
+        depth, rank, leaf_of = [below] * B, [0] * B, [0] * B
+        leaves: Dict[_DataNode, int] = {}
+        for i, (key, node) in enumerate(zip(ks.tolist(), tops)):
+            while isinstance(node, _InnerNode):
                 children = node.children
-                for t in range(len(bounds) - 1):
-                    a = bounds[t]
-                    part = order[a:bounds[t + 1]]
-                    stack.append(
-                        (children[int(sorted_slots[a])], idx[part], d + 1))
-                continue
-            depth[idx] = d
-            cache = self._leaf_cache(node) if len(idx) >= 16 else False
-            if cache is False:
-                for gi in idx:
-                    gi = int(gi)
-                    key = int(ks[gi])
-                    pos, pr, hint = self._exponential_search(node, key)
-                    occ = self._occupied_at(node, pos, key)
-                    probes[gi] = pr
-                    cp[gi] = min(max((abs(pos - hint) - 4) // 8, 0), 64)
-                    if occ >= 0:
-                        found[gi] = True
-                        values[gi] = node.values[occ]
-                continue
-            ksub = ks[idx]
-            r = np.searchsorted(cache[0], ksub, side="left")
-            leaf_groups.append((node, idx, ksub, r, cache))
-        if leaf_groups:
-            # One global exponential-search replay across every leaf:
-            # per-leaf calls on tiny arrays would drown in numpy call
-            # overhead, so the per-key model/capacity parameters are
-            # broadcast and concatenated instead.
-            order = np.concatenate([g[1] for g in leaf_groups])
-            rr = np.concatenate([g[3] for g in leaf_groups])
-            models = batching.model_arrays([g[0].model for g in leaf_groups])
-            if models is None:
-                return None
-            counts = [len(g[1]) for g in leaf_groups]
-            slopes, inters, anchors = (np.repeat(m, counts) for m in models)
-            caps = np.repeat([g[0].capacity for g in leaf_groups], counts)
-            ksall = ks[order]
-            pred = slopes * (ksall - anchors).astype(np.float64) + inters
-            # Same clamp-preserving pre-clip as predict_clamped_vec,
-            # bounded by the largest capacity in the batch.
-            cmax = float(int(caps.max()) + 2)
-            hint = np.clip(np.clip(pred, -cmax, cmax).astype(np.int64),
-                           0, np.maximum(caps - 1, 0))
-            pr, lo = batching.simulate_exponential(hint, rr, caps)
-            probes[order] = pr
-            cp[order] = batching.local_search_lines(lo - hint)
-            off = 0
-            for node, idx, ksub, r, (keys_np, present_idxs) in leaf_groups:
-                lo_g = lo[off:off + len(idx)]
-                off += len(idx)
-                pos_in = np.searchsorted(present_idxs, lo_g)
-                has_occ = pos_in < len(present_idxs)
-                occ = present_idxs[
-                    np.minimum(pos_in, len(present_idxs) - 1)]
-                hit = has_occ & (keys_np[occ] == ksub)
-                node_values = node.values
-                for j in np.flatnonzero(hit):
-                    gi = int(idx[j])
-                    found[gi] = True
-                    values[gi] = node_values[int(occ[j])]
+                node = children[node.model.predict_clamped(key, len(children))]
+                depth[i] += 1
+            leaf_of[i] = leaves.setdefault(node, len(leaves))
+            node_keys = node.keys
+            rank[i] = pos = bisect_left(node_keys, key)
+            # ``_occupied_at``: past the gap copies of ``key``, if any.
+            cap = len(node_keys)
+            while pos < cap and node_keys[pos] == key:
+                if node.present[pos]:
+                    found[i] = True
+                    values[i] = node.values[pos]
+                    break
+                pos += 1
+        models = batching.model_arrays([leaf.model for leaf in leaves])
+        if models is None:
+            return None
+        leaf_of = np.asarray(leaf_of, dtype=np.int64)
+        slopes, inters, anchors = (m[leaf_of] for m in models)
+        caps = np.asarray([leaf.capacity for leaf in leaves])[leaf_of]
+        pred = batching.predict_vec(slopes, inters, anchors, ks)
+        # Same clamp-preserving pre-clip as predict_clamped_vec,
+        # bounded by the largest capacity in the batch.
+        cmax = float(int(caps.max()) + 2)
+        hint = np.clip(np.clip(pred, -cmax, cmax).astype(np.int64),
+                       0, np.maximum(caps - 1, 0))
+        probes, lo = batching.simulate_exponential(
+            hint, np.asarray(rank, dtype=np.int64), caps)
+        cp = batching.local_search_lines(lo - hint)
+        depth = np.asarray(depth, dtype=np.int64)
         log = batching.ChargeLog(B)
         log.add(PHASE_TRAVERSE, NODE_HOP, depth + 1)
         log.add(PHASE_TRAVERSE, MODEL_EVAL, depth, reached=depth > 0)
@@ -725,7 +671,6 @@ class ALEX(OrderedIndex):
         assignment per column: the slots written, and the ``SLOT_INIT``
         / ``KEY_SHIFT`` units charged to ``PHASE_COLLISION`` for them,
         are those of a slot-by-slot mover."""
-        node.np_cache = None
         keys, values, present = node.keys, node.values, node.present
         cap = len(keys)
         if pos < cap and not present[pos]:
@@ -795,7 +740,6 @@ class ALEX(OrderedIndex):
         return 0
 
     def _expand(self, node: _DataNode) -> None:
-        node.np_cache = None
         items = node.occupied_items()
         n = len(items)
         cap = max(8, int(math.ceil(n / self.avg_density)))
@@ -984,7 +928,6 @@ class ALEX(OrderedIndex):
                 nodes_traversed=len(path),
             )
             return False
-        node.np_cache = None
         with self.meter.phase(PHASE_COLLISION):
             node.present[occ] = False
             node.values[occ] = None

@@ -9,10 +9,14 @@ observable).  Three ideas make that tractable:
 
 * **Search replay by rank.**  Every windowed binary search in the
   scalar paths compares ``keys[mid] < key`` (or ``first_key <= key``),
-  which is equivalent to ``mid < r`` where ``r`` is the key's rank from
-  ``np.searchsorted``.  So the probe counts of a whole batch can be
-  replayed with masked integer arithmetic — no key arrays touched —
-  and come out *exactly* equal to what the scalar loop would count.
+  which is equivalent to ``mid < r`` where ``r`` is the key's rank —
+  from ``np.searchsorted`` over an immutable run's or segment table's
+  cached array, or from C ``bisect`` on the live list of a node that
+  writes change in place (B+tree, ALEX; LIPP reads one slot), which
+  therefore keep no copy to go stale.  So the probe counts of a whole
+  batch can be replayed with masked integer arithmetic — no key arrays
+  touched — and come out *exactly* equal to what the scalar loop would
+  count.
 * **Charge logs.**  Fast paths record per-op unit counts per charge
   *site* (one scalar ``meter.charge`` statement, in the order the
   scalar path reaches them).  :meth:`ChargeLog.range_charges` sums them
@@ -50,10 +54,10 @@ _INT64_MAX = (1 << 63) - 1
 
 def int64_cache(values: Sequence[int]) -> Optional["Any"]:
     """``values`` as a one-dimensional int64 array — how every array
-    the kernels see is admitted: batch keys, index-side caches, model
-    anchors, the keys of an array build.  ``None`` when a value lies
-    outside ``[0, 2**63)`` (for a cache, the fast path then bails for
-    good).
+    the kernels see is admitted: batch keys, the cached arrays of a PGM
+    run or a segment table, model anchors, the keys of an array build.
+    ``None`` when a value lies outside ``[0, 2**63)`` (for a cached
+    array, the fast path then bails for good).
 
     The kernels subtract admitted values from each other in int64 —
     ``predict_vec`` takes a probe key minus a model anchor, from arrays
@@ -198,34 +202,25 @@ def simulate_binary(lo, hi, r):
     return probes
 
 
-def simulate_exponential(hint, r, cap: int):
+def simulate_exponential(hint, r, cap):
     """Replay ALEX's inline exponential search around ``hint``.
 
-    Conditions ``keys[x] >= key`` become ``x >= r``.  Returns
-    ``(probes, lo)`` where ``lo == r`` clipped into the final window —
-    exactly the scalar result — and ``probes`` matches the scalar count
-    (first comparison + doubling steps + windowed binary).
+    Conditions ``keys[x] >= key`` become ``x >= r``, for ranks ``r`` in
+    ``[0, cap]``; ``cap`` may be a scalar or a per-key array.  Going
+    left the search doubles its step while ``hint - 2**j >= r``, going
+    right while ``hint + 2**j < r``: as many steps as the distance has
+    bits, read off the float exponent.  Returns ``(probes, lo)`` where
+    ``lo == r`` clipped into the final window — exactly the scalar
+    result — and ``probes`` matches the scalar count (first comparison
+    + doubling steps + windowed binary).
     """
-    probes = _np.ones(hint.shape, dtype=_np.int64)
     left = hint >= r  # keys[hint] >= key
-    bound = _np.ones(hint.shape, dtype=_np.int64)
-    lo = _np.where(left, hint - 1, hint)
-    hi = _np.where(left, hint, hint + 1)
-    act = left & (lo >= 0) & (lo >= r)
-    while act.any():
-        probes[act] += 1
-        bound[act] <<= 1
-        lo = _np.where(act, hint - bound, lo)
-        act = act & (lo >= 0) & (lo >= r)
-    lo = _np.where(left, _np.maximum(lo, 0), lo)
-    act = ~left & (hi < cap) & (hi < r)
-    while act.any():
-        probes[act] += 1
-        bound[act] <<= 1
-        hi = _np.where(act, hint + bound, hi)
-        act = act & (hi < cap) & (hi < r)
-    hi = _np.where(left, hi, _np.minimum(hi, cap))
-    probes += simulate_binary(lo, hi, r)
+    steps = _np.frexp(_np.where(left, hint - r, r - hint - 1))[1].astype(
+        _np.int64)
+    reach = _np.left_shift(1, steps)
+    lo = _np.where(left, _np.maximum(hint - reach, 0), hint)
+    hi = _np.where(left, hint, _np.minimum(hint + reach, cap))
+    probes = 1 + steps + simulate_binary(lo, hi, r)
     return probes, _np.clip(r, lo, hi)
 
 

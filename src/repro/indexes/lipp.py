@@ -83,7 +83,6 @@ class _LippNode:
     __slots__ = (
         "node_id", "model", "tags", "keys", "values",
         "size", "build_size", "num_inserts", "num_conflicts",
-        "np_cache",
     )
 
     def __init__(self, node_id: int, model: LinearModel, tags: List[int],
@@ -93,10 +92,6 @@ class _LippNode:
         self.tags = tags
         self.keys = keys
         self.values = values
-        #: Batch-lookup mirror of ``tags``/``keys`` (see
-        #: ``LIPP._lookup_batch``); ``None`` = stale, ``False`` = keys
-        #: don't fit int64.  Reset whenever a slot tag/key changes.
-        self.np_cache: Any = None
         #: Keys stored in this subtree.
         self.size = size
         #: Subtree size when the node was (re)built.
@@ -428,26 +423,12 @@ class LIPP(OrderedIndex):
         )
         return node.values[s] if found else None
 
-    @staticmethod
-    def _node_cache(node: _LippNode):
-        """Numpy mirror of one node's slot tags and keys."""
-        cache = node.np_cache
-        if cache is None:
-            np = batching._np
-            keys_np = batching.int64_cache(node.keys)
-            if keys_np is None:
-                cache = node.np_cache = False
-            else:
-                tags_np = np.asarray(node.tags, dtype=np.int8)
-                cache = node.np_cache = (tags_np, keys_np)
-        return cache
-
     def _lookup_batch(self, keys: Sequence[Key]):
-        """Vectorized precise-position lookup: grouped descent, one
-        ``predict_clamped`` evaluation per (node, key-group).  LIPP has
-        no last-mile search, so the whole scalar hot path is model
-        evaluation + slot tag tests — exactly numpy's shape.  Groups
-        below the numpy break-even take a meter-free scalar tail.
+        """Batch lookup on the live lists, no state kept between calls:
+        the root's model is evaluated once for the whole batch, and a
+        key whose root slot is a child walks on by itself.  LIPP has no
+        last-mile search: a lookup is a model evaluation and a slot
+        read per node.
         """
         ks = batching.key_array(keys)
         if ks is None:
@@ -456,59 +437,22 @@ class LIPP(OrderedIndex):
         B = len(ks)
         values: List[Optional[Value]] = [None] * B
         found = [False] * B
-        depth = np.zeros(B, dtype=np.int64)
-        stack = [(self._root, np.arange(B), 1)]
-        while stack:
-            node, idx, d = stack.pop()
-            cache = self._node_cache(node) if len(idx) >= 16 else False
-            if cache is False:
-                for gi in idx:
-                    gi = int(gi)
-                    key = int(ks[gi])
-                    cur, dd = node, d
-                    while True:
-                        s = cur.model.predict_clamped(key, cur.capacity)
-                        tag = cur.tags[s]
-                        if tag == _CHILD:
-                            cur = cur.values[s]
-                            dd += 1
-                            continue
-                        depth[gi] = dd
-                        if tag == _DATA and cur.keys[s] == key:
-                            found[gi] = True
-                            values[gi] = cur.values[s]
-                        break
-                continue
-            tags_np, keys_np = cache
-            ksub = ks[idx]
-            s = batching.predict_clamped_vec(node.model, ksub, node.capacity)
-            tag = tags_np[s]
-            is_child = tag == _CHILD
-            term = np.flatnonzero(~is_child)
-            if len(term):
-                tidx = idx[term]
-                depth[tidx] = d
-                ts = s[term]
-                hit = (tag[term] == _DATA) & (keys_np[ts] == ksub[term])
-                node_values = node.values
-                for j in np.flatnonzero(hit):
-                    gi = int(tidx[j])
-                    found[gi] = True
-                    values[gi] = node_values[int(ts[j])]
-            child_pos = np.flatnonzero(is_child)
-            if len(child_pos):
-                cs = s[child_pos]
-                order = np.argsort(cs, kind="stable")
-                sorted_slots = cs[order]
-                cuts = np.flatnonzero(np.diff(sorted_slots)) + 1
-                bounds = [0] + cuts.tolist() + [len(order)]
-                cidx = idx[child_pos]
-                node_values = node.values
-                for t in range(len(bounds) - 1):
-                    a = bounds[t]
-                    part = order[a:bounds[t + 1]]
-                    stack.append((node_values[int(sorted_slots[a])],
-                                  cidx[part], d + 1))
+        depth = [1] * B
+        root = self._root
+        slots = batching.predict_clamped_vec(
+            root.model, ks, root.capacity).tolist()
+        tags = map(root.tags.__getitem__, slots)
+        for i, (key, s, tag) in enumerate(zip(ks.tolist(), slots, tags)):
+            node = root
+            while tag == _CHILD:
+                node = node.values[s]
+                depth[i] += 1
+                s = node.model.predict_clamped(key, len(node.tags))
+                tag = node.tags[s]
+            if tag == _DATA and node.keys[s] == key:
+                found[i] = True
+                values[i] = node.values[s]
+        depth = np.asarray(depth, dtype=np.int64)
         log = batching.ChargeLog(B)
         log.add(PHASE_TRAVERSE, NODE_HOP, depth)
         log.add(PHASE_TRAVERSE, MODEL_EVAL, depth)
@@ -555,7 +499,6 @@ class LIPP(OrderedIndex):
                 nodes_traversed=len(path),
             )
             return False
-        node.np_cache = None
         if tag == _EMPTY:
             with self.meter.phase(PHASE_COLLISION):
                 node.tags[s] = _DATA
@@ -711,7 +654,6 @@ class LIPP(OrderedIndex):
                 nodes_traversed=len(path),
             )
             return False
-        node.np_cache = None
         node.tags[s] = _EMPTY
         node.values[s] = None
         self.meter.charge(SLOT_INIT)
@@ -729,7 +671,6 @@ class LIPP(OrderedIndex):
                     nodes, slots = self._collect_subtree(node, left)
                     self._n_nodes -= nodes
                     self._n_slots -= slots
-                    parent.np_cache = None
                     parent.tags[j] = _DATA
                     parent.keys[j], parent.values[j] = left[0]
                     self.meter.charge(SLOT_INIT)

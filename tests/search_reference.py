@@ -230,7 +230,6 @@ def alex_place(index, node, pos: int, key: int, value: object) -> int:
     """``ALEX._place``: put ``key`` at/near ``pos``, finding gap-run
     ends and shifting keys, values and presence one slot at a time;
     returns keys shifted."""
-    node.np_cache = None
     with index.meter.phase(PHASE_COLLISION):
         cap = node.capacity
         if pos < cap and not node.present[pos]:

@@ -30,6 +30,7 @@ from repro.core.results import result_record
 from repro.core.runner import ExecutionEngine, ExecutionObserver
 from repro.core.sweep import result_fingerprint
 from repro.core.workloads import (
+    DELETE,
     INSERT,
     LOOKUP,
     SCAN,
@@ -37,7 +38,7 @@ from repro.core.workloads import (
     Workload,
     mixed_workload,
 )
-from repro.indexes import batching
+from repro.indexes import alex, batching, lipp
 from repro.indexes.btree import BPlusTree
 from repro.indexes.multiplex import BACKFILL, MultiplexIndex
 
@@ -291,16 +292,7 @@ def test_lookup_many_parity(name):
     rng = random.Random(1)
     qs = rng.sample(keys, 400) + [k + 1 for k in rng.sample(keys, 400)]
     rng.shuffle(qs)
-    recs = []
-    va = a.lookup_many(qs, records=recs)
-    vb, rb = [], []
-    for k in qs:
-        vb.append(b.lookup(k))
-        rb.append(b.last_op)
-    assert va == vb
-    assert recs == rb
-    assert a.last_op == b.last_op
-    _assert_meters_identical(a, b, name)
+    _assert_lookup_many_equals_loop(a, b, qs, name, spec.supports_batch)
 
 
 @pytest.mark.parametrize("name", BATCH_NAMES)
@@ -398,6 +390,189 @@ def test_scan_many_matches_scalar_scans():
     starts = keys[::97]
     assert a.scan_many(starts, 10) == [b.range_scan(s, 10) for s in starts]
     _assert_meters_identical(a, b, "B+tree scan_many")
+
+
+# ---------------------------------------------------------------------------
+# ALEX and LIPP on the live lists
+# ---------------------------------------------------------------------------
+#
+# Their batch bodies keep nothing between calls: the root's model in
+# numpy, then each key by itself on the lists the scalar ops write.  The
+# shapes below are the ones earlier bodies split on (a node's keys
+# handled as a group once there were enough of them, a numpy copy of
+# every node visited that each write had to drop).
+
+def _alex_leaf_keys(index):
+    """Occupied keys per leaf, in key order."""
+    leaves = sorted(index.data_nodes(), key=lambda leaf: leaf.keys[0])
+    return [[k for k, _ in leaf.occupied_items()] for leaf in leaves]
+
+
+def _lipp_node_keys(index):
+    """Keys held directly in each node's own slots, root first."""
+    out, stack = [], [index._root]
+    while stack:
+        node = stack.pop()
+        out.append([k for k, tag in zip(node.keys, node.tags)
+                    if tag == lipp._DATA])
+        stack += [v for v, tag in zip(node.values, node.tags)
+                  if tag == lipp._CHILD]
+    return out
+
+
+def _clustered_items():
+    """3,000 spread keys and a dense run of 300: ALEX gets a handful of
+    leaves, LIPP's root one child holding the whole run."""
+    keys = sorted({*_keys(3000, seed=51), *range(15_000_000, 15_000_600, 2)})
+    return [(k, k * 3) for k in keys]
+
+
+def _one_node(name, index):
+    if name == "ALEX":
+        return max(_alex_leaf_keys(index), key=len)
+    root = index._root
+    child = max((v for v, tag in zip(root.values, root.tags)
+                 if tag == lipp._CHILD), key=lambda node: node.size)
+    return [k for k, _ in index._iter_subtree(child)]
+
+
+def _every_node(name, index):
+    groups = (_alex_leaf_keys(index) if name == "ALEX"
+              else _lipp_node_keys(index))
+    return [k for group in groups if group
+            for k in sorted({group[0], group[len(group) // 2], group[-1]})]
+
+
+def _misses(name, index):
+    held = {k for group in _alex_leaf_keys(index) for k in group} \
+        if name == "ALEX" else {k for k, _ in index._iter_subtree(index._root)}
+    picked = random.Random(53).sample(sorted(held), 300)
+    return [q for k in picked for q in (k - 1, k + 1) if q not in held]
+
+
+#: shape -> (the batch, given a loaded index; whether every second key
+#: of the batch is deleted first).  Deleting leaves an ALEX slot a gap
+#: copy of its right neighbour, which a lookup of that neighbour then
+#: lands on and walks past, and a LIPP slot empty or its node collapsed.
+_SHAPES = {
+    "one-node": (_one_node, False),
+    "every-node": (_every_node, False),
+    "all-misses": (_misses, False),
+    "deleted": (_one_node, True),
+}
+
+
+def _assert_lookup_many_equals_loop(a, b, qs, label, batched=True):
+    """``a.lookup_many(qs)`` (through the batch body iff ``batched``)
+    against ``b.lookup`` in a loop: values, every record, the meter
+    table in order."""
+    # Asking charges nothing.
+    assert (a._lookup_batch(qs) is not None) == batched, label
+    recs, want, want_recs = [], [], []
+    got = a.lookup_many(qs, records=recs)
+    for k in qs:
+        want.append(b.lookup(k))
+        want_recs.append(b.last_op)
+    assert got == want, label
+    assert recs == want_recs, label
+    assert a.last_op == b.last_op, label
+    _assert_meters_identical(a, b, label)
+
+
+def _assert_run_equals_per_op(name, items, prefix, qs, label):
+    """``prefix`` then one lookup run over ``qs`` through the default
+    engine (one block holding the whole run) and the per-op loop."""
+    wl = Workload(label, items, [*prefix, *(Operation(LOOKUP, k) for k in qs)])
+    with _short_runs(block=len(qs), min_batch=1):
+        calls = _assert_default_equals_per_op(
+            REGISTRY.get(name).factory, wl, 7, label)
+    assert calls["resolved"], label
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("name", ("ALEX", "LIPP"))
+def test_live_list_shapes(name, shape, monkeypatch):
+    pick, delete = _SHAPES[shape]
+    spec, a, b = _pair(name)
+    items = _clustered_items()
+    for index in (a, b):
+        index.bulk_load(items)
+    qs = pick(name, a)
+    assert len(qs) >= 16, (name, shape)
+    gone = qs[::2] if delete else []
+    for k in gone:
+        assert a.delete(k) and b.delete(k)
+    label = f"{name} {shape}"
+    _assert_lookup_many_equals_loop(a, b, qs, label)
+    shuffled = random.Random(57).sample(qs, len(qs))
+    _assert_lookup_many_equals_loop(a, b, shuffled, f"{label} shuffled")
+    monkeypatch.setattr(batching, "MIN_BATCH", 1)
+    for small in (qs[:1], qs[1:3], qs[-3:]):
+        _assert_lookup_many_equals_loop(a, b, small, f"{label} x{len(small)}")
+    _assert_run_equals_per_op(
+        name, items, [Operation(DELETE, k) for k in gone], qs, label)
+
+
+@pytest.mark.parametrize("name", ("ALEX", "LIPP"))
+def test_live_list_single_node_index(name):
+    """An ALEX whose root is a leaf, a LIPP whose root has no child."""
+    spec, a, b = _pair(name)
+    items = [(k, -k) for k in range(1000, 3000, 50)]
+    for index in (a, b):
+        index.bulk_load(items)
+    root = a._root
+    assert isinstance(root, alex._DataNode) if name == "ALEX" \
+        else lipp._CHILD not in root.tags
+    qs = [k + d for k, _ in items for d in (0, 1)]
+    _assert_lookup_many_equals_loop(a, b, qs, name)
+    _assert_run_equals_per_op(name, items, [], qs, name)
+
+
+@pytest.mark.parametrize("name", ("ALEX", "LIPP"))
+def test_live_list_batches_between_writes(name):
+    """Batches between inserts (one dense run, so SMOs), deletes and
+    re-inserts with nothing invalidated in between: there is nothing a
+    write could leave stale."""
+    spec, a, b = _pair(name)
+    items = _clustered_items()
+    for index in (a, b):
+        index.bulk_load(items)
+    rng = random.Random(59)
+    held = [k for k, _ in items]
+    fresh = iter(range(15_000_001, 15_003_000, 2))
+    prefix, smos = [], 0
+    for rnd in range(12):
+        writes = [Operation(INSERT, k, k) for _, k in zip(range(60), fresh)]
+        writes += [Operation(DELETE, k) for k in rng.sample(held, 20)]
+        for op in writes:
+            for index in (a, b):
+                (index.delete(op.key) if op.op == DELETE
+                 else index.insert(op.key, op.value))
+            assert a.last_op == b.last_op
+            smos += bool(a.last_op.smo)
+        prefix += writes
+        qs = rng.sample(held, 40) + [op.key for op in writes[-40:]]
+        _assert_lookup_many_equals_loop(a, b, qs, f"{name} round {rnd}")
+        prefix += [Operation(LOOKUP, k) for k in qs]
+    assert smos, f"{name}: the writes never triggered an SMO"
+    assert (a._mutation_gen, a._batch_cache) == (0, None)
+    assert not a.debug_validate()
+    # The same stream through the engine: writes and short lookup runs.
+    wl = Workload(name, items, prefix)
+    with _short_runs(min_batch=1):
+        calls = _assert_default_equals_per_op(spec.factory, wl, 7, name)
+    assert calls["resolved"] >= 12
+
+
+def test_nodes_hold_no_batch_state():
+    """What a node has is what the scalar ops read and write."""
+    assert alex._DataNode.__slots__ == (
+        "node_id", "keys", "values", "present", "num_keys",
+        "model", "prev", "next",
+        "inserts_since_build", "shifts_since_build", "search_since_build")
+    assert lipp._LippNode.__slots__ == (
+        "node_id", "model", "tags", "keys", "values",
+        "size", "build_size", "num_inserts", "num_conflicts")
 
 
 # ---------------------------------------------------------------------------

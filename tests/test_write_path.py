@@ -299,7 +299,7 @@ def _assert_place_matches(present, keys, key):
     got = a._place(node_a, pos, key, "new")
     want = reference.alex_place(b, node_b, pos, key, "new")
     assert got == want
-    for field in ("keys", "values", "present", "num_keys", "np_cache"):
+    for field in ("keys", "values", "present", "num_keys"):
         assert getattr(node_a, field) == getattr(node_b, field), field
     assert node_a.model == node_b.model  # a full leaf retrains
     assert _counts(a) == _counts(b)
@@ -371,8 +371,7 @@ def test_place_through_inserts_until_smos():
 def _node_fields(node):
     return (node.node_id, node.model.slope.hex(), node.model.intercept.hex(),
             node.model.anchor, node.tags, node.keys, node.values, node.size,
-            node.build_size, node.num_inserts, node.num_conflicts,
-            node.np_cache)
+            node.build_size, node.num_inserts, node.num_conflicts)
 
 
 def _assert_pair_matches(density, a, b):
