@@ -131,48 +131,100 @@ class RWLock:
     (``worker_yield_s``) so a chunk-at-a-time rebuild cannot starve
     readers either — the harness measures the result as zero stalled
     lookups rather than assuming it.
+
+    The state lives under one plain ``threading.Lock``; the
+    ``Condition`` built on it is used only to sleep.  An uncontended
+    acquire or release is one hold of that lock: ``_sleepers`` counts
+    the threads inside ``wait()`` (registered under the lock before they
+    sleep), so a release with nobody asleep skips ``notify_all``.  Both
+    acquires return the seconds they slept, ``0.0`` when they never did,
+    so callers time nothing on the fast path.
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._readers = 0
         self._writer = False
         self._writers_waiting = 0
+        self._sleepers = 0
 
-    def acquire_read(self) -> None:
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
+    # ``acquire()`` / ``release()`` in ``try``/``finally`` rather than
+    # ``with``: the statement's extra ``__exit__(None, None, None)`` call
+    # was 40% of an uncontended acquire + release pair.
+
+    def acquire_read(self) -> float:
+        lock = self._lock
+        lock.acquire()
+        try:
+            if not (self._writer or self._writers_waiting):
+                self._readers += 1
+                return 0.0
+            t0 = time.perf_counter()
+            self._sleepers += 1
+            try:
+                while self._writer or self._writers_waiting:
+                    self._cond.wait()
+            finally:
+                self._sleepers -= 1
             self._readers += 1
+            return time.perf_counter() - t0
+        finally:
+            lock.release()
 
     def release_read(self) -> None:
-        with self._cond:
+        lock = self._lock
+        lock.acquire()
+        try:
             self._readers -= 1
-            if not self._readers:
+            if not self._readers and self._sleepers:
                 self._cond.notify_all()
+        finally:
+            lock.release()
 
-    def acquire_write(self) -> None:
-        with self._cond:
+    def acquire_write(self) -> float:
+        lock = self._lock
+        lock.acquire()
+        try:
+            if not (self._writer or self._readers):
+                self._writer = True
+                return 0.0
+            t0 = time.perf_counter()
             self._writers_waiting += 1
+            self._sleepers += 1
             try:
                 while self._writer or self._readers:
                     self._cond.wait()
             finally:
                 self._writers_waiting -= 1
+                self._sleepers -= 1
             self._writer = True
+            return time.perf_counter() - t0
+        finally:
+            lock.release()
 
     def release_write(self) -> None:
-        with self._cond:
+        lock = self._lock
+        lock.acquire()
+        try:
             self._writer = False
-            self._cond.notify_all()
+            if self._sleepers:
+                self._cond.notify_all()
+        finally:
+            lock.release()
 
 
 @dataclass
 class JournalEntry:
-    """One admitted foreground op, recorded under the instance lock."""
+    """One admitted foreground op, recorded under the instance lock.
 
-    # One per op for the life of the server: slotted (spelled out, as
-    # ``dataclass(slots=True)`` needs Python 3.10) and built positionally.
+    The server records a scalar op as a plain tuple of these fields but
+    ``seq``, in this order, and :meth:`IndexServer.journal` replaces it
+    with the entry when it is first read; ``seq`` is the op's place in
+    the journal."""
+
+    # Slotted (spelled out, as ``dataclass(slots=True)`` needs Python
+    # 3.10): ``journal()`` builds one per op it returns.
     __slots__ = ("seq", "instance", "op", "key", "value", "count", "ok",
                  "scanned", "result")
 
@@ -198,18 +250,18 @@ class JournalEntry:
 @dataclass
 class _JournalBatch:
     """One ``lookup_many``/``insert_many`` call in the journal: the
-    call's argument and result lists plus the first of the contiguous
-    ``seq`` block reserved for its ops.  :meth:`entries` expands it to
-    the per-op :class:`JournalEntry` form on demand, so a batch costs
-    one append under the journal lock rather than one per key."""
+    call's argument and result lists, which hold a contiguous ``seq``
+    block of one per key.  :meth:`entries` expands it to the per-op
+    :class:`JournalEntry` form on demand, so a batch costs one append
+    under the journal lock rather than one per key."""
 
-    seq: int
     instance: str
     op: str          # LOOKUP or INSERT
     args: Sequence   # keys looked up, or (key, value) pairs inserted
     outs: Sequence   # values found, or per-pair insert success
 
-    def entries(self) -> List[JournalEntry]:
+    def entries(self, seq: int) -> List[JournalEntry]:
+        """The call's ops, numbered from ``seq``."""
         if self.op == LOOKUP:
             rows = ((key, None, value is not None, value)
                     for key, value in zip(self.args, self.outs))
@@ -218,7 +270,7 @@ class _JournalBatch:
                     for (key, value), ok in zip(self.args, self.outs))
         return [JournalEntry(seq, self.instance, self.op, key, value, 0, ok,
                              0, result)
-                for seq, (key, value, ok, result) in enumerate(rows, self.seq)]
+                for seq, (key, value, ok, result) in enumerate(rows, seq)]
 
 
 @dataclass
@@ -277,27 +329,34 @@ class _Served:
     index_name: str
     lock: RWLock = field(default_factory=RWLock)
     bulk_items: List[Tuple[int, Any]] = field(default_factory=list)
+    #: Guards ``dropped``, ``stalled``, ``max_wait_s`` and the
+    #: instance's rejection counters; taken only off the fast path.
     stats_lock: threading.Lock = field(default_factory=threading.Lock)
     #: Ops refused (admission) or crashed, per op kind.
     dropped: Dict[str, int] = field(default_factory=dict)
     #: Ops whose lock wait exceeded the stall threshold, per op kind.
     stalled: Dict[str, int] = field(default_factory=dict)
     max_wait_s: float = 0.0
-    #: Foreground calls admitted.
+    #: Foreground calls admitted, crashed ones included; advanced under
+    #: the server's journal lock.
     ops: int = 0
 
-    def admit(self, kind: str, waited: float) -> None:
-        """Admission and the traffic counters, under one ``stats_lock``
-        hold per call: the lock makes the rejection counters exact even
-        when several readers hit a non-admitting state concurrently.
-        A refused call raises before it is counted."""
+    def note_wait(self, kind: str, waited: float) -> None:
+        """Record a lock wait the op really slept through."""
         with self.stats_lock:
-            self.instance.admit(kind)
-            self.ops += 1
             if waited > self.max_wait_s:
                 self.max_wait_s = waited
             if waited > STALL_THRESHOLD_S:
                 self.stalled[kind] = self.stalled.get(kind, 0) + 1
+
+    def refuse(self, kind: str) -> None:
+        """Count and raise the refusal of an op the instance's state
+        does not admit.  Several readers can be refused at once, so the
+        count is taken under ``stats_lock``; the state itself cannot
+        change meanwhile, as every state change of a served instance
+        holds its write lock."""
+        with self.stats_lock:
+            self.instance.admit(kind)
 
     def note_drop(self, kind: str) -> None:
         with self.stats_lock:
@@ -507,11 +566,12 @@ class IndexServer:
         self._jobs: List[Job] = []
         self._job_ids = itertools.count(1)
         self._active: Optional[Job] = None
-        #: Per-op entries and whole-batch records, in serialization order.
+        #: Per-op rows (tuples in :class:`JournalEntry` field order, less
+        #: ``seq``; entries once ``journal()`` has read them) and
+        #: whole-batch records, in serialization order: an op's ``seq``
+        #: is the number of ops recorded before it.
         self._journal: List[Any] = []
         self._journal_lock = threading.Lock()
-        #: Next journal ``seq``; read and advanced under the journal lock.
-        self._next_seq = 0
         self.submitted_jobs = 0
         self.rejected_jobs = 0
         self.blocked_submits = 0
@@ -579,7 +639,8 @@ class IndexServer:
         self._served[name] = served
         if items is not None:
             items = list(items)
-            instance.bulk_load(items)
+            with _write(served.lock):  # a state change: see _Served.refuse
+                instance.bulk_load(items)
             served.bulk_items = items
         return instance
 
@@ -599,37 +660,41 @@ class IndexServer:
     def apply(self, name: str, op: Operation) -> Tuple[bool, Any]:
         """Serve one foreground op under the instance's RW lock.
 
-        Reads share the lock; writes are exclusive.  The journal entry
-        is appended *before the lock is released*, so journal order is
-        a valid serialization of the concurrent history.  Admission
-        rejections count in both the instance (``rejected``) and the
-        server's per-kind ``dropped`` stats, then re-raise.
+        Reads share the lock; writes are exclusive.  The journal row is
+        appended *before the lock is released*, so journal order is a
+        valid serialization of the concurrent history.  An admitted op
+        takes one more lock, the journal's, which also covers ``ops``
+        and ``op_counts``; ``stats_lock`` is taken only after a real
+        lock wait or when the call raises.  A refusal counts in both the
+        instance (``rejected``) and the server's per-kind ``dropped``
+        stats, a crash in ``dropped`` and ``ops``; both re-raise.
         """
         served = self._served_of(name)
         kind = op.op
         read = kind in _READ_OPS
         lock = served.lock
-        t0 = time.perf_counter()
-        if read:
-            lock.acquire_read()
-        else:
-            lock.acquire_write()
-        waited = time.perf_counter() - t0
+        waited = lock.acquire_read() if read else lock.acquire_write()
         try:
-            served.admit(kind, waited)
+            if waited:
+                served.note_wait(kind, waited)
             instance = served.instance
+            if not instance.admits(kind):
+                served.refuse(kind)
             ok, scanned, result = apply_op(instance.index, op)
             counts = instance.op_counts
-            with self._journal_lock:
-                # op_counts rides inside the journal lock so concurrent
-                # readers (shared read lock) never lose count increments.
+            # Concurrent readers (shared read lock) must never lose a
+            # count increment.  acquire/release, not ``with``: see RWLock.
+            journal_lock = self._journal_lock
+            journal_lock.acquire()
+            try:
                 counts[kind] = counts.get(kind, 0) + 1
-                self._journal.append(JournalEntry(
-                    self._next_seq, instance.name, kind, op.key, op.value,
-                    op.count, ok, scanned, result))
-                self._next_seq += 1
-        except AdmissionError:
-            served.note_drop(kind)
+                served.ops += 1
+                self._journal.append((instance.name, kind, op.key, op.value,
+                                      op.count, ok, scanned, result))
+            finally:
+                journal_lock.release()
+        except BaseException as exc:
+            self._note_drop(served, kind, exc)
             raise
         finally:
             if read:
@@ -656,16 +721,18 @@ class IndexServer:
     def lookup_many(self, name: str, keys: Iterable[int]) -> List[Any]:
         """Batched lookups under one read-lock acquisition (PR-6 path)."""
         served = self._served_of(name)
-        t0 = time.perf_counter()
-        served.lock.acquire_read()
-        waited = time.perf_counter() - t0
+        waited = served.lock.acquire_read()
         try:
-            served.admit(LOOKUP, waited)
+            if waited:
+                served.note_wait(LOOKUP, waited)
+            instance = served.instance
+            if not instance.admits(LOOKUP):
+                served.refuse(LOOKUP)
             keys = list(keys)
-            values = served.instance.index.lookup_many(keys)
+            values = instance.index.lookup_many(keys)
             self._journal_batch(served, LOOKUP, keys, values)
-        except AdmissionError:
-            served.note_drop(LOOKUP)
+        except BaseException as exc:
+            self._note_drop(served, LOOKUP, exc)
             raise
         finally:
             served.lock.release_read()
@@ -675,16 +742,18 @@ class IndexServer:
                     pairs: Iterable[Tuple[int, Any]]) -> List[bool]:
         """Batched inserts under one write-lock acquisition."""
         served = self._served_of(name)
-        t0 = time.perf_counter()
-        served.lock.acquire_write()
-        waited = time.perf_counter() - t0
+        waited = served.lock.acquire_write()
         try:
-            served.admit(INSERT, waited)
+            if waited:
+                served.note_wait(INSERT, waited)
+            instance = served.instance
+            if not instance.admits(INSERT):
+                served.refuse(INSERT)
             pairs = list(pairs)
-            oks = served.instance.index.insert_many(pairs)
+            oks = instance.index.insert_many(pairs)
             self._journal_batch(served, INSERT, pairs, oks)
-        except AdmissionError:
-            served.note_drop(INSERT)
+        except BaseException as exc:
+            self._note_drop(served, INSERT, exc)
             raise
         finally:
             served.lock.release_write()
@@ -692,30 +761,48 @@ class IndexServer:
 
     def _journal_batch(self, served: _Served, op: str, args: list,
                        outs: list) -> None:
-        """Journal one batch call as a single record over a reserved
+        """Journal one batch call as a single record over a contiguous
         ``seq`` block (``args`` is the server's own copy; ``outs`` goes
         back to the caller, so the record keeps a tuple of it)."""
         counts = served.instance.op_counts
         outs = tuple(outs)
         with self._journal_lock:
             counts[op] = counts.get(op, 0) + len(args)
+            served.ops += 1
             self._journal.append(_JournalBatch(
-                self._next_seq, served.instance.name, op, args, outs))
-            self._next_seq += len(args)
+                served.instance.name, op, args, outs))
+
+    def _note_drop(self, served: _Served, kind: str,
+                   exc: BaseException) -> None:
+        """Count a foreground call that raised: refused by admission, or
+        admitted and crashed in the index (then it counts in ``ops``
+        too, which the journal section never reached)."""
+        served.note_drop(kind)
+        if not isinstance(exc, AdmissionError):
+            with self._journal_lock:
+                served.ops += 1
 
     def journal(self, name: Optional[str] = None) -> List[JournalEntry]:
         """The recorded op history (optionally for one instance), one
-        :class:`JournalEntry` per op: batch calls are expanded here."""
-        with self._journal_lock:
-            records = list(self._journal)
+        :class:`JournalEntry` per op, every op numbered by its place in
+        the whole journal.  Batch calls are expanded here; a scalar row
+        becomes its entry on the first read, in place, so the journal
+        never holds a row and its entry at once."""
         entries: List[JournalEntry] = []
-        for record in records:
-            if name is not None and record.instance != name:
-                continue
-            if isinstance(record, JournalEntry):
-                entries.append(record)
-            else:
-                entries.extend(record.entries())
+        seq = 0
+        with self._journal_lock:
+            records = self._journal
+            for i, record in enumerate(records):
+                if type(record) is tuple:
+                    records[i] = record = JournalEntry(seq, *record)
+                if type(record) is JournalEntry:
+                    if name is None or record.instance == name:
+                        entries.append(record)
+                    seq += 1
+                else:
+                    if name is None or record.instance == name:
+                        entries.extend(record.entries(seq))
+                    seq += len(record.args)
         return entries
 
     def replay_check(self, name: str, limit: int = 50) -> List[Mismatch]:
@@ -902,9 +989,11 @@ class IndexServer:
         traffic stats and this instance's job history."""
         served = self._served_of(name)
         out = served.instance.status()
+        with self._journal_lock:
+            ops = served.ops
         with served.stats_lock:
             out["server"] = {
-                "ops": served.ops,
+                "ops": ops,
                 "dropped": dict(served.dropped),
                 "stalled": dict(served.stalled),
                 "max_wait_s": served.max_wait_s,

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import repeat
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import compress, islice, repeat
+from operator import length_hint
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
     ALLOC_NODE,
@@ -72,6 +73,15 @@ _INNER_HEADER_BYTES = 32
 #: an array build smaller leaves are laid out by the scalar loops: the
 #: numpy calls of one leaf cost about as much as these many keys.
 _ARRAY_BUILD_MIN = 64
+
+
+def _iter_from(items: List[Any], pos: int) -> Iterator[Any]:
+    """An iterator over ``items[pos:]`` that neither copies the list nor
+    walks its head: a list iterator's index is set directly.
+    ``operator.length_hint`` of it is the number of items left."""
+    it = iter(items)
+    it.__setstate__(pos)
+    return it
 
 
 class _DataNode:
@@ -968,22 +978,36 @@ class ALEX(OrderedIndex):
         while cur is not None and len(out) < count:
             keys, values, present = cur.keys, cur.values, cur.present
             cap = len(keys)
-            first, rows, gaps = pos, len(out), 0
-            while pos < cap and len(out) < count:
-                if present[pos]:
-                    value = values[pos]
-                    if chains and isinstance(value, _DupChain):
-                        key = keys[pos]
-                        out.extend([(key, v) for v
-                                    in value.values[:count - len(out)]])
-                    else:
-                        out.append((keys[pos], value))
+            if pos < cap:
+                rows = len(out)
+                # The walk from ``pos`` drops gaps at C speed (``compress``
+                # over the bitmap) and stops right after the slot that
+                # fills the scan, else at the leaf's end; ``flags`` is
+                # left there, so ``end`` is read off it.
+                flags = _iter_from(present, pos)
+                if chains:
+                    used = 0
+                    for slot in compress(range(pos, cap), flags):
+                        used += 1
+                        value = values[slot]
+                        if isinstance(value, _DupChain):
+                            key = keys[slot]
+                            out.extend([(key, v) for v
+                                        in value.values[:count - len(out)]])
+                        else:
+                            out.append((keys[slot], value))
+                        if len(out) >= count:
+                            break
                 else:
-                    gaps += 1
-                pos += 1
-            if pos > first:
-                units = ((SCAN_ENTRY, len(out) - rows), (SLOT_INIT, gaps))
-                for kind, n in units if present[first] else units[::-1]:
+                    out.extend(islice(compress(
+                        zip(_iter_from(keys, pos), _iter_from(values, pos)),
+                        flags), count - rows))
+                    used = len(out) - rows
+                end = cap - length_hint(flags)
+                # Gaps walked: the slots walked less the ``used`` ones.
+                units = ((SCAN_ENTRY, len(out) - rows),
+                         (SLOT_INIT, end - pos - used))
+                for kind, n in units if present[pos] else units[::-1]:
                     if n:
                         tally[kind] = tally.get(kind, 0) + n
             cur = cur.next

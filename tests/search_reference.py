@@ -7,11 +7,13 @@ bodies they replaced, as they stood — one probe, one element, one tuple
 at a time — and ``tests/test_write_path.py`` requires each new body to
 return, store and charge exactly what its twin here does
 (``benchmarks/test_write_path.py`` times each pair).  Also here:
-``exponential_search``, which nothing under ``src/`` called, and
-``alex_leaf``, the leaf states both files place keys into.
+``exponential_search``, which nothing under ``src/`` called,
+``alex_leaf``, the leaf states both files place keys into, and
+``alex_range_scan``, the slot-at-a-time scan ``ALEX.range_scan``
+replaced with ``itertools.compress`` over the bitmap.
 """
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
     CACHE_PROBE,
@@ -20,12 +22,13 @@ from repro.core.cost import (
     NODE_HOP,
     PHASE_COLLISION,
     PHASE_TRAVERSE,
+    SCAN_ENTRY,
     SLOT_INIT,
     CostMeter,
     charge_binary_search,
     charge_local_search,
 )
-from repro.indexes.alex import _GAP_HIGH, ALEX, _DataNode
+from repro.indexes.alex import _GAP_HIGH, ALEX, _DataNode, _DupChain
 from repro.indexes.btree import _Inner
 from repro.indexes.linear_model import LinearModel
 
@@ -277,6 +280,47 @@ def alex_place(index, node, pos: int, key: int, value: object) -> int:
                               index._leaf_lower_bound(node, key)[0], key, value)
         index.meter.charge(KEY_SHIFT, shifted)
         return shifted
+
+
+def alex_range_scan(index, start: int, count: int) -> List[Tuple[int, object]]:
+    """``ALEX.range_scan``: the gapped arrays walked one slot at a time,
+    a row copied out per occupied slot (a whole chain, cut to what is
+    still needed, in ``linked_list`` mode), a gap counted per empty one;
+    per leaf the two units are tallied in the order the walk met the
+    first slot's kind."""
+    out: List[Tuple[int, object]] = []
+    node, _ = index._descend(start)
+    pos, _ = index._leaf_lower_bound(node, start)
+    chains = index.duplicate_mode == "linked_list"
+    tally: Dict[str, int] = {}
+    cur = node
+    while cur is not None and len(out) < count:
+        keys, values, present = cur.keys, cur.values, cur.present
+        cap = len(keys)
+        first, rows, gaps = pos, len(out), 0
+        while pos < cap and len(out) < count:
+            if present[pos]:
+                value = values[pos]
+                if chains and isinstance(value, _DupChain):
+                    key = keys[pos]
+                    out.extend([(key, v) for v
+                                in value.values[:count - len(out)]])
+                else:
+                    out.append((keys[pos], value))
+            else:
+                gaps += 1
+            pos += 1
+        if pos > first:
+            units = ((SCAN_ENTRY, len(out) - rows), (SLOT_INIT, gaps))
+            for kind, n in units if present[first] else units[::-1]:
+                if n:
+                    tally[kind] = tally.get(kind, 0) + n
+        cur = cur.next
+        pos = 0
+        if cur is not None:
+            tally[NODE_HOP] = tally.get(NODE_HOP, 0) + 1
+    index._charge_tally(tally)
+    return out
 
 
 def lipp_build_pair(index, a: Tuple[int, object], b: Tuple[int, object]):

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.bench.serve import run_serve_session
+from repro.core import server as server_module
 from repro.core.cost import CostMeter, SyncedMeter
 from repro.core.events import KIND_JOB, EventBus
 from repro.core.instance import (
@@ -26,6 +27,7 @@ from repro.core.instance import (
     RETIRED,
     SERVING,
     AdmissionError,
+    IndexInstance,
 )
 from repro.core.registry import REGISTRY
 from repro.core.server import (
@@ -723,6 +725,205 @@ def test_rwlock_readers_share_writers_exclude():
     thread.join(timeout=5.0)
     reader.join(timeout=5.0)
     assert state["w"] and blocked["r"]
+
+
+def test_rwlock_acquire_returns_the_seconds_it_slept():
+    lock = RWLock()
+    assert lock.acquire_read() == 0.0     # uncontended: never slept
+    assert lock.acquire_read() == 0.0     # readers share
+    lock.release_read()
+    lock.release_read()
+    assert lock.acquire_write() == 0.0
+    waited = []
+
+    def blocked(acquire, release):
+        waited.append(acquire())
+        release()
+
+    for acquire, release in ((lock.acquire_read, lock.release_read),
+                             (lock.acquire_write, lock.release_write)):
+        thread = threading.Thread(target=blocked, args=(acquire, release),
+                                  daemon=True)
+        thread.start()
+        time.sleep(0.05)
+        assert not waited                 # parked behind the writer
+        lock.release_write()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert waited.pop() > 0.0
+        assert lock.acquire_write() == 0.0
+    lock.release_write()
+
+
+def test_rwlock_hammer_never_overlaps_and_strands_nobody():
+    """4 readers and 2 writers, 2,000 acquisitions each, switching
+    threads every microsecond: no reader ever sees a writer inside, no
+    writer sees anyone, and every thread finishes — a release that
+    skipped ``notify_all`` with a sleeper registered would strand it."""
+    lock = RWLock()
+    guard = threading.Lock()
+    inside = {"readers": 0, "writers": 0}
+    slept = []
+    errors = []
+
+    def enter(role, acquire, release, conflict):
+        try:
+            waits = 0.0
+            for _ in range(2000):
+                waits += acquire()
+                with guard:
+                    if conflict():
+                        errors.append(f"{role} overlapped {dict(inside)}")
+                    inside[role] += 1
+                time.sleep(0)  # let the others in while this one holds
+                with guard:
+                    inside[role] -= 1
+                release()
+            slept.append(waits)
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    readers = [threading.Thread(
+        target=enter, args=("readers", lock.acquire_read, lock.release_read,
+                            lambda: inside["writers"]), daemon=True)
+        for _ in range(4)]
+    writers = [threading.Thread(
+        target=enter, args=("writers", lock.acquire_write, lock.release_write,
+                            lambda: inside["writers"] or inside["readers"]),
+        daemon=True) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in readers + writers:
+            thread.start()
+        deadline = time.monotonic() + 30.0
+        for thread in readers + writers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers + writers), "a waiter stranded"
+    assert not errors, errors[0]
+    assert len(slept) == 6 and sum(slept) > 0.0  # the sleeping path ran
+    assert (lock._readers, lock._writer, lock._writers_waiting,
+            lock._sleepers) == (0, False, 0, 0)
+
+
+def test_a_real_wait_moves_max_wait_and_stalled(monkeypatch):
+    """Only a wait the op slept through is recorded: an uncontended op
+    leaves ``max_wait_s`` at zero, one parked behind a pump step longer
+    than the stall threshold counts as stalled."""
+    monkeypatch.setattr(server_module, "STALL_THRESHOLD_S", 0.02)
+    items = _items(n=60)
+    with _manual_server() as server:
+        server.create_instance("t", "B+tree", items=items)
+        assert server.lookup("t", items[0][0]) == payload(items[0][0])
+        stats = server.status("t")["server"]
+        assert (stats["max_wait_s"], stats["stalled"]) == (0.0, {})
+        lock = server._served["t"].lock
+        lock.acquire_write()              # a pump step holds the instance
+        released = threading.Timer(0.1, lock.release_write)
+        released.start()
+        try:
+            assert server.lookup("t", items[1][0]) == payload(items[1][0])
+        finally:
+            released.join(timeout=5.0)
+        stats = server.status("t")["server"]
+        assert stats["max_wait_s"] >= 0.05
+        assert stats["stalled"] == {LOOKUP: 1}
+        assert stats["ops"] == 2 and stats["dropped"] == {}
+
+
+def test_a_crashing_op_is_counted_and_the_next_op_served():
+    """An index op that raises used to escape uncounted: ``dropped``
+    claimed to count crashes but only admission refusals reached it."""
+    class CrashingInsertBTree(BPlusTree):
+        def insert(self, key, value):
+            if key == 13:
+                raise RuntimeError("boom")
+            return super().insert(key, value)
+
+    items = _items(n=60)
+    with _manual_server() as server:
+        server.create_instance("t", "B+tree", factory=CrashingInsertBTree,
+                               items=items)
+        lock = server._served["t"].lock
+        assert server.lookup("t", items[0][0]) == payload(items[0][0])
+        with pytest.raises(RuntimeError, match="boom"):
+            server.insert("t", 13, 1)
+        assert (lock._readers, lock._writer) == (0, False)
+        stats = server.status("t")["server"]
+        assert stats["dropped"] == {INSERT: 1} and stats["ops"] == 2
+        with pytest.raises(ZeroDivisionError):  # the batch path, mid-iteration
+            server.lookup_many("t", (1 // k for k in (1, 0)))
+        assert (lock._readers, lock._writer) == (0, False)
+        assert server.insert("t", 14, 1)  # the next op is served
+        assert server.lookup("t", 14) == 1
+        stats = server.status("t")["server"]
+        assert stats["dropped"] == {INSERT: 1, LOOKUP: 1}
+        assert stats["ops"] == 5
+        assert server.instance("t").rejected == {}
+        assert [e.key for e in server.journal("t")] == [items[0][0], 14, 14]
+        assert not server.replay_check("t")
+
+
+def test_every_state_change_of_a_served_instance_holds_its_write_lock(
+        monkeypatch):
+    """What lets ``apply`` check admission without ``stats_lock``: an
+    op holds the instance lock shared or exclusive, so a state change
+    under the write lock cannot land between its check and its op."""
+    seen = []
+    real = IndexInstance.advance
+    with _manual_server(chunk=32) as server:
+        def advance(self, state, reason=""):
+            seen.append((self.name, state, server._served[self.name].lock._writer))
+            return real(self, state, reason)
+
+        monkeypatch.setattr(IndexInstance, "advance", advance)
+        server.create_instance("direct", "B+tree", items=_items(n=80))
+        server.create_instance("loaded", "B+tree")
+        server.bulk_load("loaded", _items(n=80))
+        server.drain()
+        server.create_instance("aborted", "B+tree")
+        load = server.bulk_load("aborted", _items(n=80))
+        server.pump_jobs(1)
+        load.abort()
+        server.drain()
+        server.rebuild("direct")
+        server.migrate("loaded", "ALEX")
+        server.drain()
+        job = server.rebuild("direct")
+        _pump_until(server, lambda: server.instance("direct").state == MIGRATING)
+        job.abort()
+        server.drain()
+    assert [state for _, state, _ in seen] == [
+        SERVING, SERVING, RETIRED, MIGRATING, SERVING, MIGRATING, SERVING,
+        MIGRATING, SERVING]
+    assert all(held for *_, held in seen), seen
+
+
+def test_journal_rows_are_no_bigger_than_the_entries_they_stand_for():
+    """A scalar op is journaled as a tuple, built into a ``JournalEntry``
+    only when ``journal()`` is first read, in place — and the row the
+    server keeps until then is no bigger than the entry."""
+    items = _items(n=60)
+    with _manual_server() as server:
+        server.create_instance("t", "B+tree", items=items)
+        server.lookup("t", items[0][0])
+        server.insert("t", 5, 6)
+        server.lookup_many("t", [5, 6])
+        server.scan("t", items[0][0], 3)
+        rows, entries = list(server._journal), server.journal()
+        assert [type(row) for row in rows[:2] + rows[3:]] == [tuple] * 3
+        assert [e.seq for e in entries] == [0, 1, 2, 3, 4]
+        for row, entry in zip(rows[:2] + rows[3:], entries[:2] + entries[4:]):
+            assert sys.getsizeof(row) <= sys.getsizeof(entry)
+        # The rows became the entries: a second read builds nothing.
+        assert server._journal[:2] == entries[:2]
+        again = server.journal()
+        assert all(a is b for a, b in zip(again[:2] + again[4:],
+                                          entries[:2] + entries[4:]))
+        server.insert("t", 7, 8)  # rows appended later still read in order
+        assert [e.seq for e in server.journal("t")] == [0, 1, 2, 3, 4, 5]
 
 
 def test_server_validates_configuration():

@@ -449,6 +449,77 @@ def test_lipp_inserts_chain_pairs_like_the_generic_builder():
 
 
 # ---------------------------------------------------------------------------
+# (d') ALEX scans by slices
+# ---------------------------------------------------------------------------
+
+_DENSITIES = [(0.1, 0.2, 0.3), (0.6, 0.7, 0.8), (0.85, 0.9, 0.95)]
+
+
+@st.composite
+def _scanned_alex(draw):
+    """An ALEX with small or larger leaves at a drawn density, bulk
+    loaded, then grown and thinned (gaps, chains added by insert,
+    emptied leaves), and a drawn scan start."""
+    chains = draw(st.booleans())
+    leaf = draw(st.sampled_from([32, 256]))
+    index = ALEX(target_leaf_keys=leaf, max_data_keys=2 * leaf,
+                 density_bounds=draw(st.sampled_from(_DENSITIES)),
+                 duplicate_mode="linked_list" if chains else None)
+    # Drawn as a count and a seed: hypothesis keeps drawn lists short,
+    # and a few hundred keys are what span several leaves.
+    rng = draw(st.randoms(use_true_random=False))
+    keys = rng.sample(range(3000), draw(st.integers(0, 600)))
+    items = [(k, -k) for k in keys]
+    if chains and keys:  # duplicates, chained at bulk load
+        items += [(k, k) for k in rng.choices(keys, k=rng.randrange(20))]
+    index.bulk_load(sorted(items, key=lambda kv: kv[0]))
+    for _ in range(rng.randrange(80)):
+        k = rng.randrange(3000)
+        index.insert(k, k + 1)
+    for _ in range(rng.randrange(300)):
+        index.delete(rng.randrange(3000))
+    return index, draw(st.integers(-5, 3005))
+
+
+def _assert_scan_matches(index, start, count):
+    index.meter.reset()
+    got = index.range_scan(start, count)
+    charged = _counts(index)
+    index.meter.reset()
+    want = reference.alex_range_scan(index, start, count)
+    assert got == want, (start, count)
+    assert charged == _counts(index), (start, count)
+
+
+@given(_scanned_alex())
+@settings(max_examples=200, deadline=None)
+def test_range_scan_matches_the_slot_by_slot_walk(case):
+    index, drawn = case
+    stored = [k for k, _ in index.items()]
+    starts = [drawn, -1, 3001]  # in range, below the minimum, above the maximum
+    if stored:
+        gaps = [k + 1 for k in stored if k + 1 not in set(stored)][:3]
+        starts += [stored[0] - 1, stored[0], stored[-1], stored[-1] + 1, *gaps]
+    for start in starts:
+        for count in (-1, 0, 1, 2, 33, len(stored) + 5):
+            _assert_scan_matches(index, start, count)
+
+
+def test_range_scan_cuts_a_chain_and_crosses_leaves():
+    index = ALEX(target_leaf_keys=32, max_data_keys=64,
+                 duplicate_mode="linked_list")
+    index.bulk_load([(k, k) for k in range(0, 600, 3)])
+    for v in range(5):
+        index.insert(300, -v)  # a chain of six under key 300
+    assert len(index.data_nodes()) > 4
+    for start, count in ((299, 3), (300, 4), (300, 6), (300, 7), (0, 400),
+                         (1, 150), (598, 1), (599, 1)):
+        _assert_scan_matches(index, start, count)
+    assert index.range_scan(300, 4) == [(300, 300), (300, 0), (300, -1),
+                                        (300, -2)]
+
+
+# ---------------------------------------------------------------------------
 # (e) The unobserved loop equals the observed one
 # ---------------------------------------------------------------------------
 
