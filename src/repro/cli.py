@@ -33,7 +33,7 @@ from repro.core.migrate import resolve_index_name, run_migration
 from repro.core.opstream import fuzz_index, fuzzable_specs, replay_file
 from repro.core.registry import REGISTRY
 from repro.core.report import ascii_chart, format_bytes, table
-from repro.core.results import ResultStore, compare, load_jsonl, result_record, save_jsonl
+from repro.core.results import compare, load_jsonl, result_record, save_jsonl
 from repro.core.shard import ShardedIndex, ShardRouter
 from repro.core.slo import ControlTower, SLOTracker, cluster_view, render_cluster_view
 from repro.core.sweep import DatasetSpec, SweepCache, WorkloadSpec, default_cache_dir
@@ -617,9 +617,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_compare_runs(args) -> int:
-    base = ResultStore(args.baseline).load()
-    cur = ResultStore(args.current).load()
-    regressions = compare(base, cur, threshold=args.threshold)
+    regressions = compare(load_jsonl(args.baseline), load_jsonl(args.current),
+                          threshold=args.threshold)
     if not regressions:
         print(f"no regressions beyond {args.threshold:.0%}")
         return 0

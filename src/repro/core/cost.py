@@ -285,16 +285,6 @@ class CostDelta:
         return sum(v for (_, k), v in self.counts.items() if k == kind)
 
 
-class NullMeter(CostMeter):
-    """A meter that drops all charges; used when metering is off."""
-
-    def charge(self, kind: str, n: float = 1.0) -> None:  # noqa: D102
-        pass
-
-    def charge_phased(self, phase: str, kind: str, n: float = 1.0) -> None:  # noqa: D102
-        pass
-
-
 class SyncedMeter(CostMeter):
     """A :class:`CostMeter` many threads may charge and read, without
     serialising the writers.

@@ -12,12 +12,10 @@ is the missing operational identity: one registry-built index plus
   (``DRAINING`` serves reads while refusing writes; ``RETIRED`` refuses
   everything).  Rejections are counted, never silently dropped, so a
   migration run can prove "zero lookup downtime" as a measured fact,
-* **telemetry-fed status** — the instance implements the execution
-  engine's observer protocol (duck-typed, like
-  :class:`~repro.core.validate.ValidationObserver`), so attaching it to
-  a run feeds per-op-kind counts, the last SMO's sequence number, and
-  backfill progress events into :meth:`status` with zero hot-path cost
-  beyond the observer call the engine already makes.
+* **live status** — per-op-kind counts (bumped in line by whoever
+  applies the ops: the engine's per-op body, the shard router, the
+  server), the last SMO's sequence number, and backfill progress
+  events, all reported by :meth:`status`.
 
 The engine (:mod:`repro.core.runner`) now routes every run through an
 instance; a bare index is wrapped on entry via :meth:`IndexInstance.wrap`,
@@ -98,10 +96,11 @@ class AdmissionError(RuntimeError):
 class IndexInstance:
     """One index with an operational identity.
 
-    Implements the :class:`~repro.core.runner.ExecutionObserver`
-    protocol (duck-typed) so the engine can feed it: attach it to a run
-    — the engine does this automatically for the instance it executes —
-    and :meth:`status` reports live op counts and SMO recency.
+    Whoever applies ops to it bumps :attr:`op_counts` in line — the
+    engine's per-op body, the shard router and the server each do — and
+    the engine and router call :meth:`on_smo` for an op that ran an SMO;
+    :meth:`status` reports both.  The engine also passes it the
+    ``on_phase`` calls of its observers (duck-typed).
     """
 
     def __init__(
@@ -277,10 +276,6 @@ class IndexInstance:
 
     def on_phase(self, phase: str, index: Any, workload: Any) -> None:
         pass
-
-    def on_op(self, event: Any, latency: Optional[float]) -> None:
-        kind = event.op.op
-        self.op_counts[kind] = self.op_counts.get(kind, 0) + 1
 
     def on_smo(self, event: Any) -> None:
         self.smo_count += 1

@@ -10,8 +10,8 @@ field so future readers can evolve the format without guessing::
     regressions = compare(old_records, new_records, threshold=0.10)
 
 The CLI (``run --out``, ``compare-runs``) and CI pipelines gate on
-:func:`compare`'s output.  :class:`ResultStore` remains the append-only
-store built on the same record format.
+:func:`compare`'s output; ``save_jsonl(..., append=True)`` makes any
+such file an append-only store.
 """
 
 from __future__ import annotations
@@ -161,28 +161,6 @@ def load_jsonl(path: str) -> List[dict]:
                 )
             records.append(record)
     return records
-
-
-class ResultStore:
-    """Append-only JSON-lines store of benchmark results."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-
-    def append(self, result: RunResult, tags: Optional[Dict[str, str]] = None) -> None:
-        save_jsonl([result], self.path, tags=tags, append=True)
-
-    def load(self) -> List[dict]:
-        """All records; missing file reads as empty."""
-        return load_jsonl(self.path)
-
-    def latest(self, index: str, workload: str) -> Optional[dict]:
-        """Most recent record for an (index, workload) pair."""
-        hit = None
-        for record in self.load():
-            if record.get("index") == index and record.get("workload") == workload:
-                hit = record
-        return hit
 
 
 @dataclass(frozen=True)

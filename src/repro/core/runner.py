@@ -695,9 +695,3 @@ def execute(target, workload: Workload, **engine_options) -> RunResult:
     """
     return ExecutionEngine(**engine_options).run(target, workload)
 
-
-def best_throughput(results: List[RunResult]) -> RunResult:
-    """The winner among runs of the same workload."""
-    if not results:
-        raise ValueError("no results")
-    return max(results, key=lambda r: r.throughput_mops)

@@ -67,6 +67,7 @@ from repro.indexes.base import (
     OrderedIndex,
     POINTER_BYTES,
     Value,
+    lend,
 )
 from repro.indexes.multiplex import DETACHED, DONE, READY, MultiplexIndex
 
@@ -217,23 +218,6 @@ def _cut_at(items: Sequence[Tuple[Key, Value]],
     return [list(items[cuts[i]:cuts[i + 1]]) for i in range(len(cuts) - 1)]
 
 
-class _Lend:
-    """``with`` block in which ``child`` charges ``meter``."""
-
-    __slots__ = ("child", "meter", "saved")
-
-    def __init__(self, child: OrderedIndex, meter: CostMeter) -> None:
-        self.child = child
-        self.meter = meter
-
-    def __enter__(self) -> None:
-        self.saved = self.child.meter
-        self.child.meter = self.meter
-
-    def __exit__(self, *exc: Any) -> None:
-        self.child.meter = self.saved
-
-
 class _RangeRouted(OrderedIndex):
     """Range-partitioned children behind one ``OrderedIndex``.
 
@@ -267,7 +251,7 @@ class _RangeRouted(OrderedIndex):
         """One call on one child: lend, call, mirror ``last_op``."""
         prev = child.last_op
         if self.lends_meter:
-            with _Lend(child, self.meter):
+            with lend(child, self.meter):
                 out = getattr(child, method)(*args)
         else:
             out = getattr(child, method)(*args)
@@ -344,8 +328,8 @@ class _RangeView(_RangeRouted):
       into one fresh combined index.
 
     Each delegated call *lends* the view's current meter to the child
-    for its duration (``self.meter`` is read at each call),
-    which composes with the multiplexer's ``_BorrowedMeter``: backfill
+    for its duration (``self.meter`` is read at each call), which
+    nests inside the multiplexer's own lend of the view: backfill
     and verify reads land on the migration-overhead meter, client ops
     on the client-visible one — every charge lands on exactly one
     cluster-adopted meter, never two.  Routing is not charged.
@@ -372,7 +356,7 @@ class _RangeView(_RangeRouted):
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
         self.check_sorted(items)
         for child, part in zip(self.children, _cut_at(items, self.boundaries)):
-            with _Lend(child, self.meter):
+            with lend(child, self.meter):
                 child.bulk_load(part)
         self._invalidate_batch_cache()
 
@@ -591,7 +575,7 @@ class ShardedIndex(_RangeRouted):
         overhead = self._overhead_meter()
         lo, _ = self.map.range_of(sid)
         # Median scan is rebalancing overhead, not client traffic.
-        with _Lend(primary, overhead):
+        with lend(primary, overhead):
             half = primary.range_scan(lo if lo is not None else 0, n // 2 + 1)
         mid = half[-1][0]
         left, right = self.factory(), self.factory()
@@ -926,7 +910,8 @@ class ShardRouter:
             fold = self._folds.get(inst.name)
             if fold is not None:
                 fold.add(op.op, ok, inst.index.meter.total_time())
-            inst.on_op(event, None)
+            counts = inst.op_counts
+            counts[op.op] = counts.get(op.op, 0) + 1
             if oracle is not None:
                 oracle.on_op(event, None)
             if (record is not None and record.smo

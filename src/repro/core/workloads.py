@@ -431,42 +431,3 @@ def moving_hotspot_workload(
 MIX_FRACTIONS = (0.0, 0.2, 0.5, 0.8, 1.0)
 MIX_NAMES = ("read-only", "read-intensive", "balanced", "write-heavy", "write-only")
 
-
-def save_workload(workload: Workload, path: str) -> None:
-    """Persist a workload to a JSON file (exact-replay reproducibility).
-
-    Payloads must be JSON-serializable; the builders in this module
-    only produce integers.
-    """
-    import json
-
-    record = {
-        "format": "gre-workload-1",
-        "name": workload.name,
-        "write_fraction": workload.write_fraction,
-        "bulk_items": [[k, v] for k, v in workload.bulk_items],
-        "operations": [
-            [op.op, op.key, op.value, op.count] for op in workload.operations
-        ],
-    }
-    with open(path, "w") as f:
-        json.dump(record, f)
-
-
-def load_workload(path: str) -> Workload:
-    """Load a workload saved by :func:`save_workload`."""
-    import json
-
-    with open(path) as f:
-        record = json.load(f)
-    if record.get("format") != "gre-workload-1":
-        raise ValueError(f"{path!r} is not a GRE workload file")
-    return Workload(
-        name=record["name"],
-        bulk_items=[(k, v) for k, v in record["bulk_items"]],
-        operations=[
-            Operation(op, key, value, count)
-            for op, key, value, count in record["operations"]
-        ],
-        write_fraction=record["write_fraction"],
-    )

@@ -356,3 +356,29 @@ class OrderedIndex(ABC):
             raise ValueError(
                 "bulk_load requires strictly ascending unique keys" if strict
                 else "bulk_load requires items sorted by key")
+
+
+class lend:
+    """``with lend(index, meter):`` — ``index`` charges ``meter`` for
+    the block, then gets its own meter back.
+
+    The one way a wrapper charges an inner index's work to a meter other
+    than the index's own: a migration's backfill and verify reads of the
+    primary land on the secondary's meter, a shard view's children on
+    the view's.  Lends nest — a lent index that lends on to its own
+    children passes the borrowed meter down — so each charge lands on
+    exactly one meter.
+    """
+
+    __slots__ = ("index", "meter", "saved")
+
+    def __init__(self, index: OrderedIndex, meter: CostMeter) -> None:
+        self.index = index
+        self.meter = meter
+
+    def __enter__(self) -> None:
+        self.saved = self.index.meter
+        self.index.meter = self.meter
+
+    def __exit__(self, *exc: Any) -> None:
+        self.index.meter = self.saved

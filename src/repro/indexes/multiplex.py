@@ -54,6 +54,7 @@ from repro.indexes.base import (
     OpRecord,
     OrderedIndex,
     Value,
+    lend,
 )
 
 __all__ = [
@@ -93,26 +94,6 @@ class Divergence:
     def describe(self) -> str:
         return (f"[{self.stage}] seq={self.seq} {self.op} key={self.key}: "
                 f"expected {self.expected}, got {self.got}")
-
-
-class _BorrowedMeter:
-    """``with`` block that charges the primary's ops to the secondary's
-    meter — backfill/verify reads of the primary are migration
-    overhead, not client traffic."""
-
-    __slots__ = ("mux", "saved")
-
-    def __init__(self, mux: "MultiplexIndex") -> None:
-        self.mux = mux
-
-    def __enter__(self) -> None:
-        mux = self.mux
-        self.saved = mux.primary.meter
-        assert mux.secondary is not None
-        mux.primary.meter = mux.secondary.meter
-
-    def __exit__(self, *exc: Any) -> None:
-        self.mux.primary.meter = self.saved
 
 
 class MultiplexIndex(OrderedIndex):
@@ -249,7 +230,7 @@ class MultiplexIndex(OrderedIndex):
             self.pump()
 
     def _stage_chunk(self) -> int:
-        with _BorrowedMeter(self):
+        with lend(self.primary, self.secondary.meter):
             rows = self.primary.range_scan(self._cursor, self.chunk)
         self._staged.extend(rows)
         self.backfill_keys += len(rows)
@@ -325,7 +306,7 @@ class MultiplexIndex(OrderedIndex):
     def _verify_chunk(self) -> int:
         secondary = self.secondary
         assert secondary is not None
-        with _BorrowedMeter(self):
+        with lend(self.primary, secondary.meter):
             rows = self.primary.range_scan(self._vcursor, self.chunk)
         # One batched read of the chunk (the secondary's vectorized path
         # when it has one); on a mismatch its meter has therefore paid
@@ -348,7 +329,7 @@ class MultiplexIndex(OrderedIndex):
         secondary = self.secondary
         assert secondary is not None
         for key in sorted(self._dirty):
-            with _BorrowedMeter(self):
+            with lend(self.primary, secondary.meter):
                 expected = self.primary.lookup(key)
             got = secondary.lookup(key)
             self.reverify_keys += 1

@@ -6,7 +6,6 @@ from repro.core.cost import (
     PHASE_SMO,
     PHASE_TRAVERSE,
     CostMeter,
-    NullMeter,
 )
 
 
@@ -52,12 +51,6 @@ def test_reset_clears_counts_and_phases():
     with m.phase(PHASE_TRAVERSE):
         m.charge(NODE_HOP)
         m.reset()
-    assert m.total_time() == 0.0
-
-
-def test_null_meter_drops_charges():
-    m = NullMeter()
-    m.charge(NODE_HOP, 100)
     assert m.total_time() == 0.0
 
 

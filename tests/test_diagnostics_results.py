@@ -1,4 +1,4 @@
-"""Diagnostics probes and the result store."""
+"""Diagnostics probes and the versioned result artifacts."""
 
 import json
 import random
@@ -9,7 +9,6 @@ from repro import ALEX, BPlusTree, LIPP, PGMIndex, execute, mixed_workload
 from repro.core.diagnostics import diagnose
 from repro.core.results import (
     SCHEMA_VERSION,
-    ResultStore,
     compare,
     load_jsonl,
     result_record,
@@ -77,42 +76,32 @@ def test_diagnose_generic_index():
     assert rep.n_keys == len(idx)
 
 
-# -- result store --------------------------------------------------------------
+# -- result store (an append-only JSON-lines file) ------------------------------
 
 def _result(factory=BPlusTree, frac=0.0):
     return execute(factory(), mixed_workload(KEYS, frac, n_ops=800, seed=2))
 
 
 def test_store_append_and_load(tmp_path):
-    store = ResultStore(str(tmp_path / "r.jsonl"))
+    path = str(tmp_path / "r.jsonl")
     r = _result()
-    store.append(r, tags={"run": "1"})
-    store.append(r)
-    records = store.load()
+    save_jsonl([r], path, tags={"run": "1"}, append=True)
+    save_jsonl([r], path, append=True)
+    records = load_jsonl(path)
     assert len(records) == 2
     assert records[0]["tags"] == {"run": "1"}
     assert records[1]["index"] == "B+tree"
 
 
 def test_store_missing_file_is_empty(tmp_path):
-    assert ResultStore(str(tmp_path / "absent.jsonl")).load() == []
+    assert load_jsonl(str(tmp_path / "absent.jsonl")) == []
 
 
 def test_store_corrupt_line_raises(tmp_path):
     path = tmp_path / "r.jsonl"
     path.write_text('{"ok": 1}\nnot json\n')
     with pytest.raises(ValueError, match="corrupt"):
-        ResultStore(str(path)).load()
-
-
-def test_store_latest(tmp_path):
-    store = ResultStore(str(tmp_path / "r.jsonl"))
-    r = _result()
-    store.append(r, tags={"v": "old"})
-    store.append(r, tags={"v": "new"})
-    latest = store.latest(r.index_name, r.workload_name)
-    assert latest["tags"] == {"v": "new"}
-    assert store.latest("nope", "x") is None
+        load_jsonl(str(path))
 
 
 # -- versioned artifacts -------------------------------------------------------
@@ -158,9 +147,9 @@ def test_load_jsonl_rejects_newer_schema(tmp_path):
 
 
 def test_store_records_are_versioned(tmp_path):
-    store = ResultStore(str(tmp_path / "r.jsonl"))
-    store.append(_result())
-    assert store.load()[0]["schema_version"] == SCHEMA_VERSION
+    path = str(tmp_path / "r.jsonl")
+    save_jsonl([_result()], path, append=True)
+    assert load_jsonl(path)[0]["schema_version"] == SCHEMA_VERSION
 
 
 def test_compare_flags_throughput_regression():
@@ -193,9 +182,9 @@ def test_compare_ignores_improvements_and_new_pairs():
 
 
 def test_compare_roundtrip_through_store(tmp_path):
-    store_a = ResultStore(str(tmp_path / "a.jsonl"))
-    store_b = ResultStore(str(tmp_path / "b.jsonl"))
-    store_a.append(_result(BPlusTree))
-    store_b.append(_result(BPlusTree))
+    path_a = str(tmp_path / "a.jsonl")
+    path_b = str(tmp_path / "b.jsonl")
+    save_jsonl([_result(BPlusTree)], path_a, append=True)
+    save_jsonl([_result(BPlusTree)], path_b, append=True)
     # Identical runs: no regressions.
-    assert compare(store_a.load(), store_b.load()) == []
+    assert compare(load_jsonl(path_a), load_jsonl(path_b)) == []

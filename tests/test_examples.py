@@ -44,9 +44,3 @@ def test_capacity_planning_runs():
     assert "B/key" in r.stdout
     assert "LIPP" in r.stdout
 
-
-def test_session_store_runs():
-    r = _run("session_store.py")
-    assert r.returncode == 0, r.stderr
-    assert "advisor:" in r.stdout
-    assert "OK" in r.stdout

@@ -1,95 +1,12 @@
-"""Extensions: string keys, persistence snapshots, adaptive selection."""
+"""Extensions: persistence snapshots."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro import ALEX, ART, BPlusTree, LIPP
-from repro.extensions.adaptive import AdaptiveIndex, WorkloadProfile, recommend
+from repro import ALEX, BPlusTree
 from repro.extensions.persistence import SnapshotError, load_snapshot, save_snapshot
-from repro.extensions.string_keys import StringKeyIndex, encode_prefix
-from repro.datasets import registry
 
-
-# -- string keys ------------------------------------------------------------
-
-def test_encode_prefix_order_preserving():
-    words = [b"", b"a", b"aa", b"ab", b"b", b"zebra", b"zebras!"]
-    codes = [encode_prefix(w) for w in words]
-    assert codes == sorted(codes)
-
-
-def test_string_index_roundtrip():
-    idx = StringKeyIndex(ALEX)
-    words = sorted({f"word{i:04d}".encode() for i in range(500)})
-    idx.bulk_load([(w, i) for i, w in enumerate(words)])
-    assert len(idx) == 500
-    for i, w in enumerate(words[::37]):
-        assert idx.lookup(w) == words.index(w)
-    assert idx.lookup("missing") is None
-
-
-def test_string_index_prefix_collisions():
-    """Keys sharing an 8-byte prefix must coexist in one bucket."""
-    idx = StringKeyIndex(BPlusTree)
-    idx.bulk_load([])
-    long_keys = [f"sameprefix-{i}" for i in range(50)]  # all share 8 bytes
-    for i, k in enumerate(long_keys):
-        assert idx.insert(k, i)
-    for i, k in enumerate(long_keys):
-        assert idx.lookup(k) == i
-    assert not idx.insert(long_keys[0], 99)  # duplicate rejected
-    assert len(idx) == 50
-
-
-def test_string_index_update_delete():
-    idx = StringKeyIndex(BPlusTree)
-    idx.bulk_load([(b"alpha", 1), (b"beta", 2)])
-    assert idx.update("alpha", 10)
-    assert idx.lookup("alpha") == 10
-    assert idx.delete("alpha")
-    assert idx.lookup("alpha") is None
-    assert not idx.delete("alpha")
-    assert len(idx) == 1
-
-
-def test_string_index_range_scan():
-    idx = StringKeyIndex(ALEX)
-    words = sorted({f"{c}{i}".encode() for c in "abc" for i in range(20)})
-    idx.bulk_load([(w, w) for w in words])
-    got = idx.range_scan(b"b", 10)
-    assert [k for k, _ in got] == [w for w in words if w >= b"b"][:10]
-
-
-def test_string_index_scan_within_bucket():
-    idx = StringKeyIndex(BPlusTree)
-    keys = [f"prefix99-{i:02d}".encode() for i in range(30)]
-    idx.bulk_load([(k, i) for i, k in enumerate(sorted(keys))])
-    got = idx.range_scan(b"prefix99-10", 5)
-    assert [k for k, _ in got] == sorted(keys)[10:15]
-
-
-def test_string_index_rejects_unsorted_bulk():
-    idx = StringKeyIndex(BPlusTree)
-    with pytest.raises(ValueError):
-        idx.bulk_load([(b"b", 1), (b"a", 2)])
-
-
-@given(st.sets(st.binary(min_size=1, max_size=16), min_size=1, max_size=80))
-@settings(max_examples=30, deadline=None)
-def test_property_string_index_matches_dict(keys):
-    idx = StringKeyIndex(BPlusTree)
-    model = {k: len(k) for k in keys}
-    idx.bulk_load(sorted(model.items()))
-    for k in keys:
-        assert idx.lookup(k) == model[k]
-    scan = idx.range_scan(b"", len(model))
-    assert scan == sorted(model.items())
-
-
-# -- persistence ------------------------------------------------------------
 
 def test_snapshot_roundtrip(tmp_path):
     rng = random.Random(1)
@@ -153,99 +70,3 @@ def test_snapshot_atomic_replace(tmp_path):
     save_snapshot(idx2, path)  # replaces, never corrupts
     restored = load_snapshot(BPlusTree, path)
     assert len(restored) == 75 and restored.lookup(10) == 20
-
-
-# -- adaptive selection ------------------------------------------------------
-
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        WorkloadProfile(write_fraction=1.5)
-
-
-def test_recommendation_read_mostly_easy():
-    keys = registry.get("covid").generate(4000, seed=1)
-    rec = recommend(keys, WorkloadProfile(write_fraction=0.05))
-    assert rec.index_name == "LIPP"
-
-
-def test_recommendation_hard_write_heavy():
-    keys = registry.get("osm").generate(4000, seed=1)
-    rec = recommend(keys, WorkloadProfile(write_fraction=0.8))
-    assert rec.index_name == "ART"
-    assert any("Message 3" in r for r in rec.reasons)
-
-
-def test_recommendation_scans_avoid_lipp():
-    keys = registry.get("covid").generate(4000, seed=1)
-    rec = recommend(keys, WorkloadProfile(write_fraction=0.1, needs_range_scans=True))
-    assert rec.index_name != "LIPP"
-
-
-def test_recommendation_memory_budget_blocks_lipp():
-    keys = registry.get("covid").generate(4000, seed=1)
-    rec = recommend(keys, WorkloadProfile(write_fraction=0.05,
-                                          memory_budget_bytes_per_key=24))
-    assert rec.index_name != "LIPP"
-
-
-def test_recommendation_lsm_for_tight_write_heavy():
-    keys = registry.get("covid").generate(4000, seed=1)
-    rec = recommend(keys, WorkloadProfile(write_fraction=0.95,
-                                          memory_budget_bytes_per_key=20))
-    assert rec.index_name == "PGM"
-
-
-def test_adaptive_index_delegates_correctly():
-    keys = registry.get("genome").generate(3000, seed=2)
-    idx = AdaptiveIndex(WorkloadProfile(write_fraction=0.8))
-    items = [(k, k) for k in keys]
-    idx.bulk_load(items)
-    assert idx.recommendation is not None
-    assert idx.backend_name == idx.recommendation.index_name
-    assert idx.lookup(keys[100]) == keys[100]
-    new_key = keys[-1] + 12345
-    assert idx.insert(new_key, 7)
-    assert idx.lookup(new_key) == 7
-    assert idx.range_scan(keys[0], 5) == items[:5]
-    assert idx.memory_usage().total > 0
-    assert len(idx) == len(items) + 1
-
-
-def test_adaptive_index_meter_is_shared():
-    idx = AdaptiveIndex(WorkloadProfile(write_fraction=0.0))
-    idx.bulk_load([(i * 10, i) for i in range(500)])
-    before = idx.meter.total_time()
-    idx.lookup(100)
-    assert idx.meter.total_time() > before
-
-
-def test_string_index_snapshot_roundtrip(tmp_path):
-    idx = StringKeyIndex(BPlusTree)
-    words = sorted({f"key-{i:05d}".encode() for i in range(400)})
-    idx.bulk_load([(w, i) for i, w in enumerate(words)])
-    path = str(tmp_path / "s.gre")
-    n = idx.save(path)
-    assert n > 400 * 12
-    back = StringKeyIndex.load(BPlusTree, path)
-    assert len(back) == 400
-    for i, w in enumerate(words[::37]):
-        assert back.lookup(w) == idx.lookup(w)
-
-
-def test_string_index_snapshot_corruption_detected(tmp_path):
-    idx = StringKeyIndex(BPlusTree)
-    idx.bulk_load([(b"a", 1), (b"b", 2)])
-    path = str(tmp_path / "s.gre")
-    idx.save(path)
-    raw = bytearray(open(path, "rb").read())
-    raw[-1] ^= 0x01
-    open(path, "wb").write(bytes(raw))
-    with pytest.raises(ValueError, match="checksum"):
-        StringKeyIndex.load(BPlusTree, path)
-
-
-def test_string_index_snapshot_rejects_non_u64(tmp_path):
-    idx = StringKeyIndex(BPlusTree)
-    idx.bulk_load([(b"a", "text")])
-    with pytest.raises(ValueError, match="u64"):
-        idx.save(str(tmp_path / "x.gre"))

@@ -8,6 +8,9 @@
 * DESIGN.md's package layout names every module there is.
 * One function cuts an op stream into windows (``WindowFold.add``) and
   one module holds the median-baseline storm rule.
+* One class lends an index a meter (``repro.indexes.base.lend``).
+* No module under ``src/``, ``tests/`` or ``benchmarks/`` imports a
+  name it never uses (pyflakes' F401, without needing ruff).
 """
 
 import ast
@@ -131,3 +134,73 @@ def test_design_layout_names_every_module():
                if os.path.basename(rel) != "__init__.py"
                and f"src/repro/{rel}" not in named]
     assert not missing, f"DESIGN.md's package layout omits {missing}"
+
+
+def test_one_class_lends_a_meter():
+    """A ``with`` block whose ``__enter__`` assigns some ``.meter`` is a
+    meter lender; ``lend`` is the one there is."""
+    lenders = []
+    for rel in _modules():
+        for cls in ast.walk(_tree(rel)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            lenders += [
+                f"{rel}:{cls.name}" for func in cls.body
+                if isinstance(func, ast.FunctionDef)
+                and func.name == "__enter__"
+                and any(getattr(target, "attr", None) == "meter"
+                        for node in ast.walk(func)
+                        if isinstance(node, ast.Assign)
+                        for target in node.targets)]
+    assert lenders == ["indexes/base.py:lend"], lenders
+
+
+def _python_files(*tops):
+    for top in tops:
+        for folder, _, files in os.walk(os.path.join(ROOT, top)):
+            yield from (os.path.join(folder, f)
+                        for f in sorted(files) if f.endswith(".py"))
+
+
+def _unused_imports(path):
+    """``line: name`` for each name ``path`` imports and never reads.
+
+    A name counts as read when an ``ast.Name`` spells it, or when a
+    string constant that parses as an expression does (quoted
+    annotations, ``__all__`` entries).  ``__future__`` imports and
+    lines marked ``# noqa: F401`` (an import for its side effect) are
+    exempt, as they are from pyflakes."""
+    with open(path) as fh:
+        source = fh.read()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=path)
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(quoted)
+                        if isinstance(n, ast.Name))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [a.asname or a.name for a in node.names if a.name != "*"]
+        else:
+            continue
+        if "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        out += [f"{node.lineno}: {name}" for name in bound if name not in used]
+    return out
+
+
+def test_no_unused_imports():
+    unused = {os.path.relpath(path, ROOT): names
+              for path in _python_files("src", "tests", "benchmarks")
+              for names in [_unused_imports(path)] if names}
+    assert not unused, unused

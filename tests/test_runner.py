@@ -9,7 +9,6 @@ from repro.core.runner import (
     ExecutionEngine,
     ExecutionObserver,
     LatencyStats,
-    best_throughput,
     execute,
 )
 from repro.core.workloads import (
@@ -262,15 +261,6 @@ def test_stream_is_read_at_most_one_block_ahead(monkeypatch):
     ExecutionEngine().run(instance, Workload(wl.name, wl.bulk_items, stream))
     assert instance.ops_total == 3000
     assert max(ahead) == 64 and ahead.count(64) > 10
-
-
-def test_best_throughput():
-    wl = mixed_workload(KEYS, 0.0, n_ops=200, seed=6)
-    results = [execute(BPlusTree(fanout=8), wl), execute(ALEX(), wl)]
-    winner = best_throughput(results)
-    assert winner.throughput_mops == max(r.throughput_mops for r in results)
-    with pytest.raises(ValueError):
-        best_throughput([])
 
 
 def test_report_table_and_series():

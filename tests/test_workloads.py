@@ -163,34 +163,6 @@ def test_workload_rejects_unsorted_bulk():
         Workload("bad", [(5, 1), (3, 1)], [])
 
 
-def test_workload_save_load_roundtrip(tmp_path):
-    from repro.core.workloads import load_workload, save_workload
-
-    wl = mixed_workload(KEYS[:2000], 0.5, n_ops=500, seed=11)
-    path = str(tmp_path / "wl.json")
-    save_workload(wl, path)
-    back = load_workload(path)
-    assert back.name == wl.name
-    assert back.bulk_items == wl.bulk_items
-    assert [(o.op, o.key, o.value, o.count) for o in back.operations] == \
-           [(o.op, o.key, o.value, o.count) for o in wl.operations]
-    # Replay produces identical results on both copies.
-    from repro import BPlusTree, execute
-
-    a = execute(BPlusTree(), wl)
-    b = execute(BPlusTree(), back)
-    assert a.virtual_ns == b.virtual_ns
-
-
-def test_load_workload_rejects_foreign_file(tmp_path):
-    path = tmp_path / "x.json"
-    path.write_text('{"format": "other"}')
-    from repro.core.workloads import load_workload
-
-    with pytest.raises(ValueError):
-        load_workload(str(path))
-
-
 # -- moving hotspot (sharded serving tier) -------------------------------------
 
 def test_moving_hotspot_deterministic():
