@@ -93,7 +93,7 @@ def _resolve_index(name: str) -> str:
 def _shardable(name: str) -> str:
     """Registry name of a shard-capable index, or exit."""
     name = _resolve_index(name)
-    if not REGISTRY.get(name).supports_sharding:
+    if not REGISTRY.get(name).supports_migration:
         raise SystemExit(f"{name!r} does not support sharding "
                          "(see `repro list`)")
     return name
@@ -178,22 +178,20 @@ def cmd_list(args) -> int:
             "x" if spec.supports_range else "",
             "x" if spec.supports_batch else "",
             "x" if spec.supports_migration else "",
-            "x" if spec.supports_sharding else "",
             concurrent.get(spec.name, "") or "",
             ",".join(sorted(spec.tags)),
         ])
     print(table(
         ["Index", "Family", "insert", "delete", "range", "batch",
-         "migrate", "shard", "concurrent", "tags"],
+         "migrate/shard", "concurrent", "tags"],
         rows, title=f"Index registry ({len(REGISTRY)} entries)"))
     print("\nbatch = exact-meter lookup_many fast path: numpy kernels on "
           "the model-based indexes, C bisect + numpy probe replay on "
           "B+tree (see `repro bench`); every index accepts the *_many "
           "APIs.\n"
-          "migrate = eligible for zero-downtime live migration "
-          "(see `repro migrate`).\n"
-          "shard = usable as the per-shard engine of the sharded "
-          "serving tier (see `repro shard`).")
+          "migrate/shard = eligible for zero-downtime live migration "
+          "(see `repro migrate`), and so usable as the per-shard engine "
+          "of the sharded serving tier (see `repro shard`).")
     return 0
 
 
@@ -267,7 +265,7 @@ def _execute_on_bus(factory, wl, bus, window: int, **options):
     """``execute`` on a bus-attached instance, its bus windows and an SLO
     tracker's both ``window`` ops long; returns ``(result, tracker)``."""
     slo = SLOTracker(bus=bus, window_ops=window)
-    target = bus.attach_instance(IndexInstance.wrap(factory()))
+    target = IndexInstance.wrap(factory()).attach_bus(bus)
     return execute(target, wl, bus=bus, bus_window=window, observers=[slo],
                    **options), slo
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.core.results import save_jsonl
 from repro.core.runner import ExecutionObserver, OpEvent, OpWindow
@@ -187,13 +187,6 @@ class EventBus:
         """An :class:`~repro.core.runner.ExecutionObserver` publishing
         this run's phase/op-window/SMO events into the bus."""
         return EngineBusEmitter(self, window_ops=window_ops)
-
-    def attach_instance(self, instance: Any) -> Any:
-        """Republish an :class:`~repro.core.instance.IndexInstance`'s
-        lifecycle events (state changes, backfill progress, admission
-        rejections) into the bus.  Returns the instance."""
-        instance.attach_bus(self)
-        return instance
 
 
 class EngineBusEmitter(ExecutionObserver):

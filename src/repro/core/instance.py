@@ -14,8 +14,9 @@ is the missing operational identity: one registry-built index plus
   migration run can prove "zero lookup downtime" as a measured fact,
 * **live status** — per-op-kind counts (bumped in line by whoever
   applies the ops: the engine's per-op body, the shard router, the
-  server), the last SMO's sequence number, and backfill progress
-  events, all reported by :meth:`status`.
+  server), the last SMO's sequence number, and backfill progress, all
+  reported by :meth:`status`; lifecycle events go straight to an
+  attached event bus.
 
 The engine (:mod:`repro.core.runner`) now routes every run through an
 instance; a bare index is wrapped on entry via :meth:`IndexInstance.wrap`,
@@ -25,9 +26,10 @@ pre-instance releases (the wrapper adds observers, never charges).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.workloads import DELETE, INSERT, LOOKUP, SCAN, UPDATE
+from repro.indexes.multiplex import MultiplexIndex
 
 __all__ = [
     "LOADING", "SERVING", "MIGRATING", "DRAINING", "RETIRED", "STATES",
@@ -103,34 +105,24 @@ class IndexInstance:
     ``on_phase`` calls of its observers (duck-typed).
     """
 
-    def __init__(
-        self,
-        index: Any,
-        name: str = "",
-        spec: Any = None,
-        state: str = LOADING,
-    ) -> None:
+    def __init__(self, index: Any, name: str = "",
+                 state: str = LOADING) -> None:
         if state not in STATES:
             raise StateError(f"unknown instance state {state!r}")
         self.index = index
         self.name = name or getattr(index, "name", "index")
-        self.spec = spec
         self._state = state
-        #: Chronological event log: state changes + backfill progress.
-        self.events: List[dict] = []
+        #: Lifecycle events (state changes, progress ticks, admission
+        #: rejections) recorded so far, published to :attr:`bus` if set.
+        self.events = 0
         self.op_counts: Dict[str, int] = {}
         self.rejected: Dict[str, int] = {}
         self.smo_count = 0
         self.last_smo_seq: Optional[int] = None
         self._progress: Optional[dict] = None
-        #: Extra callbacks invoked with each recorded event dict.
-        self.listeners: List[Callable[[dict], None]] = []
-        #: Optional live-status callable merged into :meth:`status`
-        #: under ``"migration"`` — the migration control plane points
-        #: this at ``MultiplexIndex.status`` so an in-flight snapshot
-        #: (backfill cursor, dirty-set size, dual writes) is one call
-        #: away from the instance.
-        self.status_probe: Optional[Callable[[], dict]] = None
+        #: An :class:`~repro.core.events.EventBus` (duck-typed: this
+        #: module sits below the bus in the import order), or ``None``.
+        self.bus: Any = None
 
     # -- construction ---------------------------------------------------------
 
@@ -155,8 +147,8 @@ class IndexInstance:
             raise StateError(
                 f"instance {self.name!r}: illegal transition "
                 f"{self._state} -> {state}")
-        self._emit({"event": "state", "from": self._state, "to": state,
-                    "reason": reason})
+        self._publish("state", from_state=self._state, to=state,
+                      reason=reason)
         self._state = state
         return self
 
@@ -168,8 +160,7 @@ class IndexInstance:
         """Raise :class:`AdmissionError` (and count it) unless admitted."""
         if not self.admits(op_kind):
             self.rejected[op_kind] = self.rejected.get(op_kind, 0) + 1
-            self._emit({"event": "admission_reject", "op": op_kind,
-                        "state": self._state})
+            self._publish("admission_reject", op=op_kind, state=self._state)
             raise AdmissionError(self, op_kind)
 
     def bulk_load(self, items: Any) -> None:
@@ -183,57 +174,31 @@ class IndexInstance:
 
     # -- telemetry-fed status --------------------------------------------------
 
-    def _emit(self, event: dict) -> None:
-        self.events.append(event)
-        for listener in self.listeners:
-            listener(event)
+    def _publish(self, kind: str, **payload: Any) -> None:
+        """Count one lifecycle event and publish it to the bus, stamped
+        with the wrapped index's virtual clock."""
+        self.events += 1
+        if self.bus is not None:
+            self.bus.publish(kind, source=self.name,
+                             t_ns=self.index.meter.total_time(), **payload)
 
-    def note_backfill(self, done: int, total: int, stage: str = "backfill") -> None:
-        """Record one backfill/verify progress tick (migration feed)."""
+    def note_backfill(self, stage: str, done: int, total: int) -> None:
+        """Record one load/backfill/verify progress tick."""
         self._progress = {"event": "progress", "stage": stage,
                           "done": done, "total": total}
-        self._emit(self._progress)
+        self._publish("backfill_chunk", stage=stage, done=done, total=total,
+                      fraction=done / total if total else 0.0)
 
     def watch(self, mux: Any) -> None:
         """Follow a migration multiplexer: its pump progress feeds
-        :meth:`note_backfill` and :meth:`status` snapshots it live."""
-        mux.progress_sink = (
-            lambda stage, done, total:
-            self.note_backfill(done, total, stage=stage))
-        self.status_probe = mux.status
+        :meth:`note_backfill`."""
+        mux.progress_sink = self.note_backfill
 
     def attach_bus(self, bus: Any) -> "IndexInstance":
-        """Republish this instance's lifecycle events into an event bus.
-
-        ``bus`` is an :class:`~repro.core.events.EventBus`, duck-typed
-        (this module sits below the bus in the import order).  State
-        changes, backfill/verify progress and admission rejections
-        become ``state`` / ``backfill_chunk`` / ``admission_reject``
-        events stamped with the wrapped index's virtual clock.
-        """
-        def now() -> float:
-            meter = getattr(self.index, "meter", None)
-            return meter.total_time() if meter is not None else 0.0
-
-        def relay(event: dict) -> None:
-            kind = event.get("event")
-            if kind == "state":
-                bus.publish("state", source=self.name, t_ns=now(),
-                            from_state=event["from"], to=event["to"],
-                            reason=event.get("reason", ""))
-            elif kind == "progress":
-                total = event.get("total", 0)
-                bus.publish("backfill_chunk", source=self.name, t_ns=now(),
-                            stage=event.get("stage", ""),
-                            done=event.get("done", 0), total=total,
-                            fraction=(event.get("done", 0) / total
-                                      if total else 0.0))
-            elif kind == "admission_reject":
-                bus.publish("admission_reject", source=self.name, t_ns=now(),
-                            op=event.get("op", ""),
-                            state=event.get("state", self._state))
-
-        self.listeners.append(relay)
+        """Publish this instance's lifecycle events into ``bus``: state
+        changes, backfill/verify progress and admission rejections, as
+        ``state`` / ``backfill_chunk`` / ``admission_reject`` events."""
+        self.bus = bus
         return self
 
     @property
@@ -250,9 +215,10 @@ class IndexInstance:
     def status(self) -> dict:
         """Operational snapshot: state, size, traffic, SMO recency.
 
-        With a ``status_probe`` wired (live migration), the probe's
-        snapshot rides along under ``"migration"`` — backfill cursor,
-        dirty-set size, verify counters, all mid-flight.
+        While the instance serves through a migrating
+        :class:`~repro.indexes.multiplex.MultiplexIndex`, the
+        multiplexer's own snapshot rides along under ``"migration"`` —
+        backfill cursor, dirty-set size, verify counters, all mid-flight.
         """
         out = {
             "name": self.name,
@@ -266,10 +232,10 @@ class IndexInstance:
             "last_smo_seq": self.last_smo_seq,
             "progress": dict(self._progress) if self._progress else None,
             "backfill_fraction": self.backfill_fraction,
-            "events": len(self.events),
+            "events": self.events,
         }
-        if self.status_probe is not None:
-            out["migration"] = self.status_probe()
+        if isinstance(self.index, MultiplexIndex) and self.index.migrating:
+            out["migration"] = self.index.status()
         return out
 
     # -- ExecutionObserver protocol (duck-typed) -------------------------------

@@ -18,8 +18,8 @@ to it under live traffic —
    :class:`~repro.core.opstream.DifferentialObserver`, so the stream's
    *client-visible* semantics are oracle-checked across the cutover
    boundary itself,
-4. on a fully verified destination the multiplexer cuts over atomically
-   between two ops (``DRAINING -> RETIRED`` for the source, the
+4. on a fully verified destination the driver cuts the multiplexer over
+   atomically between two ops (``DRAINING -> RETIRED`` for the source, the
    destination starts ``SERVING``); on divergence the migration aborts,
    the source rolls back to ``SERVING`` untouched, and the applied
    client ops are replayed against a fresh destination and ddmin-shrunk
@@ -260,8 +260,10 @@ class MigrationDriver:
        to :attr:`overhead_ns`, never to client-visible latency;
     2. runs the O(n) ``build_secondary`` outside ``lock`` (it touches
        only migration-private state), every other step inside it;
-    3. cuts a READY secondary over, treating a cutover whose final
-       dirty re-check diverged like any other failure;
+    3. is the one caller of ``mux.cutover()``: it cuts a READY
+       secondary over as a step of its own, or in :meth:`settle` behind
+       a client op, treating a cutover whose final dirty re-check
+       diverged like any other failure;
     4. calls ``mux.abort()`` exactly once, on FAILED or :meth:`abort`;
     5. fires ``on_cutover()`` or ``on_rollback(why)`` exactly once,
        under the lock; :attr:`outcome` is then set and calls are no-ops.
@@ -295,7 +297,7 @@ class MigrationDriver:
 
     def step(self) -> int:
         """One step — the build, a pump chunk, or the cutover — then
-        :meth:`settle`; returns the keys it moved."""
+        the outcome it reached; returns the keys it moved."""
         mux = self.mux
         if self.outcome is not None:
             return 0
@@ -308,12 +310,12 @@ class MigrationDriver:
             return 0
         moved = 0
         with self.lock():
-            if mux.phase == READY:
-                self.metered(mux.cutover)  # re-checks late churn; may fail
-            elif mux.phase in (BACKFILL, VERIFY):
+            if mux.phase in (BACKFILL, VERIFY):
                 moved = self.metered(mux.pump)
                 self.chunks += 1
-            self._settle()
+                self._conclude()
+            else:
+                self._settle()
         return moved
 
     def advance(self, budget: float = float("inf")) -> None:
@@ -328,8 +330,9 @@ class MigrationDriver:
                 budget -= max(moved, 1)
 
     def settle(self) -> None:
-        """Turn a phase the multiplexer ended in by itself (it pumps per
-        client op when ``pump_per_op > 0``) into the outcome."""
+        """Settle the phase the multiplexer reached by itself (it pumps
+        per client op when ``pump_per_op > 0``): cut a READY one over,
+        then fire the outcome it ends in."""
         with self.lock():
             self._settle()
 
@@ -340,6 +343,11 @@ class MigrationDriver:
                 self._roll_back(why)
 
     def _settle(self) -> None:
+        if self.outcome is None and self.mux.phase == READY:
+            self.metered(self.mux.cutover)  # re-checks late churn; may fail
+        self._conclude()
+
+    def _conclude(self) -> None:
         if self.outcome is not None:
             return
         if self.mux.phase == FAILED:
@@ -380,11 +388,9 @@ def run_migration(
     backfill/verify chunks and admission rejections (via the attached
     instances), plus one ``cutover`` event and the engine's
     ``op_window`` events: every applied op in exactly one window of up
-    to ``bus_window`` ops, under the instance that served it.  Both
-    instances get a live ``status_probe`` into the multiplexer, so
-    ``IndexInstance.status()`` reports the in-flight backfill cursor
-    and dirty-set size.  All of it reads the meters without charging —
-    the report is identical with or without a bus.
+    to ``bus_window`` ops, under the instance that served it.  All of
+    it reads the meters without charging — the report is identical with
+    or without a bus.
     """
     src = resolve_index_name(src)
     dst = resolve_index_name(dst)
@@ -397,18 +403,16 @@ def run_migration(
     report = MigrationReport(src=src, dst=dst, n_ops=workload.n_ops)
     wall0 = time.perf_counter()
 
-    source = IndexInstance(make_src(), name=f"{src}@0", spec=src_spec)
-    target = IndexInstance(make_dst(), name=f"{dst}@1", spec=dst_spec)
+    source = IndexInstance(make_src(), name=f"{src}@0")
+    target = IndexInstance(make_dst(), name=f"{dst}@1")
     if bus is not None:
         source.attach_bus(bus)
         target.attach_bus(bus)
     source.bulk_load(workload.bulk_items)
 
     mux = MultiplexIndex(source.index, target.index, chunk=chunk,
-                         pump_per_op=pump_per_op, auto_cutover=True)
-    # Live status: either instance's status() now snapshots the pump.
+                         pump_per_op=pump_per_op)
     target.watch(mux)
-    source.status_probe = mux.status
     source.advance(MIGRATING, f"multiplexing to {target.name}")
 
     differ = DifferentialObserver(limit=ORACLE_LIMIT)

@@ -76,14 +76,11 @@ class IndexSpec:
     #: Whether the index can take part in live migration
     #: (:mod:`repro.core.migrate`): migrating *from* needs ``range_scan``
     #: for the backfill snapshot cursor, migrating *to* needs inserts —
-    #: so the flag requires both.
+    #: so the flag requires both.  The same flag marks the per-shard
+    #: engines of a :class:`~repro.core.shard.ShardedIndex` and the
+    #: indexes a server can rebuild: shard split/merge and background
+    #: rebuilds are live migrations.
     supports_migration: bool = False
-    #: Whether the index can serve as the per-shard engine of a
-    #: :class:`~repro.core.shard.ShardedIndex`: shard split/merge is a
-    #: live migration over the shard's range, so the requirements match
-    #: ``supports_migration`` — ``range_scan`` for the backfill cursor
-    #: plus inserts for the migration targets.
-    supports_sharding: bool = False
     tags: frozenset = field(default_factory=frozenset)
     #: Concurrent variant (Section 4.2), bound by the adapters module.
     concurrent_name: Optional[str] = None
@@ -235,8 +232,6 @@ def _populate(reg: IndexRegistry) -> IndexRegistry:
             supports_range=factory.supports_range,
             supports_migration=(caps.get("supports_insert", True)
                                 and factory.supports_range),
-            supports_sharding=(caps.get("supports_insert", True)
-                               and factory.supports_range),
             tags=tags,
             **caps,
         ))

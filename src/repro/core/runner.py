@@ -413,14 +413,12 @@ class ExecutionEngine:
     def __init__(
         self,
         sample_every: int = 101,
-        reset_meter: bool = True,
         observers: Sequence[ExecutionObserver] = (),
         telemetry: Optional["Telemetry"] = None,
         bus=None,
         bus_window: int = 256,
     ) -> None:
         self.sample_every = sample_every
-        self.reset_meter = reset_meter
         self.observers: List[ExecutionObserver] = list(observers)
         if telemetry is not None:
             self.observers.extend(telemetry.observers())
@@ -617,8 +615,7 @@ class ExecutionEngine:
             raise RuntimeError(
                 f"instance {instance.name!r} is {instance.state}; only a "
                 "LOADING instance can bulk load a workload's items")
-        if self.reset_meter:
-            index.meter.reset()
+        index.meter.reset()
         for obs in observers:
             obs.on_phase("measure", index, workload)
 
@@ -686,7 +683,7 @@ def execute(target, workload: Workload, **engine_options) -> RunResult:
 
     One-call wrapper over :class:`ExecutionEngine`: ``engine_options``
     are forwarded verbatim to the engine constructor (``sample_every``,
-    ``reset_meter``, ``observers``, ``telemetry``, ``bus``), so there is
+    ``observers``, ``telemetry``, ``bus``, ``bus_window``), so there is
     exactly one place engine defaults live.  ``target`` is an
     index or an :class:`~repro.core.instance.IndexInstance`; with no
     options the :class:`RunResult` is byte-identical to previous

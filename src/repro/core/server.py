@@ -24,8 +24,9 @@ loads, rebuilds and migrations run as background jobs:
   the instance's write lock as the driver's lock — so chunk-sized
   steps never race a client op, the one O(n) build holds no lock, pump
   work is charged to the secondary's meter (never client-visible
-  latency), and a failed or aborted job rolls the instance back to
-  SERVING on its original index.
+  latency), and a failed, aborted or crashed job rolls the instance
+  back to SERVING on its original index.  A crashed bulk load retires
+  its instance, as an aborted one does.
 * **Status is first-class**: every job step publishes a typed ``job``
   event (chunks pumped, verified fraction, queue depth, ETA on the
   virtual clock) through the PR-8 :class:`~repro.core.events.EventBus`
@@ -121,6 +122,10 @@ _READ_OPS = frozenset({LOOKUP, SCAN})
 #: counts as stalled (seconds of wall clock).
 STALL_THRESHOLD_S = 1.0
 
+#: Seconds the job worker sleeps between two steps of a job, so that
+#: readers get the instance lock between chunk-sized write sections.
+WORKER_YIELD_S = 0.0005
+
 
 class RWLock:
     """A writer-preferring reader/writer lock.
@@ -128,7 +133,7 @@ class RWLock:
     Readers share; a writer excludes everyone.  Waiting writers block
     *new* readers so a stream of lookups cannot starve a rebuild pump
     step; the job worker in turn sleeps between pump steps
-    (``worker_yield_s``) so a chunk-at-a-time rebuild cannot starve
+    (``WORKER_YIELD_S``) so a chunk-at-a-time rebuild cannot starve
     readers either — the harness measures the result as zero stalled
     lookups rather than assuming it.
 
@@ -281,7 +286,6 @@ class Job:
     kind: str          # "bulk_load" | "rebuild" | "migrate"
     instance: str
     dst: str = ""      # destination index name ("" = same as serving)
-    chunk: int = 128
     state: str = JOB_QUEUED
     chunks_pumped: int = 0
     done_keys: int = 0
@@ -392,7 +396,7 @@ class _BulkLoadRunner:
                 inst.advance(RETIRED, f"job {job.job_id} aborted mid-load")
                 job.state = JOB_ABORTED
                 return True
-            self.pos = min(self.pos + job.chunk, len(items))
+            self.pos = min(self.pos + self.server.chunk, len(items))
             staged_all = self.pos >= len(items)
             if staged_all:
                 meter = inst.index.meter
@@ -401,7 +405,7 @@ class _BulkLoadRunner:
                 job.overhead_ns += meter.diff(before).total_time()
             job.chunks_pumped += 1
             job.done_keys = self.pos
-            inst.note_backfill(self.pos, len(items), stage="load")
+            inst.note_backfill("load", self.pos, len(items))
             if staged_all:
                 served.bulk_items = list(items)
                 inst.advance(SERVING,
@@ -412,6 +416,13 @@ class _BulkLoadRunner:
                 job.state = JOB_DONE
         return staged_all
 
+    def fail(self, why: str) -> None:
+        """A load that crashed never got its data: retire the instance,
+        as an abort does."""
+        with _write(self.served.lock):
+            self.served.instance.advance(
+                RETIRED, f"job {self.job.job_id} failed mid-load: {why}")
+
 
 class _RebuildRunner:
     """Background rebuild/migration: a ``pump_per_op=0`` multiplexer
@@ -419,7 +430,8 @@ class _RebuildRunner:
     step.  Staging, catch-up, verify and cutover steps hold the
     instance's write lock; the one O(n) step — bulk-loading the staged
     snapshot into the secondary — holds no lock, so foreground traffic
-    keeps flowing through it."""
+    keeps flowing through it.  A step that raises is rolled back like a
+    divergence (:meth:`fail`)."""
 
     def __init__(self, server: "IndexServer", served: _Served,
                  job: Job, factory: Optional[Callable[[], Any]]) -> None:
@@ -445,6 +457,12 @@ class _RebuildRunner:
             self._note_progress()
         return driver.outcome is not None
 
+    def fail(self, why: str) -> None:
+        """A step raised: roll back to the original index and SERVING
+        (nothing to undo if the multiplexer was never attached)."""
+        if self.driver is not None:
+            self.driver.abort(why)
+
     def _attach(self) -> bool:
         job, served = self.job, self.served
         inst = served.instance
@@ -456,12 +474,12 @@ class _RebuildRunner:
         secondary.meter = SyncedMeter.adopt(secondary.meter)
         with _write(served.lock):
             primary = inst.index
-            mux = MultiplexIndex(primary, secondary, chunk=job.chunk,
-                                 pump_per_op=0, auto_cutover=False)
-            inst.watch(mux)
-            inst.index = mux
+            mux = MultiplexIndex(primary, secondary, chunk=self.server.chunk,
+                                 pump_per_op=0)
             inst.advance(MIGRATING,
                          f"job {job.job_id}: {job.kind} -> {job.dst}")
+            inst.watch(mux)
+            inst.index = mux
             job.total_keys = 2 * len(primary)
         self.mux = mux
         self.driver = MigrationDriver(
@@ -483,7 +501,6 @@ class _RebuildRunner:
         job, served, mux = self.job, self.served, self.mux
         inst = served.instance
         inst.index = mux.primary
-        inst.status_probe = None
         served.index_name = job.dst
         inst.advance(SERVING,
                      f"job {job.job_id}: {job.kind} -> {job.dst} cut over")
@@ -506,7 +523,6 @@ class _RebuildRunner:
         inst = self.served.instance
         state = JOB_ABORTED if job.abort_requested else JOB_FAILED
         inst.index = self.mux.primary  # abort() left the original serving
-        inst.status_probe = None
         inst.advance(SERVING, f"job {job.job_id} {state}: {why}")
         if state == JOB_FAILED:
             job.error = why
@@ -545,11 +561,11 @@ class IndexServer:
     reproducible.  ``admission`` picks the bounded job queue's behavior
     when full: ``block`` waits for a slot, ``reject`` raises
     :class:`AdmissionError` (and counts it in :attr:`rejected_jobs`).
+    ``chunk`` is the keys a background job moves per step.
     """
 
     def __init__(self, queue_depth: int = 8, admission: str = BLOCK,
-                 workers: int = 1, bus: Any = None, chunk: int = 128,
-                 worker_yield_s: float = 0.0005) -> None:
+                 workers: int = 1, bus: Any = None, chunk: int = 128) -> None:
         if admission not in (BLOCK, REJECT):
             raise ValueError(f"unknown admission policy {admission!r}")
         if queue_depth < 1:
@@ -560,7 +576,6 @@ class IndexServer:
         self.admission = admission
         self.queue_depth = queue_depth
         self.chunk = chunk
-        self.worker_yield_s = worker_yield_s
         self._served: Dict[str, _Served] = {}
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(queue_depth)
         self._jobs: List[Job] = []
@@ -632,7 +647,7 @@ class IndexServer:
                 f"{spec.name} cannot be served: background rebuilds need "
                 "range_scan for the backfill cursor")
         index.meter = SyncedMeter.adopt(index.meter)
-        instance = IndexInstance(index, name=name, spec=spec)
+        instance = IndexInstance(index, name=name)
         if self.bus is not None:
             instance.attach_bus(self.bus)
         served = _Served(instance=instance, index_name=spec.name)
@@ -814,33 +829,30 @@ class IndexServer:
 
     # -- background jobs -----------------------------------------------------
 
-    def bulk_load(self, name: str, items: Sequence[Tuple[int, Any]],
-                  chunk: Optional[int] = None) -> Job:
+    def bulk_load(self, name: str, items: Sequence[Tuple[int, Any]]) -> Job:
         """Queue a chunked background load for a LOADING instance."""
         served = self._served_of(name)
         if served.instance.state != LOADING:
             raise ValueError(
                 f"instance {name!r} is {served.instance.state}; background "
                 "bulk_load needs a fresh LOADING instance")
-        job = Job(job_id=next(self._job_ids), kind="bulk_load", instance=name,
-                  chunk=chunk or self.chunk)
+        job = Job(job_id=next(self._job_ids), kind="bulk_load", instance=name)
         job.runner = _BulkLoadRunner(self, served, job, items)
         return self._submit(job)
 
-    def rebuild(self, name: str, chunk: Optional[int] = None,
+    def rebuild(self, name: str,
                 factory: Optional[Callable[[], Any]] = None) -> Job:
         """Queue a background rebuild into a fresh index of the same
         type (compaction): backfill + verify + atomic cutover while
         foreground traffic keeps flowing."""
-        return self._structure_job(name, "rebuild", "", chunk, factory)
+        return self._structure_job(name, "rebuild", "", factory)
 
-    def migrate(self, name: str, dst: str, chunk: Optional[int] = None,
+    def migrate(self, name: str, dst: str,
                 factory: Optional[Callable[[], Any]] = None) -> Job:
         """Queue a background migration to registry index ``dst``."""
-        return self._structure_job(name, "migrate", dst, chunk, factory)
+        return self._structure_job(name, "migrate", dst, factory)
 
     def _structure_job(self, name: str, kind: str, dst: str,
-                       chunk: Optional[int],
                        factory: Optional[Callable[[], Any]]) -> Job:
         served = self._served_of(name)
         dst_name = resolve_index_name(dst) if dst else served.index_name
@@ -850,7 +862,7 @@ class IndexServer:
                 f"{spec.name} cannot be a {kind} destination: writes "
                 "made during the build are replayed as inserts")
         job = Job(job_id=next(self._job_ids), kind=kind, instance=name,
-                  dst=spec.name, chunk=chunk or self.chunk)
+                  dst=spec.name)
         job.runner = _RebuildRunner(self, served, job, factory)
         return self._submit(job)
 
@@ -928,8 +940,7 @@ class IndexServer:
             if not self._begin_job(job):
                 continue
             while not self._step_job(job):
-                if self.worker_yield_s:
-                    time.sleep(self.worker_yield_s)
+                time.sleep(WORKER_YIELD_S)
 
     def _begin_job(self, job: Job) -> bool:
         """Move a dequeued job to RUNNING; False if aborted in queue."""
@@ -945,8 +956,10 @@ class IndexServer:
         try:
             finished = job.runner.step()
         except Exception as exc:  # noqa: BLE001 — a job crash is a result
+            why = f"{type(exc).__name__}: {exc}"
+            job.runner.fail(why)
             job.state = JOB_FAILED
-            job.error = f"{type(exc).__name__}: {exc}"
+            job.error = why
             finished = True
         if finished:
             self._finalize_job(job)
@@ -964,16 +977,11 @@ class IndexServer:
     def _publish_job(self, job: Job, status: str) -> None:
         if self.bus is None:
             return
-        t_ns = 0.0
-        served = self._served.get(job.instance)
-        if served is not None:
-            meter = getattr(served.instance.index, "meter", None)
-            if meter is not None:
-                t_ns = meter.total_time()
+        meter = self._served[job.instance].instance.index.meter
         self.bus.publish(
-            KIND_JOB, source=job.instance, t_ns=t_ns, job_id=job.job_id,
-            job_kind=job.kind, status=status, chunks=job.chunks_pumped,
-            done=job.done_keys, total=job.total_keys,
+            KIND_JOB, source=job.instance, t_ns=meter.total_time(),
+            job_id=job.job_id, job_kind=job.kind, status=status,
+            chunks=job.chunks_pumped, done=job.done_keys, total=job.total_keys,
             verified_fraction=round(job.verified_fraction, 6),
             eta_ns=job.eta_ns, queue_depth=self._queue.qsize(),
             error=job.error)

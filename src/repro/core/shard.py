@@ -69,7 +69,7 @@ from repro.indexes.base import (
     Value,
     lend,
 )
-from repro.indexes.multiplex import DETACHED, DONE, READY, MultiplexIndex
+from repro.indexes.multiplex import DETACHED, DONE, MultiplexIndex
 
 __all__ = [
     "ClusterMeter", "Rebalance", "RouterReport", "ShardMap", "ShardRouter",
@@ -365,6 +365,10 @@ class _RangeView(_RangeRouted):
 # Sharded index: the data plane
 # ---------------------------------------------------------------------------
 
+#: Keys a split or merge backfills or verifies per pump step.
+REBALANCE_CHUNK = 128
+
+
 @dataclass
 class Rebalance:
     """One in-flight split or merge, executed as a live migration."""
@@ -388,24 +392,23 @@ class ShardedIndex(_RangeRouted):
 
     ``factory`` is a registry index name or a zero-arg index factory;
     every shard is an independent instance of it.  ``bulk_load``
-    partitions the sorted items at equal-population boundaries (or at a
-    caller-provided :class:`ShardMap`); scalar ops route by binary
-    search, batch ops partition the key array per shard so each shard's
-    vectorized path sees one contiguous sub-batch, and ``range_scan``
-    stitches across neighbors.
+    partitions the sorted items at equal-population boundaries; scalar
+    ops route by binary search, batch ops partition the key array per
+    shard so each shard's vectorized path sees one contiguous
+    sub-batch, and ``range_scan`` stitches across neighbors.
 
     Rebalancing (:meth:`begin_split` / :meth:`begin_merge` /
     :meth:`finish_rebalance` / :meth:`abort_rebalance`) reuses the live
-    migration machinery; the slot keeps admitting every op kind for the
+    migration machinery: a :class:`~repro.core.migrate.MigrationDriver`
+    cuts the multiplexer over, then :meth:`finish_rebalance` swaps the
+    new slots in.  The slot keeps admitting every op kind for the
     whole rebalance (SERVING and MIGRATING both admit all ops), which is
     the zero-downtime guarantee the router's report pins down.
     """
 
     name = "Sharded"
 
-    def __init__(self, factory: Any, n_shards: int = 4,
-                 shard_map: Optional[ShardMap] = None,
-                 chunk: int = 128) -> None:
+    def __init__(self, factory: Any, n_shards: int = 4) -> None:
         if isinstance(factory, str):
             factory = REGISTRY.get(factory).factory
         if n_shards < 1:
@@ -423,8 +426,7 @@ class ShardedIndex(_RangeRouted):
         self.supports_delete = probe.supports_delete
         self.supports_range = True
         self.supports_duplicates = False
-        self.chunk = chunk
-        self.map = shard_map if shard_map is not None else ShardMap()
+        self.map = ShardMap()
         self._want_shards = n_shards
         self.shards: List[IndexInstance] = []
         self.bus: Optional[Any] = None
@@ -582,7 +584,7 @@ class ShardedIndex(_RangeRouted):
         self.meter.adopt(left.meter)
         self.meter.adopt(right.meter)
         view = _RangeView([left, right], [mid], meter=overhead)
-        mux = MultiplexIndex(primary, view, chunk=self.chunk, pump_per_op=1)
+        mux = MultiplexIndex(primary, view, chunk=REBALANCE_CHUNK)
         inst.advance(MIGRATING, f"splitting at key {mid}")
         inst.watch(mux)
         inst.index = mux
@@ -609,7 +611,7 @@ class ShardedIndex(_RangeRouted):
         view = _RangeView([a.index, b.index], [boundary], meter=overhead)
         target = self.factory()
         self.meter.adopt(target.meter)
-        mux = MultiplexIndex(view, target, chunk=self.chunk, pump_per_op=1)
+        mux = MultiplexIndex(view, target, chunk=REBALANCE_CHUNK)
         a.advance(MIGRATING, f"merging into combined shard with {b.name}")
         b.advance(MIGRATING, f"merging into combined shard with {a.name}")
         combined = self._instance(mux, SERVING)
@@ -622,16 +624,14 @@ class ShardedIndex(_RangeRouted):
                          retired_instances=[a, b])
 
     def finish_rebalance(self, rb: Rebalance) -> List[IndexInstance]:
-        """Cut over a READY/DONE rebalance; returns the new shard slots."""
+        """Swap the slots of a cut-over (DONE) rebalance in; returns the
+        new shard slots."""
         mux = rb.mux
-        if mux.phase == READY:
-            mux.cutover()
         if mux.phase != DONE:
             raise RuntimeError(
-                f"rebalance not ready to finish (phase={mux.phase!r})")
+                f"rebalance not cut over yet (phase={mux.phase!r})")
         sid = self.shards.index(rb.instance)
         self.cutover_stall_ops += mux.cutover_stall_ops
-        rb.instance.status_probe = None
         new_insts = [self._instance(child, SERVING) for child in rb.children]
         self.shards[sid:sid + 1] = new_insts
         if rb.kind == "split":
@@ -660,7 +660,6 @@ class ShardedIndex(_RangeRouted):
         if mux.phase != DETACHED:  # a driver has aborted it already
             mux.abort()
         sid = self.shards.index(rb.instance)
-        rb.instance.status_probe = None
         if rb.kind == "split":
             rb.instance.index = mux.primary
             rb.instance.advance(SERVING, "split aborted")
@@ -681,13 +680,15 @@ class ShardedIndex(_RangeRouted):
 
 #: Router policy.  A shard whose share of a census window exceeds
 #: ``HOT_FACTOR`` x the fair share splits, while the cluster has fewer
-#: than ``MAX_SHARDS``; an adjacent pair at or under ``COLD_FACTOR`` x
-#: its fair share merges, while it has more than ``MIN_SHARDS``; an
-#: in-flight rebalance is driven ``PUMP_BUDGET`` keys per window.
+#: than ``MAX_SHARDS`` and it holds at least ``MIN_SPLIT_KEYS`` keys; an
+#: adjacent pair at or under ``COLD_FACTOR`` x its fair share merges,
+#: while it has more than ``MIN_SHARDS``; an in-flight rebalance is
+#: driven ``PUMP_BUDGET`` keys per window.
 HOT_FACTOR = 2.0
 COLD_FACTOR = 0.35
 MAX_SHARDS = 16
 MIN_SHARDS = 1
+MIN_SPLIT_KEYS = 512
 PUMP_BUDGET = 4096
 
 
@@ -729,7 +730,7 @@ class ShardRouter:
     * an in-flight rebalance gets driven (up to ``PUMP_BUDGET`` keys)
       and its slots re-tracked once it is cut over or rolled back,
     * else the hottest shard — window share above ``HOT_FACTOR`` times
-      the fair share, at least ``min_split_keys`` keys — begins a split,
+      the fair share, at least ``MIN_SPLIT_KEYS`` keys — begins a split,
     * else the coldest adjacent pair of plain shards — combined share at
       or below ``COLD_FACTOR`` of *their* fair share (two shards) —
       begins a merge.
@@ -741,13 +742,11 @@ class ShardRouter:
     """
 
     def __init__(self, sharded: ShardedIndex, window_ops: int = 512,
-                 min_split_keys: int = 512, slo_window: int = 256,
-                 bus: Optional[Any] = None) -> None:
+                 slo_window: int = 256, bus: Optional[Any] = None) -> None:
         if window_ops < 1:
             raise ValueError("window_ops must be >= 1")
         self.sharded = sharded
         self.window_ops = window_ops
-        self.min_split_keys = min_split_keys
         self.slo_window = slo_window
         self.bus = bus
         self.cluster = SLOTracker(window_ops=slo_window, bus=bus)
@@ -839,7 +838,7 @@ class ShardRouter:
         hot_inst = sharded.shards[hot_sid]
         if (win[hot_sid] > HOT_FACTOR * fair
                 and n < MAX_SHARDS
-                and len(hot_inst.index) >= self.min_split_keys
+                and len(hot_inst.index) >= MIN_SPLIT_KEYS
                 and not isinstance(hot_inst.index, MultiplexIndex)):
             rb = sharded.begin_split(hot_sid)
             self._begin(rb)

@@ -28,10 +28,11 @@ presents the full ``OrderedIndex`` contract — including the
   *dirty set*) are re-compared, then sizes must match.  Only a fully
   verified secondary reaches ``ready`` — the sweep, not the build, is
   the proof that the secondary is right,
-* **cutting over** atomically between two client operations: the
-  primary reference, meter, and capability flags swap in one step with
-  no operation deferred or rejected (``cutover_stall_ops == 0`` by
-  construction).  On divergence the migration moves to ``failed``; an
+* **cutting over** atomically between two client operations, when the
+  control plane's :class:`~repro.core.migrate.MigrationDriver` (its one
+  caller) says so: the primary reference, meter, and capability flags
+  swap in one step with no operation deferred or rejected
+  (``cutover_stall_ops == 0`` by construction).  On divergence the migration moves to ``failed``; an
   :meth:`abort` detaches the secondary and the primary keeps serving.
 
 Divergence handling — comparing against the differential-oracle model
@@ -113,7 +114,6 @@ class MultiplexIndex(OrderedIndex):
         secondary: OrderedIndex,
         chunk: int = 128,
         pump_per_op: int = 1,
-        auto_cutover: bool = False,
     ) -> None:
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
@@ -131,7 +131,6 @@ class MultiplexIndex(OrderedIndex):
         self.retired: Optional[OrderedIndex] = None
         self.chunk = chunk
         self.pump_per_op = pump_per_op
-        self.auto_cutover = auto_cutover
         self.phase = BACKFILL
         # Capabilities: reads follow the primary; writes need both sides.
         self.supports_delete = primary.supports_delete and secondary.supports_delete
@@ -202,7 +201,7 @@ class MultiplexIndex(OrderedIndex):
         if self.progress_sink is not None:
             self.progress_sink(stage, done, len(self.primary))
 
-    # -- the pump: interleaved backfill / verify / cutover ---------------------
+    # -- the pump: interleaved backfill / verify -------------------------------
 
     def pump(self) -> int:
         """Advance the migration by one step; returns keys processed.
@@ -219,8 +218,6 @@ class MultiplexIndex(OrderedIndex):
             return self._catch_up()
         if self.phase == VERIFY:
             return self._verify_chunk()
-        if self.phase == READY and self.auto_cutover:
-            self.cutover()
         return 0
 
     def _pump(self) -> None:
@@ -341,7 +338,7 @@ class MultiplexIndex(OrderedIndex):
 
     def _finish_verification(self, scanned: int) -> int:
         """Sweep done: re-check churned keys, then cardinality, then
-        declare ready (and cut over if configured)."""
+        declare ready; the migration driver cuts over."""
         secondary = self.secondary
         assert secondary is not None
         if not self._recheck_dirty():
@@ -352,15 +349,13 @@ class MultiplexIndex(OrderedIndex):
             return 0
         self.phase = READY
         self._progress("ready", self.verify_keys)
-        if self.auto_cutover:
-            self.cutover()
         return scanned
 
     def cutover(self) -> None:
         """Atomically promote the verified secondary to primary.
 
-        Runs between two client operations (the pump sits after the
-        op's primary work), so no client op is ever deferred: the swap
+        The migration driver calls it between two client operations,
+        so no client op is ever deferred: the swap
         rebinds the primary reference, the client-visible meter, and
         the capability flags in one step."""
         if self.phase != READY:

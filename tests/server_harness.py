@@ -34,7 +34,7 @@ SMALL_SESSION = {"n_clients": 3, "ops_per_client": 80, "n_bulk": 200}
 
 def shardable_specs():
     """Registry specs the server can host (insert + range_scan)."""
-    return [spec for spec in REGISTRY if spec.supports_sharding]
+    return [spec for spec in REGISTRY if spec.supports_migration]
 
 
 def build_session(index_name: str, seed: int = 0, profile: str = "churn",

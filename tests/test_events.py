@@ -188,7 +188,7 @@ def test_smo_events_carry_structural_payload():
 
 def test_instance_lifecycle_relays_state_events():
     bus = EventBus()
-    inst = bus.attach_instance(IndexInstance(BPlusTree(), name="bt@0"))
+    inst = IndexInstance(BPlusTree(), name="bt@0").attach_bus(bus)
     inst.bulk_load(ITEMS[:100])
     inst.advance(MIGRATING, "handing off")
     states = bus.events(kind=KIND_STATE)
@@ -200,9 +200,9 @@ def test_instance_lifecycle_relays_state_events():
 
 def test_backfill_progress_relays_with_fraction():
     bus = EventBus()
-    inst = bus.attach_instance(IndexInstance(BPlusTree(), name="bt@1"))
-    inst.note_backfill(25, 100)
-    inst.note_backfill(100, 100, stage="verify")
+    inst = IndexInstance(BPlusTree(), name="bt@1").attach_bus(bus)
+    inst.note_backfill("backfill", 25, 100)
+    inst.note_backfill("verify", 100, 100)
     chunks = bus.events(kind=KIND_BACKFILL_CHUNK)
     assert [c["fraction"] for c in chunks] == [0.25, 1.0]
     assert chunks[1]["stage"] == "verify"
@@ -212,7 +212,7 @@ def test_admission_rejects_relay():
     bus = EventBus()
     inst = IndexInstance(BPlusTree())
     inst.bulk_load(ITEMS[:50])
-    bus.attach_instance(inst)
+    inst.attach_bus(bus)
     inst.advance(MIGRATING).advance(DRAINING)
     with pytest.raises(AdmissionError):
         inst.admit("insert")

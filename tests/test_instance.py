@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.events import EventBus
 from repro.core.instance import (
     DRAINING,
     LOADING,
@@ -71,13 +72,15 @@ def test_unknown_state_rejected():
 
 
 def test_transitions_are_recorded_with_reasons():
-    inst = IndexInstance(BPlusTree(), name="b0")
+    bus = EventBus()
+    inst = IndexInstance(BPlusTree(), name="b0").attach_bus(bus)
     inst.bulk_load(ITEMS[:10])
     inst.advance(MIGRATING, "moving to ALEX")
-    states = [e for e in inst.events if e["event"] == "state"]
-    assert [(e["from"], e["to"]) for e in states] == [
+    states = bus.events(kind="state", source="b0")
+    assert [(e["from_state"], e["to"]) for e in states] == [
         (LOADING, SERVING), (SERVING, MIGRATING)]
     assert states[1]["reason"] == "moving to ALEX"
+    assert inst.status()["events"] == 2
 
 
 # -- admission policy ----------------------------------------------------------
@@ -136,13 +139,15 @@ def test_engine_run_feeds_instance_status():
 
 def test_backfill_progress_events_feed_status():
     inst = IndexInstance(BPlusTree())
-    seen = []
-    inst.listeners.append(seen.append)
-    inst.note_backfill(10, 100)
-    inst.note_backfill(100, 100, stage="verify")
+    inst.note_backfill("backfill", 10, 100)   # counted without a bus too
+    bus, seen = EventBus(), []
+    bus.subscribe(seen.append)
+    inst.attach_bus(bus)
+    inst.note_backfill("verify", 100, 100)
     assert inst.status()["progress"] == {
         "event": "progress", "stage": "verify", "done": 100, "total": 100}
-    assert [e["done"] for e in seen] == [10, 100]
+    assert inst.status()["events"] == 2
+    assert [e["done"] for e in seen] == [100]
 
 
 def test_wrap_is_idempotent():

@@ -9,11 +9,16 @@
 * One function cuts an op stream into windows (``WindowFold.add``) and
   one module holds the median-baseline storm rule.
 * One class lends an index a meter (``repro.indexes.base.lend``).
+* One class cuts a migration over (``MigrationDriver``), and the
+  serving tier's constructors and job methods take the options a
+  census pins, no more.
 * No module under ``src/``, ``tests/`` or ``benchmarks/`` imports a
   name it never uses (pyflakes' F401, without needing ruff).
 """
 
 import ast
+import importlib
+import inspect
 import os
 import re
 
@@ -153,6 +158,54 @@ def test_one_class_lends_a_meter():
                         if isinstance(node, ast.Assign)
                         for target in node.targets)]
     assert lenders == ["indexes/base.py:lend"], lenders
+
+
+def test_only_the_migration_driver_cuts_over():
+    """Every reference to some ``.cutover`` (a call, or the bound
+    method handed to ``metered``) sits in ``MigrationDriver``."""
+    owners = []
+    for rel in _modules():
+        for top in _tree(rel).body:
+            owners += [f"{rel}:{getattr(top, 'name', '<module>')}"
+                       for node in ast.walk(top)
+                       if isinstance(node, ast.Attribute)
+                       and node.attr == "cutover"]
+    assert sorted(set(owners)) == ["core/migrate.py:MigrationDriver"], owners
+
+
+#: The parameters each serving-tier entry point takes.  One more is one
+#: more way to drive a migration; every one here has a caller outside
+#: ``tests/``.
+SIGNATURES = {
+    "repro.core.runner:ExecutionEngine": (
+        "sample_every", "observers", "telemetry", "bus", "bus_window"),
+    "repro.core.server:IndexServer": (
+        "queue_depth", "admission", "workers", "bus", "chunk"),
+    "repro.core.server:IndexServer.bulk_load": ("self", "name", "items"),
+    "repro.core.server:IndexServer.rebuild": ("self", "name", "factory"),
+    "repro.core.server:IndexServer.migrate": (
+        "self", "name", "dst", "factory"),
+    "repro.indexes.multiplex:MultiplexIndex": (
+        "primary", "secondary", "chunk", "pump_per_op"),
+    "repro.core.shard:ShardedIndex": ("factory", "n_shards"),
+    "repro.core.shard:ShardRouter": (
+        "sharded", "window_ops", "slo_window", "bus"),
+    "repro.core.instance:IndexInstance": ("index", "name", "state"),
+    "repro.core.registry:IndexSpec": (
+        "name", "factory", "is_learned", "supports_insert",
+        "supports_delete", "supports_range", "supports_duplicates",
+        "supports_batch", "supports_migration", "tags", "concurrent_name",
+        "concurrent_factory", "concurrent_evaluated"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(SIGNATURES))
+def test_signature_census(target):
+    module, _, path = target.partition(":")
+    obj = importlib.import_module(module)
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    assert tuple(inspect.signature(obj).parameters) == SIGNATURES[target]
 
 
 def _python_files(*tops):

@@ -106,10 +106,11 @@ def test_reads_cost_exactly_the_bare_primary():
 
 
 def test_dual_written_insert_survives_cutover():
-    mux, _, s = _mux(n=100, chunk=30, auto_cutover=True)
+    mux, _, s = _mux(n=100, chunk=30)
     new = max(KEYS) + 17
     assert mux.insert(new, payload(new))
-    _pump_until(mux, DONE)
+    _pump_until(mux, READY)
+    mux.cutover()
     assert mux.primary is s
     assert mux.lookup(new) == payload(new)
     assert mux.lookup(KEYS[0]) == payload(KEYS[0])
@@ -249,7 +250,7 @@ def test_abort_detaches_secondary_and_primary_keeps_serving():
 
 
 def test_memory_usage_sums_both_sides_while_attached():
-    mux, p, s = _mux(n=200, chunk=50, auto_cutover=True, pump_per_op=0)
+    mux, p, s = _mux(n=200, chunk=50, pump_per_op=0)
     mux.pump()
     mux.update(KEYS[0], payload(KEYS[0]))  # delta-logged
     assert mux.memory_usage().total == (
@@ -257,19 +258,31 @@ def test_memory_usage_sums_both_sides_while_attached():
     _pump_until(mux, VERIFY)
     both = mux.memory_usage().total
     assert both == p.memory_usage().total + s.memory_usage().total
-    _pump_until(mux, DONE)
+    _pump_until(mux, READY)
+    mux.cutover()
     assert mux.memory_usage().total == s.memory_usage().total
 
 
 def test_status_snapshot_tracks_the_pump():
-    mux, _, _ = _mux(n=120, chunk=40, auto_cutover=True)
+    mux, _, _ = _mux(n=120, chunk=40)
     assert mux.status()["phase"] == BACKFILL
-    _pump_until(mux, DONE)
+    _pump_until(mux, READY)
+    mux.cutover()
     st = mux.status()
     assert st["phase"] == DONE
     assert st["backfill_keys"] == 120
     assert st["verify_keys"] == 120
     assert st["secondary"] is None
+
+
+def test_the_multiplexer_never_cuts_itself_over():
+    """Five pumps behind every op verify well inside the stream, with
+    pumps of the same op still to go; only a driver cuts over."""
+    mux, p, _ = _mux(n=100, chunk=30, pump_per_op=5)
+    for key in KEYS[:50]:
+        assert mux.lookup(key) == payload(key)
+    assert mux.phase == READY and mux.primary is p
+    assert mux.cutover_seq is None
 
 
 def test_primary_without_range_scan_is_rejected():
@@ -300,17 +313,22 @@ def test_scan_many_gen_guard_drops_cache_bound_mid_batch():
     assert idx._batch_cache is None  # stale binding was dropped
 
 
-def test_batch_binding_cannot_survive_a_mid_batch_cutover():
-    """Warm the vectorized-lookup binding, then drive scan_many until
-    the pump cuts over mid-batch: the next lookup_many must be served
-    by the *new* primary, never the retired one."""
+def test_batch_binding_cannot_survive_a_cutover_after_a_batch():
+    """Warm the vectorized-lookup binding, drive scan_many until the
+    pump has verified mid-batch, then let a driver cut over: the next
+    lookup_many must be served by the *new* primary, never the retired
+    one."""
     p, s = FINEdex(), BPlusTree()
     p.bulk_load(ITEMS[:400])
-    mux = MultiplexIndex(p, s, chunk=64, auto_cutover=True)
+    mux = MultiplexIndex(p, s, chunk=64)
     warm = mux.lookup_many(KEYS[:32])  # binds _batch_cache to FINEdex
     assert warm == [payload(k) for k in KEYS[:32]]
     mux.scan_many([KEYS[0]] * 30, 4)  # each scan pumps one chunk
-    assert mux.phase == DONE
+    assert mux.phase == READY
+    driver = MigrationDriver(mux, on_cutover=lambda: None,
+                             on_rollback=lambda why: None)
+    driver.settle()
+    assert driver.outcome == CUT_OVER and mux.phase == DONE
     assert mux.primary is s
     assert mux._batch_cache is not p  # the old binding is gone
     new = max(KEYS) + 1
@@ -433,6 +451,21 @@ def test_driver_cuts_over_once_and_meters_the_whole_migration():
     # stage chunks + build + catch-up + verify chunks, then the cutover
     # as its own step (it is not a chunk).
     assert steps == d.driver.chunks + 1
+    advance = d.secondary.meter.total_time() - d.clock0
+    assert d.driver.overhead_ns == pytest.approx(advance, rel=1e-12)
+
+
+def test_settle_cuts_a_ready_multiplexer_over_through_metered():
+    """``settle`` after a client op is where a self-pumping
+    multiplexer's cutover happens; its final re-check is overhead."""
+    d = _Driven()
+    d.step_until(lambda: d.mux.phase == READY)
+    chunks = d.driver.chunks
+    fresh = KEYS[-1] + 11
+    assert d.driver.metered(d.mux.insert, fresh, 5)   # dirty: re-checked
+    d.driver.settle()
+    assert d.driver.outcome == CUT_OVER and d.cutovers == [DONE]
+    assert d.driver.chunks == chunks and d.mux.reverify_keys == 1
     advance = d.secondary.meter.total_time() - d.clock0
     assert d.driver.overhead_ns == pytest.approx(advance, rel=1e-12)
 
@@ -649,17 +682,16 @@ def test_churn_workload_shape():
 # -- live status during an in-flight migration (observability satellite) -------
 
 def _wired_instances(n=200, chunk=50):
-    """Instances wired to one mux exactly the way run_migration does it."""
+    """A source instance serving through a multiplexer, the way a
+    server or shard slot does, and a target following its progress."""
     from repro.core.instance import IndexInstance
 
     source = IndexInstance(BPlusTree(), name="src@0")
     source.bulk_load(ITEMS[:n])
     target = IndexInstance(BPlusTree(), name="dst@1")
     mux = MultiplexIndex(source.index, target.index, chunk=chunk)
-    mux.progress_sink = lambda stage, done, total: target.note_backfill(
-        done, total, stage=stage)
-    source.status_probe = mux.status
-    target.status_probe = mux.status
+    target.watch(mux)
+    source.index = mux
     return source, target, mux
 
 
@@ -704,7 +736,8 @@ def test_instance_status_reports_dirty_set_in_ready_window():
     assert st["dirty"] == 2
     assert st["dual_writes"] == 2
     mux.cutover()
-    st = source.status()["migration"]
+    assert "migration" not in source.status()  # nothing left in flight
+    st = mux.status()
     assert st["phase"] == DONE and st["dirty"] == 0
     assert st["reverify_keys"] >= 2
 

@@ -19,7 +19,9 @@ Regenerate only with an intended behaviour change::
 import hashlib
 import json
 import os
+from unittest import mock
 
+from repro.core import shard
 from repro.core.opstream import DifferentialObserver
 from repro.core.shard import ShardedIndex, ShardRouter
 from repro.core.sweep import DatasetSpec
@@ -42,7 +44,7 @@ def _liars_after(honest):
 
 
 def cells():
-    """``label -> (index-or-factory, shards, seed, min_split_keys)``."""
+    """``label -> (index-or-factory, shards, seed, MIN_SPLIT_KEYS)``."""
     out = {f"ALEX_seed{seed}": ("ALEX", 4, seed, 512) for seed in range(3)}
     out["B+tree_12_shards_merging"] = ("B+tree", 12, 0, 256)
     out["B+tree_split_rolled_back"] = (_liars_after(5), 4, 0, 256)
@@ -60,8 +62,9 @@ def render():
         workload = moving_hotspot_workload(keys, n_ops=10000, warm_frac=0.15,
                                            seed=seed)
         router = ShardRouter(ShardedIndex(index, n_shards=shards),
-                             window_ops=512, min_split_keys=min_split)
-        report = router.run(workload, oracle=DifferentialObserver())
+                             window_ops=512)
+        with mock.patch.object(shard, "MIN_SPLIT_KEYS", min_split):
+            report = router.run(workload, oracle=DifferentialObserver())
         assert report.oracle_ok and report.n_ops == 10000
         doc[label] = {
             "splits": report.splits, "merges": report.merges,

@@ -235,7 +235,7 @@ def test_foreground_ops_flow_while_the_secondary_is_being_built():
 
     items = _items()
     fresh = 10**12 + 7
-    with IndexServer(workers=1, chunk=64, worker_yield_s=0.0) as server:
+    with IndexServer(workers=1, chunk=64) as server:
         server.create_instance("t", "B+tree", items=items)
         job = server.rebuild("t", factory=BlockingBuildBTree)
         try:
@@ -266,6 +266,59 @@ def test_foreground_ops_flow_while_the_secondary_is_being_built():
         assert server.replay_check("t") == []
         status = server.status("t")["server"]
         assert status["dropped"] == {} and status["stalled"] == {}
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_a_crashing_job_step_rolls_the_instance_back(workers):
+    """A secondary whose build raises used to fail the job and leave
+    the instance MIGRATING behind a multiplexer nothing pumped again: it
+    logged every later write, and the next rebuild was refused as
+    ``migrating -> migrating``."""
+    class ExplodingBuildBTree(BPlusTree):
+        def bulk_load(self, items):
+            raise RuntimeError("build exploded")
+
+    bus = EventBus()
+    with IndexServer(workers=workers, chunk=64, bus=bus) as server:
+        inst = server.create_instance("t", "B+tree", items=_items())
+        original = inst.index
+        job = server.rebuild("t", factory=ExplodingBuildBTree)
+        server.drain()
+        assert job.state == JOB_FAILED
+        assert job.error == "RuntimeError: build exploded"
+        assert inst.state == SERVING and inst.index is original
+        last = bus.events(kind="state", source="t")[-1]
+        assert (last["from_state"], last["to"]) == (MIGRATING, SERVING)
+        assert last["reason"] == "job 1 failed: RuntimeError: build exploded"
+        fresh = [10**12 + 7 * i for i in range(300)]
+        for key in fresh:
+            assert server.insert("t", key, payload(key))
+        assert len(original) == len(_items()) + len(fresh)
+        assert not server.replay_check("t")
+        again = server.rebuild("t")
+        server.drain()
+        assert again.state == JOB_DONE, again.error
+        assert inst.state == SERVING
+        assert type(inst.index) is BPlusTree and inst.index is not original
+        assert all(server.lookup("t", key) == payload(key) for key in fresh)
+        assert not server.replay_check("t")
+
+
+def test_a_crashing_bulk_load_retires_its_instance():
+    class ExplodingLoadBTree(BPlusTree):
+        def bulk_load(self, items):
+            raise RuntimeError("load exploded")
+
+    with _manual_server(chunk=40) as server:
+        inst = server.create_instance("t", "B+tree",
+                                      factory=ExplodingLoadBTree)
+        job = server.bulk_load("t", _items(n=150))
+        server.drain()
+        assert job.state == JOB_FAILED
+        assert job.error == "RuntimeError: load exploded"
+        assert inst.state == RETIRED
+        with pytest.raises(AdmissionError):
+            server.lookup("t", 1)
 
 
 # -- admission during a background bulk load -----------------------------------
@@ -947,4 +1000,4 @@ def test_all_registry_specs_have_shardable_flag_consistency():
     # every spec with insert+range is in the shardable sweep.
     for spec in REGISTRY:
         expected = spec.supports_insert and spec.supports_range
-        assert spec.supports_sharding == expected
+        assert spec.supports_migration == expected

@@ -22,6 +22,7 @@ from repro.core.instance import MIGRATING, RETIRED, SERVING
 from repro.core.opstream import DifferentialObserver
 from repro.core.registry import REGISTRY
 from repro.core.runner import execute
+from repro.core import shard as shard_module
 from repro.core.shard import (
     ClusterMeter,
     ShardMap,
@@ -40,12 +41,15 @@ from repro.indexes.multiplex import DONE, READY
 KEYS = sorted(random.Random(7).sample(range(1, 30_000_000), 4000))
 ITEMS = [(k, payload(k)) for k in KEYS]
 
-SHARDABLE = [s.name for s in REGISTRY if s.supports_sharding]
+SHARDABLE = [s.name for s in REGISTRY if s.supports_migration]
 
 
-def _pump_to_ready(mux):
+def _pump_and_cut_over(mux):
+    """Drive a rebalance by hand, as a migration driver would."""
     for _ in range(10_000):
-        if mux.phase in (READY, DONE):
+        if mux.phase == READY:
+            mux.cutover()
+            assert mux.phase == DONE
             return
         mux.pump()
     raise AssertionError(f"rebalance never became ready ({mux.phase})")
@@ -127,7 +131,7 @@ def test_cluster_clock_is_monotonic_across_rebalance():
     s.bulk_load(ITEMS[:1000])
     t0 = s.meter.total_time()
     rb = s.begin_split(0)
-    _pump_to_ready(rb.mux)
+    _pump_and_cut_over(rb.mux)
     t1 = s.meter.total_time()
     assert t1 >= t0
     s.finish_rebalance(rb)
@@ -224,7 +228,7 @@ def test_split_preserves_items_with_zero_stall():
     assert s.lookup(k) == v
     extra = KEYS[1600]
     assert s.insert(extra, 7)
-    _pump_to_ready(rb.mux)
+    _pump_and_cut_over(rb.mux)
     new = s.finish_rebalance(rb)
     assert len(new) == 2 and all(i.state == SERVING for i in new)
     assert rb.instance.state == RETIRED
@@ -235,7 +239,7 @@ def test_split_preserves_items_with_zero_stall():
     assert s.debug_validate() == []
     # ...and back: merging the two halves round-trips the layout.
     back = s.begin_merge(0)
-    _pump_to_ready(back.mux)
+    _pump_and_cut_over(back.mux)
     s.finish_rebalance(back)
     assert s.map.n_shards == 2 and s.items() == expected
     assert s.cutover_stall_ops == 0
@@ -250,13 +254,27 @@ def test_merge_preserves_items_with_zero_stall():
     assert s.map.n_shards == 2  # neighbors fused immediately
     k, v = ITEMS[20]
     assert s.lookup(k) == v  # reads keep flowing through the view
-    _pump_to_ready(rb.mux)
+    _pump_and_cut_over(rb.mux)
     s.finish_rebalance(rb)
     assert s.map.n_shards == 2 and len(s.shards) == 2
     assert s.cutover_stall_ops == 0
     assert all(i.state == RETIRED for i in rb.retired_instances)
     assert s.items() == ITEMS[:1500]
     assert s.debug_validate() == []
+
+
+def test_finish_rebalance_requires_a_cut_over_migration():
+    s = ShardedIndex("B+tree", n_shards=2)
+    s.bulk_load(ITEMS[:600])
+    rb = s.begin_split(0)
+    while rb.mux.phase != READY:
+        rb.mux.pump()
+    with pytest.raises(RuntimeError, match="not cut over"):
+        s.finish_rebalance(rb)   # only a migration driver cuts over
+    assert rb.instance.status()["migration"]["phase"] == READY
+    rb.mux.cutover()
+    assert len(s.finish_rebalance(rb)) == 2
+    assert "migration" not in rb.instance.status()
 
 
 def test_abort_split_restores_original_shard():
@@ -322,9 +340,10 @@ def test_parity_survives_a_mid_stream_split():
             self.n += 1
             if self.n == 200:
                 self.rb = self.sharded.begin_split(0)
-            elif self.rb is not None and not self.rb.done:
-                if self.rb.mux.phase in (READY, DONE):
-                    self.sharded.finish_rebalance(self.rb)
+            elif (self.rb is not None and not self.rb.done
+                  and self.rb.mux.phase == READY):
+                self.rb.mux.cutover()
+                self.sharded.finish_rebalance(self.rb)
 
         def on_smo(self, record):
             pass
@@ -341,12 +360,12 @@ def test_parity_survives_a_mid_stream_split():
 
 # -- router convergence -------------------------------------------------------
 
-def test_router_splits_hot_shard_and_converges():
+def test_router_splits_hot_shard_and_converges(monkeypatch):
+    monkeypatch.setattr(shard_module, "MIN_SPLIT_KEYS", 256)
     wl = moving_hotspot_workload(KEYS[:3000], n_ops=6000, phases=3,
                                  seed=5)
     sharded = ShardedIndex("B+tree", n_shards=4)
-    router = ShardRouter(sharded, window_ops=512, slo_window=256,
-                         min_split_keys=256)
+    router = ShardRouter(sharded, window_ops=512, slo_window=256)
     oracle = DifferentialObserver()
     report = router.run(wl, oracle=oracle)
     assert report.n_ops == 6000
@@ -370,12 +389,13 @@ class LyingBTree(BPlusTree):
         return None if value is None else value ^ 1
 
 
-def test_router_rolls_a_diverged_split_back_and_keeps_serving():
+def test_router_rolls_a_diverged_split_back_and_keeps_serving(monkeypatch):
     """A rebalance whose target diverges is aborted by the router's
     driver: the hot slot goes back to plain service on its original
     index, is tracked again, and no client op ever sees the liar."""
     from repro.core.events import EventBus
 
+    monkeypatch.setattr(shard_module, "MIN_SPLIT_KEYS", 256)
     made = []
 
     def factory():  # the probe + four honest shards, then liars
@@ -387,8 +407,7 @@ def test_router_rolls_a_diverged_split_back_and_keeps_serving():
     execute(reference, wl)
     sharded = ShardedIndex(factory, n_shards=4)
     bus = EventBus()
-    router = ShardRouter(sharded, window_ops=512, slo_window=256,
-                         min_split_keys=256, bus=bus)
+    router = ShardRouter(sharded, window_ops=512, slo_window=256, bus=bus)
     oracle = DifferentialObserver()
     report = router.run(wl, oracle=oracle)
     decisions = [e["decision"] for e in report.events]
