@@ -247,19 +247,6 @@ class CostMeter:
                 delta[key] = d
         return CostDelta(delta, self.weights)
 
-    def fold_since(self, seen: Dict[Tuple[str, str], float],
-                   into: Dict[Tuple[str, str, str], float], tag: str) -> None:
-        """Add the units charged since the snapshot ``seen`` to
-        ``into[(tag, phase, kind)]`` and bring ``seen`` up to date in
-        place — ``diff`` + ``snapshot`` in one pass, no copy (the
-        per-op call of :class:`~repro.core.telemetry.CostProfiler`)."""
-        for key, v in self._table().items():
-            d = v - seen.get(key, 0.0)
-            if d:
-                seen[key] = v
-                cell = (tag, key[0], key[1])
-                into[cell] = into.get(cell, 0.0) + d
-
     def reset(self) -> None:
         self._counts.clear()
         self._phase_stack[:] = [PHASE_OTHER]

@@ -196,9 +196,8 @@ class EngineBusEmitter(ExecutionObserver):
     coalesced into windows of ``window_ops`` (per-kind counts, ok
     counts, the window's virtual duration and rolling throughput);
     phases and SMOs are rare and publish individually.  SMOs are
-    stamped with ``OpEvent.clock`` (the reading the engine already took
-    for a ``needs_clock`` observer, else one read of the meter then);
-    the meter is never charged.
+    stamped with the op's clock, which the engine hands ``on_smo``; the
+    meter is never charged.
     """
 
     def __init__(self, bus: EventBus, window_ops: int = 256) -> None:
@@ -206,22 +205,20 @@ class EngineBusEmitter(ExecutionObserver):
             raise ValueError("window_ops must be >= 1")
         self.bus = bus
         self.window_ops = window_ops
-        self._meter = None
         #: Who the events are published under: the index a run's phases
         #: named, or what a producer feeding ``on_window`` itself set.
         self.source = ""
 
     def on_phase(self, phase: str, index, workload) -> None:
-        self._meter = index.meter
         self.source = getattr(index, "name", type(index).__name__)
         self.bus.publish(
-            KIND_PHASE, source=self.source, t_ns=self._meter.total_time(),
+            KIND_PHASE, source=self.source, t_ns=index.meter.total_time(),
             phase=phase, workload=getattr(workload, "name", ""))
 
     def on_smo(self, event: OpEvent) -> None:
         record = event.record
         self.bus.publish(
-            KIND_SMO, source=self.source, t_ns=event.clock(self._meter),
+            KIND_SMO, source=self.source, t_ns=event.t_ns,
             op_seq=event.seq, op=event.op.op,
             nodes_created=getattr(record, "nodes_created", 0),
             keys_shifted=getattr(record, "keys_shifted", 0))

@@ -28,10 +28,15 @@ runners) attach without touching the loop::
 from __future__ import annotations
 
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
+from itertools import chain, islice
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional, Sequence, Tuple)
 
+import numpy as np
+
+from repro.core.cost import CostMeter
 from repro.core.instance import LOADING, IndexInstance
 from repro.core.workloads import DELETE, INSERT, LOOKUP, UPDATE, Operation, Workload, apply_op
 from repro.indexes.base import MemoryBreakdown, OpRecord, OrderedIndex
@@ -50,6 +55,8 @@ LOOKUP_STREAK = 32
 #: of the op it is executing; a run's first block is batched only when
 #: at least half full.
 LOOKUP_BLOCK = 2048
+#: Ops an observed run records before it hands them over, at most.
+RECORD_BLOCK = 1024
 
 
 @dataclass
@@ -222,19 +229,11 @@ class OpEvent:
     #: writes.  This is what lets a differential oracle compare an
     #: index against a reference model without re-running the op.
     result: object = None
-    #: The index meter's ``total_time()`` right after the operation:
-    #: always set when an attached observer declares ``needs_clock``
-    #: (otherwise only on the ops the engine sampled, else ``None``).
-    #: Consecutive readings are one op's full virtual cost.
+    #: The index meter's ``total_time()`` right after the operation,
+    #: where the engine has it: on the ops it sampled, and on every
+    #: ``on_smo`` event of a run with block observers attached (the
+    #: op's block clock); else ``None``.
     t_ns: Optional[float] = None
-
-    def clock(self, meter) -> float:
-        """The virtual clock right after this operation: the carried
-        reading when there is one, else ``meter.total_time()`` now.  For
-        observers that want the clock now and then (an SMO) and so do
-        not declare ``needs_clock``."""
-        t_ns = self.t_ns
-        return meter.total_time() if t_ns is None else t_ns
 
 
 class ExecutionObserver:
@@ -242,16 +241,16 @@ class ExecutionObserver:
 
     Subclass and override what you need; attach via
     ``ExecutionEngine(observers=[...])`` or ``engine.add_observer``.
-    Only hooks an observer really implements are called per op (an
-    inherited no-op costs nothing); duck-typed objects work too.
+    Only hooks an observer really implements are called (an inherited
+    no-op costs nothing); duck-typed objects work too.  ``on_op`` is for
+    observers that must see the index *at* each op (oracles,
+    validators); recorders take ``on_block`` or ``on_window``, which
+    cost the engine no clock read per op.
     """
 
-    #: Declare ``True`` when ``on_op`` reads the virtual clock on every
-    #: operation: the engine then reads ``meter.total_time()`` once per
-    #: op and every ``OpEvent`` carries it as ``t_ns``, so no observer
-    #: re-sums the meter itself.  An observer that wants the clock only
-    #: now and then calls ``event.clock(meter)`` instead.
-    needs_clock = False
+    #: Declare ``True`` when ``on_window`` reads ``OpWindow.latencies``:
+    #: the fold cutting this observer's windows then keeps every op's.
+    window_latencies = False
 
     def on_phase(self, phase: str, index: OrderedIndex, workload: Workload) -> None:
         """Engine lifecycle: ``"bulk_load"``, ``"measure"``, ``"done"``."""
@@ -260,15 +259,90 @@ class ExecutionObserver:
         """Called once per operation.  ``latency`` is the op's virtual-ns
         cost when it was sampled, else ``None``."""
 
+    def on_block(self, block: "OpBlock") -> None:
+        """Called with each :class:`OpBlock` of consecutive operations,
+        in order, every op of the run in exactly one: each op's
+        outcome, record and clock, recorded once by the engine."""
+
     def on_smo(self, event: OpEvent) -> None:
         """Called after an insert/delete whose op record flagged a
-        structural modification."""
+        structural modification — after the ``on_block`` that ends
+        with it."""
 
     def on_window(self, window: "OpWindow") -> None:
         """Called with every ``self.window_ops`` (a required attribute)
         operations added up, and with the shorter last window right
         before this observer's ``on_phase("done")``.  Observers of one
         size share one :class:`WindowFold`."""
+
+
+class OpBlock:
+    """Consecutive operations of one observed run, as the engine
+    recorded them, with every op's clock and charges.
+
+    ``rows[i]`` is op ``seq + i`` as ``(op, ok, scanned, record,
+    latency)``: ``record`` as ``OpEvent.record``, ``latency`` the
+    sampled cost or ``None``.  ``clocks[i]`` is the meter's
+    ``total_time()`` right after that op, ``start_ns`` the reading
+    before the first.  The engine ends a block at a window close of any
+    of its folds, at an op that ran an SMO, after ``RECORD_BLOCK`` ops,
+    and at the end of the stream — also when the run raises: the ops
+    recorded before the raise go out as a last block.
+    """
+
+    __slots__ = ("seq", "start_ns", "rows", "clocks", "kinds", "_keys",
+                 "_tables")
+
+    def __init__(self, seq: int, start_ns: float, rows: List[tuple],
+                 clocks: List[float], keys: Optional[List[tuple]],
+                 tables: Any) -> None:
+        self.seq = seq
+        self.start_ns = start_ns
+        self.rows = rows
+        self.clocks = clocks
+        #: Each op's kind, ``rows[i][0].op``.
+        self.kinds = [row[0].op for row in rows]
+        #: The meter's counter keys in table order and an ``(n + 1) x
+        #: len(keys)`` array of their values, the table before the
+        #: block's first op on top; or, on a meter whose table is not
+        #: append-only, ``None`` and the ``n + 1`` tables themselves.
+        self._keys = keys
+        self._tables = tables
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def unit_sums(self) -> Dict[Tuple[str, str, str], float]:
+        """The units this block's ops charged, summed per ``(op kind,
+        phase, cost kind)``, keyed in first-touch order: by the op that
+        first charged a cell, then by the counter's place in the table
+        (exact sums: units are integers, ``docs/cost_model.md``)."""
+        kinds = self.kinds
+        if self._keys is None:
+            out: Dict[Tuple[str, str, str], float] = {}
+            tables = self._tables
+            for kind, seen, table in zip(kinds, tables, tables[1:]):
+                for key, v in table.items():
+                    d = v - seen.get(key, 0.0)
+                    if d:
+                        cell = (kind, *key)
+                        out[cell] = out.get(cell, 0.0) + d
+            return out
+        units = np.diff(self._tables, axis=0)
+        n = len(kinds)
+        touched_at = np.where(units != 0, np.arange(n)[:, None], n)
+        codes = {kind: code for code, kind in enumerate(dict.fromkeys(kinds))}
+        ids = np.fromiter(map(codes.__getitem__, kinds), np.intp, n)
+        found = []
+        for kind, code in codes.items():
+            mine = ids == code
+            first = touched_at[mine].min(axis=0).tolist()
+            sums = units[mine].sum(axis=0).tolist()
+            found += [(row, col, kind, sums[col])
+                      for col, row in enumerate(first) if row < n]
+        found.sort()
+        keys = self._keys
+        return {(kind, *keys[col]): total for _, col, kind, total in found}
 
 
 @dataclass
@@ -298,12 +372,13 @@ class WindowFold:
     each one, closed, to every sink.
 
     The one place a stream is cut into windows: the engine feeds one
-    per distinct ``window_ops`` among its ``on_window`` observers as an
-    ``on_op`` / ``on_smo`` hook; the shard router and the migration
-    runner feed folds of their own.  ``timed`` says every op arrives
-    with a clock reading, whose deltas are the latencies.  A close is
-    stamped with the reading its op carried, else with one read of the
-    meter the fold was opened on — once, however many sinks.
+    per distinct ``window_ops`` among its ``on_window`` observers by
+    :meth:`add_block` and ``on_smo``; the shard router and the migration
+    runner feed folds of their own op by op (:meth:`add`).  ``timed``
+    says every op arrives with a clock reading, whose deltas are the
+    latencies.  A close is stamped with the reading its op carried,
+    else with one read of the meter the fold was opened on — once,
+    however many sinks.
     """
 
     def __init__(self, window_ops: int, timed: bool = False) -> None:
@@ -340,6 +415,30 @@ class WindowFold:
 
     def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
         self.add(event.op.op, event.ok, event.t_ns, latency)
+
+    def add_block(self, block: OpBlock) -> None:
+        """:meth:`add` for every op of ``block``, keyed by op kind: all
+        but the last in bulk, the last by :meth:`add`.  The block must
+        not run past this fold's next close (the engine ends its blocks
+        at every fold's), so only its last op can close the window."""
+        n = len(block) - 1
+        head, kinds = block.rows[:n], block.kinds
+        window = self.window
+        counts = window.counts
+        for key, k in Counter(kinds[:n]).items():
+            counts[key] = counts.get(key, 0) + k
+        window.ops += n
+        window.ok += sum([row[1] for row in head])
+        window.sampled += [row[4] for row in head if row[4] is not None]
+        if self.timed:
+            last = self._last_ns
+            latencies = window.latencies
+            for key, t_ns in zip(kinds[:n], block.clocks):
+                latencies[key].append(t_ns - last)
+                last = t_ns
+            self._last_ns = last
+        _, ok, _, _, sampled = block.rows[n]
+        self.add(kinds[n], ok, block.clocks[n], sampled)
 
     def on_smo(self, event: Optional[OpEvent] = None) -> None:
         self.window.smos += 1
@@ -401,13 +500,14 @@ class ExecutionEngine:
 
     A long run of lookups nobody watches op by op is resolved in
     blocks instead (:meth:`_lookup_run`): with no attached observer
-    implementing ``on_op`` or ``on_window``, lookups past the first
-    ``LOOKUP_STREAK`` of a run go through the index's vectorized
-    ``_lookup_batch``, charged as totals between the sampled ops — same
-    meter table, latency samples, op counts and ``last_op`` as the loop.
-    Which path runs follows from who is attached and how long the run
-    already is; there is no option for it (``docs/performance.md``,
-    "Lookup runs").
+    implementing ``on_op``, ``on_block`` or ``on_window``, lookups past
+    the first ``LOOKUP_STREAK`` of a run go through the index's
+    vectorized ``_lookup_batch``, charged as totals between the sampled
+    ops — same meter table, latency samples, op counts and ``last_op``
+    as the loop.  With ``on_block`` or ``on_window`` observers attached
+    the engine records the run instead (:meth:`_recorder`).  Which path
+    runs follows from who is attached and how long the run already is;
+    there is no option for it (``docs/performance.md``, "Lookup runs").
     """
 
     def __init__(
@@ -439,7 +539,8 @@ class ExecutionEngine:
     def _window_folds(self, meter) -> Dict[int, WindowFold]:
         """``id(observer) -> fold`` for the attached ``on_window``
         observers: one fold, opened on ``meter``, per distinct
-        ``window_ops``, timed iff one of its consumers ``needs_clock``."""
+        ``window_ops``, timed iff one of its consumers declares
+        ``window_latencies``."""
         by_size: Dict[int, WindowFold] = {}
         fold_of: Dict[int, WindowFold] = {}
         for sink in _implemented(self.observers, "on_window"):
@@ -448,7 +549,7 @@ class ExecutionEngine:
             if fold is None:
                 fold = by_size[obs.window_ops] = WindowFold(obs.window_ops)
                 fold.open(meter)
-            fold.timed |= getattr(obs, "needs_clock", False)
+            fold.timed |= getattr(obs, "window_latencies", False)
             fold.sinks.append(sink)
             fold_of[id(obs)] = fold
         return fold_of
@@ -460,17 +561,13 @@ class ExecutionEngine:
         tally: _Tally,
         on_op: List[Callable],
         on_smo: List[Callable],
-        clock: bool,
-        t_ns: float,
     ) -> Callable[[Operation, int], None]:
-        """One run's per-op body, ``step(op, seq)``: apply the op, read
-        the clock around it when it is sampled (or when ``clock``: some
-        observer reads ``OpEvent.t_ns``), and feed ``tally`` and the
-        instance's counters in line.  An :class:`OpEvent` is built only
-        for someone to see — every op when ``on_op`` hooks are attached,
-        else only an op that ran an SMO, for the ``on_smo`` hooks.
-        ``t_ns`` is the clock now: nothing charges the meter between two
-        ops, so each reading doubles as the next op's ``before``.
+        """One unrecorded run's per-op body, ``step(op, seq)``: apply the
+        op, read the clock around it when it is sampled, and feed
+        ``tally`` and the instance's counters in line.  An
+        :class:`OpEvent` is built only for someone to see — every op
+        when ``on_op`` hooks are attached, else only an op that ran an
+        SMO, for the ``on_smo`` hooks.
         """
         every = self.sample_every
         total_time = index.meter.total_time
@@ -479,23 +576,20 @@ class ExecutionEngine:
         counts = instance.op_counts
 
         def step(op: Operation, seq: int) -> None:
-            nonlocal t_ns
             kind = op.op
             sampled = seq % every == 0
-            if sampled and not clock:
-                t_ns = total_time()
+            if sampled:
+                before = total_time()
             prev_record = index.last_op
             ok, scanned, result = apply_op(index, op)
             now = latency = None
-            if clock or sampled:
+            if sampled:
                 now = total_time()
-                if sampled:
-                    latency = now - t_ns
-                    if kind == LOOKUP:
-                        lookup_samples.append(latency)
-                    elif kind in _WRITE_OPS:
-                        write_samples.append(latency)
-                t_ns = now
+                latency = now - before
+                if kind == LOOKUP:
+                    lookup_samples.append(latency)
+                elif kind in _WRITE_OPS:
+                    write_samples.append(latency)
             # Indexes assign a *new* OpRecord whenever they record an op,
             # so identity against the pre-op object detects staleness
             # (update/scan paths that never wrote last_op).
@@ -520,6 +614,137 @@ class ExecutionEngine:
                     hook(event)
 
         return step
+
+    def _recorder(
+        self,
+        index: OrderedIndex,
+        instance: IndexInstance,
+        tally: _Tally,
+        on_op: List[Callable],
+        on_smo: List[Callable],
+        on_block: List[Callable],
+        window_sizes: Sequence[int],
+        start_ns: float,
+    ) -> Tuple[Callable[[Operation, int], None], Callable[[], None]]:
+        """One recorded run's per-op body, ``step(op, seq)``, for ops
+        taken in order, and ``flush()``, which hands over what is
+        recorded and not yet handed over (the stream's end, or a raise).
+
+        ``step`` is ``_stepper``'s, except that it records the op as a
+        row and the meter's counter values as a tuple, and reads no
+        clock unless the op is sampled.  At a block's end — the next
+        window close of a fold of size in ``window_sizes``, an op that
+        ran an SMO, ``RECORD_BLOCK`` ops, a ``flush`` — one numpy pass
+        turns the tuples into every op's clock: ``cumsum`` along a row
+        adds ``weight x units`` left to right in table order from the
+        first counter, the very sum ``CostMeter.total_time()`` makes.  A
+        meter whose ``total_time`` is not that sum (a cluster of parts)
+        has it read and its table copied per op instead.  The block goes
+        to the ``on_block`` hooks; the SMO, stamped with its op's clock,
+        to the ``on_smo`` hooks after them.
+        """
+        every = self.sample_every
+        meter = index.meter
+        total_time = meter.total_time
+        positional = type(meter).total_time is CostMeter.total_time
+        table = meter._counts if positional else None
+        values = table.values if positional else None
+        snapshot = meter.snapshot
+        lookup_samples, write_samples = tally.lookup_samples, tally.write_samples
+        stats = tally.insert_stats
+        counts = instance.op_counts
+        rows: List[tuple] = []
+        snaps: List[Any] = []
+        add_row, add_snap = rows.append, snaps.append
+        #: The table before the block's first op, and that op's seq.
+        last = tuple(values()) if positional else snapshot()
+        first = 0
+
+        def next_cut(seq: int) -> int:
+            """The seq of the op the block after ``seq`` ends at, at most."""
+            return min([seq + RECORD_BLOCK]
+                       + [(seq + 1) // w * w + w - 1 for w in window_sizes])
+
+        def close() -> float:
+            """Hand the recorded ops over as one block; its last clock."""
+            nonlocal start_ns, last, first, cut
+            n = len(rows)
+            if positional:
+                width = len(snaps[-1])
+                keys = list(islice(table, width))
+                tables = [last, *snaps]
+                if len(last) < width:  # counters created in this block
+                    pad = (0.0,) * width
+                    tables = [t + pad[len(t):] for t in tables]
+                tables = np.fromiter(chain.from_iterable(tables), float,
+                                     (n + 1) * width).reshape(n + 1, width)
+                weights = meter.weights
+                w = np.array([weights.get(kind, 0.0) for _, kind in keys])
+                clocks = (np.cumsum(tables[1:] * w, axis=1)[:, -1].tolist()
+                          if width else [])
+                # An op on a still-empty table reads the integer 0.
+                empty = next((i for i, t in enumerate(snaps) if t), n)
+                clocks[:empty] = [0] * empty
+                last = snaps[-1]
+            else:
+                keys = None
+                clocks = [clock for clock, _ in snaps]
+                tables = [last, *(t for _, t in snaps)]
+                last = tables[-1]
+            block = OpBlock(first, start_ns, rows.copy(), clocks, keys, tables)
+            rows.clear()
+            snaps.clear()
+            start_ns = clocks[-1]
+            first += n
+            cut = next_cut(first - 1)
+            for hook in on_block:
+                hook(block)
+            return start_ns
+
+        def step(op: Operation, seq: int) -> None:
+            kind = op.op
+            sampled = seq % every == 0
+            if sampled:
+                before = total_time()
+            prev_record = index.last_op
+            ok, scanned, result = apply_op(index, op)
+            now = latency = None
+            if sampled:
+                now = total_time()
+                latency = now - before
+                if kind == LOOKUP:
+                    lookup_samples.append(latency)
+                elif kind in _WRITE_OPS:
+                    write_samples.append(latency)
+            record = index.last_op
+            if record is prev_record:
+                record = None
+            elif ok and kind == INSERT:
+                stats.record(record)
+            if scanned:
+                tally.scanned_entries += scanned
+            add_row((op, ok, scanned, record, latency))
+            add_snap(tuple(values()) if positional
+                     else (total_time(), snapshot()))
+            if on_op:
+                event = OpEvent(seq, op, record, ok, scanned, result, now)
+                for hook in on_op:
+                    hook(event, latency)
+            counts[kind] = counts.get(kind, 0) + 1
+            if (record is not None and record.smo
+                    and (kind == INSERT or kind == DELETE)):
+                event = OpEvent(seq, op, record, ok, scanned, result, close())
+                for hook in on_smo:
+                    hook(event)
+            elif seq == cut:
+                close()
+
+        def flush() -> None:
+            if rows:
+                close()
+
+        cut = next_cut(-1)
+        return step, flush
 
     def _lookup_run(
         self,
@@ -621,20 +846,29 @@ class ExecutionEngine:
 
         meter = index.meter
         start_ns = meter.total_time()
-        clock = any(getattr(obs, "needs_clock", False)
-                    for obs in self.observers)
         fold_of = self._window_folds(meter)
         folds = list(dict.fromkeys(fold_of.values()))
-        # Folds are fed like any other ``on_op`` / ``on_smo`` observer.
-        watchers = [*self.observers, *folds]
-        on_op = _implemented(watchers, "on_op")
-        step = self._stepper(
-            index, instance, tally, on_op,
-            _implemented([*watchers, instance], "on_smo"), clock, start_ns)
+        on_op = _implemented(self.observers, "on_op")
+        # Folds are fed like any other ``on_block`` / ``on_smo`` observer.
+        on_smo = _implemented([*self.observers, *folds, instance], "on_smo")
+        on_block = [*_implemented(self.observers, "on_block"),
+                    *(fold.add_block for fold in folds)]
+        if on_block:
+            step, flush = self._recorder(
+                index, instance, tally, on_op, on_smo, on_block,
+                [fold.window_ops for fold in folds], start_ns)
+        else:
+            step = self._stepper(index, instance, tally, on_op, on_smo)
         wall0 = time.perf_counter()
+        if on_block:
+            try:
+                for i, op in enumerate(workload.operations):
+                    step(op, i)
+            finally:
+                flush()
         # Someone watches op by op, or the target is a wrapper with work
         # of its own per op (a multiplexer pumps, a sharded tier routes).
-        if clock or index.is_adapter or on_op:
+        elif index.is_adapter or on_op:
             for i, op in enumerate(workload.operations):
                 step(op, i)
         else:

@@ -165,9 +165,8 @@ class ClusterMeter(CostMeter):
     meter directly; every shard index — and every migration-overhead
     meter — keeps its own :class:`CostMeter`, adopted via :meth:`adopt`.
     All read paths (``total_time``, and through :meth:`_table`
-    ``time_by_phase``, ``snapshot`` / ``diff``, ``fold_since``) merge
-    the parts, so the engine and the SLO trackers see a single monotonic
-    cluster clock.
+    ``time_by_phase``, ``snapshot`` / ``diff``) merge the parts, so the
+    engine and the SLO trackers see a single monotonic cluster clock.
 
     Adopted parts are **never removed**: a retired shard's meter simply
     stops growing, which is what keeps the clock monotonic across

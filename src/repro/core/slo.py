@@ -19,9 +19,9 @@ into operator-grade state:
   top`` renders it; ``--once --json`` scripts it.
 
 Like every observer in this codebase, the tracker only *reads* the
-virtual clock — latencies are consecutive ``OpEvent.t_ns`` readings,
-i.e. ``meter.total_time()`` deltas the producer took once per op —
-so attaching it changes no result and no fingerprint.
+virtual clock — latencies are the deltas of consecutive per-op clock
+readings its window fold was fed (``OpWindow.latencies``) — so
+attaching it changes no result and no fingerprint.
 
 Targets may be given explicitly or **auto-calibrated**: with no
 targets, the first closed window sets each op kind's threshold to
@@ -126,7 +126,7 @@ class SLOTracker(ExecutionObserver):
     and every alert publishes an ``alert`` event.
     """
 
-    needs_clock = True
+    window_latencies = True
 
     def __init__(
         self,

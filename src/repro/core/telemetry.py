@@ -16,7 +16,7 @@ observer hooks plus the deterministic virtual clock
   rolling throughput, rolling SMO rate (with storm detection) and
   periodic ``memory_usage()`` samples.
 * :class:`CostProfiler` — virtual time attributed to
-  (op kind x cost phase x cost kind) via ``CostMeter.fold_since()``,
+  (op kind x cost phase x cost kind) from the engine's op blocks,
   rendered as a flame-table; its per-phase totals reconcile exactly with
   ``CostMeter.time_by_phase()``.
 
@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import ALL_PHASES
 from repro.core.report import table
-from repro.core.runner import ExecutionObserver, OpEvent, OpWindow
+from repro.core.runner import ExecutionObserver, OpBlock, OpEvent, OpWindow
 
 #: Version stamped into trace/metric telemetry records (independent of
 #: the RunResult schema; bump on incompatible event-layout changes).
@@ -68,55 +68,41 @@ class TraceRecorder(ExecutionObserver):
 
     ``events`` is a list of plain dicts ready for
     :func:`repro.core.results.save_jsonl`; :meth:`to_chrome` converts
-    them to the Chrome trace-event format for Perfetto.
+    them to the Chrome trace-event format for Perfetto.  The recorder
+    keeps the engine's blocks as they come and builds their span dicts
+    when ``events`` is read.
     """
 
-    needs_clock = True
-
     def __init__(self, max_events: int = 1_000_000) -> None:
-        self.events: List[dict] = []
         self.dropped = 0
         self.max_events = max_events
         self.index_name = ""
         self.workload_name = ""
-        self._last_ns = 0.0
+        self._events: List[dict] = []
+        #: Recorded, in order, and not built yet: event dicts, and
+        #: ``(seq, start_ns, rows, clocks)`` of a block's spans; and how
+        #: many events they hold.
+        self._pending: List[object] = []
+        self._unbuilt = 0
 
     # -- observer hooks -----------------------------------------------------
 
     def on_phase(self, phase, index, workload) -> None:
         self.index_name = index.name
         self.workload_name = workload.name
-        now = index.meter.total_time()
-        if phase == "measure":
-            self._last_ns = now
         self._emit({
-            "kind": EVENT_PHASE, "name": phase, "ts_ns": now,
+            "kind": EVENT_PHASE, "name": phase,
+            "ts_ns": index.meter.total_time(),
         })
 
-    def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
-        now = event.t_ns
-        start = self._last_ns
-        self._last_ns = now
-        if len(self.events) >= self.max_events:
-            self.dropped += 1
-            return
-        op = event.op
-        rec = {
-            "kind": EVENT_SPAN,
-            "name": op.op,
-            "ts_ns": start,
-            "dur_ns": now - start,
-            "seq": event.seq,
-            "key": op.key,
-            "ok": event.ok,
-        }
-        if event.scanned:
-            rec["scanned"] = event.scanned
-        r = event.record
-        if r is not None and (r.keys_shifted or r.nodes_created or r.smo):
-            rec["keys_shifted"] = r.keys_shifted
-            rec["nodes_created"] = r.nodes_created
-        self.events.append(rec)
+    def on_block(self, block: OpBlock) -> None:
+        n = min(len(block),
+                self.max_events - len(self._events) - self._unbuilt)
+        self.dropped += len(block) - max(n, 0)
+        if n > 0:
+            self._unbuilt += n
+            self._pending.append((block.seq, block.start_ns,
+                                  block.rows[:n], block.clocks[:n]))
 
     def on_smo(self, event: OpEvent) -> None:
         r = event.record
@@ -131,10 +117,45 @@ class TraceRecorder(ExecutionObserver):
         })
 
     def _emit(self, rec: dict) -> None:
-        if len(self.events) >= self.max_events:
+        if len(self._events) + self._unbuilt >= self.max_events:
             self.dropped += 1
             return
-        self.events.append(rec)
+        self._unbuilt += 1
+        self._pending.append(rec)
+
+    @property
+    def events(self) -> List[dict]:
+        """Every recorded event, in order: the recorder's own list, so
+        clearing it frees the ``max_events`` budget (it cannot be
+        assigned)."""
+        out = self._events
+        for part in self._pending:
+            if isinstance(part, dict):
+                out.append(part)
+                continue
+            seq, start, rows, clocks = part
+            for (op, ok, scanned, r, _), now in zip(rows, clocks):
+                rec = {
+                    "kind": EVENT_SPAN,
+                    "name": op.op,
+                    "ts_ns": start,
+                    "dur_ns": now - start,
+                    "seq": seq,
+                    "key": op.key,
+                    "ok": ok,
+                }
+                if scanned:
+                    rec["scanned"] = scanned
+                if r is not None and (r.keys_shifted or r.nodes_created
+                                      or r.smo):
+                    rec["keys_shifted"] = r.keys_shifted
+                    rec["nodes_created"] = r.nodes_created
+                out.append(rec)
+                start = now
+                seq += 1
+        self._pending = []
+        self._unbuilt = 0
+        return out
 
     # -- export -------------------------------------------------------------
 
@@ -470,29 +491,26 @@ class MetricsCollector(ExecutionObserver):
 class CostProfiler(ExecutionObserver):
     """Attributes virtual time to (op kind x cost phase x cost kind).
 
-    The profiler keeps one snapshot of the index's meter; after every
-    operation :meth:`~repro.core.cost.CostMeter.fold_since` folds the
-    units that moved into the cells of the executing op kind and brings
-    the snapshot up to date in place.  Because every charge the meter sees lands
-    in exactly one cell, the profile's per-phase totals reconcile with
-    ``CostMeter.time_by_phase()`` to float precision.
+    Every block of the engine's ops adds the units its ops charged into
+    the cells of their op kinds (:meth:`~repro.core.runner.OpBlock.unit_sums`),
+    creating cells in the order ops first touched them.  Because every
+    charge the meter sees lands in exactly one cell, the profile's
+    per-phase totals reconcile with ``CostMeter.time_by_phase()`` to
+    float precision.
     """
 
     def __init__(self) -> None:
         #: (op_kind, phase, cost_kind) -> units
         self.cells: Dict[Tuple[str, str, str], float] = {}
         self.weights: Dict[str, float] = {}
-        self._meter = None
-        self._snap: Dict[Tuple[str, str], float] = {}
 
     def on_phase(self, phase, index, workload) -> None:
-        self._meter = index.meter
         self.weights = dict(index.meter.weights)
-        if phase == "measure":
-            self._snap = self._meter.snapshot()
 
-    def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
-        self._meter.fold_since(self._snap, self.cells, event.op.op)
+    def on_block(self, block: OpBlock) -> None:
+        cells = self.cells
+        for cell, units in block.unit_sums().items():
+            cells[cell] = cells.get(cell, 0.0) + units
 
     # -- aggregation --------------------------------------------------------
 

@@ -8,22 +8,20 @@ re-reads ``meter.total_time()`` (and the profiler ``diff``s and copies a
 snapshot) per op.  ``SLOTracker`` is verbatim from the parent of the
 change that moved window counting into ``repro.core.runner.WindowFold``:
 like the collector and the emitter here it counts ops, opens its first
-window at ``"measure"`` and flushes the last at ``"done"`` itself.
-``tests/test_telemetry.py`` and ``tests/test_events.py`` attach these
-and the live observers to the same ``ExecutionEngine.run`` and require
-equal artifacts; nothing else imports this module (the
-``tests/pla_reference.py`` precedent).
+window at ``"measure"`` and flushes the last at ``"done"`` itself.  Its
+one edit: it re-sums the clock from the meter per op, as it did before
+``OpEvent`` carried ``t_ns`` (the engine no longer reads the clock per
+op for anyone).  ``tests/test_telemetry.py``, ``tests/test_events.py``
+and ``tests/test_windows.py`` attach these and the live observers to
+the same ``ExecutionEngine.run`` and require equal artifacts; nothing
+else imports this module (the ``tests/pla_reference.py`` precedent).
 
-``RereadingSLOTracker`` and ``parity_case`` are the two additions: the
-tracker is that ``SLOTracker`` fed a clock it re-sums from the meter
-per op (what the tracker did itself before ``OpEvent`` carried
-``t_ns``), and ``parity_case`` builds the per-index stream both parity
-tests run.
+``parity_case`` is the one addition: it builds the per-index stream
+the parity tests run.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from statistics import median_high
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -460,8 +458,6 @@ class SLOTracker(ExecutionObserver):
     and every alert publishes an ``alert`` event.
     """
 
-    needs_clock = True
-
     def __init__(
         self,
         targets: Iterable[SLOTarget] = (),
@@ -517,7 +513,7 @@ class SLOTracker(ExecutionObserver):
         # Latency is the op's full virtual cost — the delta between
         # consecutive clock readings — regardless of engine sampling,
         # so SLO windows see every op, not the ~1% sampled subset.
-        now = event.t_ns
+        now = self._meter.total_time()
         kind = event.op.op
         samples = self._win_samples.get(kind)
         if samples is None:
@@ -651,15 +647,6 @@ class SLOTracker(ExecutionObserver):
             ],
         }
 
-
-
-class RereadingSLOTracker(SLOTracker):
-    """``SLOTracker`` on a clock re-summed from the meter after every op,
-    as the tracker read it before ``OpEvent`` carried ``t_ns``."""
-
-    def on_op(self, event: OpEvent, latency) -> None:
-        super().on_op(
-            dataclasses.replace(event, t_ns=self._meter.total_time()), latency)
 
 
 def parity_case(name: str) -> Tuple[Callable[[], Any], Workload]:

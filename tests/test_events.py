@@ -296,7 +296,7 @@ def test_bus_and_slo_match_reference_on_the_same_run(name, block, monkeypatch):
     per op ride the same run as today's: equal events, equal windows."""
     factory, wl = reference.parity_case(name)
     ref_bus, bus = EventBus(), EventBus()
-    ref_slo = reference.RereadingSLOTracker(window_ops=64, bus=ref_bus)
+    ref_slo = reference.SLOTracker(window_ops=64, bus=ref_bus)
     slo = SLOTracker(window_ops=64, bus=bus)
     engine = ExecutionEngine(  # emitter before tracker, on both buses
         observers=[reference.EngineBusEmitter(ref_bus, window_ops=64),

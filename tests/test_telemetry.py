@@ -445,6 +445,35 @@ def test_trace_cap_counts_drops_without_building_records():
     ExecutionEngine(observers=[ref, new]).run(factory(), wl)
     assert new.events == ref.events and len(new.events) == 50
     assert new.dropped == ref.dropped > 0
+    # Clearing the list frees the budget for the next run.
+    ref.events.clear()
+    new.events.clear()
+    ExecutionEngine(observers=[ref, new]).run(factory(), wl)
+    assert new.events == ref.events and len(new.events) == 50
+    assert new.dropped == ref.dropped
+
+
+def test_a_run_that_raises_hands_over_the_ops_it_recorded():
+    """An oracle raising at an op ends the run; every op up to and
+    including that one still reaches the block recorders, which end as
+    the per-op reference observers that ran before the oracle do."""
+    fail_at = 500
+
+    class Oracle(ExecutionObserver):
+        def on_op(self, event, latency):
+            if event.seq == fail_at:
+                raise AssertionError("diverged")
+
+    factory, wl = reference.parity_case("ALEX")
+    ref_trace, ref_prof = reference.TraceRecorder(), reference.CostProfiler()
+    tel = Telemetry.full(window_ops=64)
+    engine = ExecutionEngine(observers=[ref_trace, ref_prof, Oracle()],
+                             telemetry=tel)
+    with pytest.raises(AssertionError, match="diverged"):
+        engine.run(factory(), wl)
+    assert [s["seq"] for s in tel.trace.spans()] == list(range(fail_at + 1))
+    assert json.dumps(tel.trace.events) == json.dumps(ref_trace.events)
+    assert list(tel.profiler.cells.items()) == list(ref_prof.cells.items())
 
 
 def test_observer_added_mid_run_joins_the_next_run():
@@ -470,8 +499,8 @@ def test_observer_added_mid_run_joins_the_next_run():
 
 def test_only_implemented_hooks_are_dispatched():
     """Duck-typed observers count; inherited no-ops and missing hooks
-    are skipped, and ``t_ns`` is carried only when someone declares
-    ``needs_clock``."""
+    are skipped.  ``on_op`` sees ``t_ns`` on sampled ops only; every
+    op's clock comes in ``on_block``."""
     seen = []
 
     class OpsOnly:  # no on_smo at all: an SMO must not trip on it
@@ -486,11 +515,16 @@ def test_only_implemented_hooks_are_dispatched():
     assert len(seen) == wl.n_ops
     assert seen[0] is not None and set(seen[1:]) == {None}
 
-    class Clocked(OpsOnly):
-        needs_clock = True
+    class BlocksOnly:  # no on_op: the engine records the run instead
+        def on_phase(self, phase, index, workload):
+            pass
+
+        def on_block(self, block):
+            seen.extend(block.clocks)
 
     seen.clear()
     index = ALEX()
-    result = execute(index, wl, observers=[Clocked()])
+    result = execute(index, wl, observers=[BlocksOnly()])
+    assert len(seen) == wl.n_ops
     assert seen == sorted(seen) and seen[-1] == index.meter.total_time()
     assert result.virtual_ns == seen[-1]

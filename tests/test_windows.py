@@ -243,6 +243,24 @@ def test_full_stack_matches_reference_on_the_same_run(
             == result_fingerprint(result_record(bare)))
 
 
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_untimed_windows_alone_match_reference(name):
+    """A collector and a bus emitter alone, on two window sizes whose
+    closes interleave, still cut the reference's windows."""
+    factory, wl = reference.parity_case(name)
+    ref_bus, bus = EventBus(), EventBus()
+    ref_metrics, metrics = (reference.MetricsCollector(window_ops=64),
+                            MetricsCollector(window_ops=64))
+    engine = ExecutionEngine(observers=[
+        ref_metrics, reference.EngineBusEmitter(ref_bus, window_ops=100),
+        metrics, EngineBusEmitter(bus, window_ops=100)])
+    engine.run(factory(), wl)
+    assert json.dumps(bus.events()) == json.dumps(ref_bus.events())
+    assert json.dumps(metrics.series) == json.dumps(ref_metrics.series)
+    assert (json.dumps(metrics.registry.snapshot(), sort_keys=True)
+            == json.dumps(ref_metrics.registry.snapshot(), sort_keys=True))
+
+
 def test_registry_snapshot_lists_names_sorted():
     metrics = MetricsCollector(window_ops=64)
     execute(BPlusTree(), mixed_workload(KEYS, 0.5, n_ops=500, seed=2),
