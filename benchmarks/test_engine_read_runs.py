@@ -42,11 +42,13 @@ _KEYS = 100_000
 _OPS = 8_000
 _REPS = 3
 #: A cell below 1.0 pays for batching more than it gets back.  Read
-#: 2.2x (B+tree/osm) to 4.0x (LIPP/covid) on the reference box.
+#: 2.5x (LIPP/osm) to 4.7x (PGM/osm) on the reference box.
 _MIN_CELL_RATIO = 1.0
-#: Read 2.7-2.85x on the reference box over five sets, less 25%
-#: headroom; 1.0 would mean the batch lookups no longer reach the engine.
-_MIN_PANEL_RATIO = 2.0
+#: Read 3.3-3.6x on the reference box over five sets, less 25%
+#: headroom (the kernels before probe counts came off the table read
+#: 2.8-3.05x); 1.0 would mean the batch lookups no longer reach the
+#: engine.
+_MIN_PANEL_RATIO = 2.5
 #: One write per 500 lookups.  Read 1.3-1.5x on the reference box
 #: (few runs reach a half-full first block; those that do are free).
 _WRITE_FRACTION = 0.002

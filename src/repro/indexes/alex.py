@@ -519,13 +519,15 @@ class ALEX(OrderedIndex):
         return value
 
     def _lookup_batch(self, keys: Sequence[Key]):
-        """Batch lookup on the live lists, no state kept between calls:
-        the root's model is evaluated once for the whole batch, each key
-        then walks to its leaf and takes its rank there by C ``bisect``
-        (the gapped array stays sorted by its gap copies), and one
-        replay of the exponential search over every key's ``(leaf
-        model, capacity, rank)`` counts the probes (``keys[x] >= key``
-        is ``x >= rank``).  Bails under duplicate modes.
+        """Batch lookup on the live lists, no state kept between calls.
+        The keys still at an inner node step down together, a level at
+        a time: one model evaluation per key on its node's model, read
+        from the arrays of the level's distinct nodes.  Each key then
+        takes its rank in its leaf by C ``bisect`` (the gapped array
+        stays sorted by its gap copies), and one replay of the
+        exponential search over every key's ``(leaf model, capacity,
+        rank)`` counts the probes (``keys[x] >= key`` is ``x >=
+        rank``).  Bails under duplicate modes.
         """
         if self.duplicate_mode is not None:
             return None
@@ -534,27 +536,52 @@ class ALEX(OrderedIndex):
             return None
         np = batching._np
         B = len(ks)
+        # One level per pass: ``down`` holds the keys still descending,
+        # ``reached`` the nodes they are at (one per distinct parent
+        # slot, so a node two slots lead to is there twice), ``pair_of``
+        # each key's row there.  A key at a leaf gets a row in
+        # ``leaves``, which repeats such a leaf likewise.
+        reached, down = [self._root], np.arange(B)
+        pair_of = np.zeros(B, dtype=np.int64)
+        leaves: List[_DataNode] = []
+        leaf_of = np.zeros(B, dtype=np.int64)
+        depth = np.zeros(B, dtype=np.int64)
+        while True:
+            inner = np.fromiter(map(isinstance, reached, repeat(_InnerNode)),
+                                dtype=bool, count=len(reached))
+            leaf = ~inner
+            done = leaf[pair_of]
+            leaf_of[down[done]] = (len(leaves)
+                                   + (np.cumsum(leaf) - 1)[pair_of[done]])
+            leaves += compress(reached, leaf)
+            stays = ~done
+            down = down[stays]
+            if not down.size:
+                break
+            level = list(compress(reached, inner))
+            which = (np.cumsum(inner) - 1)[pair_of[stays]]
+            models = batching.model_arrays([node.model for node in level])
+            if models is None:
+                return None
+            fans = np.asarray([len(node.children) for node in level])
+            slots = batching.clamp_slots(
+                batching.predict_vec(*(m[which] for m in models), ks[down]),
+                fans[which])
+            depth[down] += 1
+            # Each distinct (node, slot) pair's child, looked up once.
+            width = int(fans.max())
+            pairs, pair_of = np.unique(which * width + slots,
+                                       return_inverse=True)
+            reached = [level[p // width].children[p % width]
+                       for p in pairs.tolist()]
+        at = list(map(leaves.__getitem__, leaf_of.tolist()))  # each key's leaf
+        kl = ks.tolist()
+        rank = list(map(bisect_left, [node.keys for node in at], kl))
         values: List[Optional[Value]] = [None] * B
         found = [False] * B
-        root = self._root
-        if isinstance(root, _InnerNode):
-            below = 1
-            tops = map(root.children.__getitem__, batching.predict_clamped_vec(
-                root.model, ks, len(root.children)).tolist())
-        else:
-            below = 0
-            tops = repeat(root)
-        depth, rank, leaf_of = [below] * B, [0] * B, [0] * B
-        leaves: Dict[_DataNode, int] = {}
-        for i, (key, node) in enumerate(zip(ks.tolist(), tops)):
-            while isinstance(node, _InnerNode):
-                children = node.children
-                node = children[node.model.predict_clamped(key, len(children))]
-                depth[i] += 1
-            leaf_of[i] = leaves.setdefault(node, len(leaves))
-            node_keys = node.keys
-            rank[i] = pos = bisect_left(node_keys, key)
+        for i, node, pos, key in zip(range(B), at, rank, kl):
             # ``_occupied_at``: past the gap copies of ``key``, if any.
+            node_keys = node.keys
             cap = len(node_keys)
             while pos < cap and node_keys[pos] == key:
                 if node.present[pos]:
@@ -565,19 +592,12 @@ class ALEX(OrderedIndex):
         models = batching.model_arrays([leaf.model for leaf in leaves])
         if models is None:
             return None
-        leaf_of = np.asarray(leaf_of, dtype=np.int64)
-        slopes, inters, anchors = (m[leaf_of] for m in models)
-        caps = np.asarray([leaf.capacity for leaf in leaves])[leaf_of]
-        pred = batching.predict_vec(slopes, inters, anchors, ks)
-        # Same clamp-preserving pre-clip as predict_clamped_vec,
-        # bounded by the largest capacity in the batch.
-        cmax = float(int(caps.max()) + 2)
-        hint = np.clip(np.clip(pred, -cmax, cmax).astype(np.int64),
-                       0, np.maximum(caps - 1, 0))
+        caps = np.asarray([len(leaf.keys) for leaf in leaves])[leaf_of]
+        hint = batching.clamp_slots(batching.predict_vec(
+            *(m[leaf_of] for m in models), ks), caps)
         probes, lo = batching.simulate_exponential(
             hint, np.asarray(rank, dtype=np.int64), caps)
         cp = batching.local_search_lines(lo - hint)
-        depth = np.asarray(depth, dtype=np.int64)
         log = batching.ChargeLog(B)
         log.add(PHASE_TRAVERSE, NODE_HOP, depth + 1)
         log.add(PHASE_TRAVERSE, MODEL_EVAL, depth, reached=depth > 0)

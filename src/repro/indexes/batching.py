@@ -14,9 +14,9 @@ observable).  Three ideas make that tractable:
   cached array, or from C ``bisect`` on the live list of a node that
   writes change in place (B+tree, ALEX; LIPP reads one slot), which
   therefore keep no copy to go stale.  So the probe counts of a whole
-  batch can be replayed with masked integer arithmetic — no key arrays
-  touched — and come out *exactly* equal to what the scalar loop would
-  count.
+  batch can be read off the scalar path's own ``binary_steps`` table by
+  (window width, rank) — no key arrays touched — and come out *exactly*
+  equal to what the scalar loop would count.
 * **Charge logs.**  Fast paths record per-op unit counts per charge
   *site* (one scalar ``meter.charge`` statement, in the order the
   scalar path reaches them).  :meth:`ChargeLog.range_charges` sums them
@@ -44,6 +44,8 @@ from itertools import islice
 from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as _np
+
+from repro.indexes.linear_model import _STEP_ROW_MAX, _STEP_ROWS, _step_row
 
 #: Batches below this size skip the vectorized path: the numpy call
 #: overhead outweighs the win.  Tests shrink it to force coverage.
@@ -159,6 +161,15 @@ def predict_clamped_vec(model, ks, n: int):
     return _np.clip(p, 0, n - 1, out=p)
 
 
+def clamp_slots(pred, n):
+    """``predict_clamped_vec``'s clamp with ``n`` per key: the float
+    predictions ``pred`` (clipped in place) into ``[0, n - 1]``, ``0``
+    where ``n <= 0``."""
+    c = float(int(n.max()) + 2)
+    p = _np.clip(pred, -c, c, out=pred).astype(_np.int64)
+    return _np.clip(p, 0, _np.maximum(n - 1, 0), out=p)
+
+
 def window_bounds(slope, intercept, anchor, ks, eps: int, length):
     """The scalar paths' last-mile window ``[lo, hi)`` around a model
     prediction: ``hi = max(min(pred+eps+2, n), 0)``,
@@ -177,18 +188,49 @@ def window_bounds(slope, intercept, anchor, ks, eps: int, length):
     return lo, hi
 
 
+def _step_table():
+    """``binary_steps``'s table rows as one uint8 array: ``[width,
+    rank]`` for every window up to ``_STEP_ROW_MAX`` wide (zeros past
+    ``rank == width``)."""
+    size = _STEP_ROW_MAX + 1
+    table = _np.zeros((size, size), dtype=_np.uint8)
+    for width in range(size):
+        row = _STEP_ROWS[width] or _step_row(width)
+        table[width, :width + 1] = _np.frombuffer(row, dtype=_np.uint8)
+    return table
+
+
+_STEPS = _step_table()
+
+
 def simulate_binary(lo, hi, r):
     """Probe count of the scalar lower-bound loop over ``[lo, hi)``.
 
     The loop compares ``keys[mid] < key``; with ``r`` the key's rank
     (``np.searchsorted(..., 'left')`` for ``<`` conditions,
     ``'right'`` for ``<=`` conditions) that is exactly ``mid < r``, so
-    the whole control flow replays in ~log2(window) masked steps.
-    Returns the per-key probe counts; the final ``lo`` is
-    ``clip(r, lo, hi)``.
+    the probes depend only on the window's width and the rank inside it
+    — a rank below the window probes like 0, one above it like the full
+    width — and are read off the rows ``binary_steps`` reads.  Only
+    windows wider than its last row replay the loop, in ~log2(window)
+    masked steps.  Returns the per-key probe counts as int64; the final
+    ``lo`` is ``clip(r, lo, hi)``.
     """
-    lo = lo.copy()
-    hi = hi.copy()
+    width = hi - lo
+    rank = _np.clip(r - lo, 0, width)
+    # ``_STEPS[width, rank]`` by flat index; a wider window's index is
+    # past the table's end, clipped there, and its count replaced below.
+    probes = _STEPS.take(width * (_STEP_ROW_MAX + 1) + rank,
+                         mode="clip").astype(_np.int64)
+    wide = _np.flatnonzero(width > _STEP_ROW_MAX)
+    if wide.size:
+        probes[wide] = _binary_loop(width[wide], rank[wide])
+    return probes
+
+
+def _binary_loop(hi, r):
+    """The lower-bound loop over ``[0, hi)`` replayed in masked steps."""
+    lo = _np.zeros_like(hi)
     probes = _np.zeros(lo.shape, dtype=_np.int64)
     active = lo < hi
     while active.any():

@@ -327,22 +327,21 @@ class PGMIndex(OrderedIndex):
         B = len(ks)
         values: List[Optional[Value]] = [None] * B
         found = [False] * B
-        nt = [0] * B
+
+        def take(at: List[int], hits) -> None:
+            for i, v in zip(at, hits):
+                if v is not _TOMBSTONE:
+                    found[i] = True
+                    values[i] = v
+
         buffer_miss = np.ones(B, dtype=bool)
-        active = np.ones(B, dtype=bool)
         if self._buffer:
             buf = self._buffer
-            for i, key in enumerate(keys):
-                if key in buf:
-                    v = buf[key]
-                    buffer_miss[i] = False
-                    active[i] = False
-                    nt[i] = 1
-                    if v is not _TOMBSTONE:
-                        found[i] = True
-                        values[i] = v
-        me = np.zeros(B, dtype=np.int64)
-        nh = np.zeros(B, dtype=np.int64)
+            at = [i for i, key in enumerate(keys) if key in buf]
+            buffer_miss[at] = False
+            take(at, [buf[keys[i]] for i in at])
+        active = buffer_miss.copy()
+        walked = np.zeros(B, dtype=np.int64)  # levels: MODEL_EVAL, NODE_HOP
         kc = np.zeros(B, dtype=np.int64)
         cp = np.zeros(B, dtype=np.int64)
         probed = np.zeros(B, dtype=np.int64)
@@ -357,10 +356,10 @@ class PGMIndex(OrderedIndex):
             keys_np, levels = cache
             idxs = np.flatnonzero(active)
             ksub = ks[idxs]
-            probed[idxs] += 1
             eps = run.epsilon
             n_run = len(run.keys)
             seg_idx = np.zeros(len(idxs), dtype=np.int64)
+            run_kc = run_cp = 0
             for depth in range(len(levels) - 1, 0, -1):
                 (slopes, intercepts, anchors), lower_first = levels[depth]
                 sel = np.minimum(seg_idx, len(slopes) - 1)
@@ -369,10 +368,8 @@ class PGMIndex(OrderedIndex):
                     eps, len(lower_first))
                 ub = np.searchsorted(lower_first, ksub, side="right")
                 steps = batching.simulate_binary(lo, hi, ub)
-                me[idxs] += 1
-                nh[idxs] += 1
-                kc[idxs] += steps
-                cp[idxs] += batching.cache_probe_units(steps)
+                run_kc = run_kc + steps
+                run_cp = run_cp + batching.cache_probe_units(steps)
                 seg_idx = np.maximum(np.clip(ub, lo, hi) - 1, 0)
             (slopes, intercepts, anchors), _ = levels[0]
             lo, hi = batching.window_bounds(
@@ -380,30 +377,24 @@ class PGMIndex(OrderedIndex):
                 ksub, eps, n_run)
             r = np.searchsorted(keys_np, ksub, side="left")
             steps = batching.simulate_binary(lo, hi, r)
-            me[idxs] += 1
-            nh[idxs] += 1
-            kc[idxs] += steps
-            cp[idxs] += batching.cache_probe_units(steps)
+            probed[idxs] += 1
+            walked[idxs] += len(levels)
+            kc[idxs] += run_kc + steps
+            cp[idxs] += run_cp + batching.cache_probe_units(steps)
             final = np.clip(r, lo, hi)
             hit = (final < n_run) & (
                 keys_np[np.minimum(final, n_run - 1)] == ksub)
-            run_values = run.values
-            for j in np.flatnonzero(hit):
-                gi = int(idxs[j])
-                v = run_values[int(final[j])]
-                nt[gi] = int(probed[gi])
-                if v is not _TOMBSTONE:
-                    found[gi] = True
-                    values[gi] = v
-                active[gi] = False
-        for gi in np.flatnonzero(active):
-            nt[int(gi)] = int(probed[int(gi)])
+            at = idxs[hit]
+            active[at] = False
+            take(at.tolist(), map(run.values.__getitem__, final[hit].tolist()))
+        # A key stops counting runs where it hits; a buffer hit walked one.
+        nt = np.where(buffer_miss, probed, 1).tolist()
         log = batching.ChargeLog(B)
         traversed = probed > 0
         log.add(PHASE_SEARCH, KEY_COMPARE, np.ones(B, dtype=np.int64),
                 reached=buffer_miss)
-        log.add(PHASE_TRAVERSE, MODEL_EVAL, me, reached=traversed)
-        log.add(PHASE_TRAVERSE, NODE_HOP, nh, reached=traversed)
+        log.add(PHASE_TRAVERSE, MODEL_EVAL, walked, reached=traversed)
+        log.add(PHASE_TRAVERSE, NODE_HOP, walked, reached=traversed)
         log.add(PHASE_TRAVERSE, KEY_COMPARE, kc, reached=traversed)
         log.add(PHASE_TRAVERSE, CACHE_PROBE, cp, reached=cp > 0)
 

@@ -182,9 +182,9 @@ class RMI(OrderedIndex):
         log.add(PHASE_SEARCH, KEY_COMPARE, probes + spill)
         log.add(PHASE_SEARCH, CACHE_PROBE, cp, reached=cp > 0)
         values = [None] * B
-        vals = self._values
-        for i in np.flatnonzero(found):
-            values[i] = vals[r[i]]
+        for i, v in zip(np.flatnonzero(found).tolist(),
+                        map(self._values.__getitem__, r[found].tolist())):
+            values[i] = v
         found_list = found.tolist()
 
         def make_record(i: int) -> OpRecord:

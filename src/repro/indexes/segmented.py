@@ -423,8 +423,9 @@ class SegmentedIndex(OrderedIndex):
                 side.cat[np.minimum(side.offsets[ui] + r,
                                     len(side.cat) - 1)] == ks)
             units = self._units
-            for j in np.flatnonzero(hit):
-                values[j] = units[int(ui[j])].side_values[int(r[j])]
+            for j, u, p in zip(np.flatnonzero(hit).tolist(),
+                               ui[hit].tolist(), r[hit].tolist()):
+                values[j] = units[u].side_values[p]
         return np.where(miss, side.bl[ui], 0), hit
 
     def _lookup_batch(self, keys: Sequence[Key]):
@@ -459,8 +460,9 @@ class SegmentedIndex(OrderedIndex):
         miss = ~in_main
         values: List[Optional[Value]] = [None] * B
         units = self._units
-        for j in np.flatnonzero(in_main):
-            values[j] = units[int(ui[j])].values[int(i[j])]
+        for j, u, p in zip(np.flatnonzero(in_main).tolist(),
+                           ui[in_main].tolist(), i[in_main].tolist()):
+            values[j] = units[u].values[p]
         side_kc, in_side = self._batch_side(t, ks, ui, i, miss, values)
         self._batch_search_sites(log, pick_kc + probes + side_kc,
                                  batching.cache_probe_units(probes))

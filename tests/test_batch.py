@@ -38,6 +38,7 @@ from repro.core.workloads import (
     Workload,
     mixed_workload,
 )
+from repro.datasets import registry as datasets
 from repro.indexes import alex, batching, lipp
 from repro.indexes.btree import BPlusTree
 from repro.indexes.multiplex import BACKFILL, MultiplexIndex
@@ -443,22 +444,71 @@ def _every_node(name, index):
             for k in sorted({group[0], group[len(group) // 2], group[-1]})]
 
 
-def _misses(name, index):
-    held = {k for group in _alex_leaf_keys(index) for k in group} \
+def _held(name, index):
+    return {k for group in _alex_leaf_keys(index) for k in group} \
         if name == "ALEX" else {k for k, _ in index._iter_subtree(index._root)}
+
+
+def _misses(name, index):
+    held = _held(name, index)
     picked = random.Random(53).sample(sorted(held), 300)
     return [q for k in picked for q in (k - 1, k + 1) if q not in held]
 
 
-#: shape -> (the batch, given a loaded index; whether every second key
-#: of the batch is deleted first).  Deleting leaves an ALEX slot a gap
-#: copy of its right neighbour, which a lookup of that neighbour then
-#: lands on and walks past, and a LIPP slot empty or its node collapsed.
+def _deep_items():
+    """The osm stand-in at 5,000 keys: ALEX keys end 1 to 8 inner nodes
+    down, LIPP keys in nodes 0 to 4 below the root."""
+    return [(k, k * 3) for k in datasets.get("osm").generate(5000, seed=1)]
+
+
+def _keys_by_depth(name, index):
+    """Held keys by the depth they end at: the inner nodes above an
+    ALEX key's leaf, the nodes above the LIPP node holding a key."""
+    out = {}
+    if name == "ALEX":
+        for k in sorted(_held(name, index)):
+            node, depth = index._root, 0
+            while isinstance(node, alex._InnerNode):
+                node, depth = node.children[node.child_slot(k)], depth + 1
+            out.setdefault(depth, []).append(k)
+        return out
+    stack = [(index._root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        for k, v, tag in zip(node.keys, node.values, node.tags):
+            if tag == lipp._DATA:
+                out.setdefault(depth, []).append(k)
+            elif tag == lipp._CHILD:
+                stack.append((v, depth + 1))
+    return out
+
+
+def _every_depth(name, index):
+    """Per depth six held keys, the last swapped for a miss beside it:
+    every second one (a held key at each depth) is the deleted half."""
+    by_depth = _keys_by_depth(name, index)
+    assert len(by_depth) >= 5, (name, sorted(by_depth))
+    held = _held(name, index)
+    qs = []
+    for depth, keys in sorted(by_depth.items()):
+        picked = random.Random(depth).sample(sorted(keys), 6)
+        assert picked[-1] + 1 not in held
+        qs += picked[:-1] + [picked[-1] + 1]
+    return qs
+
+
+#: shape -> (the loaded items; the batch, given a loaded index; whether
+#: every second key of the batch is deleted first).  Deleting leaves an
+#: ALEX slot a gap copy of its right neighbour, which a lookup of that
+#: neighbour then lands on and walks past, and a LIPP slot empty or its
+#: node collapsed.  ``deep`` asks one batch for keys ending at every
+#: depth, so ALEX's descent steps keys down on many levels at once.
 _SHAPES = {
-    "one-node": (_one_node, False),
-    "every-node": (_every_node, False),
-    "all-misses": (_misses, False),
-    "deleted": (_one_node, True),
+    "one-node": (_clustered_items, _one_node, False),
+    "every-node": (_clustered_items, _every_node, False),
+    "all-misses": (_clustered_items, _misses, False),
+    "deleted": (_clustered_items, _one_node, True),
+    "deep": (_deep_items, _every_depth, True),
 }
 
 
@@ -492,9 +542,9 @@ def _assert_run_equals_per_op(name, items, prefix, qs, label):
 @pytest.mark.parametrize("shape", _SHAPES)
 @pytest.mark.parametrize("name", ("ALEX", "LIPP"))
 def test_live_list_shapes(name, shape, monkeypatch):
-    pick, delete = _SHAPES[shape]
+    make_items, pick, delete = _SHAPES[shape]
     spec, a, b = _pair(name)
-    items = _clustered_items()
+    items = make_items()
     for index in (a, b):
         index.bulk_load(items)
     qs = pick(name, a)

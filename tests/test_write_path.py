@@ -110,6 +110,57 @@ def test_binary_steps_is_translation_free():
         assert binary_steps(hi - lo, rank - lo) == steps
 
 
+def _window_loop(lo, hi, r):
+    """The scalar lower-bound loop over ``[lo, hi)`` for a key of rank
+    ``r`` in the whole array, which may lie outside the window."""
+    steps = 0
+    while lo < hi:
+        steps += 1
+        mid = (lo + hi) // 2
+        if mid < r:
+            lo = mid + 1
+        else:
+            hi = mid
+    return steps
+
+
+def test_simulate_binary_table_edges():
+    """Windows anywhere in the array, ranks below ``lo`` and above
+    ``hi``, empty windows, and widths on both sides of the table's last
+    row in one array (table reads and the loop for the wide ones): the
+    count the loop makes, as int64 so sums of them never wrap."""
+    top = linear_model._STEP_ROW_MAX
+    rng = random.Random(29)
+    lo, hi, r = [], [], []
+    for _ in range(4000):
+        start = rng.randrange(10**6)
+        width = rng.choice((0, 0, 1, top, top + 1, rng.randrange(top + 1),
+                            rng.randrange(top + 1, 10**5)))
+        rank = rng.choice((start - rng.randrange(1, 10**6),
+                           start + width + rng.randrange(1, 10**3),
+                           start, start + width,
+                           start + rng.randrange(width + 1)))
+        lo.append(start)
+        hi.append(start + width)
+        r.append(rank)
+    widths = [b - a for a, b in zip(lo, hi)]
+    assert min(widths) == 0 and max(widths) > top
+    assert any(x < a for a, x in zip(lo, r))
+    assert any(x > b for b, x in zip(hi, r))
+    got = batching.simulate_binary(*(np.asarray(col, dtype=np.int64)
+                                     for col in (lo, hi, r)))
+    assert got.dtype == np.int64
+    assert got.tolist() == list(map(_window_loop, lo, hi, r))
+    # Only narrow windows, only wide ones, none at all.
+    for keep in ([w <= top for w in widths], [w > top for w in widths],
+                 [False] * len(widths)):
+        cols = [np.asarray([x for x, k in zip(col, keep) if k], dtype=np.int64)
+                for col in (lo, hi, r)]
+        got = batching.simulate_binary(*cols)
+        assert got.dtype == np.int64
+        assert got.tolist() == list(map(_window_loop, *map(list, cols)))
+
+
 @given(st.lists(st.integers(0, 2**64), max_size=700), st.integers(0, 2**64))
 @settings(max_examples=80, deadline=None)
 def test_binary_search_lower_matches_the_loop(keys, key):
