@@ -261,13 +261,15 @@ def _save_telemetry(args, telemetry) -> None:
               f"{len(storms)} SMO storm(s) detected)")
 
 
-def _execute_on_bus(factory, wl, bus, window: int, **options):
+def _execute_on_bus(factory, wl, bus, window: int, telemetry=None):
     """``execute`` on a bus-attached instance, its bus windows and an SLO
-    tracker's both ``window`` ops long; returns ``(result, tracker)``."""
+    tracker's both ``window`` ops long; returns ``(result, tracker)``.
+    Observer order: the tracker, the telemetry stack, the bus emitter."""
     slo = SLOTracker(bus=bus, window_ops=window)
     target = IndexInstance.wrap(factory()).attach_bus(bus)
-    return execute(target, wl, bus=bus, bus_window=window, observers=[slo],
-                   **options), slo
+    stack = telemetry.observers() if telemetry is not None else []
+    observers = [slo, *stack, bus.engine_observer(window_ops=window)]
+    return execute(target, wl, observers=observers), slo
 
 
 def cmd_run(args) -> int:

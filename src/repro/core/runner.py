@@ -7,9 +7,10 @@ sanity.  As in the paper, measurement starts *after* bulk loading, and
 latencies are sampled from ~1% of operations.
 
 Measurement is structured as an :class:`ExecutionEngine` applying each
-operation with :func:`~repro.core.workloads.apply_op`.  Latency
-sampling, Table-3 insert statistics and scan accounting are part of
-the per-op body; everything else is an :class:`ExecutionObserver` that
+operation with :func:`~repro.core.workloads.apply_op`, in one per-op
+body whether the run is recorded or not.  Latency sampling, Table-3
+insert statistics and scan accounting are part of that body;
+everything else is an :class:`ExecutionObserver` that
 downstream users (trace replay, diagnostics, future sharded/async
 runners) attach without touching the loop::
 
@@ -413,9 +414,6 @@ class WindowFold:
         if window.ops >= self.window_ops:
             self.flush(t_ns)
 
-    def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
-        self.add(event.op.op, event.ok, event.t_ns, latency)
-
     def add_block(self, block: OpBlock) -> None:
         """:meth:`add` for every op of ``block``, keyed by op kind: all
         but the last in bulk, the last by :meth:`add`.  The block must
@@ -505,7 +503,7 @@ class ExecutionEngine:
     vectorized ``_lookup_batch``, charged as totals between the sampled
     ops — same meter table, latency samples, op counts and ``last_op``
     as the loop.  With ``on_block`` or ``on_window`` observers attached
-    the engine records the run instead (:meth:`_recorder`).  Which path
+    the same per-op body (:meth:`_stepper`) records every op.  Which path
     runs follows from who is attached and how long the run already is;
     there is no option for it (``docs/performance.md``, "Lookup runs").
     """
@@ -516,16 +514,16 @@ class ExecutionEngine:
         observers: Sequence[ExecutionObserver] = (),
         telemetry: Optional["Telemetry"] = None,
         bus=None,
-        bus_window: int = 256,
     ) -> None:
         self.sample_every = sample_every
         self.observers: List[ExecutionObserver] = list(observers)
         if telemetry is not None:
             self.observers.extend(telemetry.observers())
         # ``bus`` is an EventBus (repro.core.events), duck-typed to
-        # keep this module import-cycle-free like ``telemetry``.
+        # keep this module import-cycle-free like ``telemetry``; other
+        # window sizes attach ``bus.engine_observer(window_ops=N)``.
         if bus is not None:
-            self.observers.append(bus.engine_observer(window_ops=bus_window))
+            self.observers.append(bus.engine_observer())
 
     def add_observer(self, observer: ExecutionObserver) -> ExecutionObserver:
         """Attach ``observer`` to every later run.  The hook lists are
@@ -561,91 +559,36 @@ class ExecutionEngine:
         tally: _Tally,
         on_op: List[Callable],
         on_smo: List[Callable],
-    ) -> Callable[[Operation, int], None]:
-        """One unrecorded run's per-op body, ``step(op, seq)``: apply the
-        op, read the clock around it when it is sampled, and feed
-        ``tally`` and the instance's counters in line.  An
-        :class:`OpEvent` is built only for someone to see — every op
-        when ``on_op`` hooks are attached, else only an op that ran an
-        SMO, for the ``on_smo`` hooks.
-        """
-        every = self.sample_every
-        total_time = index.meter.total_time
-        lookup_samples, write_samples = tally.lookup_samples, tally.write_samples
-        stats = tally.insert_stats
-        counts = instance.op_counts
-
-        def step(op: Operation, seq: int) -> None:
-            kind = op.op
-            sampled = seq % every == 0
-            if sampled:
-                before = total_time()
-            prev_record = index.last_op
-            ok, scanned, result = apply_op(index, op)
-            now = latency = None
-            if sampled:
-                now = total_time()
-                latency = now - before
-                if kind == LOOKUP:
-                    lookup_samples.append(latency)
-                elif kind in _WRITE_OPS:
-                    write_samples.append(latency)
-            # Indexes assign a *new* OpRecord whenever they record an op,
-            # so identity against the pre-op object detects staleness
-            # (update/scan paths that never wrote last_op).
-            record = index.last_op
-            if record is prev_record:
-                record = None
-            elif ok and kind == INSERT:
-                stats.record(record)
-            if scanned:
-                tally.scanned_entries += scanned
-            smo = (record is not None and record.smo
-                   and (kind == INSERT or kind == DELETE))
-            if on_op or smo:
-                # Positional: keyword construction of the dataclass is
-                # measurable engine self time.
-                event = OpEvent(seq, op, record, ok, scanned, result, now)
-                for hook in on_op:
-                    hook(event, latency)
-            counts[kind] = counts.get(kind, 0) + 1
-            if smo:
-                for hook in on_smo:
-                    hook(event)
-
-        return step
-
-    def _recorder(
-        self,
-        index: OrderedIndex,
-        instance: IndexInstance,
-        tally: _Tally,
-        on_op: List[Callable],
-        on_smo: List[Callable],
         on_block: List[Callable],
         window_sizes: Sequence[int],
         start_ns: float,
     ) -> Tuple[Callable[[Operation, int], None], Callable[[], None]]:
-        """One recorded run's per-op body, ``step(op, seq)``, for ops
-        taken in order, and ``flush()``, which hands over what is
-        recorded and not yet handed over (the stream's end, or a raise).
+        """The per-op body of every run, ``step(op, seq)``, for ops taken
+        in order, and ``flush()``, which hands over what is recorded and
+        not yet handed over (the stream's end, or a raise).
 
-        ``step`` is ``_stepper``'s, except that it records the op as a
-        row and the meter's counter values as a tuple, and reads no
-        clock unless the op is sampled.  At a block's end — the next
-        window close of a fold of size in ``window_sizes``, an op that
-        ran an SMO, ``RECORD_BLOCK`` ops, a ``flush`` — one numpy pass
-        turns the tuples into every op's clock: ``cumsum`` along a row
-        adds ``weight x units`` left to right in table order from the
-        first counter, the very sum ``CostMeter.total_time()`` makes.  A
-        meter whose ``total_time`` is not that sum (a cluster of parts)
-        has it read and its table copied per op instead.  The block goes
-        to the ``on_block`` hooks; the SMO, stamped with its op's clock,
-        to the ``on_smo`` hooks after them.
+        ``step`` applies the op, reads the clock around it when it is
+        sampled, and feeds ``tally`` and the instance's counters in line.
+        An :class:`OpEvent` is built only for someone to see — every op
+        when ``on_op`` hooks are attached, else only an op that ran an
+        SMO, for the ``on_smo`` hooks.  With ``on_block`` hooks the run is
+        recorded: each op adds a row and the meter's counter values as a
+        tuple, and no clock read.  At a block's end — the next window
+        close of a fold of size in ``window_sizes``, an op that ran an
+        SMO, ``RECORD_BLOCK`` ops, a ``flush`` — one numpy pass turns the
+        tuples into every op's clock: ``cumsum`` along a row adds
+        ``weight x units`` left to right in table order from the first
+        counter, the very sum ``CostMeter.total_time()`` makes.  A meter
+        whose ``total_time`` is not that sum (a cluster of parts) has it
+        read and its table copied per op instead.  The block goes to the
+        ``on_block`` hooks; the SMO, stamped with its op's clock, to the
+        ``on_smo`` hooks after them.  Unrecorded, an SMO carries the
+        sampled clock or ``None``, and ``flush`` has nothing to do.
         """
         every = self.sample_every
         meter = index.meter
         total_time = meter.total_time
+        recording = bool(on_block)
         positional = type(meter).total_time is CostMeter.total_time
         table = meter._counts if positional else None
         values = table.values if positional else None
@@ -657,7 +600,8 @@ class ExecutionEngine:
         snaps: List[Any] = []
         add_row, add_snap = rows.append, snaps.append
         #: The table before the block's first op, and that op's seq.
-        last = tuple(values()) if positional else snapshot()
+        last = ((tuple(values()) if positional else snapshot())
+                if recording else None)
         first = 0
 
         def next_cut(seq: int) -> int:
@@ -716,6 +660,9 @@ class ExecutionEngine:
                     lookup_samples.append(latency)
                 elif kind in _WRITE_OPS:
                     write_samples.append(latency)
+            # Indexes assign a *new* OpRecord whenever they record an op,
+            # so identity against the pre-op object detects staleness
+            # (update/scan paths that never wrote last_op).
             record = index.last_op
             if record is prev_record:
                 record = None
@@ -723,20 +670,24 @@ class ExecutionEngine:
                 stats.record(record)
             if scanned:
                 tally.scanned_entries += scanned
-            add_row((op, ok, scanned, record, latency))
-            add_snap(tuple(values()) if positional
-                     else (total_time(), snapshot()))
+            if recording:
+                add_row((op, ok, scanned, record, latency))
+                add_snap(tuple(values()) if positional
+                         else (total_time(), snapshot()))
             if on_op:
+                # Positional: keyword construction of the dataclass is
+                # measurable engine self time.
                 event = OpEvent(seq, op, record, ok, scanned, result, now)
                 for hook in on_op:
                     hook(event, latency)
             counts[kind] = counts.get(kind, 0) + 1
             if (record is not None and record.smo
                     and (kind == INSERT or kind == DELETE)):
-                event = OpEvent(seq, op, record, ok, scanned, result, close())
+                event = OpEvent(seq, op, record, ok, scanned, result,
+                                close() if recording else now)
                 for hook in on_smo:
                     hook(event)
-            elif seq == cut:
+            elif recording and seq == cut:
                 close()
 
         def flush() -> None:
@@ -853,24 +804,19 @@ class ExecutionEngine:
         on_smo = _implemented([*self.observers, *folds, instance], "on_smo")
         on_block = [*_implemented(self.observers, "on_block"),
                     *(fold.add_block for fold in folds)]
-        if on_block:
-            step, flush = self._recorder(
-                index, instance, tally, on_op, on_smo, on_block,
-                [fold.window_ops for fold in folds], start_ns)
-        else:
-            step = self._stepper(index, instance, tally, on_op, on_smo)
+        step, flush = self._stepper(
+            index, instance, tally, on_op, on_smo, on_block,
+            [fold.window_ops for fold in folds], start_ns)
         wall0 = time.perf_counter()
-        if on_block:
+        # The run is recorded, someone watches op by op, or the target is
+        # a wrapper with work of its own per op (a multiplexer pumps, a
+        # sharded tier routes).
+        if on_block or on_op or index.is_adapter:
             try:
                 for i, op in enumerate(workload.operations):
                     step(op, i)
             finally:
                 flush()
-        # Someone watches op by op, or the target is a wrapper with work
-        # of its own per op (a multiplexer pumps, a sharded tier routes).
-        elif index.is_adapter or on_op:
-            for i, op in enumerate(workload.operations):
-                step(op, i)
         else:
             # Count the lookups in a row, and hand a run that passes the
             # streak to ``_lookup_run``.
@@ -917,7 +863,7 @@ def execute(target, workload: Workload, **engine_options) -> RunResult:
 
     One-call wrapper over :class:`ExecutionEngine`: ``engine_options``
     are forwarded verbatim to the engine constructor (``sample_every``,
-    ``observers``, ``telemetry``, ``bus``, ``bus_window``), so there is
+    ``observers``, ``telemetry``, ``bus``), so there is
     exactly one place engine defaults live.  ``target`` is an
     index or an :class:`~repro.core.instance.IndexInstance`; with no
     options the :class:`RunResult` is byte-identical to previous

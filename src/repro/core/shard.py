@@ -904,7 +904,7 @@ class ShardRouter:
             # clock of whatever index serves the slot right now.
             event = OpEvent(self._seq, op, record, ok, scanned, result,
                             sharded.meter.total_time())
-            cluster.on_op(event, None)
+            cluster.add(op.op, ok, event.t_ns)
             fold = self._folds.get(inst.name)
             if fold is not None:
                 fold.add(op.op, ok, inst.index.meter.total_time())

@@ -1,12 +1,13 @@
 """Every op's block clock is the clock ``total_time()`` reads.
 
-An observed run reads no clock per op: the engine records the meter's
-counter values and recovers every op's ``total_time()`` once per block,
-in one numpy pass (``ExecutionEngine._recorder``).  These cases replay
-every registry index over the 15 charge-table streams, routed runs on a
-``ClusterMeter`` (whose clock the engine reads per op instead), and a
-PGM run whose first lookups hit the insert buffer and charge nothing,
-so an untouched table must read the integer ``0``.  Window sizes cut
+An observed run reads no clock per op: the engine's one per-op body
+(``ExecutionEngine._stepper``) records the meter's counter values, and
+every op's ``total_time()`` is recovered once per block, in one numpy
+pass.  These cases replay every registry index over the 15 charge-table
+streams, routed runs on a ``ClusterMeter`` (whose clock the engine
+reads per op instead), and a PGM run whose first lookups hit the
+insert buffer and charge nothing, so an untouched table must read the
+integer ``0``.  Window sizes cut
 blocks after every op, at two co-prime strides (tables grow inside a
 block), or only at SMOs and ``RECORD_BLOCK``.
 

@@ -150,7 +150,7 @@ def test_validate_rejects_malformed_streams():
 def test_engine_windows_cover_every_measured_op():
     bus = EventBus()
     wl = mixed_workload(KEYS, 0.0, n_ops=1000, seed=1)
-    execute(BPlusTree(), wl, bus=bus, bus_window=100)
+    execute(BPlusTree(), wl, observers=[bus.engine_observer(window_ops=100)])
     phases = [e["phase"] for e in bus.events(kind=KIND_PHASE)]
     assert phases == ["bulk_load", "measure", "done"]
     windows = bus.events(kind=KIND_OP_WINDOW)
@@ -168,7 +168,7 @@ def test_engine_windows_cover_every_measured_op():
 def test_partial_last_window_flushes_at_done():
     bus = EventBus()
     wl = mixed_workload(KEYS, 0.0, n_ops=250, seed=2)
-    execute(BPlusTree(), wl, bus=bus, bus_window=100)
+    execute(BPlusTree(), wl, observers=[bus.engine_observer(window_ops=100)])
     windows = bus.events(kind=KIND_OP_WINDOW)
     assert [w["ops"] for w in windows] == [100, 100, 50]
 
@@ -282,8 +282,8 @@ def test_fingerprint_parity_with_full_observability(name):
     tower = ControlTower()
     bus.subscribe(tower.consume)
     slo = SLOTracker(window_ops=64, bus=bus)
-    observed = execute(spec.factory(), wl, bus=bus, bus_window=64,
-                       observers=[slo])
+    observed = execute(spec.factory(), wl,
+                       observers=[slo, bus.engine_observer(window_ops=64)])
     assert result_fingerprint(result_record(observed)) == fp_bare
     assert len(bus) > 0 and bus.dropped == 0
     assert tower.rows  # the tower really saw the run

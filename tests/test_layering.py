@@ -6,8 +6,9 @@
 * ``cli.py`` is argument plumbing around one benchmark driver: exactly
   one call of ``_gate_history`` and one of ``provenance``.
 * DESIGN.md's package layout names every module there is.
-* One function cuts an op stream into windows (``WindowFold.add``) and
-  one module holds the median-baseline storm rule.
+* One function cuts an op stream into windows (``WindowFold.add``), one
+  per-op body applies the engine's ops (``ExecutionEngine._stepper``)
+  and one module holds the median-baseline storm rule.
 * One class lends an index a meter (``repro.indexes.base.lend``).
 * One class cuts a migration over (``MigrationDriver``), and the
   serving tier's constructors and job methods take the options a
@@ -104,6 +105,15 @@ def test_one_function_counts_ops_up_to_a_window():
     assert closers == ["core/runner.py:add"], closers
 
 
+def test_the_engine_has_one_per_op_body():
+    """Recorded and unrecorded runs share ``_stepper``'s ``step``: a
+    second ``apply_op`` call in the engine is a second body again."""
+    from repro.core.runner import ExecutionEngine
+    assert len(_calls("core/runner.py", "apply_op")) == 1, (
+        _calls("core/runner.py", "apply_op"))
+    assert not hasattr(ExecutionEngine, "_recorder")
+
+
 def test_one_module_holds_the_storm_rule():
     """Outside ``repro.bench`` (whose p99 medians are not a storm rule)
     only ``storm_threshold`` takes a ``median_high``."""
@@ -178,7 +188,7 @@ def test_only_the_migration_driver_cuts_over():
 #: ``tests/``.
 SIGNATURES = {
     "repro.core.runner:ExecutionEngine": (
-        "sample_every", "observers", "telemetry", "bus", "bus_window"),
+        "sample_every", "observers", "telemetry", "bus"),
     "repro.core.server:IndexServer": (
         "queue_depth", "admission", "workers", "bus", "chunk"),
     "repro.core.server:IndexServer.bulk_load": ("self", "name", "items"),

@@ -14,7 +14,7 @@ from repro.core.events import (
     KIND_SLO_WINDOW,
     EventBus,
 )
-from repro.core.runner import OpEvent, WindowFold, execute
+from repro.core.runner import WindowFold, execute
 from repro.core.slo import (
     ALERT_BURN_RATE,
     ALERT_SMO_STORM,
@@ -24,7 +24,7 @@ from repro.core.slo import (
     SLOTarget,
     SLOTracker,
 )
-from repro.core.workloads import LOOKUP, Operation, mixed_workload
+from repro.core.workloads import LOOKUP, mixed_workload
 from repro.indexes.alex import ALEX
 
 KEYS = sorted(random.Random(13).sample(range(1, 50_000_000), 3000))
@@ -60,12 +60,9 @@ def _drive(tracker, index, latencies, smo_at=()):
     fold.open(index.meter, tracker.on_window)
     for i, lat in enumerate(latencies):
         index.meter.now += lat
-        event = OpEvent(seq=i, op=Operation(LOOKUP, key=i), record=None,
-                        ok=True, scanned=0, result=None,
-                        t_ns=index.meter.now)
-        fold.on_op(event, None)
+        fold.add(LOOKUP, True, index.meter.now)
         if i in smo_at:
-            fold.on_smo(event)
+            fold.on_smo()
     fold.flush()
     tracker.on_phase("done", index, FakeWorkload())
 
@@ -302,7 +299,8 @@ def test_live_subscription_matches_post_hoc_fold():
     bus.subscribe(live.consume)
     tracker = SLOTracker(window_ops=64, bus=bus)
     wl = mixed_workload(KEYS, 0.3, n_ops=600, seed=2)
-    execute(ALEX(), wl, bus=bus, bus_window=64, observers=[tracker])
+    execute(ALEX(), wl,
+            observers=[tracker, bus.engine_observer(window_ops=64)])
     replay = ControlTower.from_records(bus.events())
     assert live.to_json() == replay.to_json()
     assert live.rows["ALEX"]["ops"] == 600

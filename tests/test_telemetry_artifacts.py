@@ -59,8 +59,7 @@ def artifacts(factory, workload):
     tel = Telemetry.full()
     tel.metrics = MetricsCollector(window_ops=64)
     # ``repro run --events`` attaches the tracker ahead of the stack.
-    engine = ExecutionEngine(observers=[slo], telemetry=tel, bus=bus,
-                             bus_window=256)
+    engine = ExecutionEngine(observers=[slo], telemetry=tel, bus=bus)
     engine.run(factory(), workload)
     return {
         "trace_events": tel.trace.events,

@@ -27,7 +27,6 @@ from repro.core.results import result_record
 from repro.core.runner import (
     ExecutionEngine,
     ExecutionObserver,
-    OpEvent,
     WindowFold,
     execute,
 )
@@ -38,7 +37,7 @@ from repro.core.telemetry import (
     MetricsCollector,
     TraceRecorder,
 )
-from repro.core.workloads import INSERT, LOOKUP, Operation, mixed_workload
+from repro.core.workloads import INSERT, LOOKUP, mixed_workload
 from repro.indexes.btree import BPlusTree
 from tests import observer_reference as reference
 from tests.test_shard import LyingBTree
@@ -58,10 +57,6 @@ class ReadCountingMeter(CostMeter):
         return super().total_time()
 
 
-def _event(seq, t_ns=None, ok=True, kind=LOOKUP):
-    return OpEvent(seq, Operation(kind, seq), None, ok, 0, None, t_ns)
-
-
 def _fold(window_ops, timed=False, sinks=1):
     meter = ReadCountingMeter()
     closed = [[] for _ in range(sinks)]
@@ -75,9 +70,9 @@ def test_an_smo_is_counted_after_the_op_that_ran_it():
     """Rule (i): count the op, close if full, then count its SMO."""
     fold, _, (closed,) = _fold(2)
     for seq in range(4):
-        fold.on_op(_event(seq), None)
+        fold.add(LOOKUP, True)
         if seq in (0, 1, 3):
-            fold.on_smo(_event(seq))
+            fold.on_smo()
     # Op 1 closed the first window before its SMO was counted, so that
     # SMO opened the second; op 3's closed the second window and lies
     # in no window at all.
@@ -89,11 +84,11 @@ def test_an_smo_is_counted_after_the_op_that_ran_it():
 def test_a_window_adds_up_what_its_ops_carried():
     fold, meter, (closed,) = _fold(3, timed=True)
     start = now = fold.window.start_ns
-    for seq, (kind, ok, cost, sampled) in enumerate([
+    for kind, ok, cost, sampled in [
             (LOOKUP, True, 5.0, None), (INSERT, False, 7.0, 7.0),
-            (LOOKUP, True, 11.0, None), (LOOKUP, True, 13.0, 13.0)]):
+            (LOOKUP, True, 11.0, None), (LOOKUP, True, 13.0, 13.0)]:
         now += cost
-        fold.on_op(_event(seq, now, ok, kind), sampled)
+        fold.add(kind, ok, now, sampled)
     (window,) = closed
     assert (window.ops, window.ok) == (3, 2)
     assert window.counts == {LOOKUP: 2, INSERT: 1}
@@ -109,8 +104,8 @@ def test_a_window_adds_up_what_its_ops_carried():
 def test_a_close_reads_the_meter_once_however_many_sinks():
     """Rule (iii)."""
     fold, meter, closed = _fold(2, sinks=3)
-    for seq in range(5):
-        fold.on_op(_event(seq), None)  # no carried clock
+    for _ in range(5):
+        fold.add(LOOKUP, True)  # no carried clock
     assert meter.clock_reads == 2
     fold.flush()  # the one-op tail
     assert meter.clock_reads == 3
