@@ -215,7 +215,7 @@ def run_serve_session(
         submit = (
             (lambda: server.rebuild(name))
             if not rebuild_to or resolve_index_name(rebuild_to) ==
-            server._served_of(name).index_name
+            server.status(name)["index"]
             else (lambda: server.migrate(name, rebuild_to)))
         job: Optional[Job] = None
         client_ns = 0.0
@@ -281,9 +281,10 @@ def run_serve_session(
 
         wall = time.perf_counter() - t0
         overhead_ns = job.overhead_ns if job is not None else 0.0
-        stats = server.status(name)["server"]
+        status = server.status(name)
+        stats = status["server"]
         return ServeReport(
-            index_name=server._served_of(name).index_name,
+            index_name=status["index"],
             mode="threaded" if threaded else "deterministic",
             n_clients=len(client_ops), ops_total=total,
             op_counts=dict(instance.op_counts),

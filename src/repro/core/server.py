@@ -34,9 +34,10 @@ loads, rebuilds and migrations run as background jobs:
   folded by ``repro top --server``; :meth:`IndexServer.status` returns
   the merged snapshot.
 * **Correctness is provable**: every admitted foreground op is
-  appended to a global **journal** *while its instance lock is held*,
-  so journal order is a valid serialization of the concurrent history.
-  :func:`replay_journal` re-runs the journal serially through the PR-5
+  appended to its instance's own **journal** *while the instance lock
+  is held*, so each journal's order is a valid serialization of that
+  instance's concurrent history (instances share no log and no lock).
+  :func:`replay_journal` re-runs a journal serially through the PR-5
   differential oracle — a concurrent run is linearizable-per-key iff
   the serial replay matches every recorded result bit-for-bit
   (``tests/server_harness.py`` proves this across every shardable
@@ -51,6 +52,7 @@ all structural mutation happens under the exclusive lock.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import queue
 import threading
@@ -223,10 +225,11 @@ class RWLock:
 class JournalEntry:
     """One admitted foreground op, recorded under the instance lock.
 
-    The server records a scalar op as a plain tuple of these fields but
-    ``seq``, in this order, and :meth:`IndexServer.journal` replaces it
-    with the entry when it is first read; ``seq`` is the op's place in
-    the journal."""
+    The server records a scalar op in its instance's journal as a plain
+    tuple of these fields but ``seq`` and ``instance``, in this order,
+    and :meth:`IndexServer.journal` replaces it with the entry when it
+    is first read; ``seq`` is the op's place in that instance's
+    journal."""
 
     # Slotted (spelled out, as ``dataclass(slots=True)`` needs Python
     # 3.10): ``journal()`` builds one per op it returns.
@@ -254,27 +257,26 @@ class JournalEntry:
 
 @dataclass
 class _JournalBatch:
-    """One ``lookup_many``/``insert_many`` call in the journal: the
+    """One ``lookup_many``/``insert_many`` call in a journal: the
     call's argument and result lists, which hold a contiguous ``seq``
     block of one per key.  :meth:`entries` expands it to the per-op
     :class:`JournalEntry` form on demand, so a batch costs one append
-    under the journal lock rather than one per key."""
+    under the instance's mutex rather than one per key."""
 
-    instance: str
     op: str          # LOOKUP or INSERT
     args: Sequence   # keys looked up, or (key, value) pairs inserted
     outs: Sequence   # values found, or per-pair insert success
 
-    def entries(self, seq: int) -> List[JournalEntry]:
-        """The call's ops, numbered from ``seq``."""
+    def entries(self, instance: str, seq: int) -> List[JournalEntry]:
+        """The call's ops on ``instance``, numbered from ``seq``."""
         if self.op == LOOKUP:
             rows = ((key, None, value is not None, value)
                     for key, value in zip(self.args, self.outs))
         else:
             rows = ((key, value, bool(ok), None)
                     for (key, value), ok in zip(self.args, self.outs))
-        return [JournalEntry(seq, self.instance, self.op, key, value, 0, ok,
-                             0, result)
+        return [JournalEntry(seq, instance, self.op, key, value, 0, ok, 0,
+                             result)
                 for seq, (key, value, ok, result) in enumerate(rows, seq)]
 
 
@@ -327,27 +329,33 @@ class Job:
 
 @dataclass
 class _Served:
-    """Server-side bookkeeping around one hosted instance."""
+    """Server-side bookkeeping around one hosted instance.  ``mutex``
+    guards its journal, its counters and the instance's ``op_counts``
+    and ``rejected``, as several readers share ``lock`` at once."""
 
     instance: IndexInstance
     index_name: str
+    #: Builds an empty index configured as the serving one: what
+    #: ``create_instance`` built it with, then each cut-over job's.
+    factory: Callable[[], Any]
     lock: RWLock = field(default_factory=RWLock)
+    mutex: threading.Lock = field(default_factory=threading.Lock)
     bulk_items: List[Tuple[int, Any]] = field(default_factory=list)
-    #: Guards ``dropped``, ``stalled``, ``max_wait_s`` and the
-    #: instance's rejection counters; taken only off the fast path.
-    stats_lock: threading.Lock = field(default_factory=threading.Lock)
+    #: Per-op rows (:class:`JournalEntry`'s fields less ``seq`` and
+    #: ``instance``, as tuples until ``journal()`` reads them) and batch
+    #: records, in serialization order.
+    journal: List[Any] = field(default_factory=list)
     #: Ops refused (admission) or crashed, per op kind.
     dropped: Dict[str, int] = field(default_factory=dict)
     #: Ops whose lock wait exceeded the stall threshold, per op kind.
     stalled: Dict[str, int] = field(default_factory=dict)
     max_wait_s: float = 0.0
-    #: Foreground calls admitted, crashed ones included; advanced under
-    #: the server's journal lock.
+    #: Foreground calls admitted, crashed ones included.
     ops: int = 0
 
     def note_wait(self, kind: str, waited: float) -> None:
         """Record a lock wait the op really slept through."""
-        with self.stats_lock:
+        with self.mutex:
             if waited > self.max_wait_s:
                 self.max_wait_s = waited
             if waited > STALL_THRESHOLD_S:
@@ -355,16 +363,28 @@ class _Served:
 
     def refuse(self, kind: str) -> None:
         """Count and raise the refusal of an op the instance's state
-        does not admit.  Several readers can be refused at once, so the
-        count is taken under ``stats_lock``; the state itself cannot
-        change meanwhile, as every state change of a served instance
-        holds its write lock."""
-        with self.stats_lock:
+        does not admit (the state cannot change meanwhile: every state
+        change of a served instance holds its write lock)."""
+        with self.mutex:
             self.instance.admit(kind)
 
-    def note_drop(self, kind: str) -> None:
-        with self.stats_lock:
+    def journal_batch(self, op: str, args: list, outs: list) -> None:
+        """Journal one batch call as one record (``args`` is the
+        server's own copy; ``outs`` goes back to the caller)."""
+        counts = self.instance.op_counts
+        outs = tuple(outs)
+        with self.mutex:
+            counts[op] = counts.get(op, 0) + len(args)
+            self.ops += 1
+            self.journal.append(_JournalBatch(op, args, outs))
+
+    def note_drop(self, kind: str, exc: BaseException) -> None:
+        """Count a foreground call that raised: refused, or admitted
+        and crashed (then in ``ops`` too, as it was never journaled)."""
+        with self.mutex:
             self.dropped[kind] = self.dropped.get(kind, 0) + 1
+            if not isinstance(exc, AdmissionError):
+                self.ops += 1
 
 
 class _BulkLoadRunner:
@@ -434,7 +454,7 @@ class _RebuildRunner:
     divergence (:meth:`fail`)."""
 
     def __init__(self, server: "IndexServer", served: _Served,
-                 job: Job, factory: Optional[Callable[[], Any]]) -> None:
+                 job: Job, factory: Callable[[], Any]) -> None:
         self.server = server
         self.served = served
         self.job = job
@@ -469,8 +489,7 @@ class _RebuildRunner:
         if job.abort_requested:
             job.state = JOB_ABORTED
             return True
-        spec = REGISTRY.get(job.dst)  # canonical since _structure_job
-        secondary = self.factory() if self.factory else spec.factory()
+        secondary = self.factory()
         secondary.meter = SyncedMeter.adopt(secondary.meter)
         with _write(served.lock):
             primary = inst.index
@@ -502,6 +521,7 @@ class _RebuildRunner:
         inst = served.instance
         inst.index = mux.primary
         served.index_name = job.dst
+        served.factory = self.factory
         inst.advance(SERVING,
                      f"job {job.job_id}: {job.kind} -> {job.dst} cut over")
         self.server._publish(
@@ -581,12 +601,6 @@ class IndexServer:
         self._jobs: List[Job] = []
         self._job_ids = itertools.count(1)
         self._active: Optional[Job] = None
-        #: Per-op rows (tuples in :class:`JournalEntry` field order, less
-        #: ``seq``; entries once ``journal()`` has read them) and
-        #: whole-batch records, in serialization order: an op's ``seq``
-        #: is the number of ops recorded before it.
-        self._journal: List[Any] = []
-        self._journal_lock = threading.Lock()
         self.submitted_jobs = 0
         self.rejected_jobs = 0
         self.blocked_submits = 0
@@ -627,21 +641,18 @@ class IndexServer:
         """Host a new instance of registry index ``index_name``.
 
         With ``items`` the load is synchronous (the instance comes back
-        SERVING); without, it stays LOADING until a :meth:`bulk_load`
-        job finishes.  The index's meter is wrapped in
+        SERVING; a load that raises registers nothing); without, it
+        stays LOADING until a :meth:`bulk_load` job finishes.  The index
+        comes from ``factory``, else from the registry with ``config``,
+        and so does a rebuild's.  Its meter is wrapped in
         :class:`SyncedMeter` — server instances are charged from both
         request threads and the job worker.
         """
         if name in self._served:
             raise ValueError(f"instance {name!r} already exists")
-        canonical = resolve_index_name(index_name)
-        spec = REGISTRY.get(canonical)
-        if factory is not None:
-            index = factory()
-        elif config:
-            index = REGISTRY.create(canonical, **config)
-        else:
-            index = spec.factory()
+        spec = REGISTRY.get(resolve_index_name(index_name))
+        factory = factory or functools.partial(spec.factory, **config)
+        index = factory()
         if not index.supports_range:
             raise ValueError(
                 f"{spec.name} cannot be served: background rebuilds need "
@@ -650,13 +661,17 @@ class IndexServer:
         instance = IndexInstance(index, name=name)
         if self.bus is not None:
             instance.attach_bus(self.bus)
-        served = _Served(instance=instance, index_name=spec.name)
-        self._served[name] = served
-        if items is not None:
-            items = list(items)
-            with _write(served.lock):  # a state change: see _Served.refuse
-                instance.bulk_load(items)
-            served.bulk_items = items
+        served = _Served(instance=instance, index_name=spec.name,
+                         factory=factory)
+        if items is None:
+            self._served[name] = served
+            return instance
+        items = list(items)
+        with _write(served.lock):  # a state change: see _Served.refuse
+            index.bulk_load(items)
+            self._served[name] = served
+            instance.advance(SERVING, f"bulk loaded {len(items)} items")
+        served.bulk_items = items
         return instance
 
     def instance(self, name: str) -> IndexInstance:
@@ -677,12 +692,13 @@ class IndexServer:
 
         Reads share the lock; writes are exclusive.  The journal row is
         appended *before the lock is released*, so journal order is a
-        valid serialization of the concurrent history.  An admitted op
-        takes one more lock, the journal's, which also covers ``ops``
-        and ``op_counts``; ``stats_lock`` is taken only after a real
-        lock wait or when the call raises.  A refusal counts in both the
-        instance (``rejected``) and the server's per-kind ``dropped``
-        stats, a crash in ``dropped`` and ``ops``; both re-raise.
+        valid serialization of the instance's concurrent history.  An
+        admitted op takes one more lock, the instance's ``mutex``, to
+        count (``ops``, ``op_counts``) and journal itself; it takes it
+        again only after a real lock wait or when the call raises.  A
+        refusal counts in both the instance (``rejected``) and the
+        server's per-kind ``dropped`` stats, a crash in ``dropped`` and
+        ``ops``; both re-raise.
         """
         served = self._served_of(name)
         kind = op.op
@@ -696,20 +712,22 @@ class IndexServer:
             if not instance.admits(kind):
                 served.refuse(kind)
             ok, scanned, result = apply_op(instance.index, op)
+            # A scan's rows go back to the caller: journal a copy.
+            row = (kind, op.key, op.value, op.count, ok, scanned,
+                   tuple(result) if kind == SCAN else result)
             counts = instance.op_counts
             # Concurrent readers (shared read lock) must never lose a
             # count increment.  acquire/release, not ``with``: see RWLock.
-            journal_lock = self._journal_lock
-            journal_lock.acquire()
+            mutex = served.mutex
+            mutex.acquire()
             try:
                 counts[kind] = counts.get(kind, 0) + 1
                 served.ops += 1
-                self._journal.append((instance.name, kind, op.key, op.value,
-                                      op.count, ok, scanned, result))
+                served.journal.append(row)
             finally:
-                journal_lock.release()
+                mutex.release()
         except BaseException as exc:
-            self._note_drop(served, kind, exc)
+            served.note_drop(kind, exc)
             raise
         finally:
             if read:
@@ -745,9 +763,9 @@ class IndexServer:
                 served.refuse(LOOKUP)
             keys = list(keys)
             values = instance.index.lookup_many(keys)
-            self._journal_batch(served, LOOKUP, keys, values)
+            served.journal_batch(LOOKUP, keys, values)
         except BaseException as exc:
-            self._note_drop(served, LOOKUP, exc)
+            served.note_drop(LOOKUP, exc)
             raise
         finally:
             served.lock.release_read()
@@ -766,58 +784,38 @@ class IndexServer:
                 served.refuse(INSERT)
             pairs = list(pairs)
             oks = instance.index.insert_many(pairs)
-            self._journal_batch(served, INSERT, pairs, oks)
+            served.journal_batch(INSERT, pairs, oks)
         except BaseException as exc:
-            self._note_drop(served, INSERT, exc)
+            served.note_drop(INSERT, exc)
             raise
         finally:
             served.lock.release_write()
         return oks
 
-    def _journal_batch(self, served: _Served, op: str, args: list,
-                       outs: list) -> None:
-        """Journal one batch call as a single record over a contiguous
-        ``seq`` block (``args`` is the server's own copy; ``outs`` goes
-        back to the caller, so the record keeps a tuple of it)."""
-        counts = served.instance.op_counts
-        outs = tuple(outs)
-        with self._journal_lock:
-            counts[op] = counts.get(op, 0) + len(args)
-            served.ops += 1
-            self._journal.append(_JournalBatch(
-                served.instance.name, op, args, outs))
-
-    def _note_drop(self, served: _Served, kind: str,
-                   exc: BaseException) -> None:
-        """Count a foreground call that raised: refused by admission, or
-        admitted and crashed in the index (then it counts in ``ops``
-        too, which the journal section never reached)."""
-        served.note_drop(kind)
-        if not isinstance(exc, AdmissionError):
-            with self._journal_lock:
-                served.ops += 1
-
     def journal(self, name: Optional[str] = None) -> List[JournalEntry]:
-        """The recorded op history (optionally for one instance), one
-        :class:`JournalEntry` per op, every op numbered by its place in
-        the whole journal.  Batch calls are expanded here; a scalar row
-        becomes its entry on the first read, in place, so the journal
+        """``name``'s recorded op history, one :class:`JournalEntry` per
+        op numbered by its place in that instance's journal; without a
+        name, every instance's in turn, in creation order (instances
+        share no order).  Batch calls are expanded here; a scalar row
+        becomes its entry on the first read, in place, so a journal
         never holds a row and its entry at once."""
         entries: List[JournalEntry] = []
-        seq = 0
-        with self._journal_lock:
-            records = self._journal
-            for i, record in enumerate(records):
-                if type(record) is tuple:
-                    records[i] = record = JournalEntry(seq, *record)
-                if type(record) is JournalEntry:
-                    if name is None or record.instance == name:
+        for served in ([self._served_of(name)] if name is not None
+                       else list(self._served.values())):
+            tenant = served.instance.name
+            seq = 0
+            with served.mutex:
+                records = served.journal
+                for i, record in enumerate(records):
+                    if type(record) is tuple:
+                        records[i] = record = JournalEntry(seq, tenant,
+                                                           *record)
+                    if type(record) is JournalEntry:
                         entries.append(record)
-                    seq += 1
-                else:
-                    if name is None or record.instance == name:
-                        entries.extend(record.entries(seq))
-                    seq += len(record.args)
+                        seq += 1
+                    else:
+                        entries.extend(record.entries(tenant, seq))
+                        seq += len(record.args)
         return entries
 
     def replay_check(self, name: str, limit: int = 50) -> List[Mismatch]:
@@ -861,6 +859,9 @@ class IndexServer:
             raise ValueError(
                 f"{spec.name} cannot be a {kind} destination: writes "
                 "made during the build are replayed as inserts")
+        if factory is None:  # same type: keep the serving configuration
+            factory = (served.factory if spec.name == served.index_name
+                       else spec.factory)
         job = Job(job_id=next(self._job_ids), kind=kind, instance=name,
                   dst=spec.name)
         job.runner = _RebuildRunner(self, served, job, factory)
@@ -997,11 +998,9 @@ class IndexServer:
         traffic stats and this instance's job history."""
         served = self._served_of(name)
         out = served.instance.status()
-        with self._journal_lock:
-            ops = served.ops
-        with served.stats_lock:
+        with served.mutex:
             out["server"] = {
-                "ops": ops,
+                "ops": served.ops,
                 "dropped": dict(served.dropped),
                 "stalled": dict(served.stalled),
                 "max_wait_s": served.max_wait_s,

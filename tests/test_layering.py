@@ -13,6 +13,8 @@
 * One class cuts a migration over (``MigrationDriver``), and the
   serving tier's constructors and job methods take the options a
   census pins, no more.
+* Each server tenant owns its journal and one mutex, and only
+  ``core/server.py`` touches the server's private members.
 * No module under ``src/``, ``tests/`` or ``benchmarks/`` imports a
   name it never uses (pyflakes' F401, without needing ruff).
 """
@@ -22,6 +24,7 @@ import importlib
 import inspect
 import os
 import re
+import threading
 
 import pytest
 
@@ -181,6 +184,31 @@ def test_only_the_migration_driver_cuts_over():
                        if isinstance(node, ast.Attribute)
                        and node.attr == "cutover"]
     assert sorted(set(owners)) == ["core/migrate.py:MigrationDriver"], owners
+
+
+def test_one_log_per_tenant():
+    """Each hosted instance owns its journal and one mutex: the server
+    keeps no global journal or journal lock, an instance no second
+    stats lock, and no other module reaches into the server's private
+    members (``self.``/``cls.`` access elsewhere is another class's)."""
+    from repro.core.server import IndexServer
+    with IndexServer(workers=0) as server:
+        server.create_instance("t", "B+tree")
+        served = vars(server._served["t"])
+        members = set(vars(server)) | set(vars(IndexServer))
+    assert not {"_journal", "_journal_lock"} & members
+    assert "stats_lock" not in served
+    mutexes = [name for name, value in served.items()
+               if isinstance(value, type(threading.Lock()))]
+    assert mutexes == ["mutex"], mutexes
+    private = {name for name in members
+               if name.startswith("_") and not name.startswith("__")}
+    reach = [f"{rel}:{node.lineno} .{node.attr}" for rel in _modules()
+             if rel != "core/server.py"
+             for node in ast.walk(_tree(rel))
+             if isinstance(node, ast.Attribute) and node.attr in private
+             and getattr(node.value, "id", None) not in ("self", "cls")]
+    assert not reach, reach
 
 
 #: The parameters each serving-tier entry point takes.  One more is one

@@ -921,7 +921,7 @@ def test_a_crashing_op_is_counted_and_the_next_op_served():
 
 def test_every_state_change_of_a_served_instance_holds_its_write_lock(
         monkeypatch):
-    """What lets ``apply`` check admission without ``stats_lock``: an
+    """What lets ``apply`` check admission without the ``mutex``: an
     op holds the instance lock shared or exclusive, so a state change
     under the write lock cannot land between its check and its op."""
     seen = []
@@ -955,9 +955,11 @@ def test_every_state_change_of_a_served_instance_holds_its_write_lock(
 
 
 def test_journal_rows_are_no_bigger_than_the_entries_they_stand_for():
-    """A scalar op is journaled as a tuple, built into a ``JournalEntry``
-    only when ``journal()`` is first read, in place — and the row the
-    server keeps until then is no bigger than the entry."""
+    """A scalar op is journaled in its instance's own list as a 7-field
+    tuple (``JournalEntry``'s fields less ``seq`` and ``instance``),
+    built into a ``JournalEntry`` only when ``journal()`` is first read,
+    in place — and the row the server keeps until then is no bigger than
+    the entry."""
     items = _items(n=60)
     with _manual_server() as server:
         server.create_instance("t", "B+tree", items=items)
@@ -965,18 +967,164 @@ def test_journal_rows_are_no_bigger_than_the_entries_they_stand_for():
         server.insert("t", 5, 6)
         server.lookup_many("t", [5, 6])
         server.scan("t", items[0][0], 3)
-        rows, entries = list(server._journal), server.journal()
-        assert [type(row) for row in rows[:2] + rows[3:]] == [tuple] * 3
+        journal = server._served["t"].journal
+        rows, entries = list(journal), server.journal()
+        assert [(type(row), len(row)) for row in rows[:2] + rows[3:]] == [
+            (tuple, 7)] * 3
         assert [e.seq for e in entries] == [0, 1, 2, 3, 4]
         for row, entry in zip(rows[:2] + rows[3:], entries[:2] + entries[4:]):
             assert sys.getsizeof(row) <= sys.getsizeof(entry)
         # The rows became the entries: a second read builds nothing.
-        assert server._journal[:2] == entries[:2]
+        assert journal[:2] == entries[:2]
         again = server.journal()
         assert all(a is b for a, b in zip(again[:2] + again[4:],
                                           entries[:2] + entries[4:]))
         server.insert("t", 7, 8)  # rows appended later still read in order
         assert [e.seq for e in server.journal("t")] == [0, 1, 2, 3, 4, 5]
+
+
+def test_each_tenant_keeps_its_own_journal():
+    """Scalar and batch calls interleaved across two tenants: each
+    journal is numbered from 0 and replays clean on its own, ``journal()``
+    is the tenants' journals in creation order, and each tenant's
+    ``ops`` counts its own calls exactly."""
+    with _manual_server() as server:
+        server.create_instance("b", "ALEX", items=_items(n=80, seed=2))
+        server.create_instance("a", "B+tree", items=_items(n=80, seed=1))
+        calls, sizes = {"a": 0, "b": 0}, {"a": 0, "b": 0}
+        for i in range(48):
+            name = "ab"[(i * 7 // 3) % 2]
+            key = 10**9 + i
+            if i % 4 == 0:
+                server.insert(name, key, payload(key))
+                size = 1
+            elif i % 4 == 1:
+                server.lookup_many(name, [key - 1, key, 5])
+                size = 3
+            elif i % 4 == 2:
+                server.scan(name, key - 3, 4)
+                size = 1
+            else:
+                server.insert_many(name, [(key, 1), (key + 10**6, 2)])
+                size = 2
+            calls[name] += 1
+            sizes[name] += size
+        assert min(calls.values()) > 10
+        for name in "ab":
+            journal = server.journal(name)
+            assert [e.seq for e in journal] == list(range(sizes[name]))
+            assert {e.instance for e in journal} == {name}
+            assert not server.replay_check(name)
+            assert server.status(name)["server"]["ops"] == calls[name]
+        assert server.journal() == server.journal("b") + server.journal("a")
+
+
+def test_tenant_journals_stay_exact_under_threads():
+    """Four client threads (more than cores) spread scalar and batch
+    calls over two tenants at a 10 µs switch interval: no count or
+    journal row is lost, and each tenant's journal is gap-free and
+    replays clean."""
+    clients, rounds = 4, 40
+    errors = []
+    with IndexServer(workers=1) as server:
+        for name, seed in (("a", 1), ("b", 2)):
+            server.create_instance(name, "B+tree",
+                                   items=_items(n=100, seed=seed))
+
+        def client(c):
+            try:
+                for r in range(rounds):
+                    name = "ab"[(c + r) % 2]
+                    key = 10**12 + (c * rounds + r) * 4
+                    server.insert(name, key, payload(key))
+                    server.lookup_many(name, [key, key + 1])
+                    server.scan(name, key - 5, 3)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(c,), daemon=True)
+                   for c in range(clients)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
+        per_tenant = clients * rounds // 2
+        for name in "ab":
+            journal = server.journal(name)
+            assert [e.seq for e in journal] == list(range(4 * per_tenant))
+            assert not server.replay_check(name)
+            assert server.status(name)["server"]["ops"] == 3 * per_tenant
+            assert server.instance(name).ops_total == 4 * per_tenant
+
+
+@pytest.mark.parametrize("how", ["config", "factory"])
+def test_a_rebuild_keeps_the_tenants_configuration(how):
+    """A same-type rebuild used to cut over to the registry default (a
+    fanout-32 B+tree); it builds what the tenant was built with, an
+    explicit ``factory=`` wins and is kept, and a migration to another
+    index takes that index's default."""
+    built = ({"fanout": 8} if how == "config"
+             else {"factory": lambda: BPlusTree(fanout=8)})
+    with _manual_server(chunk=32) as server:
+        server.create_instance("t", "B+tree", items=_items(n=150), **built)
+        original = server.instance("t").index
+        server.rebuild("t")
+        server.drain()
+        index = server.instance("t").index
+        assert index is not original and index.fanout == 8
+        assert server.jobs("t")[-1].state == JOB_DONE
+        server.rebuild("t", factory=lambda: BPlusTree(fanout=16))
+        server.drain()
+        assert server.instance("t").index.fanout == 16
+        server.rebuild("t")
+        server.drain()
+        assert server.instance("t").index.fanout == 16
+        server.migrate("t", "ALEX")
+        server.drain()
+        assert server.status("t")["index"] == "ALEX"
+        server.rebuild("t")
+        server.drain()
+        assert server.status("t")["index"] == "ALEX"
+        assert [j.state for j in server.jobs("t")] == [JOB_DONE] * 5
+        assert not server.replay_check("t")
+
+
+def test_a_failed_synchronous_load_leaves_no_instance_behind():
+    """An unsorted ``items=`` load raises — and used to leave the name
+    registered as a LOADING instance that refused every op and every
+    retry ("already exists")."""
+    items = _items(n=60)
+    with _manual_server() as server:
+        with pytest.raises(ValueError, match="sorted"):
+            server.create_instance("t", "B+tree", items=items[::-1])
+        with pytest.raises(KeyError):
+            server.instance("t")
+        assert server.journal() == []
+        server.create_instance("t", "B+tree", items=items)
+        assert server.lookup("t", items[0][0]) == payload(items[0][0])
+        assert server.status("t")["server"]["dropped"] == {}
+
+
+def test_a_scan_journals_its_own_copy_of_the_rows():
+    """``scan`` returns the rows it journaled; a caller that reorders
+    them used to rewrite the journal, and the replay then flagged an op
+    that had been served correctly."""
+    items = _items(n=60)
+    with _manual_server() as server:
+        server.create_instance("t", "B+tree", items=items)
+        rows = server.scan("t", items[5][0], 3)
+        assert rows == items[5:8]
+        rows.reverse()
+        assert not server.replay_check("t")
+        assert server.journal("t")[0].to_dict()["result"] == [
+            list(row) for row in items[5:8]]
 
 
 def test_server_validates_configuration():
