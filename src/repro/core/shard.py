@@ -352,12 +352,10 @@ class _RangeView(_RangeRouted):
     def _children(self) -> List[OrderedIndex]:
         return self.children
 
-    def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        self.check_sorted(items)
+    def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         for child, part in zip(self.children, _cut_at(items, self.boundaries)):
             with lend(child, self.meter):
                 child.bulk_load(part)
-        self._invalidate_batch_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +452,7 @@ class ShardedIndex(_RangeRouted):
             inst.attach_bus(bus)
         return self
 
-    def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        self.check_sorted(items)
+    def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         self.shards = []
         if not self.map.boundaries and self._want_shards > 1 and items:
             self.map = ShardMap.from_items(items, self._want_shards)
@@ -465,7 +462,6 @@ class ShardedIndex(_RangeRouted):
             inst = self._instance(index)
             inst.bulk_load(part)
             self.shards.append(inst)
-        self._invalidate_batch_cache()
 
     # -- routing (the _RangeRouted hooks; shards keep their own meters) --------
 

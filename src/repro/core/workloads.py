@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.datasets.zipfian import ScrambledZipfian, ZipfianGenerator
+from repro.indexes import batching
 
 LOOKUP = "lookup"
 INSERT = "insert"
@@ -86,9 +87,9 @@ class Workload:
     write_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        for i in range(1, len(self.bulk_items)):
-            if self.bulk_items[i - 1][0] > self.bulk_items[i][0]:
-                raise ValueError("bulk_items must be sorted")
+        if not batching.ascending(batching.key_list(self.bulk_items),
+                                  strict=False):
+            raise ValueError("bulk_items must be sorted")
 
     @property
     def n_ops(self) -> int:

@@ -190,6 +190,12 @@ class ALEX(OrderedIndex):
     def supports_duplicates(self) -> bool:  # type: ignore[override]
         return self.duplicate_mode is not None
 
+    @property
+    def _array_build_min(self) -> int:  # type: ignore[override]
+        """The door's array threshold: the module constant, read at
+        each load."""
+        return _ARRAY_BUILD_MIN
+
     # -- node construction ---------------------------------------------------
 
     def _new_data_node(self, items: Sequence[Tuple[Key, Value]]) -> _DataNode:
@@ -249,9 +255,7 @@ class ALEX(OrderedIndex):
 
     # -- bulk load --------------------------------------------------------------
 
-    def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        ks = self._bulk_keys(items, self.duplicate_mode is None,
-                             _ARRAY_BUILD_MIN)
+    def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         # Read only, never kept: a list is built from as it is.
         build_items = items if isinstance(items, list) else list(items)
         if self.duplicate_mode == "linked_list" and build_items:
@@ -275,7 +279,6 @@ class ALEX(OrderedIndex):
             self._root = self._bulk_build(build_items)
         else:
             self._root = self._bulk_build_arrays(ks, build_items, 0, len(ks))
-        self._size = len(items)
         self._link_leaves()
 
     def _bulk_build(self, items: List[Tuple[Key, Value]]) -> Any:

@@ -127,14 +127,12 @@ class ART(OrderedIndex):
 
     # -- build --------------------------------------------------------------
 
-    def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        self.check_sorted(items)
+    def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         self._root = None
         self._size = 0
         self._inner_bytes = 0
         for k, v in items:
             self._insert_quiet(k, v)
-        self._size = len(items)
 
     def _insert_quiet(self, key: Key, value: Value) -> bool:
         """Insert without phase attribution (bulk load)."""

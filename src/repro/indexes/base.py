@@ -4,8 +4,13 @@ All indexes — learned and traditional — are ordered maps from unsigned
 64-bit integer keys to opaque payloads, matching the paper's setup of
 8-byte keys paired with 8-byte payloads.  Every index:
 
-* supports ``bulk_load`` (sorted build), ``lookup``, ``insert`` and
-  ``update``; most support ``delete`` and ``range_scan`` (the paper notes
+* is built through one door, :meth:`OrderedIndex.bulk_load`, which
+  reads the keys, refuses a descent or (unless ``supports_duplicates``)
+  an equal pair before any state change, calls the class's ``_load``,
+  then sets the size and drops batch state; an index implements
+  ``_load``, never ``bulk_load``,
+* supports ``lookup``, ``insert`` and ``update``; most support
+  ``delete`` and ``range_scan`` (the paper notes
   LIPP/Masstree/Wormhole/B+TreeOLC/HOT-ROWEX lack deletes upstream; we
   implement deletes where the paper's authors did, i.e. for LIPP/ALEX),
 * meters its work on a :class:`~repro.core.cost.CostMeter`,
@@ -101,6 +106,9 @@ class OrderedIndex(ABC):
     supports_delete: ClassVar[bool] = True
     supports_range: ClassVar[bool] = True
     supports_duplicates: ClassVar[bool] = False
+    #: Fewest items a load hands ``_load`` as an int64 key column;
+    #: ``None``: the class builds from the item list alone.
+    _array_build_min: ClassVar[Optional[int]] = None
     #: Wrappers composing other indexes (e.g. the migration
     #: multiplexer) — real implementations of the contract, but not
     #: standalone registrable competitors.
@@ -136,12 +144,40 @@ class OrderedIndex(ABC):
 
     # -- required operations ---------------------------------------------------
 
-    @abstractmethod
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
         """Build the index from ``items`` sorted ascending by key.
 
-        Raises ``ValueError`` if the items are not sorted.
+        The one door every build comes through, in four steps:
+
+        1. read the keys: ``batching.key_column(items)`` when the class
+           builds from arrays and there are at least
+           ``_array_build_min`` items (``None`` if ``batching`` does not
+           admit them), else the key list;
+        2. refuse a descent and, unless ``supports_duplicates``, equal
+           neighbours: a ``ValueError`` that starts with the index's
+           name — refused means before any state change, so nothing is
+           charged, no node id drawn and the size stays as it was;
+        3. ``_load(items, ks)`` builds, ``ks`` the column or ``None``;
+        4. the size becomes ``len(items)`` and batch state is dropped.
         """
+        threshold = self._array_build_min
+        ks = (batching.key_column(items)
+              if threshold is not None and len(items) >= threshold else None)
+        strict = not self.supports_duplicates
+        if not batching.ascending(
+                batching.key_list(items) if ks is None else ks, strict):
+            wording = ("strictly ascending unique keys" if strict
+                       else "items sorted by key")
+            raise ValueError(f"{self.name}: bulk_load requires {wording}")
+        self._load(items, ks)
+        self._size = len(items)
+        self._invalidate_batch_cache()
+
+    @abstractmethod
+    def _load(self, items: Sequence[Tuple[Key, Value]],
+              ks: Optional[Any]) -> None:
+        """Build from admitted ``items`` (``ks``: their int64 key column,
+        or ``None``); :meth:`bulk_load` checked them and sets the size."""
 
     @abstractmethod
     def lookup(self, key: Key) -> Optional[Value]:
@@ -327,35 +363,6 @@ class OrderedIndex(ABC):
         charge = self.meter.charge
         for kind, units in tally.items():
             charge(kind, units)
-
-    @staticmethod
-    def check_sorted(items: Sequence[Tuple[Key, Value]]) -> None:
-        OrderedIndex._require_ascending(batching.key_list(items), strict=False)
-
-    @staticmethod
-    def check_sorted_unique(items: Sequence[Tuple[Key, Value]]) -> None:
-        OrderedIndex._require_ascending(batching.key_list(items), strict=True)
-
-    @staticmethod
-    def _bulk_keys(items: Sequence[Tuple[Key, Value]], strict: bool,
-                   min_items: int) -> Optional[Any]:
-        """``bulk_load``'s input check for an index that can build from
-        arrays: ``batching.key_column(items)`` when there are at least
-        ``min_items`` and their keys are admitted (the check then reads
-        the array), else ``None``."""
-        ks = batching.key_column(items) if len(items) >= min_items else None
-        OrderedIndex._require_ascending(
-            batching.key_list(items) if ks is None else ks, strict)
-        return ks
-
-    @staticmethod
-    def _require_ascending(keys: Any, strict: bool) -> None:
-        """``bulk_load``'s input check on the keys alone: a sequence,
-        or the int64 array a build already holds."""
-        if not batching.ascending(keys, strict):
-            raise ValueError(
-                "bulk_load requires strictly ascending unique keys" if strict
-                else "bulk_load requires items sorted by key")
 
 
 class lend:

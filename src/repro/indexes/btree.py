@@ -103,8 +103,7 @@ class BPlusTree(OrderedIndex):
 
     # -- build ----------------------------------------------------------------
 
-    def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        self.check_sorted(items)
+    def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         fill = max(2, int(self.fanout * 0.8))
         leaves: List[_Leaf] = []
         for start in range(0, len(items), fill):
@@ -148,7 +147,6 @@ class BPlusTree(OrderedIndex):
             level_mins = parent_mins
             self._height += 1
         self._root = level[0]
-        self._size = len(items)
 
     # -- traversal ------------------------------------------------------------
 

@@ -58,8 +58,8 @@ class FITingTree(SegmentedIndex):
         self._router = BPlusTree(fanout=32, meter=self.meter)
         self._router.bulk_load([(p, i) for i, p in enumerate(self._pivots)])
 
-    def bulk_load(self, items: Sequence[Row]) -> None:
-        super().bulk_load(items)
+    def _load(self, items: Sequence[Row], ks: Any) -> None:
+        super()._load(items, ks)
         self._rebuild_router()
 
     # -- routing: B+-tree height, then the last pivot <= key ---------------------

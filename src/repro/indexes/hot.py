@@ -98,10 +98,8 @@ class HOT(OrderedIndex):
 
     # -- build --------------------------------------------------------------
 
-    def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        self.check_sorted(items)
+    def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         self._root = self._build(items, 0) if items else None
-        self._size = len(items)
 
     def _build(self, items: Sequence[Tuple[Key, Value]], from_bit: int) -> Any:
         if len(items) == 1:

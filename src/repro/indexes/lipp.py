@@ -169,6 +169,12 @@ class LIPP(OrderedIndex):
         self.rebuild_count = 0
         self.chain_count = 0
 
+    @property
+    def _array_build_min(self) -> int:  # type: ignore[override]
+        """The door's array threshold: the module constant, read at
+        each load."""
+        return _ARRAY_BUILD_MIN
+
     # -- node construction ---------------------------------------------------
 
     def _build_node(self, items: Sequence[Tuple[Key, Value]]) -> _LippNode:
@@ -392,12 +398,10 @@ class LIPP(OrderedIndex):
 
     # -- bulk load --------------------------------------------------------------
 
-    def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        ks = self._bulk_keys(items, True, _ARRAY_BUILD_MIN)
+    def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         self._n_nodes = self._n_slots = 0
         self._root = (self._build_node(list(items)) if ks is None
                       else self._build_levels(ks, items))
-        self._size = len(items)
 
     # -- lookup ------------------------------------------------------------------
 

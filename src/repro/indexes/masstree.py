@@ -109,8 +109,7 @@ class Masstree(OrderedIndex):
 
     # -- build --------------------------------------------------------------
 
-    def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        self.check_sorted(items)
+    def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         fill = max(2, int(_FANOUT * 0.75))
         borders: List[_Border] = []
         for start in range(0, len(items), fill):
@@ -143,7 +142,6 @@ class Masstree(OrderedIndex):
             self._n_interiors += len(parents)
             level, mins = parents, parent_mins
         self._root = level[0]
-        self._size = len(items)
 
     # -- traversal ------------------------------------------------------------
 

@@ -392,11 +392,10 @@ class MultiplexIndex(OrderedIndex):
 
     # -- OrderedIndex: reads ---------------------------------------------------
 
-    def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
+    def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         """Load the *primary*; the backfill pump will stage it for the
         secondary like any other pre-existing data."""
         self.primary.bulk_load(items)
-        self._invalidate_batch_cache()
 
     def lookup(self, key: Key) -> Optional[Value]:
         prev = self.primary.last_op

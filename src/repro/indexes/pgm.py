@@ -269,13 +269,11 @@ class PGMIndex(OrderedIndex):
 
     # -- build --------------------------------------------------------------
 
-    def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        self.check_sorted(items)
+    def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         self._buffer.clear()
         self._runs = [_StaticPGM(batching.key_list(items),
                                  [v for _, v in items],
                                  self.epsilon, self.meter)] if items else []
-        self._size = len(items)
         self.meter.charge(ALLOC_NODE)
 
     # -- lookup ------------------------------------------------------------------

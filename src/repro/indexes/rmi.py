@@ -63,12 +63,9 @@ class RMI(OrderedIndex):
 
     # -- build --------------------------------------------------------------
 
-    def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        self._invalidate_batch_cache()
-        self.check_sorted(items)
+    def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         self._keys = [k for k, _ in items]
         self._values = [v for _, v in items]
-        self._size = len(items)
         n = len(self._keys)
         self._leaf_models = [LinearModel() for _ in range(self.fanout)]
         self._leaf_errors = [0] * self.fanout

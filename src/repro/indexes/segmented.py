@@ -181,14 +181,11 @@ class SegmentedIndex(OrderedIndex):
     def _build_units(self, items: Sequence[Row]) -> List[Unit]:
         return self._segment_run(list(items))
 
-    def bulk_load(self, items: Sequence[Row]) -> None:
-        self.check_sorted(items)
-        self._invalidate_batch_cache()
+    def _load(self, items: Sequence[Row], ks: Any) -> None:
         units = self._build_units(items)
         # The first unit is the catch-all for keys below every pivot.
         units[0].pivot = 0
         self._set_units(units)
-        self._size = len(items)
 
     # -- policy hooks -----------------------------------------------------------
 

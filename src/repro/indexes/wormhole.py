@@ -83,8 +83,7 @@ class Wormhole(OrderedIndex):
 
     # -- build --------------------------------------------------------------
 
-    def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        self.check_sorted(items)
+    def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         fill = int(_LEAF_CAPACITY * 0.7)
         self._leaves = []
         prev: Optional[_WormLeaf] = None
@@ -101,7 +100,6 @@ class Wormhole(OrderedIndex):
             self.meter.charge(ALLOC_NODE)
         if not self._leaves:
             self._leaves = [_WormLeaf(self._next_node_id(), 0)]
-        self._size = len(items)
 
     # -- meta search ------------------------------------------------------------
 

@@ -97,8 +97,8 @@ class XIndex(SegmentedIndex):
         self._root_model = LinearModel.train(self._pivots)
         self.meter.charge(TRAIN_KEY, len(self._pivots))
 
-    def bulk_load(self, items: Sequence[Row]) -> None:
-        super().bulk_load(items)
+    def _load(self, items: Sequence[Row], ks: Any) -> None:
+        super()._load(items, ks)
         self._train_root()
 
     def _retrain_group(self, g: Unit) -> None:

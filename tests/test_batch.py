@@ -582,11 +582,12 @@ def test_live_list_single_node_index(name):
 def test_live_list_batches_between_writes(name):
     """Batches between inserts (one dense run, so SMOs), deletes and
     re-inserts with nothing invalidated in between: there is nothing a
-    write could leave stale."""
+    write could leave stale.  The load's door drops batch state once."""
     spec, a, b = _pair(name)
     items = _clustered_items()
     for index in (a, b):
         index.bulk_load(items)
+    assert a._mutation_gen == 1
     rng = random.Random(59)
     held = [k for k, _ in items]
     fresh = iter(range(15_000_001, 15_003_000, 2))
@@ -605,7 +606,7 @@ def test_live_list_batches_between_writes(name):
         _assert_lookup_many_equals_loop(a, b, qs, f"{name} round {rnd}")
         prefix += [Operation(LOOKUP, k) for k in qs]
     assert smos, f"{name}: the writes never triggered an SMO"
-    assert (a._mutation_gen, a._batch_cache) == (0, None)
+    assert (a._mutation_gen, a._batch_cache) == (1, None)
     assert not a.debug_validate()
     # The same stream through the engine: writes and short lookup runs.
     wl = Workload(name, items, prefix)

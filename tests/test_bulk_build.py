@@ -24,11 +24,12 @@ from hypothesis import strategies as st
 
 from repro.core.opstream import generate_stream, run_oracle
 from repro.core.registry import REGISTRY
+from repro.core.shard import ShardedIndex
 from repro.core.workloads import apply_op, payload
 from repro.datasets import registry as datasets
 from repro.indexes import alex, batching, lipp
 from repro.indexes.alex import ALEX, _DataNode
-from repro.indexes.base import OrderedIndex
+from repro.indexes.btree import BPlusTree
 from repro.indexes.linear_model import LinearModel
 from repro.indexes.lipp import LIPP, _LippNode
 
@@ -363,64 +364,90 @@ def test_streams_after_either_build_land_on_the_same_records(label):
 
 
 # ---------------------------------------------------------------------------
-# bulk_load's input check
+# The door: OrderedIndex.bulk_load's input check
 # ---------------------------------------------------------------------------
 
 def _pairs(keys):
     return [(k, None) for k in keys]
 
 
+#: Every index the door admits loads for: the registry, ALEX's two
+#: duplicate modes and a sharded B+tree, whose shards load through
+#: their own doors.
+DOOR_INPUTS = {
+    **{spec.name: spec.factory for spec in REGISTRY},
+    "ALEX-inline": lambda: ALEX(duplicate_mode="inline"),
+    "ALEX-linked-list": lambda: ALEX(duplicate_mode="linked_list"),
+    "Sharded-B+tree": lambda: ShardedIndex("B+tree", 3),
+}
+
+
+def _refused(make, items, message):
+    """Load ``items`` into a fresh index, which must refuse them with
+    ``message`` after its own name and before any state change."""
+    index = make()
+    before = list(index.meter._table().items())
+    serial = index._node_serial
+    with pytest.raises(ValueError, match=message) as err:
+        index.bulk_load(items)
+    assert str(err.value).startswith(index.name)
+    assert len(index) == 0
+    assert list(index.meter._table().items()) == before
+    assert index._node_serial == serial
+
+
 @pytest.mark.parametrize("n", [2, 3, 10, 1000])
-def test_check_sorted_finds_a_violation_at_any_pair(n):
+def test_the_door_finds_a_violation_at_any_pair(n):
+    """A swapped pair anywhere is refused on the list path (B+tree) and,
+    at 1000 keys, the array path (ALEX); an equal pair only where the
+    index cannot hold duplicates."""
     keys = list(range(0, 2 * n, 2))
     for at in {0, (n - 2) // 2, n - 2}:  # first, a middle, the last pair
         swapped = list(keys)
         swapped[at], swapped[at + 1] = swapped[at + 1], swapped[at]
-        with pytest.raises(ValueError, match=SORTED_MSG):
-            OrderedIndex.check_sorted(_pairs(swapped))
-        with pytest.raises(ValueError, match=UNIQUE_MSG):
-            OrderedIndex.check_sorted_unique(_pairs(swapped))
         equal = list(keys)
         equal[at + 1] = equal[at]
-        OrderedIndex.check_sorted(_pairs(equal))
-        with pytest.raises(ValueError, match=UNIQUE_MSG):
-            OrderedIndex.check_sorted_unique(_pairs(equal))
-    OrderedIndex.check_sorted(_pairs(keys))
-    OrderedIndex.check_sorted_unique(_pairs(keys))
-
-
-def test_check_sorted_accepts_nothing_and_one_item():
-    for items in ([], [(7, None)], ()):
-        OrderedIndex.check_sorted(items)
-        OrderedIndex.check_sorted_unique(items)
-
-
-@pytest.mark.parametrize("make,equal_ok", [
-    (ALEX, False), (LIPP, False),
-    (lambda: ALEX(duplicate_mode="inline"), True),
-    (lambda: ALEX(duplicate_mode="linked_list"), True),
-], ids=["ALEX", "LIPP", "ALEX-inline", "ALEX-linked-list"])
-def test_array_sized_loads_check_their_input_the_same(make, equal_ok):
-    """At sizes where the check reads the int64 array: same error, same
-    message, and nothing charged or built before it."""
-    n = 2000
-    keys = list(range(10, 10 + 3 * n, 3))
-    for at in (0, n // 2, n - 2):
-        swapped = list(keys)
-        swapped[at], swapped[at + 1] = swapped[at + 1], swapped[at]
-        equal = list(keys)
-        equal[at + 1] = equal[at]
-        for bad, message in ((swapped, SORTED_MSG if equal_ok else UNIQUE_MSG),
-                             (None if equal_ok else equal, UNIQUE_MSG)):
-            if bad is None:
-                continue
+        for make in (BPlusTree, ALEX):
+            _refused(make, _pairs(swapped), UNIQUE_MSG)
+            _refused(make, _pairs(equal), UNIQUE_MSG)
+        _refused(DOOR_INPUTS["ALEX-inline"], _pairs(swapped), SORTED_MSG)
+        DOOR_INPUTS["ALEX-inline"]().bulk_load(_pairs(equal))
+    for make in (BPlusTree, ALEX):
+        with counting_array_builds() as calls:
             index = make()
-            before = list(index.meter._counts.items())
-            with pytest.raises(ValueError, match=message):
-                index.bulk_load(_pairs(bad))
-            assert len(index) == 0
-            assert list(index.meter._counts.items()) == before
-        if equal_ok:
+            index.bulk_load(_pairs(keys))
+        assert len(index) == n
+        assert (calls["ALEX"] > 0) == (make is ALEX
+                                       and n >= alex._ARRAY_BUILD_MIN)
+
+
+def test_the_door_accepts_nothing_and_one_item():
+    for make in DOOR_INPUTS.values():
+        for items in ([], [(7, None)], ()):
+            index = make()
+            index.bulk_load(items)
+            assert len(index) == len(items)
+
+
+@pytest.mark.parametrize("label", DOOR_INPUTS)
+def test_array_sized_loads_check_their_input_the_same(label):
+    """On both sides of the array threshold (ALEX 64, LIPP 256): a
+    swapped pair, and an equal pair the index cannot hold, are refused
+    with the index's name, nothing charged, no node id drawn and ``len``
+    0; an index that holds duplicates loads the equal pair sound."""
+    make = DOOR_INPUTS[label]
+    dup_ok = make().supports_duplicates
+    for n in (200, 2000):
+        keys = list(range(10, 10 + 3 * n, 3))
+        for at in (0, n // 2, n - 2):
+            swapped = list(keys)
+            swapped[at], swapped[at + 1] = swapped[at + 1], swapped[at]
+            equal = list(keys)
+            equal[at + 1] = equal[at]
+            _refused(make, _pairs(swapped), SORTED_MSG if dup_ok else UNIQUE_MSG)
+            if not dup_ok:
+                _refused(make, _pairs(equal), UNIQUE_MSG)
+                continue
             index = make()
             index.bulk_load(_pairs(equal))
             assert len(index) == n and index.debug_validate() == []

@@ -10,6 +10,8 @@
   per-op body applies the engine's ops (``ExecutionEngine._stepper``)
   and one module holds the median-baseline storm rule.
 * One class lends an index a meter (``repro.indexes.base.lend``).
+* One door admits a build's items: ``OrderedIndex.bulk_load``; an index
+  implements ``_load``.
 * One class cuts a migration over (``MigrationDriver``), and the
   serving tier's constructors and job methods take the options a
   census pins, no more.
@@ -171,6 +173,39 @@ def test_one_class_lends_a_meter():
                         if isinstance(node, ast.Assign)
                         for target in node.targets)]
     assert lenders == ["indexes/base.py:lend"], lenders
+
+
+#: The bulk-load checks the door replaced, spelled so that this file
+#: does not name them itself.
+_RETIRED = tuple("_".join(parts) for parts in (
+    ("check", "sorted"), ("check", "sorted", "unique"),
+    ("", "bulk", "keys"), ("", "require", "ascending")))
+
+
+def test_one_door_for_bulk_loads():
+    """``OrderedIndex.bulk_load`` is the one ``bulk_load`` among the
+    indexes and the shard layer, the checks it replaced are gone, and
+    only it and ``Workload`` test keys for order."""
+    doors = [f"{rel}:{cls.name}"
+             for rel in _modules("indexes") + ["core/shard.py"]
+             for cls in ast.walk(_tree(rel)) if isinstance(cls, ast.ClassDef)
+             for func in cls.body if isinstance(func, ast.FunctionDef)
+             and func.name == "bulk_load"]
+    assert doors == ["indexes/base.py:OrderedIndex"], doors
+    named = []
+    for top in ("src", "tests", "benchmarks"):
+        for folder, _, files in os.walk(os.path.join(ROOT, top)):
+            if "__pycache__" in folder:
+                continue
+            for name in files:
+                path = os.path.join(folder, name)
+                with open(path, errors="ignore") as fh:
+                    text = fh.read()
+                named += [f"{os.path.relpath(path, ROOT)}: {word}"
+                          for word in _RETIRED if word in text]
+    assert not named, named
+    checkers = [rel for rel in _modules() if _calls(rel, "ascending")]
+    assert checkers == ["core/workloads.py", "indexes/base.py"], checkers
 
 
 def test_only_the_migration_driver_cuts_over():

@@ -1099,17 +1099,21 @@ def test_a_rebuild_keeps_the_tenants_configuration(how):
 def test_a_failed_synchronous_load_leaves_no_instance_behind():
     """An unsorted ``items=`` load raises — and used to leave the name
     registered as a LOADING instance that refused every op and every
-    retry ("already exists")."""
+    retry ("already exists").  A duplicate key is refused the same way:
+    it used to be served from an unsound index of the wrong size, which
+    ``replay_check`` (whose oracle dict absorbs the duplicate) passed."""
     items = _items(n=60)
-    with _manual_server() as server:
-        with pytest.raises(ValueError, match="sorted"):
-            server.create_instance("t", "B+tree", items=items[::-1])
-        with pytest.raises(KeyError):
-            server.instance("t")
-        assert server.journal() == []
-        server.create_instance("t", "B+tree", items=items)
-        assert server.lookup("t", items[0][0]) == payload(items[0][0])
-        assert server.status("t")["server"]["dropped"] == {}
+    duplicate = items[:31] + [(items[30][0], "again")] + items[31:]
+    for bad in (items[::-1], duplicate):
+        with _manual_server() as server:
+            with pytest.raises(ValueError, match="bulk_load requires"):
+                server.create_instance("t", "B+tree", items=bad)
+            with pytest.raises(KeyError):
+                server.instance("t")
+            assert server.journal() == []
+            server.create_instance("t", "B+tree", items=items)
+            assert server.lookup("t", items[0][0]) == payload(items[0][0])
+            assert server.status("t")["server"]["dropped"] == {}
 
 
 def test_a_scan_journals_its_own_copy_of_the_rows():
