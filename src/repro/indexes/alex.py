@@ -75,9 +75,10 @@ _INNER_HEADER_BYTES = 32
 _ARRAY_BUILD_MIN = 64
 
 
-def _iter_from(items: List[Any], pos: int) -> Iterator[Any]:
-    """An iterator over ``items[pos:]`` that neither copies the list nor
-    walks its head: a list iterator's index is set directly.
+def _iter_from(items: Sequence[Any], pos: int) -> Iterator[Any]:
+    """An iterator over ``items[pos:]`` (a list or a bytearray) that
+    neither copies it nor walks its head: the iterator's index is set
+    directly.
     ``operator.length_hint`` of it is the number of items left."""
     it = iter(items)
     it.__setstate__(pos)
@@ -87,10 +88,11 @@ def _iter_from(items: List[Any], pos: int) -> Iterator[Any]:
 class _DataNode:
     """Gapped array leaf.
 
-    ``keys[i]`` is the real key when ``present[i]``; a gap slot holds a
-    copy of its nearest occupied *right* neighbour (``_GAP_HIGH`` when
-    none), so the whole array stays sorted and exponential search works
-    without consulting the bitmap.
+    ``keys[i]`` is the real key when ``present[i]`` (one byte per slot,
+    1 or 0: ALEX's bitmap); a gap slot holds a copy of its nearest
+    occupied *right* neighbour (``_GAP_HIGH`` when none), so the whole
+    array stays sorted and exponential search works without consulting
+    the bitmap.
     """
 
     __slots__ = (
@@ -103,7 +105,7 @@ class _DataNode:
         self.node_id = node_id
         self.keys: List[Key] = []
         self.values: List[Value] = []
-        self.present: List[bool] = []
+        self.present = bytearray()
         self.num_keys = 0
         self.model = LinearModel()
         self.prev: Optional["_DataNode"] = None
@@ -120,11 +122,7 @@ class _DataNode:
         return self.num_keys / self.capacity if self.capacity else 1.0
 
     def occupied_items(self) -> List[Tuple[Key, Value]]:
-        return [
-            (self.keys[i], self.values[i])
-            for i in range(self.capacity)
-            if self.present[i]
-        ]
+        return list(compress(zip(self.keys, self.values), self.present))
 
 
 class _InnerNode:
@@ -205,7 +203,7 @@ class ALEX(OrderedIndex):
         cap = max(8, int(math.ceil(n / self.avg_density)))
         node.keys = [_GAP_HIGH] * cap
         node.values = [None] * cap
-        node.present = [False] * cap
+        node.present = bytearray(cap)
         node.num_keys = n
         self.meter.charge(ALLOC_NODE)
         self.meter.charge(SLOT_INIT, cap)
@@ -241,7 +239,7 @@ class ALEX(OrderedIndex):
         for (k, v), p in zip(items, positions):
             node.keys[p] = k
             node.values[p] = v
-            node.present[p] = True
+            node.present[p] = 1
 
     @staticmethod
     def _fill_gaps(node: _DataNode) -> None:
@@ -397,9 +395,9 @@ class ALEX(OrderedIndex):
         values = np.empty(cap, dtype=object)
         values[pos] = vobj
         node.values = values.tolist()
-        present = np.zeros(cap, dtype=bool)
-        present[pos] = True
-        node.present = present.tolist()
+        present = np.zeros(cap, dtype=np.uint8)
+        present[pos] = 1
+        node.present = bytearray(present)
         return node
 
     def _link_leaves(self) -> None:
@@ -700,49 +698,46 @@ class ALEX(OrderedIndex):
     def _place(self, node: _DataNode, pos: int, key: Key, value: Value) -> int:
         """Put ``key`` into the array at/near ``pos``; returns keys shifted.
 
-        Gap-run ends come from ``list.index`` and a shift is one slice
-        assignment per column: the slots written, and the ``SLOT_INIT``
-        / ``KEY_SHIFT`` units charged to ``PHASE_COLLISION`` for them,
-        are those of a slot-by-slot mover."""
+        Gap-run ends come from ``bytearray.find`` / ``rfind`` on the
+        bitmap and a shift is one slice assignment per column: the slots
+        written, and the ``SLOT_INIT`` / ``KEY_SHIFT`` units charged to
+        ``PHASE_COLLISION`` for them, are those of a slot-by-slot mover."""
         keys, values, present = node.keys, node.values, node.present
         cap = len(keys)
         if pos < cap and not present[pos]:
             # Gap run: slots pos..first_occupied-1 all hold the same
             # copied value; place at the prediction-closest legal slot.
-            try:
-                end = present.index(True, pos)
-            except ValueError:
+            end = present.find(1, pos)
+            if end < 0:
                 end = cap
             hint = node.model.predict_clamped(key, cap)
             target = min(max(hint, pos), end - 1)
             keys[pos:target + 1] = [key] * (target - pos + 1)
             values[target] = value
-            present[target] = True
+            present[target] = 1
             self.meter.charge_phased(PHASE_COLLISION, SLOT_INIT,
                                      target - pos + 1)
             return 0
         # Occupied (or past the end): shift toward the nearest gap.  The
         # left one is looked for only where it would beat the right one.
-        try:
-            right = present.index(False, pos)
-            reach = right - pos
-        except ValueError:
+        right = present.find(0, pos)
+        if right < 0:
             right = cap
             reach = pos + 1
-        run = present[max(pos - reach + 1, 0):pos]
-        run.reverse()
-        if False in run:
-            left = pos - 1 - run.index(False)
+        else:
+            reach = right - pos
+        left = present.rfind(0, max(pos - reach + 1, 0), pos)
+        if left >= 0:
             keys[left:pos - 1] = keys[left + 1:pos]
             values[left:pos - 1] = values[left + 1:pos]
-            present[left] = True
+            present[left] = 1
             keys[pos - 1] = key
             values[pos - 1] = value
             shifted = pos - 1 - left
         elif right < cap:
             keys[pos + 1:right + 1] = keys[pos:right]
             values[pos + 1:right + 1] = values[pos:right]
-            present[right] = True
+            present[right] = 1
             keys[pos] = key
             values[pos] = value
             shifted = reach
@@ -778,7 +773,7 @@ class ALEX(OrderedIndex):
         cap = max(8, int(math.ceil(n / self.avg_density)))
         node.keys = [_GAP_HIGH] * cap
         node.values = [None] * cap
-        node.present = [False] * cap
+        node.present = bytearray(cap)
         keys = [k for k, _ in items]
         node.model = LinearModel.train(keys).scaled(cap / max(n, 1))
         self.meter.charge(TRAIN_KEY, n)
@@ -962,7 +957,7 @@ class ALEX(OrderedIndex):
             )
             return False
         with self.meter.phase(PHASE_COLLISION):
-            node.present[occ] = False
+            node.present[occ] = 0
             node.values[occ] = None
             # The freed slot and gaps left of it copy the next occupied
             # key; slot occ+1 already holds it (occupied or gap copy).
@@ -1115,7 +1110,7 @@ class ALEX(OrderedIndex):
                     f"keys/values/present lengths {cap}/"
                     f"{len(node.values)}/{len(node.present)} differ"))
                 continue
-            occupied = sum(1 for p in node.present if p)
+            occupied = cap - node.present.count(0)
             if occupied != node.num_keys:
                 out.append(Violation(
                     node.node_id, "alex.present-count",

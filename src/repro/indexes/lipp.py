@@ -31,6 +31,7 @@ empty the slot (collapsing single-entry chains), never touching models.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
@@ -80,18 +81,23 @@ _BUILD_BATCH_SLOTS = 1 << 16
 
 
 class _LippNode:
+    """A node's slots as two columns: ``tags`` one byte per slot
+    (``_EMPTY`` / ``_DATA`` / ``_CHILD``), ``items`` what the slot
+    holds — ``None``, the entry's ``(key, value)`` tuple, or the child
+    node.  LIPP never searches inside a node, so nothing needs the keys
+    as a column of their own."""
+
     __slots__ = (
-        "node_id", "model", "tags", "keys", "values",
+        "node_id", "model", "tags", "items",
         "size", "build_size", "num_inserts", "num_conflicts",
     )
 
-    def __init__(self, node_id: int, model: LinearModel, tags: List[int],
-                 keys: List[Key], values: List[Any], size: int) -> None:
+    def __init__(self, node_id: int, model: LinearModel, tags: bytearray,
+                 items: List[Any], size: int) -> None:
         self.node_id = node_id
         self.model = model
         self.tags = tags
-        self.keys = keys
-        self.values = values
+        self.items = items
         #: Keys stored in this subtree.
         self.size = size
         #: Subtree size when the node was (re)built.
@@ -106,18 +112,18 @@ class _LippNode:
         return len(self.tags)
 
 
-def _slot_list(width: int, at: Any, source: Any, index: Any, fill: Any) -> list:
+def _slot_list(width: int, at: Any, source: Any, index: Any) -> list:
     """A list of ``width`` slots: ``source[index[i]]`` in slot ``at[i]``
-    (ascending), ``fill`` in the rest — scattered through an array of
-    ``_BUILD_BATCH_SLOTS`` at a time, so nothing of a root's width
-    exists beside the list itself."""
+    (ascending), ``None`` in the rest — scattered through an object
+    array of ``_BUILD_BATCH_SLOTS`` at a time, so nothing of a root's
+    width exists beside the list itself."""
     np = batching._np
-    out = [fill] * width
+    out = [None] * width
     edges = [*range(0, width, _BUILD_BATCH_SLOTS), width]
     cuts = np.searchsorted(at, edges).tolist()
     for lo, hi, a, b in zip(edges, edges[1:], cuts, cuts[1:]):
         if b > a:
-            chunk = np.full(hi - lo, fill, dtype=source.dtype)
+            chunk = np.full(hi - lo, None, dtype=object)
             chunk[at[a:b] - lo] = source[index[a:b]]
             out[lo:hi] = chunk.tolist()
     return out
@@ -180,8 +186,8 @@ class LIPP(OrderedIndex):
     def _build_node(self, items: Sequence[Tuple[Key, Value]]) -> _LippNode:
         n = len(items)
         cap = max(16, min(int(n / self.density) + 1, self.max_node_slots))
-        node = _LippNode(self._next_node_id(), LinearModel(), [_EMPTY] * cap,
-                         [0] * cap, [None] * cap, n)
+        node = _LippNode(self._next_node_id(), LinearModel(), bytearray(cap),
+                         [None] * cap, n)
         self._n_nodes += 1
         self._n_slots += cap
         self.meter.charge(ALLOC_NODE)
@@ -207,11 +213,10 @@ class LIPP(OrderedIndex):
         for s, group in zip(slots, groups):
             if len(group) == 1:
                 node.tags[s] = _DATA
-                node.keys[s] = group[0][0]
-                node.values[s] = group[0][1]
+                node.items[s] = group[0]
             else:
                 node.tags[s] = _CHILD
-                node.values[s] = self._build_node(group)
+                node.items[s] = self._build_node(group)
         return node
 
     def _build_pair(self, a: Tuple[Key, Value],
@@ -227,11 +232,10 @@ class LIPP(OrderedIndex):
         sb = model.predict_clamped(b[0], cap)
         if sa == sb:
             return self._build_node((a, b))
-        tags, keys, values = [_EMPTY] * cap, [0] * cap, [None] * cap
+        tags, items = bytearray(cap), [None] * cap
         tags[sa] = tags[sb] = _DATA
-        keys[sa], values[sa] = a
-        keys[sb], values[sb] = b
-        node = _LippNode(self._next_node_id(), model, tags, keys, values, 2)
+        items[sa], items[sb] = a, b
+        node = _LippNode(self._next_node_id(), model, tags, items, 2)
         self._n_nodes += 1
         self._n_slots += cap
         self.meter.charge(ALLOC_NODE)
@@ -261,7 +265,9 @@ class LIPP(OrderedIndex):
         subtree node counts.
         """
         np = batching._np
-        kobj, vobj = batching.object_columns(items)
+        # The entries as one object column, each the caller's tuple (a
+        # list pair becomes one): the data slots are gathered from it.
+        entries = np.fromiter(map(tuple, items), dtype=object, count=len(ks))
         sizes = np.asarray([len(ks)])  # keys of each node of this level
         picked = np.arange(len(ks))  # this level's keys: indices into ``ks``
         parent = slots = None  # of each node of this level, one level up
@@ -279,7 +285,7 @@ class LIPP(OrderedIndex):
                 reach = int(slot_ends[a] - caps[a]) + _BUILD_BATCH_SLOTS
                 b = max(int(np.searchsorted(slot_ends, reach, "right")), a + 1)
                 batch, *children = self._build_siblings(
-                    ks, kobj, vobj,
+                    ks, entries,
                     picked[key_ends[a] - sizes[a]:key_ends[b - 1]],
                     sizes[a:b], caps[a:b])
                 children[2] += a
@@ -289,7 +295,7 @@ class LIPP(OrderedIndex):
             if parent is not None:
                 above = levels[-1][0]
                 for node, p, slot in zip(nodes, parent.tolist(), slots.tolist()):
-                    above[p].values[slot] = node
+                    above[p].items[slot] = node
             levels.append((nodes, parent))
             total_slots += int(slot_ends[-1])
             total_keys += int(key_ends[-1])
@@ -304,7 +310,7 @@ class LIPP(OrderedIndex):
         return levels[0][0][0]
 
     @staticmethod
-    def _build_siblings(ks: Any, kobj: Any, vobj: Any,
+    def _build_siblings(ks: Any, entries: Any,
                         picked: Any, sizes: Any, caps: Any) -> tuple:
         """Consecutive nodes of one level (ids and child pointers
         pending): node ``t`` holds the next ``sizes[t]`` of the keys
@@ -356,22 +362,24 @@ class LIPP(OrderedIndex):
         child_sizes, child_keys = run[~alone], picked[np.repeat(~alone, run)]
         del first, run
         width = int(offsets[-1] + caps[-1])
-        tags = _slot_list(width, at, np.asarray([_CHILD, _DATA], dtype=np.int8),
-                          alone.view(np.int8), _EMPTY)
+        tag_bytes = np.zeros(width, dtype=np.uint8)
+        tag_bytes[at] = np.where(alone, _DATA, _CHILD)
+        tags = bytearray(tag_bytes)
+        del tag_bytes
         data_at, child_at = at[alone], at[~alone]
         del at, alone
-        key_slots = _slot_list(width, data_at, kobj, data, 0)
-        value_slots = _slot_list(width, data_at, vobj, data, None)
-        if alone_node:  # the lists are the node's own: a root's are 2n long
-            cuts = [(tags, key_slots, value_slots)]
+        slot_items = _slot_list(width, data_at, entries, data)
+        if alone_node:  # the columns are the node's own: a root's are 2n long
+            cuts = [(tags, slot_items)]
         else:
-            cuts = [(tags[o:e], key_slots[o:e], value_slots[o:e])
+            cuts = [(tags[o:e], slot_items[o:e])
                     for o, e in zip(offsets.tolist(), (offsets + caps).tolist())]
+        anchor_keys = [entry[0] for entry in entries[picked[anchor_at]].tolist()]
         nodes = [
             _LippNode(0, LinearModel(slope, intercept, anchor), *cut, size)
             for slope, intercept, anchor, cut, size in zip(
-                slopes.tolist(), intercepts.tolist(),
-                kobj[picked[anchor_at]].tolist(), cuts, sizes.tolist())]
+                slopes.tolist(), intercepts.tolist(), anchor_keys, cuts,
+                sizes.tolist())]
         parent = np.searchsorted(offsets, child_at, side="right") - 1
         return (nodes, child_sizes, child_keys,
                 parent, child_at - offsets[parent])
@@ -400,7 +408,7 @@ class LIPP(OrderedIndex):
 
     def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         self._n_nodes = self._n_slots = 0
-        self._root = (self._build_node(list(items)) if ks is None
+        self._root = (self._build_node(list(map(tuple, items))) if ks is None
                       else self._build_levels(ks, items))
 
     # -- lookup ------------------------------------------------------------------
@@ -412,20 +420,21 @@ class LIPP(OrderedIndex):
             path.append(node.node_id)
             s = node.model.predict_clamped(key, len(node.tags))
             tag = node.tags[s]
+            item = node.items[s]
             if tag != _CHILD:
                 break
-            node = node.values[s]
+            node = item
         # One hop and one model evaluation per node walked, by totals.
         charge = self.meter.charge_phased
         charge(PHASE_TRAVERSE, NODE_HOP, len(path))
         charge(PHASE_TRAVERSE, MODEL_EVAL, len(path))
         charge(PHASE_TRAVERSE, KEY_COMPARE, 1)
-        found = tag == _DATA and node.keys[s] == key
+        found = tag == _DATA and item[0] == key
         self.last_op = OpRecord(
             op="lookup", key=key, found=found, path=path,
             nodes_traversed=len(path),
         )
-        return node.values[s] if found else None
+        return item[1] if found else None
 
     def _lookup_batch(self, keys: Sequence[Key]):
         """Batch lookup on the live lists, no state kept between calls:
@@ -449,13 +458,15 @@ class LIPP(OrderedIndex):
         for i, (key, s, tag) in enumerate(zip(ks.tolist(), slots, tags)):
             node = root
             while tag == _CHILD:
-                node = node.values[s]
+                node = node.items[s]
                 depth[i] += 1
                 s = node.model.predict_clamped(key, len(node.tags))
                 tag = node.tags[s]
-            if tag == _DATA and node.keys[s] == key:
-                found[i] = True
-                values[i] = node.values[s]
+            if tag == _DATA:
+                item = node.items[s]
+                if item[0] == key:
+                    found[i] = True
+                    values[i] = item[1]
         depth = np.asarray(depth, dtype=np.int64)
         log = batching.ChargeLog(B)
         log.add(PHASE_TRAVERSE, NODE_HOP, depth)
@@ -470,7 +481,7 @@ class LIPP(OrderedIndex):
                 path.append(node.node_id)
                 s = node.model.predict_clamped(key, node.capacity)
                 if node.tags[s] == _CHILD:
-                    node = node.values[s]
+                    node = node.items[s]
                     continue
                 break
             return OpRecord(op="lookup", key=key, found=found[i],
@@ -491,13 +502,14 @@ class LIPP(OrderedIndex):
             path.append(node.node_id)
             s = node.model.predict_clamped(key, len(node.tags))
             tag = node.tags[s]
+            old = node.items[s]
             if tag != _CHILD:
                 break
-            node = node.values[s]
+            node = old
         charge = self.meter.charge_phased
         charge(PHASE_TRAVERSE, NODE_HOP, len(path))
         charge(PHASE_TRAVERSE, MODEL_EVAL, len(path))
-        if tag == _DATA and node.keys[s] == key:
+        if tag == _DATA and old[0] == key:
             self.last_op = OpRecord(
                 op="insert", key=key, found=True, path=path,
                 nodes_traversed=len(path),
@@ -506,20 +518,17 @@ class LIPP(OrderedIndex):
         if tag == _EMPTY:
             with self.meter.phase(PHASE_COLLISION):
                 node.tags[s] = _DATA
-                node.keys[s] = key
-                node.values[s] = value
+                node.items[s] = (key, value)
                 self.meter.charge(SLOT_INIT)
         else:
             # Collision: chain exactly one new node holding both entries.
             conflict = True
             self.chain_count += 1
             with self.meter.phase(PHASE_COLLISION):
-                old = (node.keys[s], node.values[s])
                 child = (self._build_pair(old, (key, value)) if old[0] < key
                          else self._build_pair((key, value), old))
                 node.tags[s] = _CHILD
-                node.keys[s] = 0
-                node.values[s] = child
+                node.items[s] = child
                 created = 1
         # Statistics are updated in EVERY node on the path (the unified
         # layout forces this) — the root-contention source in Figure 5.
@@ -584,12 +593,12 @@ class LIPP(OrderedIndex):
             parent = path_nodes[i - 1]
             # Find the slot pointing at this child.
             s = parent.model.predict_clamped(items[0][0], parent.capacity)
-            if parent.tags[s] == _CHILD and parent.values[s] is node:
-                parent.values[s] = rebuilt
+            if parent.tags[s] == _CHILD and parent.items[s] is node:
+                parent.items[s] = rebuilt
             else:  # defensive: locate by scan
                 for j in range(parent.capacity):
-                    if parent.tags[j] == _CHILD and parent.values[j] is node:
-                        parent.values[j] = rebuilt
+                    if parent.tags[j] == _CHILD and parent.items[j] is node:
+                        parent.items[j] = rebuilt
                         break
         return True
 
@@ -599,23 +608,21 @@ class LIPP(OrderedIndex):
         return its footprint ``(nodes, slots)`` — one walk for a caller
         that is about to drop the subtree.  Never charges the meter."""
         nodes, slots = 1, len(node.tags)
-        keys, values = node.keys, node.values
-        for s, tag in enumerate(node.tags):
+        for tag, item in zip(node.tags, node.items):
             if tag == _DATA:
-                items.append((keys[s], values[s]))
+                items.append(item)
             elif tag == _CHILD:
-                n, sl = self._collect_subtree(values[s], items)
+                n, sl = self._collect_subtree(item, items)
                 nodes += n
                 slots += sl
         return nodes, slots
 
     def _iter_subtree(self, node: _LippNode) -> Iterator[Tuple[Key, Value]]:
-        for s in range(node.capacity):
-            tag = node.tags[s]
+        for tag, item in zip(node.tags, node.items):
             if tag == _DATA:
-                yield (node.keys[s], node.values[s])
+                yield item
             elif tag == _CHILD:
-                yield from self._iter_subtree(node.values[s])
+                yield from self._iter_subtree(item)
 
     # -- update / delete -----------------------------------------------------------
 
@@ -625,14 +632,15 @@ class LIPP(OrderedIndex):
         while True:
             s = node.model.predict_clamped(key, len(node.tags))
             tag = node.tags[s]
+            item = node.items[s]
             if tag != _CHILD:
                 break
-            node = node.values[s]
+            node = item
             depth += 1
         self.meter.charge(NODE_HOP, depth)
         self.meter.charge(MODEL_EVAL, depth)
-        if tag == _DATA and node.keys[s] == key:
-            node.values[s] = value
+        if tag == _DATA and item[0] == key:
+            node.items[s] = (item[0], value)
             self.meter.charge(SLOT_INIT)
             return True
         return False
@@ -646,20 +654,21 @@ class LIPP(OrderedIndex):
             path.append(node.node_id)
             s = node.model.predict_clamped(key, len(node.tags))
             tag = node.tags[s]
+            item = node.items[s]
             if tag != _CHILD:
                 break
-            node = node.values[s]
+            node = item
         charge = self.meter.charge_phased
         charge(PHASE_TRAVERSE, NODE_HOP, len(path))
         charge(PHASE_TRAVERSE, MODEL_EVAL, len(path))
-        if tag != _DATA or node.keys[s] != key:
+        if tag != _DATA or item[0] != key:
             self.last_op = OpRecord(
                 op="delete", key=key, found=False, path=path,
                 nodes_traversed=len(path),
             )
             return False
         node.tags[s] = _EMPTY
-        node.values[s] = None
+        node.items[s] = None
         self.meter.charge(SLOT_INIT)
         for pn in path_nodes:
             pn.size -= 1
@@ -670,13 +679,13 @@ class LIPP(OrderedIndex):
         if len(path_nodes) >= 2 and node.size == 1:
             parent = path_nodes[-2]
             for j in range(parent.capacity):
-                if parent.tags[j] == _CHILD and parent.values[j] is node:
+                if parent.tags[j] == _CHILD and parent.items[j] is node:
                     left: List[Tuple[Key, Value]] = []
                     nodes, slots = self._collect_subtree(node, left)
                     self._n_nodes -= nodes
                     self._n_slots -= slots
                     parent.tags[j] = _DATA
-                    parent.keys[j], parent.values[j] = left[0]
+                    parent.items[j] = left[0]
                     self.meter.charge(SLOT_INIT)
                     break
         self.last_op = OpRecord(
@@ -706,19 +715,21 @@ class LIPP(OrderedIndex):
         holds ``count`` rows — checked after each row, so ``count``
         must be positive.  What this node did is added to ``tally``
         before each child hop and on the way out."""
-        tags, keys, values = node.tags, node.keys, node.values
+        tags, items = node.tags, node.items
         cap = len(tags)
         s0 = node.model.predict_clamped(start, cap) if bounded else 0
         tally[MODEL_EVAL] += 1
         tallied, rows = s0, len(out)  # slots / rows already in ``tally``
-        full = False  # s0 < cap, so the loop below binds ``s``
-        for s in range(s0, cap):
+        walked, full = cap, False  # one past the last slot walked
+        # Empty slots are skipped at C speed (``compress`` over the tag
+        # bytes); the tally counts the slots walked by position.
+        for s in compress(range(s0, cap), memoryview(tags)[s0:]):
             tag = tags[s]
             if tag == _DATA:
-                if not bounded or keys[s] >= start:
-                    out.append((keys[s], values[s]))
+                if not bounded or items[s][0] >= start:
+                    out.append(items[s])
                     if len(out) >= count:
-                        full = True
+                        walked, full = s + 1, True
                         break
             elif tag == _CHILD:
                 tally[BRANCH] += s + 1 - tallied
@@ -726,12 +737,12 @@ class LIPP(OrderedIndex):
                 if len(out) > rows:
                     tally[SCAN_ENTRY] = tally.get(SCAN_ENTRY, 0) + len(out) - rows
                 tally[NODE_HOP] = tally.get(NODE_HOP, 0) + 1
-                if self._scan_into(values[s], start, bounded and s == s0,
+                if self._scan_into(items[s], start, bounded and s == s0,
                                    count, out, tally):
                     return True
                 rows = len(out)
         # The unified layout's per-slot branch (Message 12).
-        tally[BRANCH] += s + 1 - tallied
+        tally[BRANCH] += walked - tallied
         if len(out) > rows:
             tally[SCAN_ENTRY] = tally.get(SCAN_ENTRY, 0) + len(out) - rows
         return full
@@ -772,19 +783,23 @@ class LIPP(OrderedIndex):
 
         def walk(node: _LippNode) -> int:
             data = 0
-            for s in range(node.capacity):
-                tag = node.tags[s]
+            for s, (tag, item) in enumerate(zip(node.tags, node.items)):
                 if tag == _DATA:
+                    if type(item) is not tuple or len(item) != 2:
+                        out.append(Violation(
+                            node.node_id, "lipp.tag-value",
+                            f"slot {s} tagged DATA but holds "
+                            f"{type(item).__name__}"))
+                        continue
                     data += 1
-                    pred = node.model.predict_clamped(
-                        node.keys[s], node.capacity)
+                    pred = node.model.predict_clamped(item[0], node.capacity)
                     if pred != s:
                         out.append(Violation(
                             node.node_id, "lipp.precise-position",
-                            f"key {node.keys[s]} stored in slot {s} but "
+                            f"key {item[0]} stored in slot {s} but "
                             f"model predicts {pred}"))
                 elif tag == _CHILD:
-                    child = node.values[s]
+                    child = item
                     if not isinstance(child, _LippNode):
                         out.append(Violation(
                             node.node_id, "lipp.tag-value",
@@ -804,6 +819,11 @@ class LIPP(OrderedIndex):
                     out.append(Violation(
                         node.node_id, "lipp.tag-value",
                         f"slot {s} has unknown tag {tag}"))
+                elif item is not None:
+                    out.append(Violation(
+                        node.node_id, "lipp.tag-value",
+                        f"slot {s} tagged EMPTY but holds "
+                        f"{type(item).__name__}"))
             if node.size != data:
                 out.append(Violation(
                     node.node_id, "lipp.subtree-size",
@@ -838,9 +858,9 @@ class LIPP(OrderedIndex):
     def max_depth(self) -> int:
         def depth(node: _LippNode) -> int:
             best = 1
-            for s in range(node.capacity):
-                if node.tags[s] == _CHILD:
-                    best = max(best, 1 + depth(node.values[s]))
+            for tag, item in zip(node.tags, node.items):
+                if tag == _CHILD:
+                    best = max(best, 1 + depth(item))
             return best
 
         return depth(self._root)

@@ -214,11 +214,12 @@ def merge_items(old: Iterable[Tuple[int, object]],
 def alex_leaf(index, present: Sequence[bool], keys: Sequence[int]):
     """A data node of ``index`` (not linked into it) in a given state:
     ``keys`` in the ``present`` slots with values ``-key``, gap copies
-    filled in, the model trained on them — what ``_place`` is handed."""
+    filled in, the model trained on them — what ``_place`` is handed
+    (``present`` as the leaf's one-byte bitmap)."""
     node = _DataNode(index._next_node_id())
     cap = len(present)
     node.keys, node.values = [_GAP_HIGH] * cap, [None] * cap
-    node.present = list(present)
+    node.present = bytearray(present)
     occupied = [slot for slot, p in enumerate(present) if p]
     for slot, key in zip(occupied, keys):
         node.keys[slot], node.values[slot] = key, -key
@@ -325,5 +326,6 @@ def alex_range_scan(index, start: int, count: int) -> List[Tuple[int, object]]:
 
 def lipp_build_pair(index, a: Tuple[int, object], b: Tuple[int, object]):
     """LIPP's chained node for two colliding entries, by the generic
-    builder (grouping loop and all), as ``insert`` made it."""
+    builder (grouping loop and all), as ``insert`` made it: two ``_DATA``
+    tag bytes, and ``a`` and ``b`` themselves in ``items``."""
     return index._build_node(sorted([a, b]))

@@ -16,7 +16,7 @@ def test_model_place_keeps_order_and_fits():
     cap = 20
     node.keys = [_GAP_HIGH] * cap
     node.values = [None] * cap
-    node.present = [False] * cap
+    node.present = bytearray(cap)
     # A model that predicts everything at slot 18: tail compaction must
     # still place all 10 items at distinct, ordered slots.
     node.model = LinearModel(0.0, 18.0)
@@ -32,10 +32,10 @@ def test_fill_gaps_right_copy_invariant():
     node = _DataNode(1)
     node.keys = [_GAP_HIGH] * 8
     node.values = [None] * 8
-    node.present = [False] * 8
+    node.present = bytearray(8)
     for slot, key in ((1, 10), (4, 40), (6, 60)):
         node.keys[slot] = key
-        node.present[slot] = True
+        node.present[slot] = 1
     ALEX._fill_gaps(node)
     assert node.keys == [10, 10, 40, 40, 40, 60, 60, _GAP_HIGH]
     assert node.keys == sorted(node.keys)

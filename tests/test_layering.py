@@ -12,6 +12,9 @@
 * One class lends an index a meter (``repro.indexes.base.lend``).
 * One door admits a build's items: ``OrderedIndex.bulk_load``; an index
   implements ``_load``.
+* Node columns at their natural width: a LIPP node is a ``bytearray``
+  of tags beside one column of items, an ALEX leaf's bitmap a
+  ``bytearray``, whatever path built or last changed them.
 * One class cuts a migration over (``MigrationDriver``), and the
   serving tier's constructors and job methods take the options a
   census pins, no more.
@@ -25,6 +28,7 @@ import ast
 import importlib
 import inspect
 import os
+import random
 import re
 import threading
 
@@ -206,6 +210,112 @@ def test_one_door_for_bulk_loads():
     assert not named, named
     checkers = [rel for rel in _modules() if _calls(rel, "ascending")]
     assert checkers == ["core/workloads.py", "indexes/base.py"], checkers
+
+
+def _lipp_slots(index):
+    """Every ``(node, slot, tag, item)`` of a LIPP tree."""
+    from repro.indexes.lipp import _CHILD
+    stack = [index._root]
+    while stack:
+        node = stack.pop()
+        for s, (tag, item) in enumerate(zip(node.tags, node.items)):
+            yield node, s, tag, item
+            if tag == _CHILD:
+                stack.append(item)
+
+
+def _assert_lipp_columns(index, loaded):
+    """Tags are bytes, a data item is a 2-tuple at its key's predicted
+    slot, and each of ``loaded`` (key -> the caller's tuple) is stored
+    as that very tuple."""
+    from repro.indexes.lipp import _DATA, _EMPTY
+    held = {}
+    for node, s, tag, item in _lipp_slots(index):
+        assert type(node.tags) is bytearray
+        assert len(node.items) == len(node.tags)
+        if tag == _DATA:
+            assert type(item) is tuple and len(item) == 2, item
+            assert node.model.predict_clamped(item[0], node.capacity) == s
+            held[item[0]] = item
+        elif tag == _EMPTY:
+            assert item is None
+    assert len(held) == len(index)
+    for key, item in loaded.items():
+        assert held[key] is item, key
+
+
+def _lipp_end_tag(index, key):
+    """The tag of the slot ``key`` predicts at the end of its path."""
+    from repro.indexes.lipp import _CHILD
+    node = index._root
+    while True:
+        s = node.model.predict_clamped(key, node.capacity)
+        if node.tags[s] != _CHILD:
+            return node.tags[s]
+        node = node.items[s]
+
+
+def test_node_columns_at_natural_width():
+    """A LIPP node holds ``tags`` (a ``bytearray``) and ``items`` (the
+    entries' own tuples, children, ``None``), after an array-path and a
+    scalar-path load and each kind of write; ALEX's ``present`` is a
+    ``bytearray`` after load, insert, expand, split and delete."""
+    from repro.indexes.alex import ALEX
+    from repro.indexes.lipp import _DATA, _EMPTY, LIPP, _LippNode
+    assert {"tags", "items"} <= set(_LippNode.__slots__)
+    assert not {"keys", "values"} & set(_LippNode.__slots__)
+    for n in (1000, 100):  # the array build, then the scalar one
+        rng = random.Random(n)
+        items = sorted((k, -k) for k in set(rng.sample(range(2**40), n)))
+        index = LIPP()
+        index.bulk_load(items)
+        loaded = {item[0]: item for item in items}
+        _assert_lipp_columns(index, loaded)
+        fresh = (k for k in iter(lambda: rng.randrange(2**40), None)
+                 if k not in loaded)
+        empty = next(k for k in fresh if _lipp_end_tag(index, k) == _EMPTY)
+        chains = index.chain_count
+        assert index.insert(empty, -1) and index.chain_count == chains
+        _assert_lipp_columns(index, loaded)
+        taken = next(k for k in fresh if _lipp_end_tag(index, k) == _DATA)
+        assert index.insert(taken, -2) and index.chain_count == chains + 1
+        _assert_lipp_columns(index, loaded)
+        updated, deleted = items[n // 3][0], items[n // 2][0]
+        assert index.update(updated, -3) and index.lookup(updated) == -3
+        del loaded[updated]
+        _assert_lipp_columns(index, loaded)
+        assert index.delete(deleted) and index.lookup(deleted) is None
+        del loaded[deleted]
+        _assert_lipp_columns(index, loaded)
+        rebuilds = index.rebuild_count
+        assert index._rebuild_at([index._root], 0)
+        assert index.rebuild_count == rebuilds + 1
+        _assert_lipp_columns(index, loaded)
+        assert not index.debug_validate()
+    # A list pair, as a stream read back from JSON carries it.
+    index = LIPP()
+    index.bulk_load([[5, "a"], (9, "b")])
+    assert index.range_scan(0, 2) == [(5, "a"), (9, "b")]
+    assert all(type(row) is tuple for row in index.range_scan(0, 2))
+
+    alex = ALEX(target_leaf_keys=64, max_data_keys=512)
+
+    def assert_bitmaps():
+        for leaf in alex.data_nodes():
+            assert type(leaf.present) is bytearray
+            assert len(leaf.present) == leaf.capacity
+        assert not alex.debug_validate()
+
+    alex.bulk_load([(k * 64, k) for k in range(1000)])
+    assert_bitmaps()
+    for k in range(6400):  # a dense run over a tenth of the keys
+        if k % 64:
+            assert alex.insert(k, k)
+    assert alex.expand_count and alex.split_count
+    assert_bitmaps()
+    for k in range(0, 1000, 3):
+        assert alex.delete(k * 64)
+    assert_bitmaps()
 
 
 def test_only_the_migration_driver_cuts_over():

@@ -20,7 +20,7 @@ def test_bulk_build_groups_collisions_into_children():
         if root.tags[s] == _DATA:
             total += 1
         elif root.tags[s] == _CHILD:
-            total += root.values[s].size
+            total += root.items[s].size
     assert total == len(keys)
 
 
@@ -94,7 +94,7 @@ def test_node_count_matches_walk():
         count += 1
         for s in range(n.capacity):
             if n.tags[s] == _CHILD:
-                stack.append(n.values[s])
+                stack.append(n.items[s])
     assert count == idx.node_count()
 
 

@@ -239,13 +239,11 @@ class TestCorruptionDetection:
         slots = [i for i, t in enumerate(node.tags) if t == _DATA]
         # Move a key to an empty slot its model cannot predict.
         src = slots[0]
-        empty = next(i for i, t in enumerate(node.tags)
-                     if t not in (_DATA,) and not isinstance(node.keys[i], list)
-                     and i != src and node.tags[i] == 0)
+        empty = next(i for i, t in enumerate(node.tags) if t == 0)
         node.tags[empty] = _DATA
-        node.keys[empty] = node.keys[src]
-        node.values[empty] = node.values[src]
+        node.items[empty] = node.items[src]
         node.tags[src] = 0
+        node.items[src] = None
         rules = _rules(idx)
         assert "lipp.precise-position" in rules or "lipp.order" in rules
 

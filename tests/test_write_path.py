@@ -421,7 +421,7 @@ def test_place_through_inserts_until_smos():
 
 def _node_fields(node):
     return (node.node_id, node.model.slope.hex(), node.model.intercept.hex(),
-            node.model.anchor, node.tags, node.keys, node.values, node.size,
+            node.model.anchor, node.tags, node.items, node.size,
             node.build_size, node.num_inserts, node.num_conflicts)
 
 
