@@ -183,7 +183,7 @@ class IndexInstance:
                              t_ns=self.index.meter.total_time(), **payload)
 
     def note_backfill(self, stage: str, done: int, total: int) -> None:
-        """Record one load/backfill/verify progress tick."""
+        """Record one backfill/verify progress tick."""
         self._progress = {"event": "progress", "stage": stage,
                           "done": done, "total": total}
         self._publish("backfill_chunk", stage=stage, done=done, total=total,

@@ -3,8 +3,10 @@
 ROADMAP item 1: the long-running serving layer over the instance
 lifecycle (PR 7), the event bus / SLO tower (PR 8) and the registry.
 An :class:`IndexServer` hosts named :class:`~repro.core.instance
-.IndexInstance`\\ s and keeps answering foreground traffic while bulk
-loads, rebuilds and migrations run as background jobs:
+.IndexInstance`\\ s.  :meth:`IndexServer.create_instance` is the one
+way data enters a tenant: it bulk loads synchronously, so a hosted
+tenant serves from the moment it exists.  After that only rebuilds and
+migrations, run as background jobs, change its structure:
 
 * **Foreground ops** (lookup/insert/update/delete/scan plus the PR-6
   ``lookup_many``/``insert_many`` batch paths) run concurrently under a
@@ -13,11 +15,11 @@ loads, rebuilds and migrations run as background jobs:
   instance's state policy — rejections raise
   :class:`~repro.core.instance.AdmissionError` and are *counted*,
   never silently dropped.
-* **Background jobs** (``bulk_load``, ``rebuild``, ``migrate``) go
+* **Background jobs** (``rebuild``, ``migrate``) go
   through a bounded submission queue — ``block`` admission waits for a
   slot, ``reject`` admission raises with exact rejection counts
   (SNIPPETS Snippet 1's reconcile-thread pattern) — and are executed
-  one step at a time by a worker thread.  A rebuild wraps the serving
+  one step at a time by a worker thread.  A job wraps the serving
   index in a :class:`~repro.indexes.multiplex.MultiplexIndex` with
   ``pump_per_op=0``: only the job pumps, one
   :class:`~repro.core.migrate.MigrationDriver` step per job step, with
@@ -25,8 +27,7 @@ loads, rebuilds and migrations run as background jobs:
   steps never race a client op, the one O(n) build holds no lock, pump
   work is charged to the secondary's meter (never client-visible
   latency), and a failed, aborted or crashed job rolls the instance
-  back to SERVING on its original index.  A crashed bulk load retires
-  its instance, as an aborted one does.
+  back to SERVING on its original index.
 * **Status is first-class**: every job step publishes a typed ``job``
   event (chunks pumped, verified fraction, queue depth, ETA on the
   virtual clock) through the PR-8 :class:`~repro.core.events.EventBus`
@@ -73,9 +74,7 @@ from typing import (
 from repro.core.cost import SyncedMeter
 from repro.core.events import KIND_CUTOVER, KIND_JOB
 from repro.core.instance import (
-    LOADING,
     MIGRATING,
-    RETIRED,
     SERVING,
     AdmissionError,
     IndexInstance,
@@ -282,10 +281,10 @@ class _JournalBatch:
 
 @dataclass
 class Job:
-    """One background job: chunked bulk load, rebuild, or migration."""
+    """One background job: a rebuild or a migration."""
 
     job_id: int
-    kind: str          # "bulk_load" | "rebuild" | "migrate"
+    kind: str          # "rebuild" | "migrate"
     instance: str
     dst: str = ""      # destination index name ("" = same as serving)
     state: str = JOB_QUEUED
@@ -338,9 +337,10 @@ class _Served:
     #: Builds an empty index configured as the serving one: what
     #: ``create_instance`` built it with, then each cut-over job's.
     factory: Callable[[], Any]
+    #: What ``create_instance`` loaded: the journal replay's start.
+    bulk_items: List[Tuple[int, Any]]
     lock: RWLock = field(default_factory=RWLock)
     mutex: threading.Lock = field(default_factory=threading.Lock)
-    bulk_items: List[Tuple[int, Any]] = field(default_factory=list)
     #: Per-op rows (:class:`JournalEntry`'s fields less ``seq`` and
     #: ``instance``, as tuples until ``journal()`` reads them) and batch
     #: records, in serialization order.
@@ -385,63 +385,6 @@ class _Served:
             self.dropped[kind] = self.dropped.get(kind, 0) + 1
             if not isinstance(exc, AdmissionError):
                 self.ops += 1
-
-
-class _BulkLoadRunner:
-    """Background bulk load; the instance stays LOADING (and keeps
-    refusing traffic, counted) until the load lands.
-
-    Items are admitted a chunk per step — a progress event and an abort
-    point each — and the step that admits the last chunk builds the
-    index with one ``bulk_load`` of everything: nobody is served from a
-    LOADING instance, so growing it insert by insert would only make
-    the result slower to build and worse than a fresh bulk load."""
-
-    def __init__(self, server: "IndexServer", served: _Served, job: Job,
-                 items: Sequence[Tuple[int, Any]]) -> None:
-        self.server = server
-        self.served = served
-        self.job = job
-        self.items = sorted(items)
-        self.pos = 0
-        job.total_keys = len(self.items)
-
-    def step(self) -> bool:
-        job, served = self.job, self.served
-        inst = served.instance
-        items = self.items
-        with _write(served.lock):
-            if job.abort_requested:
-                # An instance that never got its data cannot serve.
-                inst.advance(RETIRED, f"job {job.job_id} aborted mid-load")
-                job.state = JOB_ABORTED
-                return True
-            self.pos = min(self.pos + self.server.chunk, len(items))
-            staged_all = self.pos >= len(items)
-            if staged_all:
-                meter = inst.index.meter
-                before = meter.snapshot()
-                inst.index.bulk_load(items)
-                job.overhead_ns += meter.diff(before).total_time()
-            job.chunks_pumped += 1
-            job.done_keys = self.pos
-            inst.note_backfill("load", self.pos, len(items))
-            if staged_all:
-                served.bulk_items = list(items)
-                inst.advance(SERVING,
-                             f"job {job.job_id}: bulk loaded "
-                             f"{len(items)} items")
-                job.verified_fraction = 1.0
-                job.eta_ns = 0.0
-                job.state = JOB_DONE
-        return staged_all
-
-    def fail(self, why: str) -> None:
-        """A load that crashed never got its data: retire the instance,
-        as an abort does."""
-        with _write(self.served.lock):
-            self.served.instance.advance(
-                RETIRED, f"job {self.job.job_id} failed mid-load: {why}")
 
 
 class _RebuildRunner:
@@ -592,6 +535,8 @@ class IndexServer:
             raise ValueError("queue_depth must be >= 1")
         if workers not in (0, 1):
             raise ValueError("workers must be 0 (manual) or 1")
+        if chunk < 1:
+            raise ValueError("chunk must be >= 1")
         self.bus = bus
         self.admission = admission
         self.queue_depth = queue_depth
@@ -636,20 +581,23 @@ class IndexServer:
 
     def create_instance(self, name: str, index_name: str,
                         factory: Optional[Callable[[], Any]] = None,
-                        items: Optional[Sequence[Tuple[int, Any]]] = None,
+                        items: Sequence[Tuple[int, Any]] = (),
                         **config: Any) -> IndexInstance:
-        """Host a new instance of registry index ``index_name``.
+        """Host a new instance of registry index ``index_name``, bulk
+        loaded with ``items`` (sorted, unique keys; none by default).
 
-        With ``items`` the load is synchronous (the instance comes back
-        SERVING; a load that raises registers nothing); without, it
-        stays LOADING until a :meth:`bulk_load` job finishes.  The index
-        comes from ``factory``, else from the registry with ``config``,
-        and so does a rebuild's.  Its meter is wrapped in
+        The load is synchronous: the instance comes back SERVING, and a
+        load that raises registers nothing.  The index comes from
+        ``factory``, else from the registry with ``config`` (not both),
+        and so does a same-type rebuild's.  Its meter is wrapped in
         :class:`SyncedMeter` — server instances are charged from both
         request threads and the job worker.
         """
         if name in self._served:
             raise ValueError(f"instance {name!r} already exists")
+        if factory is not None and config:
+            raise ValueError(
+                f"pass factory= or index config {sorted(config)}, not both")
         spec = REGISTRY.get(resolve_index_name(index_name))
         factory = factory or functools.partial(spec.factory, **config)
         index = factory()
@@ -661,17 +609,13 @@ class IndexServer:
         instance = IndexInstance(index, name=name)
         if self.bus is not None:
             instance.attach_bus(self.bus)
-        served = _Served(instance=instance, index_name=spec.name,
-                         factory=factory)
-        if items is None:
-            self._served[name] = served
-            return instance
         items = list(items)
+        served = _Served(instance=instance, index_name=spec.name,
+                         factory=factory, bulk_items=items)
         with _write(served.lock):  # a state change: see _Served.refuse
             index.bulk_load(items)
             self._served[name] = served
             instance.advance(SERVING, f"bulk loaded {len(items)} items")
-        served.bulk_items = items
         return instance
 
     def instance(self, name: str) -> IndexInstance:
@@ -827,17 +771,6 @@ class IndexServer:
 
     # -- background jobs -----------------------------------------------------
 
-    def bulk_load(self, name: str, items: Sequence[Tuple[int, Any]]) -> Job:
-        """Queue a chunked background load for a LOADING instance."""
-        served = self._served_of(name)
-        if served.instance.state != LOADING:
-            raise ValueError(
-                f"instance {name!r} is {served.instance.state}; background "
-                "bulk_load needs a fresh LOADING instance")
-        job = Job(job_id=next(self._job_ids), kind="bulk_load", instance=name)
-        job.runner = _BulkLoadRunner(self, served, job, items)
-        return self._submit(job)
-
     def rebuild(self, name: str,
                 factory: Optional[Callable[[], Any]] = None) -> Job:
         """Queue a background rebuild into a fresh index of the same
@@ -969,8 +902,8 @@ class IndexServer:
         return finished
 
     def _finalize_job(self, job: Job) -> None:
-        # The runner pins the multiplexer, the retired index and the
-        # load's sorted items; the job record outlives them all.
+        # The runner pins the multiplexer and the retired index; the
+        # job record outlives them both.
         job.runner = None
         self._publish_job(job, job.state)
         job._finished.set()

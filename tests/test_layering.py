@@ -20,12 +20,14 @@
   census pins, no more.
 * Each server tenant owns its journal and one mutex, and only
   ``core/server.py`` touches the server's private members.
+* One way into a tenant: ``create_instance`` loads it, and the one job
+  runner (rebuild / migrate) is all that changes its structure.
 * No module under ``src/``, ``tests/`` or ``benchmarks/`` imports a
   name it never uses (pyflakes' F401, without needing ruff).
 """
 
 import ast
-import importlib
+import importlib.util
 import inspect
 import os
 import random
@@ -356,6 +358,48 @@ def test_one_log_per_tenant():
     assert not reach, reach
 
 
+def test_one_way_into_a_tenant():
+    """``create_instance`` is the only way data enters a tenant: no
+    background bulk-load job, no on-disk snapshot package, one job-runner
+    class (what ``_step_job`` drives: a ``step`` and a ``fail``), and a
+    tenant created without items is already SERVING, empty."""
+    from repro.core.instance import SERVING
+    from repro.core.server import IndexServer
+    assert not hasattr(IndexServer, "bulk_load")
+    assert importlib.util.find_spec("repro.extensions") is None
+    runners = [cls.name for cls in _tree("core/server.py").body
+               if isinstance(cls, ast.ClassDef)
+               and {"step", "fail"} <= {f.name for f in cls.body
+                                        if isinstance(f, ast.FunctionDef)}]
+    assert runners == ["_RebuildRunner"], runners
+    with IndexServer(workers=0) as server:
+        instance = server.create_instance("t", "B+tree")
+        assert instance.state == SERVING and len(instance.index) == 0
+
+
+def _shardable():
+    from tests.server_harness import shardable_specs
+    return [spec.name for spec in shardable_specs()]
+
+
+@pytest.mark.parametrize("index_name", _shardable())
+def test_an_empty_tenant_fills_by_inserts_and_rebuilds(index_name):
+    """With no background load, an empty tenant is how a tenant grows
+    from nothing: 300 inserts, then a rebuild that cuts over."""
+    from repro.core.server import JOB_DONE, IndexServer
+    keys = random.Random(7).sample(range(1, 10**9), 300)
+    with IndexServer(workers=0, chunk=64) as server:
+        server.create_instance("t", index_name)
+        assert all(server.insert("t", key, -key) for key in keys)
+        job = server.rebuild("t")
+        server.drain()
+        assert job.state == JOB_DONE, job.error
+        index = server.instance("t").index
+        assert len(index) == len(keys)
+        assert not index.debug_validate()
+        assert not server.replay_check("t")
+
+
 #: The parameters each serving-tier entry point takes.  One more is one
 #: more way to drive a migration; every one here has a caller outside
 #: ``tests/``.
@@ -364,7 +408,6 @@ SIGNATURES = {
         "sample_every", "observers", "telemetry", "bus"),
     "repro.core.server:IndexServer": (
         "queue_depth", "admission", "workers", "bus", "chunk"),
-    "repro.core.server:IndexServer.bulk_load": ("self", "name", "items"),
     "repro.core.server:IndexServer.rebuild": ("self", "name", "factory"),
     "repro.core.server:IndexServer.migrate": (
         "self", "name", "dst", "factory"),

@@ -6,7 +6,7 @@ through the differential oracle — across **every** shardable registry
 index, in both the deterministic interleave and with real threads.  The
 rest pins the serving machinery piece by piece: block-vs-reject job
 admission with exact counts, backpressure saturation, abort and
-divergence rollback to SERVING, admission during background loads,
+divergence rollback to SERVING, counted refusals of a draining tenant,
 job-event ordering on the bus, the PR-6 batch paths, and the
 SyncedMeter thread-safety contract.
 """
@@ -22,9 +22,8 @@ from repro.core import server as server_module
 from repro.core.cost import CostMeter, SyncedMeter
 from repro.core.events import KIND_JOB, EventBus
 from repro.core.instance import (
-    LOADING,
+    DRAINING,
     MIGRATING,
-    RETIRED,
     SERVING,
     AdmissionError,
     IndexInstance,
@@ -304,83 +303,33 @@ def test_a_crashing_job_step_rolls_the_instance_back(workers):
         assert not server.replay_check("t")
 
 
-def test_a_crashing_bulk_load_retires_its_instance():
-    class ExplodingLoadBTree(BPlusTree):
-        def bulk_load(self, items):
-            raise RuntimeError("load exploded")
+# -- admission: the refusal path ------------------------------------------------
 
-    with _manual_server(chunk=40) as server:
-        inst = server.create_instance("t", "B+tree",
-                                      factory=ExplodingLoadBTree)
-        job = server.bulk_load("t", _items(n=150))
-        server.drain()
-        assert job.state == JOB_FAILED
-        assert job.error == "RuntimeError: load exploded"
-        assert inst.state == RETIRED
-        with pytest.raises(AdmissionError):
-            server.lookup("t", 1)
-
-
-# -- admission during a background bulk load -----------------------------------
-
-def test_loading_instance_counts_rejections_then_serves():
-    items = _items(n=150)
-    with _manual_server(chunk=50) as server:
-        inst = server.create_instance("t", "B+tree")
-        assert inst.state == LOADING
-        server.bulk_load("t", items)
-        with pytest.raises(AdmissionError):
-            server.lookup("t", items[0][0])
-        assert inst.rejected[LOOKUP] == 1
-        assert server.status("t")["server"]["dropped"][LOOKUP] == 1
-        server.drain()
-        assert inst.state == SERVING
-        assert server.lookup("t", items[0][0]) == payload(items[0][0])
-        assert not server.replay_check("t")
-
-
-@pytest.mark.parametrize("index_name", ["B+tree", "ALEX", "LIPP", "PGM"])
-def test_background_bulk_load_equals_a_direct_bulk_load(index_name):
-    """The job builds with one ``bulk_load`` of everything, so what it
-    hands back is exactly a fresh bulk load — and still reports a
-    progress event per admitted chunk."""
-    items = _items(n=150)
-    bus = EventBus()
-    with _manual_server(chunk=40, bus=bus) as server:
-        inst = server.create_instance("t", index_name)
-        job = server.bulk_load("t", list(reversed(items)))  # any order
-        server.drain()
-        assert job.state == JOB_DONE and inst.state == SERVING
-        assert job.chunks_pumped == 4     # 40 + 40 + 40 + 30
-        assert job.overhead_ns > 0
-        direct = REGISTRY.get(index_name).factory()
-        direct.bulk_load(items)
-        assert list(inst.index.items()) == items
-        assert inst.index.memory_usage() == direct.memory_usage()
-        running = [e["done"] for e in bus.events(kind=KIND_JOB, source="t")
-                   if e["status"] == "running"]
-        assert running == [0, 40, 80, 120]
-        assert bus.events(kind=KIND_JOB, source="t")[-1]["done"] == 150
-
-
-def test_bulk_load_abort_mid_staging_retires_the_instance():
-    with _manual_server(chunk=40) as server:
-        inst = server.create_instance("t", "B+tree")
-        job = server.bulk_load("t", _items(n=150))
-        server.pump_jobs(2)
-        assert not job.finished and job.done_keys == 80
-        assert len(inst.index) == 0       # nothing is built until the end
-        job.abort()
-        server.drain()
-        assert job.state == JOB_ABORTED
-        assert inst.state == RETIRED
-
-
-def test_bulk_load_requires_loading_state():
+def test_a_draining_tenant_serves_reads_and_refuses_writes_counted():
+    """A tenant advanced to DRAINING (under its write lock, as every
+    state change of a served instance is) keeps serving reads; a write
+    raises, is counted once in the instance and once in the server's
+    ``dropped``, and leaves no journal row behind."""
+    items = _items(n=60)
     with _manual_server() as server:
-        server.create_instance("t", "B+tree", items=_items(n=50))
-        with pytest.raises(ValueError, match="LOADING"):
-            server.bulk_load("t", _items(n=50))
+        inst = server.create_instance("t", "B+tree", items=items)
+        assert server.lookup("t", items[0][0]) == payload(items[0][0])
+        lock = server._served["t"].lock
+        lock.acquire_write()
+        try:
+            inst.advance(DRAINING, "tenant drains")
+        finally:
+            lock.release_write()
+        assert server.lookup("t", items[1][0]) == payload(items[1][0])
+        assert server.lookup_many("t", [items[2][0]]) == [payload(items[2][0])]
+        with pytest.raises(AdmissionError):
+            server.insert("t", 5, payload(5))
+        assert inst.rejected == {INSERT: 1}
+        stats = server.status("t")["server"]
+        assert stats["dropped"] == {INSERT: 1} and stats["ops"] == 3
+        assert [e.op for e in server.journal("t")] == [LOOKUP] * 3
+        assert server.lookup("t", 5) is None
+        assert not server.replay_check("t")
 
 
 # -- job events on the bus ------------------------------------------------------
@@ -548,6 +497,10 @@ def test_create_instance_validations():
         server.create_instance("t", "B+tree")
         with pytest.raises(ValueError, match="already exists"):
             server.create_instance("t", "ALEX")
+        with pytest.raises(ValueError, match="not both"):
+            server.create_instance("u", "B+tree", factory=BPlusTree, fanout=8)
+        with pytest.raises(KeyError, match="no instance"):
+            server.instance("u")
         with pytest.raises(KeyError, match="no instance"):
             server.status("nope")
 
@@ -933,23 +886,16 @@ def test_every_state_change_of_a_served_instance_holds_its_write_lock(
 
         monkeypatch.setattr(IndexInstance, "advance", advance)
         server.create_instance("direct", "B+tree", items=_items(n=80))
-        server.create_instance("loaded", "B+tree")
-        server.bulk_load("loaded", _items(n=80))
-        server.drain()
-        server.create_instance("aborted", "B+tree")
-        load = server.bulk_load("aborted", _items(n=80))
-        server.pump_jobs(1)
-        load.abort()
-        server.drain()
+        server.create_instance("empty", "B+tree")
         server.rebuild("direct")
-        server.migrate("loaded", "ALEX")
+        server.migrate("empty", "ALEX")
         server.drain()
         job = server.rebuild("direct")
         _pump_until(server, lambda: server.instance("direct").state == MIGRATING)
         job.abort()
         server.drain()
     assert [state for _, state, _ in seen] == [
-        SERVING, SERVING, RETIRED, MIGRATING, SERVING, MIGRATING, SERVING,
+        SERVING, SERVING, MIGRATING, SERVING, MIGRATING, SERVING,
         MIGRATING, SERVING]
     assert all(held for *_, held in seen), seen
 
@@ -1138,6 +1084,9 @@ def test_server_validates_configuration():
         IndexServer(queue_depth=0)
     with pytest.raises(ValueError, match="workers"):
         IndexServer(workers=3)
+    for chunk in (0, -5):
+        with pytest.raises(ValueError, match="chunk"):
+            IndexServer(workers=0, chunk=chunk)
     with _manual_server() as server:
         server.create_instance("t", "B+tree", items=_items(n=40))
         with pytest.raises(ValueError, match="destination"):
