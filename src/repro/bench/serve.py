@@ -17,7 +17,7 @@ from repro.core.instance import AdmissionError
 from repro.core.migrate import resolve_index_name
 from repro.core.opstream import Mismatch
 from repro.core.registry import REGISTRY
-from repro.core.server import BLOCK, JOB_FAILED, IndexServer, Job
+from repro.core.server import JOB_FAILED, IndexServer, Job
 from repro.core.slo import ControlTower
 from repro.core.workloads import DELETE, INSERT, LOOKUP, SCAN, UPDATE, Operation, payload
 from repro.datasets import registry
@@ -186,8 +186,6 @@ def run_serve_session(
     rebuild_after: float = 0.25,
     threaded: bool = False,
     seed: int = 0,
-    queue_depth: int = 8,
-    admission: str = BLOCK,
     chunk: int = 128,
     bus: Any = None,
 ) -> ServeReport:
@@ -204,8 +202,7 @@ def run_serve_session(
     journal replay through the oracle, zero dropped/stalled lookups.
     """
     name = "tenant"
-    server = IndexServer(queue_depth=queue_depth, admission=admission,
-                         workers=0 if not threaded else 1, bus=bus,
+    server = IndexServer(workers=0 if not threaded else 1, bus=bus,
                          chunk=chunk)
     try:
         instance = server.create_instance(name, index_name,
@@ -303,8 +300,7 @@ def run_serve_session(
 
 def run(index: str, dataset: str, n: int, clients: int, ops: int,
         profile: str, rebuild: str, rebuild_after: float, chunk: int,
-        queue_depth: int, admission: str, seed: int,
-        threads: bool) -> Outcome:
+        seed: int, threads: bool) -> Outcome:
     """One deterministic serve session over ``dataset`` (watched by a
     control tower), then with ``threads`` the same streams on real
     client threads.  Gated metrics come from the deterministic session
@@ -315,7 +311,7 @@ def run(index: str, dataset: str, n: int, clients: int, ops: int,
         index, n_clients=clients, ops_per_client=ops, seed=seed,
         profile=profile, bulk_keys=keys)
     session = dict(rebuild_to=rebuild, rebuild_after=rebuild_after, seed=seed,
-                   queue_depth=queue_depth, admission=admission, chunk=chunk)
+                   chunk=chunk)
     bus = EventBus()
     tower = ControlTower()
     bus.subscribe(tower.consume)
@@ -356,8 +352,7 @@ def run(index: str, dataset: str, n: int, clients: int, ops: int,
         context={"index": index, "dataset": dataset, "n": n,
                  "clients": clients, "ops": ops, "profile": profile,
                  "rebuild": rebuild, "rebuild_after": rebuild_after,
-                 "chunk": chunk, "queue_depth": queue_depth,
-                 "admission": admission, "seed": seed},
+                 "chunk": chunk, "seed": seed},
         failures=[
             f"FAIL: {label} session: "
             f"dropped lookups {r.dropped_lookups}, "

@@ -612,8 +612,7 @@ def cmd_serve(args) -> int:
         index=_resolve_index(args.index), dataset=args.dataset, n=args.n,
         clients=args.clients, ops=args.ops, profile=args.profile,
         rebuild=args.rebuild, rebuild_after=args.rebuild_after,
-        chunk=args.chunk, queue_depth=args.queue_depth,
-        admission=args.admission, seed=args.seed, threads=args.threads))
+        chunk=args.chunk, seed=args.seed, threads=args.threads))
 
 
 def cmd_compare_runs(args) -> int:
@@ -922,11 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="submit the job after this fraction of ops")
     sp.add_argument("--chunk", type=int, default=256,
                     help="keys per background pump chunk")
-    sp.add_argument("--queue-depth", type=int, default=8,
-                    dest="queue_depth", help="bounded job-queue depth")
-    sp.add_argument("--admission", default="block",
-                    choices=["block", "reject"],
-                    help="job-queue behavior when full")
     sp.add_argument("--threads", action="store_true",
                     help="also run the real-thread session (client "
                          "threads + worker thread) after the "

@@ -74,23 +74,17 @@ class StateError(RuntimeError):
 
 
 class AdmissionError(RuntimeError):
-    """An operation or job rejected by an admission policy.
+    """An operation the instance's state refuses.
 
-    Raised in two places: by :meth:`IndexInstance.admit` when the
-    instance's state refuses ``op_kind`` (then ``instance`` is set), and
-    by the server's bounded job queue under ``reject`` admission (then
-    ``instance`` is ``None`` and ``reason`` carries the queue message).
-    Either way the rejection is *counted* by the raiser before the
-    raise — rejections are facts to report, never silent drops.
+    Raised by :meth:`IndexInstance.admit`, which counts the refusal
+    before the raise — refusals are facts to report, never silent
+    drops.
     """
 
-    def __init__(self, instance: Optional["IndexInstance"] = None,
-                 op_kind: str = "", reason: str = "") -> None:
-        if not reason:
-            reason = (
-                f"instance {instance.name!r} ({instance.state}) does not "
-                f"admit {op_kind!r} operations")
-        super().__init__(reason)
+    def __init__(self, instance: "IndexInstance", op_kind: str) -> None:
+        super().__init__(
+            f"instance {instance.name!r} ({instance.state}) does not "
+            f"admit {op_kind!r} operations")
         self.instance = instance
         self.op_kind = op_kind
 

@@ -15,11 +15,12 @@ migrations, run as background jobs, change its structure:
   instance's state policy — rejections raise
   :class:`~repro.core.instance.AdmissionError` and are *counted*,
   never silently dropped.
-* **Background jobs** (``rebuild``, ``migrate``) go
-  through a bounded submission queue — ``block`` admission waits for a
-  slot, ``reject`` admission raises with exact rejection counts
-  (SNIPPETS Snippet 1's reconcile-thread pattern) — and are executed
-  one step at a time by a worker thread.  A job wraps the serving
+* **Background jobs** (``rebuild``, ``migrate``): a tenant has at most
+  one unfinished job (SNIPPETS Snippet 1's "indexing already in
+  progress" rule) — a second submission while one is queued or running
+  raises ``ValueError`` and registers nothing — so the job queue never
+  holds more jobs than there are tenants.  Jobs are executed one step
+  at a time by a worker thread.  A job wraps the serving
   index in a :class:`~repro.indexes.multiplex.MultiplexIndex` with
   ``pump_per_op=0``: only the job pumps, one
   :class:`~repro.core.migrate.MigrationDriver` step per job step, with
@@ -96,8 +97,6 @@ from repro.core.workloads import (
 from repro.indexes.multiplex import MultiplexIndex
 
 __all__ = [
-    "BLOCK",
-    "REJECT",
     "JOB_QUEUED", "JOB_RUNNING", "JOB_DONE", "JOB_FAILED", "JOB_ABORTED",
     "IndexServer",
     "Job",
@@ -105,10 +104,6 @@ __all__ = [
     "RWLock",
     "replay_journal",
 ]
-
-#: Job-queue admission policies (Snippet 1's block-vs-reject choice).
-BLOCK = "block"
-REJECT = "reject"
 
 #: Background-job states.
 JOB_QUEUED = "queued"
@@ -352,6 +347,9 @@ class _Served:
     max_wait_s: float = 0.0
     #: Foreground calls admitted, crashed ones included.
     ops: int = 0
+    #: The tenant's latest structure job: while it is unfinished, a
+    #: new one is refused.
+    job: Optional[Job] = None
 
     def note_wait(self, kind: str, waited: float) -> None:
         """Record a lock wait the op really slept through."""
@@ -521,35 +519,25 @@ class IndexServer:
     thread; ``workers=0`` is the deterministic mode — jobs advance only
     when :meth:`pump_jobs` is called, which is what the concurrency
     harness and the gated benchmark use to make interleavings
-    reproducible.  ``admission`` picks the bounded job queue's behavior
-    when full: ``block`` waits for a slot, ``reject`` raises
-    :class:`AdmissionError` (and counts it in :attr:`rejected_jobs`).
-    ``chunk`` is the keys a background job moves per step.
+    reproducible.  A tenant has at most one unfinished job, so the job
+    queue is unbounded and never blocks a submitter; its length is the
+    ``queue_depth`` gauge of job events and :meth:`status`.  ``chunk``
+    is the keys a background job moves per step.
     """
 
-    def __init__(self, queue_depth: int = 8, admission: str = BLOCK,
-                 workers: int = 1, bus: Any = None, chunk: int = 128) -> None:
-        if admission not in (BLOCK, REJECT):
-            raise ValueError(f"unknown admission policy {admission!r}")
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
+    def __init__(self, workers: int = 1, bus: Any = None,
+                 chunk: int = 128) -> None:
         if workers not in (0, 1):
             raise ValueError("workers must be 0 (manual) or 1")
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
         self.bus = bus
-        self.admission = admission
-        self.queue_depth = queue_depth
         self.chunk = chunk
         self._served: Dict[str, _Served] = {}
-        self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(queue_depth)
+        self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._jobs: List[Job] = []
         self._job_ids = itertools.count(1)
         self._active: Optional[Job] = None
-        self.submitted_jobs = 0
-        self.rejected_jobs = 0
-        self.blocked_submits = 0
-        self.max_queue_depth = 0
         self._closed = False
         self._workers = [
             threading.Thread(target=self._worker_loop,
@@ -785,43 +773,35 @@ class IndexServer:
 
     def _structure_job(self, name: str, kind: str, dst: str,
                        factory: Optional[Callable[[], Any]]) -> Job:
-        served = self._served_of(name)
-        dst_name = resolve_index_name(dst) if dst else served.index_name
-        spec = REGISTRY.get(dst_name)
-        if not spec.supports_insert:
-            raise ValueError(
-                f"{spec.name} cannot be a {kind} destination: writes "
-                "made during the build are replayed as inserts")
-        if factory is None:  # same type: keep the serving configuration
-            factory = (served.factory if spec.name == served.index_name
-                       else spec.factory)
-        job = Job(job_id=next(self._job_ids), kind=kind, instance=name,
-                  dst=spec.name)
-        job.runner = _RebuildRunner(self, served, job, factory)
-        return self._submit(job)
-
-    def _submit(self, job: Job) -> Job:
-        """Bounded-queue admission: ``block`` waits, ``reject`` raises."""
+        """Register and queue a job, or refuse it with nothing
+        registered: on a closed server, a destination that cannot take
+        writes, or a tenant whose last job is unfinished.  The check and
+        the registration share the tenant's ``mutex``, so of two racing
+        submitters exactly one gets a job."""
         if self._closed:
             raise RuntimeError("server is closed")
-        if self.admission == REJECT:
-            try:
-                self._queue.put_nowait(job)
-            except queue.Full:
-                self.rejected_jobs += 1
-                self._publish_job(job, "rejected")
-                raise AdmissionError(reason=(
-                    f"job queue full ({self.queue_depth} deep): rejected "
-                    f"{job.kind} for instance {job.instance!r}")) from None
-        else:
-            if self._queue.full():
-                self.blocked_submits += 1
-            self._queue.put(job)
-        self.submitted_jobs += 1
-        self._jobs.append(job)
-        depth = self._queue.qsize()
-        if depth > self.max_queue_depth:
-            self.max_queue_depth = depth
+        served = self._served_of(name)
+        with served.mutex:
+            busy = served.job
+            if busy is not None and not busy.finished:
+                raise ValueError(
+                    f"instance {name!r} already has job {busy.job_id} "
+                    f"({busy.kind}, {busy.state}); one job per tenant")
+            dst_name = resolve_index_name(dst) if dst else served.index_name
+            spec = REGISTRY.get(dst_name)
+            if not spec.supports_insert:
+                raise ValueError(
+                    f"{spec.name} cannot be a {kind} destination: writes "
+                    "made during the build are replayed as inserts")
+            if factory is None:  # same type: keep the serving configuration
+                factory = (served.factory if spec.name == served.index_name
+                           else spec.factory)
+            job = Job(job_id=next(self._job_ids), kind=kind, instance=name,
+                      dst=spec.name)
+            job.runner = _RebuildRunner(self, served, job, factory)
+            served.job = job
+            self._jobs.append(job)
+        self._queue.put(job)
         self._publish_job(job, JOB_QUEUED)
         return job
 

@@ -430,7 +430,7 @@ class ControlTower:
             row["job"] = f"{event.get('job_kind', '?')} {status}"
             row["job_eta_ns"] = event.get("eta_ns")
             row["queue_depth"] = event.get("queue_depth", row["queue_depth"])
-            if status in ("done", "failed", "aborted", "rejected"):
+            if status in ("done", "failed", "aborted"):
                 row["job_eta_ns"] = None
         elif kind == KIND_ALERT:
             row["alerts"].append(

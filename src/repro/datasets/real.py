@@ -144,10 +144,16 @@ def wiki(n: int, seed: int = 0) -> Keys:
 
 
 def wiki_unique(n: int, seed: int = 0) -> Keys:
-    """De-duplicated wiki variant for unique-key experiments."""
+    """De-duplicated wiki variant for unique-key experiments.
+
+    A draw keeps about 62% of its keys, so ``n * 1.6`` falls just short
+    for large ``n``: each retry past the first draws 25% more (a longer
+    prefix of the same stream), so every ``n`` returns."""
     keys = _unique_sorted(wiki(int(n * 1.25), seed))
+    scale = 1.6
     while len(keys) < n:
-        keys = _unique_sorted(wiki(int(n * 1.6), seed + 1))
+        keys = _unique_sorted(wiki(int(n * scale), seed + 1))
+        scale *= 1.25
     return keys[:n]
 
 

@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import threading
 import time
 
 import pytest
@@ -39,6 +40,24 @@ def test_fill_loop_generators_keep_their_keys(name):
     keys = getattr(real, name)(6000, 1)
     assert keys == sorted(set(keys)) and len(keys) == 6000
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == _FILL_DIGESTS[name]
+
+
+def test_wiki_unique_returns_for_every_n():
+    """The retry repeated one draw, ``wiki(int(n * 1.6), seed + 1)``,
+    which holds 199,661 unique keys for n = 200,000: it looped forever.
+    n = 100,000 is reached by that first retry; its keys are pinned as
+    they were before the fix."""
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.append(real.wiki_unique(200_000)), daemon=True)
+    worker.start()
+    worker.join(timeout=120.0)
+    assert out, "wiki_unique(200_000) did not return"
+    keys = out[0]
+    assert len(keys) == 200_000
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert hashlib.sha256(repr(real.wiki_unique(100_000)).encode()).hexdigest() \
+        == "3758fe2febc46eee356f9fea9462c562de9a452649b4f2154b8dc8f51c7fc930"
 
 
 def test_genome_fill_is_not_quadratic():

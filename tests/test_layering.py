@@ -406,8 +406,7 @@ def test_an_empty_tenant_fills_by_inserts_and_rebuilds(index_name):
 SIGNATURES = {
     "repro.core.runner:ExecutionEngine": (
         "sample_every", "observers", "telemetry", "bus"),
-    "repro.core.server:IndexServer": (
-        "queue_depth", "admission", "workers", "bus", "chunk"),
+    "repro.core.server:IndexServer": ("workers", "bus", "chunk"),
     "repro.core.server:IndexServer.rebuild": ("self", "name", "factory"),
     "repro.core.server:IndexServer.migrate": (
         "self", "name", "dst", "factory"),

@@ -4,9 +4,8 @@ The headline tests run the ``tests.server_harness`` checker — N clients
 plus a background rebuild against one server, journal replayed serially
 through the differential oracle — across **every** shardable registry
 index, in both the deterministic interleave and with real threads.  The
-rest pins the serving machinery piece by piece: block-vs-reject job
-admission with exact counts, backpressure saturation, abort and
-divergence rollback to SERVING, counted refusals of a draining tenant,
+rest pins the serving machinery piece by piece: one unfinished job per
+tenant, abort and divergence rollback to SERVING, counted refusals of a draining tenant,
 job-event ordering on the bus, the PR-6 batch paths, and the
 SyncedMeter thread-safety contract.
 """
@@ -30,13 +29,13 @@ from repro.core.instance import (
 )
 from repro.core.registry import REGISTRY
 from repro.core.server import (
-    BLOCK,
     JOB_ABORTED,
     JOB_DONE,
     JOB_FAILED,
     JOB_QUEUED,
-    REJECT,
+    JOB_RUNNING,
     IndexServer,
+    Job,
     JournalEntry,
     RWLock,
 )
@@ -120,57 +119,100 @@ def test_migrate_session_changes_index_type():
     assert report.index_name == "B+tree"
 
 
-# -- job admission: block vs reject -------------------------------------------
+# -- job admission: one unfinished job per tenant ------------------------------
 
-def test_block_admission_waits_for_a_slot():
-    with _manual_server(queue_depth=1, admission=BLOCK, chunk=64) as server:
-        server.create_instance("t", "B+tree", items=_items())
-        first = server.rebuild("t")        # fills the 1-deep queue
+def test_a_tenant_has_at_most_one_unfinished_job():
+    """While a tenant's job is queued, then running, a second rebuild or
+    migrate raises ``ValueError`` naming that job — no job id drawn, no
+    event published, no state changed — and another tenant's job is
+    still accepted.  Once the job is done, the next one is accepted."""
+    bus = EventBus()
+    items = _items()
+    with _manual_server(chunk=32, bus=bus) as server:
+        inst = server.create_instance("t", "B+tree", items=items)
+        server.create_instance("u", "ALEX", items=_items(seed=4))
+        first = server.rebuild("t")
 
-        submitted = []
-
-        def submitter():
-            submitted.append(server.rebuild("t"))  # blocks until a slot
-
-        thread = threading.Thread(target=submitter, daemon=True)
-        thread.start()
-        deadline = time.monotonic() + 5.0
-        while server.blocked_submits < 1 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert server.blocked_submits == 1
-        assert not submitted          # still parked in put()
-        server.drain()                # pumping frees the slot, then runs both
-        thread.join(timeout=5.0)
-        server.drain()
-        assert server.rejected_jobs == 0
-        assert first.state == JOB_DONE
-        assert submitted and submitted[0].state == JOB_DONE
-        assert server.instance("t").state == SERVING
-        assert not server.replay_check("t")
-
-
-def test_reject_admission_counts_saturation_exactly():
-    with _manual_server(queue_depth=2, admission=REJECT, chunk=64) as server:
-        server.create_instance("t", "B+tree", items=_items())
-        accepted = [server.rebuild("t"), server.rebuild("t")]
-        rejections = 0
-        for _ in range(2):
-            with pytest.raises(AdmissionError) as err:
+        def refused():
+            state, published = inst.state, len(bus)
+            busy = rf"'t' already has job 1 \(rebuild, {first.state}\)"
+            with pytest.raises(ValueError, match=busy):
                 server.rebuild("t")
-            rejections += 1
-            assert "queue full" in str(err.value)
-        assert rejections == 2
-        assert server.rejected_jobs == 2
-        assert server.submitted_jobs == 2
-        assert server.max_queue_depth == 2
-        assert len(server.jobs()) == 2    # rejected jobs leave no ghost
+            with pytest.raises(ValueError, match=busy):
+                server.migrate("t", "ALEX")
+            assert server.jobs("t") == [first]
+            assert inst.state == state and len(bus) == published
+
+        refused()
+        assert first.state == JOB_QUEUED and inst.state == SERVING
+        _pump_until(server, lambda: inst.state == MIGRATING)
+        assert server.insert("t", 5, payload(5))
+        refused()
+        assert first.state == JOB_RUNNING
+        other = server.migrate("u", "B+tree")
+        assert other.job_id == 2
         server.drain()
-        assert [j.state for j in accepted] == [JOB_DONE, JOB_DONE]
-        assert server.instance("t").state == SERVING
+        assert (first.state, other.state) == (JOB_DONE, JOB_DONE)
+        again = server.migrate("t", "ALEX")
+        assert again.job_id == 3
+        server.drain()
+        assert again.state == JOB_DONE, again.error
+        assert server.status("t")["index"] == "ALEX"
+        assert server.jobs("t") == [first, again]
+        assert server.lookup("t", 5) == payload(5)
+        assert not server.replay_check("t")
+        assert not server.replay_check("u")
+
+
+def test_racing_submitters_get_exactly_one_job(monkeypatch):
+    """Two threads released together both submit a rebuild of one
+    tenant on a ``workers=0`` server: the busy check and the job's
+    registration share the tenant's ``mutex``, so exactly one gets a
+    job and the other a ``ValueError``.  Building the job sleeps, which
+    holds the window between the check and the registration open."""
+    class SlowJob(Job):
+        def __init__(self, *args, **kw):
+            time.sleep(0.005)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(server_module, "Job", SlowJob)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _manual_server(chunk=64) as server:
+            server.create_instance("t", "B+tree", items=_items(n=60))
+            for round_ in range(20):
+                barrier = threading.Barrier(2)
+                outcomes = []
+
+                def submit():
+                    barrier.wait(timeout=10.0)
+                    try:
+                        outcomes.append(server.rebuild("t"))
+                    except ValueError as exc:
+                        outcomes.append(exc)
+
+                threads = [threading.Thread(target=submit, daemon=True)
+                           for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                    assert not thread.is_alive()
+                jobs = [o for o in outcomes if isinstance(o, Job)]
+                assert len(outcomes) == 2 and len(jobs) == 1, outcomes
+                assert "already has job" in str(
+                    next(o for o in outcomes if not isinstance(o, Job)))
+                assert server.jobs("t")[round_:] == jobs
+                server.drain()
+                assert jobs[0].state == JOB_DONE, jobs[0].error
+            assert not server.replay_check("t")
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_abort_in_queue_never_touches_the_instance():
-    with _manual_server(queue_depth=4, chunk=64) as server:
+    with _manual_server(chunk=64) as server:
         server.create_instance("t", "B+tree", items=_items())
         job = server.rebuild("t")
         job.abort()
@@ -1078,10 +1120,6 @@ def test_a_scan_journals_its_own_copy_of_the_rows():
 
 
 def test_server_validates_configuration():
-    with pytest.raises(ValueError, match="admission"):
-        IndexServer(admission="maybe")
-    with pytest.raises(ValueError, match="queue_depth"):
-        IndexServer(queue_depth=0)
     with pytest.raises(ValueError, match="workers"):
         IndexServer(workers=3)
     for chunk in (0, -5):
