@@ -30,6 +30,22 @@ osm      OSM locations (1-D projection   multi-scale fractal clustering →
 All generators are deterministic in ``(n, seed)`` and return sorted
 unique keys (except ``wiki``, which returns sorted keys with ~10%
 duplicates, as in SOSD).
+
+Draws from one fixed range come as arrays: ``_randbelow_array`` takes
+``random.Random``'s own Mersenne Twister words in blocks and rejects
+them in numpy, so a run of ``k`` draws is the same keys, and leaves the
+same ``getstate()``, as ``k`` calls of ``rng._randbelow``.  ``covid``,
+``wise``, ``stack``, ``history``, ``planet``'s sparse tail and every
+``_filled`` top-up draw that way.  The rest stay one call per draw,
+where an array would have to guess the stream's shape:
+
+- ``libio`` and ``wiki`` interleave draws of different shapes (a
+  ``random()`` or a burst test between gaps);
+- the ``osm`` cascade and the ``genome`` clusters change their range
+  every few draws;
+- ``books``, ``fb`` and ``planet``'s dense prefix go through
+  ``math.log`` / ``exp``, where numpy may differ from libm in the last
+  ulp.
 """
 
 from __future__ import annotations
@@ -38,9 +54,50 @@ import math
 import random
 from typing import Callable, Dict, List
 
+import numpy as np
+
 Keys = List[int]
 
 _U64_MAX = 2**63  # stay comfortably inside u64
+
+#: Draws per ``getrandbits`` call: at most 2**17 words, 512 KiB.
+_DRAW_BLOCK = 1 << 16
+
+
+def _randbelow_array(rng: random.Random, width: int, count: int) -> np.ndarray:
+    """``[rng._randbelow(width) for _ in range(count)]`` as an int64
+    array, leaving ``rng`` in the state that loop leaves.
+
+    ``_randbelow`` is ``getrandbits(k)``, ``k = width.bit_length()``,
+    redrawn while ``>= width``.  A ``k <= 32`` draw is one 32-bit word's
+    top ``k`` bits; a wider one is a whole low word, then the next
+    word's top ``k - 32`` bits.  ``getrandbits(32 * m)`` is the next
+    ``m`` words, low word first, so one call hands numpy a block of the
+    stream.  A round draws as many values as are still missing, each
+    needing at least its words, so the stream stops on the loop's last
+    draw.
+    """
+    if type(rng) is not random.Random:
+        raise TypeError(f"need a plain random.Random, got {type(rng).__name__}")
+    if not 1 <= width <= 2**63 or count < 0:
+        raise ValueError(f"width {width} outside [1, 2**63] or count {count} < 0")
+    k = width.bit_length()
+    per = 1 if k <= 32 else 2
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    while done < count:
+        m = per * min(count - done, _DRAW_BLOCK)
+        words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        if per == 1:
+            vals = np.frombuffer(words, "<u4") >> np.uint32(32 - k)
+        else:  # one little-endian u8 per draw: low word | high word << 32
+            pairs = np.frombuffer(words, "<u8")
+            vals = ((pairs & np.uint64(2**32 - 1))
+                    | (pairs >> np.uint64(96 - k) << np.uint64(32)))
+        vals = vals[vals < width]
+        out[done:done + len(vals)] = vals
+        done += len(vals)
+    return out
 
 
 def _unique_sorted(keys: Keys) -> Keys:
@@ -48,11 +105,21 @@ def _unique_sorted(keys: Keys) -> Keys:
 
 
 def _filled(keys: set, n: int, rng: random.Random, lo: int, hi: int) -> Keys:
-    """``keys`` topped up to ``n`` with uniform draws from ``[lo, hi)``,
-    sorted once at the end: a sort per fill key is quadratic in ``n``."""
-    while len(keys) < n:
-        keys.add(rng.randrange(lo, hi))
-    return sorted(keys)[:n]
+    """``keys`` topped up to ``n`` distinct keys with uniform draws from
+    ``[lo, hi)``; the ``n`` smallest, sorted.
+
+    A round draws as many keys as are still missing: one draw per key
+    would draw at least that many more, so the rounds end on its last
+    draw, with its keys and its ``rng`` state."""
+    have = np.sort(np.fromiter(keys, np.int64, len(keys)))
+    if len(have) < n and hi - lo < n and len(have) + hi - lo - (
+            np.searchsorted(have, hi) - np.searchsorted(have, lo)) < n:
+        raise ValueError(f"[lo={lo}, hi={hi}) cannot top {len(have)} keys up to n={n}")
+    while len(have) < n:
+        have = np.concatenate((have, _randbelow_array(rng, hi - lo, n - len(have)) + lo))
+        have.sort()
+        have = have[np.append(True, have[1:] != have[:-1])]
+    return have[:n].tolist()
 
 
 def _uniform(n: int, rng: random.Random, lo: int, hi: int) -> Keys:
@@ -77,13 +144,8 @@ def wise(n: int, seed: int = 0) -> Keys:
 
 def stack(n: int, seed: int = 0) -> Keys:
     """Stackoverflow vote IDs: sequential with small random holes."""
-    rng = random.Random(f"stack-{seed}")
-    keys = []
-    k = 10_000_000
-    for _ in range(n):
-        k += rng.randint(1, 8)
-        keys.append(k)
-    return keys
+    gaps = _randbelow_array(random.Random(f"stack-{seed}"), 8, n) + 1
+    return (np.cumsum(gaps) + 10_000_000).tolist()
 
 
 def libio(n: int, seed: int = 0) -> Keys:
@@ -101,17 +163,10 @@ def history(n: int, seed: int = 0) -> Keys:
     """OSM history node IDs: a handful of linear density regimes."""
     rng = random.Random(f"history-{seed}")
     regimes = [1, 12, 3, 40, 7]
-    keys = []
-    k = 0
     per = n // len(regimes)
-    for step in regimes:
-        for _ in range(per):
-            k += rng.randint(1, 2 * step)
-            keys.append(k)
-    while len(keys) < n:
-        k += rng.randint(1, 4)
-        keys.append(k)
-    return keys[:n]
+    gaps = [_randbelow_array(rng, 2 * step, per) for step in regimes]
+    gaps.append(_randbelow_array(rng, 4, n - per * len(regimes)))
+    return np.cumsum(np.concatenate(gaps) + 1).tolist()
 
 
 def books(n: int, seed: int = 0) -> Keys:
@@ -222,9 +277,8 @@ def planet(n: int, seed: int = 0) -> Keys:
             dense.append(k)
     deflection = dense[-1]
     sparse_span = deflection * 2000  # tail is ~2000x sparser
-    sparse = [rng.randrange(deflection + 1, deflection + sparse_span)
-              for _ in range(n - len(dense))]
-    return _filled(set(dense + sparse), n,
+    sparse = _randbelow_array(rng, sparse_span - 1, max(0, n - len(dense)))
+    return _filled(set(dense + (sparse + (deflection + 1)).tolist()), n,
                    random.Random(f"planet-fill-{seed}"),
                    deflection, deflection + sparse_span)
 

@@ -2,8 +2,10 @@
 
 import collections
 import hashlib
+import random
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.datasets import real, registry
 from repro.datasets.registry import scaled_epsilons
 from repro.datasets.synthetic import corner_datasets, generate_hardness_controlled, measure
 from repro.datasets.zipfian import ScrambledZipfian, ZipfianGenerator
+from tests import dataset_reference as reference
 
 _N = 8000
 
@@ -40,6 +43,132 @@ def test_fill_loop_generators_keep_their_keys(name):
     keys = getattr(real, name)(6000, 1)
     assert keys == sorted(set(keys)) and len(keys) == 6000
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == _FILL_DIGESTS[name]
+
+
+#: sha256 of ``repr(keys)`` at (n, seed 1), recorded at the commit
+#: before fixed-range draws became arrays (``real._randbelow_array``).
+_ARRAY_DIGESTS = {
+    ("covid", 6000): "1f4cf5bea7efa54cda0ab572debb1fd9362200125c460e0ba1a41764e701f973",
+    ("covid", 100_000): "7516c1184a38022e499c5b7d1e2cd3bfc66bd25f06c60e2e9bad6e85bdecfc93",
+    ("wise", 6000): "973845b145c40e9628e007f67d60585aa6c7eee6fb4a79a2d6e699b26b3cabef",
+    ("wise", 100_000): "771a7f30cbf53f114198b8809eea04873de8937086c4e6c8871b327faf5f9104",
+    ("stack", 6000): "05143a547443fbd95698981e42361a4f9e4ae378772962b2734153ab3ff752eb",
+    ("stack", 100_000): "fefa9c8f6abf8bd20739c148c3cc96f7ce2ec31ea0e6eaab04c6f06258826836",
+    ("history", 6000): "623e60b062ecad4398cce6664c0a5ee906b5497a0a21bdf430388320f1cb793c",
+    ("history", 100_000): "cc71ecdedc5db3bc6c27b94e402c02a78b21e79f83e69f2fc10ac41d81e3f4a4",
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(_ARRAY_DIGESTS))
+def test_array_drawn_generators_keep_their_keys(name, n):
+    keys = getattr(real, name)(n, 1)
+    assert len(keys) == n and all(type(k) is int for k in keys[:5])
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == _ARRAY_DIGESTS[name, n]
+
+
+def _reference_generator(name):
+    """The draw-per-key twin of a generator ``real`` draws as arrays."""
+    if hasattr(reference, name):
+        return getattr(reference, name)
+
+    def twin(n, seed):
+        with mock.patch.object(real, "_filled", reference.filled):
+            return getattr(real, name)(n, seed)
+    return twin
+
+
+@pytest.mark.parametrize("name", ["covid", "wise", "stack", "history",
+                                  "planet", "genome", "osm"])
+def test_array_draws_equal_the_draw_per_key_loops(name):
+    twin = _reference_generator(name)
+    for n in (1, 7, 1000, 20_000):
+        for seed in (0, 1, 7):
+            assert getattr(real, name)(n, seed) == twin(n, seed), (name, n, seed)
+
+
+def _primed(seed):
+    """A ``random.Random`` mid-stream with a cached gauss value."""
+    rng = random.Random(seed)
+    rng.gauss(0.0, 1.0)
+    rng.random()
+    return rng
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 2**31, 2**32 - 1, 2**32,
+                                   2**32 + 1, 2 * 10**17, 2**63])
+@pytest.mark.parametrize("count", [0, 1, 1000])
+def test_randbelow_array_replays_randbelow(width, count):
+    for seed in (0, "covid-1"):
+        rng, twin = _primed(seed), _primed(seed)
+        out = real._randbelow_array(rng, width, count)
+        assert out.dtype == "int64"
+        assert out.tolist() == [twin._randbelow(width) for _ in range(count)]
+        assert rng.getstate() == twin.getstate()
+        assert rng.random() == twin.random()
+
+
+def test_randbelow_array_crosses_the_twist_and_its_blocks():
+    """Past several 624-word state refills and more than one draw block,
+    starting from a fresh seed's ``pos == 624``."""
+    count = 2 * real._DRAW_BLOCK + 5
+    rng, twin = random.Random(3), random.Random(3)
+    out = real._randbelow_array(rng, 3, count)
+    assert out.tolist() == [twin._randbelow(3) for _ in range(count)]
+    assert rng.getstate() == twin.getstate()
+
+
+def test_randbelow_array_refuses_before_any_draw():
+    class Sub(random.Random):
+        pass
+
+    rng = _primed(5)
+    state = rng.getstate()
+    for width, count in ((0, 1), (-3, 1), (2**63 + 1, 1), (8, -1)):
+        with pytest.raises(ValueError):
+            real._randbelow_array(rng, width, count)
+    with pytest.raises(TypeError):
+        real._randbelow_array(Sub(5), 8, 1)
+    with pytest.raises(TypeError):
+        real._randbelow_array(random.SystemRandom(), 8, 1)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("start,n,lo,hi", [
+    ({5, 17, 10**12}, 3000, 0, 2**40),                # non-empty start
+    (set(range(0, 4000, 3)), 1000, 0, 2**20),         # start larger than n
+    ({1, 2, 3, 5000}, 1000, 0, 1040),                 # width close to n
+], ids=["non-empty", "larger-than-n", "narrow"])
+def test_filled_equals_the_draw_per_key_loop(start, n, lo, hi):
+    for seed in (0, 1):
+        rng, twin = random.Random(seed), random.Random(seed)
+        assert real._filled(set(start), n, rng, lo, hi) \
+            == reference.filled(set(start), n, twin, lo, hi)
+        assert rng.getstate() == twin.getstate()
+
+
+def test_filled_refuses_a_range_that_cannot_supply_n():
+    """``[0, 5)`` holds five keys, so topping up to ten drew forever."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    out = []
+
+    def call():
+        try:
+            real._filled(set(), 10, rng, 0, 5)
+        except ValueError as exc:
+            out.append(str(exc))
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=10.0)
+    assert out, "_filled(set(), 10, rng, 0, 5) did not return"
+    assert "n=10" in out[0] and "lo=0" in out[0] and "hi=5" in out[0]
+    assert rng.getstate() == state
+    # Keys already in range count once; one outside the range counts.
+    with pytest.raises(ValueError):
+        real._filled({1, 2}, 6, random.Random(0), 0, 5)
+    assert real._filled({1, 2, 99}, 6, random.Random(0), 0, 5) \
+        == [0, 1, 2, 3, 4, 99]
 
 
 def test_wiki_unique_returns_for_every_n():
