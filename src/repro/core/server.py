@@ -9,9 +9,11 @@ tenant serves from the moment it exists.  After that only rebuilds and
 migrations, run as background jobs, change its structure:
 
 * **Foreground ops** (lookup/insert/update/delete/scan plus the PR-6
-  ``lookup_many``/``insert_many`` batch paths) run concurrently under a
-  per-instance reader/writer lock: reads share the lock, writes and
-  background pump steps exclude each other.  Admission is the
+  ``lookup_many``/``insert_many`` batch paths) each hold their
+  instance's one plain lock, which they share with nothing but the
+  background pump steps: under the GIL shared readers could not run in
+  parallel anyway, and one uncontended ``acquire(False)`` + ``release``
+  is the cheapest exclusion there is.  Admission is the
   instance's state policy — rejections raise
   :class:`~repro.core.instance.AdmissionError` and are *counted*,
   never silently dropped.
@@ -24,7 +26,7 @@ migrations, run as background jobs, change its structure:
   index in a :class:`~repro.indexes.multiplex.MultiplexIndex` with
   ``pump_per_op=0``: only the job pumps, one
   :class:`~repro.core.migrate.MigrationDriver` step per job step, with
-  the instance's write lock as the driver's lock — so chunk-sized
+  the instance's lock as the driver's lock — so chunk-sized
   steps never race a client op, the one O(n) build holds no lock, pump
   work is charged to the secondary's meter (never client-visible
   latency), and a failed, aborted or crashed job rolls the instance
@@ -47,9 +49,11 @@ migrations, run as background jobs, change its structure:
 
 Thread-safety: instances created here get their cost meter wrapped in
 :class:`~repro.core.cost.SyncedMeter` (the base meter is single-writer;
-see its docstring).  Remaining cross-thread index state — ``last_op``,
-batch-cache rebuilds — is benign under the reader/writer discipline:
-all structural mutation happens under the exclusive lock.
+see its docstring): job events read its clock from the worker thread
+without the instance lock, and a job's O(n) build charges the
+secondary's meter without it.  Everything else an op touches — the index, the
+instance's state and counters, the journal — changes only under the
+instance lock.
 """
 
 from __future__ import annotations
@@ -101,7 +105,6 @@ __all__ = [
     "IndexServer",
     "Job",
     "JournalEntry",
-    "RWLock",
     "replay_journal",
 ]
 
@@ -112,107 +115,25 @@ JOB_DONE = "done"
 JOB_FAILED = "failed"
 JOB_ABORTED = "aborted"
 
-_READ_OPS = frozenset({LOOKUP, SCAN})
-
-#: A foreground op that waited longer than this for its instance lock
+#: A foreground op that slept longer than this for its instance lock
 #: counts as stalled (seconds of wall clock).
 STALL_THRESHOLD_S = 1.0
 
 #: Seconds the job worker sleeps between two steps of a job, so that
-#: readers get the instance lock between chunk-sized write sections.
+#: client ops get the instance lock between chunk-sized pump steps.
 WORKER_YIELD_S = 0.0005
 
 
 class RWLock:
-    """A writer-preferring reader/writer lock.
-
-    Readers share; a writer excludes everyone.  Waiting writers block
-    *new* readers so a stream of lookups cannot starve a rebuild pump
-    step; the job worker in turn sleeps between pump steps
-    (``WORKER_YIELD_S``) so a chunk-at-a-time rebuild cannot starve
-    readers either — the harness measures the result as zero stalled
-    lookups rather than assuming it.
-
-    The state lives under one plain ``threading.Lock``; the
-    ``Condition`` built on it is used only to sleep.  An uncontended
-    acquire or release is one hold of that lock: ``_sleepers`` counts
-    the threads inside ``wait()`` (registered under the lock before they
-    sleep), so a release with nobody asleep skips ``notify_all``.  Both
-    acquires return the seconds they slept, ``0.0`` when they never did,
-    so callers time nothing on the fast path.
-    """
+    """The name ``bench/layers.py`` times as ``core.server.lock_acquire_ns``:
+    the fast-path pair of a tenant's lock, whose ``acquire_read`` and
+    ``release_read`` are a plain ``threading.Lock``'s ``acquire`` and
+    ``release``.  The server itself does not use it."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-        self._sleepers = 0
-
-    # ``acquire()`` / ``release()`` in ``try``/``finally`` rather than
-    # ``with``: the statement's extra ``__exit__(None, None, None)`` call
-    # was 40% of an uncontended acquire + release pair.
-
-    def acquire_read(self) -> float:
-        lock = self._lock
-        lock.acquire()
-        try:
-            if not (self._writer or self._writers_waiting):
-                self._readers += 1
-                return 0.0
-            t0 = time.perf_counter()
-            self._sleepers += 1
-            try:
-                while self._writer or self._writers_waiting:
-                    self._cond.wait()
-            finally:
-                self._sleepers -= 1
-            self._readers += 1
-            return time.perf_counter() - t0
-        finally:
-            lock.release()
-
-    def release_read(self) -> None:
-        lock = self._lock
-        lock.acquire()
-        try:
-            self._readers -= 1
-            if not self._readers and self._sleepers:
-                self._cond.notify_all()
-        finally:
-            lock.release()
-
-    def acquire_write(self) -> float:
-        lock = self._lock
-        lock.acquire()
-        try:
-            if not (self._writer or self._readers):
-                self._writer = True
-                return 0.0
-            t0 = time.perf_counter()
-            self._writers_waiting += 1
-            self._sleepers += 1
-            try:
-                while self._writer or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-                self._sleepers -= 1
-            self._writer = True
-            return time.perf_counter() - t0
-        finally:
-            lock.release()
-
-    def release_write(self) -> None:
-        lock = self._lock
-        lock.acquire()
-        try:
-            self._writer = False
-            if self._sleepers:
-                self._cond.notify_all()
-        finally:
-            lock.release()
+        lock = threading.Lock()
+        self.acquire_read = lock.acquire
+        self.release_read = lock.release
 
 
 @dataclass
@@ -254,8 +175,8 @@ class _JournalBatch:
     """One ``lookup_many``/``insert_many`` call in a journal: the
     call's argument and result lists, which hold a contiguous ``seq``
     block of one per key.  :meth:`entries` expands it to the per-op
-    :class:`JournalEntry` form on demand, so a batch costs one append
-    under the instance's mutex rather than one per key."""
+    :class:`JournalEntry` form on demand, so a batch costs one journal
+    append rather than one per key."""
 
     op: str          # LOOKUP or INSERT
     args: Sequence   # keys looked up, or (key, value) pairs inserted
@@ -323,9 +244,11 @@ class Job:
 
 @dataclass
 class _Served:
-    """Server-side bookkeeping around one hosted instance.  ``mutex``
-    guards its journal, its counters and the instance's ``op_counts``
-    and ``rejected``, as several readers share ``lock`` at once."""
+    """Server-side bookkeeping around one hosted instance.  ``lock`` is
+    the tenant's only lock: it guards the index and the instance's
+    state, the journal, every counter here and the instance's
+    ``op_counts`` and ``rejected``, and the ``job`` slot.  It is not
+    reentrant, and the helpers below assume the caller holds it."""
 
     instance: IndexInstance
     index_name: str
@@ -334,8 +257,7 @@ class _Served:
     factory: Callable[[], Any]
     #: What ``create_instance`` loaded: the journal replay's start.
     bulk_items: List[Tuple[int, Any]]
-    lock: RWLock = field(default_factory=RWLock)
-    mutex: threading.Lock = field(default_factory=threading.Lock)
+    lock: threading.Lock = field(default_factory=threading.Lock)
     #: Per-op rows (:class:`JournalEntry`'s fields less ``seq`` and
     #: ``instance``, as tuples until ``journal()`` reads them) and batch
     #: records, in serialization order.
@@ -353,43 +275,37 @@ class _Served:
 
     def note_wait(self, kind: str, waited: float) -> None:
         """Record a lock wait the op really slept through."""
-        with self.mutex:
-            if waited > self.max_wait_s:
-                self.max_wait_s = waited
-            if waited > STALL_THRESHOLD_S:
-                self.stalled[kind] = self.stalled.get(kind, 0) + 1
+        if waited > self.max_wait_s:
+            self.max_wait_s = waited
+        if waited > STALL_THRESHOLD_S:
+            self.stalled[kind] = self.stalled.get(kind, 0) + 1
 
     def refuse(self, kind: str) -> None:
         """Count and raise the refusal of an op the instance's state
-        does not admit (the state cannot change meanwhile: every state
-        change of a served instance holds its write lock)."""
-        with self.mutex:
-            self.instance.admit(kind)
+        does not admit."""
+        self.instance.admit(kind)
 
     def journal_batch(self, op: str, args: list, outs: list) -> None:
         """Journal one batch call as one record (``args`` is the
         server's own copy; ``outs`` goes back to the caller)."""
         counts = self.instance.op_counts
-        outs = tuple(outs)
-        with self.mutex:
-            counts[op] = counts.get(op, 0) + len(args)
-            self.ops += 1
-            self.journal.append(_JournalBatch(op, args, outs))
+        counts[op] = counts.get(op, 0) + len(args)
+        self.ops += 1
+        self.journal.append(_JournalBatch(op, args, tuple(outs)))
 
     def note_drop(self, kind: str, exc: BaseException) -> None:
         """Count a foreground call that raised: refused, or admitted
         and crashed (then in ``ops`` too, as it was never journaled)."""
-        with self.mutex:
-            self.dropped[kind] = self.dropped.get(kind, 0) + 1
-            if not isinstance(exc, AdmissionError):
-                self.ops += 1
+        self.dropped[kind] = self.dropped.get(kind, 0) + 1
+        if not isinstance(exc, AdmissionError):
+            self.ops += 1
 
 
 class _RebuildRunner:
     """Background rebuild/migration: a ``pump_per_op=0`` multiplexer
     taken one :class:`~repro.core.migrate.MigrationDriver` step per job
     step.  Staging, catch-up, verify and cutover steps hold the
-    instance's write lock; the one O(n) step — bulk-loading the staged
+    instance's lock; the one O(n) step — bulk-loading the staged
     snapshot into the secondary — holds no lock, so foreground traffic
     keeps flowing through it.  A step that raises is rolled back like a
     divergence (:meth:`fail`)."""
@@ -432,7 +348,7 @@ class _RebuildRunner:
             return True
         secondary = self.factory()
         secondary.meter = SyncedMeter.adopt(secondary.meter)
-        with _write(served.lock):
+        with served.lock:
             primary = inst.index
             mux = MultiplexIndex(primary, secondary, chunk=self.server.chunk,
                                  pump_per_op=0)
@@ -444,7 +360,7 @@ class _RebuildRunner:
         self.mux = mux
         self.driver = MigrationDriver(
             mux, on_cutover=self._cut_over, on_rollback=self._rolled_back,
-            lock=lambda: _write(served.lock))
+            lock=lambda: served.lock)
         return False
 
     def _note_progress(self) -> None:
@@ -457,7 +373,7 @@ class _RebuildRunner:
 
     def _cut_over(self) -> None:
         """The verified secondary is the primary now: serve from it
-        (driver hook; the write lock is held)."""
+        (driver hook; the instance lock is held)."""
         job, served, mux = self.job, self.served, self.mux
         inst = served.instance
         inst.index = mux.primary
@@ -479,7 +395,7 @@ class _RebuildRunner:
 
     def _rolled_back(self, why: str) -> None:
         """The secondary is detached: resume service on the original
-        index (driver hook; the write lock is held)."""
+        index (driver hook; the instance lock is held)."""
         job = self.job
         inst = self.served.instance
         state = JOB_ABORTED if job.abort_requested else JOB_FAILED
@@ -488,21 +404,6 @@ class _RebuildRunner:
         if state == JOB_FAILED:
             job.error = why
         job.state = state
-
-
-class _write:
-    """``with _write(lock):`` — exclusive section on an :class:`RWLock`."""
-
-    __slots__ = ("lock",)
-
-    def __init__(self, lock: RWLock) -> None:
-        self.lock = lock
-
-    def __enter__(self) -> None:
-        self.lock.acquire_write()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.lock.release_write()
 
 
 def _eta(overhead_ns: float, done: int, total: int) -> Optional[float]:
@@ -600,7 +501,7 @@ class IndexServer:
         items = list(items)
         served = _Served(instance=instance, index_name=spec.name,
                          factory=factory, bulk_items=items)
-        with _write(served.lock):  # a state change: see _Served.refuse
+        with served.lock:
             index.bulk_load(items)
             self._served[name] = served
             instance.advance(SERVING, f"bulk loaded {len(items)} items")
@@ -620,52 +521,42 @@ class IndexServer:
     # -- foreground ops ------------------------------------------------------
 
     def apply(self, name: str, op: Operation) -> Tuple[bool, Any]:
-        """Serve one foreground op under the instance's RW lock.
+        """Serve one foreground op under the instance's lock.
 
-        Reads share the lock; writes are exclusive.  The journal row is
-        appended *before the lock is released*, so journal order is a
-        valid serialization of the instance's concurrent history.  An
-        admitted op takes one more lock, the instance's ``mutex``, to
-        count (``ops``, ``op_counts``) and journal itself; it takes it
-        again only after a real lock wait or when the call raises.  A
-        refusal counts in both the instance (``rejected``) and the
-        server's per-kind ``dropped`` stats, a crash in ``dropped`` and
-        ``ops``; both re-raise.
+        The op is admitted, run, counted (``ops``, ``op_counts``) and
+        journaled in one hold of the lock, so journal order is a valid
+        serialization of the instance's concurrent history.  The hold
+        starts with ``acquire(False)``; only when that fails is a
+        blocking ``acquire()`` timed, so ``max_wait_s`` and ``stalled``
+        record sleeps only.  A refusal counts in both the instance
+        (``rejected``) and the server's per-kind ``dropped`` stats, a
+        crash in ``dropped`` and ``ops``; both re-raise.
         """
         served = self._served_of(name)
         kind = op.op
-        read = kind in _READ_OPS
         lock = served.lock
-        waited = lock.acquire_read() if read else lock.acquire_write()
+        # Try first: an uncontended op reads no clock.
+        if not lock.acquire(False):
+            t0 = time.perf_counter()
+            lock.acquire()
+            served.note_wait(kind, time.perf_counter() - t0)
         try:
-            if waited:
-                served.note_wait(kind, waited)
             instance = served.instance
             if not instance.admits(kind):
                 served.refuse(kind)
             ok, scanned, result = apply_op(instance.index, op)
-            # A scan's rows go back to the caller: journal a copy.
-            row = (kind, op.key, op.value, op.count, ok, scanned,
-                   tuple(result) if kind == SCAN else result)
             counts = instance.op_counts
-            # Concurrent readers (shared read lock) must never lose a
-            # count increment.  acquire/release, not ``with``: see RWLock.
-            mutex = served.mutex
-            mutex.acquire()
-            try:
-                counts[kind] = counts.get(kind, 0) + 1
-                served.ops += 1
-                served.journal.append(row)
-            finally:
-                mutex.release()
+            counts[kind] = counts.get(kind, 0) + 1
+            served.ops += 1
+            # A scan's rows go back to the caller: journal a copy.
+            served.journal.append((kind, op.key, op.value, op.count, ok,
+                                   scanned,
+                                   tuple(result) if kind == SCAN else result))
         except BaseException as exc:
             served.note_drop(kind, exc)
             raise
         finally:
-            if read:
-                lock.release_read()
-            else:
-                lock.release_write()
+            lock.release()
         return ok, result
 
     def lookup(self, name: str, key: int) -> Any:
@@ -684,12 +575,15 @@ class IndexServer:
         return self.apply(name, Operation(SCAN, start, count=count))[1]
 
     def lookup_many(self, name: str, keys: Iterable[int]) -> List[Any]:
-        """Batched lookups under one read-lock acquisition (PR-6 path)."""
+        """Batched lookups under one hold of the instance's lock (PR-6
+        path)."""
         served = self._served_of(name)
-        waited = served.lock.acquire_read()
+        lock = served.lock
+        if not lock.acquire(False):
+            t0 = time.perf_counter()
+            lock.acquire()
+            served.note_wait(LOOKUP, time.perf_counter() - t0)
         try:
-            if waited:
-                served.note_wait(LOOKUP, waited)
             instance = served.instance
             if not instance.admits(LOOKUP):
                 served.refuse(LOOKUP)
@@ -700,17 +594,19 @@ class IndexServer:
             served.note_drop(LOOKUP, exc)
             raise
         finally:
-            served.lock.release_read()
+            lock.release()
         return values
 
     def insert_many(self, name: str,
                     pairs: Iterable[Tuple[int, Any]]) -> List[bool]:
-        """Batched inserts under one write-lock acquisition."""
+        """Batched inserts under one hold of the instance's lock."""
         served = self._served_of(name)
-        waited = served.lock.acquire_write()
+        lock = served.lock
+        if not lock.acquire(False):
+            t0 = time.perf_counter()
+            lock.acquire()
+            served.note_wait(INSERT, time.perf_counter() - t0)
         try:
-            if waited:
-                served.note_wait(INSERT, waited)
             instance = served.instance
             if not instance.admits(INSERT):
                 served.refuse(INSERT)
@@ -721,7 +617,7 @@ class IndexServer:
             served.note_drop(INSERT, exc)
             raise
         finally:
-            served.lock.release_write()
+            lock.release()
         return oks
 
     def journal(self, name: Optional[str] = None) -> List[JournalEntry]:
@@ -736,7 +632,7 @@ class IndexServer:
                        else list(self._served.values())):
             tenant = served.instance.name
             seq = 0
-            with served.mutex:
+            with served.lock:
                 records = served.journal
                 for i, record in enumerate(records):
                     if type(record) is tuple:
@@ -776,12 +672,12 @@ class IndexServer:
         """Register and queue a job, or refuse it with nothing
         registered: on a closed server, a destination that cannot take
         writes, or a tenant whose last job is unfinished.  The check and
-        the registration share the tenant's ``mutex``, so of two racing
+        the registration share the tenant's lock, so of two racing
         submitters exactly one gets a job."""
         if self._closed:
             raise RuntimeError("server is closed")
         served = self._served_of(name)
-        with served.mutex:
+        with served.lock:
             busy = served.job
             if busy is not None and not busy.finished:
                 raise ValueError(
@@ -910,8 +806,8 @@ class IndexServer:
         """The instance's lifecycle snapshot merged with the server's
         traffic stats and this instance's job history."""
         served = self._served_of(name)
-        out = served.instance.status()
-        with served.mutex:
+        with served.lock:
+            out = served.instance.status()
             out["server"] = {
                 "ops": served.ops,
                 "dropped": dict(served.dropped),

@@ -18,7 +18,7 @@
 * One class cuts a migration over (``MigrationDriver``), and the
   serving tier's constructors and job methods take the options a
   census pins, no more.
-* Each server tenant owns its journal and one mutex, and only
+* Each server tenant owns its journal and one plain lock, and only
   ``core/server.py`` touches the server's private members.
 * One way into a tenant: ``create_instance`` loads it, and the one job
   runner (rebuild / migrate) is all that changes its structure.
@@ -334,20 +334,22 @@ def test_only_the_migration_driver_cuts_over():
 
 
 def test_one_log_per_tenant():
-    """Each hosted instance owns its journal and one mutex: the server
-    keeps no global journal or journal lock, an instance no second
-    stats lock, and no other module reaches into the server's private
-    members (``self.``/``cls.`` access elsewhere is another class's)."""
+    """Each hosted instance owns its journal and one plain lock: the
+    server keeps no global journal or journal lock, an instance no
+    second lock of any kind, and no other module reaches into the
+    server's private members (``self.``/``cls.`` access elsewhere is
+    another class's)."""
     from repro.core.server import IndexServer
     with IndexServer(workers=0) as server:
         server.create_instance("t", "B+tree")
         served = vars(server._served["t"])
         members = set(vars(server)) | set(vars(IndexServer))
     assert not {"_journal", "_journal_lock"} & members
-    assert "stats_lock" not in served
-    mutexes = [name for name, value in served.items()
-               if isinstance(value, type(threading.Lock()))]
-    assert mutexes == ["mutex"], mutexes
+    assert not {"stats_lock", "mutex"} & set(served)
+    locks = [name for name, value in served.items()
+             if hasattr(value, "acquire") or hasattr(value, "acquire_read")]
+    assert locks == ["lock"], locks
+    assert type(served["lock"]) is type(threading.Lock())
     private = {name for name in members
                if name.startswith("_") and not name.startswith("__")}
     reach = [f"{rel}:{node.lineno} .{node.attr}" for rel in _modules()

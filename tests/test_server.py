@@ -10,6 +10,7 @@ job-event ordering on the bus, the PR-6 batch paths, and the
 SyncedMeter thread-safety contract.
 """
 
+import contextlib
 import sys
 import threading
 import time
@@ -37,7 +38,6 @@ from repro.core.server import (
     IndexServer,
     Job,
     JournalEntry,
-    RWLock,
 )
 from repro.core.workloads import INSERT, LOOKUP, Operation, payload
 from repro.indexes.btree import BPlusTree
@@ -167,7 +167,7 @@ def test_a_tenant_has_at_most_one_unfinished_job():
 def test_racing_submitters_get_exactly_one_job(monkeypatch):
     """Two threads released together both submit a rebuild of one
     tenant on a ``workers=0`` server: the busy check and the job's
-    registration share the tenant's ``mutex``, so exactly one gets a
+    registration share the tenant's lock, so exactly one gets a
     job and the other a ``ValueError``.  Building the job sleeps, which
     holds the window between the check and the registration open."""
     class SlowJob(Job):
@@ -348,8 +348,8 @@ def test_a_crashing_job_step_rolls_the_instance_back(workers):
 # -- admission: the refusal path ------------------------------------------------
 
 def test_a_draining_tenant_serves_reads_and_refuses_writes_counted():
-    """A tenant advanced to DRAINING (under its write lock, as every
-    state change of a served instance is) keeps serving reads; a write
+    """A tenant advanced to DRAINING (under its lock, as every state
+    change of a served instance is) keeps serving reads; a write
     raises, is counted once in the instance and once in the server's
     ``dropped``, and leaves no journal row behind."""
     items = _items(n=60)
@@ -357,11 +357,11 @@ def test_a_draining_tenant_serves_reads_and_refuses_writes_counted():
         inst = server.create_instance("t", "B+tree", items=items)
         assert server.lookup("t", items[0][0]) == payload(items[0][0])
         lock = server._served["t"].lock
-        lock.acquire_write()
+        lock.acquire()
         try:
             inst.advance(DRAINING, "tenant drains")
         finally:
-            lock.release_write()
+            lock.release()
         assert server.lookup("t", items[1][0]) == payload(items[1][0])
         assert server.lookup_many("t", [items[2][0]]) == [payload(items[2][0])]
         with pytest.raises(AdmissionError):
@@ -741,121 +741,6 @@ def test_reset_leaves_a_thread_inside_a_phase_block_intact():
     assert meter.snapshot() == {("smo", "key_shift"): 1.0}
 
 
-def test_rwlock_readers_share_writers_exclude():
-    lock = RWLock()
-    lock.acquire_read()
-    lock.acquire_read()          # readers share
-    state = {"w": False}
-
-    def writer():
-        lock.acquire_write()
-        state["w"] = True
-        lock.release_write()
-
-    thread = threading.Thread(target=writer, daemon=True)
-    thread.start()
-    time.sleep(0.05)
-    assert not state["w"]        # writer parked behind the readers
-    # Writer preference: a new reader must now wait too.
-    blocked = {"r": False}
-
-    def late_reader():
-        lock.acquire_read()
-        blocked["r"] = True
-        lock.release_read()
-
-    reader = threading.Thread(target=late_reader, daemon=True)
-    reader.start()
-    time.sleep(0.05)
-    assert not blocked["r"]
-    lock.release_read()
-    lock.release_read()
-    thread.join(timeout=5.0)
-    reader.join(timeout=5.0)
-    assert state["w"] and blocked["r"]
-
-
-def test_rwlock_acquire_returns_the_seconds_it_slept():
-    lock = RWLock()
-    assert lock.acquire_read() == 0.0     # uncontended: never slept
-    assert lock.acquire_read() == 0.0     # readers share
-    lock.release_read()
-    lock.release_read()
-    assert lock.acquire_write() == 0.0
-    waited = []
-
-    def blocked(acquire, release):
-        waited.append(acquire())
-        release()
-
-    for acquire, release in ((lock.acquire_read, lock.release_read),
-                             (lock.acquire_write, lock.release_write)):
-        thread = threading.Thread(target=blocked, args=(acquire, release),
-                                  daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        assert not waited                 # parked behind the writer
-        lock.release_write()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert waited.pop() > 0.0
-        assert lock.acquire_write() == 0.0
-    lock.release_write()
-
-
-def test_rwlock_hammer_never_overlaps_and_strands_nobody():
-    """4 readers and 2 writers, 2,000 acquisitions each, switching
-    threads every microsecond: no reader ever sees a writer inside, no
-    writer sees anyone, and every thread finishes — a release that
-    skipped ``notify_all`` with a sleeper registered would strand it."""
-    lock = RWLock()
-    guard = threading.Lock()
-    inside = {"readers": 0, "writers": 0}
-    slept = []
-    errors = []
-
-    def enter(role, acquire, release, conflict):
-        try:
-            waits = 0.0
-            for _ in range(2000):
-                waits += acquire()
-                with guard:
-                    if conflict():
-                        errors.append(f"{role} overlapped {dict(inside)}")
-                    inside[role] += 1
-                time.sleep(0)  # let the others in while this one holds
-                with guard:
-                    inside[role] -= 1
-                release()
-            slept.append(waits)
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    readers = [threading.Thread(
-        target=enter, args=("readers", lock.acquire_read, lock.release_read,
-                            lambda: inside["writers"]), daemon=True)
-        for _ in range(4)]
-    writers = [threading.Thread(
-        target=enter, args=("writers", lock.acquire_write, lock.release_write,
-                            lambda: inside["writers"] or inside["readers"]),
-        daemon=True) for _ in range(2)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in readers + writers:
-            thread.start()
-        deadline = time.monotonic() + 30.0
-        for thread in readers + writers:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in readers + writers), "a waiter stranded"
-    assert not errors, errors[0]
-    assert len(slept) == 6 and sum(slept) > 0.0  # the sleeping path ran
-    assert (lock._readers, lock._writer, lock._writers_waiting,
-            lock._sleepers) == (0, False, 0, 0)
-
-
 def test_a_real_wait_moves_max_wait_and_stalled(monkeypatch):
     """Only a wait the op slept through is recorded: an uncontended op
     leaves ``max_wait_s`` at zero, one parked behind a pump step longer
@@ -868,8 +753,8 @@ def test_a_real_wait_moves_max_wait_and_stalled(monkeypatch):
         stats = server.status("t")["server"]
         assert (stats["max_wait_s"], stats["stalled"]) == (0.0, {})
         lock = server._served["t"].lock
-        lock.acquire_write()              # a pump step holds the instance
-        released = threading.Timer(0.1, lock.release_write)
+        lock.acquire()                    # a pump step holds the instance
+        released = threading.Timer(0.1, lock.release)
         released.start()
         try:
             assert server.lookup("t", items[1][0]) == payload(items[1][0])
@@ -881,29 +766,30 @@ def test_a_real_wait_moves_max_wait_and_stalled(monkeypatch):
         assert stats["ops"] == 2 and stats["dropped"] == {}
 
 
+class _CrashingBTree(BPlusTree):
+    def insert(self, key, value):
+        if key == 13:
+            raise RuntimeError("boom")
+        return super().insert(key, value)
+
+
 def test_a_crashing_op_is_counted_and_the_next_op_served():
     """An index op that raises used to escape uncounted: ``dropped``
     claimed to count crashes but only admission refusals reached it."""
-    class CrashingInsertBTree(BPlusTree):
-        def insert(self, key, value):
-            if key == 13:
-                raise RuntimeError("boom")
-            return super().insert(key, value)
-
     items = _items(n=60)
     with _manual_server() as server:
-        server.create_instance("t", "B+tree", factory=CrashingInsertBTree,
+        server.create_instance("t", "B+tree", factory=_CrashingBTree,
                                items=items)
         lock = server._served["t"].lock
         assert server.lookup("t", items[0][0]) == payload(items[0][0])
         with pytest.raises(RuntimeError, match="boom"):
             server.insert("t", 13, 1)
-        assert (lock._readers, lock._writer) == (0, False)
+        assert not lock.locked()
         stats = server.status("t")["server"]
         assert stats["dropped"] == {INSERT: 1} and stats["ops"] == 2
         with pytest.raises(ZeroDivisionError):  # the batch path, mid-iteration
             server.lookup_many("t", (1 // k for k in (1, 0)))
-        assert (lock._readers, lock._writer) == (0, False)
+        assert not lock.locked()
         assert server.insert("t", 14, 1)  # the next op is served
         assert server.lookup("t", 14) == 1
         stats = server.status("t")["server"]
@@ -914,16 +800,203 @@ def test_a_crashing_op_is_counted_and_the_next_op_served():
         assert not server.replay_check("t")
 
 
+def _in_thread(fn, timeout=10.0):
+    """``fn()``'s result from another thread, which fails the test
+    rather than hang it when the call never gets the lock."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert out, "the call never returned: the instance lock was left held"
+    return out[0]
+
+
+@contextlib.contextmanager
+def _switch_every_microsecond():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_four_readers_and_a_writer_never_share_the_index():
+    """Four reader threads and one writer against one tenant, switching
+    threads every microsecond and yielding inside every index op: no two
+    ops are ever inside the index at once, every op is journaled and
+    counted exactly once, and the journal replays clean."""
+    errors = []
+
+    class OneAtATimeBTree(BPlusTree):
+        inside = 0
+
+        def _enter(self):
+            self.inside += 1
+            if self.inside != 1:
+                errors.append(f"{self.inside} ops inside the index")
+            time.sleep(0)  # let the others try the lock meanwhile
+
+        def lookup(self, key):
+            self._enter()
+            try:
+                return super().lookup(key)
+            finally:
+                self.inside -= 1
+
+        def insert(self, key, value):
+            self._enter()
+            try:
+                return super().insert(key, value)
+            finally:
+                self.inside -= 1
+
+    items = _items(n=200)
+    fresh = [10**12 + 7 * i for i in range(400)]
+    reads = [k for k, _ in items[:100]] + fresh[:300]
+    with _manual_server() as server:
+        server.create_instance("t", "B+tree", factory=OneAtATimeBTree,
+                               items=items)
+        start = threading.Barrier(5)
+
+        def run(fn, keys):
+            try:
+                start.wait()
+                for key in keys:
+                    fn(key)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(
+            target=run, args=(lambda k: server.lookup("t", k), reads),
+            daemon=True) for _ in range(4)]
+        threads.append(threading.Thread(
+            target=run, args=(lambda k: server.insert("t", k, payload(k)),
+                              fresh), daemon=True))
+        with _switch_every_microsecond():
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads), "a client stranded"
+        assert not errors, errors[0]
+        lock = server._served["t"].lock
+        assert not lock.locked()
+        journal = server.journal("t")
+        n = 4 * len(reads) + len(fresh)
+        assert [e.seq for e in journal] == list(range(n))
+        assert sorted(e.key for e in journal if e.op == INSERT) == fresh
+        assert all(e.ok for e in journal if e.op == INSERT)
+        status = server.status("t")
+        assert status["op_counts"] == {LOOKUP: 4 * len(reads),
+                                       INSERT: len(fresh)}
+        assert status["server"]["ops"] == n
+        assert status["server"]["dropped"] == {}
+        assert status["server"]["max_wait_s"] > 0.0  # the sleeping path ran
+        assert not server.replay_check("t")
+
+
+def _drain_tenant(server):
+    with server._served["t"].lock:
+        server.instance("t").advance(DRAINING, "tenant drains")
+
+
+@pytest.mark.parametrize("call, raises", [
+    (lambda s: s.insert("t", 13, 1), RuntimeError),
+    (lambda s: s.lookup_many("t", (1 // k for k in (1, 0))),
+     ZeroDivisionError),
+    (lambda s: s.insert_many("t", ((k, 1 // k) for k in (1, 0))),
+     ZeroDivisionError),
+    (lambda s: s.insert_many("t", [(12, 1), (13, 1)]), RuntimeError),
+    (lambda s: (_drain_tenant(s), s.insert("t", 5, 5)), AdmissionError),
+], ids=["scalar-crash", "lookup_many-iterator", "insert_many-iterator",
+        "insert_many-crash", "refused"])
+def test_no_raising_call_leaves_the_lock_held(call, raises):
+    """Every way a foreground call can raise releases the instance lock
+    in its ``finally``: the lock is free afterwards and the next op,
+    from another thread, is served."""
+    items = _items(n=60)
+    with _manual_server() as server:
+        server.create_instance("t", "B+tree", factory=_CrashingBTree,
+                               items=items)
+        with pytest.raises(raises):
+            call(server)
+        assert not server._served["t"].lock.locked()
+        key = items[1][0]
+        assert _in_thread(lambda: server.lookup("t", key)) == payload(key)
+        assert _in_thread(lambda: server.status("t"))["server"]["ops"] >= 1
+        assert not server.replay_check("t")
+
+
+def test_status_and_journal_from_another_thread_agree_with_the_ops():
+    """``status()`` and ``journal()`` polled from a monitor thread while
+    two clients run scalar ops never raise, and never show a count the
+    journal contradicts: a snapshot's ``ops`` equals its instance's
+    ``op_counts`` total, and a journal read between two snapshots holds
+    at least the first one's ops and at most the second one's."""
+    items = _items(n=200)
+    errors, done = [], threading.Event()
+    with _manual_server() as server:
+        server.create_instance("t", "B+tree", items=items)
+
+        def client(base):
+            try:
+                for i in range(600):
+                    key = base + i
+                    server.insert("t", key, payload(key))
+                    server.lookup("t", key)
+                    if i % 3 == 0:
+                        server.update("t", key, 7)
+                    if i % 5 == 0:
+                        server.delete("t", key)
+                    if i % 7 == 0:
+                        server.scan("t", key, 4)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        def monitor():
+            try:
+                while not done.is_set():
+                    before = server.status("t")
+                    journal = server.journal("t")
+                    after = server.status("t")
+                    for snap in (before, after):
+                        assert snap["server"]["ops"] == snap["ops"], snap
+                    assert (before["server"]["ops"] <= len(journal)
+                            <= after["server"]["ops"])
+                    assert [e.seq for e in journal] == list(
+                        range(len(journal)))
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        clients = [threading.Thread(target=client, args=(base,), daemon=True)
+                   for base in (10**12, 2 * 10**12)]
+        watcher = threading.Thread(target=monitor, daemon=True)
+        with _switch_every_microsecond():
+            watcher.start()
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60.0)
+            done.set()
+            watcher.join(timeout=60.0)
+        assert not any(t.is_alive() for t in clients + [watcher])
+        assert not errors, errors[0]
+        assert server.status("t")["server"]["ops"] == len(server.journal("t"))
+        assert not server.replay_check("t")
+
+
 def test_every_state_change_of_a_served_instance_holds_its_write_lock(
         monkeypatch):
-    """What lets ``apply`` check admission without the ``mutex``: an
-    op holds the instance lock shared or exclusive, so a state change
-    under the write lock cannot land between its check and its op."""
+    """What lets ``apply`` check admission and run its op in one hold:
+    a state change under the instance lock cannot land between the
+    check and the op."""
     seen = []
     real = IndexInstance.advance
     with _manual_server(chunk=32) as server:
         def advance(self, state, reason=""):
-            seen.append((self.name, state, server._served[self.name].lock._writer))
+            seen.append((self.name, state,
+                         server._served[self.name].lock.locked()))
             return real(self, state, reason)
 
         monkeypatch.setattr(IndexInstance, "advance", advance)
