@@ -2,8 +2,9 @@
 
 ``bench/``'s ``serve_mixed`` is scalar ``apply`` traffic; everything
 ``apply`` does besides ``apply_op`` — the instance's lock, the
-admission check, the journal section, the ``SyncedMeter`` its instances
-charge — is the server's tax on every op.  Two gates, neither depending
+admission check, the journal section — is the server's tax on every
+op.  (Its instances charge the same plain ``CostMeter`` the bare
+indexes do, under that lock.)  Two gates, neither depending
 on the machine:
 
 * **Apply over the bare op.**  A ``serve_mixed``-shaped stream per

@@ -17,7 +17,6 @@ sanity, but every figure in EXPERIMENTS.md is computed on this clock.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -169,8 +168,10 @@ class CostMeter:
     phase stack: two threads charging it lose updates and cross their
     phases, and a reader iterating ``_counts`` while a writer inserts a
     key raises ``RuntimeError``.  Engine, sweep and migration paths use
-    one thread per meter; the :mod:`repro.core.server` request loop and
-    job worker wrap the meter in :class:`SyncedMeter` first.
+    one thread per meter.  A :mod:`repro.core.server` tenant's meters
+    are guarded by the tenant's lock: every call on them holds it, but
+    for the job worker's O(n) build, which charges a secondary that
+    only the worker can reach until catch-up takes the lock.
     """
 
     __slots__ = ("weights", "_counts", "_phase_stack", "_scopes")
@@ -272,108 +273,7 @@ class CostDelta:
         return sum(v for (_, k), v in self.counts.items() if k == kind)
 
 
-class SyncedMeter(CostMeter):
-    """A :class:`CostMeter` many threads may charge and read, without
-    serialising the writers.
-
-    Each thread charges its own **lane** — counter table, phase stack
-    and scope cache, found with one ``threading.local`` read — so no
-    charge takes a lock and no thread's ``phase()`` nesting reaches
-    another's.  The first lane *is* this meter's own ``_counts``: one
-    thread's run inserts keys exactly as on the base meter.  Readers
-    merge the lanes in :meth:`_table` — each copied in one atomic step,
-    in a key order fixed once seen — so ``total_time`` (the clock the
-    bus emitters sample) stays monotone while writers run.  The mutex
-    guards lane creation, merged reads and ``reset``.  A finished
-    thread's lane passes, counts included, to the next new thread, so
-    lanes number at most the peak of concurrent writers.
-    """
-
-    __slots__ = ("_mutex", "_local", "_lanes", "_seen")
-
-    def __init__(self, weights: Optional[Dict[str, float]] = None) -> None:
-        super().__init__(weights)
-        self._mutex = threading.Lock()
-        self._local = threading.local()
-        #: ``[owner thread, lane]``; lane 0 is ``self``, unowned until
-        #: the first thread charges.
-        self._lanes: List[List[Any]] = [[None, self]]
-        #: The last merged table: its key order seeds the next merge.
-        self._seen: Dict[Tuple[str, str], float] = {}
-
-    @classmethod
-    def adopt(cls, meter: CostMeter) -> "SyncedMeter":
-        """A synced meter continuing ``meter``'s weights and charges."""
-        if isinstance(meter, cls):
-            return meter
-        out = cls(meter.weights)
-        out._counts.update(meter._counts)
-        return out
-
-    def _lane(self) -> CostMeter:
-        """The calling thread's lane, claimed on its first charge."""
-        with self._mutex:
-            for slot in self._lanes:
-                if slot[0] is None or not slot[0].is_alive():
-                    slot[1]._phase_stack[:] = [PHASE_OTHER]
-                    break
-            else:
-                slot = [None, CostMeter(self.weights)]
-                self._lanes.append(slot)
-            slot[0] = threading.current_thread()
-        self._local.lane = slot[1]
-        return slot[1]
-
-    # -- charging (lock-free, per-thread lane) -------------------------------
-
-    def charge(self, kind: str, n: float = 1.0) -> None:
-        try:
-            lane = self._local.lane
-        except AttributeError:
-            lane = self._lane()
-        key = (lane._phase_stack[-1], kind)
-        counts = lane._counts
-        counts[key] = counts.get(key, 0.0) + n
-
-    def charge_phased(self, phase: str, kind: str, n: float = 1.0) -> None:
-        try:
-            counts = self._local.lane._counts
-        except AttributeError:
-            counts = self._lane()._counts
-        key = (phase, kind)
-        counts[key] = counts.get(key, 0.0) + n
-
-    def phase(self, name: str) -> _PhaseScope:
-        try:
-            return self._local.lane._scopes[name]
-        except (AttributeError, KeyError):  # first charge, or first use
-            lane = getattr(self._local, "lane", None) or self._lane()
-            return CostMeter.phase(lane, name)
-
-    # -- reading (merged under the mutex) ------------------------------------
-
-    def _table(self) -> Dict[Tuple[str, str], float]:
-        if len(self._lanes) == 1 and getattr(self._local, "lane", None) is self:
-            return self._counts  # the only writer is the caller
-        with self._mutex:
-            merged = dict.fromkeys(self._seen, 0.0)
-            for _, lane in self._lanes:
-                for key, v in lane._counts.copy().items():
-                    merged[key] = merged.get(key, 0.0) + v
-            self._seen = merged
-        return merged
-
-    def total_time(self) -> float:
-        weights = self.weights
-        total = 0
-        for (_, kind), v in self._table().items():
-            total += weights.get(kind, 0.0) * v
-        return total
-
-    def reset(self) -> None:
-        """Clear every lane's counters.  Phase stacks stay: a thread
-        inside a ``phase()`` block still pops what it pushed."""
-        with self._mutex:
-            for _, lane in self._lanes:
-                lane._counts.clear()
-            self._seen = {}
+#: The name ``bench/layers.py`` times as ``core.cost.synced_charge_ns``.
+#: Hosted tenants charge a plain :class:`CostMeter` guarded by the
+#: tenant's lock, so nothing else uses it.
+SyncedMeter = CostMeter

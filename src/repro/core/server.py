@@ -47,13 +47,12 @@ migrations, run as background jobs, change its structure:
   (``tests/server_harness.py`` proves this across every shardable
   registry index while a rebuild runs).
 
-Thread-safety: instances created here get their cost meter wrapped in
-:class:`~repro.core.cost.SyncedMeter` (the base meter is single-writer;
-see its docstring): job events read its clock from the worker thread
-without the instance lock, and a job's O(n) build charges the
-secondary's meter without it.  Everything else an op touches — the index, the
-instance's state and counters, the journal — changes only under the
-instance lock.
+Thread-safety: the instance lock guards everything an op touches —
+the index, the instance's state and counters, the journal — and the
+single-writer :class:`~repro.core.cost.CostMeter` objects it charges:
+every meter call on a tenant holds that lock, but for a job's O(n)
+build, which charges the secondary's meter while only the worker can
+reach the secondary (catch-up, which publishes it, takes the lock).
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.cost import SyncedMeter
 from repro.core.events import KIND_CUTOVER, KIND_JOB
 from repro.core.instance import (
     MIGRATING,
@@ -347,7 +345,6 @@ class _RebuildRunner:
             job.state = JOB_ABORTED
             return True
         secondary = self.factory()
-        secondary.meter = SyncedMeter.adopt(secondary.meter)
         with served.lock:
             primary = inst.index
             mux = MultiplexIndex(primary, secondary, chunk=self.server.chunk,
@@ -478,9 +475,9 @@ class IndexServer:
         The load is synchronous: the instance comes back SERVING, and a
         load that raises registers nothing.  The index comes from
         ``factory``, else from the registry with ``config`` (not both),
-        and so does a same-type rebuild's.  Its meter is wrapped in
-        :class:`SyncedMeter` — server instances are charged from both
-        request threads and the job worker.
+        and so does a same-type rebuild's.  Its meter is charged only
+        under the instance lock.  Of two calls racing for one ``name``
+        exactly one registers; the other raises ``ValueError``.
         """
         if name in self._served:
             raise ValueError(f"instance {name!r} already exists")
@@ -494,7 +491,6 @@ class IndexServer:
             raise ValueError(
                 f"{spec.name} cannot be served: background rebuilds need "
                 "range_scan for the backfill cursor")
-        index.meter = SyncedMeter.adopt(index.meter)
         instance = IndexInstance(index, name=name)
         if self.bus is not None:
             instance.attach_bus(self.bus)
@@ -503,7 +499,8 @@ class IndexServer:
                          factory=factory, bulk_items=items)
         with served.lock:
             index.bulk_load(items)
-            self._served[name] = served
+            if self._served.setdefault(name, served) is not served:
+                raise ValueError(f"instance {name!r} already exists")
             instance.advance(SERVING, f"bulk loaded {len(items)} items")
         return instance
 
@@ -787,9 +784,11 @@ class IndexServer:
     def _publish_job(self, job: Job, status: str) -> None:
         if self.bus is None:
             return
-        meter = self._served[job.instance].instance.index.meter
+        served = self._served[job.instance]
+        with served.lock:
+            t_ns = served.instance.index.meter.total_time()
         self.bus.publish(
-            KIND_JOB, source=job.instance, t_ns=meter.total_time(),
+            KIND_JOB, source=job.instance, t_ns=t_ns,
             job_id=job.job_id, job_kind=job.kind, status=status,
             chunks=job.chunks_pumped, done=job.done_keys, total=job.total_keys,
             verified_fraction=round(job.verified_fraction, 6),

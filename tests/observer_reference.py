@@ -163,10 +163,10 @@ class MetricsCollector(ExecutionObserver):
     counters are unlocked read-modify-write state, exactly like the base
     :class:`~repro.core.cost.CostMeter` (see its docstring); a collector
     observes one engine loop.  The multi-threaded serving tier does not
-    attach one: :class:`~repro.core.server.IndexServer` wraps each
-    instance's meter in :class:`~repro.core.cost.SyncedMeter` and keeps
-    its own per-instance counters under locks instead
-    (``tests/test_server.py`` hammers that path from two threads).
+    attach one: :class:`~repro.core.server.IndexServer` keeps each
+    instance's meter and its own per-instance counters under the
+    instance's lock instead (``tests/test_server.py`` hammers that path
+    from two threads).
     """
 
     def __init__(self, window_ops: int = 256) -> None:

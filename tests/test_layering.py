@@ -3,6 +3,7 @@
 * ``core/``, ``indexes/``, ``datasets/`` and ``concurrency/`` hold
   mechanisms: nothing there imports ``repro.bench`` or ``repro.cli``.
 * ``repro.bench`` takes plain values, never an ``argparse`` namespace.
+* Every ``repro`` name the top-level ``bench/`` harness imports exists.
 * ``cli.py`` is argument plumbing around one benchmark driver: exactly
   one call of ``_gate_history`` and one of ``provenance``.
 * DESIGN.md's package layout names every module there is.
@@ -92,6 +93,27 @@ def test_bench_takes_no_argparse(rel):
 def test_bench_has_a_module_per_suite():
     assert {"bench/lookup.py", "bench/sweep.py", "bench/migration.py",
             "bench/shard.py", "bench/serve.py"} <= set(_modules("bench"))
+
+
+def test_bench_imports_resolve():
+    """Every ``from repro... import name`` in the top-level ``bench/``
+    harness names something ``src/`` still has: ``bench/`` only runs in
+    its own CI job, so a deleted name would otherwise break
+    ``bench/run.py`` unseen."""
+    missing = []
+    for path in _python_files("bench"):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "repro"):
+                statement = ast.Module(body=[node], type_ignores=[])
+                try:
+                    exec(compile(statement, path, "exec"), {})
+                except ImportError as exc:
+                    missing.append(f"{os.path.relpath(path, ROOT)}:"
+                                   f"{node.lineno} {exc}")
+    assert not missing, missing
 
 
 @pytest.mark.parametrize("name", ["_gate_history", "provenance"])

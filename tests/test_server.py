@@ -6,8 +6,8 @@ through the differential oracle — across **every** shardable registry
 index, in both the deterministic interleave and with real threads.  The
 rest pins the serving machinery piece by piece: one unfinished job per
 tenant, abort and divergence rollback to SERVING, counted refusals of a draining tenant,
-job-event ordering on the bus, the PR-6 batch paths, and the
-SyncedMeter thread-safety contract.
+job-event ordering on the bus, the PR-6 batch paths, and the meter
+contract: every call on a tenant's meter holds the tenant's lock.
 """
 
 import contextlib
@@ -19,7 +19,7 @@ import pytest
 
 from repro.bench.serve import run_serve_session
 from repro.core import server as server_module
-from repro.core.cost import CostMeter, SyncedMeter
+from repro.core.cost import CostMeter
 from repro.core.events import KIND_JOB, EventBus
 from repro.core.instance import (
     DRAINING,
@@ -41,7 +41,7 @@ from repro.core.server import (
 )
 from repro.core.workloads import INSERT, LOOKUP, Operation, payload
 from repro.indexes.btree import BPlusTree
-from repro.indexes.multiplex import BACKFILL, VERIFY
+from repro.indexes.multiplex import BACKFILL, VERIFY, MultiplexIndex
 from tests.server_harness import (
     build_session,
     check_session,
@@ -547,198 +547,178 @@ def test_create_instance_validations():
             server.status("nope")
 
 
-# -- thread-safety: SyncedMeter and the RW lock ---------------------------------
+def test_racing_creates_of_one_name_register_exactly_one():
+    """Two ``create_instance`` calls for one name both pass the early
+    name check (the factory holds each at a barrier): exactly one is
+    hosted, the other raises and registers nothing."""
+    barrier = threading.Barrier(2)
 
-def test_synced_meter_adopt_preserves_counts():
-    meter = CostMeter()
-    meter.charge("model_eval", 3)
-    meter.charge_phased("smo", "search_step", 2)
-    synced = SyncedMeter.adopt(meter)
-    assert isinstance(synced, SyncedMeter)
-    assert synced.total_units("model_eval") == meter.total_units("model_eval")
-    assert synced.total_units("search_step") == \
-        meter.total_units("search_step")
-    assert synced.total_time() == meter.total_time()
-    assert synced.time_by_phase() == meter.time_by_phase()
-    assert SyncedMeter.adopt(synced) is synced
+    def factory():
+        barrier.wait(timeout=10.0)
+        return BPlusTree()
 
+    with _manual_server() as server:
+        created, errors = [], []
 
-def test_two_thread_hammer_keeps_meter_clock_monotone():
-    items = _items(n=200)
-    with IndexServer(workers=1) as server:
-        server.create_instance("t", "B+tree", items=items)
-        meter = server.instance("t").index.meter
-        assert isinstance(meter, SyncedMeter)
-        stop = threading.Event()
-        errors = []
-
-        def hammer(base):
+        def create():
             try:
-                for i in range(300):
-                    server.insert("t", base + i * 7, payload(base + i * 7))
-                    server.lookup("t", items[i % len(items)][0])
-            except BaseException as exc:  # noqa: BLE001
+                created.append(server.create_instance(
+                    "t", "B+tree", factory=factory, items=_items(n=40)))
+            except ValueError as exc:
                 errors.append(exc)
 
-        def watch():
-            last = meter.total_time()
-            while not stop.is_set():
-                now = meter.total_time()
-                if now < last:
-                    errors.append(AssertionError(
-                        f"virtual clock went backwards: {last} -> {now}"))
-                    return
-                last = now
-
-        threads = [threading.Thread(target=hammer, args=(10**13 * (i + 1),),
-                                    daemon=True) for i in range(2)]
-        watcher = threading.Thread(target=watch, daemon=True)
-        watcher.start()
+        threads = [threading.Thread(target=create) for _ in range(2)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=60.0)
-        stop.set()
-        watcher.join(timeout=5.0)
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+        assert len(created) == 1 and len(errors) == 1, (created, errors)
+        assert "instance 't' already exists" in str(errors[0])
+        assert server.instance("t") is created[0]
+        assert created[0].state == SERVING
+        assert len(server._served) == 1
+
+
+# -- thread-safety: the tenant lock guards the meter ----------------------------
+
+def _hammer(server, items):
+    """Two client threads, each inserting 300 fresh keys into tenant
+    ``t`` and looking up 300 of ``items``; what they raised."""
+    errors = []
+
+    def hammer(base):
+        try:
+            for i in range(300):
+                server.insert("t", base + i * 7, payload(base + i * 7))
+                server.lookup("t", items[i % len(items)][0])
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    threads = [threading.Thread(target=hammer, args=(10**13 * (i + 1),),
+                                daemon=True) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60.0)
+    return errors
+
+
+class _OwnedLock:
+    """A tenant lock that records which thread holds it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.owner = None
+
+    def acquire(self, blocking=True):
+        got = self._lock.acquire(blocking)
+        if got:
+            self.owner = threading.get_ident()
+        return got
+
+    def release(self):
+        self.owner = None
+        self._lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class _RecordingMeter(CostMeter):
+    """A meter that reports each charge and read to ``sink``."""
+
+    __slots__ = ("sink",)
+
+    def __init__(self, sink):
+        super().__init__()
+        self.sink = sink
+
+    def charge(self, kind, n=1.0):
+        self.sink(self, "charge")
+        CostMeter.charge(self, kind, n)
+
+    def charge_phased(self, phase, kind, n=1.0):
+        self.sink(self, "charge_phased")
+        CostMeter.charge_phased(self, phase, kind, n)
+
+    def total_time(self):
+        self.sink(self, "total_time")
+        return CostMeter.total_time(self)
+
+    def snapshot(self):
+        self.sink(self, "snapshot")
+        return CostMeter.snapshot(self)
+
+
+def test_every_tenant_meter_call_holds_the_tenant_lock():
+    """Two client threads and a worker rebuild, a bus attached, threads
+    switching every 10 µs: each call on either of the tenant's meters
+    comes from the thread holding its lock, except the worker's calls
+    on the secondary's meter while its build is pending."""
+    items = _items(n=200)
+    served = None
+    calls, unlocked = [], []
+
+    def sink(meter, method):
+        if served is None:
+            return  # the load in create_instance, before the swap
+        calls.append(method)
+        if served.lock.owner != threading.get_ident():
+            index = served.instance.index
+            unlocked.append((
+                threading.current_thread().name, method,
+                isinstance(index, MultiplexIndex)
+                and index.secondary is not None
+                and meter is index.secondary.meter and index.build_pending))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with IndexServer(workers=1, bus=EventBus(), chunk=16) as server:
+            server.create_instance(
+                "t", "B+tree", items=items,
+                factory=lambda: BPlusTree(meter=_RecordingMeter(sink)))
+            served = server._served["t"]
+            served.lock = _OwnedLock()
+            job = server.rebuild("t")
+            errors = _hammer(server, items)
+            server.drain()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[0]
+    assert job.state == JOB_DONE
+    assert calls, "the tenant's meters were never called"
+    worker = server._workers[0].name
+    stray = [c for c in unlocked if c[0] != worker or not c[2]]
+    assert not stray, stray[:5]
+    assert unlocked, "the build never ran outside the lock"
+
+
+def test_two_thread_hammer_keeps_meter_clock_monotone():
+    """Two client threads charge the tenant while the worker rebuilds
+    it: the clock the worker's ``running`` job events read (under the
+    tenant lock) never steps back, and no charge or op is lost."""
+    items = _items(n=200)
+    bus = EventBus()
+    with IndexServer(workers=1, bus=bus, chunk=16) as server:
+        server.create_instance("t", "B+tree", items=items)
+        job = server.rebuild("t")
+        errors = _hammer(server, items)
+        server.drain()
         assert not errors, errors[0]
-        # No lost updates: every op charged something, none vanished.
+        running = [e["t_ns"] for e in bus.events(kind=KIND_JOB, source="t")
+                   if e["status"] == JOB_RUNNING]
+        assert running and running == sorted(running), running
+        assert server._workers[0].is_alive()
+        assert job.state == JOB_DONE
         counts = server.instance("t").op_counts
         assert counts["insert"] == 600
         assert counts["lookup"] == 600
         assert not server.replay_check("t")
-
-
-def test_lanes_lose_no_charge_under_fine_interleaving():
-    """8 writers x 50k phase+charge pairs with the interpreter switching
-    threads every microsecond, and a reader polling the clock: exact
-    unit totals, exact per-phase times, a clock that never steps back."""
-    n_threads, n_ops = 8, 50_000
-    phases = ("traverse", "last_mile", "smo", "stats")
-    meter = SyncedMeter({"key_compare": 5.0, "node_hop": 100.0})
-    stop = threading.Event()
-    errors = []
-
-    def write(tid):
-        try:
-            name = phases[tid % len(phases)]
-            for _ in range(n_ops):
-                with meter.phase(name):
-                    meter.charge("key_compare", 2)
-                meter.charge_phased(name, "node_hop")
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    def watch():
-        last = meter.total_time()
-        while not stop.is_set():
-            now = meter.total_time()
-            if now < last:
-                errors.append(AssertionError(
-                    f"virtual clock went backwards: {last} -> {now}"))
-                return
-            last = now
-
-    writers = [threading.Thread(target=write, args=(i,), daemon=True)
-               for i in range(n_threads)]
-    watcher = threading.Thread(target=watch, daemon=True)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        watcher.start()
-        for t in writers:
-            t.start()
-        for t in writers:
-            t.join(timeout=120.0)
-        stop.set()
-        watcher.join(timeout=10.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in writers + [watcher])
-    assert not errors, errors[0]
-    assert meter.total_units("key_compare") == 2 * n_threads * n_ops
-    assert meter.total_units("node_hop") == n_threads * n_ops
-    per_phase = (n_threads // len(phases)) * n_ops * (2 * 5.0 + 100.0)
-    assert meter.time_by_phase() == {name: per_phase for name in phases}
-    assert meter.total_time() == per_phase * len(phases)
-
-
-def test_one_thread_on_a_synced_meter_reads_as_the_base_meter():
-    """The first lane is the base table: after ``adopt`` of a non-empty
-    meter, one thread's charges give the same table, in the same order,
-    as the base meter — what keeps ``workers=0`` runs bit-identical."""
-    def drive(meter):
-        meter.charge("alloc_node")
-        with meter.phase("traverse"):
-            meter.charge("node_hop", 3)
-            with meter.phase("traverse"):  # nested, same name
-                meter.charge("model_eval")
-            meter.charge("node_hop")       # still inside the outer scope
-        meter.charge_phased("last_mile", "key_compare", 0)
-        meter.charge("key_shift", 2)
-
-    plain, seed = CostMeter(), CostMeter()
-    for meter in (plain, seed):
-        meter.charge_phased("smo", "train_key", 7)
-        meter.charge("slot_init", 16)
-    synced = SyncedMeter.adopt(seed)
-    for _ in range(3):
-        drive(plain)
-        drive(synced)
-    assert list(synced._table().items()) == list(plain._table().items())
-    assert list(synced.snapshot().items()) == list(plain._counts.items())
-    assert synced.total_time() == plain.total_time()
-    assert ("traverse", "node_hop") in synced._table()
-    assert synced._table()[("last_mile", "key_compare")] == 0.0
-
-
-def test_a_finished_threads_charges_stay_and_its_lane_is_reused():
-    meter = SyncedMeter()
-    meter.charge("node_hop")  # this thread owns the first lane
-
-    def client():
-        with meter.phase("smo"):
-            meter.charge("key_shift", 5)
-
-    for _ in range(4):  # short-lived clients, one after the other
-        t = threading.Thread(target=client)
-        t.start()
-        t.join(timeout=10.0)
-        assert not t.is_alive()
-    assert meter.total_units("key_shift") == 20
-    assert meter.total_units("node_hop") == 1
-    assert meter.time_by_phase() == {"other": 100.0, "smo": 200.0}
-    assert len(meter._lanes) == 2  # the dead clients shared one lane
-
-
-def test_reset_leaves_a_thread_inside_a_phase_block_intact():
-    """``reset`` used to swap the thread-local phase stacks away: a
-    thread inside ``phase()`` then popped a stack the meter no longer
-    knew, and its next charge landed in ``other``."""
-    meter = SyncedMeter()
-    inside, resume = threading.Event(), threading.Event()
-    errors = []
-
-    def worker():
-        try:
-            with meter.phase("smo"):
-                with meter.phase("stats"):
-                    meter.charge("stats_update")
-                    inside.set()
-                    assert resume.wait(timeout=10.0)
-                meter.charge("key_shift")  # back in "smo", after the reset
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    t = threading.Thread(target=worker)
-    t.start()
-    assert inside.wait(timeout=10.0)
-    meter.charge("node_hop")
-    meter.reset()
-    assert meter.total_time() == 0 and meter.snapshot() == {}
-    resume.set()
-    t.join(timeout=10.0)
-    assert not t.is_alive() and not errors, errors
-    assert meter.snapshot() == {("smo", "key_shift"): 1.0}
 
 
 def test_a_real_wait_moves_max_wait_and_stalled(monkeypatch):
