@@ -10,7 +10,9 @@ slot is *computed*, never searched.  Each slot is one of
 * a child pointer — keys that collided here live in a chained subtree.
 
 The **unified node layout** (data and child pointers interleaved in the
-same array) is the design choice the paper repeatedly dissects:
+same array) is the design choice the paper repeatedly dissects.  Here a
+node *is* that array: a ``list`` of its slots that holds its own model
+and tag bytes, one object per node.  The paper's findings follow from it:
 
 * every insert updates statistics in *every node on its path* — root
   included — which is what destroys LIPP+'s multicore scalability
@@ -80,24 +82,34 @@ _ARRAY_BUILD_MIN = 256
 _BUILD_BATCH_SLOTS = 1 << 16
 
 
-class _LippNode:
-    """A node's slots as two columns: ``tags`` one byte per slot
-    (``_EMPTY`` / ``_DATA`` / ``_CHILD``), ``items`` what the slot
-    holds — ``None``, the entry's ``(key, value)`` tuple, or the child
-    node.  LIPP never searches inside a node, so nothing needs the keys
-    as a column of their own."""
+class _LippNode(list):
+    """One node, one object: the list *is* the node's unified slot
+    array — each slot ``None``, the entry's own ``(key, value)`` tuple,
+    or the child node — beside ``tags``, one byte per slot (``_EMPTY``
+    / ``_DATA`` / ``_CHILD``), and the node holds its linear model's
+    ``slope``, ``intercept`` and ``anchor`` itself.  LIPP never searches
+    inside a node, so nothing needs the keys as a column of their own.
+    Nodes compare, hash and print by identity, never by their slots."""
 
     __slots__ = (
-        "node_id", "model", "tags", "items",
+        "node_id", "slope", "intercept", "anchor", "tags",
         "size", "build_size", "num_inserts", "num_conflicts",
     )
 
-    def __init__(self, node_id: int, model: LinearModel, tags: bytearray,
-                 items: List[Any], size: int) -> None:
+    predict_clamped = LinearModel.predict_clamped
+    predictor = LinearModel.predictor
+    __eq__, __ne__ = object.__eq__, object.__ne__
+    __hash__, __repr__ = object.__hash__, object.__repr__
+
+    def __init__(self, node_id: int, slope: float, intercept: float,
+                 anchor: int, tags: bytearray, slots: List[Any],
+                 size: int) -> None:
+        self.extend(slots)
         self.node_id = node_id
-        self.model = model
+        self.slope = slope
+        self.intercept = intercept
+        self.anchor = anchor
         self.tags = tags
-        self.items = items
         #: Keys stored in this subtree.
         self.size = size
         #: Subtree size when the node was (re)built.
@@ -109,24 +121,7 @@ class _LippNode:
 
     @property
     def capacity(self) -> int:
-        return len(self.tags)
-
-
-def _slot_list(width: int, at: Any, source: Any, index: Any) -> list:
-    """A list of ``width`` slots: ``source[index[i]]`` in slot ``at[i]``
-    (ascending), ``None`` in the rest — scattered through an object
-    array of ``_BUILD_BATCH_SLOTS`` at a time, so nothing of a root's
-    width exists beside the list itself."""
-    np = batching._np
-    out = [None] * width
-    edges = [*range(0, width, _BUILD_BATCH_SLOTS), width]
-    cuts = np.searchsorted(at, edges).tolist()
-    for lo, hi, a, b in zip(edges, edges[1:], cuts, cuts[1:]):
-        if b > a:
-            chunk = np.full(hi - lo, None, dtype=object)
-            chunk[at[a:b] - lo] = source[index[a:b]]
-            out[lo:hi] = chunk.tolist()
-    return out
+        return len(self)
 
 
 class LIPP(OrderedIndex):
@@ -186,21 +181,20 @@ class LIPP(OrderedIndex):
     def _build_node(self, items: Sequence[Tuple[Key, Value]]) -> _LippNode:
         n = len(items)
         cap = max(16, min(int(n / self.density) + 1, self.max_node_slots))
-        node = _LippNode(self._next_node_id(), LinearModel(), bytearray(cap),
-                         [None] * cap, n)
+        m = fmcd_model([k for k, _ in items], cap) if n else LinearModel()
+        node = _LippNode(self._next_node_id(), m.slope, m.intercept, m.anchor,
+                         bytearray(cap), [None] * cap, n)
         self._n_nodes += 1
         self._n_slots += cap
         self.meter.charge(ALLOC_NODE)
         self.meter.charge(SLOT_INIT, cap)
         if n == 0:
             return node
-        keys = [k for k, _ in items]
-        node.model = fmcd_model(keys, cap)
         self.meter.charge(TRAIN_KEY, n)
         # Group colliding keys; each group of >1 becomes a chained child.
         groups: List[List[Tuple[Key, Value]]] = []
         slots: List[int] = []
-        predict = node.model.predictor(cap)
+        predict = node.predictor(cap)
         for it in items:
             s = predict(it[0])
             if slots and s == slots[-1]:
@@ -213,10 +207,10 @@ class LIPP(OrderedIndex):
         for s, group in zip(slots, groups):
             if len(group) == 1:
                 node.tags[s] = _DATA
-                node.items[s] = group[0]
+                node[s] = group[0]
             else:
                 node.tags[s] = _CHILD
-                node.items[s] = self._build_node(group)
+                node[s] = self._build_node(group)
         return node
 
     def _build_pair(self, a: Tuple[Key, Value],
@@ -232,10 +226,11 @@ class LIPP(OrderedIndex):
         sb = model.predict_clamped(b[0], cap)
         if sa == sb:
             return self._build_node((a, b))
-        tags, items = bytearray(cap), [None] * cap
+        tags, slots = bytearray(cap), [None] * cap
         tags[sa] = tags[sb] = _DATA
-        items[sa], items[sb] = a, b
-        node = _LippNode(self._next_node_id(), model, tags, items, 2)
+        slots[sa], slots[sb] = a, b
+        node = _LippNode(self._next_node_id(), model.slope, model.intercept,
+                         model.anchor, tags, slots, 2)
         self._n_nodes += 1
         self._n_slots += cap
         self.meter.charge(ALLOC_NODE)
@@ -262,7 +257,7 @@ class LIPP(OrderedIndex):
         (runs of equal slots) that are the next level's nodes.  The
         passes take ``_BUILD_BATCH_SLOTS`` of a level at a time; node
         ids are ``_build_node``'s pre-order, derived at the end from
-        subtree node counts.
+        subtree node counts, and the nodes take their slots last.
         """
         np = batching._np
         # The entries as one object column, each the caller's tuple (a
@@ -270,8 +265,15 @@ class LIPP(OrderedIndex):
         entries = np.fromiter(map(tuple, items), dtype=object, count=len(ks))
         sizes = np.asarray([len(ks)])  # keys of each node of this level
         picked = np.arange(len(ks))  # this level's keys: indices into ``ks``
-        parent = slots = None  # of each node of this level, one level up
+        parent = None  # of each node of this level, one level up
         levels: List[Tuple[List[_LippNode], Any]] = []  # (nodes, parent)
+        # Per batch: its nodes, their slots laid end to end as one object
+        # column, their sizes and their children's places in the column.
+        # The collector does not track a column, so the nodes stay empty
+        # lists until the tree is linked, and no collection the build
+        # triggers walks a slot.
+        batches: List[Tuple[List[_LippNode], Any, List[int], Any]] = []
+        above = 0  # the first batch of the level above
         total_slots = total_keys = 0
         while len(sizes):
             caps = np.maximum(16, np.minimum(
@@ -279,27 +281,38 @@ class LIPP(OrderedIndex):
                 self.max_node_slots))
             key_ends, slot_ends = np.cumsum(sizes), np.cumsum(caps)
             nodes: List[_LippNode] = []
-            below = []  # per batch: next level's (sizes, picked, parent, slots)
-            a = 0
+            below = []  # per batch: next level's (sizes, picked, parent)
+            here, a = len(batches), 0
             while a < len(sizes):
                 reach = int(slot_ends[a] - caps[a]) + _BUILD_BATCH_SLOTS
                 b = max(int(np.searchsorted(slot_ends, reach, "right")), a + 1)
-                batch, *children = self._build_siblings(
+                batch, column, child_at, *children = self._build_siblings(
                     ks, entries,
                     picked[key_ends[a] - sizes[a]:key_ends[b - 1]],
                     sizes[a:b], caps[a:b])
                 children[2] += a
                 nodes += batch
                 below.append(children)
+                batches.append((batch, column, caps[a:b].tolist(), child_at))
                 a = b
-            if parent is not None:
-                above = levels[-1][0]
-                for node, p, slot in zip(nodes, parent.tolist(), slots.tolist()):
-                    above[p].items[slot] = node
+            linked = iter(nodes)  # the children of the level above, in order
+            for _, column, _, child_at in batches[above:here]:
+                column[child_at] = np.fromiter(linked, dtype=object,
+                                               count=len(child_at))
+            above = here
             levels.append((nodes, parent))
             total_slots += int(slot_ends[-1])
             total_keys += int(key_ends[-1])
-            sizes, picked, parent, slots = map(np.concatenate, zip(*below))
+            sizes, picked, parent = map(np.concatenate, zip(*below))
+        del entries  # every entry is in a column now
+        while batches:  # deepest first, each column dropped once read
+            nodes, column, caps, _ = batches.pop()
+            # A lone node (a root: 2n slots) extends from the column: no copy.
+            slots = column.tolist() if len(nodes) > 1 else column
+            o = 0
+            for node, cap in zip(nodes, caps):
+                node.extend(slots[o:o + cap])
+                o += cap
         self._number(levels)
         total_nodes = sum(len(nodes) for nodes, _ in levels)
         self._n_nodes += total_nodes
@@ -312,11 +325,13 @@ class LIPP(OrderedIndex):
     @staticmethod
     def _build_siblings(ks: Any, entries: Any,
                         picked: Any, sizes: Any, caps: Any) -> tuple:
-        """Consecutive nodes of one level (ids and child pointers
-        pending): node ``t`` holds the next ``sizes[t]`` of the keys
-        ``picked`` in ``caps[t]`` slots.  Returns the nodes and, for
-        each child they need, its size, its keys (as ``picked``), its
-        parent's position among these nodes and its slot there."""
+        """Consecutive nodes of one level (ids and slots pending): node
+        ``t`` holds the next ``sizes[t]`` of the keys ``picked`` in
+        ``caps[t]`` slots.  Returns the nodes, still empty; their slots
+        laid end to end as an object column, the data entries in place;
+        and, for each child they need, its place in that column, its
+        size, its keys (as ``picked``) and its parent's position among
+        these nodes."""
         np = batching._np
         keys = ks[picked]
         starts = np.cumsum(sizes) - sizes
@@ -368,21 +383,16 @@ class LIPP(OrderedIndex):
         del tag_bytes
         data_at, child_at = at[alone], at[~alone]
         del at, alone
-        slot_items = _slot_list(width, data_at, entries, data)
-        if alone_node:  # the columns are the node's own: a root's are 2n long
-            cuts = [(tags, slot_items)]
-        else:
-            cuts = [(tags[o:e], slot_items[o:e])
-                    for o, e in zip(offsets.tolist(), (offsets + caps).tolist())]
+        column = np.full(width, None, dtype=object)
+        column[data_at] = entries[data]
         anchor_keys = [entry[0] for entry in entries[picked[anchor_at]].tolist()]
         nodes = [
-            _LippNode(0, LinearModel(slope, intercept, anchor), *cut, size)
-            for slope, intercept, anchor, cut, size in zip(
-                slopes.tolist(), intercepts.tolist(), anchor_keys, cuts,
-                sizes.tolist())]
+            _LippNode(0, slope, intercept, anchor, tags[o:e], (), size)
+            for slope, intercept, anchor, o, e, size in zip(
+                slopes.tolist(), intercepts.tolist(), anchor_keys,
+                offsets.tolist(), (offsets + caps).tolist(), sizes.tolist())]
         parent = np.searchsorted(offsets, child_at, side="right") - 1
-        return (nodes, child_sizes, child_keys,
-                parent, child_at - offsets[parent])
+        return nodes, column, child_at, child_sizes, child_keys, parent
 
     def _number(self, levels: List[Tuple[List[_LippNode], Any]]) -> None:
         """Give the nodes of ``levels`` the ids a pre-order walk would
@@ -418,9 +428,9 @@ class LIPP(OrderedIndex):
         path: List[int] = []
         while True:
             path.append(node.node_id)
-            s = node.model.predict_clamped(key, len(node.tags))
+            s = node.predict_clamped(key, len(node))
             tag = node.tags[s]
-            item = node.items[s]
+            item = node[s]
             if tag != _CHILD:
                 break
             node = item
@@ -453,17 +463,17 @@ class LIPP(OrderedIndex):
         depth = [1] * B
         root = self._root
         slots = batching.predict_clamped_vec(
-            root.model, ks, root.capacity).tolist()
+            root, ks, len(root)).tolist()
         tags = map(root.tags.__getitem__, slots)
         for i, (key, s, tag) in enumerate(zip(ks.tolist(), slots, tags)):
             node = root
             while tag == _CHILD:
-                node = node.items[s]
+                node = node[s]
                 depth[i] += 1
-                s = node.model.predict_clamped(key, len(node.tags))
+                s = node.predict_clamped(key, len(node))
                 tag = node.tags[s]
             if tag == _DATA:
-                item = node.items[s]
+                item = node[s]
                 if item[0] == key:
                     found[i] = True
                     values[i] = item[1]
@@ -479,9 +489,9 @@ class LIPP(OrderedIndex):
             node = self._root
             while True:
                 path.append(node.node_id)
-                s = node.model.predict_clamped(key, node.capacity)
+                s = node.predict_clamped(key, len(node))
                 if node.tags[s] == _CHILD:
-                    node = node.items[s]
+                    node = node[s]
                     continue
                 break
             return OpRecord(op="lookup", key=key, found=found[i],
@@ -500,9 +510,9 @@ class LIPP(OrderedIndex):
         while True:
             path_nodes.append(node)
             path.append(node.node_id)
-            s = node.model.predict_clamped(key, len(node.tags))
+            s = node.predict_clamped(key, len(node))
             tag = node.tags[s]
-            old = node.items[s]
+            old = node[s]
             if tag != _CHILD:
                 break
             node = old
@@ -518,7 +528,7 @@ class LIPP(OrderedIndex):
         if tag == _EMPTY:
             with self.meter.phase(PHASE_COLLISION):
                 node.tags[s] = _DATA
-                node.items[s] = (key, value)
+                node[s] = (key, value)
                 self.meter.charge(SLOT_INIT)
         else:
             # Collision: chain exactly one new node holding both entries.
@@ -528,7 +538,7 @@ class LIPP(OrderedIndex):
                 child = (self._build_pair(old, (key, value)) if old[0] < key
                          else self._build_pair((key, value), old))
                 node.tags[s] = _CHILD
-                node.items[s] = child
+                node[s] = child
                 created = 1
         # Statistics are updated in EVERY node on the path (the unified
         # layout forces this) — the root-contention source in Figure 5.
@@ -592,13 +602,13 @@ class LIPP(OrderedIndex):
         else:
             parent = path_nodes[i - 1]
             # Find the slot pointing at this child.
-            s = parent.model.predict_clamped(items[0][0], parent.capacity)
-            if parent.tags[s] == _CHILD and parent.items[s] is node:
-                parent.items[s] = rebuilt
+            s = parent.predict_clamped(items[0][0], len(parent))
+            if parent.tags[s] == _CHILD and parent[s] is node:
+                parent[s] = rebuilt
             else:  # defensive: locate by scan
-                for j in range(parent.capacity):
-                    if parent.tags[j] == _CHILD and parent.items[j] is node:
-                        parent.items[j] = rebuilt
+                for j in range(len(parent)):
+                    if parent.tags[j] == _CHILD and parent[j] is node:
+                        parent[j] = rebuilt
                         break
         return True
 
@@ -608,7 +618,7 @@ class LIPP(OrderedIndex):
         return its footprint ``(nodes, slots)`` — one walk for a caller
         that is about to drop the subtree.  Never charges the meter."""
         nodes, slots = 1, len(node.tags)
-        for tag, item in zip(node.tags, node.items):
+        for tag, item in zip(node.tags, node):
             if tag == _DATA:
                 items.append(item)
             elif tag == _CHILD:
@@ -618,7 +628,7 @@ class LIPP(OrderedIndex):
         return nodes, slots
 
     def _iter_subtree(self, node: _LippNode) -> Iterator[Tuple[Key, Value]]:
-        for tag, item in zip(node.tags, node.items):
+        for tag, item in zip(node.tags, node):
             if tag == _DATA:
                 yield item
             elif tag == _CHILD:
@@ -630,9 +640,9 @@ class LIPP(OrderedIndex):
         node = self._root
         depth = 1
         while True:
-            s = node.model.predict_clamped(key, len(node.tags))
+            s = node.predict_clamped(key, len(node))
             tag = node.tags[s]
-            item = node.items[s]
+            item = node[s]
             if tag != _CHILD:
                 break
             node = item
@@ -640,7 +650,7 @@ class LIPP(OrderedIndex):
         self.meter.charge(NODE_HOP, depth)
         self.meter.charge(MODEL_EVAL, depth)
         if tag == _DATA and item[0] == key:
-            node.items[s] = (item[0], value)
+            node[s] = (item[0], value)
             self.meter.charge(SLOT_INIT)
             return True
         return False
@@ -652,9 +662,9 @@ class LIPP(OrderedIndex):
         while True:
             path_nodes.append(node)
             path.append(node.node_id)
-            s = node.model.predict_clamped(key, len(node.tags))
+            s = node.predict_clamped(key, len(node))
             tag = node.tags[s]
-            item = node.items[s]
+            item = node[s]
             if tag != _CHILD:
                 break
             node = item
@@ -668,7 +678,7 @@ class LIPP(OrderedIndex):
             )
             return False
         node.tags[s] = _EMPTY
-        node.items[s] = None
+        node[s] = None
         self.meter.charge(SLOT_INIT)
         for pn in path_nodes:
             pn.size -= 1
@@ -678,14 +688,14 @@ class LIPP(OrderedIndex):
         # its parent slot (keeps Figure-7 deletion memory honest).
         if len(path_nodes) >= 2 and node.size == 1:
             parent = path_nodes[-2]
-            for j in range(parent.capacity):
-                if parent.tags[j] == _CHILD and parent.items[j] is node:
+            for j in range(len(parent)):
+                if parent.tags[j] == _CHILD and parent[j] is node:
                     left: List[Tuple[Key, Value]] = []
                     nodes, slots = self._collect_subtree(node, left)
                     self._n_nodes -= nodes
                     self._n_slots -= slots
                     parent.tags[j] = _DATA
-                    parent.items[j] = left[0]
+                    parent[j] = left[0]
                     self.meter.charge(SLOT_INIT)
                     break
         self.last_op = OpRecord(
@@ -715,9 +725,9 @@ class LIPP(OrderedIndex):
         holds ``count`` rows — checked after each row, so ``count``
         must be positive.  What this node did is added to ``tally``
         before each child hop and on the way out."""
-        tags, items = node.tags, node.items
+        tags = node.tags
         cap = len(tags)
-        s0 = node.model.predict_clamped(start, cap) if bounded else 0
+        s0 = node.predict_clamped(start, cap) if bounded else 0
         tally[MODEL_EVAL] += 1
         tallied, rows = s0, len(out)  # slots / rows already in ``tally``
         walked, full = cap, False  # one past the last slot walked
@@ -726,8 +736,9 @@ class LIPP(OrderedIndex):
         for s in compress(range(s0, cap), memoryview(tags)[s0:]):
             tag = tags[s]
             if tag == _DATA:
-                if not bounded or items[s][0] >= start:
-                    out.append(items[s])
+                item = node[s]
+                if not bounded or item[0] >= start:
+                    out.append(item)
                     if len(out) >= count:
                         walked, full = s + 1, True
                         break
@@ -737,7 +748,7 @@ class LIPP(OrderedIndex):
                 if len(out) > rows:
                     tally[SCAN_ENTRY] = tally.get(SCAN_ENTRY, 0) + len(out) - rows
                 tally[NODE_HOP] = tally.get(NODE_HOP, 0) + 1
-                if self._scan_into(items[s], start, bounded and s == s0,
+                if self._scan_into(node[s], start, bounded and s == s0,
                                    count, out, tally):
                     return True
                 rows = len(out)
@@ -783,7 +794,7 @@ class LIPP(OrderedIndex):
 
         def walk(node: _LippNode) -> int:
             data = 0
-            for s, (tag, item) in enumerate(zip(node.tags, node.items)):
+            for s, (tag, item) in enumerate(zip(node.tags, node)):
                 if tag == _DATA:
                     if type(item) is not tuple or len(item) != 2:
                         out.append(Violation(
@@ -792,7 +803,7 @@ class LIPP(OrderedIndex):
                             f"{type(item).__name__}"))
                         continue
                     data += 1
-                    pred = node.model.predict_clamped(item[0], node.capacity)
+                    pred = node.predict_clamped(item[0], len(node))
                     if pred != s:
                         out.append(Violation(
                             node.node_id, "lipp.precise-position",
@@ -807,7 +818,7 @@ class LIPP(OrderedIndex):
                             f"{type(child).__name__}"))
                         continue
                     for k, _ in self._iter_subtree(child):
-                        pred = node.model.predict_clamped(k, node.capacity)
+                        pred = node.predict_clamped(k, len(node))
                         if pred != s:
                             out.append(Violation(
                                 node.node_id, "lipp.child-routing",
@@ -858,7 +869,7 @@ class LIPP(OrderedIndex):
     def max_depth(self) -> int:
         def depth(node: _LippNode) -> int:
             best = 1
-            for tag, item in zip(node.tags, node.items):
+            for tag, item in zip(node.tags, node):
                 if tag == _CHILD:
                     best = max(best, 1 + depth(item))
             return best

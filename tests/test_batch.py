@@ -414,9 +414,9 @@ def _lipp_node_keys(index):
     out, stack = [], [index._root]
     while stack:
         node = stack.pop()
-        out.append([item[0] for item, tag in zip(node.items, node.tags)
+        out.append([item[0] for item, tag in zip(node, node.tags)
                     if tag == lipp._DATA])
-        stack += [item for item, tag in zip(node.items, node.tags)
+        stack += [item for item, tag in zip(node, node.tags)
                   if tag == lipp._CHILD]
     return out
 
@@ -432,7 +432,7 @@ def _one_node(name, index):
     if name == "ALEX":
         return max(_alex_leaf_keys(index), key=len)
     root = index._root
-    child = max((v for v, tag in zip(root.items, root.tags)
+    child = max((v for v, tag in zip(root, root.tags)
                  if tag == lipp._CHILD), key=lambda node: node.size)
     return [k for k, _ in index._iter_subtree(child)]
 
@@ -475,7 +475,7 @@ def _keys_by_depth(name, index):
     stack = [(index._root, 0)]
     while stack:
         node, depth = stack.pop()
-        for item, tag in zip(node.items, node.tags):
+        for item, tag in zip(node, node.tags):
             if tag == lipp._DATA:
                 out.setdefault(depth, []).append(item[0])
             elif tag == lipp._CHILD:
@@ -622,7 +622,7 @@ def test_nodes_hold_no_batch_state():
         "model", "prev", "next",
         "inserts_since_build", "shifts_since_build", "search_since_build")
     assert lipp._LippNode.__slots__ == (
-        "node_id", "model", "tags", "items",
+        "node_id", "slope", "intercept", "anchor", "tags",
         "size", "build_size", "num_inserts", "num_conflicts")
 
 

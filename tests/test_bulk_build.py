@@ -98,12 +98,12 @@ def dump(index):
             last = child
 
     def walk_lipp(node):
-        out.append((node.node_id, _model(node.model), node.tags,
+        out.append((node.node_id, _model(node), node.tags,
                     [v.node_id if isinstance(v, _LippNode) else v
-                     for v in node.items],
+                     for v in node],
                     node.size, node.build_size, node.num_inserts,
                     node.num_conflicts))
-        for tag, value in zip(node.tags, node.items):
+        for tag, value in zip(node.tags, node):
             if isinstance(value, _LippNode):
                 assert tag == lipp._CHILD
                 walk_lipp(value)
@@ -120,7 +120,7 @@ def stored_keys(index):
         if isinstance(node, _DataNode):
             out.extend(k for k, p in zip(node.keys, node.present) if p)
         elif isinstance(node, _LippNode):
-            for tag, item in zip(node.tags, node.items):
+            for tag, item in zip(node.tags, node):
                 if tag == lipp._DATA:
                     out.append(item[0])
                 elif tag == lipp._CHILD:
@@ -485,19 +485,24 @@ def test_array_build_peak_memory_stays_near_the_scalar_builds(make):
         f"scalar at {scalar / 1e6:.1f} MB")
 
 
+def _lipp_nodes(index):
+    stack = [index._root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += [item for tag, item in zip(node.tags, node)
+                  if tag == lipp._CHILD]
+
+
 def _column_bytes_per_slot(index):
-    """``sys.getsizeof`` of the slot columns a build leaves, their
-    object headers included, per slot: LIPP's ``tags`` and ``items``,
-    ALEX's ``present``."""
+    """The slot columns a build leaves, per slot: LIPP's ``tags``
+    (``sys.getsizeof``, header included) and the one pointer per slot
+    of the node's own list, ALEX's ``present``."""
     size = slots = 0
     if isinstance(index, LIPP):
-        stack = [index._root]
-        while stack:
-            node = stack.pop()
-            size += sys.getsizeof(node.tags) + sys.getsizeof(node.items)
-            slots += node.capacity
-            stack += [item for tag, item in zip(node.tags, node.items)
-                      if tag == lipp._CHILD]
+        for node in _lipp_nodes(index):
+            size += sys.getsizeof(node.tags) + 8 * len(node)
+            slots += len(node)
     else:
         for leaf in index.data_nodes():
             size += sys.getsizeof(leaf.present)
@@ -505,13 +510,24 @@ def _column_bytes_per_slot(index):
     return size / slots
 
 
+#: ``sys.getsizeof`` per key of every LIPP node, its ``LinearModel``,
+#: its ``items`` list and its ``tags`` when a node was those three
+#: objects beside its tags, on the loads of the test below.
+_THREE_OBJECT_BYTES_PER_KEY = {
+    ("covid", 2_000): 94.7, ("covid", 20_000): 92.5,
+    ("osm", 2_000): 145.2, ("osm", 20_000): 129.6,
+}
+
+
 @pytest.mark.parametrize("n", [2_000, 20_000])
 @pytest.mark.parametrize("dataset", ["covid", "osm"])
 def test_node_columns_bytes_per_slot(dataset, n):
     """A LIPP slot is a tag byte and an item pointer, an ALEX presence
-    flag one byte: 12.6-13.2 and 1.1-1.4 B per slot on these loads,
+    flag one byte: 10.6-11.1 and 1.1-1.4 B per slot on these loads,
     where the list columns they replaced took 29.3-30.3 (``tags``,
-    ``keys``, ``values``) and 8.1-8.3 (``present``)."""
+    ``keys``, ``values``) and 8.1-8.3 (``present``).  A LIPP node is
+    one object beside its tags: the two together take 77.9-123.0 B per
+    key here, at most 0.9x what the three-object node did."""
     keys = datasets.get(dataset).generate(n, seed=1)
     items = [(k, payload(k)) for k in keys]
     for make, bound in ((LIPP, 15.0), (ALEX, 2.0)):
@@ -519,3 +535,8 @@ def test_node_columns_bytes_per_slot(dataset, n):
         index.bulk_load(items)
         got = _column_bytes_per_slot(index)
         assert got <= bound, f"{make.name}: {got:.2f} B per slot"
+        if make is LIPP:
+            per_key = sum(sys.getsizeof(node) + sys.getsizeof(node.tags)
+                          for node in _lipp_nodes(index)) / n
+            limit = 0.9 * _THREE_OBJECT_BYTES_PER_KEY[dataset, n]
+            assert per_key <= limit, f"LIPP: {per_key:.1f} B per key"

@@ -242,7 +242,7 @@ def _lipp_slots(index):
     stack = [index._root]
     while stack:
         node = stack.pop()
-        for s, (tag, item) in enumerate(zip(node.tags, node.items)):
+        for s, (tag, item) in enumerate(zip(node.tags, node)):
             yield node, s, tag, item
             if tag == _CHILD:
                 stack.append(item)
@@ -256,10 +256,10 @@ def _assert_lipp_columns(index, loaded):
     held = {}
     for node, s, tag, item in _lipp_slots(index):
         assert type(node.tags) is bytearray
-        assert len(node.items) == len(node.tags)
+        assert len(node) == len(node.tags)
         if tag == _DATA:
             assert type(item) is tuple and len(item) == 2, item
-            assert node.model.predict_clamped(item[0], node.capacity) == s
+            assert node.predict_clamped(item[0], len(node)) == s
             held[item[0]] = item
         elif tag == _EMPTY:
             assert item is None
@@ -273,21 +273,21 @@ def _lipp_end_tag(index, key):
     from repro.indexes.lipp import _CHILD
     node = index._root
     while True:
-        s = node.model.predict_clamped(key, node.capacity)
+        s = node.predict_clamped(key, len(node))
         if node.tags[s] != _CHILD:
             return node.tags[s]
-        node = node.items[s]
+        node = node[s]
 
 
 def test_node_columns_at_natural_width():
-    """A LIPP node holds ``tags`` (a ``bytearray``) and ``items`` (the
-    entries' own tuples, children, ``None``), after an array-path and a
-    scalar-path load and each kind of write; ALEX's ``present`` is a
+    """A LIPP node is its slot list (the entries' own tuples, children,
+    ``None``) beside ``tags`` (a ``bytearray``), after an array-path and
+    a scalar-path load and each kind of write; ALEX's ``present`` is a
     ``bytearray`` after load, insert, expand, split and delete."""
     from repro.indexes.alex import ALEX
     from repro.indexes.lipp import _DATA, _EMPTY, LIPP, _LippNode
-    assert {"tags", "items"} <= set(_LippNode.__slots__)
-    assert not {"keys", "values"} & set(_LippNode.__slots__)
+    assert issubclass(_LippNode, list) and "tags" in _LippNode.__slots__
+    assert not {"keys", "values", "items", "model"} & set(_LippNode.__slots__)
     for n in (1000, 100):  # the array build, then the scalar one
         rng = random.Random(n)
         items = sorted((k, -k) for k in set(rng.sample(range(2**40), n)))

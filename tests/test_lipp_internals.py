@@ -1,7 +1,9 @@
 """LIPP internals: FMCD placement, rebuild triggers, node accounting."""
 
+import gc
 import random
 
+from repro.datasets import registry as datasets
 from repro.indexes.lipp import LIPP, _CHILD, _DATA
 
 
@@ -20,7 +22,7 @@ def test_bulk_build_groups_collisions_into_children():
         if root.tags[s] == _DATA:
             total += 1
         elif root.tags[s] == _CHILD:
-            total += root.items[s].size
+            total += root[s].size
     assert total == len(keys)
 
 
@@ -59,10 +61,10 @@ def test_delete_leaves_models_untouched():
     idx = LIPP()
     keys = [i * 37 for i in range(1000)]
     idx.bulk_load([(k, k) for k in keys])
-    slope_before = idx._root.model.slope
+    slope_before = idx._root.slope
     for k in keys[::2]:
         assert idx.delete(k)
-    assert idx._root.model.slope == slope_before  # no pollution (M8)
+    assert idx._root.slope == slope_before  # no pollution (M8)
     for k in keys[1::2][:20]:
         assert idx.lookup(k) == k
 
@@ -94,7 +96,7 @@ def test_node_count_matches_walk():
         count += 1
         for s in range(n.capacity):
             if n.tags[s] == _CHILD:
-                stack.append(n.items[s])
+                stack.append(n[s])
     assert count == idx.node_count()
 
 
@@ -105,3 +107,64 @@ def test_update_touches_no_stats():
     for i in range(100):
         assert idx.update(i * 5, i + 1000)
     assert idx._root.num_inserts == inserts_before  # YCSB scaling basis
+
+
+def _end_tag(index, key):
+    """The tag of the slot ``key`` predicts at the end of its path."""
+    node = index._root
+    while True:
+        s = node.predict_clamped(key, len(node))
+        if node.tags[s] != _CHILD:
+            return node.tags[s]
+        node = node[s]
+
+
+def _tracked():
+    return len(gc.get_objects())
+
+
+def test_one_tracked_object_per_node():
+    """A LIPP node is one object the collector tracks: its slot list,
+    which holds its model and its ``tags`` (a ``bytearray``, untracked).
+    With the collector paused, a load of 20k osm keys adds exactly its
+    ``_n_nodes`` objects less the constant it drops (the tree of the
+    2k-key load before it), nothing else that stays; an insert into an empty slot adds its entry's tuple, and one
+    that collides that tuple and the one chained node; ``_build_pair``
+    adds its node.  Nodes compare and hash by identity, not by slots."""
+    keys = datasets.get("osm").generate(20_000, seed=1)
+    items = [(k, k) for k in keys]
+    held = set(keys)
+    fresh = [k for k in ((a + b) // 2 for a, b in zip(keys, keys[1:]))
+             if k not in held]
+    index = LIPP()
+
+    def grows(tag):
+        key = next(k for k in fresh if _end_tag(index, k) == tag)
+        fresh.remove(key)
+        before = _tracked()
+        index.insert(key, key)
+        record = index.last_op
+        return _tracked() - before, record.nodes_created, record.smo
+
+    gc.collect()
+    gc.disable()
+    try:
+        index.bulk_load(items[:2_000])  # the meter's counters exist
+        dropped = index._n_nodes
+        before = _tracked()
+        index.bulk_load(items)
+        loaded, built = _tracked() - before, index._n_nodes
+        # The first two warm the insert path's counters and record.
+        inserts = [grows(tag) for tag in (0, _DATA) * 3][2:]
+        before = _tracked()
+        pair = index._build_pair((1, 1), (2**40, 2))  # held, not freed
+        paired = _tracked() - before
+    finally:
+        gc.enable()
+    assert loaded == built - dropped
+    assert inserts == [(1, 0, False), (2, 1, False)] * 2
+    assert (paired, len(pair)) == (1, 16)
+    a, b = LIPP()._root, LIPP()._root
+    assert list(a) == list(b) and a.tags == b.tags
+    assert a != b and not a == b and a == a
+    assert len({a, b, a}) == 2

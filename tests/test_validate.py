@@ -241,9 +241,9 @@ class TestCorruptionDetection:
         src = slots[0]
         empty = next(i for i, t in enumerate(node.tags) if t == 0)
         node.tags[empty] = _DATA
-        node.items[empty] = node.items[src]
+        node[empty] = node[src]
         node.tags[src] = 0
-        node.items[src] = None
+        node[src] = None
         rules = _rules(idx)
         assert "lipp.precise-position" in rules or "lipp.order" in rules
 

@@ -420,8 +420,8 @@ def test_place_through_inserts_until_smos():
 # ---------------------------------------------------------------------------
 
 def _node_fields(node):
-    return (node.node_id, node.model.slope.hex(), node.model.intercept.hex(),
-            node.model.anchor, node.tags, node.items, node.size,
+    return (node.node_id, node.slope.hex(), node.intercept.hex(),
+            node.anchor, node.tags, list(node), node.size,
             node.build_size, node.num_inserts, node.num_conflicts)
 
 
