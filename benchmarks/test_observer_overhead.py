@@ -32,7 +32,7 @@ import pytest
 
 from common import Empty, dataset_keys, print_header, run_once
 from repro.core.cost import CostMeter
-from repro.core.events import EventBus
+from repro.core.events import KIND_SMO, EngineBusEmitter, EventBus
 from repro.core.registry import REGISTRY
 from repro.core.report import table
 from repro.core.runner import ExecutionEngine
@@ -114,12 +114,13 @@ def _observed_engine(slo: bool = False) -> ExecutionEngine:
                            bus=bus)
 
 
-def _clock_budget(engine, result, metrics) -> int:
+def _clock_budget(engine, result, bus) -> int:
     """Reads left per run once none is taken per op: the sampled ops'
-    before and after, a window close and an SMO stamp each, the phases."""
+    before and after, a window close and an SMO stamp each (the run's
+    bus holds one ``smo`` event per SMO), the phases."""
     sampled = result.n_ops // engine.sample_every + 1
     windows = result.n_ops // 256 + 1
-    smos = int(metrics.registry.counter("smo_total").value)
+    smos = len(bus.events(kind=KIND_SMO))
     return 2 * sampled + windows + smos + _PHASE_READS
 
 
@@ -131,9 +132,9 @@ def test_no_clock_read_and_no_snapshot_per_op(clock_reads):
         engine = _observed_engine(slo=True)
         result = engine.run(REGISTRY.create(name, meter=meter), workload)
         assert result.n_ops == 3000
-        metrics, = (o for o in engine.observers
-                    if isinstance(o, MetricsCollector))
-        budget = _clock_budget(engine, result, metrics)
+        emitter, = (o for o in engine.observers
+                    if isinstance(o, EngineBusEmitter))
+        budget = _clock_budget(engine, result, emitter.bus)
         assert clock_reads[id(meter)] <= budget < result.n_ops // 4, (
             name, clock_reads[id(meter)])
         # The engine records the counter values, and copies no table.
@@ -147,11 +148,11 @@ def test_window_observers_read_the_clock_per_window_not_per_op(clock_reads):
     workload = mixed_workload(list(dataset_keys("covid")), 0.5,
                               n_ops=3000, seed=4)
     meter = CountingMeter()
-    metrics = MetricsCollector()
-    engine = ExecutionEngine(telemetry=Telemetry(metrics=metrics),
-                             bus=EventBus())
+    bus = EventBus()
+    engine = ExecutionEngine(telemetry=Telemetry(metrics=MetricsCollector()),
+                             bus=bus)
     result = engine.run(REGISTRY.create("B+tree", meter=meter), workload)
-    assert clock_reads[id(meter)] <= _clock_budget(engine, result, metrics)
+    assert clock_reads[id(meter)] <= _clock_budget(engine, result, bus)
     engine.add_observer(SLOTracker())
     assert len(set(engine._window_folds(CostMeter()).values())) == 1
 

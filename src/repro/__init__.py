@@ -47,7 +47,6 @@ from repro.core.runner import (
 from repro.core.telemetry import (
     CostProfiler,
     MetricsCollector,
-    MetricsRegistry,
     Telemetry,
     TraceRecorder,
 )
@@ -89,7 +88,7 @@ __all__ = [
     "ControlTower", "CostMeter", "CostProfiler", "DifferentialObserver",
     "EventBus", "ExecutionEngine",
     "ExecutionObserver", "Heatmap", "IndexInstance", "IndexRegistry",
-    "IndexSpec", "MemoryBreakdown", "MetricsCollector", "MetricsRegistry",
+    "IndexSpec", "MemoryBreakdown", "MetricsCollector",
     "MigrationReport", "MultiplexIndex", "OpEvent",
     "SLOTarget", "SLOTracker", "append_history", "check_history",
     "OpStream", "OracleReport", "OrderedIndex", "REGISTRY", "RunResult",

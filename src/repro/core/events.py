@@ -148,11 +148,6 @@ class EventBus:
             self._subscribers.append((callback, kindset))
         return callback
 
-    def unsubscribe(self, callback: Subscriber) -> None:
-        with self._lock:
-            self._subscribers = [(cb, ks) for cb, ks in self._subscribers
-                                 if cb is not callback]
-
     # -- reading ---------------------------------------------------------------
 
     @property
@@ -176,10 +171,11 @@ class EventBus:
         with self._lock:
             return len(self._buffer)
 
-    def save(self, path: str, append: bool = False) -> int:
-        """Persist the buffered events as versioned JSON-lines."""
-        return save_jsonl(self.events(), path,
-                          tags={"artifact": "events"}, append=append)
+    def save(self, path: str) -> int:
+        """Persist the buffered events as versioned JSON-lines,
+        replacing whatever ``path`` held: one bus's ``seq`` runs from 0,
+        so two logs in one file would not validate."""
+        return save_jsonl(self.events(), path, tags={"artifact": "events"})
 
     # -- emitters --------------------------------------------------------------
 

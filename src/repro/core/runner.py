@@ -262,8 +262,9 @@ class ExecutionObserver:
 
     def on_block(self, block: "OpBlock") -> None:
         """Called with each :class:`OpBlock` of consecutive operations,
-        in order, every op of the run in exactly one: each op's
-        outcome, record and clock, recorded once by the engine."""
+        in order, every op of the run in exactly one: each op's row
+        ``(op, ok, scanned, record)``, clock and charges, recorded once
+        by the engine."""
 
     def on_smo(self, event: OpEvent) -> None:
         """Called after an insert/delete whose op record flagged a
@@ -281,9 +282,8 @@ class OpBlock:
     """Consecutive operations of one observed run, as the engine
     recorded them, with every op's clock and charges.
 
-    ``rows[i]`` is op ``seq + i`` as ``(op, ok, scanned, record,
-    latency)``: ``record`` as ``OpEvent.record``, ``latency`` the
-    sampled cost or ``None``.  ``clocks[i]`` is the meter's
+    ``rows[i]`` is op ``seq + i`` as ``(op, ok, scanned, record)``,
+    ``record`` as ``OpEvent.record``.  ``clocks[i]`` is the meter's
     ``total_time()`` right after that op, ``start_ns`` the reading
     before the first.  The engine ends a block at a window close of any
     of its folds, at an op that ran an SMO, after ``RECORD_BLOCK`` ops,
@@ -361,8 +361,6 @@ class OpWindow:
     smos: int = 0
     #: Ops per key the producer counted them under (the op kind).
     counts: Dict[object, int] = field(default_factory=dict)
-    #: The latencies the engine sampled, in op order.
-    sampled: List[float] = field(default_factory=list)
     #: Every op's latency by key, in op order (a ``timed`` fold only).
     latencies: Dict[object, List[float]] = field(
         default_factory=lambda: defaultdict(list))
@@ -397,8 +395,7 @@ class WindowFold:
         self._last_ns = meter.total_time()
         self.window = OpWindow(self._last_ns)
 
-    def add(self, key, ok: bool, t_ns: Optional[float] = None,
-            sampled: Optional[float] = None) -> None:
+    def add(self, key, ok: bool, t_ns: Optional[float] = None) -> None:
         """Count one op under ``key``; close the window if that fills it."""
         window = self.window
         counts = window.counts
@@ -406,8 +403,6 @@ class WindowFold:
         window.ops += 1
         if ok:
             window.ok += 1
-        if sampled is not None:
-            window.sampled.append(sampled)
         if self.timed:
             window.latencies[key].append(t_ns - self._last_ns)
             self._last_ns = t_ns
@@ -420,14 +415,13 @@ class WindowFold:
         not run past this fold's next close (the engine ends its blocks
         at every fold's), so only its last op can close the window."""
         n = len(block) - 1
-        head, kinds = block.rows[:n], block.kinds
+        kinds = block.kinds
         window = self.window
         counts = window.counts
         for key, k in Counter(kinds[:n]).items():
             counts[key] = counts.get(key, 0) + k
         window.ops += n
-        window.ok += sum([row[1] for row in head])
-        window.sampled += [row[4] for row in head if row[4] is not None]
+        window.ok += sum([row[1] for row in block.rows[:n]])
         if self.timed:
             last = self._last_ns
             latencies = window.latencies
@@ -435,8 +429,7 @@ class WindowFold:
                 latencies[key].append(t_ns - last)
                 last = t_ns
             self._last_ns = last
-        _, ok, _, _, sampled = block.rows[n]
-        self.add(kinds[n], ok, block.clocks[n], sampled)
+        self.add(kinds[n], block.rows[n][1], block.clocks[n])
 
     def on_smo(self, event: Optional[OpEvent] = None) -> None:
         self.window.smos += 1
@@ -671,7 +664,7 @@ class ExecutionEngine:
             if scanned:
                 tally.scanned_entries += scanned
             if recording:
-                add_row((op, ok, scanned, record, latency))
+                add_row((op, ok, scanned, record))
                 add_snap(tuple(values()) if positional
                          else (total_time(), snapshot()))
             if on_op:

@@ -11,10 +11,9 @@ observer hooks plus the deterministic virtual clock
   the virtual clock, exportable as Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) or as a JSON-lines event log through
   the versioned-results machinery (:mod:`repro.core.results`).
-* :class:`MetricsRegistry` / :class:`MetricsCollector` — counters,
-  gauges and log2-bucket histograms, plus windowed time-series of
-  rolling throughput, rolling SMO rate (with storm detection) and
-  periodic ``memory_usage()`` samples.
+* :class:`MetricsCollector` — windowed time-series of rolling
+  throughput, rolling SMO rate (with storm detection) and periodic
+  ``memory_usage()`` samples.
 * :class:`CostProfiler` — virtual time attributed to
   (op kind x cost phase x cost kind) from the engine's op blocks,
   rendered as a flame-table; its per-phase totals reconcile exactly with
@@ -28,7 +27,6 @@ deterministic: two runs of the same workload produce identical traces.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from statistics import median_high
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -134,7 +132,7 @@ class TraceRecorder(ExecutionObserver):
                 out.append(part)
                 continue
             seq, start, rows, clocks = part
-            for (op, ok, scanned, r, _), now in zip(rows, clocks):
+            for (op, ok, scanned, r), now in zip(rows, clocks):
                 rec = {
                     "kind": EVENT_SPAN,
                     "name": op.op,
@@ -260,102 +258,6 @@ def chrome_trace_from_spans(
 # Metrics
 # ---------------------------------------------------------------------------
 
-class Counter:
-    """Monotonically increasing value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, n: float = 1.0) -> None:
-        self.value += n
-
-
-class Gauge:
-    """Last-write-wins value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, v: float) -> None:
-        self.value = v
-
-
-class Histogram:
-    """Power-of-two bucketed distribution.
-
-    ``observe(x)`` lands in the bucket whose upper bound is the smallest
-    power of two >= x (bucket key is the exponent, so bucket ``e`` holds
-    values in ``(2^(e-1), 2^e]``; zero and negatives land in bucket 0).
-    """
-
-    __slots__ = ("buckets", "count", "sum")
-
-    def __init__(self) -> None:
-        self.buckets: Dict[int, int] = {}
-        self.count = 0
-        self.sum = 0.0
-
-    def observe(self, x: float) -> None:
-        if x <= 0:
-            e = 0
-        else:
-            _, e = math.frexp(x)  # 2**(e-1) <= x < 2**e
-            if x == 2.0 ** (e - 1):
-                e -= 1
-        self.buckets[e] = self.buckets.get(e, 0) + 1
-        self.count += 1
-        self.sum += x
-
-
-class MetricsRegistry:
-    """Named metric instruments, created on first use.
-
-    A single namespace per run; :meth:`snapshot` returns a
-    JSON-serializable view used in metric artifacts and tests.
-    """
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter()
-        return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge()
-        return g
-
-    def histogram(self, name: str) -> Histogram:
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram()
-        return h
-
-    def snapshot(self) -> dict:
-        """Every instrument by name, names sorted."""
-        out: Dict[str, dict] = {}
-        for name, c in self._counters.items():
-            out[name] = {"type": "counter", "value": c.value}
-        for name, g in self._gauges.items():
-            out[name] = {"type": "gauge", "value": g.value}
-        for name, h in self._histograms.items():
-            out[name] = {"type": "histogram", "count": h.count,
-                         "sum": h.sum,
-                         "buckets": {str(k): v for k, v in
-                                     sorted(h.buckets.items())}}
-        return dict(sorted(out.items()))
-
-
 #: A window is *hot* when its SMO rate exceeds both ``STORM_MIN_RATE``
 #: and ``STORM_FACTOR`` x the baseline.
 STORM_FACTOR = 3.0
@@ -381,17 +283,16 @@ class SmoStorm:
 
 
 class MetricsCollector(ExecutionObserver):
-    """Windowed time-series over a run, backed by a :class:`MetricsRegistry`.
+    """Windowed time-series over a run.
 
     For every window of ``window_ops`` operations the collector emits
     one sample per metric at the virtual timestamp the window closed:
     rolling throughput (Mops on the virtual clock), rolling SMO rate
     (SMOs per op) and the index's analytic ``memory_usage()`` total.
-    ``series`` holds the samples as dicts ready for ``save_jsonl``; the
-    registry's op counters and latency histogram advance at each close.
+    ``series`` holds the samples as dicts ready for ``save_jsonl``.
 
-    **Thread-safety: none — single-engine-thread only.**  The registry
-    is unlocked read-modify-write state, exactly like the base
+    **Thread-safety: none — single-engine-thread only.**  ``series``
+    is unlocked state, exactly like the base
     :class:`~repro.core.cost.CostMeter` (see its docstring); a collector
     observes one engine loop.  The multi-threaded serving tier does not
     attach one: :class:`~repro.core.server.IndexServer` keeps each
@@ -404,7 +305,6 @@ class MetricsCollector(ExecutionObserver):
         if window_ops < 1:
             raise ValueError("window_ops must be >= 1")
         self.window_ops = window_ops
-        self.registry = MetricsRegistry()
         self.series: List[dict] = []
         self._index = None
 
@@ -412,27 +312,12 @@ class MetricsCollector(ExecutionObserver):
 
     def on_phase(self, phase, index, workload) -> None:
         self._index = index
-        if phase == "measure":
-            self.registry.gauge(METRIC_MEMORY).set(index.memory_usage().total)
-
-    def on_smo(self, event: OpEvent) -> None:
-        # Not ``window.smos``: a run's last SMO can lie in no window.
-        self.registry.counter("smo_total").inc()
 
     def on_window(self, window: OpWindow) -> None:
-        reg = self.registry
-        reg.counter("ops_total").inc(window.ops)
-        for kind, n in window.counts.items():
-            reg.counter("ops." + kind).inc(n)
-        if window.ok < window.ops:
-            reg.counter("ops_failed").inc(window.ops - window.ok)
-        for latency in window.sampled:
-            reg.histogram("op_latency_ns").observe(latency)
         now, start = window.t_ns, window.start_ns
         dur = now - start
         mops = (window.ops / dur) * 1e3 if dur > 0 else 0.0
         mem = self._index.memory_usage().total
-        reg.gauge(METRIC_MEMORY).set(mem)
         for metric, value in (
             (METRIC_THROUGHPUT, mops),
             (METRIC_SMO_RATE, window.smos / window.ops),
@@ -531,12 +416,6 @@ class CostProfiler(ExecutionObserver):
         out: Dict[str, float] = {}
         for (op, _, kind), u in self.cells.items():
             out[op] = out.get(op, 0.0) + self._ns(kind, u)
-        return out
-
-    def time_by_kind(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for (_, _, kind), u in self.cells.items():
-            out[kind] = out.get(kind, 0.0) + self._ns(kind, u)
         return out
 
     def rows(self) -> List[Tuple[str, str, str, float, float]]:

@@ -17,7 +17,9 @@ the same ``ExecutionEngine.run`` and require equal artifacts; nothing
 else imports this module (the ``tests/pla_reference.py`` precedent).
 
 ``parity_case`` is the one addition: it builds the per-index stream
-the parity tests run.
+the parity tests run.  The one removal: the collector's metric registry
+(counters, gauges, a latency histogram) and the profiler's
+``time_by_kind``, deleted from the live observers too.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from repro.core.telemetry import (
     METRIC_MEMORY,
     METRIC_SMO_RATE,
     METRIC_THROUGHPUT,
-    MetricsRegistry,
     SmoStorm,
     events_to_chrome,
 )
@@ -151,7 +152,7 @@ class TraceRecorder(ExecutionObserver):
 
 
 class MetricsCollector(ExecutionObserver):
-    """Windowed time-series over a run, backed by a :class:`MetricsRegistry`.
+    """Windowed time-series over a run.
 
     Every ``window_ops`` operations the collector closes a window and
     emits one sample per metric at the current virtual timestamp:
@@ -173,7 +174,6 @@ class MetricsCollector(ExecutionObserver):
         if window_ops < 1:
             raise ValueError("window_ops must be >= 1")
         self.window_ops = window_ops
-        self.registry = MetricsRegistry()
         self.series: List[dict] = []
         self._index = None
         self._meter = None
@@ -188,24 +188,15 @@ class MetricsCollector(ExecutionObserver):
         self._meter = index.meter
         if phase == "measure":
             self._win_start_ns = self._meter.total_time()
-            self.registry.gauge(METRIC_MEMORY).set(index.memory_usage().total)
         elif phase == "done" and self._win_ops:
             self._close_window()
 
     def on_op(self, event: OpEvent, latency: Optional[float]) -> None:
-        reg = self.registry
-        reg.counter("ops_total").inc()
-        reg.counter(f"ops.{event.op.op}").inc()
-        if not event.ok:
-            reg.counter("ops_failed").inc()
-        if latency is not None:
-            reg.histogram("op_latency_ns").observe(latency)
         self._win_ops += 1
         if self._win_ops >= self.window_ops:
             self._close_window()
 
     def on_smo(self, event: OpEvent) -> None:
-        self.registry.counter("smo_total").inc()
         self._win_smos += 1
 
     def _close_window(self) -> None:
@@ -213,7 +204,6 @@ class MetricsCollector(ExecutionObserver):
         dur = now - self._win_start_ns
         mops = (self._win_ops / dur) * 1e3 if dur > 0 else 0.0
         mem = self._index.memory_usage().total
-        self.registry.gauge(METRIC_MEMORY).set(mem)
         for metric, value in (
             (METRIC_THROUGHPUT, mops),
             (METRIC_SMO_RATE, self._win_smos / self._win_ops),
@@ -327,12 +317,6 @@ class CostProfiler(ExecutionObserver):
         out: Dict[str, float] = {}
         for (op, _, kind), u in self.cells.items():
             out[op] = out.get(op, 0.0) + self._ns(kind, u)
-        return out
-
-    def time_by_kind(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for (_, _, kind), u in self.cells.items():
-            out[kind] = out.get(kind, 0.0) + self._ns(kind, u)
         return out
 
     def rows(self) -> List[Tuple[str, str, str, float, float]]:

@@ -147,6 +147,47 @@ def test_the_engine_has_one_per_op_body():
     assert not hasattr(ExecutionEngine, "_recorder")
 
 
+def test_observers_carry_only_what_is_read():
+    """The run's evidence lives in ``RunResult``, the trace, the metric
+    ``series`` and the SLO windows: no metric registry keeps a second
+    tally beside them, and no sampled latency rides a block row or a
+    window to feed one."""
+    import dataclasses
+
+    from repro.core import telemetry
+    from repro.core.events import EventBus
+    from repro.core.runner import (
+        ExecutionEngine,
+        ExecutionObserver,
+        OpWindow,
+        WindowFold,
+    )
+    from repro.core.workloads import mixed_workload
+    from repro.indexes.btree import BPlusTree
+
+    assert [f.name for f in dataclasses.fields(OpWindow)] == [
+        "start_ns", "t_ns", "ops", "ok", "smos", "counts", "latencies"]
+    assert list(inspect.signature(WindowFold.add).parameters) == [
+        "self", "key", "ok", "t_ns"]
+
+    class Blocks(ExecutionObserver):
+        def __init__(self):
+            self.rows = []
+
+        def on_block(self, block):
+            self.rows += block.rows
+
+    blocks = Blocks()
+    ExecutionEngine(observers=[blocks]).run(
+        BPlusTree(), mixed_workload(list(range(0, 4000, 4)), 0.5,
+                                    n_ops=300, seed=1))
+    assert len(blocks.rows) == 300
+    assert {len(row) for row in blocks.rows} == {4}
+    assert "on_smo" not in vars(telemetry.MetricsCollector)
+    assert not hasattr(telemetry, "MetricsRegistry")
+    assert "append" not in inspect.signature(EventBus.save).parameters
+
+
 def test_one_module_holds_the_storm_rule():
     """Outside ``repro.bench`` (whose p99 medians are not a storm rule)
     only ``storm_threshold`` takes a ``median_high``."""

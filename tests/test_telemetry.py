@@ -11,9 +11,7 @@ from repro.core.runner import ExecutionEngine, ExecutionObserver, execute
 from repro.core.sweep import result_fingerprint
 from repro.core.telemetry import (
     CostProfiler,
-    Histogram,
     MetricsCollector,
-    MetricsRegistry,
     Telemetry,
     TraceRecorder,
     chrome_trace_from_spans,
@@ -183,39 +181,12 @@ def test_metrics_partial_window_flushes_on_done():
     assert thr[1]["window_ops"] == 44
 
 
-def test_metrics_registry_counters_and_snapshot():
-    _, tel = _run_traced(n_ops=1000, write_frac=0.5)
-    snap = tel.metrics.registry.snapshot()
-    assert snap["ops_total"]["value"] == 1000
-    assert snap["ops.insert"]["value"] + snap["ops.lookup"]["value"] == 1000
-    assert snap["smo_total"]["value"] > 0
-    hist = snap["op_latency_ns"]
-    assert hist["type"] == "histogram"
-    assert hist["count"] == sum(hist["buckets"].values()) > 0
-
-
 def test_metrics_roundtrip_through_results(tmp_path):
     _, tel = _run_traced(n_ops=1024)
     path = tmp_path / "metrics.jsonl"
     save_jsonl(tel.metrics.series, str(path), tags={"artifact": "metrics"})
     records = load_jsonl(str(path))
     assert validate_metric_records(records) == len(tel.metrics.series)
-
-
-def test_histogram_log2_buckets():
-    h = Histogram()
-    for x in (0.0, 1.0, 2.0, 3.0, 1024.0, -5.0):
-        h.observe(x)
-    # Bucket e holds (2^(e-1), 2^e]; zero/negatives land in bucket 0.
-    assert h.buckets == {0: 3, 1: 1, 2: 1, 10: 1}
-    assert h.count == 6
-
-
-def test_registry_get_or_create_is_stable():
-    reg = MetricsRegistry()
-    assert reg.counter("x") is reg.counter("x")
-    assert reg.gauge("y") is reg.gauge("y")
-    assert reg.histogram("z") is reg.histogram("z")
 
 
 def test_smo_storm_detection_merges_consecutive_windows():
@@ -262,7 +233,6 @@ def test_profiler_reconciles_with_meter(factory):
             meter_phase.get(phase, 0.0), rel=1e-9, abs=1e-6)
     assert prof.total_ns() == pytest.approx(r.virtual_ns, rel=1e-9)
     assert sum(prof.time_by_op().values()) == pytest.approx(prof.total_ns())
-    assert sum(prof.time_by_kind().values()) == pytest.approx(prof.total_ns())
 
 
 def test_profiler_attributes_by_op_kind():
@@ -420,13 +390,11 @@ def test_observers_match_reference_on_the_same_run(name, block, monkeypatch):
     assert same(tel.trace.events, ref_trace.events)
     assert same(tel.trace.to_chrome(), ref_trace.to_chrome())
     assert same(tel.metrics.series, ref_metrics.series)
-    assert same(tel.metrics.registry.snapshot(),
-                ref_metrics.registry.snapshot())
     assert list(tel.profiler.cells.items()) == list(ref_prof.cells.items())
     assert same(tel.profiler.rows(), ref_prof.rows())
     if name not in ("RMI", "HOT"):  # read-only; HOT never flags an SMO
         # The stream really crossed structural work.
-        assert tel.metrics.registry.snapshot()["smo_total"]["value"] >= 1
+        assert any(e["kind"] == "instant" for e in tel.trace.events)
 
     # The observed run took the per-op loop; the bare one resolves the
     # stream's closing lookup run in blocks when they are 64 ops long.

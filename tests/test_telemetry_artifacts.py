@@ -3,9 +3,8 @@
 ``tests/corpus/telemetry_artifacts.json`` holds, per cell, one sha256
 each over the artifacts of ``Telemetry.full()`` + ``EventBus`` +
 ``SLOTracker`` riding one ``ExecutionEngine.run``: the trace's
-``events`` and ``to_chrome()``, the collector's ``series`` and
-``registry.snapshot()``, the profiler's ``cells`` (items in order) and
-``rows()``, the bus log, and the tracker's windows and summary.  Cells:
+``events`` and ``to_chrome()``, the collector's ``series``, the
+profiler's ``cells`` (items in order) and ``rows()``, the bus log, and the tracker's windows and summary.  Cells:
 the P4 panel (ALEX, LIPP, PGM, B+tree) on ``observer_reference``'s
 ``parity_case`` stream and on a write-heavy mix of 4,000 osm keys.  The
 three window sizes differ (collector 64, tracker 128, bus 256), so the
@@ -65,7 +64,6 @@ def artifacts(factory, workload):
         "trace_events": tel.trace.events,
         "trace_chrome": tel.trace.to_chrome(),
         "metric_series": tel.metrics.series,
-        "metric_registry": tel.metrics.registry.snapshot(),
         "profiler_cells": list(tel.profiler.cells.items()),
         "profiler_rows": tel.profiler.rows(),
         "bus_log": bus.events(),
