@@ -231,9 +231,6 @@ class DifferentialObserver:
                     + ("" if got == want[:len(got)] else " (content differs)"),
                 )
 
-    def on_smo(self, event: Any) -> None:
-        pass
-
 
 @dataclass
 class OracleReport:

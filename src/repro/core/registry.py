@@ -3,8 +3,10 @@
 The paper's harness (GRE) drives *any* index through *any* workload; its
 C++ artifact keeps one "competitor" registry for that.  This module is
 our equivalent: every index is registered exactly once as an
-:class:`IndexSpec` recording its factory, whether it is learned, which
-operations it supports, and (when one exists) its concurrent variant.
+:class:`IndexSpec` holding its class, its catalog tags and (when one
+exists) its concurrent variant.  What the index can do — whether it is
+learned, which operations it supports — is read off the class, the one
+place it is written down.
 
 Every legacy catalog is a *view* over this registry:
 
@@ -22,11 +24,7 @@ Registering a new index is one call::
 
     from repro.core.registry import REGISTRY, IndexSpec
 
-    REGISTRY.register(IndexSpec(
-        name="MyIndex", factory=MyIndex, is_learned=True,
-        supports_delete=False, supports_range=True,
-        tags=frozenset({"cli"}),
-    ))
+    REGISTRY.register(IndexSpec(factory=MyIndex, tags=frozenset({"cli"})))
 
 and it appears in every derived catalog whose tags it carries.
 """
@@ -34,7 +32,7 @@ and it appears in every derived catalog whose tags it carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Type
 
 from repro.indexes.alex import ALEX
 from repro.indexes.art import ART
@@ -58,29 +56,12 @@ TAG_HEATMAP = "heatmap"  # single-threaded heatmap contenders
 
 @dataclass(frozen=True)
 class IndexSpec:
-    """One registered index and its capabilities."""
+    """One registered index: its class, its catalog tags and its
+    concurrent variant.  Every capability is a property read off the
+    class, so the class is the only place one is written down."""
 
-    name: str
-    factory: Callable[..., OrderedIndex]
-    is_learned: bool
-    supports_insert: bool = True
-    supports_delete: bool = True
-    supports_range: bool = True
-    supports_duplicates: bool = False
-    #: Whether the index implements an exact-meter ``_lookup_batch`` fast
-    #: path — numpy kernels on the model-based indexes, a level-wise C
-    #: ``bisect`` walk with numpy probe replay on B+tree (the ``*_many``
-    #: APIs work on every index regardless — the default is a scalar
-    #: loop; this flag marks where batching is actually faster).
-    supports_batch: bool = False
-    #: Whether the index can take part in live migration
-    #: (:mod:`repro.core.migrate`): migrating *from* needs ``range_scan``
-    #: for the backfill snapshot cursor, migrating *to* needs inserts —
-    #: so the flag requires both.  The same flag marks the per-shard
-    #: engines of a :class:`~repro.core.shard.ShardedIndex` and the
-    #: indexes a server can rebuild: shard split/merge and background
-    #: rebuilds are live migrations.
-    supports_migration: bool = False
+    #: The index class; calling it builds an instance.
+    factory: Type[OrderedIndex]
     tags: frozenset = field(default_factory=frozenset)
     #: Concurrent variant (Section 4.2), bound by the adapters module.
     concurrent_name: Optional[str] = None
@@ -88,6 +69,46 @@ class IndexSpec:
     #: Whether the paper evaluates the concurrent variant (PGM's naive
     #: adapter exists for completeness but is not part of Figure 4/5).
     concurrent_evaluated: bool = True
+
+    @property
+    def name(self) -> str:
+        return self.factory.name
+
+    @property
+    def is_learned(self) -> bool:
+        return self.factory.is_learned
+
+    @property
+    def supports_insert(self) -> bool:
+        return self.factory.supports_insert
+
+    @property
+    def supports_delete(self) -> bool:
+        return self.factory.supports_delete
+
+    @property
+    def supports_range(self) -> bool:
+        return self.factory.supports_range
+
+    @property
+    def supports_batch(self) -> bool:
+        """Whether the class implements an exact-meter ``_lookup_batch``
+        fast path — numpy kernels on the model-based indexes, a
+        level-wise C ``bisect`` walk with numpy probe replay on B+tree.
+        The ``*_many`` APIs work on every index regardless (the default
+        is a scalar loop); this marks where batching is faster."""
+        return self.factory._lookup_batch is not OrderedIndex._lookup_batch
+
+    @property
+    def supports_migration(self) -> bool:
+        """Whether the index can take part in live migration
+        (:mod:`repro.core.migrate`): migrating *from* needs
+        ``range_scan`` for the backfill snapshot cursor, migrating *to*
+        needs inserts.  The same property marks the per-shard engines of
+        a :class:`~repro.core.shard.ShardedIndex` and the indexes a
+        server can rebuild: shard split/merge and background rebuilds
+        are live migrations."""
+        return self.supports_insert and self.supports_range
 
 
 class IndexRegistry:
@@ -222,37 +243,24 @@ def _populate(reg: IndexRegistry) -> IndexRegistry:
     """Register the suite's indexes (registration order fixes view order)."""
     core_cli_hm = frozenset({TAG_CORE, TAG_CLI, TAG_HEATMAP})
 
-    def add(name: str, factory: Callable[..., OrderedIndex], tags: frozenset,
-            **caps) -> None:
-        reg.register(IndexSpec(
-            name=name,
-            factory=factory,
-            is_learned=factory.is_learned,
-            supports_delete=factory.supports_delete,
-            supports_range=factory.supports_range,
-            supports_migration=(caps.get("supports_insert", True)
-                                and factory.supports_range),
-            tags=tags,
-            **caps,
-        ))
-
-    # Learned (Section 4.1 order: ALEX, LIPP, PGM, XIndex, FINEdex).
-    add("ALEX", ALEX, core_cli_hm, supports_duplicates=True,  # via duplicate_mode
-        supports_batch=True)
-    add("LIPP", LIPP, core_cli_hm, supports_batch=True)
-    add("PGM", PGMIndex, frozenset({TAG_CORE, TAG_CLI}),  # heatmap excludes PGM
-        supports_batch=True)
-    add("XIndex", XIndex, core_cli_hm, supports_batch=True)
-    add("FINEdex", FINEdex, core_cli_hm, supports_batch=True)
-    add("FITing-Tree", FITingTree, frozenset({TAG_CLI}), supports_batch=True)
-    # Read-only baseline; no update catalogs, inserts raise.
-    add("RMI", RMI, frozenset(), supports_insert=False, supports_batch=True)
-    # Traditional.
-    add("B+tree", BPlusTree, core_cli_hm, supports_batch=True)
-    add("ART", ART, core_cli_hm)
-    add("HOT", HOT, core_cli_hm)
-    add("Masstree", Masstree, frozenset())  # concurrent-only in the paper
-    add("Wormhole", Wormhole, frozenset())  # concurrent-only in the paper
+    for factory, tags in (
+        # Learned (Section 4.1 order: ALEX, LIPP, PGM, XIndex, FINEdex).
+        (ALEX, core_cli_hm),
+        (LIPP, core_cli_hm),
+        (PGMIndex, frozenset({TAG_CORE, TAG_CLI})),  # heatmap excludes PGM
+        (XIndex, core_cli_hm),
+        (FINEdex, core_cli_hm),
+        (FITingTree, frozenset({TAG_CLI})),
+        # Read-only baseline; no update catalogs, inserts raise.
+        (RMI, frozenset()),
+        # Traditional.
+        (BPlusTree, core_cli_hm),
+        (ART, core_cli_hm),
+        (HOT, core_cli_hm),
+        (Masstree, frozenset()),  # concurrent-only in the paper
+        (Wormhole, frozenset()),  # concurrent-only in the paper
+    ):
+        reg.register(IndexSpec(factory, tags))
     return reg
 
 

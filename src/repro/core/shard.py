@@ -347,7 +347,6 @@ class _RangeView(_RangeRouted):
         self.boundaries = list(boundaries)
         self.supports_delete = all(c.supports_delete for c in children)
         self.supports_range = all(c.supports_range for c in children)
-        self.supports_duplicates = False
 
     def _children(self) -> List[OrderedIndex]:
         return self.children
@@ -422,7 +421,6 @@ class ShardedIndex(_RangeRouted):
         self.is_learned = probe.is_learned
         self.supports_delete = probe.supports_delete
         self.supports_range = True
-        self.supports_duplicates = False
         self.map = ShardMap()
         self._want_shards = n_shards
         self.shards: List[IndexInstance] = []
@@ -486,12 +484,12 @@ class ShardedIndex(_RangeRouted):
 
     # -- OrderedIndex: batch ops (partitioned per shard) -----------------------
 
-    def _scatter(self, method: str, keys: Sequence[Key], args: Sequence[Any],
-                 records: Optional[List[Optional[Any]]]) -> List[Any]:
+    def _scatter(self, method: str, keys: Sequence[Key],
+                 args: Sequence[Any]) -> List[Any]:
         """Run batch ``method`` once per owning shard on its share of
         ``args`` (stream order preserved within each shard, so each
         shard's vectorized path sees one contiguous sub-batch) and
-        gather results — and records — back into batch order."""
+        gather the results back into batch order."""
         if not args:
             return []
         buckets: Dict[int, List[int]] = {}
@@ -500,33 +498,20 @@ class ShardedIndex(_RangeRouted):
             owner_last = self._route(key)
             buckets.setdefault(owner_last, []).append(pos)
         out: List[Any] = [None] * len(args)
-        recs: List[Optional[Any]] = [None] * len(args)
         for sid in sorted(buckets):
             positions = buckets[sid]
-            sub_records: Optional[List[Optional[Any]]] = (
-                [] if records is not None else None)
             sub_out = getattr(self._child(sid), method)(
-                [args[p] for p in positions], records=sub_records)
+                [args[p] for p in positions])
             for p, v in zip(positions, sub_out):
                 out[p] = v
-            if sub_records is not None:
-                for p, r in zip(positions, sub_records):
-                    recs[p] = r
         self.last_op = self._child(owner_last).last_op
-        if records is not None:
-            records.extend(recs)
         return out
 
-    def lookup_many(self, keys: Sequence[Key],
-                    records: Optional[List[Optional[Any]]] = None,
-                    ) -> List[Optional[Value]]:
-        return self._scatter("lookup_many", keys, keys, records)
+    def lookup_many(self, keys: Sequence[Key]) -> List[Optional[Value]]:
+        return self._scatter("lookup_many", keys, keys)
 
-    def insert_many(self, pairs: Sequence[Tuple[Key, Value]],
-                    records: Optional[List[Optional[Any]]] = None,
-                    ) -> List[bool]:
-        return self._scatter("insert_many", [k for k, _ in pairs], pairs,
-                             records)
+    def insert_many(self, pairs: Sequence[Tuple[Key, Value]]) -> List[bool]:
+        return self._scatter("insert_many", [k for k, _ in pairs], pairs)
 
     # -- introspection ---------------------------------------------------------
 

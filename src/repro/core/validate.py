@@ -158,9 +158,6 @@ class ValidationObserver:
         if phase == "measure" or phase == "done":
             self._check(-1)
 
-    def on_op(self, event: Any, latency: Optional[float]) -> None:  # noqa: ARG002
-        pass
-
     def on_smo(self, event: Any) -> None:
         self._check(event.seq)
 

@@ -103,6 +103,7 @@ class OrderedIndex(ABC):
     name: ClassVar[str] = "index"
     #: Whether the index is a learned (model-based) index.
     is_learned: ClassVar[bool] = False
+    supports_insert: ClassVar[bool] = True
     supports_delete: ClassVar[bool] = True
     supports_range: ClassVar[bool] = True
     supports_duplicates: ClassVar[bool] = False
@@ -122,9 +123,6 @@ class OrderedIndex(ABC):
         #: Vectorized-lookup state (tables, or a wrapper's delegation
         #: binding); dropped through :meth:`_invalidate_batch_cache`.
         self._batch_cache: Optional[Any] = None
-        #: Bumped on every invalidation; batch loops snapshot it to
-        #: detect wrapper-driven mutation mid-batch.
-        self._mutation_gen = 0
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -189,8 +187,9 @@ class OrderedIndex(ABC):
         (for indexes without duplicate support) and leaves it unchanged."""
 
     def update(self, key: Key, value: Value) -> bool:
-        """In-place payload update.  Default: lookup-and-overwrite via
-        insert path; subclasses override with a true in-place write."""
+        """Overwrite the payload of a present ``key`` in place.  Returns
+        False if absent.  Every index implements its own; there is no
+        default."""
         raise NotImplementedError
 
     def delete(self, key: Key) -> bool:
@@ -205,7 +204,7 @@ class OrderedIndex(ABC):
     #
     # The public ``*_many`` entry points are correct by construction: the
     # default loops the scalar ops, so every index supports batches
-    # immediately, with identical results, OpRecords, and meter charges.
+    # immediately, with identical results, ``last_op`` and meter charges.
     # Model-based indexes override the internal ``_lookup_batch`` hook
     # with a numpy fast path that returns the same observables (see
     # ``repro.indexes.batching``); the hook returns ``None`` whenever it
@@ -223,93 +222,28 @@ class OrderedIndex(ABC):
         Every mutation that can stale a ``_batch_cache`` — an index's
         own structural change, or a wrapper swapping/filling an inner
         index (see :class:`~repro.indexes.multiplex.MultiplexIndex`) —
-        must route through here, never assign ``_batch_cache`` raw:
-        the generation bump is what lets the batch loops below detect
-        mid-batch mutation by a wrapper's scan/pump path."""
-        self._mutation_gen += 1
+        must route through here, never assign ``_batch_cache`` raw."""
         self._batch_cache = None
 
-    def _loop_records(self, records: Optional[List[Optional[OpRecord]]]) -> Any:
-        """Per-op ``last_op`` capture for the loop fallbacks: appends the
-        fresh record, or ``None`` when the op did not refresh it."""
-        if records is None:
-            return None
-
-        def capture(prev: OpRecord) -> None:
-            rec = self.last_op
-            records.append(rec if rec is not prev else None)
-
-        return capture
-
-    def lookup_many(self, keys: Sequence[Key],
-                    records: Optional[List[Optional[OpRecord]]] = None,
-                    ) -> List[Optional[Value]]:
+    def lookup_many(self, keys: Sequence[Key]) -> List[Optional[Value]]:
         """Batched :meth:`lookup` over ``keys``, in order.
 
         Observationally identical to calling ``lookup`` in a loop: same
         values, same cost-meter charges (including counter creation
-        order), and ``last_op`` reflects the final key.  When
-        ``records`` is given, each op's fresh ``OpRecord`` (or ``None``
-        if the op left ``last_op`` stale) is appended to it.
+        order), and ``last_op`` is the final key's record.
         """
         batch = self._lookup_batch(keys)
         if batch is not None:
             batch.log.apply_totals(self.meter)
-            n = len(keys)
-            if records is not None:
-                for i in range(n):
-                    rec = batch.make_record(i)
-                    records.append(rec)
-                    self.last_op = rec
-            elif n:
-                self.last_op = batch.make_record(n - 1)
+            if len(keys):
+                self.last_op = batch.make_record(len(keys) - 1)
             return batch.values
-        capture = self._loop_records(records)
-        out: List[Optional[Value]] = []
-        for key in keys:
-            prev = self.last_op
-            out.append(self.lookup(key))
-            if capture is not None:
-                capture(prev)
-        return out
+        return [self.lookup(key) for key in keys]
 
-    def insert_many(self, pairs: Sequence[Tuple[Key, Value]],
-                    records: Optional[List[Optional[OpRecord]]] = None,
-                    ) -> List[bool]:
+    def insert_many(self, pairs: Sequence[Tuple[Key, Value]]) -> List[bool]:
         """Batched :meth:`insert`; duplicate keys within one batch get
         the scalar semantics (later inserts see the earlier ones)."""
-        capture = self._loop_records(records)
-        out: List[bool] = []
-        for key, value in pairs:
-            prev = self.last_op
-            out.append(self.insert(key, value))
-            if capture is not None:
-                capture(prev)
-        return out
-
-    def scan_many(self, starts: Sequence[Key], count: int,
-                  records: Optional[List[Optional[OpRecord]]] = None,
-                  ) -> List[List[Tuple[Key, Value]]]:
-        """Batched :meth:`range_scan`: one scan of ``count`` per start.
-
-        Shares the batch-cache invalidation hook: a wrapper (e.g. a
-        migrating ``MultiplexIndex``) may mutate or even *swap* its
-        inner index from inside ``range_scan`` — its pump runs there —
-        so if the mutation generation moved during the batch, any batch
-        state bound mid-batch is dropped rather than served stale to
-        the next ``lookup_many``.
-        """
-        gen0 = self._mutation_gen
-        capture = self._loop_records(records)
-        out: List[List[Tuple[Key, Value]]] = []
-        for start in starts:
-            prev = self.last_op
-            out.append(self.range_scan(start, count))
-            if capture is not None:
-                capture(prev)
-        if self._mutation_gen != gen0:
-            self._invalidate_batch_cache()
-        return out
+        return [self.insert(key, value) for key, value in pairs]
 
     # -- introspection ---------------------------------------------------------
 

@@ -3,7 +3,7 @@
 A :class:`MultiplexIndex` is the data-plane half of zero-downtime index
 migration (the control plane lives in :mod:`repro.core.migrate`).  It
 presents the full ``OrderedIndex`` contract — including the
-``lookup_many``/``insert_many``/``scan_many`` batch paths — while:
+``lookup_many``/``insert_many`` batch paths — while:
 
 * serving every **read** from the *primary* (the index being replaced),
   so client-visible lookup latency never changes,
@@ -135,7 +135,6 @@ class MultiplexIndex(OrderedIndex):
         # Capabilities: reads follow the primary; writes need both sides.
         self.supports_delete = primary.supports_delete and secondary.supports_delete
         self.supports_range = primary.supports_range
-        self.supports_duplicates = False
         #: Next key the backfill snapshot cursor will stage from.
         self._cursor: Key = 0
         #: Rows scanned so far, in key order; one ``bulk_load`` turns
@@ -453,8 +452,7 @@ class MultiplexIndex(OrderedIndex):
         The binding is cached in ``_batch_cache`` and dropped by
         ``_invalidate_batch_cache`` — which catch-up, cutover and
         abort call — so a batch can never be served by an index
-        that was swapped out mid-stream (see ``scan_many`` in the base
-        class for the wrapper-mutation guard)."""
+        that was swapped out mid-stream."""
         if self._batch_cache is None:
             self._batch_cache = self.primary
         return self._batch_cache._lookup_batch(keys)

@@ -422,9 +422,7 @@ class PGMIndex(OrderedIndex):
             smo = True
         self.last_op = OpRecord(op="insert", key=key, smo=smo, nodes_created=1 if smo else 0)
 
-    def insert_many(self, pairs: Sequence[Tuple[Key, Value]],
-                    records: Optional[List[Optional[OpRecord]]] = None,
-                    ) -> List[bool]:
+    def insert_many(self, pairs: Sequence[Tuple[Key, Value]]) -> List[bool]:
         """Batched blind inserts: the buffer is filled a chunk at a
         time, each chunk ending exactly where the scalar loop's
         ``len(_buffer) >= buffer_size`` check would flush.
@@ -439,32 +437,25 @@ class PGMIndex(OrderedIndex):
         keeps the loop default.
         """
         if self.check_duplicates:
-            return super().insert_many(pairs, records)
+            return super().insert_many(pairs)
         pairs = list(pairs)
         n = len(pairs)
         buf = self._buffer
-        smo_ops = set()  # ops whose insert ran a merge
+        smo = False  # whether the chunk's last op ran a merge
         pos = 0
         while pos < n:
             end = min(n, pos + max(1, self.buffer_size - len(buf)))
             buf.update(pairs[pos:end])
             self.meter.charge_phased(PHASE_COLLISION, KEY_SHIFT, end - pos)
             pos = end
-            if len(buf) >= self.buffer_size:
+            smo = len(buf) >= self.buffer_size
+            if smo:
                 with self.meter.phase(PHASE_SMO):
                     self._merge_down()
-                smo_ops.add(end - 1)
         self._size += n
-
-        def record(i: int) -> OpRecord:
-            smo = i in smo_ops
-            return OpRecord(op="insert", key=pairs[i][0], smo=smo,
-                            nodes_created=1 if smo else 0)
-
-        if records is not None:
-            records.extend(map(record, range(n)))
         if n:
-            self.last_op = records[-1] if records is not None else record(n - 1)
+            self.last_op = OpRecord(op="insert", key=pairs[-1][0], smo=smo,
+                                    nodes_created=1 if smo else 0)
         return [True] * n
 
     def _merge_down(self) -> None:

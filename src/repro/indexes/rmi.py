@@ -46,6 +46,7 @@ class RMI(OrderedIndex):
 
     name = "RMI"
     is_learned = True
+    supports_insert = False
     supports_delete = False
     supports_range = True
 

@@ -1,14 +1,14 @@
 """Exact batch contract for B+tree and PGM, against a scalar twin.
 
 Two identically built indexes take the same interleaved stream: one
-through ``lookup_many`` / ``insert_many`` / ``scan_many``, its twin
-through loops of the scalar ops.  After every step the values, the
-per-op ``OpRecord``s (B+tree ``path`` node ids included), ``last_op``
+through ``lookup_many`` / ``insert_many``, its twin through loops of the
+scalar ops.  After every step the values, ``last_op``, the merge count
 and ``list(meter._counts.items())`` — counter values *and* insertion
-order — must be equal.  Deletes run scalar on both sides, so the batch
-paths are checked right after every kind of structure change: B+tree
-leaf splits, root splits, borrows and merges, and PGM flushes under
-both merge policies.
+order — must be equal, and so must every per-op ``OpRecord`` a lookup
+batch body makes (B+tree ``path`` node ids included).  Deletes and
+scans run scalar on both sides, so the batch paths are checked right
+after every kind of structure change: B+tree leaf splits, root splits,
+borrows and merges, and PGM flushes under both merge policies.
 """
 
 import random
@@ -53,20 +53,20 @@ class SpyBTree(BPlusTree):
 
 
 def _scalar(index, call, args):
-    """``call`` per element of ``args`` on the twin, with the records
-    the batch APIs would report (``None`` for an op that left
-    ``last_op`` stale)."""
+    """``call`` per element of ``args`` on the twin, with each op's
+    record."""
     outs, records = [], []
     for arg in args:
-        prev = index.last_op
         outs.append(call(*arg))
-        records.append(index.last_op if index.last_op is not prev else None)
+        records.append(index.last_op)
     return outs, records
 
 
 def _assert_same(batch, twin, got, want, label):
     assert got == want, label
     assert batch.last_op == twin.last_op, label
+    assert getattr(batch, "merge_count", None) == getattr(
+        twin, "merge_count", None), label
     assert list(batch.meter._counts.items()) == list(
         twin.meter._counts.items()), label
     assert len(batch) == len(twin), label
@@ -89,10 +89,9 @@ def _drive(make, seed, steps):
             pairs = [(rng.randrange(KEY_SPACE), step) for _ in range(size)]
             if size >= 2:
                 pairs[-1] = (pairs[0][0], -step)  # dup key inside the batch
-            records = []
-            got = batch.insert_many(pairs, records)
-            want = _scalar(twin, twin.insert, pairs)
-            _assert_same(batch, twin, (got, records), want, f"insert {label}")
+            got = batch.insert_many(pairs)
+            want, _ = _scalar(twin, twin.insert, pairs)
+            _assert_same(batch, twin, got, want, f"insert {label}")
             present.update(k for k, _ in pairs)
         elif r < 0.55:
             # Scalar on both sides: structure changes between batches.
@@ -108,16 +107,18 @@ def _drive(make, seed, steps):
             keys = [rng.choice(pool) if pool and rng.random() < 0.7
                     else rng.randrange(-5, KEY_SPACE + 5)  # missing keys too
                     for _ in range(size)]
-            records = []
-            got = batch.lookup_many(keys, records)
-            want = _scalar(twin, twin.lookup, [(k,) for k in keys])
-            _assert_same(batch, twin, (got, records), want, f"lookup {label}")
+            made = batch._lookup_batch(keys)
+            got = batch.lookup_many(keys)
+            want, records = _scalar(twin, twin.lookup, [(k,) for k in keys])
+            _assert_same(batch, twin, got, want, f"lookup {label}")
+            if made is not None:
+                assert [made.make_record(i) for i in range(size)] == records, \
+                    f"lookup records {label}"
         else:
-            starts = [rng.randrange(KEY_SPACE) for _ in range(size % 7)]
-            records = []
-            got = batch.scan_many(starts, 9, records)
-            want = _scalar(twin, twin.range_scan, [(s, 9) for s in starts])
-            _assert_same(batch, twin, (got, records), want, f"scan {label}")
+            for _ in range(size % 7):
+                start = rng.randrange(KEY_SPACE)
+                assert batch.range_scan(start, 9) == twin.range_scan(start, 9)
+            _assert_same(batch, twin, None, None, f"scan {label}")
     assert batch.range_scan(-10, 10**9) == twin.range_scan(-10, 10**9)
     assert batch.debug_validate() == []
     return batch
@@ -185,17 +186,25 @@ def test_pgm_batch_starting_one_short_of_a_flush(policy):
     """The first pair of the batch fills the buffer, so the merge runs
     after op 0 — and again wherever the scalar loop would flush."""
     config = PGM_CONFIGS[policy]
-    batch, twin = PGMIndex(**config), PGMIndex(**config)
-    for index in (batch, twin):
+
+    def one_short():
+        index = PGMIndex(**config)
         for key in range(config["buffer_size"] - 1):
             index.insert(key * 10, key)
         assert len(index._buffer) == config["buffer_size"] - 1
+        return index
+
+    batch, twin = one_short(), one_short()
     pairs = [(1000 + i, i) for i in range(20)]
     pairs[5] = pairs[4]  # a repeat adds no buffer entry: shifts later flushes
-    records = []
-    got = batch.insert_many(pairs, records)
-    want = _scalar(twin, twin.insert, pairs)
-    _assert_same(batch, twin, (got, records), want, policy)
+    got = batch.insert_many(pairs)
+    want, records = _scalar(twin, twin.insert, pairs)
+    _assert_same(batch, twin, got, want, policy)
     assert [i for i, rec in enumerate(records) if rec.smo] == [0, 9, 17]
     assert batch.run_sizes() == twin.run_sizes()
     assert batch._buffer == twin._buffer
+    # Each op's record, read as the last op of a batch that ends there.
+    for end, rec in enumerate(records, 1):
+        prefix = one_short()
+        prefix.insert_many(pairs[:end])
+        assert prefix.last_op == rec, (policy, end)

@@ -19,7 +19,7 @@ count in locals and charge one total.
 Regenerate (only when a cost-model change is intended; bump
 ``COST_MODEL_VERSION`` with it)::
 
-    PYTHONPATH=src python tests/test_charge_tables.py
+    PYTHONPATH=src python -m tests.test_charge_tables
 """
 
 import glob

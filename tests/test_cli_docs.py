@@ -18,7 +18,7 @@ moved out of ``cli.py`` and ``core/`` into ``repro.bench``; the test
 regenerates it in-process through ``cli.main`` and compares byte for
 byte.  Regenerate only with an intended change to a document::
 
-    PYTHONPATH=src python tests/test_cli_docs.py
+    PYTHONPATH=src python -m tests.test_cli_docs
 """
 
 import contextlib

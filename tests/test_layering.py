@@ -482,10 +482,8 @@ SIGNATURES = {
         "sharded", "window_ops", "slo_window", "bus"),
     "repro.core.instance:IndexInstance": ("index", "name", "state"),
     "repro.core.registry:IndexSpec": (
-        "name", "factory", "is_learned", "supports_insert",
-        "supports_delete", "supports_range", "supports_duplicates",
-        "supports_batch", "supports_migration", "tags", "concurrent_name",
-        "concurrent_factory", "concurrent_evaluated"),
+        "factory", "tags", "concurrent_name", "concurrent_factory",
+        "concurrent_evaluated"),
 }
 
 

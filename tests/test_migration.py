@@ -293,37 +293,19 @@ def test_primary_without_range_scan_is_rejected():
         MultiplexIndex(NoRange(), BPlusTree())
 
 
-# -- the scan_many stale-batch-cache regression (satellite) --------------------
-
-def test_scan_many_gen_guard_drops_cache_bound_mid_batch():
-    """A wrapper that mutates from inside ``range_scan`` (the mux pump
-    does exactly this) can leave batch state bound mid-batch; the
-    generation guard in ``scan_many`` must drop it at batch end."""
-
-    class MutatingScanBTree(BPlusTree):
-        def range_scan(self, start, count):
-            rows = super().range_scan(start, count)
-            self._mutation_gen += 1          # a mutation happened...
-            self._batch_cache = object()     # ...with batch state bound
-            return rows
-
-    idx = MutatingScanBTree()
-    idx.bulk_load(ITEMS[:50])
-    idx.scan_many([KEYS[0], KEYS[10]], 5)
-    assert idx._batch_cache is None  # stale binding was dropped
-
+# -- the stale-batch-cache regression ------------------------------------------
 
 def test_batch_binding_cannot_survive_a_cutover_after_a_batch():
-    """Warm the vectorized-lookup binding, drive scan_many until the
-    pump has verified mid-batch, then let a driver cut over: the next
-    lookup_many must be served by the *new* primary, never the retired
-    one."""
+    """Warm the vectorized-lookup binding, drive scans until the pump
+    has verified, then let a driver cut over: the next lookup_many must
+    be served by the *new* primary, never the retired one."""
     p, s = FINEdex(), BPlusTree()
     p.bulk_load(ITEMS[:400])
     mux = MultiplexIndex(p, s, chunk=64)
     warm = mux.lookup_many(KEYS[:32])  # binds _batch_cache to FINEdex
     assert warm == [payload(k) for k in KEYS[:32]]
-    mux.scan_many([KEYS[0]] * 30, 4)  # each scan pumps one chunk
+    for _ in range(30):
+        mux.range_scan(KEYS[0], 4)  # each scan pumps one chunk
     assert mux.phase == READY
     driver = MigrationDriver(mux, on_cutover=lambda: None,
                              on_rollback=lambda why: None)

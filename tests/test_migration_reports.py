@@ -12,7 +12,7 @@ The file was generated at the commit before the multiplexer lost its
 self-cutover; the test regenerates it and compares byte for byte.
 Regenerate only with an intended behaviour change::
 
-    PYTHONPATH=src python tests/test_migration_reports.py
+    PYTHONPATH=src python -m tests.test_migration_reports
 """
 
 import hashlib

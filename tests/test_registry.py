@@ -10,16 +10,20 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import sys
 
 import pytest
 
 import repro
 import repro.indexes
-from repro.cli import _ALL_INDEXES
+from repro.cli import _ALL_INDEXES, main
 from repro.concurrency.adapters import MT_LEARNED, MT_TRADITIONAL, ConcurrencyAdapter
 from repro.core.registry import REGISTRY, IndexRegistry, IndexSpec
+from repro.indexes.alex import ALEX
 from repro.indexes.base import OrderedIndex
+from repro.indexes.btree import BPlusTree
+from repro.indexes.lipp import LIPP
 
 
 def _concrete_index_classes():
@@ -48,18 +52,38 @@ def test_every_index_class_registered_exactly_once():
     assert len(registered) == len(classes)  # no class under two names
 
 
-def test_spec_capabilities_match_class_attributes():
-    for spec in REGISTRY:
-        cls = spec.factory
-        assert spec.name == cls.name
-        assert spec.is_learned == cls.is_learned
-        assert spec.supports_delete == cls.supports_delete
-        assert spec.supports_range == cls.supports_range
+#: ``repro list``'s capability columns per index: family, then an ``x``
+#: for insert, delete, range, batch and migrate/shard.  The spec reads
+#: each one off the index class; this is what that must reproduce.
+CAPABILITIES = {
+    "ALEX": ("learned", "x", "x", "x", "x", "x"),
+    "LIPP": ("learned", "x", "x", "x", "x", "x"),
+    "PGM": ("learned", "x", "x", "x", "x", "x"),
+    "XIndex": ("learned", "x", "", "x", "x", "x"),
+    "FINEdex": ("learned", "x", "", "x", "x", "x"),
+    "FITing-Tree": ("learned", "x", "", "x", "x", "x"),
+    "RMI": ("learned", "", "", "x", "x", ""),
+    "B+tree": ("traditional", "x", "x", "x", "x", "x"),
+    "ART": ("traditional", "x", "x", "x", "", "x"),
+    "HOT": ("traditional", "x", "", "x", "", "x"),
+    "Masstree": ("traditional", "x", "", "x", "", "x"),
+    "Wormhole": ("traditional", "x", "", "x", "", "x"),
+}
+
+
+def test_capability_matrix(capsys):
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    spans = [m.span() for m in re.finditer(r"-+", lines[rule])]
+    rows = [[line[a:b].strip() for a, b in spans]
+            for line in lines[rule + 1:rule + 1 + len(REGISTRY)]]
+    assert {row[0]: tuple(row[1:7]) for row in rows} == CAPABILITIES
 
 
 def test_register_rejects_duplicate_names():
     reg = IndexRegistry()
-    spec = IndexSpec(name="X", factory=dict, is_learned=False)
+    spec = IndexSpec(BPlusTree)
     reg.register(spec)
     with pytest.raises(ValueError, match="already registered"):
         reg.register(spec)
@@ -78,10 +102,10 @@ def test_create_builds_instances():
 
 def test_bind_concurrent_rejects_rebinding():
     reg = IndexRegistry()
-    reg.register(IndexSpec(name="X", factory=dict, is_learned=False))
-    reg.bind_concurrent("X", "X+", list)
+    reg.register(IndexSpec(BPlusTree))
+    reg.bind_concurrent("B+tree", "X+", list)
     with pytest.raises(ValueError, match="already has concurrent"):
-        reg.bind_concurrent("X", "X++", tuple)
+        reg.bind_concurrent("B+tree", "X++", tuple)
 
 
 # -- derived catalogs ---------------------------------------------------------
@@ -144,8 +168,9 @@ def test_capability_flags_cover_paper_notes():
     assert REGISTRY.get("LIPP").supports_delete
     assert not REGISTRY.get("Wormhole").supports_delete
     assert not REGISTRY.get("Masstree").supports_delete
-    assert REGISTRY.get("ALEX").supports_duplicates  # via duplicate_mode
-    assert not REGISTRY.get("LIPP").supports_duplicates
+    assert ALEX(duplicate_mode="inline").supports_duplicates
+    assert not ALEX().supports_duplicates
+    assert not LIPP.supports_duplicates
 
 
 def test_filtered_views_compose():

@@ -13,7 +13,7 @@ The file was generated at the commit *before* the router moved onto
 ``WindowFold``; the test regenerates it and compares byte for byte.
 Regenerate only with an intended behaviour change::
 
-    PYTHONPATH=src python tests/test_router_windows.py
+    PYTHONPATH=src python -m tests.test_router_windows
 """
 
 import hashlib

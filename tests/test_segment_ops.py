@@ -19,7 +19,7 @@ The file was generated at the commit *before* the three indexes moved
 onto the shared substrate; the test regenerates it and compares byte
 for byte.  Regenerate only with an intended behaviour change::
 
-    PYTHONPATH=src python tests/test_segment_ops.py
+    PYTHONPATH=src python -m tests.test_segment_ops
 """
 
 import hashlib

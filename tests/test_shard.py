@@ -191,12 +191,11 @@ def test_batch_ops_match_scalar_loop():
     oks = s.insert_many(fresh)
     assert all(oks)
     assert s.lookup_many([k for k, _ in fresh]) == [v for _, v in fresh]
-    # Batch records mirror the scalar contract: one record per key,
-    # last_op is the final key's record.
-    records = []
-    s.lookup_many(queries[:10], records=records)
-    assert len(records) == 10
-    assert s.last_op is records[-1]
+    # last_op mirrors the scalar contract: the final key's record, the
+    # one its owning shard holds.
+    s.lookup_many(queries[:10])
+    assert (s.last_op.op, s.last_op.key) == ("lookup", queries[9])
+    assert any(s.last_op is inst.index.last_op for inst in s.shards)
 
 
 def test_single_shard_degenerates_to_plain_index():

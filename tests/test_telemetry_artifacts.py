@@ -14,7 +14,7 @@ The file was generated at the commit before the engine recorded
 observed runs in blocks; the test regenerates it and compares byte for
 byte.  Regenerate only with an intended behaviour change::
 
-    PYTHONPATH=src python tests/test_telemetry_artifacts.py
+    PYTHONPATH=src python -m tests.test_telemetry_artifacts
 """
 
 import hashlib

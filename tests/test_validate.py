@@ -27,8 +27,14 @@ from repro import (
     XIndex,
     debug_validate,
 )
-from repro.core.opstream import fuzzable_specs, generate_stream, stress_factory
-from repro.core.runner import ExecutionEngine
+from repro.core.opstream import (
+    DifferentialObserver,
+    fuzzable_specs,
+    generate_stream,
+    stress_factory,
+)
+from repro.core.runner import ExecutionEngine, _implemented
+from repro.core.workloads import mixed_workload
 from repro.core.validate import (
     ValidationObserver,
     Violation,
@@ -130,6 +136,23 @@ class TestValidationObserver:
         # Dedup: the same frozen violation is reported exactly once.
         seen = [tv.violation for tv in obs.violations]
         assert len(seen) == len(set(seen))
+
+    def test_attached_alone_keeps_lookup_runs_batched(self):
+        """Observers implement only the hooks they use: the validator
+        has no ``on_op``, so a read-only run it watches still resolves
+        its lookup runs through ``_lookup_batch``."""
+        obs = ValidationObserver()
+        assert _implemented([obs], "on_op") == []
+        assert _implemented([DifferentialObserver()], "on_smo") == []
+        index = BPlusTree()
+        asked = []
+        batch = index._lookup_batch
+        index._lookup_batch = lambda keys: asked.append(keys) or batch(keys)
+        keys = [k * 7 for k in range(2000)]
+        ExecutionEngine(observers=[obs]).run(
+            index, mixed_workload(keys, 0.0, n_ops=3000, seed=1))
+        assert asked
+        assert obs.ok
 
 
 # ---------------------------------------------------------------------------
