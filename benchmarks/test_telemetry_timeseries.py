@@ -27,8 +27,8 @@ def _run():
     wl = mixed_workload(list(dataset_keys(_DATASET)), 1.0,
                         n_ops=N_OPS, seed=2)
     for name, factory in _INDEXES.items():
-        tel = Telemetry.full(window_ops=_WINDOW)
-        result = execute(factory(), wl, telemetry=tel)
+        tel = Telemetry.full()
+        result = execute(factory(), wl, telemetry=tel, window_ops=_WINDOW)
         out[name] = (result, tel)
 
     print_header(f"Telemetry time-series: write-only on {_DATASET} "

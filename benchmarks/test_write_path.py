@@ -231,6 +231,16 @@ def test_write_path_wall_ratios(benchmark):
             f"(gate {_MAX_RATIO[label]})")
 
 
+class _SmoSeqs(ExecutionObserver):
+    """The seq of every op the engine reports an SMO for."""
+
+    def __init__(self):
+        self.seqs = []
+
+    def on_smo(self, event):
+        self.seqs.append(event.seq)
+
+
 def test_balanced_run_builds_an_event_per_smo_only():
     """Counted, not timed: the unobserved loop hands ``OpEvent`` to the
     ``on_smo`` hooks and builds none for any other op."""
@@ -243,10 +253,10 @@ def test_balanced_run_builds_an_event_per_smo_only():
             built.append(args[0])
             return _real(*args)
 
-        instance = IndexInstance(REGISTRY.create(name))
+        smos = _SmoSeqs()  # an ``on_smo`` hook alone: still unobserved
         with mock.patch.object(runner, "OpEvent", counted):
-            result = ExecutionEngine().run(instance, workload)
+            result = ExecutionEngine(observers=[smos]).run(
+                REGISTRY.create(name), workload)
         assert result.n_ops == 8000
-        assert len(built) == instance.smo_count, (name, len(built))
+        assert built == smos.seqs, (name, len(built))
         assert name == "LIPP" or built, name  # the mix does run SMOs
-        assert not built or built[-1] == instance.last_smo_seq

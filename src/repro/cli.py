@@ -237,8 +237,7 @@ def _telemetry_from_args(args):
         return None
     return Telemetry(
         trace=TraceRecorder() if args.trace or args.trace_log else None,
-        metrics=(MetricsCollector(window_ops=args.window)
-                 if args.metrics else None))
+        metrics=MetricsCollector() if args.metrics else None)
 
 
 def _save_telemetry(args, telemetry) -> None:
@@ -262,14 +261,15 @@ def _save_telemetry(args, telemetry) -> None:
 
 
 def _execute_on_bus(factory, wl, bus, window: int, telemetry=None):
-    """``execute`` on a bus-attached instance, its bus windows and an SLO
-    tracker's both ``window`` ops long; returns ``(result, tracker)``.
-    Observer order: the tracker, the telemetry stack, the bus emitter."""
-    slo = SLOTracker(bus=bus, window_ops=window)
+    """``execute`` on a bus-attached instance, with an SLO tracker and
+    the bus emitter, in windows of ``window`` ops; returns ``(result,
+    tracker)``.  Observer order: the tracker, the telemetry stack, the
+    bus emitter."""
+    slo = SLOTracker(bus=bus)
     target = IndexInstance.wrap(factory()).attach_bus(bus)
     stack = telemetry.observers() if telemetry is not None else []
-    observers = [slo, *stack, bus.engine_observer(window_ops=window)]
-    return execute(target, wl, observers=observers), slo
+    observers = [slo, *stack, bus.engine_observer()]
+    return execute(target, wl, observers=observers, window_ops=window), slo
 
 
 def cmd_run(args) -> int:
@@ -283,7 +283,8 @@ def cmd_run(args) -> int:
                                  telemetry=telemetry)
     else:
         bus = None
-        r = execute(factory(), wl, telemetry=telemetry)
+        r = execute(factory(), wl, telemetry=telemetry,
+                    window_ops=args.window)
     _save_telemetry(args, telemetry)
     if bus is not None:
         n = bus.save(args.events)

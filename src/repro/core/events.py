@@ -179,28 +179,25 @@ class EventBus:
 
     # -- emitters --------------------------------------------------------------
 
-    def engine_observer(self, window_ops: int = 256) -> "EngineBusEmitter":
+    def engine_observer(self) -> "EngineBusEmitter":
         """An :class:`~repro.core.runner.ExecutionObserver` publishing
         this run's phase/op-window/SMO events into the bus."""
-        return EngineBusEmitter(self, window_ops=window_ops)
+        return EngineBusEmitter(self)
 
 
 class EngineBusEmitter(ExecutionObserver):
     """Publishes one run's engine stream into a bus.
 
     Per-op events would dwarf everything else in the ring, so ops come
-    coalesced into windows of ``window_ops`` (per-kind counts, ok
-    counts, the window's virtual duration and rolling throughput);
-    phases and SMOs are rare and publish individually.  SMOs are
+    coalesced into the run's windows (per-kind counts, ok counts, the
+    window's virtual duration and rolling throughput); phases and SMOs
+    are rare and publish individually.  SMOs are
     stamped with the op's clock, which the engine hands ``on_smo``; the
     meter is never charged.
     """
 
-    def __init__(self, bus: EventBus, window_ops: int = 256) -> None:
-        if window_ops < 1:
-            raise ValueError("window_ops must be >= 1")
+    def __init__(self, bus: EventBus) -> None:
         self.bus = bus
-        self.window_ops = window_ops
         #: Who the events are published under: the index a run's phases
         #: named, or what a producer feeding ``on_window`` itself set.
         self.source = ""

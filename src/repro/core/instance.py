@@ -12,16 +12,18 @@ is the missing operational identity: one registry-built index plus
   (``DRAINING`` serves reads while refusing writes; ``RETIRED`` refuses
   everything).  Rejections are counted, never silently dropped, so a
   migration run can prove "zero lookup downtime" as a measured fact,
-* **live status** — per-op-kind counts (bumped in line by whoever
-  applies the ops: the engine's per-op body, the shard router, the
-  server), the last SMO's sequence number, and backfill progress, all
-  reported by :meth:`status`; lifecycle events go straight to an
-  attached event bus.
+* **live status** — per-op-kind counts (bumped in line by the tiers
+  that serve an instance: the shard router and the server), the last
+  SMO's sequence number, and backfill progress, all reported by
+  :meth:`status`; lifecycle events go straight to an attached event
+  bus.
 
-The engine (:mod:`repro.core.runner`) now routes every run through an
+The engine (:mod:`repro.core.runner`) routes every run through an
 instance; a bare index is wrapped on entry via :meth:`IndexInstance.wrap`,
 which is what keeps the single-instance path byte-identical to the
-pre-instance releases (the wrapper adds observers, never charges).
+pre-instance releases (the wrapper gates the bulk load and never
+charges).  The engine feeds it no counters: a run's measurements are
+its :class:`~repro.core.runner.RunResult` and its observers'.
 """
 
 from __future__ import annotations
@@ -92,11 +94,9 @@ class AdmissionError(RuntimeError):
 class IndexInstance:
     """One index with an operational identity.
 
-    Whoever applies ops to it bumps :attr:`op_counts` in line — the
-    engine's per-op body, the shard router and the server each do — and
-    the engine and router call :meth:`on_smo` for an op that ran an SMO;
-    :meth:`status` reports both.  The engine also passes it the
-    ``on_phase`` calls of its observers (duck-typed).
+    The tiers that serve it bump :attr:`op_counts` in line — the shard
+    router and the server each do — and the router calls :meth:`on_smo`
+    for an op that ran an SMO; :meth:`status` reports both.
     """
 
     def __init__(self, index: Any, name: str = "",
@@ -232,12 +232,8 @@ class IndexInstance:
             out["migration"] = self.index.status()
         return out
 
-    # -- ExecutionObserver protocol (duck-typed) -------------------------------
-
-    def on_phase(self, phase: str, index: Any, workload: Any) -> None:
-        pass
-
     def on_smo(self, event: Any) -> None:
+        """Count the SMO that ``event``'s op ran."""
         self.smo_count += 1
         self.last_smo_seq = event.seq
 

@@ -448,7 +448,7 @@ def run_migration(
     driver = MigrationDriver(mux, on_cutover=cut_over, on_rollback=roll_back)
     fold = fold_meter = None
     if bus is not None:
-        emitter = bus.engine_observer(window_ops=bus_window)
+        emitter = bus.engine_observer()
         fold = WindowFold(bus_window)
         fold.sinks.append(emitter.on_window)
     for seq, op in enumerate(workload.operations):

@@ -300,9 +300,9 @@ def run_oracle(
     engine = ExecutionEngine(observers=[validator, differ])
     report = OracleReport(stream=stream)
     try:
-        # Route through the instance layer like every other run; the
-        # instance's telemetry (op counts, SMO recency) then describes
-        # the replay for free and crashes leave its state inspectable.
+        # Route through the instance layer like every other run: the
+        # engine gates the bulk load on its state, and a crash leaves
+        # the instance inspectable.
         watched = IndexInstance.wrap(factory())
         observed = engine.run(watched, stream.to_workload())
         # Observers select the engine's per-op loop.  The loop of a run
@@ -324,7 +324,7 @@ def run_profile(result: RunResult, instance: IndexInstance) -> Dict[str, Any]:
     what two runs of one stream must agree on whichever loop the engine
     took: the result document (scanned entries among it), the full
     latency summaries and Table-3 sums, the meter's counters in
-    insertion order (the clock sums them in it), the instance's status."""
+    insertion order (the clock sums them in it)."""
     document = result.to_dict()
     del document["wall_seconds"]
     return {
@@ -332,7 +332,6 @@ def run_profile(result: RunResult, instance: IndexInstance) -> Dict[str, Any]:
         "latency": (result.lookup_latency, result.write_latency),
         "insert_stats": result.insert_stats,
         "meter": list(instance.index.meter._counts.items()),
-        "status": instance.status(),
     }
 
 

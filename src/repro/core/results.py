@@ -9,9 +9,11 @@ field so future readers can evolve the format without guessing::
     records = load_jsonl("results.jsonl")
     regressions = compare(old_records, new_records, threshold=0.10)
 
-The CLI (``run --out``, ``compare-runs``) and CI pipelines gate on
-:func:`compare`'s output; ``save_jsonl(..., append=True)`` makes any
-such file an append-only store.
+``repro run --out`` writes these files and ``repro compare-runs``
+exits 1 on any regression :func:`compare` reports (no CI step runs it:
+CI's perf gate is ``repro bench --check`` against its history file);
+``save_jsonl(..., append=True)`` makes any such file an append-only
+store.
 """
 
 from __future__ import annotations

@@ -241,7 +241,7 @@ class ExecutionObserver:
     """Pluggable measurement hook; every method is an optional no-op.
 
     Subclass and override what you need; attach via
-    ``ExecutionEngine(observers=[...])`` or ``engine.add_observer``.
+    ``ExecutionEngine(observers=[...])`` (or append to its ``observers``).
     Only hooks an observer really implements are called (an inherited
     no-op costs nothing); duck-typed objects work too.  ``on_op`` is for
     observers that must see the index *at* each op (oracles,
@@ -272,10 +272,10 @@ class ExecutionObserver:
         with it."""
 
     def on_window(self, window: "OpWindow") -> None:
-        """Called with every ``self.window_ops`` (a required attribute)
-        operations added up, and with the shorter last window right
-        before this observer's ``on_phase("done")``.  Observers of one
-        size share one :class:`WindowFold`."""
+        """Called with every ``window_ops`` operations of the run added
+        up (the engine's one size), and with the shorter last window
+        right before this observer's ``on_phase("done")``.  Every
+        ``on_window`` observer of a run shares one :class:`WindowFold`."""
 
 
 class OpBlock:
@@ -285,8 +285,8 @@ class OpBlock:
     ``rows[i]`` is op ``seq + i`` as ``(op, ok, scanned, record)``,
     ``record`` as ``OpEvent.record``.  ``clocks[i]`` is the meter's
     ``total_time()`` right after that op, ``start_ns`` the reading
-    before the first.  The engine ends a block at a window close of any
-    of its folds, at an op that ran an SMO, after ``RECORD_BLOCK`` ops,
+    before the first.  The engine ends a block at a window close of its
+    fold, at an op that ran an SMO, after ``RECORD_BLOCK`` ops,
     and at the end of the stream — also when the run raises: the ops
     recorded before the raise go out as a last block.
     """
@@ -370,8 +370,8 @@ class WindowFold:
     """Counts ops into :class:`OpWindow`\\ s of ``window_ops`` and hands
     each one, closed, to every sink.
 
-    The one place a stream is cut into windows: the engine feeds one
-    per distinct ``window_ops`` among its ``on_window`` observers by
+    The one place a stream is cut into windows: the engine feeds at
+    most one per run, for all of its ``on_window`` observers, by
     :meth:`add_block` and ``on_smo``; the shard router and the migration
     runner feed folds of their own op by op (:meth:`add`).  ``timed``
     says every op arrives with a clock reading, whose deltas are the
@@ -381,6 +381,8 @@ class WindowFold:
     """
 
     def __init__(self, window_ops: int, timed: bool = False) -> None:
+        if window_ops < 1:
+            raise ValueError("window_ops must be >= 1")
         self.window_ops = window_ops
         self.timed = timed
         self.sinks: List[Callable[[OpWindow], None]] = []
@@ -413,7 +415,7 @@ class WindowFold:
         """:meth:`add` for every op of ``block``, keyed by op kind: all
         but the last in bulk, the last by :meth:`add`.  The block must
         not run past this fold's next close (the engine ends its blocks
-        at every fold's), so only its last op can close the window."""
+        at the fold's), so only its last op can close the window."""
         n = len(block) - 1
         kinds = block.kinds
         window = self.window
@@ -486,17 +488,19 @@ class ExecutionEngine:
     ``sample_every`` controls latency sampling (~1% of ops by default,
     matching the paper).  Sampling snapshots the cost meter around the
     op, so sampled and unsampled ops execute identically.  Observers
-    passed at construction (or via :meth:`add_observer`) persist across
-    runs; the stock tallies are created fresh per run.
+    passed at construction (or appended to :attr:`observers`) persist
+    across runs; the stock tallies are created fresh per run.
+    ``window_ops`` is the size of every window the run's ``on_window``
+    observers are handed: one size per run, set here and nowhere else.
 
     A long run of lookups nobody watches op by op is resolved in
     blocks instead (:meth:`_lookup_run`): with no attached observer
     implementing ``on_op``, ``on_block`` or ``on_window``, lookups past
     the first ``LOOKUP_STREAK`` of a run go through the index's
     vectorized ``_lookup_batch``, charged as totals between the sampled
-    ops — same meter table, latency samples, op counts and ``last_op``
-    as the loop.  With ``on_block`` or ``on_window`` observers attached
-    the same per-op body (:meth:`_stepper`) records every op.  Which path
+    ops — same meter table, latency samples and ``last_op`` as the
+    loop.  With ``on_block`` or ``on_window`` observers attached the
+    same per-op body (:meth:`_stepper`) records every op.  Which path
     runs follows from who is attached and how long the run already is;
     there is no option for it (``docs/performance.md``, "Lookup runs").
     """
@@ -507,53 +511,33 @@ class ExecutionEngine:
         observers: Sequence[ExecutionObserver] = (),
         telemetry: Optional["Telemetry"] = None,
         bus=None,
+        window_ops: int = 256,
     ) -> None:
+        if window_ops < 1:
+            raise ValueError("window_ops must be >= 1")
         self.sample_every = sample_every
+        self.window_ops = window_ops
+        #: Attached observers, a plain list.  The hook lists are resolved
+        #: at :meth:`run` entry, so an observer appended while a run is
+        #: in flight joins the next run, not the current one.
         self.observers: List[ExecutionObserver] = list(observers)
         if telemetry is not None:
             self.observers.extend(telemetry.observers())
         # ``bus`` is an EventBus (repro.core.events), duck-typed to
-        # keep this module import-cycle-free like ``telemetry``; other
-        # window sizes attach ``bus.engine_observer(window_ops=N)``.
+        # keep this module import-cycle-free like ``telemetry``.
         if bus is not None:
             self.observers.append(bus.engine_observer())
 
-    def add_observer(self, observer: ExecutionObserver) -> ExecutionObserver:
-        """Attach ``observer`` to every later run.  The hook lists are
-        resolved at :meth:`run` entry, so an observer added while a run
-        is in flight joins the next run, not the current one."""
-        self.observers.append(observer)
-        return observer
-
     # -- the measured loop ------------------------------------------------------
-
-    def _window_folds(self, meter) -> Dict[int, WindowFold]:
-        """``id(observer) -> fold`` for the attached ``on_window``
-        observers: one fold, opened on ``meter``, per distinct
-        ``window_ops``, timed iff one of its consumers declares
-        ``window_latencies``."""
-        by_size: Dict[int, WindowFold] = {}
-        fold_of: Dict[int, WindowFold] = {}
-        for sink in _implemented(self.observers, "on_window"):
-            obs = sink.__self__
-            fold = by_size.get(obs.window_ops)
-            if fold is None:
-                fold = by_size[obs.window_ops] = WindowFold(obs.window_ops)
-                fold.open(meter)
-            fold.timed |= getattr(obs, "window_latencies", False)
-            fold.sinks.append(sink)
-            fold_of[id(obs)] = fold
-        return fold_of
 
     def _stepper(
         self,
         index: OrderedIndex,
-        instance: IndexInstance,
         tally: _Tally,
         on_op: List[Callable],
         on_smo: List[Callable],
         on_block: List[Callable],
-        window_sizes: Sequence[int],
+        window_ops: Optional[int],
         start_ns: float,
     ) -> Tuple[Callable[[Operation, int], None], Callable[[], None]]:
         """The per-op body of every run, ``step(op, seq)``, for ops taken
@@ -561,15 +545,15 @@ class ExecutionEngine:
         not yet handed over (the stream's end, or a raise).
 
         ``step`` applies the op, reads the clock around it when it is
-        sampled, and feeds ``tally`` and the instance's counters in line.
+        sampled, and feeds ``tally`` in line.
         An :class:`OpEvent` is built only for someone to see — every op
         when ``on_op`` hooks are attached, else only an op that ran an
         SMO, for the ``on_smo`` hooks.  With ``on_block`` hooks the run is
         recorded: each op adds a row and the meter's counter values as a
-        tuple, and no clock read.  At a block's end — the next window
-        close of a fold of size in ``window_sizes``, an op that ran an
-        SMO, ``RECORD_BLOCK`` ops, a ``flush`` — one numpy pass turns the
-        tuples into every op's clock: ``cumsum`` along a row adds
+        tuple, and no clock read.  At a block's end — the next close of
+        the run's fold of ``window_ops`` (if it has one), an op that ran
+        an SMO, ``RECORD_BLOCK`` ops, a ``flush`` — one numpy pass turns
+        the tuples into every op's clock: ``cumsum`` along a row adds
         ``weight x units`` left to right in table order from the first
         counter, the very sum ``CostMeter.total_time()`` makes.  A meter
         whose ``total_time`` is not that sum (a cluster of parts) has it
@@ -588,7 +572,6 @@ class ExecutionEngine:
         snapshot = meter.snapshot
         lookup_samples, write_samples = tally.lookup_samples, tally.write_samples
         stats = tally.insert_stats
-        counts = instance.op_counts
         rows: List[tuple] = []
         snaps: List[Any] = []
         add_row, add_snap = rows.append, snaps.append
@@ -599,8 +582,10 @@ class ExecutionEngine:
 
         def next_cut(seq: int) -> int:
             """The seq of the op the block after ``seq`` ends at, at most."""
-            return min([seq + RECORD_BLOCK]
-                       + [(seq + 1) // w * w + w - 1 for w in window_sizes])
+            if window_ops is None:
+                return seq + RECORD_BLOCK
+            return min(seq + RECORD_BLOCK,
+                       (seq + 1) // window_ops * window_ops + window_ops - 1)
 
         def close() -> float:
             """Hand the recorded ops over as one block; its last clock."""
@@ -673,7 +658,6 @@ class ExecutionEngine:
                 event = OpEvent(seq, op, record, ok, scanned, result, now)
                 for hook in on_op:
                     hook(event, latency)
-            counts[kind] = counts.get(kind, 0) + 1
             if (record is not None and record.smo
                     and (kind == INSERT or kind == DELETE)):
                 event = OpEvent(seq, op, record, ok, scanned, result,
@@ -697,7 +681,6 @@ class ExecutionEngine:
         seq: int,
         step: Callable[[Operation, int], None],
         lookup_samples: List[float],
-        instance: IndexInstance,
     ) -> int:
         """The rest of a lookup run already ``LOOKUP_STREAK`` ops long,
         plus the op that ends it; returns the next ``seq``.
@@ -706,14 +689,13 @@ class ExecutionEngine:
         one ``_lookup_batch`` and charges the block's log as range
         totals cut at the sampled ops, each of those alone between two
         clock reads: the meter table is the loop's at every clock read,
-        so the samples are too.  The samples and the instance's op
-        counter, all that ``step`` feeds for a lookup nobody watches,
-        are fed in bulk.  The run's first block must be at least half
-        full: a write before it drops the batch tables of an index that
-        keeps any (the segmented family), and only that many lookups in
-        hand are sure to repay rebuilding them.  A block that is not
-        batched, or that the index declines (``None``), takes ``step``
-        per op.
+        so the samples are too.  The samples, all that ``step`` feeds
+        for a lookup nobody watches, are fed in bulk.  The run's first
+        block must be at least half full: a write before it drops the
+        batch tables of an index that keeps any (the segmented family),
+        and only that many lookups in hand are sure to repay rebuilding
+        them.  A block that is not batched, or that the index declines
+        (``None``), takes ``step`` per op.
         """
         every = self.sample_every
         meter = index.meter
@@ -750,8 +732,6 @@ class ExecutionEngine:
                     if timed:
                         lookup_samples.append(meter.total_time() - before)
                 index.last_op = batch.make_record(n - 1)
-                counts = instance.op_counts
-                counts[LOOKUP] = counts.get(LOOKUP, 0) + n
                 seq += n
             if ender is not None:
                 step(ender, seq)
@@ -763,18 +743,18 @@ class ExecutionEngine:
         """Bulk load, run the operation stream, return measurements.
 
         ``target`` is an :class:`~repro.core.instance.IndexInstance` or
-        a bare index (wrapped on entry).  Every run now routes through
-        the instance lifecycle layer: the instance rides along as an
-        observer feeding its telemetry status, and its state machine
-        gates the bulk load (only a LOADING instance gets one).  A bare
-        index takes exactly the path previous releases took — the
-        wrapper observes and never charges, so results and fingerprints
+        a bare index (wrapped on entry).  The instance's state machine
+        gates the bulk load (only a LOADING instance gets one, through
+        :meth:`~repro.core.instance.IndexInstance.bulk_load`, which
+        publishes its ``state`` change); the engine feeds it no
+        counters.  A bare index takes exactly the path previous releases
+        took — the wrapper never charges, so results and fingerprints
         are bit-identical.
         """
         instance = IndexInstance.wrap(target)
         index: OrderedIndex = instance.index
         tally = _Tally()
-        observers = [*self.observers, instance]
+        observers = list(self.observers)
 
         for obs in observers:
             obs.on_phase("bulk_load", index, workload)
@@ -790,16 +770,26 @@ class ExecutionEngine:
 
         meter = index.meter
         start_ns = meter.total_time()
-        fold_of = self._window_folds(meter)
-        folds = list(dict.fromkeys(fold_of.values()))
-        on_op = _implemented(self.observers, "on_op")
-        # Folds are fed like any other ``on_block`` / ``on_smo`` observer.
-        on_smo = _implemented([*self.observers, *folds, instance], "on_smo")
-        on_block = [*_implemented(self.observers, "on_block"),
-                    *(fold.add_block for fold in folds)]
+        # One fold for every ``on_window`` observer, timed iff one of
+        # them reads every op's latency; fed like any other ``on_block``
+        # / ``on_smo`` observer.
+        sinks = _implemented(observers, "on_window")
+        windowed = {id(sink.__self__) for sink in sinks}
+        fold = None
+        if sinks:
+            fold = WindowFold(self.window_ops, timed=any(
+                getattr(sink.__self__, "window_latencies", False)
+                for sink in sinks))
+            fold.open(meter, *sinks)
+        on_op = _implemented(observers, "on_op")
+        on_smo = _implemented(observers, "on_smo")
+        on_block = _implemented(observers, "on_block")
+        if fold is not None:
+            on_smo.append(fold.on_smo)
+            on_block.append(fold.add_block)
         step, flush = self._stepper(
-            index, instance, tally, on_op, on_smo, on_block,
-            [fold.window_ops for fold in folds], start_ns)
+            index, tally, on_op, on_smo, on_block,
+            None if fold is None else self.window_ops, start_ns)
         wall0 = time.perf_counter()
         # The run is recorded, someone watches op by op, or the target is
         # a wrapper with work of its own per op (a multiplexer pumps, a
@@ -824,16 +814,16 @@ class ExecutionEngine:
                 streak += 1
                 if streak == LOOKUP_STREAK:
                     seq = self._lookup_run(index, ops, seq, step,
-                                           tally.lookup_samples, instance)
+                                           tally.lookup_samples)
                     streak = 0
         wall = time.perf_counter() - wall0
 
-        # Each consumer gets its fold's last, shorter window right before
-        # its own "done", so what it publishes stays in observer order.
-        tails = {fold: fold.cut() for fold in folds}
+        # Each ``on_window`` observer gets the fold's last, shorter
+        # window right before its own "done", so what it publishes stays
+        # in observer order.
+        tail = None if fold is None else fold.cut()
         for obs in observers:
-            tail = tails.get(fold_of.get(id(obs)))
-            if tail is not None:
+            if tail is not None and id(obs) in windowed:
                 obs.on_window(tail)
             obs.on_phase("done", index, workload)
         return RunResult(
@@ -856,7 +846,7 @@ def execute(target, workload: Workload, **engine_options) -> RunResult:
 
     One-call wrapper over :class:`ExecutionEngine`: ``engine_options``
     are forwarded verbatim to the engine constructor (``sample_every``,
-    ``observers``, ``telemetry``, ``bus``), so there is
+    ``observers``, ``telemetry``, ``bus``, ``window_ops``), so there is
     exactly one place engine defaults live.  ``target`` is an
     index or an :class:`~repro.core.instance.IndexInstance`; with no
     options the :class:`RunResult` is byte-identical to previous

@@ -723,13 +723,13 @@ class ShardRouter:
 
     def __init__(self, sharded: ShardedIndex, window_ops: int = 512,
                  slo_window: int = 256, bus: Optional[Any] = None) -> None:
-        if window_ops < 1:
+        if min(window_ops, slo_window) < 1:
             raise ValueError("window_ops must be >= 1")
         self.sharded = sharded
         self.window_ops = window_ops
         self.slo_window = slo_window
         self.bus = bus
-        self.cluster = SLOTracker(window_ops=slo_window, bus=bus)
+        self.cluster = SLOTracker(bus=bus)
         #: Every tracker ever opened, retained past retirement so a
         #: post-run cluster view (``repro top --shards``) can aggregate
         #: the full shard history, not just the survivors.
@@ -752,7 +752,7 @@ class ShardRouter:
         in a multiplexer, or unwrapping it on abort, changes no meter)
         and is retired then — so its fold closes on the clock it always
         read, which the cutover itself never charges."""
-        tracker = SLOTracker(window_ops=self.slo_window, bus=self.bus)
+        tracker = SLOTracker(bus=self.bus)
         tracker.on_phase("measure", inst, self._workload)
         fold = WindowFold(self.slo_window, timed=True)
         fold.open(inst.index.meter, tracker.on_window)

@@ -111,9 +111,10 @@ class SLOTracker(ExecutionObserver):
     """Windowed SLO evaluation of one run's op stream.
 
     Attach to a run (``observers=[tracker]`` or via ``repro run
-    --events``); for every window of ``window_ops`` operations it
-    computes per-op-kind latency percentiles, judges them against the
-    targets, and raises :class:`Alert`\\ s:
+    --events``); for every window of the run (the engine's
+    ``window_ops`` operations) it computes per-op-kind latency
+    percentiles, judges them against the targets, and raises
+    :class:`Alert`\\ s:
 
     * ``burn_rate`` — a window consumed its error budget faster than
       granted (burn > 1 warns; burn ≥ ``BURN_CRITICAL`` is critical).
@@ -131,13 +132,9 @@ class SLOTracker(ExecutionObserver):
     def __init__(
         self,
         targets: Iterable[SLOTarget] = (),
-        window_ops: int = 256,
         bus: Optional[EventBus] = None,
     ) -> None:
-        if window_ops < 1:
-            raise ValueError("window_ops must be >= 1")
         self.targets: Dict[str, SLOTarget] = {t.op_kind: t for t in targets}
-        self.window_ops = window_ops
         self.bus = bus
         #: Targets were inferred from the first window, not configured.
         self.auto_calibrated = not self.targets

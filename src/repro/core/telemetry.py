@@ -285,10 +285,11 @@ class SmoStorm:
 class MetricsCollector(ExecutionObserver):
     """Windowed time-series over a run.
 
-    For every window of ``window_ops`` operations the collector emits
-    one sample per metric at the virtual timestamp the window closed:
-    rolling throughput (Mops on the virtual clock), rolling SMO rate
-    (SMOs per op) and the index's analytic ``memory_usage()`` total.
+    For every window of the run (the engine's ``window_ops``
+    operations) the collector emits one sample per metric at the
+    virtual timestamp the window closed: rolling throughput (Mops on
+    the virtual clock), rolling SMO rate (SMOs per op) and the index's
+    analytic ``memory_usage()`` total.
     ``series`` holds the samples as dicts ready for ``save_jsonl``.
 
     **Thread-safety: none — single-engine-thread only.**  ``series``
@@ -301,10 +302,7 @@ class MetricsCollector(ExecutionObserver):
     from two threads).
     """
 
-    def __init__(self, window_ops: int = 256) -> None:
-        if window_ops < 1:
-            raise ValueError("window_ops must be >= 1")
-        self.window_ops = window_ops
+    def __init__(self) -> None:
         self.series: List[dict] = []
         self._index = None
 
@@ -465,10 +463,9 @@ class Telemetry:
     profiler: Optional[CostProfiler] = None
 
     @classmethod
-    def full(cls, window_ops: int = 256,
-             max_events: int = 1_000_000) -> "Telemetry":
+    def full(cls, max_events: int = 1_000_000) -> "Telemetry":
         return cls(trace=TraceRecorder(max_events=max_events),
-                   metrics=MetricsCollector(window_ops=window_ops),
+                   metrics=MetricsCollector(),
                    profiler=CostProfiler())
 
     def observers(self) -> List[ExecutionObserver]:

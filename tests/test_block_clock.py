@@ -7,9 +7,9 @@ pass.  These cases replay every registry index over the 15 charge-table
 streams, routed runs on a ``ClusterMeter`` (whose clock the engine
 reads per op instead), and a PGM run whose first lookups hit the
 insert buffer and charge nothing, so an untouched table must read the
-integer ``0``.  Window sizes cut
-blocks after every op, at two co-prime strides (tables grow inside a
-block), or only at SMOs and ``RECORD_BLOCK``.
+integer ``0``.  The engine's window size cuts blocks after every op, at
+a stride of 3 or of 7 (tables grow inside a block), or, with no
+``on_window`` observer, only at SMOs and ``RECORD_BLOCK``.
 
 Per op, the block's clock must equal ``meter.total_time()`` read right
 after the op, compared with ``json.dumps`` so that an int ``0`` cannot
@@ -42,8 +42,9 @@ from repro.indexes.pgm import PGMIndex
 from tests import observer_reference as reference
 from tests.test_charge_tables import streams
 
-#: Window sizes of the folds attached, by how they cut blocks.
-CUTS = (("every-op", (1,)), ("strides-3-7", (3, 7)), ("no-fold", ()))
+#: The engine's window size, ``None`` for no ``on_window`` observer, by
+#: how it cuts blocks.
+CUTS = (("every-op", 1), ("stride-3", 3), ("stride-7", 7), ("no-fold", None))
 
 
 class Clocks:
@@ -64,10 +65,7 @@ class Clocks:
 
 
 class Windowed:
-    """An ``on_window`` observer: its fold cuts the engine's blocks."""
-
-    def __init__(self, window_ops):
-        self.window_ops = window_ops
+    """An ``on_window`` observer: the run's fold cuts the engine's blocks."""
 
     def on_phase(self, phase, index, workload):
         pass
@@ -76,10 +74,12 @@ class Windowed:
         pass
 
 
-def _check(target, workload, sizes):
+def _check(target, workload, window):
     clocks, live, ref = Clocks(), CostProfiler(), reference.CostProfiler()
-    engine = ExecutionEngine(
-        observers=[clocks, live, ref, *map(Windowed, sizes)])
+    observers = [clocks, live, ref]
+    if window is not None:
+        observers.append(Windowed())
+    engine = ExecutionEngine(observers=observers, window_ops=window or 1)
     engine.run(target, workload)
     n = workload.n_ops
     assert len(clocks.read) == n
@@ -90,8 +90,9 @@ def _check(target, workload, sizes):
     assert seqs[-1] + clocks.blocks[-1][1] == n
     for seq, k in clocks.blocks:
         assert k <= RECORD_BLOCK
-        for w in sizes:
-            assert (seq + k - 1) // w == seq // w or (seq + k) % w == 0
+        if window is not None:
+            assert ((seq + k - 1) // window == seq // window
+                    or (seq + k) % window == 0)
     assert (json.dumps(list(live.cells.items()))
             == json.dumps(list(ref.cells.items())))
     return clocks.recovered
@@ -109,17 +110,17 @@ def _served(spec, stream):
 def test_block_clocks_equal_total_time_on_every_charge_table_stream(name):
     spec = REGISTRY.get(name)
     for i, (_, stream) in enumerate(streams()):
-        _, sizes = CUTS[i % len(CUTS)]
-        _check(stress_factory(name)(), _served(spec, stream), sizes)
+        _, window = CUTS[i % len(CUTS)]
+        _check(stress_factory(name)(), _served(spec, stream), window)
 
 
 @pytest.mark.parametrize("name", ["ALEX", "B+tree"])
 def test_a_routed_run_reads_the_cluster_clock_per_op(name):
     label, stream = streams()[-1]  # delete-heavy: splits and merges
     assert label == "delete_heavy"
-    for _, sizes in CUTS:
+    for _, window in CUTS:
         _check(ShardedIndex(name, n_shards=4),
-               _served(REGISTRY.get(name), stream), sizes)
+               _served(REGISTRY.get(name), stream), window)
 
 
 def test_an_untouched_table_reads_the_integer_zero():
@@ -129,10 +130,10 @@ def test_an_untouched_table_reads_the_integer_zero():
     ops = [Operation(LOOKUP, 3) for _ in range(5)] + [
         Operation(INSERT, k, payload(k)) if k % 3 else Operation(LOOKUP, k)
         for k in range(1001, 3000, 7)]
-    for _, sizes in CUTS:
+    for _, window in CUTS:
         instance = IndexInstance(PGMIndex())
         instance.bulk_load(items)
         instance.index.insert(3, payload(3))  # buffered, before the run
-        clocks = _check(instance, Workload("buffer-hits", [], ops), sizes)
+        clocks = _check(instance, Workload("buffer-hits", [], ops), window)
         # Five untouched reads, then the first insert's one KEY_SHIFT.
         assert json.dumps(clocks[:6]) == "[0, 0, 0, 0, 0, 10.0]"

@@ -147,7 +147,7 @@ def test_validate_rejects_malformed_streams():
 def test_engine_windows_cover_every_measured_op():
     bus = EventBus()
     wl = mixed_workload(KEYS, 0.0, n_ops=1000, seed=1)
-    execute(BPlusTree(), wl, observers=[bus.engine_observer(window_ops=100)])
+    execute(BPlusTree(), wl, observers=[bus.engine_observer()], window_ops=100)
     phases = [e["phase"] for e in bus.events(kind=KIND_PHASE)]
     assert phases == ["bulk_load", "measure", "done"]
     windows = bus.events(kind=KIND_OP_WINDOW)
@@ -165,7 +165,7 @@ def test_engine_windows_cover_every_measured_op():
 def test_partial_last_window_flushes_at_done():
     bus = EventBus()
     wl = mixed_workload(KEYS, 0.0, n_ops=250, seed=2)
-    execute(BPlusTree(), wl, observers=[bus.engine_observer(window_ops=100)])
+    execute(BPlusTree(), wl, observers=[bus.engine_observer()], window_ops=100)
     windows = bus.events(kind=KIND_OP_WINDOW)
     assert [w["ops"] for w in windows] == [100, 100, 50]
 
@@ -278,9 +278,9 @@ def test_fingerprint_parity_with_full_observability(name):
     bus = EventBus()
     tower = ControlTower()
     bus.subscribe(tower.consume)
-    slo = SLOTracker(window_ops=64, bus=bus)
+    slo = SLOTracker(bus=bus)
     observed = execute(spec.factory(), wl,
-                       observers=[slo, bus.engine_observer(window_ops=64)])
+                       observers=[slo, bus.engine_observer()], window_ops=64)
     assert result_fingerprint(result_record(observed)) == fp_bare
     assert len(bus) > 0 and bus.dropped == 0
     assert tower.rows  # the tower really saw the run
@@ -294,10 +294,10 @@ def test_bus_and_slo_match_reference_on_the_same_run(name, block, monkeypatch):
     factory, wl = reference.parity_case(name)
     ref_bus, bus = EventBus(), EventBus()
     ref_slo = reference.SLOTracker(window_ops=64, bus=ref_bus)
-    slo = SLOTracker(window_ops=64, bus=bus)
+    slo = SLOTracker(bus=bus)
     engine = ExecutionEngine(  # emitter before tracker, on both buses
         observers=[reference.EngineBusEmitter(ref_bus, window_ops=64),
-                   ref_slo, bus.engine_observer(window_ops=64), slo])
+                   ref_slo, bus.engine_observer(), slo], window_ops=64)
     observed = engine.run(factory(), wl)
 
     assert len(bus.events(kind=KIND_OP_WINDOW)) == -(-wl.n_ops // 64)

@@ -465,12 +465,18 @@ def test_an_empty_tenant_fills_by_inserts_and_rebuilds(index_name):
         assert not server.replay_check("t")
 
 
-#: The parameters each serving-tier entry point takes.  One more is one
-#: more way to drive a migration; every one here has a caller outside
-#: ``tests/``.
+#: The parameters each serving-tier entry point and each window
+#: consumer takes.  One more is one more way to drive a migration, or to
+#: cut one run into windows of two sizes (the engine's ``window_ops`` is
+#: the one size); every one here has a caller outside ``tests/``.
 SIGNATURES = {
     "repro.core.runner:ExecutionEngine": (
-        "sample_every", "observers", "telemetry", "bus"),
+        "sample_every", "observers", "telemetry", "bus", "window_ops"),
+    "repro.core.telemetry:MetricsCollector": (),
+    "repro.core.slo:SLOTracker": ("targets", "bus"),
+    "repro.core.events:EngineBusEmitter": ("bus",),
+    "repro.core.events:EventBus.engine_observer": ("self",),
+    "repro.core.telemetry:Telemetry.full": ("max_events",),
     "repro.core.server:IndexServer": ("workers", "bus", "chunk"),
     "repro.core.server:IndexServer.rebuild": ("self", "name", "factory"),
     "repro.core.server:IndexServer.migrate": (

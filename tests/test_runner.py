@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import runner
-from repro.core.instance import IndexInstance
 from repro.core.report import bar, format_bytes, format_number, series, table
 from repro.core.runner import (
     ExecutionEngine,
@@ -163,7 +162,7 @@ def test_engine_observer_sees_every_operation():
 def test_engine_add_observer_persists_across_runs():
     rec = _Recorder()
     engine = ExecutionEngine()
-    assert engine.add_observer(rec) is rec
+    engine.observers.append(rec)
     wl = mixed_workload(KEYS[:2000], 0.0, n_ops=100, seed=13)
     engine.run(BPlusTree(), wl)
     engine.run(BPlusTree(), wl)
@@ -237,6 +236,34 @@ def test_stream_is_pulled_one_op_at_a_time_below_the_streak():
     assert executed == list(range(1, 601))
 
 
+class _CountedTree(BPlusTree):
+    """Counts the ops it executes (scalar lookups and inserts, and the
+    keys of every batch it resolves), noting at each insert and batch
+    how far ``stream`` was read ahead of them."""
+
+    def __init__(self, stream):
+        super().__init__()
+        self.stream = stream
+        self.executed = 0
+        self.ahead = []
+
+    def lookup(self, key):
+        self.executed += 1
+        return super().lookup(key)
+
+    def insert(self, key, value):
+        self.ahead.append(self.stream.pulled - self.executed)
+        self.executed += 1
+        return super().insert(key, value)
+
+    def _lookup_batch(self, keys):
+        self.ahead.append(self.stream.pulled - self.executed)
+        batch = super()._lookup_batch(keys)
+        if batch is not None:
+            self.executed += len(keys)
+        return batch
+
+
 def test_stream_is_read_at_most_one_block_ahead(monkeypatch):
     """Past the streak the engine reads ahead, but never more than one
     block, the op that ended the run included."""
@@ -244,23 +271,10 @@ def test_stream_is_read_at_most_one_block_ahead(monkeypatch):
     monkeypatch.setattr(runner, "LOOKUP_BLOCK", 64)
     wl = mixed_workload(KEYS, 0.01, n_ops=3000, seed=9)
     stream = _PulledOps(wl.operations)
-    instance = IndexInstance(BPlusTree())
-    index = instance.index
-    ahead = []
-    resolve, insert = index._lookup_batch, index.insert
-
-    def lookup_batch(keys):
-        ahead.append(stream.pulled - instance.ops_total)
-        return resolve(keys)
-
-    def insert_one(key, value):
-        ahead.append(stream.pulled - instance.ops_total)
-        return insert(key, value)
-
-    index._lookup_batch, index.insert = lookup_batch, insert_one
-    ExecutionEngine().run(instance, Workload(wl.name, wl.bulk_items, stream))
-    assert instance.ops_total == 3000
-    assert max(ahead) == 64 and ahead.count(64) > 10
+    index = _CountedTree(stream)
+    ExecutionEngine().run(index, Workload(wl.name, wl.bulk_items, stream))
+    assert index.executed == 3000
+    assert max(index.ahead) == 64 and index.ahead.count(64) > 10
 
 
 def test_report_table_and_series():

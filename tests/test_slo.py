@@ -14,7 +14,7 @@ from repro.core.events import (
     KIND_SLO_WINDOW,
     EventBus,
 )
-from repro.core.runner import WindowFold, execute
+from repro.core.runner import ExecutionEngine, WindowFold, execute
 from repro.core.slo import (
     ALERT_BURN_RATE,
     ALERT_SMO_STORM,
@@ -51,12 +51,12 @@ class FakeWorkload:
     name = "scripted"
 
 
-def _drive(tracker, index, latencies, smo_at=()):
-    """Feed scripted per-op latencies (virtual ns) through a fold into
-    the tracker, as the engine does."""
+def _drive(tracker, index, latencies, smo_at=(), window_ops=10):
+    """Feed scripted per-op latencies (virtual ns) through a fold of
+    ``window_ops`` into the tracker, as the engine does."""
     index.meter.now += 100.0  # bulk-load time the window must ignore
     tracker.on_phase("measure", index, FakeWorkload())
-    fold = WindowFold(tracker.window_ops, timed=True)
+    fold = WindowFold(window_ops, timed=True)
     fold.open(index.meter, tracker.on_window)
     for i, lat in enumerate(latencies):
         index.meter.now += lat
@@ -79,15 +79,18 @@ def test_target_validation():
 
 
 def test_tracker_rejects_bad_window():
-    with pytest.raises(ValueError):
-        SLOTracker(window_ops=0)
+    """A tracker's windows are cut by its producer: the engine and a
+    hand-fed fold both refuse a size below one."""
+    with pytest.raises(ValueError, match="window_ops must be >= 1"):
+        ExecutionEngine(observers=[SLOTracker()], window_ops=0)
+    with pytest.raises(ValueError, match="window_ops must be >= 1"):
+        WindowFold(0, timed=True)
 
 
 # -- explicit targets: budgets and burn ----------------------------------------
 
 def test_within_budget_no_alerts():
-    tracker = SLOTracker([SLOTarget(LOOKUP, 100.0, objective=0.8)],
-                         window_ops=10)
+    tracker = SLOTracker([SLOTarget(LOOKUP, 100.0, objective=0.8)])
     _drive(tracker, FakeIndex(), [50.0] * 9 + [200.0])  # 1/10 over, budget 2
     assert tracker.alerts == []
     assert tracker.violations[LOOKUP] == 1
@@ -96,20 +99,19 @@ def test_within_budget_no_alerts():
 
 def test_burn_rate_warning_then_critical():
     target = SLOTarget(LOOKUP, 100.0, objective=0.9)  # budget: 1 op per 10
-    warm = SLOTracker([target], window_ops=10)
+    warm = SLOTracker([target])
     _drive(warm, FakeIndex(), [50.0] * 8 + [200.0] * 2)  # burn 2.0
     assert [a.severity for a in warm.alerts] == [SEVERITY_WARNING]
     assert warm.alerts[0].kind == ALERT_BURN_RATE
     assert warm.alerts[0].details["burn_rate"] == pytest.approx(2.0)
 
-    hot = SLOTracker([target], window_ops=10)
+    hot = SLOTracker([target])
     _drive(hot, FakeIndex(), [50.0] * 6 + [200.0] * 4)  # burn 4.0
     assert [a.severity for a in hot.alerts] == [SEVERITY_CRITICAL]
 
 
 def test_budget_accumulates_across_windows():
-    tracker = SLOTracker([SLOTarget(LOOKUP, 100.0, objective=0.9)],
-                         window_ops=10)
+    tracker = SLOTracker([SLOTarget(LOOKUP, 100.0, objective=0.9)])
     _drive(tracker, FakeIndex(),
            [50.0] * 10 + [50.0] * 8 + [200.0] * 2)  # 2 violations / 20 judged
     assert tracker.judged_ops[LOOKUP] == 20
@@ -118,9 +120,8 @@ def test_budget_accumulates_across_windows():
 
 
 def test_latencies_are_meter_deltas_not_sampled():
-    tracker = SLOTracker([SLOTarget(LOOKUP, 100.0, objective=0.5)],
-                         window_ops=4)
-    _drive(tracker, FakeIndex(), [10.0, 20.0, 30.0, 40.0])
+    tracker = SLOTracker([SLOTarget(LOOKUP, 100.0, objective=0.5)])
+    _drive(tracker, FakeIndex(), [10.0, 20.0, 30.0, 40.0], window_ops=4)
     stats = tracker.windows[0]["ops_kinds"][LOOKUP]
     assert stats["count"] == 4
     assert stats["p50"] == pytest.approx(20.0)  # nearest-rank percentile
@@ -129,7 +130,7 @@ def test_latencies_are_meter_deltas_not_sampled():
 # -- auto-calibration ----------------------------------------------------------
 
 def test_first_window_calibrates_and_is_never_judged():
-    tracker = SLOTracker(window_ops=10)
+    tracker = SLOTracker()
     assert tracker.auto_calibrated
     # A horrendous first window: every op 1000 ns. No alert — it only
     # sets the bar (threshold = 4 x p99).
@@ -140,7 +141,7 @@ def test_first_window_calibrates_and_is_never_judged():
 
 
 def test_calibrated_target_fires_on_degradation():
-    tracker = SLOTracker(window_ops=10)
+    tracker = SLOTracker()
     index = FakeIndex()
     _drive(tracker, index, [100.0] * 10)  # calibrate: threshold 400 ns
     # Second run on the same tracker: 5x slower ops blow the budget.
@@ -156,17 +157,18 @@ def _storm_drive(tracker, rates, window_ops=10):
     for rate in rates:
         n_smo = int(rate * window_ops)
         smo_at = set(range(n_smo))
-        _drive(tracker, index, [10.0] * window_ops, smo_at=smo_at)
+        _drive(tracker, index, [10.0] * window_ops, smo_at=smo_at,
+               window_ops=window_ops)
 
 
 def test_storm_needs_three_baseline_windows():
-    tracker = SLOTracker([SLOTarget(LOOKUP, 1e9)], window_ops=10)
+    tracker = SLOTracker([SLOTarget(LOOKUP, 1e9)])
     _storm_drive(tracker, [0.8, 0.8])  # hot, but no baseline yet
     assert not [a for a in tracker.alerts if a.kind == ALERT_SMO_STORM]
 
 
 def test_storm_warns_then_escalates():
-    tracker = SLOTracker([SLOTarget(LOOKUP, 1e9)], window_ops=10)
+    tracker = SLOTracker([SLOTarget(LOOKUP, 1e9)])
     # Three calm baseline windows (10% SMO rate), then a sustained storm.
     _storm_drive(tracker, [0.1, 0.1, 0.1, 0.8, 0.8, 0.8])
     storms = [a for a in tracker.alerts if a.kind == ALERT_SMO_STORM]
@@ -176,7 +178,7 @@ def test_storm_warns_then_escalates():
 
 
 def test_calm_window_resets_the_escalation_run():
-    tracker = SLOTracker([SLOTarget(LOOKUP, 1e9)], window_ops=10)
+    tracker = SLOTracker([SLOTarget(LOOKUP, 1e9)])
     _storm_drive(tracker, [0.1, 0.1, 0.1, 0.8, 0.0, 0.8, 0.0, 0.8])
     storms = [a for a in tracker.alerts if a.kind == ALERT_SMO_STORM]
     # Each isolated hot window warns; the run never reaches 3 in a row.
@@ -187,8 +189,7 @@ def test_calm_window_resets_the_escalation_run():
 
 def test_windows_and_alerts_publish_to_the_bus():
     bus = EventBus()
-    tracker = SLOTracker([SLOTarget(LOOKUP, 100.0, objective=0.9)],
-                         window_ops=10, bus=bus)
+    tracker = SLOTracker([SLOTarget(LOOKUP, 100.0, objective=0.9)], bus=bus)
     _drive(tracker, FakeIndex(), [50.0] * 8 + [200.0] * 2)
     windows = bus.events(kind=KIND_SLO_WINDOW)
     assert len(windows) == 1
@@ -200,8 +201,7 @@ def test_windows_and_alerts_publish_to_the_bus():
 
 
 def test_summary_shape():
-    tracker = SLOTracker([SLOTarget(LOOKUP, 100.0, objective=0.9)],
-                         window_ops=10)
+    tracker = SLOTracker([SLOTarget(LOOKUP, 100.0, objective=0.9)])
     _drive(tracker, FakeIndex(), [50.0] * 8 + [200.0] * 2)
     s = tracker.summary()
     assert s["windows"] == 1 and not s["auto_calibrated"]
@@ -215,8 +215,8 @@ def test_summary_shape():
 
 def test_tracker_observes_a_real_run_without_changing_it():
     wl = mixed_workload(KEYS, 0.5, n_ops=2000, seed=1)
-    tracker = SLOTracker(window_ops=200)
-    result = execute(ALEX(), wl, observers=[tracker])
+    tracker = SLOTracker()
+    result = execute(ALEX(), wl, observers=[tracker], window_ops=200)
     assert result.throughput_mops > 0
     assert len(tracker.windows) == 10
     judged = sum(tracker.judged_ops.values())
@@ -297,10 +297,10 @@ def test_live_subscription_matches_post_hoc_fold():
     bus = EventBus()
     live = ControlTower()
     bus.subscribe(live.consume)
-    tracker = SLOTracker(window_ops=64, bus=bus)
+    tracker = SLOTracker(bus=bus)
     wl = mixed_workload(KEYS, 0.3, n_ops=600, seed=2)
-    execute(ALEX(), wl,
-            observers=[tracker, bus.engine_observer(window_ops=64)])
+    execute(ALEX(), wl, observers=[tracker, bus.engine_observer()],
+            window_ops=64)
     replay = ControlTower.from_records(bus.events())
     assert live.to_json() == replay.to_json()
     assert live.rows["ALEX"]["ops"] == 600

@@ -35,10 +35,11 @@ from tests import observer_reference as reference
 KEYS = list(range(0, 16000, 4))
 
 
-def _run_traced(index=None, write_frac=1.0, n_ops=2000, **kwargs):
-    tel = Telemetry.full(**kwargs)
+def _run_traced(index=None, write_frac=1.0, n_ops=2000, window_ops=256):
+    tel = Telemetry.full()
     wl = mixed_workload(KEYS, write_frac, n_ops=n_ops, seed=7)
-    r = execute(index if index is not None else ALEX(), wl, telemetry=tel)
+    r = execute(index if index is not None else ALEX(), wl, telemetry=tel,
+                window_ops=window_ops)
     return r, tel
 
 
@@ -190,7 +191,7 @@ def test_metrics_roundtrip_through_results(tmp_path):
 
 
 def test_smo_storm_detection_merges_consecutive_windows():
-    m = MetricsCollector(window_ops=10)
+    m = MetricsCollector()
     # Hand-built rate series: calm, calm, burst, burst, calm.
     rates = [0.0, 0.02, 0.9, 0.8, 0.0]
     t = 0.0
@@ -208,7 +209,7 @@ def test_smo_storm_detection_merges_consecutive_windows():
 
 
 def test_no_storms_on_uniform_rate():
-    m = MetricsCollector(window_ops=10)
+    m = MetricsCollector()
     for i in range(5):
         m.series.append({"kind": "metric", "metric": "smo_rate",
                          "t_ns": (i + 1) * 100.0, "window_start_ns": i * 100.0,
@@ -377,9 +378,9 @@ def test_observers_match_reference_on_the_same_run(name, block, monkeypatch):
     ref_trace = reference.TraceRecorder()
     ref_metrics = reference.MetricsCollector(window_ops=64)
     ref_prof = reference.CostProfiler()
-    tel = Telemetry.full(window_ops=64)
+    tel = Telemetry.full()
     engine = ExecutionEngine(observers=[ref_trace, ref_metrics, ref_prof],
-                             telemetry=tel)
+                             telemetry=tel, window_ops=64)
     observed = engine.run(factory(), wl)
 
     def same(new, ref):  # == would let an int 0 pass for a float 0.0
@@ -434,9 +435,9 @@ def test_a_run_that_raises_hands_over_the_ops_it_recorded():
 
     factory, wl = reference.parity_case("ALEX")
     ref_trace, ref_prof = reference.TraceRecorder(), reference.CostProfiler()
-    tel = Telemetry.full(window_ops=64)
+    tel = Telemetry.full()
     engine = ExecutionEngine(observers=[ref_trace, ref_prof, Oracle()],
-                             telemetry=tel)
+                             telemetry=tel, window_ops=64)
     with pytest.raises(AssertionError, match="diverged"):
         engine.run(factory(), wl)
     assert [s["seq"] for s in tel.trace.spans()] == list(range(fail_at + 1))
@@ -455,7 +456,7 @@ def test_observer_added_mid_run_joins_the_next_run():
     class Adder(ExecutionObserver):
         def on_op(self, event, latency):
             if event.seq == 0 and not late_seen and len(engine.observers) == 1:
-                engine.add_observer(Late())
+                engine.observers.append(Late())
 
     engine = ExecutionEngine(observers=[Adder()])
     wl = mixed_workload(KEYS, 0.0, n_ops=20, seed=19)

@@ -2,17 +2,19 @@
 
 ``tests/corpus/telemetry_artifacts.json`` holds, per cell, one sha256
 each over the artifacts of ``Telemetry.full()`` + ``EventBus`` +
-``SLOTracker`` riding one ``ExecutionEngine.run``: the trace's
-``events`` and ``to_chrome()``, the collector's ``series``, the
-profiler's ``cells`` (items in order) and ``rows()``, the bus log, and the tracker's windows and summary.  Cells:
-the P4 panel (ALEX, LIPP, PGM, B+tree) on ``observer_reference``'s
-``parity_case`` stream and on a write-heavy mix of 4,000 osm keys.  The
-three window sizes differ (collector 64, tracker 128, bus 256), so the
-engine keeps three folds whose closes coincide every 256 ops.
+``SLOTracker`` riding one ``ExecutionEngine.run`` of a bus-attached
+instance: the trace's ``events`` and ``to_chrome()``, the collector's
+``series``, the profiler's ``cells`` (items in order) and ``rows()``,
+the bus log (the instance's ``state`` events among it), and the
+tracker's windows and summary.  Cells: the P4 panel (ALEX, LIPP, PGM,
+B+tree) on ``observer_reference``'s ``parity_case`` stream and on a
+write-heavy mix of 4,000 osm keys.  Every window is 64 ops, the
+engine's one size.
 
-The file was generated at the commit before the engine recorded
-observed runs in blocks; the test regenerates it and compares byte for
-byte.  Regenerate only with an intended behaviour change::
+The code before the window size moved onto the engine writes the
+identical file with its collector, tracker and bus emitter each set to
+64; the test regenerates it and compares byte for byte.  Regenerate
+only with an intended behaviour change::
 
     PYTHONPATH=src python -m tests.test_telemetry_artifacts
 """
@@ -22,11 +24,12 @@ import json
 import os
 
 from repro.core.events import EventBus
+from repro.core.instance import IndexInstance
 from repro.core.registry import REGISTRY
 from repro.core.runner import ExecutionEngine
 from repro.core.slo import SLOTracker
 from repro.core.sweep import DatasetSpec
-from repro.core.telemetry import MetricsCollector, Telemetry
+from repro.core.telemetry import Telemetry
 from repro.core.workloads import mixed_workload
 from tests import observer_reference as reference
 
@@ -54,12 +57,12 @@ def _digest(obj):
 def artifacts(factory, workload):
     """Every artifact of one fully observed run, by name."""
     bus = EventBus()
-    slo = SLOTracker(window_ops=128, bus=bus)
+    slo = SLOTracker(bus=bus)
     tel = Telemetry.full()
-    tel.metrics = MetricsCollector(window_ops=64)
     # ``repro run --events`` attaches the tracker ahead of the stack.
-    engine = ExecutionEngine(observers=[slo], telemetry=tel, bus=bus)
-    engine.run(factory(), workload)
+    engine = ExecutionEngine(observers=[slo], telemetry=tel, bus=bus,
+                             window_ops=64)
+    engine.run(IndexInstance(factory()).attach_bus(bus), workload)
     return {
         "trace_events": tel.trace.events,
         "trace_chrome": tel.trace.to_chrome(),

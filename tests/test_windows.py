@@ -3,9 +3,10 @@ window consumer — collector, tracker, bus emitter, the migration
 runner — gets from it what it used to count itself.
 
 The engine-level parity test attaches the whole pre-change stack
-(``tests/observer_reference.py``) and today's to one
-``ExecutionEngine.run``, in both observer orders the repo uses and with
-one window size or three, and requires byte-identical artifacts.
+(``tests/observer_reference.py``, each observer counting its own
+windows) and today's (cut at the engine's one ``window_ops``) to one
+``ExecutionEngine.run``, in both observer orders the repo uses and at
+one size or, run by run, three, and requires byte-identical artifacts.
 """
 
 import json
@@ -121,24 +122,49 @@ def test_an_empty_close_emits_nothing():
     assert closed == [] and meter.clock_reads == 0
 
 
-@pytest.mark.parametrize("make", [
-    lambda: MetricsCollector(window_ops=0),
-    lambda: SLOTracker(window_ops=0),
-    lambda: EventBus().engine_observer(window_ops=0),
-    lambda: run_migration("btree", "alex",
-                          mixed_workload(KEYS[:200], 0.0, n_ops=10, seed=1),
-                          bus=EventBus(), bus_window=0),
-], ids=["collector", "tracker", "emitter", "migration"])
-def test_every_consumer_still_rejects_a_zero_window(make):
-    with pytest.raises(ValueError, match="window_ops must be >= 1"):
-        make()
-
-
 # -- the fold under the engine -------------------------------------------------
 
+def _logged(cls):
+    """``cls`` noting each window it is handed as ``(start_ns, t_ns,
+    ops, smos)`` in ``seen``."""
+    class Logged(cls):
+        def on_window(self, window):
+            self.seen.append((window.start_ns, window.t_ns, window.ops,
+                              window.smos))
+            super().on_window(window)
+    return Logged
+
+
+def test_one_window_size_per_run_is_the_engines():
+    """The collector, the tracker and the bus emitter are cut at the
+    engine's ``window_ops`` and handed the very same windows; zero is
+    refused where a size is set."""
+    collector = _logged(MetricsCollector)()
+    tracker = _logged(SLOTracker)()
+    emitter = _logged(EngineBusEmitter)(EventBus())
+    for sink in (collector, tracker, emitter):
+        sink.seen = []
+    index = BPlusTree()
+    ExecutionEngine(observers=[collector, tracker, emitter],
+                    window_ops=100).run(
+        index, mixed_workload(KEYS, 0.5, n_ops=1050, seed=2))
+    assert collector.seen == tracker.seen == emitter.seen
+    assert [w[2] for w in collector.seen] == [100] * 10 + [50]
+    assert sum(w[3] for w in collector.seen) > 0
+    assert collector.seen[-1][1] == index.meter.total_time()
+    for make in (
+            lambda: ExecutionEngine(window_ops=0),
+            lambda: run_migration(
+                "btree", "alex",
+                mixed_workload(KEYS[:200], 0.0, n_ops=10, seed=1),
+                bus=EventBus(), bus_window=0)):
+        with pytest.raises(ValueError, match="window_ops must be >= 1"):
+            make()
+
+
 class Windowed(ExecutionObserver):
-    def __init__(self, name, window_ops, log):
-        self.name, self.window_ops, self.log = name, window_ops, log
+    def __init__(self, name, log):
+        self.name, self.log = name, log
 
     def on_phase(self, phase, index, workload):
         if phase == "done":
@@ -149,37 +175,29 @@ class Windowed(ExecutionObserver):
 
 
 def test_each_consumer_gets_the_tail_right_before_its_own_done():
-    """Rule (ii), and one fold per distinct size."""
+    """Rule (ii): one fold, whose every close each consumer is handed in
+    observer order, and whose tail each gets right before its "done"."""
     log = []
-    a, b, c = (Windowed("a", 100, log), Windowed("b", 40, log),
-               Windowed("c", 100, log))
-    engine = ExecutionEngine(observers=[a, b, c])
+    a, b = Windowed("a", log), Windowed("b", log)
     index = BPlusTree()
-    folds = engine._window_folds(index.meter)
-    assert folds[id(a)] is folds[id(c)] is not folds[id(b)]
-    engine.run(index, mixed_workload(KEYS, 0.0, n_ops=250, seed=1))
+    ExecutionEngine(observers=[a, b], window_ops=100).run(
+        index, mixed_workload(KEYS, 0.0, n_ops=250, seed=1))
     end = index.meter.total_time()
-    assert log[-6:] == [("a", 50, end), ("a", "done"),
-                        ("b", 10, end), ("b", "done"),
-                        ("c", 50, end), ("c", "done")]
-    full = log[:-6]
-    assert [e[:2] for e in full if e[0] == "b"] == [("b", 40)] * 6
-    # ``a`` and ``c`` are handed the very same closes, in observer order.
+    assert log[-4:] == [("a", 50, end), ("a", "done"),
+                        ("b", 50, end), ("b", "done")]
+    full = log[:-4]
+    assert [e[:2] for e in full] == [("a", 100), ("b", 100)] * 2
     assert [e[1:] for e in full if e[0] == "a"] == [
-        e[1:] for e in full if e[0] == "c"]
-    assert [e[0] for e in full if e[0] != "b"] == ["a", "c"] * 2
+        e[1:] for e in full if e[0] == "b"]
 
 
-#: (collector, tracker, emitter) window sizes.  With three sizes the
-#: engine keeps three folds, whose closes coincide every 256 ops.
-SIZES = {"one-size": (64, 64, 64), "three-sizes": (64, 128, 256)}
-
-
-def _stack(mod, bus, sizes, tracker_first):
-    collector, tracker, emitter = sizes
-    slo = mod.SLOTracker(window_ops=tracker, bus=bus)
-    bus_emitter = mod.EngineBusEmitter(bus, window_ops=emitter)
-    middle = [mod.TraceRecorder(), mod.MetricsCollector(window_ops=collector),
+def _stack(mod, bus, tracker_first, window):
+    """The reference observers each count to ``window``; today's are cut
+    at the engine's ``window_ops``."""
+    sized = {} if mod is _LIVE else {"window_ops": window}
+    slo = mod.SLOTracker(bus=bus, **sized)
+    bus_emitter = mod.EngineBusEmitter(bus, **sized)
+    middle = [mod.TraceRecorder(), mod.MetricsCollector(**sized),
               mod.CostProfiler()]
     # ``repro run --events`` / ``repro top`` attach the tracker first,
     # tests/test_events.py the emitter.
@@ -194,57 +212,67 @@ _LIVE = SimpleNamespace(
     CostProfiler=CostProfiler)
 
 
+#: The engine's window size in each run of a case, one run per size:
+#: 64, or 100 (its closes fall off ``RECORD_BLOCK``'s multiples), 128
+#: and 256 (the default the CLI and ``bench/`` cut at).
+SIZES = {"one-size": (64,), "three-sizes": (100, 128, 256)}
+
+
 @pytest.mark.parametrize("sizes", list(SIZES))
 @pytest.mark.parametrize("order", ["tracker-first", "emitter-first"])
 @pytest.mark.parametrize("block", [0, 64])
 @pytest.mark.parametrize("name", REGISTRY.names())
 def test_full_stack_matches_reference_on_the_same_run(
         name, block, order, sizes, monkeypatch):
+    """Per size, one run carries the reference stack, every observer
+    counting to that size, and today's, cut at the engine's: equal
+    artifacts, and each run has a bare run's fingerprint."""
     factory, wl = reference.parity_case(name)
-    ref_bus, bus = EventBus(), EventBus()
     tracker_first = order == "tracker-first"
-    ref_obs, ref_slo, (ref_trace, ref_metrics, ref_prof) = _stack(
-        reference, ref_bus, SIZES[sizes], tracker_first)
-    obs, slo, (trace, metrics, prof) = _stack(
-        _LIVE, bus, SIZES[sizes], tracker_first)
-    engine = ExecutionEngine(observers=[*ref_obs, *obs])
-    assert len(set(engine._window_folds(CostMeter()).values())) == len(
-        set(SIZES[sizes]))
-    observed = engine.run(factory(), wl)
 
     def same(new, ref, **kw):  # == would let an int 0 pass for a float 0.0
         return json.dumps(new, **kw) == json.dumps(ref, **kw)
 
-    assert len(bus.events(kind=KIND_OP_WINDOW)) == -(
-        -wl.n_ops // SIZES[sizes][2])
-    assert same(bus.events(), ref_bus.events())
-    assert same(slo.windows, ref_slo.windows)
-    assert same(slo.summary(), ref_slo.summary())
-    assert same(trace.events, ref_trace.events)
-    assert same(trace.to_chrome(), ref_trace.to_chrome())
-    assert same(metrics.series, ref_metrics.series)
-    assert list(prof.cells.items()) == list(ref_prof.cells.items())
-    assert same(prof.rows(), ref_prof.rows())
+    fingerprints = set()
+    for window in SIZES[sizes]:
+        ref_bus, bus = EventBus(), EventBus()
+        ref_obs, ref_slo, (ref_trace, ref_metrics, ref_prof) = _stack(
+            reference, ref_bus, tracker_first, window)
+        obs, slo, (trace, metrics, prof) = _stack(
+            _LIVE, bus, tracker_first, window)
+        engine = ExecutionEngine(observers=[*ref_obs, *obs],
+                                 window_ops=window)
+        observed = engine.run(factory(), wl)
+        fingerprints.add(result_fingerprint(result_record(observed)))
+
+        assert len(bus.events(kind=KIND_OP_WINDOW)) == -(-wl.n_ops // window)
+        assert same(bus.events(), ref_bus.events())
+        assert same(slo.windows, ref_slo.windows)
+        assert same(slo.summary(), ref_slo.summary())
+        assert same(trace.events, ref_trace.events)
+        assert same(trace.to_chrome(), ref_trace.to_chrome())
+        assert same(metrics.series, ref_metrics.series)
+        assert list(prof.cells.items()) == list(ref_prof.cells.items())
+        assert same(prof.rows(), ref_prof.rows())
 
     if block:
         monkeypatch.setattr(runner, "LOOKUP_STREAK", 8)
         monkeypatch.setattr(runner, "LOOKUP_BLOCK", block)
     bare = ExecutionEngine().run(factory(), wl)
-    assert (result_fingerprint(result_record(observed))
-            == result_fingerprint(result_record(bare)))
+    assert fingerprints == {result_fingerprint(result_record(bare))}
 
 
 @pytest.mark.parametrize("name", REGISTRY.names())
 def test_untimed_windows_alone_match_reference(name):
-    """A collector and a bus emitter alone, on two window sizes whose
-    closes interleave, still cut the reference's windows."""
+    """A collector and a bus emitter alone, on an untimed fold, still
+    cut the reference's windows."""
     factory, wl = reference.parity_case(name)
     ref_bus, bus = EventBus(), EventBus()
-    ref_metrics, metrics = (reference.MetricsCollector(window_ops=64),
-                            MetricsCollector(window_ops=64))
+    ref_metrics, metrics = (reference.MetricsCollector(window_ops=100),
+                            MetricsCollector())
     engine = ExecutionEngine(observers=[
         ref_metrics, reference.EngineBusEmitter(ref_bus, window_ops=100),
-        metrics, EngineBusEmitter(bus, window_ops=100)])
+        metrics, EngineBusEmitter(bus)], window_ops=100)
     engine.run(factory(), wl)
     assert json.dumps(bus.events()) == json.dumps(ref_bus.events())
     assert json.dumps(metrics.series) == json.dumps(ref_metrics.series)

@@ -312,21 +312,32 @@ def test_pgm_delete_reports_the_flush_it_ran():
     assert (index.last_op.found, index.last_op.smo) == (False, False)
 
 
+class _SmoSeqs(ExecutionObserver):
+    """The seq of every op the engine reports an SMO for."""
+
+    def __init__(self):
+        self.seqs = []
+
+    def on_smo(self, event):
+        self.seqs.append(event.seq)
+
+
 def test_pgm_delete_smo_reaches_the_engine():
-    """Through the engine: the instance counts the two flushes and a
-    ``TraceRecorder`` marks both, where the parent commit saw none."""
+    """Through the engine: the ``on_smo`` hooks hear the two flushes and
+    a ``TraceRecorder`` marks both; an ``on_smo`` hook alone (the
+    unrecorded loop) hears them too."""
     ops = [Operation(DELETE, k) for k in range(8)]
     workload = Workload("deletes", [(k, k) for k in range(100)], ops)
-    instance = IndexInstance(PGMIndex(buffer_size=4))
-    trace = TraceRecorder()
-    ExecutionEngine(observers=[trace]).run(instance, workload)
-    assert instance.index.merge_count == 2
-    assert (instance.smo_count, instance.last_smo_seq) == (2, 7)
+    index = PGMIndex(buffer_size=4)
+    trace, smos = TraceRecorder(), _SmoSeqs()
+    ExecutionEngine(observers=[trace, smos]).run(index, workload)
+    assert index.merge_count == 2
+    assert smos.seqs == [3, 7]
     instants = [e for e in trace.events if e["kind"] == EVENT_INSTANT]
     assert [(e["seq"], e["nodes_created"]) for e in instants] == [(3, 1), (7, 1)]
-    alone = IndexInstance(PGMIndex(buffer_size=4))
-    ExecutionEngine().run(alone, workload)
-    assert (alone.smo_count, alone.last_smo_seq) == (2, 7)
+    alone = _SmoSeqs()
+    ExecutionEngine(observers=[alone]).run(PGMIndex(buffer_size=4), workload)
+    assert alone.seqs == [3, 7]
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +655,11 @@ def test_plain_loop_feeds_on_smo_hooks_of_attached_observers():
     workload = mixed_workload(keys, 0.5, n_ops=2500, seed=6)
     plain, per_op = Smos(), Both()
     make = lambda: REGISTRY.create("B+tree", fanout=8)  # noqa: E731
-    a = IndexInstance(make())
-    b = IndexInstance(make())
-    ExecutionEngine(sample_every=3, observers=[plain]).run(a, workload)
-    ExecutionEngine(sample_every=3, observers=[per_op]).run(b, workload)
+    ExecutionEngine(sample_every=3, observers=[plain]).run(make(), workload)
+    ExecutionEngine(sample_every=3, observers=[per_op]).run(make(), workload)
     assert len(plain.seen) > 50
     assert plain.seen == per_op.seen
     assert any(t is not None for *_, t in plain.seen)  # a sampled SMO op
-    assert a.smo_count == b.smo_count == len(plain.seen)
 
 
 # ---------------------------------------------------------------------------
