@@ -21,6 +21,7 @@ from repro.core.server import JOB_FAILED, IndexServer, Job
 from repro.core.slo import ControlTower
 from repro.core.workloads import DELETE, INSERT, LOOKUP, SCAN, UPDATE, Operation, payload
 from repro.datasets import registry
+from repro.indexes.batching import KEY_DOMAIN
 
 #: Job steps a deterministic serve session pumps per client op.
 PUMP_PER_CLIENT_OP = 2
@@ -41,7 +42,8 @@ def session_streams(
     ``churn`` is a steady mix (zipf-ish hot lookups, fresh inserts,
     updates, scans, deletes where supported); ``burst`` front-loads an
     insert burst then drains with reads/scans/deletes.  Fresh insert
-    keys come from per-client disjoint slices above ``key_space`` so
+    keys come from per-client disjoint slices above ``key_space`` (or
+    the bulk maximum), narrowed to fit under the key domain's top, so
     concurrent clients rarely contend on the same key — cross-client
     conflicts stay *legal* (the journal serializes them), just not the
     common case.  Identical arguments always produce identical streams.
@@ -59,11 +61,18 @@ def session_streams(
         n_bulk = len(bulk_keys)
     bulk_items = [(k, payload(k)) for k in bulk_keys]
 
+    # The last client's last key, key_space + n * width + reach, fits.
+    reach = 7 * ops_per_client
+    width = min(key_space, (KEY_DOMAIN[1] - 1 - key_space - reach)
+                // max(n_clients, 1))
+    if width <= reach:
+        raise ValueError(f"no room in the key domain above {key_space} "
+                         f"for {n_clients} clients' fresh keys")
     streams: List[List[Operation]] = []
     for client in range(n_clients):
         crng = random.Random(
             f"serve-{profile}-{spec.name}-{seed}-client{client}")
-        fresh_base = key_space + (client + 1) * key_space
+        fresh_base = key_space + (client + 1) * width
         fresh_next = 0
         mine: List[int] = []
 

@@ -534,7 +534,10 @@ def cmd_fuzz(args) -> int:
                 paths.append(p)
         failed = 0
         for path in paths:
-            report = replay_file(path)
+            try:
+                report = replay_file(path)
+            except ValueError as exc:  # a foreign file or a refused key
+                raise SystemExit(f"repro fuzz --replay: {exc}") from None
             print(f"{path}: {report.describe()}")
             failed += 0 if report.ok else 1
         print(f"\nreplayed {len(paths)} stream(s), {failed} failing")

@@ -49,9 +49,12 @@ from repro.core.workloads import (
     Workload,
     payload,
 )
+from repro.indexes.batching import check_domain
 
 #: Format tag stamped into every stream header record.
 STREAM_FORMAT = "opstream-1"
+#: ``generate_stream`` draws every key from ``[1, STREAM_KEY_SPACE)``.
+STREAM_KEY_SPACE = 1 << 40
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,9 @@ class OpStream:
 
     def __post_init__(self) -> None:
         self.bulk_keys = sorted(set(self.bulk_keys))
+        # A door of the key domain: built or loaded, refused before it runs.
+        check_domain(f"OpStream {self.label!r}",
+                     [*self.bulk_keys, *(op.key for op in self.ops)])
 
     @property
     def label(self) -> str:
@@ -370,25 +376,24 @@ def generate_stream(
     seed: int,
     n_ops: int = 500,
     n_bulk: int = 256,
-    key_space: int = 1 << 40,
 ) -> OpStream:
     """A seeded random stream shaped by ``spec``'s capabilities.
 
     Deletes/scans are only emitted when the spec supports them; inserts
-    draw fresh keys from ``key_space`` with occasional duplicate-insert
-    attempts to exercise the reject path; lookups and deletes mix
-    present and absent keys.  Identical ``(spec.name, seed, sizes)``
-    always produce the identical stream.
+    draw fresh keys with occasional duplicate-insert attempts to
+    exercise the reject path; lookups and deletes mix present and
+    absent keys.  Identical ``(spec.name, seed, sizes)`` always produce
+    the identical stream.
     """
     rng = random.Random(f"opstream-{spec.name}-{seed}-{n_ops}-{n_bulk}")
     present = set()
     while len(present) < n_bulk:
-        present.add(rng.randrange(1, key_space))
+        present.add(rng.randrange(1, STREAM_KEY_SPACE))
     bulk = sorted(present)
 
     def fresh_key() -> int:
         while True:
-            k = rng.randrange(1, key_space)
+            k = rng.randrange(1, STREAM_KEY_SPACE)
             if k not in present:
                 return k
 
@@ -396,7 +401,7 @@ def generate_stream(
         # Mostly keys that exist; sometimes a random (usually absent) one.
         if present and rng.random() < 0.8:
             return rng.choice(tuple(present))
-        return rng.randrange(1, key_space)
+        return rng.randrange(1, STREAM_KEY_SPACE)
 
     p_insert = 0.35
     p_delete = 0.15 if spec.supports_delete else 0.0

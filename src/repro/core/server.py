@@ -96,6 +96,7 @@ from repro.core.workloads import (
     apply_op,
     payload,
 )
+from repro.indexes import batching
 from repro.indexes.multiplex import MultiplexIndex
 
 __all__ = [
@@ -260,7 +261,7 @@ class _Served:
     #: ``instance``, as tuples until ``journal()`` reads them) and batch
     #: records, in serialization order.
     journal: List[Any] = field(default_factory=list)
-    #: Ops refused (admission) or crashed, per op kind.
+    #: Ops refused (admission, key domain) or crashed, per op kind.
     dropped: Dict[str, int] = field(default_factory=dict)
     #: Ops whose lock wait exceeded the stall threshold, per op kind.
     stalled: Dict[str, int] = field(default_factory=dict)
@@ -278,11 +279,6 @@ class _Served:
         if waited > STALL_THRESHOLD_S:
             self.stalled[kind] = self.stalled.get(kind, 0) + 1
 
-    def refuse(self, kind: str) -> None:
-        """Count and raise the refusal of an op the instance's state
-        does not admit."""
-        self.instance.admit(kind)
-
     def journal_batch(self, op: str, args: list, outs: list) -> None:
         """Journal one batch call as one record (``args`` is the
         server's own copy; ``outs`` goes back to the caller)."""
@@ -292,10 +288,10 @@ class _Served:
         self.journal.append(_JournalBatch(op, args, tuple(outs)))
 
     def note_drop(self, kind: str, exc: BaseException) -> None:
-        """Count a foreground call that raised: refused, or admitted
-        and crashed (then in ``ops`` too, as it was never journaled)."""
+        """Count a foreground call that raised: refused (state or key
+        domain), or admitted and crashed (then in ``ops`` too)."""
         self.dropped[kind] = self.dropped.get(kind, 0) + 1
-        if not isinstance(exc, AdmissionError):
+        if not isinstance(exc, (AdmissionError, batching.KeyDomainError)):
             self.ops += 1
 
 
@@ -525,8 +521,9 @@ class IndexServer:
         serialization of the instance's concurrent history.  The hold
         starts with ``acquire(False)``; only when that fails is a
         blocking ``acquire()`` timed, so ``max_wait_s`` and ``stalled``
-        record sleeps only.  A refusal counts in both the instance
-        (``rejected``) and the server's per-kind ``dropped`` stats, a
+        record sleeps only.  A refusal counts in the server's per-kind
+        ``dropped`` stats (and in the instance's ``rejected`` when its
+        state refuses; a key outside the key domain is refused too), a
         crash in ``dropped`` and ``ops``; both re-raise.
         """
         served = self._served_of(name)
@@ -540,7 +537,11 @@ class IndexServer:
         try:
             instance = served.instance
             if not instance.admits(kind):
-                served.refuse(kind)
+                instance.admit(kind)  # counts, raises
+            lo, hi = batching.KEY_DOMAIN
+            if not lo <= op.key < hi:
+                raise batching.outside_domain(f"IndexServer.apply {name!r}",
+                                              (op.key,))
             ok, scanned, result = apply_op(instance.index, op)
             counts = instance.op_counts
             counts[kind] = counts.get(kind, 0) + 1
@@ -572,8 +573,8 @@ class IndexServer:
         return self.apply(name, Operation(SCAN, start, count=count))[1]
 
     def lookup_many(self, name: str, keys: Iterable[int]) -> List[Any]:
-        """Batched lookups under one hold of the instance's lock (PR-6
-        path)."""
+        """Batched lookups under one hold of the instance's lock,
+        refused and counted like :meth:`apply`'s."""
         served = self._served_of(name)
         lock = served.lock
         if not lock.acquire(False):
@@ -583,8 +584,9 @@ class IndexServer:
         try:
             instance = served.instance
             if not instance.admits(LOOKUP):
-                served.refuse(LOOKUP)
+                instance.admit(LOOKUP)  # counts, raises
             keys = list(keys)
+            batching.check_domain(f"IndexServer.lookup_many {name!r}", keys)
             values = instance.index.lookup_many(keys)
             served.journal_batch(LOOKUP, keys, values)
         except BaseException as exc:
@@ -596,7 +598,7 @@ class IndexServer:
 
     def insert_many(self, name: str,
                     pairs: Iterable[Tuple[int, Any]]) -> List[bool]:
-        """Batched inserts under one hold of the instance's lock."""
+        """Batched inserts, like :meth:`lookup_many`."""
         served = self._served_of(name)
         lock = served.lock
         if not lock.acquire(False):
@@ -606,8 +608,10 @@ class IndexServer:
         try:
             instance = served.instance
             if not instance.admits(INSERT):
-                served.refuse(INSERT)
+                instance.admit(INSERT)  # counts, raises
             pairs = list(pairs)
+            batching.check_domain(f"IndexServer.insert_many {name!r}",
+                                  batching.key_list(pairs))
             oks = instance.index.insert_many(pairs)
             served.journal_batch(INSERT, pairs, oks)
         except BaseException as exc:

@@ -272,7 +272,7 @@ class ALEX(OrderedIndex):
                     grouped.append((k, v))
             build_items = grouped
             if ks is not None:
-                ks = batching.key_column(grouped)
+                ks = batching.int64_cache(batching.key_list(grouped))
         if ks is None:
             self._root = self._bulk_build(build_items)
         else:
@@ -562,8 +562,6 @@ class ALEX(OrderedIndex):
             level = list(compress(reached, inner))
             which = (np.cumsum(inner) - 1)[pair_of[stays]]
             models = batching.model_arrays([node.model for node in level])
-            if models is None:
-                return None
             fans = np.asarray([len(node.children) for node in level])
             slots = batching.clamp_slots(
                 batching.predict_vec(*(m[which] for m in models), ks[down]),
@@ -591,8 +589,6 @@ class ALEX(OrderedIndex):
                     break
                 pos += 1
         models = batching.model_arrays([leaf.model for leaf in leaves])
-        if models is None:
-            return None
         caps = np.asarray([len(leaf.keys) for leaf in leaves])[leaf_of]
         hint = batching.clamp_slots(batching.predict_vec(
             *(m[leaf_of] for m in models), ks), caps)

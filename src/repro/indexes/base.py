@@ -1,14 +1,19 @@
 """Common interface implemented by every index in the suite.
 
-All indexes — learned and traditional — are ordered maps from unsigned
-64-bit integer keys to opaque payloads, matching the paper's setup of
-8-byte keys paired with 8-byte payloads.  Every index:
+All indexes — learned and traditional — are ordered maps from integer
+keys in one domain, ``batching.KEY_DOMAIN`` = ``[0, 2**63)``, to opaque
+payloads, matching the paper's 8-byte keys and payloads.  Three doors
+refuse an outside key before any state change: :meth:`bulk_load`,
+``OpStream`` (built or loaded) and ``IndexServer.apply`` /
+``lookup_many`` / ``insert_many``; a bare index call and an engine run
+trust their caller.  SOSD's fb holds keys near 2**64, which no stand-in
+here does: widening to ``[0, 2**64)`` brings scalar paths back.  Every index:
 
 * is built through one door, :meth:`OrderedIndex.bulk_load`, which
-  reads the keys, refuses a descent or (unless ``supports_duplicates``)
-  an equal pair before any state change, calls the class's ``_load``,
-  then sets the size and drops batch state; an index implements
-  ``_load``, never ``bulk_load``,
+  reads the keys, refuses one outside the domain, a descent or (unless
+  ``supports_duplicates``) an equal pair before any state change, calls
+  the class's ``_load``, then sets the size and drops batch state; an
+  index implements ``_load``, never ``bulk_load``,
 * supports ``lookup``, ``insert`` and ``update``; most support
   ``delete`` and ``range_scan`` (the paper notes
   LIPP/Masstree/Wormhole/B+TreeOLC/HOT-ROWEX lack deletes upstream; we
@@ -147,26 +152,27 @@ class OrderedIndex(ABC):
 
         The one door every build comes through, in four steps:
 
-        1. read the keys: ``batching.key_column(items)`` when the class
-           builds from arrays and there are at least
-           ``_array_build_min`` items (``None`` if ``batching`` does not
-           admit them), else the key list;
-        2. refuse a descent and, unless ``supports_duplicates``, equal
-           neighbours: a ``ValueError`` that starts with the index's
-           name — refused means before any state change, so nothing is
-           charged, no node id drawn and the size stays as it was;
+        1. read the keys, as an int64 column when the class builds from
+           arrays and there are at least ``_array_build_min`` items;
+        2. refuse a key outside the key domain, a descent and, unless
+           ``supports_duplicates``, equal neighbours: a ``ValueError``
+           that starts with the index's name — refused means before any
+           state change, so nothing is charged, no node id drawn and the
+           size stays as it was;
         3. ``_load(items, ks)`` builds, ``ks`` the column or ``None``;
         4. the size becomes ``len(items)`` and batch state is dropped.
         """
-        threshold = self._array_build_min
-        ks = (batching.key_column(items)
+        threshold, door = self._array_build_min, f"{self.name}: bulk_load"
+        ks = (batching.int64_cache(batching.key_list(items), door)
               if threshold is not None and len(items) >= threshold else None)
         strict = not self.supports_duplicates
         if not batching.ascending(
                 batching.key_list(items) if ks is None else ks, strict):
             wording = ("strictly ascending unique keys" if strict
                        else "items sorted by key")
-            raise ValueError(f"{self.name}: bulk_load requires {wording}")
+            raise ValueError(f"{door} requires {wording}")
+        if len(items):
+            batching.check_domain(door, (items[0][0], items[-1][0]))
         self._load(items, ks)
         self._size = len(items)
         self._invalidate_batch_cache()

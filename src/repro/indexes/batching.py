@@ -29,12 +29,12 @@ observable).  Three ideas make that tractable:
 
 The array bulk builds of ALEX and LIPP hold to the same rule (same
 tree, node ids and meter as the scalar builders) and take their arrays
-through the same door: :func:`int64_cache` admits every int64 array,
-:func:`key_column` and :func:`object_columns` unzip a build's items.
+through the same door: :func:`int64_cache` makes every array,
+:func:`key_list` and :func:`object_columns` unzip a build's items.
 
-numpy is a hard dependency (``pyproject.toml``).  A helper still
-answers ``None`` for an array it cannot admit, and the caller then
-takes the correct-by-construction scalar loop.
+Every key lies in :data:`KEY_DOMAIN`, so every array is an int64 array
+and the kernels subtract any two of its values exactly.  numpy is a
+hard dependency (``pyproject.toml``).
 """
 
 from __future__ import annotations
@@ -51,49 +51,63 @@ from repro.indexes.linear_model import _STEP_ROW_MAX, _STEP_ROWS, _step_row
 #: overhead outweighs the win.  Tests shrink it to force coverage.
 MIN_BATCH = 16
 
-_INT64_MAX = (1 << 63) - 1
+#: The key domain ``[lo, hi)`` of every index: the half of the paper's
+#: uint64 keys an int64 array holds (doors: ``repro.indexes.base``).
+KEY_DOMAIN = (0, 1 << 63)
 
 
-def int64_cache(values: Sequence[int]) -> Optional["Any"]:
+class KeyDomainError(ValueError):
+    """A key outside :data:`KEY_DOMAIN`, refused."""
+
+
+def outside_domain(door: str, keys: Sequence[int]) -> KeyDomainError:
+    """The refusal of ``keys`` at ``door``, naming the door, the first
+    key outside :data:`KEY_DOMAIN` and the domain."""
+    lo, hi = KEY_DOMAIN
+    key = next((k for k in keys if not lo <= k < hi), None)
+    return KeyDomainError(f"{door} refuses key {key!r}: outside the key "
+                          f"domain [{lo}, 2**{hi.bit_length() - 1})")
+
+
+def check_domain(door: str, keys: Sequence[int]) -> None:
+    """Refuse ``keys`` at ``door`` unless one ``min`` and one ``max``
+    find them inside :data:`KEY_DOMAIN`."""
+    lo, hi = KEY_DOMAIN
+    if len(keys) and not (lo <= min(keys) and max(keys) < hi):
+        raise outside_domain(door, keys)
+
+
+def int64_cache(values: Sequence[int],
+                door: str = "batching.int64_cache") -> "Any":
     """``values`` as a one-dimensional int64 array — how every array
-    the kernels see is admitted: batch keys, the cached arrays of a PGM
-    run or a segment table, model anchors, the keys of an array build.
-    ``None`` when a value lies outside ``[0, 2**63)`` (for a cached
-    array, the fast path then bails for good).
+    the kernels see is made: batch keys, the cached arrays of a PGM run
+    or a segment table, model anchors, the keys of an array build.
 
-    The kernels subtract admitted values from each other in int64 —
+    The kernels subtract these values from each other in int64 —
     ``predict_vec`` takes a probe key minus a model anchor, from arrays
-    admitted at different times — which is exact for any two values of
-    this window and wraps silently outside it (keys on both sides of
-    zero spanning 2**63 or more).  Whatever cannot be subtracted safely
-    takes the scalar paths, which handle arbitrary Python ints.
+    made at different times — which is exact inside
+    :data:`KEY_DOMAIN`; a value outside it is refused at ``door``.
     """
     try:
         arr = _np.asarray(values, dtype=_np.int64)
-    except (OverflowError, ValueError, TypeError):
-        return None
-    if arr.ndim != 1 or (arr.size and int(arr.min()) < 0):
-        return None
+    except OverflowError:
+        raise outside_domain(door, values) from None
+    if arr.size and int(arr.min()) < 0:
+        raise outside_domain(door, values)
     return arr
 
 
 def key_array(keys: Sequence[int]) -> Optional["Any"]:
-    """``keys`` as an int64 array, or ``None`` when the batch should
-    take the scalar fallback (batch too small, or not admitted by
-    :func:`int64_cache`)."""
+    """``keys`` as an int64 array, or ``None`` when the batch is too
+    small for the vectorized path and takes the scalar loop."""
     if len(keys) < MIN_BATCH:
         return None
     return int64_cache(keys)
 
 
 def model_arrays(models: Sequence[Any]):
-    """Per-model (slope, intercept, anchor) gather arrays.
-
-    Returns ``None`` when :func:`int64_cache` refuses an anchor.
-    """
+    """Per-model (slope, intercept, anchor) gather arrays."""
     anchors = int64_cache([m.anchor for m in models])
-    if anchors is None:
-        return None
     slopes = _np.asarray([m.slope for m in models], dtype=_np.float64)
     intercepts = _np.asarray([m.intercept for m in models], dtype=_np.float64)
     return slopes, intercepts, anchors
@@ -105,13 +119,6 @@ _KEY, _VALUE = operator.itemgetter(0), operator.itemgetter(1)
 def key_list(items: Sequence[tuple]) -> List[int]:
     """The keys of ``(key, value)`` items, taken out at C speed."""
     return list(map(_KEY, items))
-
-
-def key_column(items: Sequence[tuple]) -> Optional["Any"]:
-    """The keys of ``(key, value)`` items as an int64 array for the
-    array builds; ``None`` under the conditions of
-    :func:`int64_cache`."""
-    return int64_cache(key_list(items))
 
 
 def object_columns(items: Sequence[tuple]) -> tuple:
@@ -148,11 +155,6 @@ def predict_clamped_vec(model, ks, n: int):
     """Vectorized ``LinearModel.predict_clamped`` for one model."""
     if n <= 0:
         return _np.zeros(len(ks), dtype=_np.int64)
-    if not 0 <= model.anchor <= _INT64_MAX:
-        # An anchor no array admitted (see ``int64_cache``): an index
-        # may hold such keys beside the ones a batch asks for.
-        return _np.fromiter((model.predict_clamped(k, n) for k in ks.tolist()),
-                            dtype=_np.int64, count=len(ks))
     pred = predict_vec(model.slope, model.intercept, _np.int64(model.anchor), ks)
     # Pre-clip so the int64 cast cannot overflow; the clip bound is
     # outside [-1, n] so post-clamp results are unchanged.
@@ -296,11 +298,8 @@ class ConcatTable:
         lens = _np.asarray([len(ks) for ks in key_lists], dtype=_np.int64)
         offsets = _np.zeros(len(key_lists) + 1, dtype=_np.int64)
         _np.cumsum(lens, out=offsets[1:])
-        cat = int64_cache([k for ks in key_lists for k in ks])
-        if cat is None:
-            return None
         t = ConcatTable()
-        t.cat = cat
+        t.cat = int64_cache([k for ks in key_lists for k in ks])
         t.offsets = offsets
         t.lens = lens
         t.bl = _np.asarray(

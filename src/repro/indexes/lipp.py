@@ -240,12 +240,11 @@ class LIPP(OrderedIndex):
 
     def _build(self, items: Sequence[Tuple[Key, Value]]) -> _LippNode:
         """The subtree over ``items`` — by arrays when there are enough
-        of them and ``batching`` admits their keys, else by the scalar
-        recursion; the same tree, node ids and charges either way."""
-        ks = (batching.key_column(items) if len(items) >= _ARRAY_BUILD_MIN
-              else None)
-        if ks is None:
+        of them, else by the scalar recursion; the same tree, node ids
+        and charges either way."""
+        if len(items) < _ARRAY_BUILD_MIN:
             return self._build_node(items)
+        ks = batching.int64_cache(batching.key_list(items))
         return self._build_levels(ks, items)
 
     def _build_levels(self, ks: Any,

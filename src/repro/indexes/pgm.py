@@ -128,8 +128,7 @@ class _StaticPGM:
         meter,
     ) -> None:
         self.epsilon = epsilon
-        #: Lazily-built numpy arrays for the batch fast path; ``False``
-        #: marks a run whose keys/anchors do not fit int64.  Runs are
+        #: Lazily-built numpy arrays for the batch fast path.  Runs are
         #: immutable, so the cache never needs invalidation.
         self.np_cache = None
         self.keys = keys  # the run owns both columns
@@ -199,29 +198,15 @@ class _StaticPGM:
         return sum(len(level) for level in self.levels)
 
     def batch_cache(self):
-        """Numpy mirrors of the packed keys and the PLA hierarchy, or
-        ``False`` when they do not fit int64 (the batch path then bails
-        for good on this run)."""
+        """Numpy mirrors of the packed keys and the PLA hierarchy: per
+        level, its models' arrays and (above the leaves) the first keys
+        of the level below."""
         if self.np_cache is None:
-            keys_np = batching.int64_cache(self.keys)
-            if keys_np is None:
-                self.np_cache = False
-                return False
-            levels = []
-            for depth, level in enumerate(self.levels):
-                models = batching.model_arrays([s.model for s in level])
-                lower_first = None
-                if depth >= 1:
-                    lower_first = batching.int64_cache(
-                        self.first_keys[depth - 1])
-                    if lower_first is None:
-                        self.np_cache = False
-                        return False
-                if models is None:
-                    self.np_cache = False
-                    return False
-                levels.append((models, lower_first))
-            self.np_cache = (keys_np, levels)
+            self.np_cache = (batching.int64_cache(self.keys), [
+                (batching.model_arrays([s.model for s in level]),
+                 batching.int64_cache(self.first_keys[depth - 1])
+                 if depth else None)
+                for depth, level in enumerate(self.levels)])
         return self.np_cache
 
 
@@ -348,10 +333,7 @@ class PGMIndex(OrderedIndex):
                 continue
             if not active.any():
                 break
-            cache = run.batch_cache()
-            if cache is False:
-                return None
-            keys_np, levels = cache
+            keys_np, levels = run.batch_cache()
             idxs = np.flatnonzero(active)
             ksub = ks[idxs]
             eps = run.epsilon

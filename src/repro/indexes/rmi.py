@@ -151,12 +151,10 @@ class RMI(OrderedIndex):
             return None
         cache = self._batch_cache
         if cache is None:
-            keys_np = batching.int64_cache(self._keys)
-            models = batching.model_arrays(self._leaf_models)
-            if keys_np is None or models is None:
-                return None
-            errors = batching.int64_cache(self._leaf_errors)
-            cache = self._batch_cache = (keys_np, models, errors)
+            cache = self._batch_cache = (
+                batching.int64_cache(self._keys),
+                batching.model_arrays(self._leaf_models),
+                batching.int64_cache(self._leaf_errors))
         keys_np, (slopes, intercepts, anchors), errors = cache
         np = batching._np
         m = batching.predict_clamped_vec(self._root, ks, self.fanout)

@@ -129,7 +129,7 @@ class SegmentedIndex(OrderedIndex):
     def __init__(self, epsilon: int, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self.epsilon = epsilon
-        self._set_units([self._new_unit(0)])
+        self._set_units([self._new_unit(batching.KEY_DOMAIN[0])])
 
     # -- units and pivots -----------------------------------------------------
 
@@ -183,8 +183,8 @@ class SegmentedIndex(OrderedIndex):
 
     def _load(self, items: Sequence[Row], ks: Any) -> None:
         units = self._build_units(items)
-        # The first unit is the catch-all for keys below every pivot.
-        units[0].pivot = 0
+        # The first unit is the catch-all from the key domain's bottom.
+        units[0].pivot = batching.KEY_DOMAIN[0]
         self._set_units(units)
 
     # -- policy hooks -----------------------------------------------------------
@@ -366,7 +366,7 @@ class SegmentedIndex(OrderedIndex):
         """Index-wide arrays for the batch path: unit pivots, the
         concatenated main and side key arrays, and every model's
         parameters in unit order.  Rebuilt lazily after any mutation;
-        ``False`` when unusable."""
+        ``False`` while a unit holds no keys."""
         cache = self._batch_cache
         if cache is None:
             cache = self._batch_cache = self._build_batch_tables()
@@ -378,15 +378,12 @@ class SegmentedIndex(OrderedIndex):
             # Only a pre-bulk-load index has keyless units; their lower
             # bound short-circuits with no charges, so bail.
             return False
-        pivots = batching.int64_cache(self._pivots)
-        models = batching.model_arrays(
-            [m.model for u in units for m in u.models])
-        main = batching.ConcatTable.build([u.keys for u in units])
-        side = batching.ConcatTable.build([u.side_keys for u in units])
-        if pivots is None or models is None or main is None or side is None:
-            return False
         return SimpleNamespace(
-            pivots=pivots, models=models, main=main, side=side,
+            pivots=batching.int64_cache(self._pivots),
+            models=batching.model_arrays(
+                [m.model for u in units for m in u.models]),
+            main=batching.ConcatTable.build([u.keys for u in units]),
+            side=batching.ConcatTable.build([u.side_keys for u in units]),
             node_ids=[u.node_id for u in units])
 
     @abstractmethod
@@ -507,22 +504,23 @@ class SegmentedIndex(OrderedIndex):
         return len(side)
 
     def debug_validate(self) -> List[Violation]:
-        """Strictly increasing pivots anchored at 0 and mirrored by the
-        pivot list; per unit, trained arrays sorted, inside the pivot
-        range, as long as their values, contiguously partitioned by
-        the unit's PLA segments and within ε of their models, plus the
-        side structure's rules; and the size counter exact.  Walks
-        units directly; never charges the meter."""
+        """Strictly increasing pivots from the key domain's bottom and
+        mirrored by the pivot list; per unit, trained arrays sorted,
+        inside the pivot range, as long as their values, contiguously
+        partitioned by the unit's PLA segments and within ε of their
+        models, plus the side structure's rules; and the size counter
+        exact.  Walks units directly; never charges the meter."""
         units = self._units
         if not units:
             return [Violation(0, self._rule("pivot-order"),
                               "index has no units at all")]
         out: List[Violation] = []
         pivots = [u.pivot for u in units]
-        if pivots[0] != 0:
+        first = batching.KEY_DOMAIN[0]
+        if pivots[0] != first:
             out.append(Violation(
                 units[0].node_id, self._rule("pivot-order"),
-                f"first pivot is {pivots[0]}, expected 0"))
+                f"first pivot is {pivots[0]}, expected {first}"))
         out.extend(sorted_violations(
             pivots, 0, self._rule("pivot-order"), what="pivots"))
         if self._pivots != pivots:

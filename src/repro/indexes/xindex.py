@@ -170,8 +170,6 @@ class XIndex(SegmentedIndex):
         groups = self._units
         fks = batching.int64_cache(
             [s.first_key for g in groups for s in g.models])
-        if fks is None:
-            return False
         np = batching._np
         t.nm = np.asarray([len(g.models) for g in groups], dtype=np.int64)
         t.seg_off = np.zeros(len(groups) + 1, dtype=np.int64)

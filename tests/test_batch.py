@@ -256,14 +256,14 @@ def test_wrappers_keep_the_per_op_loop():
 
 
 def test_declined_blocks_take_the_per_op_loop():
-    """Keys above 2^63 and a subclass overriding ``lookup`` both make
-    ``_lookup_batch`` return ``None``: every block falls back, with
-    equal results, and the override sees every lookup."""
-    huge = [2**70 + i * 5 for i in range(300)]
-    wl = mixed_workload(huge, 0.0, n_ops=400, seed=1)
+    """ALEX under a duplicate mode and a subclass overriding ``lookup``
+    both make ``_lookup_batch`` return ``None``: every block falls
+    back, with equal results, and the override sees every lookup."""
+    wl = mixed_workload(_keys(500), 0.0, n_ops=400, seed=1)
     with _short_runs():
         calls = _assert_default_equals_per_op(
-            REGISTRY.get("PGM").factory, wl, 7, "huge keys")
+            lambda: alex.ALEX(duplicate_mode="inline"), wl, 7,
+            "duplicate mode")
     assert calls["asked"] > 0 and calls["resolved"] == 0
 
     class Spy(BPlusTree):
@@ -660,22 +660,33 @@ def test_small_batches_below_min_batch_still_match(name, monkeypatch):
     _assert_meters_identical(a, b, name)
 
 
+def _refused_load(index, items):
+    """``index`` refuses ``items`` at its door for a key outside the key
+    domain, before any state change."""
+    counts, serial = list(index.meter._counts.items()), index._node_serial
+    with pytest.raises(ValueError, match="outside the key domain") as err:
+        index.bulk_load(items)
+    assert str(err.value).startswith(f"{index.name}: bulk_load refuses key")
+    assert len(index) == 0
+    assert index._node_serial == serial
+    assert list(index.meter._counts.items()) == counts
+
+
 def test_huge_keys_fall_back_to_scalar_loop():
-    """Keys beyond int64 bail out of the numpy path but still answer."""
-    spec = REGISTRY.get("PGM")
-    a, b = spec.factory(), spec.factory()
-    base = 2**70
-    keys = [base + i * 5 for i in range(300)]
-    a.bulk_load([(k, k) for k in keys])
-    b.bulk_load([(k, k) for k in keys])
-    qs = keys[::3] + [keys[0] + 1]
-    assert a._lookup_batch(qs) is None
-    assert a.lookup_many(qs) == [b.lookup(k) for k in qs]
-    _assert_meters_identical(a, b, "huge keys")
+    """Keys beyond int64 lie outside the key domain (the id predates
+    it, when they took the scalar loop): the door refuses them, and a
+    batch holding one is refused by ``batching`` — a bare index call
+    trusts its caller, it does not answer from a second path."""
+    index = REGISTRY.get("PGM").factory()
+    _refused_load(index, [(2**70 + i * 5, i) for i in range(300)])
+    keys = _keys(300)
+    index.bulk_load([(k, k) for k in keys])
+    with pytest.raises(ValueError, match="batching.int64_cache refuses"):
+        index.lookup_many(keys[::3] + [2**70])
 
 
-#: Key ranges against the int64 kernels' subtractions: one they can
-#: take, one whose span is just over 2**63, and the full signed range.
+#: Key ranges against the int64 kernels' subtractions: the key domain,
+#: one whose span is just over 2**63, and the full signed range.
 KEY_RANGES = {
     "non-negative": (0, 2**63),
     "span-over-2**63": (-2**62, 2**62 + 2**61),
@@ -697,31 +708,31 @@ def _ranged(lo, hi, seed=7, n=4000):
 @pytest.mark.parametrize("name", BATCH_NAMES)
 def test_key_spans_the_kernels_cannot_subtract(name, span):
     """``predict_vec`` takes ``key - anchor`` in int64, which wraps
-    once keys on both sides of zero span 2**63: such arrays must not be
-    admitted (at the parent up to 300 of these 800 lookups came back
-    wrong on ALEX, LIPP, PGM, FITing-Tree and FINEdex, and nothing
-    raised)."""
+    once keys on both sides of zero span 2**63 (before the kernels had
+    a window, up to 300 of these 800 lookups came back wrong, and
+    nothing raised): the two spans that leave the key domain are
+    refused at the door, and over the domain every batch is exact."""
     spec, a, b = _pair(name)
     items, probes = _ranged(*KEY_RANGES[span])
+    if span != "non-negative":
+        _refused_load(a, items)
+        return
     a.bulk_load(items)
     b.bulk_load(items)
     assert a.lookup_many(probes) == [b.lookup(k) for k in probes]
     _assert_meters_identical(a, b, f"{name} {span}")
-    if name != "B+tree":  # ranks its keys by C bisect: no key array at all
-        assert (a._lookup_batch(probes) is not None) == (span == "non-negative")
+    assert a._lookup_batch(probes) is not None
 
 
 @pytest.mark.parametrize("name", BATCH_NAMES)
 def test_admitted_batch_on_an_index_with_keys_no_array_admits(name):
-    """The guard has to hold across arrays: here every probe is a key
-    the kernels take, and the anchors they would be subtracted from
-    are not."""
+    """No index can hold keys no array admits: the door refuses the
+    span over 2**63 and leaves the index empty, where a batch of keys
+    from inside the domain answers like the scalar loop."""
     spec, a, b = _pair(name)
     items, _ = _ranged(*KEY_RANGES["span-over-2**63"])
-    a.bulk_load(items)
-    b.bulk_load(items)
+    _refused_load(a, items)
     probes = [k for k, _ in items if k >= 0][-400:]
-    assert batching.key_array(probes) is not None
     assert a.lookup_many(probes) == [b.lookup(k) for k in probes]
     _assert_meters_identical(a, b, name)
 
@@ -729,12 +740,18 @@ def test_admitted_batch_on_an_index_with_keys_no_array_admits(name):
 @pytest.mark.parametrize("span", KEY_RANGES)
 def test_engine_lookup_runs_over_key_spans(span):
     """The same three ranges through the engine's default lookup runs
-    (what ``IndexServer.lookup_many`` calls into as well)."""
+    (what ``IndexServer.lookup_many`` calls into as well); the engine
+    loads through the door, so the two spans outside the domain are
+    refused before the first op."""
     items, probes = _ranged(*KEY_RANGES[span], n=1500)
     wl = Workload(span, items, [Operation(LOOKUP, k) for k in probes])
     for name in ("ALEX", "LIPP", "PGM"):
-        _assert_default_equals_per_op(
-            REGISTRY.get(name).factory, wl, 101, f"{name} {span}")
+        make = REGISTRY.get(name).factory
+        if span == "non-negative":
+            _assert_default_equals_per_op(make, wl, 101, f"{name} {span}")
+            continue
+        with pytest.raises(ValueError, match="outside the key domain"):
+            ExecutionEngine().run(IndexInstance(make()), wl)
 
 
 def test_registry_supports_batch_flags():

@@ -105,7 +105,7 @@ def _drive(make, seed, steps):
         elif r < 0.9:
             pool = sorted(present)
             keys = [rng.choice(pool) if pool and rng.random() < 0.7
-                    else rng.randrange(-5, KEY_SPACE + 5)  # missing keys too
+                    else rng.randrange(KEY_SPACE + 5)  # missing keys too
                     for _ in range(size)]
             made = batch._lookup_batch(keys)
             got = batch.lookup_many(keys)
@@ -164,11 +164,10 @@ def test_btree_stream_crosses_every_structure_change():
     lambda: PGMIndex(**PGM_CONFIGS["tiered"]),
 ], ids=["btree", "pgm", "pgm-tiered"])
 def test_twin_parity_without_numpy(make, monkeypatch):
-    """Twin parity when no array is admitted (the id is on the test
-    floor and keeps its name): ``int64_cache`` refuses everything, so
-    PGM keeps to its scalar paths for good; B+tree ranks Python ints
-    either way."""
-    monkeypatch.setattr(batching, "int64_cache", lambda values: None)
+    """Twin parity when no batch makes an array (the id keeps its
+    name): ``MIN_BATCH`` above every batch sends each call down the
+    scalar loop."""
+    monkeypatch.setattr(batching, "MIN_BATCH", 10**6)
     _drive(make, seed=3, steps=60)
 
 

@@ -265,22 +265,30 @@ def test_sizes_around_the_shipped_thresholds(make):
         "below-zero"])
 @pytest.mark.parametrize("make", [ALEX, LIPP], ids=lambda c: c.name)
 def test_keys_the_kernels_cannot_subtract_build_scalar(make, keys):
+    """Keys outside ``[0, 2**63)`` once took the scalar builders (the id
+    keeps that name); now the door refuses them under either builder's
+    threshold, with the domain in the message and nothing built."""
     items = [(k, payload(k)) for k in keys]
-    _, _, calls = assert_same_build(make, items)
-    assert calls == 0
+    for threshold in (2, sys.maxsize):
+        with build_threshold(threshold), counting_array_builds() as calls:
+            _refused(make, items, "refuses key .*: outside the key domain "
+                                  r"\[0, 2\*\*63\)")
+        assert calls[make.name] == 0
 
 
 @pytest.mark.parametrize("make", [ALEX, LIPP], ids=lambda c: c.name)
-def test_without_numpy_everything_builds_scalar(make, monkeypatch):
-    """No admitted key array, no array build (the id is on the test
-    floor and keeps its name; the refusal is ``int64_cache``'s)."""
+def test_without_numpy_everything_builds_scalar(make):
+    """No key array, no array build (the id keeps its name): an
+    ``_ARRAY_BUILD_MIN`` above the input sends a load to the scalar
+    builder, which builds what the arrays do."""
     rng = random.Random(9)
     items = [(k, payload(k)) for k in sorted(rng.sample(range(2**50), 1500))]
     want = make()
     want.bulk_load(items)
-    monkeypatch.setattr(batching, "int64_cache", lambda values: None)
-    _, b, calls = assert_same_build(make, items)
-    assert calls == 0
+    with build_threshold(sys.maxsize), counting_array_builds() as calls:
+        b = make()
+        b.bulk_load(items)
+    assert calls[make.name] == 0
     assert dump(b) == dump(want)
     assert list(b.meter._counts.items()) == list(want.meter._counts.items())
 
@@ -432,13 +440,17 @@ def test_the_door_accepts_nothing_and_one_item():
 @pytest.mark.parametrize("label", DOOR_INPUTS)
 def test_array_sized_loads_check_their_input_the_same(label):
     """On both sides of the array threshold (ALEX 64, LIPP 256): a
-    swapped pair, and an equal pair the index cannot hold, are refused
+    swapped pair, an equal pair the index cannot hold, and a first key
+    of -1 or a last key of 2**63 (outside the key domain) are refused
     with the index's name, nothing charged, no node id drawn and ``len``
     0; an index that holds duplicates loads the equal pair sound."""
     make = DOOR_INPUTS[label]
     dup_ok = make().supports_duplicates
     for n in (200, 2000):
         keys = list(range(10, 10 + 3 * n, 3))
+        _refused(make, _pairs([-1] + keys[1:]), "refuses key -1: outside")
+        _refused(make, _pairs(keys[:-1] + [2**63]),
+                 f"refuses key {2**63}: outside")
         for at in (0, n // 2, n - 2):
             swapped = list(keys)
             swapped[at], swapped[at + 1] = swapped[at + 1], swapped[at]

@@ -7,6 +7,7 @@ minimal stream, flagged by ``debug_validate()`` with its named rule,
 and reproduce the failure after a save/load round trip.
 """
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -25,7 +26,7 @@ from repro.core.opstream import (
     stress_factory,
 )
 from repro.core.registry import REGISTRY
-from repro.core.workloads import DELETE, INSERT, SCAN, Operation
+from repro.core.workloads import DELETE, INSERT, SCAN, Operation, payload
 
 
 class BrokenBPlusTree(BPlusTree):
@@ -243,7 +244,8 @@ class TestShrinkAndFuzz:
 
 #: Six key profiles: ``generate_stream`` draws keys from ``[1, 2**40)``,
 #: and each profile moves them by one strictly increasing map, so a
-#: stream keeps its shape in another key range.
+#: stream keeps its shape in another key range.  The first three stay
+#: inside the key domain ``[0, 2**63)``, the last three leave it.
 KEY_PROFILES = {
     "identity": lambda k: k,
     "dense-at-2^60": lambda k: 2**60 + k,
@@ -252,6 +254,7 @@ KEY_PROFILES = {
     "wide-signed-2^61": lambda k: (k - 2**39) << 22,
     "above-2^64": lambda k: 2**64 + k,
 }
+IN_DOMAIN = ("identity", "dense-at-2^60", "last-below-2^63")
 
 
 def _remapped(stream, profile):
@@ -263,14 +266,43 @@ def _remapped(stream, profile):
 
 
 @pytest.mark.parametrize("profile", KEY_PROFILES)
-@pytest.mark.parametrize("name", ["LIPP", "ALEX"])
+@pytest.mark.parametrize("name", [spec.name for spec in fuzzable_specs()])
 def test_key_profiles_stay_oracle_clean(name, profile):
-    """LIPP and ALEX assume no key range: under every profile, both
-    seeds replay oracle-clean (no mismatch, violation, crash or
-    divergence): 256 bulk keys take the array builds inside
-    ``[0, 2**63)`` and the scalar ones outside it."""
+    """Every fuzzable index under every profile, both seeds: inside the
+    key domain the stream replays oracle-clean (no mismatch, violation,
+    crash or divergence; ALEX's and LIPP's 256 bulk keys take the array
+    builds); outside it the stream is refused when it is built, and the
+    index's door refuses its bulk keys with nothing changed."""
     spec = REGISTRY.get(name)
+    make = stress_factory(name)
     for seed in (1, 2):
-        stream = _remapped(generate_stream(spec, seed), profile)
-        report = run_oracle(stress_factory(name), stream)
-        assert report.ok, report.describe()
+        stream = generate_stream(spec, seed)
+        if profile in IN_DOMAIN:
+            report = run_oracle(make, _remapped(stream, profile))
+            assert report.ok, report.describe()
+            continue
+        with pytest.raises(ValueError, match="^OpStream .* outside the "
+                                             "key domain"):
+            _remapped(stream, profile)
+        index = make()
+        counts, serial = list(index.meter._counts.items()), index._node_serial
+        move = KEY_PROFILES[profile]
+        with pytest.raises(ValueError, match=f"^{re.escape(name)}: "
+                                             "bulk_load refuses key"):
+            index.bulk_load([(move(k), payload(k)) for k in stream.bulk_keys])
+        assert len(index) == 0 and index._node_serial == serial
+        assert list(index.meter._counts.items()) == counts
+
+
+def test_a_saved_stream_outside_the_domain_is_refused_on_load(tmp_path):
+    """``OpStream.load`` builds through the same check, so ``repro fuzz
+    --replay`` refuses such a file before replaying anything."""
+    stream = generate_stream(_btree_spec(), seed=3, n_ops=20, n_bulk=8)
+    path = tmp_path / "outside.jsonl"
+    stream.save(str(path))
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].replace(f'"key": {stream.ops[-1].key}',
+                                  f'"key": {2**63}')
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"refuses key {2**63}"):
+        OpStream.load(str(path))

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.bench.serve import run_serve_session
+from repro.bench.serve import run_serve_session, session_streams
 from repro.core import server as server_module
 from repro.core.cost import CostMeter
 from repro.core.events import KIND_JOB, EventBus
@@ -40,6 +40,7 @@ from repro.core.server import (
     JournalEntry,
 )
 from repro.core.workloads import INSERT, LOOKUP, Operation, payload
+from repro.datasets import registry as datasets
 from repro.indexes.btree import BPlusTree
 from repro.indexes.multiplex import BACKFILL, VERIFY, MultiplexIndex
 from tests.server_harness import (
@@ -778,6 +779,57 @@ def test_a_crashing_op_is_counted_and_the_next_op_served():
         assert server.instance("t").rejected == {}
         assert [e.key for e in server.journal("t")] == [items[0][0], 14, 14]
         assert not server.replay_check("t")
+
+
+def test_keys_outside_the_domain_are_refused_counted_and_not_journaled():
+    """The server is a door of the key domain ``[0, 2**63)``: ``apply``,
+    ``lookup_many`` and ``insert_many`` each refuse a call holding a key
+    outside it before the index sees it — counted in ``dropped`` (not in
+    ``ops``, not in the instance's ``rejected``) and never journaled."""
+    items = _items(n=60)
+    with _manual_server() as server:
+        server.create_instance("t", "B+tree", items=items)
+        assert server.lookup("t", items[0][0]) == payload(items[0][0])
+        journal = server.journal("t")
+        index = server.instance("t").index
+        counts = list(index.meter._counts.items())
+        for call in (lambda: server.apply("t", Operation(LOOKUP, -1)),
+                     lambda: server.insert("t", 2**63, 1),
+                     lambda: server.lookup_many("t", [items[1][0], 2**64]),
+                     lambda: server.insert_many("t", [(5, 1), (-3, 2)])):
+            with pytest.raises(ValueError, match="^IndexServer.* outside "
+                                                 "the key domain"):
+                call()
+        stats = server.status("t")["server"]
+        assert stats["dropped"] == {LOOKUP: 2, INSERT: 2}
+        assert stats["ops"] == 1
+        assert server.journal("t") == journal
+        assert list(index.meter._counts.items()) == counts
+        assert server.instance("t").rejected == {}
+        assert server.lookup("t", 5) is None  # ``(5, 1)`` was not inserted
+        assert not server.replay_check("t")
+
+
+@pytest.mark.parametrize("dataset", datasets.names())
+def test_session_streams_over_every_dataset_stay_in_the_key_domain(dataset):
+    """Fresh client keys are carved above the bulk keys and under the
+    key domain's top, whatever the dataset's maximum (osm, fb, genome
+    and wise used to mint keys past 2**63, most of them past 2**64);
+    where the old slices fit, the streams are the old ones."""
+    keys = datasets.get(dataset).generate(2000, seed=0)
+    bulk, streams = session_streams("ALEX", n_clients=4, ops_per_client=200,
+                                    bulk_keys=keys)
+    op_keys = [op.key for ops in streams for op in ops]
+    assert 0 <= min(op_keys) and max(op_keys) < 2**63
+    key_space = max(1 << 40, max(keys) + 1)
+    fresh = [[op.key for op in ops if op.op == INSERT] for ops in streams]
+    assert min(fresh[0]) > max(keys)
+    for mine, theirs in zip(fresh, fresh[1:]):  # disjoint client slices
+        assert max(mine) < min(theirs)
+    if 5 * key_space + 7 * 200 < 2**63:  # the old slices fit: kept
+        for client, mine in enumerate(fresh):
+            assert {k - (client + 2) * key_space for k in mine} <= set(
+                range(7, 7 * 200 + 1, 7))
 
 
 def _in_thread(fn, timeout=10.0):

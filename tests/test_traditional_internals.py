@@ -88,15 +88,15 @@ def test_art_grows_through_all_tiers():
 
 def test_art_prefix_split_mid_path():
     idx = ART()
-    idx.bulk_load([(0xAABBCCDD00000000, 1), (0xAABBCCEE00000000, 2)])
+    idx.bulk_load([(0x2ABBCCDD00000000, 1), (0x2ABBCCEE00000000, 2)])
     # Diverge inside the shared prefix region.
-    assert idx.insert(0xAA00000000000000, 3)
-    assert idx.lookup(0xAABBCCDD00000000) == 1
-    assert idx.lookup(0xAABBCCEE00000000) == 2
-    assert idx.lookup(0xAA00000000000000) == 3
+    assert idx.insert(0x2A00000000000000, 3)
+    assert idx.lookup(0x2ABBCCDD00000000) == 1
+    assert idx.lookup(0x2ABBCCEE00000000) == 2
+    assert idx.lookup(0x2A00000000000000) == 3
     got = idx.range_scan(0, 5)
     assert [k for k, _ in got] == sorted(
-        [0xAABBCCDD00000000, 0xAABBCCEE00000000, 0xAA00000000000000]
+        [0x2ABBCCDD00000000, 0x2ABBCCEE00000000, 0x2A00000000000000]
     )
 
 
