@@ -15,7 +15,7 @@ from repro.bench import Outcome
 from repro.core.events import EventBus
 from repro.core.instance import AdmissionError
 from repro.core.migrate import resolve_index_name
-from repro.core.opstream import Mismatch
+from repro.core.opstream import STREAM_KEY_SPACE, Mismatch
 from repro.core.registry import REGISTRY
 from repro.core.server import JOB_FAILED, IndexServer, Job
 from repro.core.slo import ControlTower
@@ -34,21 +34,22 @@ def session_streams(
     n_bulk: int = 400,
     seed: int = 0,
     profile: str = "churn",
-    key_space: int = 1 << 40,
     bulk_keys: Optional[Sequence[int]] = None,
 ) -> Tuple[List[Tuple[int, Any]], List[List[Operation]]]:
     """Deterministic per-client op streams for a serve session.
 
     ``churn`` is a steady mix (zipf-ish hot lookups, fresh inserts,
     updates, scans, deletes where supported); ``burst`` front-loads an
-    insert burst then drains with reads/scans/deletes.  Fresh insert
-    keys come from per-client disjoint slices above ``key_space`` (or
-    the bulk maximum), narrowed to fit under the key domain's top, so
+    insert burst then drains with reads/scans/deletes.  Bulk keys come
+    from ``[1, STREAM_KEY_SPACE)`` unless given.  Fresh insert keys come
+    from per-client disjoint slices above that space (or the bulk
+    maximum), narrowed to fit under the key domain's top, so
     concurrent clients rarely contend on the same key — cross-client
     conflicts stay *legal* (the journal serializes them), just not the
     common case.  Identical arguments always produce identical streams.
     """
     spec = REGISTRY.get(resolve_index_name(index_name))
+    key_space = STREAM_KEY_SPACE
     if bulk_keys is None:
         rng = random.Random(f"serve-bulk-{spec.name}-{seed}-{n_bulk}")
         present = set()

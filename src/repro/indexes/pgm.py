@@ -8,6 +8,10 @@ paper's taxonomy, ε = 64 from Table 1).
 The *dynamic* PGM uses the LSM-style logarithmic method ("tree-merge"):
 sorted runs of geometrically growing capacity, each indexed by its own
 static PGM.  An insert merges full runs; deletes insert tombstones.
+Level ``l`` holds at most ``buffer_size · 2^l`` keys, and a bulk load
+puts its run at the first level that holds it, the levels below left
+empty, so a flush merges only the small runs under it.  (The tiered
+policy keeps the loaded run at position 0; it never re-trains it.)
 This is why the paper observes that
 
 * PGM's insert throughput is the best of all indexes on write-only
@@ -230,6 +234,8 @@ class PGMIndex(OrderedIndex):
         super().__init__(**kwargs)
         if epsilon < 1:
             raise ValueError("epsilon must be >= 1")
+        if buffer_size < 1:
+            raise ValueError("buffer_size must be >= 1")
         if merge_policy not in ("logarithmic", "tiered"):
             raise ValueError("merge_policy must be 'logarithmic' or 'tiered'")
         if tier_fanout < 2:
@@ -254,11 +260,20 @@ class PGMIndex(OrderedIndex):
 
     # -- build --------------------------------------------------------------
 
+    def _level_for(self, n: int) -> int:
+        """The first logarithmic level whose capacity,
+        ``buffer_size · 2^level``, holds ``n`` keys."""
+        return max(0, -(-n // self.buffer_size) - 1).bit_length()
+
     def _load(self, items: Sequence[Tuple[Key, Value]], ks: Any) -> None:
         self._buffer.clear()
-        self._runs = [_StaticPGM(batching.key_list(items),
-                                 [v for _, v in items],
-                                 self.epsilon, self.meter)] if items else []
+        self._runs = []
+        if items:
+            run = _StaticPGM(batching.key_list(items), [v for _, v in items],
+                             self.epsilon, self.meter)
+            level = (self._level_for(len(run))
+                     if self.merge_policy == "logarithmic" else 0)
+            self._runs = [None] * level + [run]
         self.meter.charge(ALLOC_NODE)
 
     # -- lookup ------------------------------------------------------------------
@@ -454,9 +469,8 @@ class PGMIndex(OrderedIndex):
             if level >= len(self._runs):
                 self._runs.append(None)
             run = self._runs[level]
-            capacity = self.buffer_size * (2 ** level)
             if run is None or len(run) == 0:
-                if len(keys) <= capacity:
+                if self._level_for(len(keys)) <= level:
                     self._runs[level] = _StaticPGM(keys, values, self.epsilon,
                                                    self.meter)
                     self.meter.charge(ALLOC_NODE)
@@ -600,15 +614,22 @@ class PGMIndex(OrderedIndex):
         """LSM/PLA invariants: every run's packed keys strictly sorted,
         each PLA level a contiguous partition of the level below with
         matching ``first_key`` anchors and a single top segment, every
-        segment's residual within its ε bound, and (in strict-duplicate
+        segment's residual within its ε bound, (logarithmic policy)
+        every run within its level's capacity, and (in strict-duplicate
         mode) live-key accounting across buffer-over-runs shadowing.
         ``node_id`` reports the run's position in ``_runs``.  Walks
         arrays directly; never charges the meter.
         """
         out: List[Violation] = []
+        logarithmic = self.merge_policy == "logarithmic"
         for ri, run in enumerate(self._runs):
             if run is None or len(run) == 0:
                 continue
+            if logarithmic and self._level_for(len(run)) > ri:
+                out.append(Violation(
+                    ri, "pgm.level-capacity",
+                    f"run holds {len(run)} keys, over level {ri}'s "
+                    f"capacity {self.buffer_size * 2 ** ri}"))
             out.extend(sorted_violations(
                 run.keys, ri, "pgm.run-sorted"))
             if not run.levels:

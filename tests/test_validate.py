@@ -290,6 +290,18 @@ class TestCorruptionDetection:
         run.keys[10], run.keys[11] = run.keys[11], run.keys[10]
         assert "pgm.run-sorted" in _rules(idx)
 
+    def test_pgm_level_capacity(self):
+        idx = PGMIndex()
+        idx.bulk_load(_items(300, seed=8))
+        assert idx.run_sizes() == [0, 300] and _rules(idx) == set()
+        idx._runs = idx._runs[1:]  # the loaded run back at level 0
+        out = idx.debug_validate()
+        assert [(v.node_id, v.rule) for v in out] == [
+            (0, "pgm.level-capacity")]
+        tiered = PGMIndex(merge_policy="tiered")
+        tiered.bulk_load(_items(300, seed=8))
+        assert tiered.run_sizes() == [300] and _rules(tiered) == set()
+
     def test_pgm_size_drift(self):
         idx = PGMIndex(check_duplicates=True)
         idx.bulk_load(_items(100, seed=9))
