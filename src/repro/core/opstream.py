@@ -296,10 +296,11 @@ def run_oracle(
     """Replay ``stream`` on ``factory()`` under full instrumentation.
 
     Structural invariants are re-validated after bulk load, after every
-    SMO, and at end of run; every op outcome is differenced against the
-    reference model.  An exception anywhere in the run is captured as a
-    crash failure rather than propagated — a fuzzer input that raises
-    is a finding, not a test-harness error.
+    SMO, and at end of run, and once more on the unobserved replay's
+    index (the one whose lookups took the batch path); every op outcome
+    is differenced against the reference model.  An exception anywhere
+    in the run is captured as a crash failure rather than propagated —
+    a fuzzer input that raises is a finding, not a test-harness error.
     """
     validator = ValidationObserver(limit=limit)
     differ = DifferentialObserver(limit=limit)
@@ -316,6 +317,9 @@ def run_oracle(
         # leave the same measurements behind.
         alone = IndexInstance.wrap(factory())
         unobserved = ExecutionEngine().run(alone, stream.to_workload())
+        # Only that run's lookups took the batch path, so only its index
+        # holds batch state (a cached layout): validate it at its end too.
+        validator.on_phase("done", alone.index, None)
         seen, unseen = run_profile(observed, watched), run_profile(unobserved, alone)
         report.divergence = [k for k in seen if seen[k] != unseen[k]]
     except Exception as exc:  # noqa: BLE001 — crashes are findings

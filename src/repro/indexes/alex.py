@@ -137,6 +137,64 @@ class _InnerNode:
         return self.model.predict_clamped(key, len(self.children))
 
 
+class _BatchLayout:
+    """A tree's routing for batch lookups: its inner nodes numbered
+    root first (``inner_models``, ``fans``), each one's pointer array
+    in one flat child table (``table[bases[j] + slot]``: an inner
+    node's number, or ``~i`` for ``leaves[i]``), and the leaves'
+    models and capacities (``leaf_models``, ``caps``).
+
+    Only an SMO changes a model, a pointer array or a capacity; the
+    leaves' key, value and bitmap columns are read live.
+    """
+
+    __slots__ = ("inner_models", "fans", "bases", "table",
+                 "leaves", "leaf_models", "caps")
+
+    def __init__(self, root: Any) -> None:
+        np = batching._np
+        inner: List[_InnerNode] = []
+        self.leaves: List[_DataNode] = []
+        number: Dict[int, int] = {}  # id(node) -> its code in ``table``
+        if isinstance(root, _InnerNode):
+            inner.append(root)
+        else:
+            self.leaves.append(root)
+        bases, table = [], []
+        for node in inner:  # grows as the walk numbers new inner nodes
+            bases.append(len(table))
+            for child in node.children:
+                code = number.get(id(child))
+                if code is None:
+                    if isinstance(child, _InnerNode):
+                        code = len(inner)
+                        inner.append(child)
+                    else:
+                        code = ~len(self.leaves)
+                        self.leaves.append(child)
+                    number[id(child)] = code
+                table.append(code)
+        self.inner_models = batching.model_arrays([n.model for n in inner])
+        self.fans = np.asarray([len(n.children) for n in inner],
+                               dtype=np.int64)
+        self.bases = np.asarray(bases, dtype=np.int64)
+        self.table = np.asarray(table, dtype=np.int64)
+        self.leaf_models = batching.model_arrays(
+            [leaf.model for leaf in self.leaves])
+        self.caps = np.asarray([len(leaf.keys) for leaf in self.leaves],
+                               dtype=np.int64)
+
+    def _arrays(self) -> list:
+        return [*self.inner_models, self.fans, self.bases, self.table,
+                *self.leaf_models, self.caps]
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, _BatchLayout)
+                and list(map(id, self.leaves)) == list(map(id, other.leaves))
+                and all(map(batching._np.array_equal, self._arrays(),
+                            other._arrays())))
+
+
 class ALEX(OrderedIndex):
     """ALEX with the paper's Table-1 configuration (scaled).
 
@@ -520,15 +578,17 @@ class ALEX(OrderedIndex):
         return value
 
     def _lookup_batch(self, keys: Sequence[Key]):
-        """Batch lookup on the live lists, no state kept between calls.
-        The keys still at an inner node step down together, a level at
-        a time: one model evaluation per key on its node's model, read
-        from the arrays of the level's distinct nodes.  Each key then
-        takes its rank in its leaf by C ``bisect`` (the gapped array
-        stays sorted by its gap copies), and one replay of the
-        exponential search over every key's ``(leaf model, capacity,
-        rank)`` counts the probes (``keys[x] >= key`` is ``x >=
-        rank``).  Bails under duplicate modes.
+        """Batch lookup over the cached :class:`_BatchLayout`.  The keys
+        still at an inner node step down together, a level at a time:
+        one model evaluation per key on its node's model, one gather
+        from the flat child table.  Each key then takes its rank in its
+        leaf's live list by C ``bisect`` (the gapped array stays sorted
+        by its gap copies), and one replay of the exponential search
+        over every key's ``(leaf model, capacity, rank)`` counts the
+        probes (``keys[x] >= key`` is ``x >= rank``).  The layout is
+        built by the first batch after a load or an SMO (expansions and
+        splits drop it through ``_invalidate_batch_cache``).  Bails
+        under duplicate modes.
         """
         if self.duplicate_mode is not None:
             return None
@@ -536,62 +596,43 @@ class ALEX(OrderedIndex):
         if ks is None:
             return None
         np = batching._np
+        layout = self._batch_cache
+        if layout is None:
+            layout = self._batch_cache = _BatchLayout(self._root)
         B = len(ks)
-        # One level per pass: ``down`` holds the keys still descending,
-        # ``reached`` the nodes they are at (one per distinct parent
-        # slot, so a node two slots lead to is there twice), ``pair_of``
-        # each key's row there.  A key at a leaf gets a row in
-        # ``leaves``, which repeats such a leaf likewise.
-        reached, down = [self._root], np.arange(B)
-        pair_of = np.zeros(B, dtype=np.int64)
-        leaves: List[_DataNode] = []
-        leaf_of = np.zeros(B, dtype=np.int64)
+        slopes, intercepts, anchors = layout.inner_models
+        fans, bases, table = layout.fans, layout.bases, layout.table
         depth = np.zeros(B, dtype=np.int64)
-        while True:
-            inner = np.fromiter(map(isinstance, reached, repeat(_InnerNode)),
-                                dtype=bool, count=len(reached))
-            leaf = ~inner
-            done = leaf[pair_of]
-            leaf_of[down[done]] = (len(leaves)
-                                   + (np.cumsum(leaf) - 1)[pair_of[done]])
-            leaves += compress(reached, leaf)
-            stays = ~done
-            down = down[stays]
-            if not down.size:
-                break
-            level = list(compress(reached, inner))
-            which = (np.cumsum(inner) - 1)[pair_of[stays]]
-            models = batching.model_arrays([node.model for node in level])
-            fans = np.asarray([len(node.children) for node in level])
-            slots = batching.clamp_slots(
-                batching.predict_vec(*(m[which] for m in models), ks[down]),
-                fans[which])
+        leaf_of = np.zeros(B, dtype=np.int64)
+        # ``down`` holds the keys still at an inner node, ``at`` that
+        # node's number, ``kd`` their keys.
+        down = np.arange(B) if len(fans) else np.arange(0)
+        at = np.zeros(len(down), dtype=np.int64)
+        kd = ks
+        while down.size:
+            slots = batching.clamp_slots(batching.predict_vec(
+                slopes[at], intercepts[at], anchors[at], kd), fans[at])
+            child = table[bases[at] + slots]
             depth[down] += 1
-            # Each distinct (node, slot) pair's child, looked up once.
-            width = int(fans.max())
-            pairs, pair_of = np.unique(which * width + slots,
-                                       return_inverse=True)
-            reached = [level[p // width].children[p % width]
-                       for p in pairs.tolist()]
-        at = list(map(leaves.__getitem__, leaf_of.tolist()))  # each key's leaf
+            leaf = child < 0
+            leaf_of[down[leaf]] = ~child[leaf]
+            stays = ~leaf
+            down, at, kd = down[stays], child[stays], kd[stays]
+        nodes = list(map(layout.leaves.__getitem__, leaf_of.tolist()))
         kl = ks.tolist()
-        rank = list(map(bisect_left, [node.keys for node in at], kl))
-        values: List[Optional[Value]] = [None] * B
-        found = [False] * B
-        for i, node, pos, key in zip(range(B), at, rank, kl):
-            # ``_occupied_at``: past the gap copies of ``key``, if any.
-            node_keys = node.keys
-            cap = len(node_keys)
-            while pos < cap and node_keys[pos] == key:
-                if node.present[pos]:
-                    found[i] = True
-                    values[i] = node.values[pos]
-                    break
-                pos += 1
-        models = batching.model_arrays([leaf.model for leaf in leaves])
-        caps = np.asarray([len(leaf.keys) for leaf in leaves])[leaf_of]
+        rank = list(map(bisect_left, [node.keys for node in nodes], kl))
+        # ``_occupied_at``: the gaps from the rank on copy the first
+        # occupied slot after them, which holds ``key`` iff it is there.
+        occ = list(map(bytearray.find, [node.present for node in nodes],
+                       repeat(1), rank))
+        found = [o >= 0 and node.keys[o] == key
+                 for node, o, key in zip(nodes, occ, kl)]
+        values: List[Optional[Value]] = [
+            node.values[o] if hit else None
+            for node, o, hit in zip(nodes, occ, found)]
+        caps = layout.caps[leaf_of]
         hint = batching.clamp_slots(batching.predict_vec(
-            *(m[leaf_of] for m in models), ks), caps)
+            *(m[leaf_of] for m in layout.leaf_models), ks), caps)
         probes, lo = batching.simulate_exponential(
             hint, np.asarray(rank, dtype=np.int64), caps)
         cp = batching.local_search_lines(lo - hint)
@@ -751,6 +792,7 @@ class ALEX(OrderedIndex):
 
     def _smo(self, node: _DataNode, parents: List[Tuple[_InnerNode, int]]) -> int:
         """Expand or split an over-dense node; returns nodes created."""
+        self._invalidate_batch_cache()
         self.smo_count += 1
         inserts = max(node.inserts_since_build, 1)
         avg_shift = node.shifts_since_build / inserts
@@ -764,6 +806,7 @@ class ALEX(OrderedIndex):
         return 0
 
     def _expand(self, node: _DataNode) -> None:
+        self._invalidate_batch_cache()
         items = node.occupied_items()
         n = len(items)
         cap = max(8, int(math.ceil(n / self.avg_density)))
@@ -1078,9 +1121,9 @@ class ALEX(OrderedIndex):
         """Gapped-array invariants: sorted slots, gap copies of the
         nearest occupied right neighbour, present-bitmap accounting,
         the post-SMO density ceiling, the doubly linked leaf chain,
-        and model routing (every stored key must descend back to the
-        leaf that holds it).  Walks nodes directly; never charges the
-        meter.
+        model routing (every stored key must descend back to the leaf
+        that holds it), and a cached batch layout, if any, against a
+        fresh build.  Walks nodes directly; never charges the meter.
         """
         out: List[Violation] = []
         ordered: List[_DataNode] = []
@@ -1175,6 +1218,12 @@ class ALEX(OrderedIndex):
                 0, "alex.size",
                 f"leaves hold {total} entries but len(index) == "
                 f"{self._size}"))
+        if (self._batch_cache is not None
+                and self._batch_cache != _BatchLayout(self._root)):
+            out.append(Violation(
+                self._root.node_id, "alex.batch-layout",
+                "the cached batch layout differs from a fresh build: a "
+                "structural change did not drop it"))
         return out
 
 

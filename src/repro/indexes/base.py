@@ -113,7 +113,7 @@ class OrderedIndex(ABC):
     supports_range: ClassVar[bool] = True
     supports_duplicates: ClassVar[bool] = False
     #: Fewest items a load hands ``_load`` as an int64 key column;
-    #: ``None``: the class builds from the item list alone.
+    #: ``None``: the class takes the item list alone.
     _array_build_min: ClassVar[Optional[int]] = None
     #: Wrappers composing other indexes (e.g. the migration
     #: multiplexer) — real implementations of the contract, but not
@@ -125,8 +125,10 @@ class OrderedIndex(ABC):
         self.last_op = OpRecord()
         self._size = 0
         self._node_serial = 0
-        #: Vectorized-lookup state (tables, or a wrapper's delegation
-        #: binding); dropped through :meth:`_invalidate_batch_cache`.
+        #: Vectorized-lookup state: flattened tables (RMI, the segmented
+        #: family; any write drops them), a tree's inner layout (B+tree,
+        #: ALEX; an SMO drops it) or a wrapper's delegation binding;
+        #: dropped through :meth:`_invalidate_batch_cache`.
         self._batch_cache: Optional[Any] = None
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
@@ -152,8 +154,10 @@ class OrderedIndex(ABC):
 
         The one door every build comes through, in four steps:
 
-        1. read the keys, as an int64 column when the class builds from
-           arrays and there are at least ``_array_build_min`` items;
+        1. read the keys, as an int64 column when the class takes one
+           (ALEX and LIPP build from it, PGM hands it to the loaded
+           run's batch path) and there are at least
+           ``_array_build_min`` items;
         2. refuse a key outside the key domain, a descent and, unless
            ``supports_duplicates``, equal neighbours: a ``ValueError``
            that starts with the index's name — refused means before any

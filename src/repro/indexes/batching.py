@@ -10,10 +10,11 @@ observable).  Three ideas make that tractable:
 * **Search replay by rank.**  Every windowed binary search in the
   scalar paths compares ``keys[mid] < key`` (or ``first_key <= key``),
   which is equivalent to ``mid < r`` where ``r`` is the key's rank —
-  from ``np.searchsorted`` over an immutable run's or segment table's
-  cached array, or from C ``bisect`` on the live list of a node that
-  writes change in place (B+tree, ALEX; LIPP reads one slot), which
-  therefore keep no copy to go stale.  So the probe counts of a whole
+  from ``np.searchsorted`` over a cached array (an immutable run, a
+  segment table, a B+tree level's separators, which only an SMO
+  changes), or from C ``bisect`` on the live list of a leaf that
+  writes change in place (B+tree, ALEX; LIPP reads one slot), of
+  which no copy can go stale.  So the probe counts of a whole
   batch can be read off the scalar path's own ``binary_steps`` table by
   (window width, rank) — no key arrays touched — and come out *exactly*
   equal to what the scalar loop would count.

@@ -13,6 +13,7 @@ the deletion workloads of Figure 7.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import (
@@ -74,6 +75,43 @@ class _Leaf(_Node):
         super().__init__(node_id)
         self.values: List[Value] = []
         self.next: Optional["_Leaf"] = None
+
+
+class _BatchLayout:
+    """A tree's levels for batch lookups, root first: ``levels[d]`` its
+    nodes in key order (the last, the leaves), and per inner level the
+    separators of all its nodes in one int64 array, ``seps[d]``, with
+    each node's start there, ``starts[d]`` (one more entry than nodes).
+
+    Sibling subtrees partition the keys, so a level's separators ascend
+    across its nodes: a key's rank in ``seps[d]`` less its node's start
+    is its rank in the node, and node ``j``'s children start at
+    ``starts[d][j] + j`` in the next level.  Only an SMO changes an
+    inner node; the leaves' lists are read live.
+    """
+
+    __slots__ = ("levels", "seps", "starts")
+
+    def __init__(self, root: _Node) -> None:
+        np = batching._np
+        level: List[Any] = [root]
+        self.levels, self.seps, self.starts = [level], [], []
+        while isinstance(level[0], _Inner):
+            starts = np.zeros(len(level) + 1, dtype=np.int64)
+            np.cumsum([len(nd.keys) for nd in level], out=starts[1:])
+            self.starts.append(starts)
+            self.seps.append(batching.int64_cache(
+                list(chain.from_iterable(nd.keys for nd in level))))
+            level = list(chain.from_iterable(nd.children for nd in level))
+            self.levels.append(level)
+
+    def __eq__(self, other: object) -> bool:
+        np = batching._np
+        return (isinstance(other, _BatchLayout)
+                and [list(map(id, lv)) for lv in self.levels]
+                == [list(map(id, lv)) for lv in other.levels]
+                and all(map(np.array_equal, self.seps, other.seps))
+                and all(map(np.array_equal, self.starts, other.starts)))
 
 
 class BPlusTree(OrderedIndex):
@@ -208,45 +246,60 @@ class BPlusTree(OrderedIndex):
         return leaf.values[idx] if found else None
 
     def _lookup_batch(self, keys: Sequence[Key]):
-        """Batched lookup: the whole batch walks the tree one level at
-        a time, each key ranked in its node with C ``bisect``.
+        """Batched lookup: the whole batch walks the inner levels of
+        the cached :class:`_BatchLayout` one level at a time, then takes
+        its rank in its live leaf with C ``bisect``.
 
         ``binary_search_lower`` compares ``keys[mid] < key``, which is
         ``mid < r`` for the key's rank ``r = bisect_left(node.keys,
-        key)``, so one ``simulate_binary(0, len(node.keys), r)`` over
-        every (level, key) pair replays the scalar probe counts exactly.
-        Nothing is cached between calls — the walk reads the live nodes
-        — so inserts and SMOs between batches cost the batch path
-        nothing, and concurrent readers share no state.
+        key)`` — at an inner level the rank in the level's separators
+        less its node's start — so one ``simulate_binary(0,
+        len(node.keys), r)`` over every (level, key) pair replays the
+        scalar probe counts exactly.  The layout is built by the first
+        batch after a load or an SMO (splits, borrows and merges drop
+        it through ``_invalidate_batch_cache``); a plain insert, update
+        or delete changes a leaf's lists only, which the batch reads
+        live.
         """
-        np = batching._np
-        B = len(keys)
-        if B < batching.MIN_BATCH:
+        ks = batching.key_array(keys)
+        if ks is None:
             return None
-        height = self._height
-        nodes: List[Any] = [self._root] * B
-        levels: List[List[Any]] = []  # the batch's node per level, root first
-        sizes: List[int] = []
-        ranks: List[int] = []
-        for depth in range(height):
-            levels.append(nodes)
-            slots = [nd.keys for nd in nodes]
-            rs = list(map(bisect_left, slots, keys))
-            sizes += map(len, slots)
-            ranks += rs
-            if depth < height - 1:
-                # Equal keys go right, as in ``_descend``.
-                nodes = [
-                    nd.children[r + 1 if r < len(sl) and sl[r] == k else r]
-                    for nd, sl, r, k in zip(nodes, slots, rs, keys)]
+        np = batching._np
+        layout = self._batch_cache
+        if layout is None:
+            layout = self._batch_cache = _BatchLayout(self._root)
+        B = len(ks)
+        height = len(layout.levels)
+        # Ascending needles search faster; their ranks land back in
+        # batch order through ``order``.
+        order = np.argsort(ks)
+        ascending = ks[order]
+        rank = np.empty(B, dtype=np.int64)
+        node = np.zeros(B, dtype=np.int64)  # each key's node in its level
+        positions = [node]
+        sizes, ranks = [], []
+        for seps, starts in zip(layout.seps, layout.starts):
+            rank[order] = np.searchsorted(seps, ascending, side="left")
+            first = starts[node]
+            sizes.append(starts[node + 1] - first)
+            ranks.append(rank - first)
+            # Equal keys go right, as in ``_descend``: the child is the
+            # key's rank past an equal separator, and node ``j``'s
+            # children start at its separators' start plus ``j``.
+            node = rank + (seps.take(rank, mode="clip") == ks) + node
+            positions.append(node)
+        at = list(map(layout.levels[-1].__getitem__, node.tolist()))
+        slots = [leaf.keys for leaf in at]
+        rs = list(map(bisect_left, slots, keys))
         found = [r < len(sl) and sl[r] == k
                  for sl, r, k in zip(slots, rs, keys)]
         values = [leaf.values[r] if f else None
-                  for leaf, r, f in zip(nodes, rs, found)]
-        hi = np.asarray(sizes, dtype=np.int64)
+                  for leaf, r, f in zip(at, rs, found)]
+        sizes.append(np.fromiter(map(len, slots), dtype=np.int64, count=B))
+        ranks.append(np.asarray(rs, dtype=np.int64))
         probes = batching.simulate_binary(
-            np.zeros(len(hi), dtype=np.int64), hi,
-            np.asarray(ranks, dtype=np.int64)).reshape(height, B)
+            np.zeros(height * B, dtype=np.int64), np.concatenate(sizes),
+            np.concatenate(ranks)).reshape(height, B)
         lines = batching.cache_probe_units(probes)
         log = batching.ChargeLog(B)
         log.add(PHASE_TRAVERSE, NODE_HOP, height)
@@ -261,7 +314,8 @@ class BPlusTree(OrderedIndex):
         def make_record(i: int) -> OpRecord:
             return OpRecord(
                 op="lookup", key=keys[i], found=found[i],
-                path=[level[i].node_id for level in levels],
+                path=[level[p[i]].node_id
+                      for level, p in zip(layout.levels, positions)],
                 nodes_traversed=height)
 
         return batching.BatchLookup(values, log, make_record)
@@ -300,6 +354,7 @@ class BPlusTree(OrderedIndex):
 
     def _split(self, node: _Node, path: List[_Inner]) -> int:
         """Split an over-full node, propagating upward.  Returns #allocs."""
+        self._invalidate_batch_cache()
         created = 0
         while True:
             mid = len(node.keys) // 2
@@ -402,6 +457,7 @@ class BPlusTree(OrderedIndex):
         return True, len(inner.children) < max(2, self._min_fill)
 
     def _rebalance(self, parent: _Inner, idx: int) -> None:
+        self._invalidate_batch_cache()
         left = parent.children[idx - 1] if idx > 0 else None
         right = parent.children[idx + 1] if idx + 1 < len(parent.children) else None
 
@@ -512,8 +568,9 @@ class BPlusTree(OrderedIndex):
 
     def debug_validate(self) -> List[Violation]:
         """Structural walk: key order, fill bounds, separator ranges,
-        balance, the leaf side-link chain, size accounting, and the
-        running memory totals against a full walk.
+        balance, the leaf side-link chain, size accounting, the
+        running memory totals against a full walk, and a cached batch
+        layout, if any, against a fresh build.
 
         Separator semantics match ``_descend`` (equal keys go right):
         every key in ``children[i]`` is ``< keys[i]`` and every key in
@@ -597,4 +654,10 @@ class BPlusTree(OrderedIndex):
                 f"running totals say inner={counted.inner} "
                 f"leaf={counted.leaf} bytes but a walk finds "
                 f"inner={walked.inner} leaf={walked.leaf}"))
+        if (self._batch_cache is not None
+                and self._batch_cache != _BatchLayout(self._root)):
+            out.append(Violation(
+                self._root.node_id, "btree.batch-layout",
+                "the cached batch layout differs from a fresh build: a "
+                "structural change did not drop it"))
         return out

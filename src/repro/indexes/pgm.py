@@ -122,7 +122,7 @@ class _StaticPGM:
     """One immutable run: packed arrays + recursive PLA levels."""
 
     __slots__ = ("keys", "values", "levels", "first_keys", "epsilon",
-                 "np_cache")
+                 "np_keys", "np_cache")
 
     def __init__(
         self,
@@ -130,10 +130,13 @@ class _StaticPGM:
         values: List[Value],
         epsilon: int,
         meter,
+        ks: Any = None,
     ) -> None:
         self.epsilon = epsilon
-        #: Lazily-built numpy arrays for the batch fast path.  Runs are
-        #: immutable, so the cache never needs invalidation.
+        #: The batch fast path's int64 key column (``ks``, when the
+        #: caller has it, else built by the first batch) and PLA arrays.
+        #: Runs are immutable, so neither is ever invalidated.
+        self.np_keys = ks
         self.np_cache = None
         self.keys = keys  # the run owns both columns
         self.values = values
@@ -205,13 +208,15 @@ class _StaticPGM:
         """Numpy mirrors of the packed keys and the PLA hierarchy: per
         level, its models' arrays and (above the leaves) the first keys
         of the level below."""
+        if self.np_keys is None:
+            self.np_keys = batching.int64_cache(self.keys)
         if self.np_cache is None:
-            self.np_cache = (batching.int64_cache(self.keys), [
+            self.np_cache = [
                 (batching.model_arrays([s.model for s in level]),
                  batching.int64_cache(self.first_keys[depth - 1])
                  if depth else None)
-                for depth, level in enumerate(self.levels)])
-        return self.np_cache
+                for depth, level in enumerate(self.levels)]
+        return self.np_keys, self.np_cache
 
 
 class PGMIndex(OrderedIndex):
@@ -221,6 +226,9 @@ class PGMIndex(OrderedIndex):
     is_learned = True
     supports_delete = True
     supports_range = True
+    #: Every load hands its run the door's int64 key column, so the
+    #: first batch lookup does not build it.
+    _array_build_min = 1
 
     def __init__(
         self,
@@ -270,7 +278,7 @@ class PGMIndex(OrderedIndex):
         self._runs = []
         if items:
             run = _StaticPGM(batching.key_list(items), [v for _, v in items],
-                             self.epsilon, self.meter)
+                             self.epsilon, self.meter, ks)
             level = (self._level_for(len(run))
                      if self.merge_policy == "logarithmic" else 0)
             self._runs = [None] * level + [run]

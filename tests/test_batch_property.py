@@ -1,4 +1,4 @@
-"""Exact batch contract for B+tree and PGM, against a scalar twin.
+"""Exact batch contract for B+tree, ALEX and PGM, against a scalar twin.
 
 Two identically built indexes take the same interleaved stream: one
 through ``lookup_many`` / ``insert_many``, its twin through loops of the
@@ -8,7 +8,10 @@ order — must be equal, and so must every per-op ``OpRecord`` a lookup
 batch body makes (B+tree ``path`` node ids included).  Deletes and
 scans run scalar on both sides, so the batch paths are checked right
 after every kind of structure change: B+tree leaf splits, root splits,
-borrows and merges, and PGM flushes under both merge policies.
+borrows and merges, ALEX expansions and splits, and PGM flushes under
+both merge policies.  B+tree and ALEX batches walk a cached inner
+layout that only an SMO drops; after every lookup step it must equal a
+fresh build (their ``batch-layout`` rules).
 """
 
 import random
@@ -19,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.indexes import batching
+from repro.indexes.alex import ALEX
 from repro.indexes.btree import BPlusTree
 from repro.indexes.pgm import PGMIndex
 
@@ -50,6 +54,26 @@ class SpyBTree(BPlusTree):
     def _merge(self, parent, left_idx):
         self.smos["merge"] += 1
         super()._merge(parent, left_idx)
+
+
+class SpyALEX(ALEX):
+    """An ALEX that counts its structure changes (behaviour unchanged)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.smos = Counter()
+
+    def _expand(self, node):
+        self.smos["expand"] += 1
+        super()._expand(node)
+
+    def _split_sideways(self, node, parents):
+        self.smos["split"] += 1
+        return super()._split_sideways(node, parents)
+
+
+#: Leaves of at most 64 keys: a few hundred inserts cross many SMOs.
+ALEX_CONFIG = dict(target_leaf_keys=32, max_data_keys=64)
 
 
 def _scalar(index, call, args):
@@ -114,6 +138,9 @@ def _drive(make, seed, steps):
             if made is not None:
                 assert [made.make_record(i) for i in range(size)] == records, \
                     f"lookup records {label}"
+            if batch._batch_cache is not None:
+                assert not [v for v in batch.debug_validate()
+                            if v.rule.endswith(".batch-layout")], label
         else:
             for _ in range(size % 7):
                 start = rng.randrange(KEY_SPACE)
@@ -140,6 +167,12 @@ def test_btree_batches_match_the_scalar_twin(seed, fanout):
     _drive(lambda: SpyBTree(fanout=fanout), seed, steps=40)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_alex_batches_match_the_scalar_twin(seed):
+    _drive(lambda: SpyALEX(**ALEX_CONFIG), seed, steps=40)
+
+
 @pytest.mark.parametrize("config", sorted(PGM_CONFIGS))
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -155,6 +188,14 @@ def test_btree_stream_crosses_every_structure_change():
     the driver that stops exercising one of them fails here)."""
     tree = _drive(lambda: SpyBTree(fanout=4), seed=11, steps=120)
     for kind in ("leaf_split", "root_split", "borrow", "merge"):
+        assert tree.smos[kind] > 0, (kind, tree.smos)
+
+
+def test_alex_stream_crosses_every_structure_change():
+    """The driver puts ALEX expansions and splits between batch calls
+    (pinned on one seed, like the B+tree's)."""
+    tree = _drive(lambda: SpyALEX(**ALEX_CONFIG), seed=11, steps=120)
+    for kind in ("expand", "split"):
         assert tree.smos[kind] > 0, (kind, tree.smos)
 
 

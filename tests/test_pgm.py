@@ -174,6 +174,28 @@ def test_tiered_keeps_the_loaded_run_at_position_zero():
     assert idx.debug_validate() == []
 
 
+@pytest.mark.parametrize("policy", ["logarithmic", "tiered"])
+def test_loaded_run_keeps_the_doors_key_column(policy):
+    """A load hands its run the int64 column ``bulk_load``'s door made,
+    so the first batch finds it; a run a flush makes builds its own on
+    its first batch."""
+    idx = PGMIndex(merge_policy=policy)
+    items = _uniform_items(5_000, seed=8)
+    idx.bulk_load(items)
+    (run,) = [r for r in idx._runs if r is not None]
+    column = run.np_keys
+    assert column is not None and column.tolist() == [k for k, _ in items]
+    keys = [k for k, _ in items[::97]]
+    assert idx.lookup_many(keys) == [v for _, v in items[::97]]
+    assert run.np_keys is column
+    for key in range(1, 2 * idx.buffer_size, 2):
+        idx.insert(key, -key)
+    flushed = idx._runs[0]
+    assert flushed is not run and flushed.np_keys is None
+    assert idx.lookup_many(keys) == [v for _, v in items[::97]]
+    assert flushed.np_keys.tolist() == flushed.keys
+
+
 _DEAD = object()  # the model's tombstone
 
 

@@ -236,6 +236,52 @@ class TestCorruptionDetection:
         node.num_keys += 1
         assert "alex.present-count" in _rules(idx)
 
+    def test_btree_stale_batch_layout_after_a_split(self):
+        idx = BPlusTree(fanout=8)
+        items = _items(200, seed=8)
+        idx.bulk_load(items)
+        idx.lookup_many([k for k, _ in items[::4]])
+        stale = idx._batch_cache
+        assert stale is not None and not _rules(idx)
+        for k, _ in items:
+            idx.insert(k + 1, 0)
+            if idx.last_op.smo:
+                break
+        assert idx.last_op.smo and idx._batch_cache is None
+        idx._batch_cache = stale  # the split's drop undone
+        assert _rules(idx) == {"btree.batch-layout"}
+
+    def test_btree_separator_edit_behind_the_batch_layout(self):
+        from repro.indexes.btree import _Inner
+
+        idx = BPlusTree(fanout=8)
+        items = _items(200, seed=9)
+        idx.bulk_load(items)
+        idx.lookup_many([k for k, _ in items[::4]])
+        assert idx._batch_cache is not None and not _rules(idx)
+        node = idx._root
+        while isinstance(node.children[0], _Inner):
+            node = node.children[0]
+        left, right = node.children[:2]
+        assert left.keys[-1] + 1 < right.keys[0]
+        node.keys[0] = left.keys[-1] + 1  # still separates the two leaves
+        assert _rules(idx) == {"btree.batch-layout"}
+
+    def test_alex_stale_batch_layout_after_an_smo(self):
+        idx = ALEX(target_leaf_keys=64, max_data_keys=512)
+        items = _items(400, seed=10)
+        idx.bulk_load(items)
+        idx.lookup_many([k for k, _ in items[::4]])
+        stale = idx._batch_cache
+        assert stale is not None and not _rules(idx)
+        for k, _ in items:
+            idx.insert(k + 1, 0)
+            if idx.last_op.smo:
+                break
+        assert idx.last_op.smo and idx._batch_cache is None
+        idx._batch_cache = stale  # the SMO's drop undone
+        assert _rules(idx) == {"alex.batch-layout"}
+
     def test_lipp_subtree_size_drift(self):
         idx = LIPP()
         idx.bulk_load(_items(300, seed=6))

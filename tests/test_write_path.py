@@ -23,7 +23,13 @@ from hypothesis import strategies as st
 from repro.core import runner
 from repro.core.cost import PHASE_COLLISION, CostMeter
 from repro.core.instance import IndexInstance
-from repro.core.opstream import OpStream, generate_stream, run_oracle, run_profile
+from repro.core.opstream import (
+    OpStream,
+    generate_stream,
+    run_oracle,
+    run_profile,
+    stress_factory,
+)
 from repro.core.registry import REGISTRY
 from repro.core.runner import ExecutionEngine, ExecutionObserver
 from repro.core.telemetry import EVENT_INSTANT, TraceRecorder
@@ -694,3 +700,26 @@ def test_run_oracle_flags_a_default_loop_that_diverges():
     assert report.failure_kind == "divergence"
     assert {"meter", "result"} <= set(report.divergence)
     assert "unobserved run differs" in report.describe()
+
+
+@pytest.mark.parametrize("name", ["B+tree", "ALEX"])
+def test_run_oracle_validates_the_batch_path_index(name, monkeypatch):
+    """A cached batch layout lives only on the unobserved replay's index
+    (the observed run never batches), so the oracle validates that index
+    too: an index that never drops its layout at an SMO is flagged by its
+    ``batch-layout`` rule.  Each lookup run is long enough for the
+    engine to batch (a first block at least half full)."""
+    make = stress_factory(name)
+    keys = list(range(0, 6000, 20))
+    rng = random.Random(3)
+    lookups = [Operation(LOOKUP, rng.choice(keys))
+               for _ in range(runner.LOOKUP_STREAK + runner.LOOKUP_BLOCK)]
+    inserts = [Operation(INSERT, k, k) for k in range(1, 6000, 20)]
+    stream = OpStream(index_name=name, seed=0, bulk_keys=keys,
+                      ops=[*lookups, *inserts, *lookups])
+    assert run_oracle(make, stream).ok
+    cls = type(make())
+    monkeypatch.setattr(cls, "_invalidate_batch_cache", lambda self: None)
+    report = run_oracle(make, stream)
+    rule = f"{'btree' if name == 'B+tree' else 'alex'}.batch-layout"
+    assert rule in {tv.violation.rule for tv in report.violations}
