@@ -29,11 +29,11 @@ runners) attach without touching the loop::
 from __future__ import annotations
 
 import time
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
+                    List, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -232,8 +232,8 @@ class OpEvent:
     result: object = None
     #: The index meter's ``total_time()`` right after the operation,
     #: where the engine has it: on the ops it sampled, and on every
-    #: ``on_smo`` event of a run with block observers attached (the
-    #: op's block clock); else ``None``.
+    #: ``on_smo`` event of a run with block observers attached (read
+    #: for the SMO, the clock the op's block carries); else ``None``.
     t_ns: Optional[float] = None
 
 
@@ -262,14 +262,15 @@ class ExecutionObserver:
 
     def on_block(self, block: "OpBlock") -> None:
         """Called with each :class:`OpBlock` of consecutive operations,
-        in order, every op of the run in exactly one: each op's row
-        ``(op, ok, scanned, record)``, clock and charges, recorded once
-        by the engine."""
+        in order, every op of the run in exactly one: the ops, their
+        outcomes, clocks and charges as columns, recorded once by the
+        engine."""
 
     def on_smo(self, event: OpEvent) -> None:
-        """Called after an insert/delete whose op record flagged a
-        structural modification — after the ``on_block`` that ends
-        with it."""
+        """Called right after an insert/delete whose op record flagged a
+        structural modification.  The :class:`OpBlock` holding the op
+        comes later (it lists the op in ``smos``) — before it only if
+        the op ends the block."""
 
     def on_window(self, window: "OpWindow") -> None:
         """Called with every ``window_ops`` operations of the run added
@@ -280,70 +281,95 @@ class ExecutionObserver:
 
 class OpBlock:
     """Consecutive operations of one observed run, as the engine
-    recorded them, with every op's clock and charges.
+    recorded them: columns, and what one numpy pass over the block's
+    counter values made of them.  No column holds an object the garbage
+    collector tracks per op.
 
-    ``rows[i]`` is op ``seq + i`` as ``(op, ok, scanned, record)``,
-    ``record`` as ``OpEvent.record``.  ``clocks[i]`` is the meter's
-    ``total_time()`` right after that op, ``start_ns`` the reading
-    before the first.  The engine ends a block at a window close of its
-    fold, at an op that ran an SMO, after ``RECORD_BLOCK`` ops,
-    and at the end of the stream — also when the run raises: the ops
-    recorded before the raise go out as a last block.
+    Op ``seq + i`` is ``ops[i]`` (the stream's own object) with outcome
+    ``ok[i]`` and kind ``kinds[i]``; ``scanned`` maps the offset ``i`` of
+    a scan that returned rows to their count, ``keys_shifted`` /
+    ``nodes_created`` map the offset of an op whose record shows any
+    (or an SMO) to the record's value, and ``smos`` lists the offsets of
+    the ops ``on_smo`` was called for, in order.  ``clocks[i]`` is the
+    meter's ``total_time()`` right after that op, ``start_ns`` the
+    reading before the first.  ``kind_counts`` counts the ops per kind (kinds in
+    order of first appearance), ``ok_count`` the true outcomes, and
+    ``cell_sums`` the units the ops charged per ``(op kind, phase, cost
+    kind)`` cell they touched (exact sums: units are integers,
+    ``docs/cost_model.md``).  The engine ends a block at a window close
+    of its fold, after ``RECORD_BLOCK`` ops, and at the end of the
+    stream — also when the run raises: the ops recorded before the
+    raise go out as a last block.
     """
 
-    __slots__ = ("seq", "start_ns", "rows", "clocks", "kinds", "_keys",
-                 "_tables")
+    __slots__ = ("seq", "start_ns", "ops", "ok", "scanned", "keys_shifted",
+                 "nodes_created", "smos", "clocks", "kinds", "kind_counts",
+                 "ok_count", "cell_sums", "_ids", "_keys", "_units")
 
-    def __init__(self, seq: int, start_ns: float, rows: List[tuple],
-                 clocks: List[float], keys: Optional[List[tuple]],
-                 tables: Any) -> None:
+    def __init__(self, seq: int, start_ns: float, ops: List[Operation],
+                 ok: List[bool], scanned: Dict[int, int],
+                 keys_shifted: Dict[int, int], nodes_created: Dict[int, int],
+                 smos: List[int], clocks: List[float],
+                 keys: Optional[List[tuple]], units: Any) -> None:
         self.seq = seq
         self.start_ns = start_ns
-        self.rows = rows
+        self.ops = ops
+        self.ok = ok
+        self.scanned = scanned
+        self.keys_shifted = keys_shifted
+        self.nodes_created = nodes_created
+        self.smos = smos
         self.clocks = clocks
-        #: Each op's kind, ``rows[i][0].op``.
-        self.kinds = [row[0].op for row in rows]
-        #: The meter's counter keys in table order and an ``(n + 1) x
-        #: len(keys)`` array of their values, the table before the
-        #: block's first op on top; or, on a meter whose table is not
-        #: append-only, ``None`` and the ``n + 1`` tables themselves.
-        self._keys = keys
-        self._tables = tables
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def unit_sums(self) -> Dict[Tuple[str, str, str], float]:
-        """The units this block's ops charged, summed per ``(op kind,
-        phase, cost kind)``, keyed in first-touch order: by the op that
-        first charged a cell, then by the counter's place in the table
-        (exact sums: units are integers, ``docs/cost_model.md``)."""
-        kinds = self.kinds
-        if self._keys is None:
-            out: Dict[Tuple[str, str, str], float] = {}
-            tables = self._tables
-            for kind, seen, table in zip(kinds, tables, tables[1:]):
+        kinds = self.kinds = [op.op for op in ops]
+        codes = {kind: code for code, kind in enumerate(dict.fromkeys(kinds))}
+        ids = np.fromiter(map(codes.__getitem__, kinds), np.intp, len(kinds))
+        self.kind_counts = dict(zip(codes, np.bincount(ids).tolist()))
+        self.ok_count = sum(ok)
+        #: The meter's counter keys in table order and an ``n x
+        #: len(keys)`` array of the units each op charged them; or, on a
+        #: meter whose table is not append-only, ``None`` and the ``n +
+        #: 1`` tables themselves, the one before the first op on top.
+        self._ids, self._keys, self._units = ids, keys, units
+        sums: Dict[Tuple[str, str, str], float] = {}
+        if keys is None:
+            for kind, seen, table in zip(kinds, units, units[1:]):
                 for key, v in table.items():
                     d = v - seen.get(key, 0.0)
                     if d:
                         cell = (kind, *key)
-                        out[cell] = out.get(cell, 0.0) + d
-            return out
-        units = np.diff(self._tables, axis=0)
-        n = len(kinds)
-        touched_at = np.where(units != 0, np.arange(n)[:, None], n)
-        codes = {kind: code for code, kind in enumerate(dict.fromkeys(kinds))}
-        ids = np.fromiter(map(codes.__getitem__, kinds), np.intp, n)
-        found = []
-        for kind, code in codes.items():
-            mine = ids == code
-            first = touched_at[mine].min(axis=0).tolist()
-            sums = units[mine].sum(axis=0).tolist()
-            found += [(row, col, kind, sums[col])
-                      for col, row in enumerate(first) if row < n]
-        found.sort()
-        keys = self._keys
-        return {(kind, *keys[col]): total for _, col, kind, total in found}
+                        sums[cell] = sums.get(cell, 0.0) + d
+        else:
+            # One product with a 0/1 matrix of the ops of each kind sums
+            # every kind's units.  A unit count is never negative, so the
+            # cells an op touched are the cells whose sum is not 0.
+            mine = (ids == np.arange(len(codes))[:, None]).astype(float)
+            for kind, totals in zip(codes, (mine @ units).tolist()):
+                for key, total in zip(keys, totals):
+                    if total:
+                        sums[(kind, *key)] = total
+        self.cell_sums = sums
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def first_touch(self, cells: Iterable[Tuple[str, str, str]]
+                    ) -> List[Tuple[str, str, str]]:
+        """``cells`` (of :attr:`cell_sums`) in the order this block's ops
+        first charged them: by the op, then by the counter's place in
+        the table.  A profile meeting a cell for the first time creates
+        it in this order."""
+        if self._keys is None:  # the sums were made in that order
+            return [cell for cell in self.cell_sums if cell in cells]
+        ids, units = self._ids, self._units
+        cols = {key: col for col, key in enumerate(self._keys)}
+        codes = {kind: code for code, kind in enumerate(self.kind_counts)}
+
+        def touch(cell: Tuple[str, str, str]) -> Tuple[int, int]:
+            col = cols[cell[1:]]
+            hits = (ids == codes[cell[0]]) & (units[:, col] != 0)
+            return int(np.argmax(hits)), col
+
+        return sorted(cells, key=touch)
 
 
 @dataclass
@@ -413,17 +439,22 @@ class WindowFold:
 
     def add_block(self, block: OpBlock) -> None:
         """:meth:`add` for every op of ``block``, keyed by op kind: all
-        but the last in bulk, the last by :meth:`add`.  The block must
-        not run past this fold's next close (the engine ends its blocks
-        at the fold's), so only its last op can close the window."""
+        but the last in bulk (from the block's counts), the last by
+        :meth:`add`.  The block must not run past this fold's next close
+        (the engine ends its blocks at the fold's), so only its last op
+        can close the window."""
         n = len(block) - 1
         kinds = block.kinds
+        kind, ok = kinds[n], block.ok[n]
         window = self.window
         counts = window.counts
-        for key, k in Counter(kinds[:n]).items():
-            counts[key] = counts.get(key, 0) + k
+        for key, k in block.kind_counts.items():
+            if key == kind:
+                k -= 1
+            if k:
+                counts[key] = counts.get(key, 0) + k
         window.ops += n
-        window.ok += sum([row[1] for row in block.rows[:n]])
+        window.ok += block.ok_count - ok
         if self.timed:
             last = self._last_ns
             latencies = window.latencies
@@ -431,7 +462,7 @@ class WindowFold:
                 latencies[key].append(t_ns - last)
                 last = t_ns
             self._last_ns = last
-        self.add(kinds[n], block.rows[n][1], block.clocks[n])
+        self.add(kind, ok, block.clocks[n])
 
     def on_smo(self, event: Optional[OpEvent] = None) -> None:
         self.window.smos += 1
@@ -549,18 +580,24 @@ class ExecutionEngine:
         An :class:`OpEvent` is built only for someone to see — every op
         when ``on_op`` hooks are attached, else only an op that ran an
         SMO, for the ``on_smo`` hooks.  With ``on_block`` hooks the run is
-        recorded: each op adds a row and the meter's counter values as a
-        tuple, and no clock read.  At a block's end — the next close of
-        the run's fold of ``window_ops`` (if it has one), an op that ran
-        an SMO, ``RECORD_BLOCK`` ops, a ``flush`` — one numpy pass turns
-        the tuples into every op's clock: ``cumsum`` along a row adds
-        ``weight x units`` left to right in table order from the first
-        counter, the very sum ``CostMeter.total_time()`` makes.  A meter
-        whose ``total_time`` is not that sum (a cluster of parts) has it
-        read and its table copied per op instead.  The block goes to the
-        ``on_block`` hooks; the SMO, stamped with its op's clock, to the
-        ``on_smo`` hooks after them.  Unrecorded, an SMO carries the
-        sampled clock or ``None``, and ``flush`` has nothing to do.
+        recorded: each op appends itself, its outcome and the meter's
+        counter values as a tuple to the block's columns (its scan count
+        and its record's structural work only where it has any), and
+        reads no clock; its ``OpRecord`` is not kept.  At a block's end —
+        the next close of the run's fold of ``window_ops`` (if it has
+        one), ``RECORD_BLOCK`` ops, a ``flush`` — one numpy pass turns
+        the tuples into every op's clock and units (:class:`OpBlock` adds
+        those up per op kind): ``np.add.accumulate`` down an op's
+        counters adds ``weight x units`` left to right in table order
+        from the first counter, the very sum ``CostMeter.total_time()``
+        makes.  A
+        meter whose ``total_time`` is not that sum (a cluster of parts)
+        has it read and its table copied per op instead.  The block goes
+        to the ``on_block`` hooks.  An SMO goes to the ``on_smo`` hooks
+        right after its op, stamped with the clock read once for it
+        (after its block, if the op ends one), and the block marks the
+        op.  Unrecorded, an SMO carries the sampled clock or ``None``,
+        and ``flush`` has nothing to do.
         """
         every = self.sample_every
         meter = index.meter
@@ -572,9 +609,16 @@ class ExecutionEngine:
         snapshot = meter.snapshot
         lookup_samples, write_samples = tally.lookup_samples, tally.write_samples
         stats = tally.insert_stats
-        rows: List[tuple] = []
+        # The block's columns (see ``OpBlock``) and each op's counter
+        # values.
+        ops: List[Operation] = []
+        oks: List[bool] = []
+        scans: Dict[int, int] = {}
+        shifted: Dict[int, int] = {}
+        created: Dict[int, int] = {}
+        smos: List[int] = []
         snaps: List[Any] = []
-        add_row, add_snap = rows.append, snaps.append
+        add_op, add_ok, add_snap = ops.append, oks.append, snaps.append
         #: The table before the block's first op, and that op's seq.
         last = ((tuple(values()) if positional else snapshot())
                 if recording else None)
@@ -590,7 +634,7 @@ class ExecutionEngine:
         def close() -> float:
             """Hand the recorded ops over as one block; its last clock."""
             nonlocal start_ns, last, first, cut
-            n = len(rows)
+            n = len(ops)
             if positional:
                 width = len(snaps[-1])
                 keys = list(islice(table, width))
@@ -601,21 +645,24 @@ class ExecutionEngine:
                 tables = np.fromiter(chain.from_iterable(tables), float,
                                      (n + 1) * width).reshape(n + 1, width)
                 weights = meter.weights
-                w = np.array([weights.get(kind, 0.0) for _, kind in keys])
-                clocks = (np.cumsum(tables[1:] * w, axis=1)[:, -1].tolist()
+                w = np.array([[weights.get(kind, 0.0)] for _, kind in keys])
+                clocks = (np.add.accumulate(tables.T[:, 1:] * w)[-1].tolist()
                           if width else [])
-                # An op on a still-empty table reads the integer 0.
-                empty = next((i for i, t in enumerate(snaps) if t), n)
-                clocks[:empty] = [0] * empty
+                if not snaps[0]:  # an op on a still-empty table reads 0
+                    empty = next((i for i, t in enumerate(snaps) if t), n)
+                    clocks[:empty] = [0] * empty
+                units = tables[1:] - tables[:-1]
                 last = snaps[-1]
             else:
                 keys = None
                 clocks = [clock for clock, _ in snaps]
-                tables = [last, *(t for _, t in snaps)]
-                last = tables[-1]
-            block = OpBlock(first, start_ns, rows.copy(), clocks, keys, tables)
-            rows.clear()
-            snaps.clear()
+                units = [last, *(t for _, t in snaps)]
+                last = units[-1]
+            block = OpBlock(first, start_ns, ops.copy(), oks.copy(),
+                            scans.copy(), shifted.copy(), created.copy(),
+                            smos.copy(), clocks, keys, units)
+            for column in (ops, oks, scans, shifted, created, smos, snaps):
+                column.clear()
             start_ns = clocks[-1]
             first += n
             cut = next_cut(first - 1)
@@ -649,9 +696,17 @@ class ExecutionEngine:
             if scanned:
                 tally.scanned_entries += scanned
             if recording:
-                add_row((op, ok, scanned, record))
+                add_op(op)
+                add_ok(ok)
                 add_snap(tuple(values()) if positional
                          else (total_time(), snapshot()))
+                if scanned:
+                    scans[seq - first] = scanned
+                if record is not None and (record.keys_shifted
+                                           or record.nodes_created
+                                           or record.smo):
+                    shifted[seq - first] = record.keys_shifted
+                    created[seq - first] = record.nodes_created
             if on_op:
                 # Positional: keyword construction of the dataclass is
                 # measurable engine self time.
@@ -660,15 +715,20 @@ class ExecutionEngine:
                     hook(event, latency)
             if (record is not None and record.smo
                     and (kind == INSERT or kind == DELETE)):
-                event = OpEvent(seq, op, record, ok, scanned, result,
-                                close() if recording else now)
+                if recording:
+                    smos.append(seq - first)
+                    if seq == cut:
+                        now = close()
+                    elif now is None:
+                        now = total_time()
+                event = OpEvent(seq, op, record, ok, scanned, result, now)
                 for hook in on_smo:
                     hook(event)
             elif recording and seq == cut:
                 close()
 
         def flush() -> None:
-            if rows:
+            if ops:
                 close()
 
         cut = next_cut(-1)

@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import ALL_PHASES
 from repro.core.report import table
-from repro.core.runner import ExecutionObserver, OpBlock, OpEvent, OpWindow
+from repro.core.runner import ExecutionObserver, OpBlock, OpWindow
 
 #: Version stamped into trace/metric telemetry records (independent of
 #: the RunResult schema; bump on incompatible event-layout changes).
@@ -67,8 +67,9 @@ class TraceRecorder(ExecutionObserver):
     ``events`` is a list of plain dicts ready for
     :func:`repro.core.results.save_jsonl`; :meth:`to_chrome` converts
     them to the Chrome trace-event format for Perfetto.  The recorder
-    keeps the engine's blocks as they come and builds their span dicts
-    when ``events`` is read.
+    keeps the columns of the engine's blocks as they come (never an op's
+    ``OpRecord``) and builds their span and SMO instant dicts when
+    ``events`` is read.
     """
 
     def __init__(self, max_events: int = 1_000_000) -> None:
@@ -78,8 +79,10 @@ class TraceRecorder(ExecutionObserver):
         self.workload_name = ""
         self._events: List[dict] = []
         #: Recorded, in order, and not built yet: event dicts, and
-        #: ``(seq, start_ns, rows, clocks)`` of a block's spans; and how
-        #: many events they hold.
+        #: ``(seq, start_ns, ops, ok, clocks, scanned, keys_shifted,
+        #: nodes_created, smos)`` of a block's spans and SMO instants
+        #: (``OpBlock``'s columns, cut to the budget); and how many
+        #: events they hold.
         self._pending: List[object] = []
         self._unbuilt = 0
 
@@ -94,25 +97,24 @@ class TraceRecorder(ExecutionObserver):
         })
 
     def on_block(self, block: OpBlock) -> None:
-        n = min(len(block),
-                self.max_events - len(self._events) - self._unbuilt)
-        self.dropped += len(block) - max(n, 0)
-        if n > 0:
-            self._unbuilt += n
+        # In stream order each SMO's instant follows its op's span; the
+        # budget keeps the first ``room`` of them.
+        room = self.max_events - len(self._events) - self._unbuilt
+        n, smos = len(block), block.smos
+        for j, i in enumerate(smos):
+            if i + 1 + j >= room:  # the spans before it fill the room
+                n, smos = min(n, max(room - j, 0)), smos[:j]
+                break
+        else:
+            n = min(n, max(room - len(smos), 0))
+        self.dropped += len(block) + len(block.smos) - n - len(smos)
+        if n:
+            self._unbuilt += n + len(smos)
             self._pending.append((block.seq, block.start_ns,
-                                  block.rows[:n], block.clocks[:n]))
-
-    def on_smo(self, event: OpEvent) -> None:
-        r = event.record
-        self._emit({
-            "kind": EVENT_INSTANT,
-            "name": "smo",
-            "ts_ns": event.t_ns,
-            "seq": event.seq,
-            "key": event.op.key,
-            "keys_shifted": r.keys_shifted if r else 0,
-            "nodes_created": r.nodes_created if r else 0,
-        })
+                                  block.ops[:n], block.ok[:n],
+                                  block.clocks[:n], block.scanned,
+                                  block.keys_shifted, block.nodes_created,
+                                  smos))
 
     def _emit(self, rec: dict) -> None:
         if len(self._events) + self._unbuilt >= self.max_events:
@@ -131,26 +133,36 @@ class TraceRecorder(ExecutionObserver):
             if isinstance(part, dict):
                 out.append(part)
                 continue
-            seq, start, rows, clocks = part
-            for (op, ok, scanned, r), now in zip(rows, clocks):
+            (seq, start, ops, oks, clocks, scanned, shifted, created,
+             smos) = part
+            smos = set(smos)
+            for i, (op, ok, now) in enumerate(zip(ops, oks, clocks)):
                 rec = {
                     "kind": EVENT_SPAN,
                     "name": op.op,
                     "ts_ns": start,
                     "dur_ns": now - start,
-                    "seq": seq,
+                    "seq": seq + i,
                     "key": op.key,
                     "ok": ok,
                 }
-                if scanned:
-                    rec["scanned"] = scanned
-                if r is not None and (r.keys_shifted or r.nodes_created
-                                      or r.smo):
-                    rec["keys_shifted"] = r.keys_shifted
-                    rec["nodes_created"] = r.nodes_created
+                if i in scanned:
+                    rec["scanned"] = scanned[i]
+                if i in shifted:
+                    rec["keys_shifted"] = shifted[i]
+                    rec["nodes_created"] = created[i]
                 out.append(rec)
+                if i in smos:
+                    out.append({
+                        "kind": EVENT_INSTANT,
+                        "name": "smo",
+                        "ts_ns": now,
+                        "seq": seq + i,
+                        "key": op.key,
+                        "keys_shifted": shifted[i],
+                        "nodes_created": created[i],
+                    })
                 start = now
-                seq += 1
         self._pending = []
         self._unbuilt = 0
         return out
@@ -375,8 +387,10 @@ class CostProfiler(ExecutionObserver):
     """Attributes virtual time to (op kind x cost phase x cost kind).
 
     Every block of the engine's ops adds the units its ops charged into
-    the cells of their op kinds (:meth:`~repro.core.runner.OpBlock.unit_sums`),
-    creating cells in the order ops first touched them.  Because every
+    the cells of their op kinds (:attr:`~repro.core.runner.OpBlock.cell_sums`);
+    a block that touches a cell the profile lacks creates it first, in
+    the order its ops touched them
+    (:meth:`~repro.core.runner.OpBlock.first_touch`).  Because every
     charge the meter sees lands in exactly one cell, the profile's
     per-phase totals reconcile with ``CostMeter.time_by_phase()`` to
     float precision.
@@ -392,8 +406,12 @@ class CostProfiler(ExecutionObserver):
 
     def on_block(self, block: OpBlock) -> None:
         cells = self.cells
-        for cell, units in block.unit_sums().items():
-            cells[cell] = cells.get(cell, 0.0) + units
+        sums = block.cell_sums
+        if not cells.keys() >= sums.keys():
+            for cell in block.first_touch(sums.keys() - cells.keys()):
+                cells[cell] = 0.0
+        for cell, units in sums.items():
+            cells[cell] += units
 
     # -- aggregation --------------------------------------------------------
 

@@ -150,7 +150,7 @@ def test_the_engine_has_one_per_op_body():
 def test_observers_carry_only_what_is_read():
     """The run's evidence lives in ``RunResult``, the trace, the metric
     ``series`` and the SLO windows: no metric registry keeps a second
-    tally beside them, and no sampled latency rides a block row or a
+    tally beside them, and no sampled latency rides a block column or a
     window to feed one."""
     import dataclasses
 
@@ -159,6 +159,7 @@ def test_observers_carry_only_what_is_read():
     from repro.core.runner import (
         ExecutionEngine,
         ExecutionObserver,
+        OpBlock,
         OpWindow,
         WindowFold,
     )
@@ -170,19 +171,24 @@ def test_observers_carry_only_what_is_read():
     assert list(inspect.signature(WindowFold.add).parameters) == [
         "self", "key", "ok", "t_ns"]
 
+    assert [name for name in OpBlock.__slots__ if not name.startswith("_")] == [
+        "seq", "start_ns", "ops", "ok", "scanned", "keys_shifted",
+        "nodes_created", "smos", "clocks", "kinds", "kind_counts",
+        "ok_count", "cell_sums"]
+
     class Blocks(ExecutionObserver):
         def __init__(self):
-            self.rows = []
+            self.ops = []
 
         def on_block(self, block):
-            self.rows += block.rows
+            assert len(block.ok) == len(block.clocks) == len(block.kinds)
+            self.ops += block.ops
 
     blocks = Blocks()
     ExecutionEngine(observers=[blocks]).run(
         BPlusTree(), mixed_workload(list(range(0, 4000, 4)), 0.5,
                                     n_ops=300, seed=1))
-    assert len(blocks.rows) == 300
-    assert {len(row) for row in blocks.rows} == {4}
+    assert len(blocks.ops) == 300
     assert "on_smo" not in vars(telemetry.MetricsCollector)
     assert not hasattr(telemetry, "MetricsRegistry")
     assert "append" not in inspect.signature(EventBus.save).parameters

@@ -422,6 +422,34 @@ def test_trace_cap_counts_drops_without_building_records():
     assert new.dropped == ref.dropped
 
 
+@pytest.mark.parametrize("window", [None, 4, 5])
+def test_trace_cap_keeps_smo_instants_in_stream_order(window):
+    """A block hands over its SMOs with it, one per ``smos`` offset;
+    every cap keeps the same first events the per-op reference keeps,
+    each instant right after its op's span, whether a block ends at the
+    SMO's op (a window of 4), just after it (5) or far past it."""
+    from repro.core.workloads import Operation, Workload, payload
+    from repro.indexes.pgm import PGMIndex
+
+    ops = [Operation(INSERT, 1000 + k, payload(k)) for k in range(24)]
+    wl = Workload("merges", [(k, k) for k in range(0, 200, 2)], ops)
+
+    class Windowed(ExecutionObserver):
+        def on_window(self, window):
+            pass
+
+    for cap in range(36):
+        ref = reference.TraceRecorder(max_events=cap)
+        new = TraceRecorder(max_events=cap)
+        observers = [ref, new] + ([Windowed()] if window else [])
+        ExecutionEngine(observers=observers, window_ops=window or 256).run(
+            PGMIndex(buffer_size=4), wl)
+        assert json.dumps(new.events) == json.dumps(ref.events), cap
+        assert new.dropped == ref.dropped, cap
+    assert [e["seq"] for e in new.events if e["kind"] == "instant"] == [
+        3, 7, 11, 15, 19, 23]
+
+
 def test_a_run_that_raises_hands_over_the_ops_it_recorded():
     """An oracle raising at an op ends the run; every op up to and
     including that one still reaches the block recorders, which end as
